@@ -143,8 +143,14 @@ main(int argc, char **argv)
                                                  wl)});
         }
     }
-    for (const std::string &wl : args.workloads)
-        specs.push_back({"ideal-256", makeIdealConfig(256, wl)});
+    // ideal-512 is the MSHR-bound regime: a 512-entry window keeps the
+    // L1D's MSHR file full on the memory-bound kernels.
+    for (unsigned size : {256u, 512u}) {
+        for (const std::string &wl : args.workloads) {
+            specs.push_back({"ideal-" + std::to_string(size),
+                             makeIdealConfig(size, wl)});
+        }
+    }
 
     std::printf("Host throughput (jobs=%u, repeats=%u)\n", args.jobs,
                 repeats);

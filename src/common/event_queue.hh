@@ -7,6 +7,7 @@
 #ifndef SCIQ_COMMON_EVENT_QUEUE_HH
 #define SCIQ_COMMON_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -21,21 +22,47 @@ namespace sciq {
  * Min-heap of (cycle, callback) events.
  *
  * Events scheduled for the same cycle fire in FIFO order of scheduling,
- * which keeps the simulation deterministic.
+ * which keeps the simulation deterministic.  schedule() returns a ticket
+ * naming the event's place in that order; isLastScheduledFor() asks
+ * whether an event is still the newest one for its cycle, which lets a
+ * client append work to an already-scheduled event instead of
+ * scheduling another one right behind it, without changing what runs
+ * in which order.
  */
 class EventQueue
 {
   public:
     using Callback = std::function<void()>;
+    /** Scheduling-order position of an event; unique and increasing. */
+    using Ticket = std::uint64_t;
 
     /** Schedule cb to run at the given absolute cycle. */
-    void
+    Ticket
     schedule(Cycle when, Callback cb)
     {
         SCIQ_ASSERT(when >= now, "scheduling event in the past (%llu < %llu)",
                     static_cast<unsigned long long>(when),
                     static_cast<unsigned long long>(now));
-        heap.push(Event{when, nextTieBreaker++, std::move(cb)});
+        const Ticket ticket = nextTieBreaker++;
+        lastFor[when % kLastSlots] = LastScheduled{when, ticket};
+        heap.push(Event{when, ticket, std::move(cb)});
+        return ticket;
+    }
+
+    /**
+     * True if `ticket`, scheduled for `when`, is the most recently
+     * scheduled event for that cycle, so that an event scheduled now
+     * for `when` would run immediately after it.  The bookkeeping is a
+     * small direct-mapped table keyed by cycle: when another cycle
+     * aliasing `when` has been scheduled since, the answer is a
+     * conservative false, never a wrong true.  It says nothing about
+     * whether the event has already run.
+     */
+    bool
+    isLastScheduledFor(Cycle when, Ticket ticket) const
+    {
+        const LastScheduled &last = lastFor[when % kLastSlots];
+        return last.when == when && last.ticket == ticket;
     }
 
     /** Run all events scheduled at or before `upto`, advancing time. */
@@ -72,7 +99,7 @@ class EventQueue
     struct Event
     {
         Cycle when;
-        std::uint64_t order;
+        Ticket order;
         Callback cb;
 
         bool
@@ -84,9 +111,19 @@ class EventQueue
         }
     };
 
+    /** Newest ticket scheduled for a cycle, in slot `when % kLastSlots`. */
+    struct LastScheduled
+    {
+        Cycle when = kCycleNever;
+        Ticket ticket = 0;
+    };
+
+    static constexpr std::size_t kLastSlots = 64;
+
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
+    std::array<LastScheduled, kLastSlots> lastFor{};
     Cycle now = 0;
-    std::uint64_t nextTieBreaker = 0;
+    Ticket nextTieBreaker = 0;
 };
 
 } // namespace sciq

@@ -123,7 +123,7 @@ Cache::flush()
 void
 Cache::save(serial::Writer &w) const
 {
-    if (!mshrFile.empty()) {
+    if (!mshrFile.empty() || parkedCount != 0) {
         throw serial::Error("cache '" + params_.name +
                             "' has in-flight misses; checkpoints must be "
                             "taken while the hierarchy is quiescent");
@@ -149,7 +149,7 @@ Cache::save(serial::Writer &w) const
 void
 Cache::restore(serial::Reader &r)
 {
-    if (!mshrFile.empty()) {
+    if (!mshrFile.empty() || parkedCount != 0) {
         throw serial::Error("cache '" + params_.name +
                             "' has in-flight misses; cannot restore");
     }
@@ -270,13 +270,13 @@ Cache::startMiss(Addr line_addr, bool is_write, Cycle now,
     if (mshrFile.size() >= params_.mshrs) {
         // All MSHRs busy: retry next cycle.
         mshrFullStalls.inc();
-        events.schedule(now + 1, [this, line_addr, is_write, now,
-                                  cb = std::move(cb)]() mutable {
-            startMiss(line_addr, is_write, now + 1, std::move(cb));
-        });
+        batchFor(now + 1).misses.push_back(
+            {line_addr, is_write, std::move(cb)});
+        ++parkedCount;
         return;
     }
 
+    ++mshrEpoch;
     Mshr &mshr = mshrFile[line_addr];
     mshr.lineAddr = line_addr;
     mshr.anyWrite = is_write;
@@ -285,6 +285,68 @@ Cache::startMiss(Addr line_addr, bool is_write, Cycle now,
     below.request(line_addr, false, now, [this, line_addr](Cycle when) {
         handleFill(line_addr, when);
     });
+}
+
+Cache::RetryBatch &
+Cache::batchFor(Cycle when)
+{
+    // Joining the open batch is equivalent to scheduling a retry event
+    // of our own only while nothing else has been scheduled for `when`
+    // since the batch's event.
+    if (openBatch != kNoBatch && events.isLastScheduledFor(when, openTicket))
+        return batches[openBatch];
+
+    if (freeBatches.empty()) {
+        freeBatches.push_back(static_cast<std::uint32_t>(batches.size()));
+        batches.emplace_back();
+    }
+    openBatch = freeBatches.back();
+    freeBatches.pop_back();
+    openTicket = events.schedule(
+        when, [this, slot = openBatch] { retryBatch(slot); });
+    batches[openBatch].openEpoch = mshrEpoch;
+    return batches[openBatch];
+}
+
+void
+Cache::retryBatch(std::uint32_t slot)
+{
+    const Cycle now = events.curCycle();
+    if (openBatch == slot)
+        openBatch = kNoBatch;
+    std::vector<ParkedMiss> misses = std::move(batches[slot].misses);
+
+    if (batches[slot].openEpoch == mshrEpoch) {
+        // No MSHR was allocated or freed since every member found the
+        // file full and its line absent, and none can be while they
+        // retry, so each fails again exactly as its own retry would:
+        // count the stalls and move them, in order, to next cycle.
+        if (auditWaiters) {
+            for (const ParkedMiss &m : misses) {
+                ++waitChecks;
+                if (mshrFile.size() < params_.mshrs ||
+                    mshrFile.count(m.lineAddr) > 0)
+                    ++waitMismatches;
+            }
+        }
+        mshrFullStalls.inc(static_cast<double>(misses.size()));
+        RetryBatch &next = batchFor(now + 1);
+        if (next.misses.empty()) {
+            next.misses.swap(misses);
+        } else {
+            for (ParkedMiss &m : misses)
+                next.misses.push_back(std::move(m));
+        }
+    } else {
+        parkedCount -= misses.size();
+        for (ParkedMiss &m : misses)
+            startMiss(m.lineAddr, m.isWrite, now, std::move(m.cb));
+    }
+
+    // Hand the emptied storage back so the slot's next use reuses it.
+    misses.clear();
+    batches[slot].misses = std::move(misses);
+    freeBatches.push_back(slot);
 }
 
 void
@@ -298,6 +360,7 @@ Cache::handleFill(Addr line_addr, Cycle when)
     auto waiters = std::move(it->second.lineWaiters);
     bool dirty = it->second.anyWrite;
     mshrFile.erase(it);
+    ++mshrEpoch;
 
     installLine(line_addr, dirty, when);
     for (auto &w : waiters)

@@ -109,17 +109,31 @@ class Cache : public MemLevel
     /**
      * Serialize the tag array (tags, valid/dirty bits, LRU state) and
      * the statistics counters.  Only legal while the cache is quiescent
-     * (no MSHRs in flight): checkpoints are taken after functional
-     * warming, before any timed access.  Throws serial::Error otherwise.
+     * (no MSHRs in flight and no miss waiting for one): checkpoints are
+     * taken after functional warming, before any timed access.  Throws
+     * serial::Error otherwise.
      */
     void save(serial::Writer &w) const;
 
     /**
      * Restore a tag-array snapshot into this cache.  The geometry
      * (sets, associativity, line size) must match the snapshot's;
-     * mismatches throw serial::Error.
+     * mismatches throw serial::Error, as does a cache that is not
+     * quiescent.
      */
     void restore(serial::Reader &r);
+
+    /** Misses currently waiting for a free MSHR. */
+    std::size_t parkedMisses() const { return parkedCount; }
+
+    /**
+     * Audit mode: re-check every member of a retry batch that fails in
+     * bulk (its line absent from the MSHR file, the file full) and
+     * count disagreements (DESIGN.md section 11).
+     */
+    void setAuditWaiters(bool on) { auditWaiters = on; }
+    std::uint64_t mshrWaitChecks() const { return waitChecks; }
+    std::uint64_t mshrWaitMismatches() const { return waitMismatches; }
 
     unsigned lineBytes() const { return params_.lineBytes; }
     const CacheParams &params() const { return params_; }
@@ -150,6 +164,31 @@ class Cache : public MemLevel
         std::vector<std::function<void(Cycle)>> lineWaiters;
     };
 
+    /** A miss that found every MSHR busy and retries next cycle. */
+    struct ParkedMiss
+    {
+        Addr lineAddr;
+        bool isWrite;
+        std::function<void(Cycle)> cb;
+    };
+
+    /**
+     * Misses that retry in one cycle, in the order separate per-miss
+     * retry events would fire: members are only appended while the
+     * batch's event is the newest one scheduled for its cycle.
+     * `openEpoch` is the MSHR-file epoch when the batch was opened.
+     * Epochs only grow and every member failed between then
+     * and the batch's cycle, so if the epoch is unchanged when the
+     * batch runs, every member failed against the file as it is now.
+     */
+    struct RetryBatch
+    {
+        std::vector<ParkedMiss> misses;
+        std::uint64_t openEpoch = 0;
+    };
+
+    static constexpr std::uint32_t kNoBatch = ~0U;
+
     Addr lineAddrOf(Addr addr) const
     {
         return addr & ~static_cast<Addr>(params_.lineBytes - 1);
@@ -176,6 +215,16 @@ class Cache : public MemLevel
     /** Allocate/merge an MSHR; may defer if all MSHRs are busy. */
     void startMiss(Addr line_addr, bool is_write, Cycle now,
                    std::function<void(Cycle)> cb);
+
+    /**
+     * The batch that misses failing now join to retry at `when`: the
+     * open one while its event is still the newest for `when`, else a
+     * newly scheduled one.
+     */
+    RetryBatch &batchFor(Cycle when);
+
+    /** Event body: retry one batch of parked misses. */
+    void retryBatch(std::uint32_t slot);
 
     /** Install the filled line and wake the MSHR's waiters. */
     void handleFill(Addr line_addr, Cycle when);
@@ -227,6 +276,25 @@ class Cache : public MemLevel
     void warmMemoClear() { warmLines.fill(kNoWarmLine); }
 
     std::unordered_map<Addr, Mshr> mshrFile;
+
+    /** Bumped on every MSHR allocation and free. */
+    std::uint64_t mshrEpoch = 0;
+
+    /**
+     * Retry batches by slot; a slot is live from its event's scheduling
+     * until the event has run.  `openBatch` is the newest batch; a miss
+     * may join it while its event (openTicket) is still the newest one
+     * scheduled for the cycle the miss retries in.
+     */
+    std::vector<RetryBatch> batches;
+    std::vector<std::uint32_t> freeBatches;
+    std::uint32_t openBatch = kNoBatch;
+    EventQueue::Ticket openTicket = 0;
+    std::size_t parkedCount = 0;
+
+    bool auditWaiters = false;
+    std::uint64_t waitChecks = 0;
+    std::uint64_t waitMismatches = 0;
 
     /** Next cycle at which we may source a fill upward (bandwidth). */
     Cycle nextFillFree = 0;

@@ -49,6 +49,9 @@ Auditor::Auditor(bool panic_on_violation)
                      "ideal ready-list entries disagreeing with a rescan");
     group_.addScalar("wb_ring_bound", &wbRingBound,
                      "writeback-ring population diverging from in-flight");
+    group_.addScalar("mshr_wait_index", &mshrWaitIndex,
+                     "bulk-failed MSHR waiters a per-miss retry would not "
+                     "have failed");
 }
 
 void
@@ -56,6 +59,9 @@ Auditor::attach(OooCore &core)
 {
     core.statGroup().addChild(&group_);
     core.iqUnit().setAuditTracking(true);
+    MemHierarchy &mem = core.memHierarchy();
+    for (Cache *cache : {&mem.icache(), &mem.dcache(), &mem.l2cache()})
+        cache->setAuditWaiters(true);
     core.setCycleHook([this](OooCore &c, Cycle cycle) {
         auditCycle(c, cycle);
     });
@@ -124,6 +130,19 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
                   "ring holds " + std::to_string(wb_pop) +
                       " but inFlightExec=" +
                       std::to_string(core.inFlightExec));
+    }
+
+    // The caches re-check each bulk failure as it happens (its line
+    // absent from the MSHR file, the file full); report the new ones.
+    MemHierarchy &mem = core.memHierarchy();
+    std::uint64_t mshr_wait = 0;
+    for (Cache *cache : {&mem.icache(), &mem.dcache(), &mem.l2cache()})
+        mshr_wait += cache->mshrWaitMismatches();
+    while (mshrWaitSeen_ < mshr_wait) {
+        ++mshrWaitSeen_;
+        violation(mshrWaitIndex, "bulk-failed MSHR waiter really fails",
+                  cycle, "a cache failed a parked miss in bulk while its "
+                         "line had an MSHR or one was free");
     }
 
     if (auto *seg = dynamic_cast<SegmentedIq *>(core.iq.get()))

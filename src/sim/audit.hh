@@ -25,7 +25,10 @@
  *    occupancy counters, the per-segment promotion-candidate counts
  *    and activity masks, the per-chain subscriber lists and their
  *    back-pointers, the self-timed countdown lists, the ideal queue's
- *    ready list, and the core's writeback-ring population.
+ *    ready list, and the core's writeback-ring population;
+ *  - every MSHR waiter a cache fails in bulk (the whole retry batch
+ *    without a per-miss retry) really has its line absent from a full
+ *    MSHR file.
  *
  * Violations are accumulated into a `stats::Group` ("audit") so sweeps
  * can assert on them cheaply; with `auditPanic` (key `audit_panic=1`,
@@ -88,6 +91,7 @@ class Auditor
     stats::Scalar countdownIndex;     ///< self-timed countdown list wrong
     stats::Scalar readyIndex;         ///< ideal ready list wrong
     stats::Scalar wbRingBound;        ///< writeback ring population wrong
+    stats::Scalar mshrWaitIndex;      ///< bulk-failed MSHR waiter wrong
 
   private:
     void violation(stats::Scalar &counter, const char *invariant,
@@ -98,6 +102,7 @@ class Auditor
 
     bool panicOnViolation_;
     std::uint64_t total_ = 0;
+    std::uint64_t mshrWaitSeen_ = 0;  ///< cache disagreements reported so far
     stats::Group group_;
 };
 

@@ -50,7 +50,8 @@ TEST_P(AuditSweep, ZeroViolations)
         << " promotion_bound=" << sim.auditor()->promotionBound.value()
         << " issue_over_width=" << sim.auditor()->issueOverWidth.value()
         << " wire_delivery=" << sim.auditor()->wireDelivery.value()
-        << " pool_bound=" << sim.auditor()->poolBound.value();
+        << " pool_bound=" << sim.auditor()->poolBound.value()
+        << " mshr_wait_index=" << sim.auditor()->mshrWaitIndex.value();
 }
 
 std::string
@@ -81,6 +82,26 @@ TEST(AuditStats, GroupIsWiredIntoCoreTree)
     EXPECT_GT(core_stats.lookup("audit.cycles_audited"), 0.0);
     EXPECT_EQ(core_stats.lookup("audit.promotion_bound"), 0.0);
     EXPECT_EQ(core_stats.lookup("audit.wire_delivery"), 0.0);
+    EXPECT_TRUE(core_stats.contains("audit.mshr_wait_index"));
+}
+
+TEST(AuditStats, BulkFailedMshrWaitersAreRechecked)
+{
+    // A 512-entry window saturates the L1D's MSHRs on swim, so waiting
+    // misses fail in bulk many times; every one must pass the re-check.
+    SimConfig cfg = makeIdealConfig(512, "swim");
+    cfg.wl.iterations = 200;
+    cfg.audit = true;
+
+    Simulator sim(cfg);
+    RunResult r = sim.run();
+
+    EXPECT_TRUE(r.validated);
+    const Cache &l1d = sim.core().memHierarchy().dcache();
+    EXPECT_GT(l1d.mshrWaitChecks(), 0u);
+    EXPECT_EQ(l1d.mshrWaitMismatches(), 0u);
+    EXPECT_EQ(sim.core().statGroup().lookup("audit.mshr_wait_index"), 0.0);
+    EXPECT_EQ(r.auditViolations, 0u);
 }
 
 TEST(AuditNegative, InjectedOverPromotionIsCaught)

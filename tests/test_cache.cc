@@ -46,6 +46,28 @@ class FakeLevel : public MemLevel
     unsigned lat;
 };
 
+/** A backing level whose fills the test completes by hand. */
+class ManualLevel : public MemLevel
+{
+  public:
+    void
+    request(Addr line, bool is_write, Cycle now,
+            std::function<void(Cycle)> done) override
+    {
+        requests.push_back({line, is_write, now, std::move(done)});
+    }
+
+    struct Req
+    {
+        Addr line;
+        bool write;
+        Cycle at;
+        std::function<void(Cycle)> done;
+    };
+
+    std::vector<Req> requests;
+};
+
 struct Result
 {
     Cycle when = 0;
@@ -207,10 +229,199 @@ TEST(Cache, MshrLimitDefersMisses)
     c.access(0x2000, false, 0, capture(r[2]));  // must wait for an MSHR
     ev.runUntil(400);
     ASSERT_TRUE(r[0].done && r[1].done && r[2].done);
-    EXPECT_GT(c.mshrFullStalls.value(), 0.0);
-    // The third miss completes a full memory latency after the first
-    // two free their MSHRs.
-    EXPECT_GT(r[2].when, r[0].when);
+    // The third miss finds both MSHRs busy at its lookup (cycle 3) and
+    // retries every cycle until the two fills free them at 103; the
+    // fills run before that cycle's retry, so it claims one at 103.
+    EXPECT_EQ(c.mshrFullStalls.value(), 100.0);
+    EXPECT_EQ(r[0].when, 103u);
+    EXPECT_EQ(r[1].when, 103u);
+    EXPECT_EQ(r[2].when, 203u);
+    EXPECT_EQ(r[2].outcome, AccessOutcome::Miss);
+    ASSERT_EQ(below.requests.size(), 3u);
+    EXPECT_EQ(below.requests[2].at, 103u);
+}
+
+TEST(Cache, NewestWaiterClaimsFreedMshrFirst)
+{
+    // Five misses to distinct lines, one per cycle, with two MSHRs.
+    // The three that find the file full retry newest-first: a fresh
+    // lookup failure was scheduled before the older misses' retries, so
+    // it is re-queued ahead of them every cycle.
+    EventQueue ev;
+    FakeLevel below(ev, 100);
+    CacheParams p = smallCache();
+    p.mshrs = 2;
+    Cache c(p, below, ev);
+
+    Result r[5];
+    for (int i = 0; i < 5; ++i) {
+        ev.runUntil(i);
+        c.access(0x1000 * i, false, i, capture(r[i]));
+    }
+    ev.runUntil(1000);
+    for (const Result &res : r)
+        ASSERT_TRUE(res.done);
+    EXPECT_EQ(r[0].when, 103u);
+    EXPECT_EQ(r[1].when, 104u);
+    EXPECT_EQ(r[2].when, 303u);
+    EXPECT_EQ(r[3].when, 204u);
+    EXPECT_EQ(r[4].when, 203u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 392.0);
+    EXPECT_EQ(c.misses.value(), 5.0);
+}
+
+TEST(Cache, FreshMissAllocatesParkedWaitersLine)
+{
+    // A miss to line L waits for the only MSHR.  When it frees, a fresh
+    // lookup of L (scheduled before the waiter's retry) allocates L's
+    // MSHR; the waiter's retry in the same cycle then merges into it
+    // and completes with the same fill.
+    EventQueue ev;
+    FakeLevel below(ev, 100);
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+
+    Result a, waiter, fresh;
+    c.access(0x0000, false, 0, capture(a));
+    c.access(0x2000, false, 0, capture(waiter));
+    ev.runUntil(100);
+    c.access(0x2008, false, 100, capture(fresh));
+    ev.runUntil(1000);
+    ASSERT_TRUE(a.done && waiter.done && fresh.done);
+    EXPECT_EQ(a.when, 103u);
+    EXPECT_EQ(fresh.when, 203u);
+    EXPECT_EQ(waiter.when, 203u);
+    EXPECT_EQ(fresh.outcome, AccessOutcome::Miss);
+    EXPECT_EQ(waiter.outcome, AccessOutcome::Miss);
+    EXPECT_EQ(c.misses.value(), 3.0);
+    EXPECT_EQ(c.delayedHits.value(), 0.0);
+    EXPECT_EQ(c.mshrFullStalls.value(), 100.0);
+    ASSERT_EQ(below.requests.size(), 2u);
+    EXPECT_EQ(below.requests[1].line, 0x2000u);
+    EXPECT_EQ(below.requests[1].at, 103u);
+}
+
+TEST(Cache, FillOrderedBeforeRetriesFreesMshrThatCycle)
+{
+    EventQueue ev;
+    ManualLevel below;
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+
+    Result a, b;
+    c.access(0x0000, false, 0, capture(a));
+    c.access(0x1000, false, 0, capture(b));
+    ev.runUntil(10);
+    // Scheduled now, long before the retry for cycle 50 exists.
+    ev.schedule(50, [&] { below.requests[0].done(50); });
+    ev.runUntil(60);
+    ASSERT_EQ(below.requests.size(), 2u);
+    EXPECT_EQ(below.requests[1].at, 50u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 47.0);
+    below.requests[1].done(60);
+    ev.runUntil(70);
+    EXPECT_TRUE(a.done && b.done);
+    EXPECT_EQ(b.when, 60u);
+}
+
+TEST(Cache, FillOrderedAfterRetriesFreesMshrNextCycle)
+{
+    EventQueue ev;
+    ManualLevel below;
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+
+    Result a, b;
+    c.access(0x0000, false, 0, capture(a));
+    c.access(0x1000, false, 0, capture(b));
+    // The retry for cycle 50 is scheduled while cycle 49 runs, so a
+    // fill scheduled after that lands behind it: the retry fails once
+    // more at 50 and the miss claims the freed MSHR at 51.
+    ev.runUntil(49);
+    ev.schedule(50, [&] { below.requests[0].done(50); });
+    ev.runUntil(60);
+    ASSERT_EQ(below.requests.size(), 2u);
+    EXPECT_EQ(below.requests[1].at, 51u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 48.0);
+}
+
+TEST(Cache, RetryKeepsItsPlaceBehindALaterScheduledEvent)
+{
+    // Within cycle 3, B fails (its retry for 4 is scheduled), then an
+    // unrelated event schedules A's fill for 4, then C fails.  C's retry
+    // fires after the fill and claims the freed MSHR at 4; B's, ordered
+    // before the fill, fails once more.
+    EventQueue ev;
+    ManualLevel below;
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+
+    Result a, b, cc;
+    c.access(0x0000, false, 0, capture(a));
+    c.access(0x1000, false, 0, capture(b));
+    ev.schedule(3, [&] {
+        ev.schedule(4, [&] { below.requests[0].done(4); });
+    });
+    c.access(0x2000, false, 0, capture(cc));
+    ev.runUntil(4);
+    ASSERT_EQ(below.requests.size(), 2u);
+    EXPECT_EQ(below.requests[1].line, 0x2000u);
+    EXPECT_EQ(below.requests[1].at, 4u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 3.0);
+}
+
+TEST(Cache, SingleMshrSerialisesMisses)
+{
+    EventQueue ev;
+    FakeLevel below(ev, 20);
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+
+    Result r[4];
+    for (int i = 0; i < 4; ++i)
+        c.access(0x1000 * i, false, 0, capture(r[i]));
+    ev.runUntil(1000);
+    for (const Result &res : r)
+        ASSERT_TRUE(res.done);
+    EXPECT_EQ(r[0].when, 23u);
+    EXPECT_EQ(r[1].when, 43u);
+    EXPECT_EQ(r[2].when, 63u);
+    EXPECT_EQ(r[3].when, 83u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 120.0);
+}
+
+TEST(Hierarchy, SaturatedMshrsExactTiming)
+{
+    // 96 independent L1D misses and 48 L1I misses over three cycles
+    // oversubscribe the L1D's 32 MSHRs, and the two L1s together the
+    // L2's; every completion cycle and both stall counts are pinned.
+    MemHierarchy h;
+    std::vector<Cycle> done(144, 0);
+    for (int i = 0; i < 144; ++i) {
+        const Cycle now = i / 48;
+        h.tick(now);
+        Cache &l1 = i % 3 == 2 ? h.icache() : h.dcache();
+        l1.access(0x100000 + 64 * i, false, now,
+                  [&done, i](Cycle when, AccessOutcome) { done[i] = when; });
+    }
+    h.tick(5000);
+    std::uint64_t sum = 0, hash = 0;
+    for (Cycle when : done) {
+        ASSERT_NE(when, 0u);
+        sum += when;
+        hash = hash * 1000003u + when;
+    }
+    EXPECT_EQ(sum, 99648u);
+    EXPECT_EQ(hash, 15866423049783132352u);
+    EXPECT_EQ(done.front(), 376u);
+    EXPECT_EQ(done.back(), 512u);
+    EXPECT_EQ(h.dcache().mshrFullStalls.value(), 47840.0);
+    EXPECT_EQ(h.l2cache().mshrFullStalls.value(), 11514.0);
 }
 
 TEST(Cache, FillBandwidthSerialisesLowerLevel)
@@ -302,4 +513,69 @@ TEST(Hierarchy, FlushAllEmptiesCaches)
     h.flushAll();
     EXPECT_FALSE(h.dcache().isResident(0xB000));
     EXPECT_FALSE(h.l2cache().isResident(0xB000));
+}
+
+TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
+{
+    EventQueue ev;
+    ManualLevel below;
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+
+    serial::Writer clean;
+    c.save(clean);
+
+    Result a, b;
+    c.access(0x0000, false, 0, capture(a));
+    c.access(0x1000, false, 0, capture(b));
+    ev.runUntil(49);
+    ev.schedule(50, [&] { below.requests[0].done(50); });
+    ev.runUntil(50);
+    // B's retry failed at 50 before the fill freed the only MSHR: the
+    // MSHR file is empty, but B still waits to retry at 51.
+    ASSERT_TRUE(a.done);
+    ASSERT_EQ(below.requests.size(), 1u);
+    EXPECT_EQ(c.parkedMisses(), 1u);
+    serial::Writer w;
+    EXPECT_THROW(c.save(w), serial::Error);
+    serial::Reader r(clean.buffer());
+    EXPECT_THROW(c.restore(r), serial::Error);
+
+    ev.runUntil(51);
+    EXPECT_EQ(c.parkedMisses(), 0u);
+    ASSERT_EQ(below.requests.size(), 2u);
+    ev.schedule(60, [&] { below.requests[1].done(60); });
+    ev.runUntil(60);
+    ASSERT_TRUE(b.done);
+    serial::Writer after;
+    EXPECT_NO_THROW(c.save(after));
+    serial::Reader r2(clean.buffer());
+    EXPECT_NO_THROW(c.restore(r2));
+}
+
+TEST(Cache, WaitersRetryAsOneEventAndFailInBulk)
+{
+    // SingleMshrSerialisesMisses with the audit re-check on.  While the
+    // MSHR file is unchanged the waiting misses share one retry event
+    // per cycle and fail together; each bulk failure is re-checked.
+    EventQueue ev;
+    FakeLevel below(ev, 20);
+    CacheParams p = smallCache();
+    p.mshrs = 1;
+    Cache c(p, below, ev);
+    c.setAuditWaiters(true);
+
+    Result r[4];
+    for (int i = 0; i < 4; ++i)
+        c.access(0x1000 * i, false, 0, capture(r[i]));
+    ev.runUntil(10);
+    EXPECT_EQ(c.parkedMisses(), 3u);
+    EXPECT_EQ(ev.size(), 2u);  // the fill and one retry batch
+    ev.runUntil(1000);
+    EXPECT_EQ(r[3].when, 83u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 120.0);
+    // Bulk failures: 3 waiters x 19 cycles, then 2 x 19, then 1 x 19.
+    EXPECT_EQ(c.mshrWaitChecks(), 114u);
+    EXPECT_EQ(c.mshrWaitMismatches(), 0u);
 }

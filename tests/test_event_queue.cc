@@ -83,3 +83,67 @@ TEST(EventQueue, SameCycleCallbackRunsThisRound)
     q.runUntil(2);
     EXPECT_EQ(fired, 1);
 }
+
+TEST(EventQueue, ScheduleReturnsIncreasingTickets)
+{
+    EventQueue q;
+    const EventQueue::Ticket a = q.schedule(7, [] {});
+    const EventQueue::Ticket b = q.schedule(3, [] {});
+    EXPECT_LT(a, b);
+}
+
+TEST(EventQueue, LastScheduledForItsCycle)
+{
+    EventQueue q;
+    const EventQueue::Ticket t = q.schedule(5, [] {});
+    EXPECT_TRUE(q.isLastScheduledFor(5, t));
+    EXPECT_FALSE(q.isLastScheduledFor(6, t));
+
+    // Events for other cycles leave the answer unchanged.
+    q.schedule(6, [] {});
+    q.schedule(100, [] {});
+    EXPECT_TRUE(q.isLastScheduledFor(5, t));
+
+    // Another event for the same cycle in between: no longer last.
+    const EventQueue::Ticket u = q.schedule(5, [] {});
+    EXPECT_FALSE(q.isLastScheduledFor(5, t));
+    EXPECT_TRUE(q.isLastScheduledFor(5, u));
+}
+
+TEST(EventQueue, AliasingCycleGivesConservativeNo)
+{
+    // Cycles 5 and 5 + 64 share a bookkeeping slot; once the far one
+    // has been scheduled the near one's ticket cannot be vouched for.
+    EventQueue q;
+    const EventQueue::Ticket t = q.schedule(5, [] {});
+    const EventQueue::Ticket far = q.schedule(5 + 64, [] {});
+    EXPECT_FALSE(q.isLastScheduledFor(5, t));
+    EXPECT_TRUE(q.isLastScheduledFor(5 + 64, far));
+
+    // A far-future cycle in the same slot, then the near cycle again:
+    // only the newest near ticket is last, never the overwritten one.
+    const EventQueue::Ticket v = q.schedule(5, [] {});
+    q.schedule(5 + 64 * 1000, [] {});
+    EXPECT_FALSE(q.isLastScheduledFor(5, v));
+    EXPECT_FALSE(q.isLastScheduledFor(5 + 64, far));
+    const EventQueue::Ticket w = q.schedule(5, [] {});
+    EXPECT_TRUE(q.isLastScheduledFor(5, w));
+    EXPECT_FALSE(q.isLastScheduledFor(5, t));
+    EXPECT_FALSE(q.isLastScheduledFor(5, v));
+}
+
+TEST(EventQueue, LastScheduledMatchesFiringOrder)
+{
+    // Whenever the query says yes, an event scheduled next for that
+    // cycle fires immediately after the queried one.
+    EventQueue q;
+    std::vector<int> order;
+    const EventQueue::Ticket t = q.schedule(4, [&] { order.push_back(0); });
+    q.schedule(9, [&] { order.push_back(9); });
+    ASSERT_TRUE(q.isLastScheduledFor(4, t));
+    q.schedule(4, [&] { order.push_back(1); });
+    q.runUntil(3);
+    q.schedule(4, [&] { order.push_back(2); });
+    q.runUntil(10);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+}

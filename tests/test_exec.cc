@@ -31,12 +31,26 @@ class TestContext : public ExecContext
     SparseMemory mem;
 };
 
+/**
+ * gtest prints an AluCase as its raw bytes, and gtest_discover_tests turns
+ * that printout into the CTest name. The bytes after the one-byte opcode are
+ * therefore a named, zeroed member rather than compiler padding, which would
+ * hold whatever the stack held and give the test a different name per run.
+ */
 struct AluCase
 {
     Opcode op;
+    std::uint8_t pad[7];
     std::uint64_t a, b;
     std::uint64_t expected;
 };
+static_assert(sizeof(AluCase) == 32, "AluCase must have no hidden padding");
+
+constexpr AluCase
+alu(Opcode op, std::uint64_t a, std::uint64_t b, std::uint64_t expected)
+{
+    return AluCase{op, {}, a, b, expected};
+}
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {
@@ -65,32 +79,30 @@ TEST_P(AluSemantics, RegisterRegister)
 INSTANTIATE_TEST_SUITE_P(
     IntOps, AluSemantics,
     ::testing::Values(
-        AluCase{Opcode::ADD, 5, 7, 12},
-        AluCase{Opcode::ADD, ~0ULL, 1, 0},  // wraparound
-        AluCase{Opcode::SUB, 5, 7, static_cast<std::uint64_t>(-2)},
-        AluCase{Opcode::AND, 0xF0F0, 0xFF00, 0xF000},
-        AluCase{Opcode::OR, 0xF0F0, 0x0F0F, 0xFFFF},
-        AluCase{Opcode::XOR, 0xFFFF, 0x0F0F, 0xF0F0},
-        AluCase{Opcode::SLL, 1, 63, 1ULL << 63},
-        AluCase{Opcode::SLL, 1, 64, 1},  // shift amount masked to 6 bits
-        AluCase{Opcode::SRL, kMinI64, 63, 1},
-        AluCase{Opcode::SRA, kMinI64, 63, ~0ULL},
-        AluCase{Opcode::SLT, static_cast<std::uint64_t>(-1), 1, 1},
-        AluCase{Opcode::SLT, 1, static_cast<std::uint64_t>(-1), 0},
-        AluCase{Opcode::SLTU, static_cast<std::uint64_t>(-1), 1, 0},
-        AluCase{Opcode::MUL, 7, 6, 42},
-        AluCase{Opcode::MULH, kMinI64, 2,
-                static_cast<std::uint64_t>(-1)},
-        AluCase{Opcode::DIV, static_cast<std::uint64_t>(-20), 3,
-                static_cast<std::uint64_t>(-6)},
-        AluCase{Opcode::DIV, 20, 0, ~0ULL},        // div-by-zero
-        AluCase{Opcode::DIV, kMinI64, static_cast<std::uint64_t>(-1),
-                kMinI64},                          // overflow
-        AluCase{Opcode::REM, static_cast<std::uint64_t>(-20), 3,
-                static_cast<std::uint64_t>(-2)},
-        AluCase{Opcode::REM, 20, 0, 20},           // rem-by-zero
-        AluCase{Opcode::REM, kMinI64, static_cast<std::uint64_t>(-1),
-                0}));
+        alu(Opcode::ADD, 5, 7, 12),
+        alu(Opcode::ADD, ~0ULL, 1, 0),  // wraparound
+        alu(Opcode::SUB, 5, 7, static_cast<std::uint64_t>(-2)),
+        alu(Opcode::AND, 0xF0F0, 0xFF00, 0xF000),
+        alu(Opcode::OR, 0xF0F0, 0x0F0F, 0xFFFF),
+        alu(Opcode::XOR, 0xFFFF, 0x0F0F, 0xF0F0),
+        alu(Opcode::SLL, 1, 63, 1ULL << 63),
+        alu(Opcode::SLL, 1, 64, 1),  // shift amount masked to 6 bits
+        alu(Opcode::SRL, kMinI64, 63, 1),
+        alu(Opcode::SRA, kMinI64, 63, ~0ULL),
+        alu(Opcode::SLT, static_cast<std::uint64_t>(-1), 1, 1),
+        alu(Opcode::SLT, 1, static_cast<std::uint64_t>(-1), 0),
+        alu(Opcode::SLTU, static_cast<std::uint64_t>(-1), 1, 0),
+        alu(Opcode::MUL, 7, 6, 42),
+        alu(Opcode::MULH, kMinI64, 2, static_cast<std::uint64_t>(-1)),
+        alu(Opcode::DIV, static_cast<std::uint64_t>(-20), 3,
+            static_cast<std::uint64_t>(-6)),
+        alu(Opcode::DIV, 20, 0, ~0ULL),        // div-by-zero
+        alu(Opcode::DIV, kMinI64, static_cast<std::uint64_t>(-1),
+            kMinI64),                          // overflow
+        alu(Opcode::REM, static_cast<std::uint64_t>(-20), 3,
+            static_cast<std::uint64_t>(-2)),
+        alu(Opcode::REM, 20, 0, 20),           // rem-by-zero
+        alu(Opcode::REM, kMinI64, static_cast<std::uint64_t>(-1), 0)));
 
 TEST(ExecSemantics, Immediates)
 {
