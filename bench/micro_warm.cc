@@ -9,6 +9,13 @@
  * the step()-based cold-decode interpreter (bb_cache=0) and with the
  * basic-block cache (bb_cache=1), best-of `repeats` timed runs.
  *
+ * It also times the per-job set-up path a fast-forwarded sweep job
+ * pays outside the core loop (DESIGN.md §12), on the workload's
+ * default-length program warmed to 12k instructions before HALT:
+ * Program::load into an empty memory, saveCheckpoint,
+ * restoreCheckpoint into a freshly built core, and golden validation
+ * (build a FunctionalCore, run the whole program, equalContents).
+ *
  * Arguments:
  *   warm_insts=N  instructions per timed run (default 2m; quick: 400k;
  *                 accepts k/m/g suffixes)
@@ -22,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +37,7 @@
 #include "common/json.hh"
 #include "core/ooo_core.hh"
 #include "isa/functional_core.hh"
+#include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
 
 using namespace sciq;
@@ -50,6 +59,11 @@ struct WorkloadNumbers
     std::uint64_t bbOpsCached = 0;
     std::uint64_t bbTraceHits = 0;
     std::uint64_t bbSuccHits = 0;
+    double loadS = 0.0;      ///< Program::load
+    double saveS = 0.0;      ///< saveCheckpoint
+    double restoreS = 0.0;   ///< restoreCheckpoint
+    double validateS = 0.0;  ///< golden build + run + equalContents
+    std::uint64_t ckptBytes = 0;
 
     double warmSpeedup() const
     {
@@ -92,6 +106,64 @@ coreParams()
 {
     SimConfig cfg = makeSegmentedConfig(128, 64, true, true, "swim");
     return cfg.core;
+}
+
+/** Best-of-`repeats` seconds of `body()`, after an untimed `setup()`. */
+template <typename Setup, typename Body>
+double
+bestOf(unsigned repeats, Setup setup, Body body)
+{
+    double best = 0.0;
+    for (unsigned rep = 0; rep < repeats; ++rep) {
+        auto state = setup();
+        const auto t0 = Clock::now();
+        body(state);
+        const double dt = seconds(t0);
+        best = rep == 0 ? dt : std::min(best, dt);
+    }
+    return best;
+}
+
+/** Times the set-up path of one fast-forwarded sweep job. */
+void
+measureSetup(WorkloadNumbers &n, unsigned repeats)
+{
+    SimConfig cfg = makeSegmentedConfig(128, 64, true, true, n.workload);
+    const Program prog = buildWorkload(cfg.workload, cfg.wl);
+    FunctionalCore finished(prog);
+    const std::uint64_t len = finished.run();
+    constexpr std::uint64_t kTail = 12000;
+    cfg.fastForward = len > 2 * kTail ? len - kTail : len / 2;
+
+    auto noSetup = [] { return 0; };
+
+    n.loadS = bestOf(repeats, [] { return SparseMemory(); },
+                     [&](SparseMemory &m) { prog.load(m); });
+
+    FunctionalCore warm(prog);
+    OooCore warmed(prog, cfg.core);
+    const FastForwardStats ff =
+        fastForward(warm, warmed, cfg.fastForward);
+    std::string blob;
+    n.saveS = bestOf(repeats, noSetup, [&](auto &) {
+        blob = saveCheckpoint(cfg, warm, warmed, ff);
+    });
+    n.ckptBytes = blob.size();
+
+    n.restoreS = bestOf(
+        repeats,
+        [&] { return std::make_unique<OooCore>(prog, cfg.core); },
+        [&](std::unique_ptr<OooCore> &core) {
+            restoreCheckpoint(blob, cfg, prog, *core);
+        });
+
+    n.validateS = bestOf(repeats, noSetup, [&](auto &) {
+        FunctionalCore golden(prog);
+        golden.run(len);
+        if (!golden.memory().equalContents(finished.memory()))
+            std::fprintf(stderr, "ERROR: %s golden replay diverged\n",
+                         n.workload.c_str());
+    });
 }
 
 WorkloadNumbers
@@ -145,6 +217,7 @@ measure(const std::string &workload, std::uint64_t insts, unsigned repeats)
             }
         }
     }
+    measureSetup(n, repeats);
     return n;
 }
 
@@ -179,7 +252,16 @@ writeJson(const std::string &path, std::uint64_t insts, unsigned repeats,
         os << ", \"bb_blocks\": " << n.bbBlocks
            << ", \"bb_ops_cached\": " << n.bbOpsCached
            << ", \"bb_trace_hits\": " << n.bbTraceHits
-           << ", \"bb_succ_hits\": " << n.bbSuccHits << "}"
+           << ", \"bb_succ_hits\": " << n.bbSuccHits
+           << ", \"setup_load_s\": ";
+        json::writeNumber(os, n.loadS);
+        os << ", \"setup_save_ckpt_s\": ";
+        json::writeNumber(os, n.saveS);
+        os << ", \"setup_restore_ckpt_s\": ";
+        json::writeNumber(os, n.restoreS);
+        os << ", \"setup_validate_s\": ";
+        json::writeNumber(os, n.validateS);
+        os << ", \"ckpt_bytes\": " << n.ckptBytes << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
@@ -231,6 +313,19 @@ main(int argc, char **argv)
     std::printf("warming speedup: worst %.2fx, best %.2fx, "
                 ">=5x on %u/%zu workloads\n",
                 worst, best, atLeast5x, rows.size());
+
+    std::printf("\nper-job set-up path (ms, best of %u; ff to 12k insts "
+                "before HALT)\n\n",
+                repeats);
+    std::printf("%-10s %9s %9s %9s %9s %10s\n", "workload", "load",
+                "save", "restore", "validate", "ckpt KiB");
+    hr('-', 62);
+    for (const WorkloadNumbers &n : rows) {
+        std::printf("%-10s %9.3f %9.3f %9.3f %9.3f %10.1f\n",
+                    n.workload.c_str(), 1e3 * n.loadS, 1e3 * n.saveS,
+                    1e3 * n.restoreS, 1e3 * n.validateS,
+                    static_cast<double>(n.ckptBytes) / 1024.0);
+    }
 
     if (!jsonOut.empty())
         writeJson(jsonOut, insts, repeats, rows);

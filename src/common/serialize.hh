@@ -14,6 +14,7 @@
 #ifndef SCIQ_COMMON_SERIALIZE_HH
 #define SCIQ_COMMON_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -30,7 +31,10 @@ class Error : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Incremental FNV-1a (64-bit) used for content keys and trailers. */
+/**
+ * Incremental FNV-1a (64-bit) used for content keys and fingerprints:
+ * cache keys, workload fingerprints and small structured records.
+ */
 class Fnv64
 {
   public:
@@ -67,6 +71,57 @@ fnv1a(const void *data, std::size_t len)
     Fnv64 h;
     h.update(data, len);
     return h.digest();
+}
+
+/**
+ * Word-at-a-time 64-bit hash for bulk byte ranges: the checkpoint
+ * trailer and the data-segment bytes in Program::checksum.
+ *
+ * Each 8-byte little-endian word w updates the state as
+ * h = f(h ^ w), where f(x) = m ^ (m >> 32) with m = x * K for an odd
+ * K.  Both halves of f are bijections, so every step is a bijection of
+ * the word for a fixed state and of the state for a fixed word: two
+ * inputs of equal length that differ in one word, and hence any
+ * single-bit flip, always hash differently.  The trailing 1..7 bytes
+ * form one zero-padded word, the length is folded into the initial
+ * state, and a murmur3 finaliser spreads the last word into every bit.
+ * One multiply per 8 bytes replaces FNV-1a's one per byte.
+ */
+inline std::uint64_t
+hashBytes(const void *data, std::size_t len)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    auto step = [](std::uint64_t h, std::uint64_t w) {
+        h = (h ^ w) * kMul;
+        return h ^ (h >> 32);
+    };
+    auto loadLe = [](const std::uint8_t *b, std::size_t n) {
+        std::uint64_t w = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            w |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+        return w;
+    };
+
+    std::uint64_t h = 0x243f6a8885a308d3ULL ^ (len * kMul);
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        std::uint64_t w;
+        if constexpr (std::endian::native == std::endian::little)
+            std::memcpy(&w, p + i, 8);
+        else
+            w = loadLe(p + i, 8);
+        h = step(h, w);
+    }
+    if (i < len)
+        h = step(h, loadLe(p + i, len - i));
+
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
 }
 
 /** Append-only little-endian encoder over a std::string buffer. */

@@ -60,7 +60,7 @@ Program::checksum() const
     for (const Blob &blob : data) {
         h.update(blob.addr);
         h.update(blob.bytes.size());
-        h.update(blob.bytes.data(), blob.bytes.size());
+        h.update(serial::hashBytes(blob.bytes.data(), blob.bytes.size()));
     }
     return h.digest();
 }

@@ -75,7 +75,9 @@ class Program
     void load(SparseMemory &mem) const;
 
     /**
-     * Content fingerprint over base address, code and data blobs.
+     * Content fingerprint over base address, code and data blobs
+     * (FNV-1a over the fields, serial::hashBytes over each blob's
+     * bytes).
      * Checkpoints embed it so a snapshot can only be restored against
      * the exact program it was taken from.
      */

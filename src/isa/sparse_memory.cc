@@ -69,16 +69,32 @@ SparseMemory::write(Addr addr, unsigned size, std::uint64_t val)
 void
 SparseMemory::writeBlob(Addr addr, const std::uint8_t *data, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i)
-        getPage(addr + i)[(addr + i) & (kPageSize - 1)] = data[i];
+    // One page lookup and one copy per page run.  `addr` wraps modulo
+    // 2^64 exactly as the per-byte address arithmetic in write() does.
+    while (len > 0) {
+        const std::size_t off = addr & (kPageSize - 1);
+        const std::size_t n = std::min<std::size_t>(len, kPageSize - off);
+        std::memcpy(getPage(addr).data() + off, data, n);
+        addr += n;
+        data += n;
+        len -= n;
+    }
 }
 
 void
 SparseMemory::readBlob(Addr addr, std::uint8_t *data, std::size_t len) const
 {
-    for (std::size_t i = 0; i < len; ++i) {
-        const Page *p = findPage(addr + i);
-        data[i] = p ? (*p)[(addr + i) & (kPageSize - 1)] : 0;
+    // Absent pages read as zero and stay absent.
+    while (len > 0) {
+        const std::size_t off = addr & (kPageSize - 1);
+        const std::size_t n = std::min<std::size_t>(len, kPageSize - off);
+        if (const Page *p = findPage(addr))
+            std::memcpy(data, p->data() + off, n);
+        else
+            std::memset(data, 0, n);
+        addr += n;
+        data += n;
+        len -= n;
     }
 }
 

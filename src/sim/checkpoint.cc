@@ -39,11 +39,11 @@ hexKey(std::uint64_t key)
     return s;
 }
 
-/** Trailer = FNV-1a over every byte before it. */
+/** Trailer = serial::hashBytes over every byte before it. */
 std::uint64_t
 blobTrailer(const std::string &blob, std::size_t payload_len)
 {
-    return serial::fnv1a(blob.data(), payload_len);
+    return serial::hashBytes(blob.data(), payload_len);
 }
 
 void

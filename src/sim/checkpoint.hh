@@ -46,8 +46,12 @@ namespace sciq {
 // CheckpointError lives in common/errors.hh as part of the structured
 // error taxonomy (DESIGN.md §13); re-exported here for its users.
 
-/** Format version; bump on any layout change. */
-constexpr std::uint32_t kCheckpointVersion = 1;
+/**
+ * Format version; bump on any layout or hash change.  Version 2 moved
+ * the trailer and the program checksum's data bytes to
+ * serial::hashBytes.
+ */
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Cache key for a warm-up: hashes exactly the inputs that determine

@@ -17,6 +17,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "branch/branch_predictor.hh"
 #include "branch/btb.hh"
@@ -95,6 +97,21 @@ restoreFrom(T &obj, const std::string &blob)
     ASSERT_EQ(r.remaining(), 0u);
 }
 
+/**
+ * `blob` relabelled as the version-1 format: version field 1 and the
+ * FNV-1a trailer that format used.
+ */
+std::string
+asVersion1(std::string blob)
+{
+    blob[8] = 1;
+    blob[9] = blob[10] = blob[11] = 0;
+    const std::size_t payload = blob.size() - 8;
+    serial::Writer t;
+    t.u64(serial::fnv1a(blob.data(), payload));
+    return blob.replace(payload, 8, t.buffer());
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -149,6 +166,42 @@ TEST(Serialize, FnvMatchesKnownVector)
     // basis, and "a" to 0xaf63dc4c8601ec8c.
     EXPECT_EQ(serial::fnv1a(nullptr, 0), 0xcbf29ce484222325ULL);
     EXPECT_EQ(serial::fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+}
+
+TEST(Serialize, HashBytesKnownAnswers)
+{
+    // Input byte i is (7 * i + 1) mod 256.  The values pin the
+    // definition documented at serial::hashBytes: little-endian words,
+    // a zero-padded tail word and the length in the initial state.
+    std::vector<std::uint8_t> bytes(4096);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(7 * i + 1);
+    const std::pair<std::size_t, std::uint64_t> known[] = {
+        {0, 0x7acdbb98b1344213ULL},    {1, 0x696a21905fcc8681ULL},
+        {7, 0x7768876e17a1b7abULL},    {8, 0x69981eef069bcfe2ULL},
+        {9, 0xeb71b8a817e8b21dULL},    {4096, 0xace1fd015a1d6c20ULL},
+    };
+    for (const auto &[len, want] : known)
+        EXPECT_EQ(serial::hashBytes(bytes.data(), len), want) << "len " << len;
+    EXPECT_EQ(serial::hashBytes(nullptr, 0), known[0].second);
+}
+
+TEST(Serialize, HashBytesSeesEverySingleBitFlip)
+{
+    // Every step of the hash is a bijection of the word, so no flip
+    // can cancel out; check it on an unaligned tail as well.
+    std::vector<std::uint8_t> bytes(75);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 29);
+    const std::uint64_t base = serial::hashBytes(bytes.data(), bytes.size());
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+            EXPECT_NE(serial::hashBytes(bytes.data(), bytes.size()), base)
+                << "byte " << i << " bit " << bit;
+            bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -439,9 +492,56 @@ TEST_F(CheckpointReject, CorruptedByteFailsChecksum)
 
 TEST_F(CheckpointReject, TruncationIsRejected)
 {
-    expectReject(blob.substr(0, blob.size() - 9), "checksum");
-    expectReject(blob.substr(0, 4), "truncated");
-    expectReject("", "truncated");
+    // Below the 28-byte minimum header the size check fires; from there
+    // on the last 8 bytes are read as a trailer and cannot match.
+    const std::size_t lens[] = {0,  1,  4,  8,  12, 27, 28, 29, 64,
+                                blob.size() / 3,  blob.size() / 2,
+                                blob.size() - 9,  blob.size() - 8,
+                                blob.size() - 1};
+    for (std::size_t len : lens) {
+        SCOPED_TRACE("length " + std::to_string(len));
+        expectReject(blob.substr(0, len),
+                     len < 28 ? "truncated" : "checksum");
+    }
+}
+
+TEST_F(CheckpointReject, SingleBitFlipInEverySectionFailsChecksum)
+{
+    // Offset of each section's first payload byte, found by walking
+    // the tags in their fixed order.
+    auto sectionStart = [&](const std::string &tag, std::size_t from) {
+        const std::size_t at = blob.find(tag, from);
+        EXPECT_NE(at, std::string::npos) << tag;
+        return at + 4;
+    };
+    const std::size_t ffst = sectionStart("FFST", 0);
+    const std::size_t func = sectionStart("FUNC", ffst);
+    const std::size_t l1i = sectionStart("L1I_", func);
+    const std::size_t l1d = sectionStart("L1D_", l1i);
+    const std::size_t l2 = sectionStart("L2__", l1d);
+    const std::size_t bprd = sectionStart("BPRD", l2);
+    const std::size_t end = sectionStart("END_", bprd);
+    ASSERT_EQ(end, blob.size() - 8);
+
+    const std::pair<const char *, std::size_t> flips[] = {
+        {"FFST", ffst + 3},
+        {"FUNC registers", func + 8},
+        // Memory is the last thing FUNC holds: this is page bytes.
+        {"FUNC page bytes", l1i - 4 - 100},
+        {"L1I_", l1i + 20},
+        {"L1D_", (l1d + l2) / 2},
+        {"L2__", (l2 + bprd) / 2},
+        {"BPRD", bprd + 40},
+        {"trailer", blob.size() - 3},
+    };
+    for (const auto &[where, off] : flips) {
+        for (unsigned bit : {0u, 7u}) {
+            SCOPED_TRACE(std::string(where) + " bit " + std::to_string(bit));
+            std::string bad = blob;
+            bad[off] = static_cast<char>(bad[off] ^ (1u << bit));
+            expectReject(bad, "checksum");
+        }
+    }
 }
 
 TEST_F(CheckpointReject, BadMagicIsRejected)
@@ -456,6 +556,11 @@ TEST_F(CheckpointReject, FutureVersionIsRejected)
     std::string bad = blob;
     bad[8] = static_cast<char>(kCheckpointVersion + 1);
     expectReject(bad, "version");
+}
+
+TEST_F(CheckpointReject, Version1IsRejected)
+{
+    expectReject(asVersion1(blob), "version");
 }
 
 TEST_F(CheckpointReject, DifferentConfigurationIsRejected)
@@ -598,6 +703,31 @@ TEST(CheckpointEndToEnd, DamagedCacheFileIsRepairedCold)
     EXPECT_FALSE(second.ckptRestored);
     EXPECT_TRUE(second.validated);
     EXPECT_EQ(first.cycles, second.cycles);
+
+    RunResult third = runSim(cfg);
+    EXPECT_TRUE(third.ckptRestored);
+    EXPECT_EQ(first.cycles, third.cycles);
+}
+
+TEST(CheckpointEndToEnd, Version1CacheFileIsRepairedCold)
+{
+    ScratchDir dir("version1");
+    SimConfig cfg = testConfig("swim", IqKind::Segmented);
+    cfg.ckptDir = dir.str();
+
+    RunResult first = runSim(cfg);
+    EXPECT_FALSE(first.ckptRestored);
+
+    // Replace the cache entry with a version-1 image of itself.
+    const std::string path =
+        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg));
+    writeCheckpointFile(path, asVersion1(readCheckpointFile(path)));
+
+    RunResult second = runSim(cfg);
+    EXPECT_FALSE(second.ckptRestored);
+    EXPECT_TRUE(second.validated);
+    EXPECT_EQ(first.cycles, second.cycles);
+    EXPECT_EQ(readCheckpointFile(path)[8], kCheckpointVersion);
 
     RunResult third = runSim(cfg);
     EXPECT_TRUE(third.ckptRestored);
