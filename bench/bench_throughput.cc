@@ -136,7 +136,9 @@ main(int argc, char **argv)
         SimConfig cfg;
     };
     std::vector<ConfigSpec> specs;
-    for (unsigned size : {64u, 256u}) {
+    // segmented-512 is the 16-segment shape where promotion and chain
+    // delivery dominate the tick.
+    for (unsigned size : {64u, 256u, 512u}) {
         for (const std::string &wl : args.workloads) {
             specs.push_back({"segmented-" + std::to_string(size),
                              makeSegmentedConfig(size, 32, true, true,

@@ -188,6 +188,8 @@ BM_SegmentedTickSubstages(benchmark::State &state)
 BENCHMARK(BM_SegmentedTickSubstages)
     ->Args({256, 1})
     ->Args({256, 0})
+    ->Args({512, 1})
+    ->Args({512, 0})
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -200,7 +202,7 @@ writeSubstageJson(const std::string &path)
 {
     constexpr std::uint64_t kTicks = 50000;
     std::vector<SubstageSample> samples;
-    for (unsigned size : {64u, 256u})
+    for (unsigned size : {64u, 256u, 512u})
         for (bool soa : {false, true})
             samples.push_back(runSegmentedSubstages(size, soa, kTicks));
 

@@ -65,7 +65,7 @@ struct SegIqState
     ChainId headedChain = kNoChain;  ///< chain this inst is the head of
     std::uint32_t headedGen = 0;
     bool chainReleased = false;      ///< headed chain already freed
-    int segment = -1;        ///< current segment index (0 = issue buffer)
+    int segment = -1;        ///< segment (0 = issue buffer); SoA: at dispatch
     bool promoEligible = false;  ///< counted as a promotion candidate
 };
 

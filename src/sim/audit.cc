@@ -52,6 +52,9 @@ Auditor::Auditor(bool panic_on_violation)
     group_.addScalar("mshr_wait_index", &mshrWaitIndex,
                      "bulk-failed MSHR waiters a per-miss retry would not "
                      "have failed");
+    group_.addScalar("chain_wake", &chainWake,
+                     "chains whose wake cycle passed a listener's next "
+                     "signal");
 }
 
 void
@@ -156,6 +159,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 {
     const unsigned n = static_cast<unsigned>(iq.segments.size());
     const bool soa = iq.params.soaLayout;
+    const auto &pool = iq.pool;
 
     auto segDump = [&iq](unsigned k) {
         std::ostringstream os;
@@ -163,11 +167,85 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         return os.str();
     };
 
-    // Authoritative view of membership m of the entry at (segment k,
-    // position pos).  The reference engine keeps it inside the DynInst;
-    // the SoA engine keeps it in the segment lanes and the DynInst copy
-    // is stale past the immutable chain/generation identity, so every
-    // per-entry check below reads through this view.
+    // Residents of each segment in list order, with their pool slot
+    // under SoA.  The reference engine lists DynInsts; the SoA engine
+    // lists slot ids and keeps the instruction handle in the pool.
+    struct Resident
+    {
+        const DynInst *inst;
+        unsigned slot;
+    };
+    std::vector<std::vector<Resident>> residents(n);
+
+    if (soa) {
+        // Pool structure: every occupied slot is listed in exactly one
+        // segment, under the segment its label names, in age order;
+        // free slots are unlisted, hold no handle and are on the free
+        // stack exactly once.
+        const std::size_t cap = pool.seg.size();
+        std::vector<unsigned> listed(cap, 0);
+        for (unsigned k = 0; k < n; ++k) {
+            const auto &ids = iq.segSlots[k];
+            const std::uint16_t *prev = nullptr;  // last well-formed id
+            for (std::size_t pos = 0; pos < ids.size(); ++pos) {
+                const unsigned slot = ids[pos];
+                if (slot >= cap || ++listed[slot] > 1 ||
+                    pool.seg[slot] != k || !pool.inst[slot]) {
+                    violation(occIndex,
+                              "listed slot is occupied once, labelled with "
+                              "its segment",
+                              cycle,
+                              "segment " + std::to_string(k) + " pos " +
+                                  std::to_string(pos) + " slot " +
+                                  std::to_string(slot));
+                    continue;
+                }
+                if (prev && pool.seq[*prev] >= pool.seq[slot]) {
+                    violation(occIndex, "segment list is age-sorted", cycle,
+                              "segment " + std::to_string(k) + " pos " +
+                                  std::to_string(pos) + " seq " +
+                                  std::to_string(pool.seq[slot]) +
+                                  " after " +
+                                  std::to_string(pool.seq[*prev]));
+                }
+                prev = &ids[pos];
+                residents[k].push_back({pool.inst[slot].get(), slot});
+            }
+        }
+        std::vector<unsigned> on_free(cap, 0);
+        for (std::uint16_t slot : pool.freeSlots) {
+            if (slot >= cap || ++on_free[slot] > 1 ||
+                pool.seg[slot] != SegmentedIq::kFreeSlot) {
+                violation(occIndex, "free stack holds distinct free slots",
+                          cycle, "slot " + std::to_string(slot));
+            }
+        }
+        for (std::size_t slot = 0; slot < cap; ++slot) {
+            const bool occupied = pool.seg[slot] != SegmentedIq::kFreeSlot;
+            if (occupied ? listed[slot] != 1
+                         : (listed[slot] != 0 || on_free[slot] != 1 ||
+                            pool.inst[slot])) {
+                violation(occIndex,
+                          "occupied slot is in exactly one segment list",
+                          cycle,
+                          "slot " + std::to_string(slot) + " segment " +
+                              std::to_string(pool.seg[slot]) +
+                              " listed " + std::to_string(listed[slot]) +
+                              " times");
+            }
+        }
+    } else {
+        for (unsigned k = 0; k < n; ++k) {
+            for (const auto &inst : iq.segments[k])
+                residents[k].push_back({inst.get(), 0});
+        }
+    }
+
+    // Authoritative view of membership m of a resident.  The reference
+    // engine keeps it inside the DynInst; the SoA engine keeps it in
+    // the pool and the DynInst copy is stale past the immutable
+    // chain/generation identity, so every per-entry check below reads
+    // through this view.
     struct MemView
     {
         int delay;
@@ -177,50 +255,20 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     };
 
     for (unsigned k = 0; k < n; ++k) {
-        const auto &seg = iq.segments[k];
-
-        if (seg.size() > iq.params.segmentSize) {
+        if (residents[k].size() > iq.params.segmentSize) {
             violation(segmentOverflow, "segment occupancy <= capacity",
                       cycle,
                       "segment " + std::to_string(k) + " holds " +
-                          std::to_string(seg.size()) + " > " +
+                          std::to_string(residents[k].size()) + " > " +
                           std::to_string(iq.params.segmentSize) + "\n" +
                           segDump(k));
         }
 
-        // SoA: the position->slot map is parallel to the segment, names
-        // distinct occupied slots, and the occupancy words hold exactly
-        // those slots.
-        std::vector<char> slot_used;
-        if (soa) {
-            const auto &L = iq.lanes[k];
-            if (L.slotAt.size() != seg.size()) {
-                violation(occIndex, "slot map parallel to its segment",
-                          cycle,
-                          "segment " + std::to_string(k) + " holds " +
-                              std::to_string(seg.size()) +
-                              " entries but maps " +
-                              std::to_string(L.slotAt.size()));
-            }
-            std::size_t occ_bits = 0;
-            for (std::uint64_t w : L.occBits)
-                occ_bits +=
-                    static_cast<std::size_t>(__builtin_popcountll(w));
-            if (occ_bits != seg.size()) {
-                violation(occIndex, "occupancy bits == segment size",
-                          cycle,
-                          "segment " + std::to_string(k) + " holds " +
-                              std::to_string(seg.size()) +
-                              " entries but sets " +
-                              std::to_string(occ_bits) + " bits");
-            }
-            slot_used.assign(iq.params.segmentSize, 0);
-        }
+        for (const Resident &res : residents[k]) {
+            const DynInst *inst = res.inst;
+            const unsigned slot = res.slot;
 
-        for (std::size_t pos = 0; pos < seg.size(); ++pos) {
-            const auto &inst = seg[pos];
-
-            if (inst->seg.segment != static_cast<int>(k)) {
+            if (!soa && inst->seg.segment != static_cast<int>(k)) {
                 violation(segmentOverflow,
                           "entry segment field matches its segment", cycle,
                           "seq " + std::to_string(inst->seq) +
@@ -230,58 +278,40 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               segDump(k));
             }
 
-            unsigned slot = 0;
-            bool lane_ok = !soa;
-            if (soa && pos < iq.lanes[k].slotAt.size()) {
-                const auto &L = iq.lanes[k];
-                slot = L.slotAt[pos];
-                const bool occupied =
-                    slot < iq.params.segmentSize &&
-                    ((L.occBits[slot >> 6] >> (slot & 63)) & 1) != 0;
-                if (!occupied || slot_used[slot]) {
+            if (soa) {
+                if (pool.seq[slot] != inst->seq ||
+                    static_cast<int>(pool.memCount[slot]) !=
+                        inst->seg.numMemberships ||
+                    pool.headChain[slot] != inst->seg.headedChain ||
+                    pool.headGen[slot] != inst->seg.headedGen) {
                     violation(occIndex,
-                              "slot map names distinct occupied slots",
-                              cycle,
-                              "segment " + std::to_string(k) + " pos " +
-                                  std::to_string(pos) + " slot " +
-                                  std::to_string(slot));
-                } else {
-                    slot_used[slot] = 1;
-                    lane_ok = true;
-                    if (L.seq[slot] != inst->seq ||
-                        static_cast<int>(L.memCount[slot]) !=
-                            inst->seg.numMemberships) {
-                        violation(occIndex,
-                                  "lane identity matches its instruction",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " lane seq " +
-                                      std::to_string(L.seq[slot]) +
-                                      " memCount " +
-                                      std::to_string(L.memCount[slot]));
-                    }
-                    const auto srcs = iq.iqSources(*inst);
-                    if (L.src[0][slot] != srcs[0] ||
-                        L.src[1][slot] != srcs[1]) {
-                        violation(occIndex,
-                                  "lane operands match the instruction",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " in segment " + std::to_string(k));
-                    }
+                              "lane identity matches its instruction", cycle,
+                              "seq " + std::to_string(inst->seq) +
+                                  " lane seq " +
+                                  std::to_string(pool.seq[slot]) +
+                                  " memCount " +
+                                  std::to_string(pool.memCount[slot]) +
+                                  " heads " +
+                                  std::to_string(pool.headChain[slot]));
+                    continue;  // lane reads below would be unreliable
+                }
+                const auto srcs = iq.iqSources(*inst);
+                if (pool.src[0][slot] != srcs[0] ||
+                    pool.src[1][slot] != srcs[1]) {
+                    violation(occIndex,
+                              "lane operands match the instruction", cycle,
+                              "seq " + std::to_string(inst->seq) +
+                                  " in segment " + std::to_string(k));
                 }
             }
-            if (soa && !lane_ok)
-                continue;  // lane reads below would be unreliable
 
             for (int m = 0; m < inst->seg.numMemberships; ++m) {
                 MemView v{};
                 if (soa) {
-                    const auto &L = iq.lanes[k];
-                    v.delay = static_cast<int>(L.delay[m][slot]);
-                    v.chain = L.chain[m][slot];
-                    v.gen = L.gen[m][slot];
-                    v.appliedSeq = L.applied[m][slot];
+                    v.delay = static_cast<int>(pool.delay[m][slot]);
+                    v.chain = pool.chain[m][slot];
+                    v.gen = pool.gen[m][slot];
+                    v.appliedSeq = pool.applied[m][slot];
                     // Chain identity is fixed at dispatch; the lane and
                     // the DynInst mirror must agree for ever.
                     const ChainMembership &mir = inst->seg.memberships[m];
@@ -421,17 +451,47 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     // Every index the event-driven tick consults is a redundant view
     // over per-entry state; re-derive each one the slow way and count
     // any disagreement.  The SoA engine keeps the per-entry state in
-    // lanes and the indices in bitmask words; the checks below follow
-    // whichever representation the selected engine actually reads.
+    // the slot pool and the indices in bitmask words; the checks below
+    // follow whichever representation the selected engine reads.
 
     // O(1) occupancy.
     std::size_t occ_scan = 0;
     for (unsigned k = 0; k < n; ++k)
-        occ_scan += iq.segments[k].size();
+        occ_scan += iq.segSize(k);
     if (occ_scan != iq.totalOcc) {
         violation(occIndex, "segmented occupancy counter == rescan", cycle,
                   "totalOcc=" + std::to_string(iq.totalOcc) +
                       " but segments hold " + std::to_string(occ_scan));
+    }
+
+    // SoA: bits on free slots, or on membership lanes past the slot's
+    // count, are leaks the resident scan below cannot see.
+    std::vector<unsigned> elig_bits(n, 0);
+    if (soa) {
+        auto bit = [](const std::vector<std::uint64_t> &words,
+                      std::size_t slot) {
+            return ((words[slot >> 6] >> (slot & 63)) & 1) != 0;
+        };
+        for (std::size_t slot = 0; slot < pool.seg.size(); ++slot) {
+            const unsigned k = pool.seg[slot];
+            const bool occupied = k != SegmentedIq::kFreeSlot;
+            if (bit(pool.eligBits, slot)) {
+                if (occupied)
+                    ++elig_bits[k];
+                else
+                    violation(promoIndex, "eligibility bits on live slots",
+                              cycle, "free slot " + std::to_string(slot));
+            }
+            for (int m = 0; m < 2; ++m) {
+                if (bit(pool.cdBits[m], slot) &&
+                    (!occupied || m >= pool.memCount[slot])) {
+                    violation(countdownIndex, "countdown bits on live lanes",
+                              cycle,
+                              "slot " + std::to_string(slot) +
+                                  " membership " + std::to_string(m));
+                }
+            }
+        }
     }
 
     // Promotion-candidate counts, activity masks, and per-entry flags;
@@ -440,25 +500,18 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     std::size_t cds_scan = 0;    // resident memberships counting down
     for (unsigned k = 0; k < n; ++k) {
         unsigned elig_scan = 0;
-        const auto &seg = iq.segments[k];
-        for (std::size_t pos = 0; pos < seg.size(); ++pos) {
-            const auto &inst = seg[pos];
+        for (const Resident &res : residents[k]) {
+            const DynInst *inst = res.inst;
 
             if (soa) {
-                const auto &L = iq.lanes[k];
-                if (pos >= L.slotAt.size())
-                    break;  // parallelism violation already counted
-                const unsigned slot = L.slotAt[pos];
-                if (slot >= iq.params.segmentSize)
-                    continue;
-
+                const unsigned slot = res.slot;
                 const bool elig =
-                    k >= 1 && SegmentedIq::laneEffDelay(L, slot) <
+                    k >= 1 && iq.laneEffDelay(slot) <
                                   SegmentedIq::threshold(k - 1);
                 if (elig)
                     ++elig_scan;
                 const bool elig_bit =
-                    ((L.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
+                    ((pool.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
                 if (elig != elig_bit) {
                     violation(promoIndex,
                               "promotion-eligibility bit == rescan",
@@ -470,10 +523,10 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                                   segDump(k));
                 }
 
-                for (int m = 0; m < static_cast<int>(L.memCount[slot]);
+                for (int m = 0; m < static_cast<int>(pool.memCount[slot]);
                      ++m) {
-                    const ChainId ch = L.chain[m][slot];
-                    const std::int32_t si = L.subIdx[m][slot];
+                    const ChainId ch = pool.chain[m][slot];
+                    const std::int32_t si = pool.subIdx[m][slot];
                     const bool on_wire = ch != kNoChain;
                     if (on_wire != (si >= 0)) {
                         violation(subIndex,
@@ -487,8 +540,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                         ++subs_scan;
                         const auto &subs = iq.stateOf(ch).soaSubs;
                         const auto idx = static_cast<std::size_t>(si);
-                        if (idx >= subs.size() || subs[idx].seg != k ||
-                            subs[idx].slot != slot ||
+                        if (idx >= subs.size() || subs[idx].slot != slot ||
                             static_cast<int>(subs[idx].mem) != m) {
                             violation(subIndex,
                                       "subscriber record is exact", cycle,
@@ -499,13 +551,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                         }
                     }
 
-                    const std::uint8_t f = L.flags[m][slot];
+                    const std::uint8_t f = pool.flags[m][slot];
                     const bool want_cd =
                         (f & SegmentedIq::kLaneSelfTimed) != 0 &&
                         (f & SegmentedIq::kLaneSuspended) == 0 &&
-                        L.delay[m][slot] > 0;
+                        pool.delay[m][slot] > 0;
                     const bool cd_bit =
-                        ((L.cdBits[m][slot >> 6] >> (slot & 63)) & 1) !=
+                        ((pool.cdBits[m][slot >> 6] >> (slot & 63)) & 1) !=
                         0;
                     if (want_cd != cd_bit) {
                         violation(countdownIndex,
@@ -553,7 +605,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                     const auto &subs = iq.stateOf(mem.chain).memberSubs;
                     const auto idx = static_cast<std::size_t>(mem.subIdx);
                     if (idx >= subs.size() ||
-                        subs[idx].inst != inst.get() ||
+                        subs[idx].inst != inst ||
                         subs[idx].slot != m) {
                         violation(subIndex,
                                   "subscriber back-pointer is exact",
@@ -579,7 +631,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                     ++cds_scan;
                     const auto idx = static_cast<std::size_t>(mem.cdIdx);
                     if (idx >= iq.memberCountdown.size() ||
-                        iq.memberCountdown[idx].inst != inst.get() ||
+                        iq.memberCountdown[idx].inst != inst ||
                         iq.memberCountdown[idx].slot != m) {
                         violation(countdownIndex,
                                   "countdown back-pointer is exact", cycle,
@@ -601,35 +653,11 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(elig_scan) + "\n" + segDump(k));
         }
 
-        if (soa) {
-            // Bit totals catch bits leaked on *freed* slots, which the
-            // resident-lane scan above cannot see.
-            const auto &L = iq.lanes[k];
-            std::size_t elig_bits = 0;
-            for (std::uint64_t w : L.eligBits)
-                elig_bits +=
-                    static_cast<std::size_t>(__builtin_popcountll(w));
-            if (elig_bits != iq.eligCount[k]) {
-                violation(promoIndex,
-                          "eligibility bits == tracked count", cycle,
-                          "segment " + std::to_string(k) + " sets " +
-                              std::to_string(elig_bits) +
-                              " bits, tracks " +
-                              std::to_string(iq.eligCount[k]));
-            }
-            std::size_t cd_bits = 0;
-            for (int m = 0; m < 2; ++m) {
-                for (std::uint64_t w : L.cdBits[m])
-                    cd_bits +=
-                        static_cast<std::size_t>(__builtin_popcountll(w));
-            }
-            if (cd_bits != iq.cdCountSeg[k]) {
-                violation(countdownIndex,
-                          "countdown bits == tracked count", cycle,
-                          "segment " + std::to_string(k) + " sets " +
-                              std::to_string(cd_bits) + " bits, tracks " +
-                              std::to_string(iq.cdCountSeg[k]));
-            }
+        if (soa && elig_bits[k] != iq.eligCount[k]) {
+            violation(promoIndex, "eligibility bits == tracked count", cycle,
+                      "segment " + std::to_string(k) + " sets " +
+                          std::to_string(elig_bits[k]) + " bits, tracks " +
+                          std::to_string(iq.eligCount[k]));
         }
 
         if (k < 64) {
@@ -642,13 +670,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               std::to_string(iq.eligCount[k]));
             }
             const bool near_full =
-                iq.params.segmentSize - iq.segments[k].size() <
+                iq.params.segmentSize - iq.segSize(k) <
                 iq.params.issueWidth;
             if (near_full != (((iq.nearFullMask >> k) & 1) != 0)) {
                 violation(promoIndex, "near-full mask matches occupancy",
                           cycle,
                           "segment " + std::to_string(k) + " holds " +
-                              std::to_string(iq.segments[k].size()) +
+                              std::to_string(iq.segSize(k)) +
                               " of " +
                               std::to_string(iq.params.segmentSize));
             }
@@ -665,14 +693,14 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(iq.eligCount[k]));
         }
         const std::size_t free_now =
-            static_cast<std::size_t>(iq.params.segmentSize) - seg.size();
+            static_cast<std::size_t>(iq.params.segmentSize) - iq.segSize(k);
         const bool near_full_w = free_now < iq.params.issueWidth;
         if (near_full_w !=
             (((iq.nearFullW[k >> 6] >> (k & 63)) & 1) != 0)) {
             violation(promoIndex, "near-full word matches occupancy",
                       cycle,
                       "segment " + std::to_string(k) + " holds " +
-                          std::to_string(seg.size()) + " of " +
+                          std::to_string(iq.segSize(k)) + " of " +
                           std::to_string(iq.params.segmentSize));
         }
         const bool roomy =
@@ -681,7 +709,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         if (roomy != (((iq.roomyW[k >> 6] >> (k & 63)) & 1) != 0)) {
             violation(promoIndex, "roomy word matches occupancy", cycle,
                       "segment " + std::to_string(k) + " holds " +
-                          std::to_string(seg.size()) + " of " +
+                          std::to_string(iq.segSize(k)) + " of " +
                           std::to_string(iq.params.segmentSize));
         }
     }
@@ -707,14 +735,40 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
         const auto &cs = iq.chainStates[c];
         subs_held += soa ? cs.soaSubs.size() : cs.memberSubs.size();
-        if (cs.active)
+        const bool active = c < iq.activePos.size() && iq.activePos[c] >= 0;
+        if (active) {
             ++active_flags;
-        if (!cs.log.empty() && !cs.active) {
+            const auto pos = static_cast<std::size_t>(iq.activePos[c]);
+            if (pos >= iq.activeChains.size() ||
+                iq.activeChains[pos].id != static_cast<ChainId>(c)) {
+                violation(subIndex, "active-chain back-pointer is exact",
+                          cycle,
+                          "chain " + std::to_string(c) + " pos " +
+                              std::to_string(pos));
+            }
+        }
+        if (!cs.log.empty() && !active) {
             violation(subIndex, "chains with signals in flight are active",
                       cycle,
                       "chain " + std::to_string(c) + " logs " +
                           std::to_string(cs.log.size()) +
                           " signals but is not on the active list");
+        }
+        // SoA records name an occupied slot whose lane points back.
+        for (std::size_t i = 0; soa && i < cs.soaSubs.size(); ++i) {
+            const auto &sub = cs.soaSubs[i];
+            if (sub.slot >= pool.seg.size() ||
+                pool.seg[sub.slot] == SegmentedIq::kFreeSlot ||
+                sub.mem >= pool.memCount[sub.slot] ||
+                pool.chain[sub.mem][sub.slot] != static_cast<ChainId>(c) ||
+                pool.subIdx[sub.mem][sub.slot] !=
+                    static_cast<std::int32_t>(i)) {
+                violation(subIndex,
+                          "subscriber record names an occupied slot", cycle,
+                          "chain " + std::to_string(c) + " record " +
+                              std::to_string(i) + " slot " +
+                              std::to_string(sub.slot));
+            }
         }
         // The wire state either carries the allocator's current
         // generation (allocated, or draining before reuse) or lags it
@@ -761,6 +815,63 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                   "list holds " + std::to_string(iq.activeChains.size()) +
                       ", " + std::to_string(active_flags) +
                       " chains are flagged active");
+    }
+
+    // Wake cycles (SoA delivery): an active chain's wake never exceeds
+    // the cycle at which a current-generation listener first sees its
+    // next unapplied log entry.  Delivery skips the chain until then,
+    // so a late wake is a listener the skip leaves behind.
+    for (std::size_t c = 0; soa && c < iq.activeChains.size(); ++c) {
+        const auto &ac = iq.activeChains[c];
+        const auto &cs = iq.stateOf(ac.id);
+        if (cs.log.empty())
+            continue;
+        const std::uint64_t front = cs.log.front().seq;
+        Cycle due = ~Cycle{0};
+        std::string who;
+        auto listen = [&](std::uint64_t applied, int s, auto &&name) {
+            const std::size_t i =
+                applied < front
+                    ? 0
+                    : static_cast<std::size_t>(applied - front + 1);
+            if (i >= cs.log.size())
+                return;
+            const auto &sig = cs.log.at(i);
+            const Cycle at =
+                sig.cycle + (s > sig.originSegment
+                                 ? static_cast<Cycle>(s - sig.originSegment)
+                                 : 0);
+            if (at < due) {
+                due = at;
+                who = name();
+            }
+        };
+        for (const auto &sub : cs.soaSubs) {
+            if (sub.slot >= pool.seg.size() ||
+                pool.seg[sub.slot] == SegmentedIq::kFreeSlot ||
+                pool.gen[sub.mem][sub.slot] != cs.gen)
+                continue;
+            listen(pool.applied[sub.mem][sub.slot], pool.seg[sub.slot], [&] {
+                return "seq " + std::to_string(pool.seq[sub.slot]) +
+                       " in segment " + std::to_string(pool.seg[sub.slot]);
+            });
+        }
+        for (RegIndex r : cs.regSubs) {
+            const auto &e = iq.regInfo[r];
+            if (!e.pending || e.chain != ac.id || e.gen != cs.gen)
+                continue;
+            listen(e.appliedSeq, static_cast<int>(n) - 1, [&] {
+                return "regInfo[" + std::to_string(r) + "]";
+            });
+        }
+        if (ac.wake > due) {
+            violation(chainWake, "chain wake <= listeners' next arrival",
+                      cycle,
+                      "chain " + std::to_string(ac.id) + " wakes at " +
+                          std::to_string(ac.wake) + " but " + who +
+                          " sees its next signal at cycle " +
+                          std::to_string(due));
+        }
     }
 
     // Register-table side: subscription and countdown back-pointers,

@@ -26,6 +26,10 @@
  *    and activity masks, the per-chain subscriber lists and their
  *    back-pointers, the self-timed countdown lists, the ideal queue's
  *    ready list, and the core's writeback-ring population;
+ *  - the SoA engine's slot pool is consistent (each occupied slot in
+ *    exactly one age-sorted segment list, labelled with it; every
+ *    subscriber record naming an occupied slot), and no active chain's
+ *    wake cycle lies past a listener's next signal arrival;
  *  - every MSHR waiter a cache fails in bulk (the whole retry batch
  *    without a per-miss retry) really has its line absent from a full
  *    MSHR file.
@@ -92,6 +96,7 @@ class Auditor
     stats::Scalar readyIndex;         ///< ideal ready list wrong
     stats::Scalar wbRingBound;        ///< writeback ring population wrong
     stats::Scalar mshrWaitIndex;      ///< bulk-failed MSHR waiter wrong
+    stats::Scalar chainWake;          ///< chain wake past a listener's signal
 
   private:
     void violation(stats::Scalar &counter, const char *invariant,

@@ -1,9 +1,10 @@
 /**
  * @file
- * Invariant-auditor sweep: every workload, both IQ models, two IQ
- * sizes, all with `audit=1` -- a healthy simulator must report zero
- * violations.  The negative tests prove the auditor actually fires by
- * enabling the test-only over-promotion fault injection.
+ * Invariant-auditor sweep: every workload, both IQ models, three IQ
+ * sizes (512 entries is the benchmark's 16-segment shape), all with
+ * `audit=1` -- a healthy simulator must report zero violations.  The
+ * negative tests prove the auditor actually fires by enabling the
+ * test-only over-promotion fault injection.
  */
 
 #include <gtest/gtest.h>
@@ -51,6 +52,7 @@ TEST_P(AuditSweep, ZeroViolations)
         << " issue_over_width=" << sim.auditor()->issueOverWidth.value()
         << " wire_delivery=" << sim.auditor()->wireDelivery.value()
         << " pool_bound=" << sim.auditor()->poolBound.value()
+        << " chain_wake=" << sim.auditor()->chainWake.value()
         << " mshr_wait_index=" << sim.auditor()->mshrWaitIndex.value();
 }
 
@@ -65,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, AuditSweep,
     ::testing::Combine(::testing::ValuesIn(workloadNames()),
                        ::testing::Values("segmented", "ideal"),
-                       ::testing::Values(64u, 256u)),
+                       ::testing::Values(64u, 256u, 512u)),
     auditParamName);
 
 TEST(AuditStats, GroupIsWiredIntoCoreTree)

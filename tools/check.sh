@@ -4,7 +4,7 @@
 # configurations, and the distributed-sweep differential gates.  Run
 # from the repository root:
 #
-#   tools/check.sh [ubsan|asan|tsan|all|faults|distributed|chaos]...
+#   tools/check.sh [ubsan|asan|tsan|all|faults|perf|distributed|chaos]...
 #
 # Modes compose: `tools/check.sh ubsan distributed` runs both legs in
 # order.  Default: ubsan.
@@ -14,6 +14,10 @@
 #   all              the same, then every sanitizer sequentially (CI)
 #   faults           only the fault-containment suite on the tier-1
 #                    build (fast loop for DESIGN.md §13 machinery)
+#   perf             only the quick perf legs on the tier-1 build: the
+#                    segmented-IQ tick substage profile (64/256/512
+#                    entries, both engines) and host throughput per
+#                    queue, segmented-512 next to ideal-512
 #   distributed      coordinator + 3 local workers must merge the quick
 #                    config set byte-identically to a single-process
 #                    run — over an AF_UNIX socket and again over TCP
@@ -35,9 +39,9 @@ set -eu
 [ "$#" -gt 0 ] || set -- ubsan
 for mode in "$@"; do
   case "$mode" in
-    ubsan|asan|tsan|all|faults|distributed|chaos) ;;
+    ubsan|asan|tsan|all|faults|perf|distributed|chaos) ;;
     *) echo "unknown mode '$mode' (want ubsan, asan, tsan, all," \
-            "faults, distributed or chaos)" >&2
+            "faults, perf, distributed or chaos)" >&2
        exit 2 ;;
   esac
 done
@@ -105,6 +109,17 @@ tier1_full() {
   begin_leg "SoA-engine differential + exact work-counter proxy" build
   ./build/tests/test_iq_soa
 
+  leg_perf
+
+  begin_leg "bb-cache differential + warming bench (quick)" build
+  ./build/tests/test_bb_cache
+  ./build/bench/micro_warm quick=1 workloads=swim,twolf
+}
+
+# The quick perf legs: where the segmented tick spends its time, per
+# substage, and host throughput per queue configuration.
+leg_perf() {
+  tier1_build
   begin_leg "segmented-tick substage profile (quick)" build
   ./build/bench/micro_components \
       --benchmark_filter='BM_SegmentedTickSubstages' \
@@ -115,10 +130,6 @@ tier1_full() {
             build
   ./build/bench/bench_throughput quick=1 workloads=swim,twolf
   ./build/bench/bench_throughput quick=1 workloads=swim,twolf batch=3
-
-  begin_leg "bb-cache differential + warming bench (quick)" build
-  ./build/tests/test_bb_cache
-  ./build/bench/micro_warm quick=1 workloads=swim,twolf
 }
 
 # One sanitizer configuration: configure + build under build-<name>,
@@ -251,6 +262,7 @@ for mode in "$@"; do
       run_sanitizer asan -DSCIQ_ASAN=ON
       run_sanitizer tsan -DSCIQ_TSAN=ON ;;
     faults) leg_faults ;;
+    perf) leg_perf ;;
     distributed) leg_distributed ;;
     chaos) leg_chaos ;;
   esac
