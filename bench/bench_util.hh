@@ -9,9 +9,6 @@
  *   quick=1      reduce iteration counts ~4x for a fast smoke pass
  *   workloads=a,b,c   restrict to a subset of benchmarks
  *   jobs=N       sweep worker threads (default: hardware concurrency)
- *   batch=K      lockstep-batch up to K same-workload configs over one
- *                shared fetch stream (0/1 = off); stats and JSON are
- *                bit-identical to batch=1, only wall-clock changes
  *   bench_out=path    also write every result as JSON to `path`
  *   ff=N         fast-forward N instructions before the timed run
  *                (count keys accept k/m/g suffixes, e.g. ff=300m)
@@ -56,7 +53,6 @@ struct BenchArgs
     std::uint64_t iters = 0;  ///< 0 = kernel default
     bool quick = false;
     unsigned jobs = 0;        ///< 0 = hardware concurrency
-    unsigned batch = 1;       ///< lockstep batch width (0/1 = off)
     std::string benchOut;     ///< JSON output path ("" = none)
     std::uint64_t ff = 0;     ///< fast-forward length (0 = none)
     std::string ckptDir;      ///< on-disk checkpoint cache ("" = none)
@@ -89,7 +85,7 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         "bench_out",   "ff",          "ckpt_dir",        "ckpt_reuse",
         "audit",       "audit_panic", "journal",         "retries",
         "artifact_dir", "watchdog_cycles", "deadline_sec", "bb_cache",
-        "batch",       "iq_soa",
+        "iq_soa",
     };
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     const std::string complaint = args.raw.unknownKeyMessage(known);
@@ -97,7 +93,7 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         std::fprintf(stderr, "ERROR: %s\n", complaint.c_str());
         std::exit(2);
     }
-    for (const char *key : {"iters", "jobs", "batch", "ff", "retries",
+    for (const char *key : {"iters", "jobs", "ff", "retries",
                             "watchdog_cycles"}) {
         if (args.raw.getCount(key, 0) < 0) {
             std::fprintf(stderr, "ERROR: %s= must be >= 0\n", key);
@@ -113,7 +109,6 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         static_cast<std::uint64_t>(args.raw.getCount("iters", 0));
     args.quick = args.raw.getBool("quick", false);
     args.jobs = static_cast<unsigned>(args.raw.getInt("jobs", 0));
-    args.batch = static_cast<unsigned>(args.raw.getCount("batch", 1));
     args.benchOut = args.raw.getString("bench_out", "");
     args.ff = static_cast<std::uint64_t>(args.raw.getCount("ff", 0));
     args.ckptDir = args.raw.getString("ckpt_dir", "");
@@ -209,7 +204,6 @@ class SweepBatch
         options.journal = args_.journal;
         options.maxRetries = args_.retries;
         options.artifactDir = args_.artifactDir;
-        options.batch = args_.batch;
         results_ = runner.run(configs_, options);
         for (const RunResult &r : results_) {
             if (!r.outcome.ok()) {

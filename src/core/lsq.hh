@@ -7,7 +7,7 @@
  * pending store; fully-covering older stores with ready data forward
  * directly.  Stores access the cache after commit from a drain buffer.
  *
- * Scheduling is event-driven (DESIGN.md §11/§15): instead of scanning
+ * Scheduling is event-driven (DESIGN.md §11): instead of scanning
  * every entry every cycle, the queue keeps age-ordered side lists of
  * the instructions that can actually make progress — address-ready
  * loads that have not issued, and address-ready stores still waiting

@@ -9,7 +9,6 @@
 
 #include "common/errors.hh"
 #include "common/logging.hh"
-#include "core/fetch_stream.hh"
 #include "iq/fifo_iq.hh"
 #include "iq/ideal_iq.hh"
 #include "iq/prescheduled_iq.hh"
@@ -311,28 +310,12 @@ OooCore::fetchStage()
         // Prefetch the sequential successor line.
         touchLine(fetchPc + mem.icache().lineBytes());
 
-        // On the correct path the shared stream (when attached) supplies
-        // the decoded instruction and its oracle outcome; wrong-path
-        // fetch diverges per core and always executes locally.
-        const FetchStreamEntry *se = nullptr;
-        if (fetchStream && !wrongPathMode)
-            se = fetchStream->entry(streamIdx);
-
-        const Instruction *si;
-        if (se) {
-            SCIQ_ASSERT(se->pc == fetchPc,
-                        "fetch stream desync: stream pc %llx, core pc %llx",
-                        (unsigned long long)se->pc,
-                        (unsigned long long)fetchPc);
-            si = &se->inst;
-        } else {
-            si = program.fetch(fetchPc);
-            if (!si) {
-                // Wrong-path fetch ran off the program image; wait for
-                // the redirect.
-                fetchInvalid = true;
-                break;
-            }
+        const Instruction *si = program.fetch(fetchPc);
+        if (!si) {
+            // Wrong-path fetch ran off the program image; wait for the
+            // redirect.
+            fetchInvalid = true;
+            break;
         }
 
         if (si->isControl() && branches >= params.maxBranchesPerFetch)
@@ -347,32 +330,16 @@ OooCore::fetchStage()
         inst->archSrc = si->srcRegs();
         inst->archDst = si->dstReg();
 
-        if (se) {
-            // Replay the precomputed oracle outcome onto the
-            // speculative state (a stream entry records at most one
-            // written register - exec_impl has a single writeReg site).
-            inst->oracleNextPc = se->nextPc;
-            inst->oracleTaken = se->taken;
-            inst->isHalt = se->halted;
-            inst->effAddr = se->effAddr;
-            inst->memValue = se->memValue;
-            if (se->dstReg != kInvalidReg) {
-                specRegs[se->dstReg] = se->dstValue;
-                inst->dstValue = se->dstValue;
-            }
-            ++streamIdx;
-        } else {
-            // Oracle execution on the speculative state.
-            xc.wroteReg = false;
-            ExecResult res = execute(*si, fetchPc, xc);
-            inst->oracleNextPc = res.nextPc;
-            inst->oracleTaken = res.taken;
-            inst->isHalt = res.halted;
-            inst->effAddr = res.effAddr;
-            inst->memValue = res.memValue;
-            if (xc.wroteReg)
-                inst->dstValue = xc.lastValue;
-        }
+        // Oracle execution on the speculative state.
+        xc.wroteReg = false;
+        ExecResult res = execute(*si, fetchPc, xc);
+        inst->oracleNextPc = res.nextPc;
+        inst->oracleTaken = res.taken;
+        inst->isHalt = res.halted;
+        inst->effAddr = res.effAddr;
+        inst->memValue = res.memValue;
+        if (xc.wroteReg)
+            inst->dstValue = xc.lastValue;
 
         if (inst->isStore()) {
             storeQueueSpec.push_back(inst);
@@ -395,7 +362,6 @@ OooCore::fetchStage()
                 inst->checkpoint = std::make_unique<FetchCheckpoint>();
             inst->checkpoint->regs = specRegs;
             inst->checkpoint->ras = ras.snapshot();
-            inst->checkpoint->streamNext = streamIdx;
         }
 
         inst->dispatchReadyCycle = curCycle + params.fetchToDecode +
@@ -605,7 +571,6 @@ OooCore::doSquash()
     fetchHalted = false;
     fetchInvalid = false;
     wrongPathMode = branch->onWrongPath;
-    streamIdx = branch->checkpoint->streamNext;
     fetchResumeCycle = curCycle + 1;
 }
 
@@ -734,15 +699,6 @@ OooCore::seedState(const std::array<std::uint64_t, kNumArchRegs> &regs,
     committedRegs = regs;
     commitMem = memory_image;
     fetchPc = start_pc;
-}
-
-void
-OooCore::attachFetchStream(SharedFetchStream *stream)
-{
-    SCIQ_ASSERT(curCycle == 0 && nextSeq == 1,
-                "attachFetchStream after simulation started");
-    fetchStream = stream;
-    streamIdx = 0;
 }
 
 void

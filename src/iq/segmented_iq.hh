@@ -47,7 +47,7 @@
  * register-availability mask that lets independent instructions skip
  * the dispatch plan entirely.  The original object-per-entry engine
  * (`iq_soa=0`) is retained as the bit-identical differential
- * reference; architected stats, checkpoints and batch=K outputs are
+ * reference; architected stats, checkpoints and sweep JSON are
  * byte-identical between the two.
  */
 

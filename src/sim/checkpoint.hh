@@ -99,9 +99,9 @@ std::string readCheckpointFile(const std::string &path);
  * publish()/cancel().  Results stay bit-identical regardless of which
  * job ends up producing, so the election order is free to race.
  *
- * With a backing directory the election also spans processes
- * (distributed sweep workers all pointed at one ckpt_dir, DESIGN.md
- * §17): the first process to create `<blob path>.lock` (O_EXCL)
+ * With a backing directory the election also spans processes (bench
+ * or `runner` processes on one host that share a ckpt_dir=): the first
+ * process to create `<blob path>.lock` (O_EXCL)
  * produces; the others poll for the published blob file and take a disk
  * hit once it appears.  A loser that outwaits `electionWaitMs` produces
  * its own copy — wasteful but still correct, since every producer

@@ -2,15 +2,15 @@
  * @file
  * Shared fault-containment plumbing for sweep job execution: exception
  * classification through the error taxonomy, Failed/Timeout result
- * rows, and failure-artifact persistence (DESIGN.md §13).  Used by both
- * the per-job path (sweep.cc) and the batched lockstep path (batch.cc)
- * so a contained failure looks identical however the job was executed.
+ * rows, and failure-artifact persistence (DESIGN.md §13).  SweepRunner
+ * (sweep.cc) runs every job through executeWithRetry.
  */
 
 #ifndef SCIQ_SIM_JOB_EXEC_HH
 #define SCIQ_SIM_JOB_EXEC_HH
 
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -20,23 +20,15 @@
 
 #include "common/errors.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
 
 namespace sciq {
 namespace job_exec {
 
-/**
- * Exponential backoff delay for retry `attempt` (1-based): base << (n-1),
- * clamped to `cap_ms` when nonzero.  A nonzero `jitter_seed` spreads the
- * delay deterministically over [3/4, 5/4] of the nominal value so a
- * fleet of workers reconnecting after a coordinator crash does not
- * stampede the fresh listener in lockstep.
- */
+/** Exponential backoff delay for retry `attempt` (1-based): base << (n-1). */
 inline unsigned
-backoffDelayMs(unsigned base_ms, unsigned attempt, unsigned cap_ms = 0,
-               std::uint64_t jitter_seed = 0)
+backoffDelayMs(unsigned base_ms, unsigned attempt)
 {
     if (base_ms == 0)
         return 0;
@@ -44,13 +36,6 @@ backoffDelayMs(unsigned base_ms, unsigned attempt, unsigned cap_ms = 0,
     std::uint64_t delay = shift >= 32
                               ? std::uint64_t(base_ms) << 32
                               : std::uint64_t(base_ms) << shift;
-    if (cap_ms && delay > cap_ms)
-        delay = cap_ms;
-    if (jitter_seed && delay >= 4) {
-        Random rng(jitter_seed + attempt);
-        const std::uint64_t spread = delay / 4;
-        delay = delay - spread + rng.below(2 * spread + 1);
-    }
     return static_cast<unsigned>(delay);
 }
 
@@ -144,10 +129,7 @@ writeArtifact(const std::string &dir, std::size_t index,
 
 /**
  * Run one job with bounded retry-with-backoff for transient errors.
- * Never throws: every exception ends up in the returned outcome.  The
- * single execution path shared by the in-process sweep runner
- * (sweep.cc) and distributed sweep workers (shard.cc), so a contained
- * failure looks identical however the job reached a core.
+ * Never throws: every exception ends up in the returned outcome.
  */
 inline RunResult
 executeWithRetry(const SimConfig &config, const std::string &key,

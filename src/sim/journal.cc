@@ -300,9 +300,8 @@ ResultJournal::record(std::size_t index, const std::string &key,
         }
         off += static_cast<std::size_t>(n);
     }
-    // The coordinator acks a result to its worker only after this
-    // returns; with sync_ the row must be durable, not merely in the
-    // page cache, before that ack can release the worker's copy.
+    // With sync_ the row must be durable, not merely in the page
+    // cache, before record() returns.
     if (sync_ && ::fsync(fd_) != 0) {
         throw ResourceError("fsync of result journal '" + path_ +
                             "' failed: " + std::strerror(errno));

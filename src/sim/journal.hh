@@ -66,8 +66,7 @@ struct JournalEntry
 std::vector<JournalEntry> loadJournal(const std::string &path);
 
 /**
- * Resume helper shared by SweepRunner and the distributed coordinator:
- * load `path` and keep every journaled-ok entry whose (index, sweep
+ * Resume helper for SweepRunner: load `path` and keep every journaled-ok entry whose (index, sweep
  * key) still matches `keys`, storing it into `results` and setting
  * `have[index]`.  A later non-ok line clears `have[index]` again, so a
  * job whose re-run failed is re-run once more.  Returns the number of
@@ -84,12 +83,8 @@ std::size_t applyJournal(const std::string &path,
  * Writes go straight to an O_APPEND fd (no stdio buffer), so a record
  * that returned is at worst in the page cache, never in a user-space
  * buffer a crash would discard.  With `sync = true` every record is
- * additionally fsync'd before returning — the distributed coordinator
- * uses this so a result is durable *before* it is acked to the worker:
- * a coordinator killed at any instant either never acked (the worker
- * redelivers on reconnect) or has the row on disk (resume replays it),
- * which is what keeps a crashed-and-restarted sweep byte-identical
- * (DESIGN.md §18).
+ * additionally fsync'd before returning, so a record that returned
+ * survives a host crash or power loss too, not only a killed process.
  */
 class ResultJournal
 {
@@ -105,7 +100,6 @@ class ResultJournal
                 const RunResult &result);
 
     const std::string &path() const { return path_; }
-    bool synced() const { return sync_; }
 
   private:
     std::string path_;

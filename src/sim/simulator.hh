@@ -151,7 +151,7 @@ class Simulator
 
     /**
      * Split run() for callers that drive the core loop themselves
-     * (batched lockstep simulation, DESIGN.md §15): prepare() performs
+     * (the benchmark harness): prepare() performs
      * the configured fast-forward (no-op when fastForward is 0) and
      * returns instructions skipped; collect() extracts the RunResult
      * after the caller has run the core to completion.  run() is

@@ -2,7 +2,7 @@
  * @file
  * Parallel design-space sweep driver.  The evaluation reproduces the
  * paper's figures by running 100+ independent simulator configurations;
- * SweepRunner executes a batch of SimConfigs on a pool of worker
+ * SweepRunner executes a list of SimConfigs on a pool of worker
  * threads while preserving the input ordering of the results, so
  * `jobs=1` and `jobs=N` emit bit-identical tables.
  *
@@ -66,17 +66,6 @@ class SweepRunner
          * when that is unset too.  Created on first use.
          */
         std::string artifactDir;
-
-        /**
-         * Lockstep batch width (key: `batch=`): group same-workload,
-         * same-warm-up jobs into units of up to this many configs and
-         * advance each unit over one shared correct-path fetch stream
-         * (DESIGN.md §15).  Per-config stats, sweep JSON and journal
-         * records are bit-identical to an unbatched run; only host
-         * wall-clock fields differ.  0/1 = off (the per-job path runs
-         * unchanged).
-         */
-        unsigned batch = 1;
 
         Progress progress;
     };

@@ -10,13 +10,19 @@
  *    segmented and the ideal IQ (the module's correctness contract);
  *  - corrupted, truncated, version-bumped, mislabelled and mismatched
  *    blobs are rejected with specific CheckpointError messages.
+ *
+ * Plus CheckpointCache semantics, including the cross-process producer
+ * election through `<blob>.lock` files in a shared directory.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -634,6 +640,65 @@ TEST(CheckpointCacheTest, DiskBackingPersistsAcrossInstances)
         EXPECT_EQ(cache.diskHits(), 1u);
         EXPECT_EQ(cache.produced(), 0u);
     }
+}
+
+// Two caches on one directory stand in for two processes sharing a
+// ckpt_dir=: the `<blob>.lock` file, not the in-memory entry table, is
+// what elects one producer between them.
+TEST(CheckpointCacheTest, CrossInstanceElectionWaitsForThePublisher)
+{
+    ScratchDir dir("cache-election");
+    const std::uint64_t key = 0xfeedface12345678ULL;
+    CheckpointCache a(dir.str());
+    CheckpointCache b(dir.str());
+    b.electionPollMs = 5;
+
+    ASSERT_EQ(a.findOrBegin(key), nullptr);  // A wins and produces
+    EXPECT_TRUE(fs::exists(a.pathFor(key) + ".lock"));
+
+    std::atomic<bool> published{false};
+    std::atomic<bool> returned{false};
+    bool sawPublished = false;
+    CheckpointCache::Blob fromB;
+    std::thread loser([&] {
+        fromB = b.findOrBegin(key);
+        sawPublished = published.load();
+        returned = true;
+    });
+
+    // B must still be waiting on A's lock, not producing a duplicate.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(returned.load());
+
+    published = true;
+    a.publish(key, "elected warm state");
+    loser.join();
+
+    ASSERT_NE(fromB, nullptr);
+    EXPECT_TRUE(sawPublished);
+    EXPECT_EQ(*fromB, "elected warm state");
+    EXPECT_EQ(b.diskHits(), 1u);
+    EXPECT_EQ(b.produced(), 0u);
+    EXPECT_EQ(a.produced(), 1u);
+    EXPECT_FALSE(fs::exists(a.pathFor(key) + ".lock"));
+}
+
+TEST(CheckpointCacheTest, StaleLockTimesOutIntoADuplicateProducer)
+{
+    ScratchDir dir("cache-stale-lock");
+    const std::uint64_t key = 0x0badc0ffee000001ULL;
+    CheckpointCache cache(dir.str());
+    cache.electionWaitMs = 50;
+    cache.electionPollMs = 5;
+
+    // A producer that crashed while holding the claim.
+    std::ofstream(cache.pathFor(key) + ".lock").put('x');
+
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(cache.findOrBegin(key), nullptr);
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(50));
+    cache.cancel(key);
 }
 
 // ---------------------------------------------------------------------

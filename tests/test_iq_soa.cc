@@ -11,10 +11,10 @@
  *  - checkpoint interchange: warm-state blobs are engine-independent,
  *    byte for byte, and a checkpoint produced under one engine restores
  *    under the other with no stat drift;
- *  - batched lockstep (batch=K) and sweep-JSON equivalence across
- *    engines and batch widths;
- *  - lane-level torture at segment boundaries: both engines driven in
- *    lockstep through tiny segments with chain signals, suspends,
+ *  - sweep-JSON equivalence across engines: a SweepRunner sweep emits
+ *    the same JSON for both, work counters excluded;
+ *  - lane-level torture at segment boundaries: both engines driven
+ *    side by side through tiny segments with chain signals, suspends,
  *    squashes and deadlock recovery, comparing membership state and
  *    issue order cycle by cycle.
  *
@@ -79,12 +79,12 @@ statsDump(Simulator &sim)
 }
 
 /**
- * Serialize one result with every host-dependent field zeroed.  The
- * iq.work.* counters are deterministic but engine-specific, so they
- * are scrubbed only when comparing *across* engines.
+ * Serialize one result with every host-dependent field zeroed, and the
+ * iq.work.* counters too: they are deterministic but engine-specific,
+ * and every caller compares across engines.
  */
 std::string
-scrubbedJson(RunResult r, bool scrub_work)
+scrubbedJson(RunResult r)
 {
     r.hostSeconds = 0.0;
     r.hostKcyclesPerSec = 0.0;
@@ -93,12 +93,10 @@ scrubbedJson(RunResult r, bool scrub_work)
     r.warmInstsPerSec = 0.0;
     r.ckptRestored = false;
     r.outcome.message.clear();
-    if (scrub_work) {
-        r.iqSignalDeliveries = 0;
-        r.iqPlanCalls = 0;
-        r.iqSegmentsScanned = 0;
-        r.iqLaneWordsTouched = 0;
-    }
+    r.iqSignalDeliveries = 0;
+    r.iqPlanCalls = 0;
+    r.iqSegmentsScanned = 0;
+    r.iqLaneWordsTouched = 0;
     std::ostringstream os;
     writeResultsJson(os, {r});
     return os.str();
@@ -135,7 +133,7 @@ TEST_P(IqSoaDifferential, StatsTreesByteIdenticalWithAuditOn)
         // Architected sweep output too (work counters excluded: they
         // measure host effort, which is exactly what the SoA engine
         // changes).
-        EXPECT_EQ(scrubbedJson(r0, true), scrubbedJson(r1, true))
+        EXPECT_EQ(scrubbedJson(r0), scrubbedJson(r1))
             << "iq_size " << size;
     }
 }
@@ -363,10 +361,9 @@ TEST(IqSoaCheckpoint, RestoreAcrossEnginesMatchesColdBitForBit)
 }
 
 // ---------------------------------------------------------------------
-// Batched lockstep: batch=K equivalence holds for both engines, and
-// the engines agree with each other at every batch width.
+// Sweep JSON: the engines agree through the SweepRunner path too.
 
-TEST(IqSoaBatch, SweepJsonIdenticalAcrossBatchWidthsAndEngines)
+TEST(IqSoaSweep, SweepJsonIdenticalAcrossEngines)
 {
     std::vector<SimConfig> cfgs;
     for (const std::string &wl : workloadNames()) {
@@ -380,36 +377,21 @@ TEST(IqSoaBatch, SweepJsonIdenticalAcrossBatchWidthsAndEngines)
         }
     }
 
-    const std::vector<RunResult> base = SweepRunner(1).run(cfgs);
-    for (const RunResult &r : base)
+    const std::vector<RunResult> results = SweepRunner(1).run(cfgs);
+    for (const RunResult &r : results)
         ASSERT_TRUE(r.outcome.ok()) << r.outcome.message;
 
     // Adjacent pairs are (reference, soa) of the same point: identical
     // architected output, work counters excluded.
-    for (std::size_t i = 0; i + 1 < base.size(); i += 2) {
-        EXPECT_EQ(scrubbedJson(base[i], true), scrubbedJson(base[i + 1], true))
-            << base[i].workload << " size " << base[i].iqSize;
-    }
-
-    for (unsigned k : {1u, 4u}) {
-        SweepRunner::Options options;
-        options.batch = k;
-        const std::vector<RunResult> batched =
-            SweepRunner(1).run(cfgs, options);
-        ASSERT_EQ(batched.size(), base.size());
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            // Work counters kept in the comparison: the batched driver
-            // must not change how much scheduling work each member does.
-            EXPECT_EQ(scrubbedJson(base[i], false),
-                      scrubbedJson(batched[i], false))
-                << "batch=" << k << " config " << i;
-        }
+    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
+        EXPECT_EQ(scrubbedJson(results[i]), scrubbedJson(results[i + 1]))
+            << results[i].workload << " size " << results[i].iqSize;
     }
 }
 
 // ---------------------------------------------------------------------
 // Lane-level torture at segment boundaries: drive both engines in
-// lockstep and compare every observable after every step.
+// side by side and compare every observable after every step.
 
 /** One engine instance with its own register/FU universe. */
 struct Rig
