@@ -65,6 +65,7 @@ struct SegIqState
 struct IdealIqState
 {
     int pendingOps = 0;   ///< unready gating sources at last update
+    std::uint32_t slot = 0;  ///< index in the queue's residency list
     bool inQueue = false; ///< resident (waiter entries may be stale)
 };
 

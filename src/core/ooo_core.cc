@@ -37,6 +37,7 @@ CoreParams::finalize()
         lsqSize = robSize;
     if (numPhysRegs == 0)
         numPhysRegs = kNumArchRegs + robSize + 16;
+    iq.robSize = robSize;
 }
 
 OooCore::OooCore(const Program &program_, const CoreParams &params_)

@@ -10,7 +10,7 @@ IdealIq::IdealIq(const IqParams &params, const Scoreboard &scoreboard,
                  const FuPool &fu)
     : IqBase(params, scoreboard, fu, "iq")
 {
-    insts.reserve(params.numEntries);
+    insts.reserve(2 * static_cast<std::size_t>(params.numEntries));
     readyList.reserve(params.numEntries);
     waiters.resize(scoreboard.size());
 }
@@ -18,7 +18,7 @@ IdealIq::IdealIq(const IqParams &params, const Scoreboard &scoreboard,
 bool
 IdealIq::canInsert(const DynInstPtr &)
 {
-    return insts.size() < params.numEntries;
+    return live < params.numEntries;
 }
 
 void
@@ -40,9 +40,13 @@ IdealIq::pushReady(const DynInstPtr &inst)
 void
 IdealIq::insert(const DynInstPtr &inst, Cycle)
 {
-    SCIQ_ASSERT(insts.size() < params.numEntries, "ideal IQ overflow");
+    SCIQ_ASSERT(live < params.numEntries, "ideal IQ overflow");
     instsInserted.inc();
+    if (insts.size() >= 2 * static_cast<std::size_t>(params.numEntries))
+        compact();
+    inst->ideal.slot = static_cast<std::uint32_t>(insts.size());
     insts.push_back(inst);
+    ++live;
     inst->ideal.inQueue = true;
 
     int pending = 0;
@@ -88,15 +92,11 @@ IdealIq::issueSelect(Cycle, const TryIssue &try_issue)
             ++issued;
             inst->ideal.inQueue = false;
             it = readyList.erase(it);
-            // Residency list is seq-sorted: binary search the victim.
-            auto pos = std::lower_bound(
-                insts.begin(), insts.end(), inst,
-                [](const DynInstPtr &a, const DynInstPtr &b) {
-                    return a->seq < b->seq;
-                });
-            SCIQ_ASSERT(pos != insts.end() && *pos == inst,
+            DynInstPtr &entry = insts[inst->ideal.slot];
+            SCIQ_ASSERT(entry == inst,
                         "issued instruction missing from the ideal IQ");
-            insts.erase(pos);
+            entry = nullptr;
+            --live;
         } else {
             ++it;
         }
@@ -104,23 +104,42 @@ IdealIq::issueSelect(Cycle, const TryIssue &try_issue)
 }
 
 void
+IdealIq::compact()
+{
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+        if (!insts[i])
+            continue;
+        insts[i]->ideal.slot = static_cast<std::uint32_t>(kept);
+        if (i != kept)
+            insts[kept] = std::move(insts[i]);
+        ++kept;
+    }
+    insts.resize(kept);
+}
+
+void
 IdealIq::tick(Cycle, bool)
 {
-    occupancyAvg.sample(static_cast<double>(insts.size()));
+    occupancyAvg.sample(static_cast<double>(live));
 }
 
 void
 IdealIq::squash(SeqNum youngest_kept)
 {
-    // Both lists are seq-sorted, so the squashed set is a suffix.
-    auto cmp = [](SeqNum s, const DynInstPtr &p) { return s < p->seq; };
-    auto pos = std::upper_bound(insts.begin(), insts.end(), youngest_kept,
-                                cmp);
-    for (auto it = pos; it != insts.end(); ++it)
-        (*it)->ideal.inQueue = false;
-    insts.erase(pos, insts.end());
-    auto rpos = std::upper_bound(readyList.begin(), readyList.end(),
-                                 youngest_kept, cmp);
+    // Both lists are seq-sorted, so the squashed set is a suffix; the
+    // residency list's may be interleaved with tombstones.
+    while (!insts.empty() &&
+           (!insts.back() || insts.back()->seq > youngest_kept)) {
+        if (insts.back()) {
+            insts.back()->ideal.inQueue = false;
+            --live;
+        }
+        insts.pop_back();
+    }
+    auto rpos = std::upper_bound(
+        readyList.begin(), readyList.end(), youngest_kept,
+        [](SeqNum s, const DynInstPtr &p) { return s < p->seq; });
     readyList.erase(rpos, readyList.end());
 }
 

@@ -36,7 +36,7 @@ class IdealIq : public IqBase
     void tick(Cycle cycle, bool core_busy) override;
     void onRegReady(RegIndex r) override;
     void squash(SeqNum youngest_kept) override;
-    std::size_t occupancy() const override { return insts.size(); }
+    std::size_t occupancy() const override { return live; }
 
   private:
     friend class Auditor;
@@ -44,8 +44,17 @@ class IdealIq : public IqBase
     /** Append to the ready list, keeping it seq-sorted. */
     void pushReady(const DynInstPtr &inst);
 
-    /** Held in dispatch (= program) order, so oldest-first is a scan. */
+    /** Drop the tombstones, renumbering the survivors' slots. */
+    void compact();
+
+    /**
+     * Held in dispatch (= program) order, so the squashed set is a
+     * suffix.  Issue leaves a null tombstone at the entry's slot
+     * (`ideal.slot`) instead of shifting the tail; insert compacts once
+     * tombstones could outnumber residents.
+     */
     std::vector<DynInstPtr> insts;
+    std::size_t live = 0;  ///< non-tombstone entries of insts
 
     /**
      * Resident instructions whose gating operands are all ready, in

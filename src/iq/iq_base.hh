@@ -38,6 +38,14 @@ struct IqParams
     unsigned predictedLoadLatency = 4;  ///< agen issue -> dependent ready
 
     /**
+     * ROB capacity, which bounds how far apart in dispatch order two
+     * resident entries can be (the segmented IQ's SoA engine numbers
+     * its slots by dispatch position modulo this).  Set by the core
+     * from its own ROB size; 0 means 3 x numEntries, the core default.
+     */
+    unsigned robSize = 0;
+
+    /**
      * Dynamic segment resizing (paper section 7, future work): gate
      * whole segments off when occupancy is low, re-enabling them under
      * pressure.  Dispatch is confined to the active segments; the

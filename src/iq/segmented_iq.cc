@@ -36,6 +36,37 @@ class ScopedTimer
     std::chrono::steady_clock::time_point t0_;
 };
 
+/**
+ * Visit the set bits of the bit vector `v` (`nwords` words) circularly
+ * from bit `start` until `f(bit)` returns false; false if it did.
+ */
+template <class F>
+bool
+forEachBitFrom(const std::uint64_t *v, std::size_t nwords, std::size_t start,
+               F f)
+{
+    const std::size_t s0 = start >> 6;
+    const std::uint64_t from_start = ~0ULL << (start & 63);
+    const auto scan = [&](std::size_t i, std::uint64_t keep) {
+        for (std::uint64_t bits = v[i] & keep; bits; bits &= bits - 1) {
+            if (!f(i * 64 + static_cast<std::size_t>(std::countr_zero(bits))))
+                return false;
+        }
+        return true;
+    };
+    if (!scan(s0, from_start))
+        return false;
+    for (std::size_t i = s0 + 1; i < nwords; ++i) {
+        if (!scan(i, ~0ULL))
+            return false;
+    }
+    for (std::size_t i = 0; i < s0; ++i) {
+        if (!scan(i, ~0ULL))
+            return false;
+    }
+    return scan(s0, ~from_start);
+}
+
 } // namespace
 
 static_assert(kNumArchRegs <= 64,
@@ -107,6 +138,7 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     regCdPos.fill(-1);
     regSubPos.fill(-1);
     regSubChain.fill(kNoChain);
+    regDue.fill(kNotDue);
 
     const std::size_t seg_words = (n + 63) / 64;
     eligSegW.assign(seg_words, 0);
@@ -115,54 +147,53 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     chainHot.resize(chainStates.size());
     activePos.assign(chainStates.size(), -1);
     if (soa()) {
-        const unsigned cap = params.numEntries;
-        SCIQ_ASSERT(cap < kFreeSlot && n < kFreeSlot,
-                    "IQ of %u entries exceeds the slot-pool id range", cap);
-        const std::size_t slot_words = (cap + 63) / 64;
+        poolSize = params.robSize ? params.robSize : 3 * params.numEntries;
+        SCIQ_ASSERT(poolSize < kFreeSlot && n < kFreeSlot,
+                    "ROB of %u entries exceeds the slot-pool id range",
+                    poolSize);
+        poolWords = (poolSize + 63) / 64;
+        summaryWords = (poolWords + 63) / 64;
         for (int m = 0; m < 2; ++m) {
-            pool.delay[m].assign(cap, 0);
-            pool.chain[m].assign(cap, kNoChain);
-            pool.gen[m].assign(cap, 0);
-            pool.applied[m].assign(cap, 0);
-            pool.headSeg[m].assign(cap, 0);
-            pool.flags[m].assign(cap, 0);
-            pool.subIdx[m].assign(cap, -1);
-            pool.src[m].assign(cap, kInvalidReg);
-            pool.cdBits[m].assign(slot_words, 0);
+            pool.delay[m].assign(poolSize, 0);
+            pool.chain[m].assign(poolSize, kNoChain);
+            pool.gen[m].assign(poolSize, 0);
+            pool.applied[m].assign(poolSize, 0);
+            pool.headSeg[m].assign(poolSize, 0);
+            pool.flags[m].assign(poolSize, 0);
+            pool.subIdx[m].assign(poolSize, -1);
+            pool.due[m].assign(poolSize, kNotDue);
+            pool.dueCycle[m].assign(poolSize, 0);
+            pool.dueOrigin[m].assign(poolSize, 0);
+            pool.src[m].assign(poolSize, kInvalidReg);
+            pool.cdBits[m].assign(poolWords, 0);
+            pool.cdSummary[m].assign(summaryWords, 0);
         }
-        pool.memCount.assign(cap, 0);
-        pool.seq.assign(cap, 0);
-        pool.seg.assign(cap, kFreeSlot);
-        pool.headChain.assign(cap, kNoChain);
-        pool.headGen.assign(cap, 0);
-        pool.inst.resize(cap);
-        pool.eligBits.assign(slot_words, 0);
-        // Popped from the back, so slots are first handed out in order.
-        for (unsigned slot = cap; slot-- > 0;)
-            pool.freeSlots.push_back(static_cast<std::uint16_t>(slot));
-        segSlots.resize(n);
-        for (auto &ids : segSlots)
-            ids.reserve(params.segmentSize);
-        scratchEligPos.resize(params.segmentSize);
-        scratchPushPos.resize(params.segmentSize);
+        pool.memCount.assign(poolSize, 0);
+        pool.seq.assign(poolSize, 0);
+        pool.seg.assign(poolSize, kFreeSlot);
+        pool.headChain.assign(poolSize, kNoChain);
+        pool.headGen.assign(poolSize, 0);
+        pool.inst.resize(poolSize);
+        pool.eligBits.assign(poolWords, 0);
+        segBits.assign(n * poolWords, 0);
+        segSummary.assign(n * summaryWords, 0);
+        candSummary.assign(n * summaryWords, 0);
+        segCount.assign(n, 0);
+        scratchMoves.resize(std::max(1u, params.issueWidth));
+
+        // Every arrival lies within n - 1 cycles of the next pass, so
+        // n + 1 buckets never hold two live cycles.
+        std::size_t buckets = 1;
+        while (buckets < n + 1)
+            buckets *= 2;
+        calendar.resize(buckets);
+        calendarMask = buckets - 1;
     }
     // Seed the word masks with the empty-segment free counts (the
     // legacy masks were lazily initialised on first size change, which
     // is equivalent: promotion rounds over empty segments are no-ops).
     for (unsigned k = 0; k < n; ++k)
         onSegSizeChanged(k);
-}
-
-void
-SegmentedIq::SignalRing::grow()
-{
-    const std::size_t old_cap = buf.size();
-    const std::size_t new_cap = old_cap ? old_cap * 2 : 8;
-    std::vector<LoggedSignal> nb(new_cap);
-    for (std::size_t i = 0; i < count; ++i)
-        nb[i] = buf[(head + i) & (old_cap - 1)];
-    buf = std::move(nb);
-    head = 0;
 }
 
 std::size_t
@@ -469,7 +500,8 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         // Subscriber lists are NOT cleared on wire reuse: stale-
         // generation listeners are skipped by delivery and drop off
         // through their own lifecycle.  If the cleared log left the
-        // chain on the active list, the tick-5 prune sweep retires it.
+        // chain on the active list, the tick-5 prune sweep retires it;
+        // stale expiry records and calendar keys are no-ops.
         syncChainHot(id);
         chainsCreated.inc();
         if (plan.isLoadHead)
@@ -542,10 +574,10 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         }
         unsubscribeReg(dst);
         regInfo[dst] = e;
-        if (e.chain != kNoChain) {
+        if (e.chain != kNoChain)
             subscribeReg(dst);
-            rearm(e.chain);
-        }
+        if (soa())
+            armReg(dst);
         syncRegCd(dst);
     }
 }
@@ -792,32 +824,27 @@ SegmentedIq::emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
     cs.log.push_back(LoggedSignal{++cs.seqCounter, cycle, origin_segment,
                                   kind});
     syncChainHot(id);
-    std::int32_t &pos = activePos[static_cast<std::size_t>(id)];
-    if (pos < 0) {
-        pos = static_cast<std::int32_t>(activeChains.size());
-        activeChains.push_back({id, 0});
+    if (soa()) {
+        // Step 5 pops expiry records front-first, so it must see them
+        // in cycle order.
+        SCIQ_ASSERT(expiry.empty() || expiry.back().cycle <= cycle,
+                    "chain signal at cycle %llu logged after cycle %llu",
+                    static_cast<unsigned long long>(cycle),
+                    static_cast<unsigned long long>(expiry.back().cycle));
+        expiry.push_back({cycle, id});
+        if (!cs.armPending) {
+            cs.armPending = true;
+            pendingArm.push_back(id);
+        }
     } else {
-        activeChains[static_cast<std::size_t>(pos)].wake = 0;
+        std::int32_t &pos = activePos[static_cast<std::size_t>(id)];
+        if (pos < 0) {
+            pos = static_cast<std::int32_t>(activeChains.size());
+            activeChains.push_back(id);
+        }
     }
     if (static_cast<double>(cs.log.size()) > logPeak.value())
         logPeak.set(static_cast<double>(cs.log.size()));
-}
-
-void
-SegmentedIq::rearm(ChainId id)
-{
-    const std::int32_t pos = activePos[static_cast<std::size_t>(id)];
-    if (pos >= 0)
-        activeChains[static_cast<std::size_t>(pos)].wake = 0;
-}
-
-void
-SegmentedIq::rearmListeners(unsigned slot)
-{
-    for (int m = 0; m < pool.memCount[slot]; ++m) {
-        if (pool.subIdx[m][slot] >= 0)
-            rearm(pool.chain[m][slot]);
-    }
 }
 
 void
@@ -976,8 +1003,11 @@ SegmentedIq::dumpSegment(std::ostream &os, unsigned k) const
        << " entries, admit threshold " << threshold(k) << "\n";
     std::vector<DynInstPtr> residents;
     if (soa()) {
-        for (std::uint16_t slot : segSlots[k])
-            residents.push_back(pool.inst[slot]);
+        forEachByAge(segRow(k), [&](std::size_t w) { return segWord(k, w); },
+                     [&](unsigned slot) {
+                         residents.push_back(pool.inst[slot]);
+                         return true;
+                     });
     } else {
         residents = segments[k];
     }
@@ -1076,10 +1106,12 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
         freePrevCycle[k] =
             static_cast<unsigned>(params.segmentSize - segSize(k));
     }
-    if (cycle > n + 1) {
+    if (cycle > n + 1 && soa()) {
+        soaExpireLogs(cycle - n - 1);
+    } else if (cycle > n + 1) {
         const Cycle horizon = cycle - n - 1;
         for (std::size_t c = 0; c < activeChains.size();) {
-            const ChainId id = activeChains[c].id;
+            const ChainId id = activeChains[c];
             ChainState &cs = chainStates[static_cast<std::size_t>(id)];
             while (!cs.log.empty() && cs.log.front().cycle < horizon)
                 cs.log.pop_front();
@@ -1090,8 +1122,8 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
                 activeChains[c] = activeChains.back();
                 activeChains.pop_back();
                 if (c < activeChains.size()) {
-                    activePos[static_cast<std::size_t>(
-                        activeChains[c].id)] = static_cast<std::int32_t>(c);
+                    activePos[static_cast<std::size_t>(activeChains[c])] =
+                        static_cast<std::int32_t>(c);
                 }
             }
         }
@@ -1234,8 +1266,8 @@ SegmentedIq::aosTickDeliver(Cycle cycle)
     // chain only its subscribers are walked; everything a full sweep
     // would touch beyond that is a guaranteed no-op (no-chain
     // membership, stale generation, or empty log).
-    for (const ActiveChain &ac : activeChains) {
-        ChainState &cs = chainStates[static_cast<std::size_t>(ac.id)];
+    for (ChainId id : activeChains) {
+        ChainState &cs = chainStates[static_cast<std::size_t>(id)];
         if (cs.log.empty())
             continue;
         for (const MemberSub &sub : cs.memberSubs) {
@@ -1395,10 +1427,10 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
         const RegIndex r = undoLog.back().archDst;
         unsubscribeReg(r);
         regInfo[r] = undoLog.back().prev;
-        if (regInfo[r].pending && regInfo[r].chain != kNoChain) {
+        if (regInfo[r].pending && regInfo[r].chain != kNoChain)
             subscribeReg(r);
-            rearm(regInfo[r].chain);  // may have fallen behind its wire
-        }
+        if (soa())
+            armReg(r);  // may have fallen behind its wire
         syncRegCd(r);
         undoLog.pop_back();
     }
@@ -1431,9 +1463,10 @@ SegmentedIq::squash(SeqNum youngest_kept)
 // Every function below is an exact behavioural mirror of its reference
 // counterpart above: same visit order where order is observable, same
 // stat increments, same architected state transitions.  The difference
-// is purely representational (a slot pool and bitmasks instead of
-// objects, and batched per-chain delivery on the chain's wake cycles
-// instead of per-subscriber log scans every cycle).
+// is purely representational: a slot pool numbered by dispatch
+// position and segment bitmasks instead of objects in sorted vectors,
+// and delivery to the listeners whose signal arrives this cycle
+// instead of per-subscriber log scans of every active chain.
 
 int
 SegmentedIq::laneEffDelay(unsigned slot) const
@@ -1455,10 +1488,20 @@ SegmentedIq::setLaneElig(unsigned slot, bool now)
     if (((w & bit) != 0) == now)
         return;
     w ^= bit;
-    if (now)
-        eligCountInc(pool.seg[slot]);
-    else
-        eligCountDec(pool.seg[slot]);
+    const unsigned k = pool.seg[slot];
+    // Only a placed slot is ever eligible, so word `wi` of segment k's
+    // candidates gains or loses this slot.
+    const std::size_t wi = slot >> 6;
+    const std::uint64_t sbit = 1ULL << (wi & 63);
+    std::uint64_t &cand = candSummary[k * summaryWords + (wi >> 6)];
+    if (now) {
+        eligCountInc(k);
+        cand |= sbit;
+    } else {
+        eligCountDec(k);
+        if ((segWord(k, wi) & w) == 0)
+            cand &= ~sbit;
+    }
 }
 
 void
@@ -1472,17 +1515,110 @@ void
 SegmentedIq::syncLaneCd(unsigned slot, int mem)
 {
     const std::uint8_t f = pool.flags[mem][slot];
-    const bool want = (f & kLaneSelfTimed) && !(f & kLaneSuspended) &&
-                      pool.delay[mem][slot] > 0;
+    setCdBit(slot, mem,
+             (f & kLaneSelfTimed) && !(f & kLaneSuspended) &&
+                 pool.delay[mem][slot] > 0);
+}
+
+void
+SegmentedIq::setCdBit(unsigned slot, int mem, bool on)
+{
+    const std::size_t wi = slot >> 6;
+    std::uint64_t &w = pool.cdBits[mem][wi];
+    std::uint64_t &sum = pool.cdSummary[mem][wi >> 6];
     const std::uint64_t bit = 1ULL << (slot & 63);
-    std::uint64_t &w = pool.cdBits[mem][slot >> 6];
-    w = want ? (w | bit) : (w & ~bit);
+    w = on ? (w | bit) : (w & ~bit);
+    sum = w ? (sum | 1ULL << (wi & 63)) : (sum & ~(1ULL << (wi & 63)));
+}
+
+template <class Word, class Visit>
+void
+SegmentedIq::forEachByAge(const std::uint64_t *summary, Word word,
+                          Visit visit) const
+{
+    // Slot i holds dispatch positions congruent to i, and every
+    // resident lies within the last poolSize positions, so the cursor
+    // slot (the oldest possible position) starts the age order.  The
+    // cursor's own word is split: its bits from the cursor come first,
+    // the ones below it last.
+    const std::size_t w0 = cursor >> 6;
+    const std::uint64_t from_cursor = ~0ULL << (cursor & 63);
+    const auto scan = [&](std::size_t w, std::uint64_t keep) {
+        for (std::uint64_t bits = word(w) & keep; bits; bits &= bits - 1) {
+            const auto slot = static_cast<unsigned>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+            if (!visit(slot))
+                return false;
+        }
+        return true;
+    };
+    const bool more = forEachBitFrom(
+        summary, summaryWords, w0,
+        [&](std::size_t w) { return scan(w, w == w0 ? from_cursor : ~0ULL); });
+    if (more)
+        scan(w0, ~from_cursor);
+}
+
+unsigned
+SegmentedIq::oldestIn(unsigned k) const
+{
+    unsigned oldest = 0;
+    forEachByAge(segRow(k), [&](std::size_t w) { return segWord(k, w); },
+                 [&](unsigned slot) {
+                     oldest = slot;
+                     return false;
+                 });
+    return oldest;
+}
+
+unsigned
+SegmentedIq::youngestIn(unsigned k) const
+{
+    unsigned youngest = 0;
+    forEachByAge(segRow(k), [&](std::size_t w) { return segWord(k, w); },
+                 [&](unsigned slot) {
+                     youngest = slot;
+                     return true;
+                 });
+    return youngest;
+}
+
+void
+SegmentedIq::soaPlace(unsigned slot, unsigned to)
+{
+    pool.seg[slot] = static_cast<std::uint16_t>(to);
+    const std::size_t w = slot >> 6;
+    segWord(to, w) |= 1ULL << (slot & 63);
+    segSummary[to * summaryWords + (w >> 6)] |= 1ULL << (w & 63);
+    ++segCount[to];
+    refreshLaneElig(slot);
+    // A listener behind its wire now sees its next entry at a new
+    // cycle; a caught-up one stays caught up.
+    for (int m = 0; m < pool.memCount[slot]; ++m) {
+        Cycle &due = pool.due[m][slot];
+        if (due == kNotDue)
+            continue;
+        const int lag = static_cast<int>(to) - pool.dueOrigin[m][slot];
+        const Cycle at =
+            pool.dueCycle[m][slot] + (lag > 0 ? static_cast<Cycle>(lag) : 0);
+        if (std::max(at, lastPass + 1) != due)
+            due = schedule(at, static_cast<std::uint32_t>(slot << 1 | m));
+    }
+}
+
+void
+SegmentedIq::soaUnplace(unsigned slot)
+{
+    const unsigned k = pool.seg[slot];
+    const std::size_t w = slot >> 6;
+    if ((segWord(k, w) &= ~(1ULL << (slot & 63))) == 0)
+        segSummary[k * summaryWords + (w >> 6)] &= ~(1ULL << (w & 63));
+    --segCount[k];
 }
 
 void
 SegmentedIq::soaLeaveSlot(unsigned slot)
 {
-    const std::uint64_t bit = 1ULL << (slot & 63);
     for (int m = 0; m < pool.memCount[slot]; ++m) {
         const std::int32_t si = pool.subIdx[m][slot];
         if (si >= 0) {
@@ -1494,76 +1630,33 @@ SegmentedIq::soaLeaveSlot(unsigned slot)
             if (static_cast<std::size_t>(si) < cs.soaSubs.size())
                 pool.subIdx[last.mem][last.slot] = si;
         }
-        pool.cdBits[m][slot >> 6] &= ~bit;
+        setCdBit(slot, m, false);
+        pool.due[m][slot] = kNotDue;  // any calendar key goes stale
     }
     setLaneElig(slot, false);
+    soaUnplace(slot);
     pool.seg[slot] = kFreeSlot;
     pool.inst[slot] = nullptr;
-    pool.freeSlots.push_back(static_cast<std::uint16_t>(slot));
     --totalOcc;
 }
 
-std::size_t
-SegmentedIq::listByAge(std::vector<std::uint16_t> &ids, unsigned slot) const
-{
-    // The position the reference engine's insertSorted picks, found by
-    // the seq lane instead of by dereferencing DynInsts, and from the
-    // back: dispatch always lands youngest, most promotions do too.
-    std::size_t d = ids.size();
-    ids.push_back(static_cast<std::uint16_t>(slot));
-    for (; d > 0 && pool.seq[ids[d - 1]] > pool.seq[slot]; --d)
-        ids[d] = ids[d - 1];
-    ids[d] = static_cast<std::uint16_t>(slot);
-    return ids.size() - 1 - d;
-}
-
 void
-SegmentedIq::soaPlace(unsigned slot, unsigned to)
-{
-    listByAge(segSlots[to], slot);
-    pool.seg[slot] = static_cast<std::uint16_t>(to);
-    onSegSizeChanged(to);
-    refreshLaneElig(slot);
-    rearmListeners(slot);
-}
-
-void
-SegmentedIq::soaPromote(unsigned from, std::uint32_t *moves, std::size_t n,
-                        Cycle cycle)
+SegmentedIq::soaPromote(unsigned from, const std::uint32_t *slots,
+                        std::size_t n, Cycle cycle)
 {
     const unsigned to = from - 1;
-    std::vector<std::uint16_t> &src = segSlots[from];
-    std::vector<std::uint16_t> &dst = segSlots[to];
-    std::size_t first = src.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const unsigned slot = src[moves[i]];
-        src[moves[i]] = kFreeSlot;  // tombstone, compacted below
-        first = std::min<std::size_t>(first, moves[i]);
-        moves[i] = slot;
+        const unsigned slot = slots[i];
         setLaneElig(slot, false);
-        pool.seg[slot] = static_cast<std::uint16_t>(to);
-        refreshLaneElig(slot);
-        rearmListeners(slot);
-        // The segment, eligibility and head-identity words, and one
-        // wake update per membership.
-        work.laneWordsTouched += 3 + pool.memCount[slot];
+        soaUnplace(slot);
+        soaPlace(slot, to);
+        // Two segment words, the label, eligibility, head identity.
+        work.laneWordsTouched += 5;
         // A promoting chain head asserts its wire in the segment it
         // leaves.
         emitSignal(pool.headChain[slot], pool.headGen[slot],
                    SignalKind::Assert, static_cast<int>(from), cycle);
     }
-
-    // Edit both id lists once per round: compact the source past its
-    // first tombstone (branch-free), then list the moved ids below.
-    std::size_t kept = first;
-    for (std::size_t r = first; r < src.size(); ++r) {
-        src[kept] = src[r];
-        kept += src[r] != kFreeSlot;
-    }
-    work.laneWordsTouched += (src.size() - first + 3) / 4;
-    src.resize(kept);
-    for (std::size_t i = 0; i < n; ++i)
-        work.laneWordsTouched += (listByAge(dst, moves[i]) + 4) / 4;
     onSegSizeChanged(from);
     onSegSizeChanged(to);
 }
@@ -1595,12 +1688,126 @@ SegmentedIq::nextCandidateSegment(unsigned from) const
     return 0;
 }
 
+std::size_t
+SegmentedIq::firstUnapplied(const ChainState &cs, std::uint64_t applied)
+{
+    if (cs.log.empty())
+        return 0;
+    const std::uint64_t front = cs.log.front().seq;
+    return applied < front ? 0 : static_cast<std::size_t>(applied - front + 1);
+}
+
+Cycle
+SegmentedIq::arrivalAt(const LoggedSignal &sig, int seg)
+{
+    const int lag = seg - sig.originSegment;
+    return sig.cycle + (lag > 0 ? static_cast<Cycle>(lag) : 0);
+}
+
+Cycle
+SegmentedIq::schedule(Cycle at, std::uint32_t key)
+{
+    const Cycle when = std::max(at, lastPass + 1);
+    calendar[when & calendarMask].push_back(key);
+    return when;
+}
+
+const SegmentedIq::LoggedSignal *
+SegmentedIq::firstPending(const ChainState &cs, std::uint64_t applied)
+{
+    const std::size_t i = firstUnapplied(cs, applied);
+    return i < cs.log.size() ? &cs.log.at(i) : nullptr;
+}
+
+void
+SegmentedIq::armLane(unsigned slot, int m, const LoggedSignal &sig)
+{
+    ++work.signalDeliveries;
+    pool.dueCycle[m][slot] = sig.cycle;
+    pool.dueOrigin[m][slot] = static_cast<std::int16_t>(sig.originSegment);
+    pool.due[m][slot] = schedule(arrivalAt(sig, pool.seg[slot]),
+                                 static_cast<std::uint32_t>(slot << 1 | m));
+}
+
+void
+SegmentedIq::armMember(unsigned slot, int m)
+{
+    pool.due[m][slot] = kNotDue;
+    const ChainId id = pool.chain[m][slot];
+    if (id == kNoChain)
+        return;
+    const auto c = static_cast<std::size_t>(id);
+    // Applied up to the wire's counter: nothing to deliver (the packed
+    // mirror answers without loading the ChainState).
+    if (chainHot[c].gen != pool.gen[m][slot] ||
+        pool.applied[m][slot] >= chainHot[c].seqCounter)
+        return;
+    if (const LoggedSignal *sig =
+            firstPending(chainStates[c], pool.applied[m][slot]))
+        armLane(slot, m, *sig);
+}
+
+void
+SegmentedIq::armReg(RegIndex r)
+{
+    Cycle &due = regDue[r];
+    due = kNotDue;
+    const RegInfoEntry &e = regInfo[r];
+    if (!e.pending || e.chain == kNoChain)
+        return;
+    const auto c = static_cast<std::size_t>(e.chain);
+    if (chainHot[c].gen != e.gen || e.appliedSeq >= chainHot[c].seqCounter)
+        return;
+    if (const LoggedSignal *sig = firstPending(chainStates[c], e.appliedSeq)) {
+        ++work.signalDeliveries;
+        due = schedule(arrivalAt(*sig, static_cast<int>(segments.size()) - 1),
+                       kRegKey | static_cast<std::uint32_t>(r));
+    }
+}
+
+void
+SegmentedIq::armListeners(ChainId id)
+{
+    // A listener already due is blocked behind an earlier entry (the
+    // reference scan stops at the first invisible one), so only the
+    // caught-up ones learn a due cycle: their first unapplied entry's
+    // arrival at the segment they are in now.
+    ChainState &cs = chainStates[static_cast<std::size_t>(id)];
+    cs.armPending = false;
+    for (const SoaSub &sub : cs.soaSubs) {
+        ++work.laneWordsTouched;
+        if (pool.due[sub.mem][sub.slot] != kNotDue ||
+            pool.gen[sub.mem][sub.slot] != cs.gen)
+            continue;
+        if (const LoggedSignal *sig =
+                firstPending(cs, pool.applied[sub.mem][sub.slot]))
+            armLane(sub.slot, sub.mem, *sig);
+    }
+    const int top = static_cast<int>(segments.size()) - 1;
+    for (RegIndex r : cs.regSubs) {
+        ++work.laneWordsTouched;
+        const RegInfoEntry &e = regInfo[r];
+        if (regDue[r] != kNotDue || !e.pending || e.gen != cs.gen)
+            continue;
+        if (const LoggedSignal *sig = firstPending(cs, e.appliedSeq)) {
+            ++work.signalDeliveries;
+            regDue[r] = schedule(arrivalAt(*sig, top),
+                                 kRegKey | static_cast<std::uint32_t>(r));
+        }
+    }
+}
+
 void
 SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
 {
-    SCIQ_ASSERT(!pool.freeSlots.empty(), "segmented IQ: no free pool slot");
-    const unsigned slot = pool.freeSlots.back();
-    pool.freeSlots.pop_back();
+    // Every resident is in the ROB, so the entry dispatched poolSize
+    // positions ago has left and this slot is free.
+    const unsigned slot = cursor;
+    SCIQ_ASSERT(pool.seg[slot] == kFreeSlot,
+                "segmented IQ: slot %u still occupied; more than %u "
+                "entries in flight",
+                slot, poolSize);
+    cursor = cursor + 1 == poolSize ? 0 : cursor + 1;
     const auto srcs = iqSources(*inst);
     pool.src[0][slot] = srcs[0];
     pool.src[1][slot] = srcs[1];
@@ -1632,6 +1839,9 @@ SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
     }
     ++totalOcc;
     soaPlace(slot, static_cast<unsigned>(target));
+    onSegSizeChanged(static_cast<unsigned>(target));
+    for (int m = 0; m < plan.numMemberships; ++m)
+        armMember(slot, m);
 }
 
 void
@@ -1641,16 +1851,14 @@ SegmentedIq::soaTickPromote(Cycle cycle)
     const unsigned iw = params.issueWidth;
     for (unsigned k = nextCandidateSegment(1); k != 0;
          k = nextCandidateSegment(k + 1)) {
-        const std::vector<std::uint16_t> &ids = segSlots[k];
-        if (ids.empty())
+        if (segCount[k] == 0)
             continue;
         ++work.segmentsScanned;
         work.laneWordsTouched += 2;
 
         bool pushdown_possible = false;
-        const std::size_t free_here = params.segmentSize - ids.size();
-        const std::size_t free_below =
-            params.segmentSize - segSlots[k - 1].size();
+        const std::size_t free_here = params.segmentSize - segCount[k];
+        const std::size_t free_below = params.segmentSize - segCount[k - 1];
         if (params.enablePushdown) {
             pushdown_possible =
                 free_here < iw && free_below * 2 > 3 * iw;
@@ -1662,49 +1870,43 @@ SegmentedIq::soaTickPromote(Cycle cycle)
         unsigned budget = std::min<unsigned>(
             iw, std::min<unsigned>(
                     freePrevCycle[k - 1],
-                    static_cast<unsigned>(params.segmentSize -
-                                          segSlots[k - 1].size())));
-        if (params.auditInjectOverPromote) {
-            budget = std::min<unsigned>(
-                iw, static_cast<unsigned>(params.segmentSize -
-                                          segSlots[k - 1].size()));
-        }
+                    static_cast<unsigned>(free_below)));
+        if (params.auditInjectOverPromote)
+            budget = std::min<unsigned>(iw, static_cast<unsigned>(free_below));
         if (budget == 0)
             continue;  // no room below: the round would move nothing
 
-        // One branch-free age-order sweep splits the segment into its
-        // promotion candidates (elig bit set: the reference engine's
-        // effDelay-vs-threshold predicate) and the rest, which pushdown
-        // takes oldest first once the candidates run out.  It stops as
-        // soon as the candidates alone fill the budget.
-        const std::size_t sz = ids.size();
-        std::uint32_t *elig = scratchEligPos.data();
-        std::uint32_t *rest = scratchPushPos.data();
-        std::size_t n_elig = 0;
-        std::size_t n_rest = 0;
-        std::size_t pos = 0;
-        for (; pos < sz && n_elig < budget; ++pos) {
-            const unsigned slot = ids[pos];
-            const std::size_t bit =
-                (pool.eligBits[slot >> 6] >> (slot & 63)) & 1;
-            elig[n_elig] = static_cast<std::uint32_t>(pos);
-            rest[n_rest] = static_cast<std::uint32_t>(pos);
-            n_elig += bit;
-            n_rest += bit ^ 1;
+        // Candidates (elig bit set: the reference engine's effDelay-vs-
+        // threshold predicate) oldest first, then pushdown victims
+        // (the rest) oldest first, together at most the budget.
+        std::uint32_t *moves = scratchMoves.data();
+        std::size_t n = 0;
+        const auto take = [&](unsigned slot) {
+            moves[n++] = slot;
+            return n < budget;
+        };
+        if (eligCount[k] != 0) {
+            forEachByAge(
+                candRow(k),
+                [&](std::size_t w) {
+                    ++work.laneWordsTouched;
+                    return segWord(k, w) & pool.eligBits[w];
+                },
+                take);
         }
-        work.laneWordsTouched += (pos + 3) / 4 + 1;
-        if (!pushdown_possible)
-            n_rest = 0;
-
-        // Candidates first, then pushdown, each oldest first.
-        const std::size_t n_cand = std::min<std::size_t>(n_elig, budget);
-        const std::size_t n_push =
-            std::min<std::size_t>(n_rest, budget - n_cand);
-        std::copy(rest, rest + n_push, elig + n_cand);
-        const std::size_t n = n_cand + n_push;
-        soaPromote(k, elig, n, cycle);
+        const std::size_t n_cand = n;
+        if (pushdown_possible && n < budget) {
+            forEachByAge(
+                segRow(k),
+                [&](std::size_t w) {
+                    ++work.laneWordsTouched;
+                    return segWord(k, w) & ~pool.eligBits[w];
+                },
+                take);
+        }
+        soaPromote(k, moves, n, cycle);
         promotions.inc(static_cast<double>(n));
-        pushdownPromotions.inc(static_cast<double>(n_push));
+        pushdownPromotions.inc(static_cast<double>(n - n_cand));
         promotedThisCycle += static_cast<unsigned>(n);
         if (auditTracking)
             promotedInto[k - 1] += static_cast<unsigned>(n);
@@ -1713,116 +1915,132 @@ SegmentedIq::soaTickPromote(Cycle cycle)
 }
 
 void
+SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
+{
+    pool.due[m][slot] = kNotDue;
+    const ChainState &cs =
+        chainStates[static_cast<std::size_t>(pool.chain[m][slot])];
+    if (pool.gen[m][slot] != cs.gen)
+        return;  // wire reused; skipped like the reference
+    work.laneWordsTouched += 3;
+    const int s = pool.seg[slot];
+    const std::size_t log_sz = cs.log.size();
+    std::size_t i = firstUnapplied(cs, pool.applied[m][slot]);
+    const auto visible = [&] {
+        ++work.signalDeliveries;
+        return arrivalAt(cs.log.at(i), s) <= now;
+    };
+    // Apply, in log order, the entries visible at this segment past
+    // the applied prefix, stopping at the first that is not -- the
+    // reference engine's per-listener scan.
+    if (i < log_sz && visible()) {
+        std::int32_t d = pool.delay[m][slot];
+        std::int16_t hs = pool.headSeg[m][slot];
+        std::uint8_t fl = pool.flags[m][slot];
+        do {
+            switch (cs.log.at(i).kind) {
+              case SignalKind::Assert:
+                if (hs > 0) {
+                    hs -= 1;
+                    d = std::max(0, d - 2);
+                } else {
+                    fl |= kLaneSelfTimed;
+                }
+                break;
+              case SignalKind::Suspend:
+                fl |= kLaneSuspended;
+                break;
+              case SignalKind::Resume:
+                fl &= static_cast<std::uint8_t>(~kLaneSuspended);
+                break;
+            }
+        } while (++i < log_sz && visible());
+        pool.delay[m][slot] = d;
+        pool.headSeg[m][slot] = hs;
+        pool.flags[m][slot] = fl;
+        pool.applied[m][slot] = cs.log.front().seq + i - 1;
+        syncLaneCd(slot, m);
+        refreshLaneElig(slot);
+    }
+    if (i < log_sz)
+        armLane(slot, m, cs.log.at(i));
+}
+
+void
+SegmentedIq::soaDeliverReg(RegIndex r, Cycle now)
+{
+    // The register table listens at the fixed top segment.
+    regDue[r] = kNotDue;
+    RegInfoEntry &e = regInfo[r];
+    if (!e.pending || e.chain == kNoChain)
+        return;
+    const ChainState &cs = chainStates[static_cast<std::size_t>(e.chain)];
+    if (cs.gen != e.gen)
+        return;
+    work.laneWordsTouched += 2;
+    const int top = static_cast<int>(segments.size()) - 1;
+    const std::size_t log_sz = cs.log.size();
+    std::size_t i = firstUnapplied(cs, e.appliedSeq);
+    Cycle at = 0;
+    const auto visible = [&] {
+        ++work.signalDeliveries;
+        at = arrivalAt(cs.log.at(i), top);
+        return at <= now;
+    };
+    if (i < log_sz && visible()) {
+        do {
+            switch (cs.log.at(i).kind) {
+              case SignalKind::Assert:
+                if (e.headSeg > 0)
+                    e.headSeg -= 1;
+                else
+                    e.selfTimed = true;
+                break;
+              case SignalKind::Suspend:
+                e.suspended = true;
+                break;
+              case SignalKind::Resume:
+                e.suspended = false;
+                break;
+            }
+        } while (++i < log_sz && visible());
+        e.appliedSeq = cs.log.front().seq + i - 1;
+        syncRegCd(r);
+    }
+    if (i < log_sz)
+        regDue[r] = schedule(at, kRegKey | static_cast<std::uint32_t>(r));
+}
+
+void
 SegmentedIq::soaTickDeliver(Cycle cycle)
 {
-    const int top = static_cast<int>(segments.size()) - 1;
-    for (ActiveChain &ac : activeChains) {
-        // Before its wake cycle no listener can see its next log entry,
-        // so the pass below would change nothing.
-        if (ac.wake > cycle)
-            continue;
-        ChainState &cs = chainStates[static_cast<std::size_t>(ac.id)];
-        ac.wake = ~Cycle{0};
-        if (cs.log.empty())
-            continue;
-        const std::uint64_t front_seq = cs.log.front().seq;
-        const std::size_t log_sz = cs.log.size();
-
-        // Log index of the first entry a listener has not applied.
-        const auto firstUnapplied = [&](std::uint64_t applied) {
-            return applied < front_seq
-                       ? std::size_t{0}
-                       : static_cast<std::size_t>(applied - front_seq + 1);
-        };
-        // The cycle at which log entry i reaches segment s.
-        const auto visibleAt = [&](std::size_t i, int s) -> Cycle {
-            ++work.signalDeliveries;
-            const LoggedSignal &sig = cs.log.at(i);
-            return sig.cycle + (s > sig.originSegment
-                                    ? static_cast<Cycle>(
-                                          s - sig.originSegment)
-                                    : 0);
-        };
-
-        // Each listener applies, in log order, the entries visible at
-        // its segment past its applied prefix, stopping at the first
-        // one that is not -- the reference engine's per-listener scan.
-        // That entry's arrival bounds the chain's next wake.
-        for (const SoaSub &sub : cs.soaSubs) {
-            ++work.laneWordsTouched;
-            const unsigned slot = sub.slot;
-            const int m = sub.mem;
-            if (pool.gen[m][slot] != cs.gen)
-                continue;  // wire reused; skipped like the reference
-            const int s = pool.seg[slot];
-            std::size_t i = firstUnapplied(pool.applied[m][slot]);
-            Cycle at = 0;
-            if (i < log_sz && (at = visibleAt(i, s)) <= cycle) {
-                work.laneWordsTouched += 2;
-                std::int32_t d = pool.delay[m][slot];
-                std::int16_t hs = pool.headSeg[m][slot];
-                std::uint8_t fl = pool.flags[m][slot];
-                do {
-                    switch (cs.log.at(i).kind) {
-                      case SignalKind::Assert:
-                        if (hs > 0) {
-                            hs -= 1;
-                            d = std::max(0, d - 2);
-                        } else {
-                            fl |= kLaneSelfTimed;
-                        }
-                        break;
-                      case SignalKind::Suspend:
-                        fl |= kLaneSuspended;
-                        break;
-                      case SignalKind::Resume:
-                        fl &= static_cast<std::uint8_t>(~kLaneSuspended);
-                        break;
-                    }
-                } while (++i < log_sz && (at = visibleAt(i, s)) <= cycle);
-                pool.delay[m][slot] = d;
-                pool.headSeg[m][slot] = hs;
-                pool.flags[m][slot] = fl;
-                pool.applied[m][slot] = front_seq + i - 1;
-                syncLaneCd(slot, m);
-                refreshLaneElig(slot);
-            }
-            if (i < log_sz)
-                ac.wake = std::min(ac.wake, at);
-        }
-
-        // The register table listens at the fixed top segment.
-        for (RegIndex r : cs.regSubs) {
-            work.laneWordsTouched += 2;
-            RegInfoEntry &e = regInfo[r];
-            if (!e.pending || e.chain == kNoChain || cs.gen != e.gen)
-                continue;
-            std::size_t i = firstUnapplied(e.appliedSeq);
-            Cycle at = 0;
-            if (i < log_sz && (at = visibleAt(i, top)) <= cycle) {
-                do {
-                    switch (cs.log.at(i).kind) {
-                      case SignalKind::Assert:
-                        if (e.headSeg > 0)
-                            e.headSeg -= 1;
-                        else
-                            e.selfTimed = true;
-                        break;
-                      case SignalKind::Suspend:
-                        e.suspended = true;
-                        break;
-                      case SignalKind::Resume:
-                        e.suspended = false;
-                        break;
-                    }
-                } while (++i < log_sz && (at = visibleAt(i, top)) <= cycle);
-                e.appliedSeq = front_seq + i - 1;
-                syncRegCd(r);
-            }
-            if (i < log_sz)
-                ac.wake = std::min(ac.wake, at);
+    // The core ticks every cycle, so this cycle's bucket holds exactly
+    // the listeners due now, plus stale keys: a listener that moved,
+    // left, was re-armed or overwritten, or whose wire was reused
+    // since, has a different due cycle or generation, and delivering it
+    // anyway would apply nothing new.
+    SCIQ_ASSERT(cycle == lastPass + 1, "segmented IQ ticked at cycle %llu "
+                "after cycle %llu",
+                static_cast<unsigned long long>(cycle),
+                static_cast<unsigned long long>(lastPass));
+    // Arm before the pass counts as done: an arrival already reached
+    // still belongs in this cycle's bucket.
+    for (ChainId id : pendingArm)
+        armListeners(id);
+    pendingArm.clear();
+    lastPass = cycle;
+    std::vector<std::uint32_t> &bucket = calendar[cycle & calendarMask];
+    for (const std::uint32_t key : bucket) {
+        ++work.laneWordsTouched;
+        const unsigned id = key & ~kRegKey;
+        if (key & kRegKey) {
+            if (regDue[id] <= cycle)
+                soaDeliverReg(static_cast<RegIndex>(id), cycle);
+        } else if (pool.due[id & 1][id >> 1] <= cycle) {
+            soaDeliverMember(id >> 1, static_cast<int>(id & 1), cycle);
         }
     }
+    bucket.clear();
 }
 
 void
@@ -1831,24 +2049,24 @@ SegmentedIq::soaTickCountdown()
     // Decrements of distinct slots commute, so walking the pool in slot
     // order matches the reference engine's list order.
     for (int m = 0; m < 2; ++m) {
-        for (std::size_t w = 0; w < pool.cdBits[m].size(); ++w) {
-            std::uint64_t bits = pool.cdBits[m][w];
-            if (!bits)
-                continue;
-            ++work.laneWordsTouched;
-            while (bits) {
-                const unsigned slot =
-                    static_cast<unsigned>(w * 64) +
-                    static_cast<unsigned>(__builtin_ctzll(bits));
-                bits &= bits - 1;
-                work.laneWordsTouched += 2;
-                std::int32_t &d = pool.delay[m][slot];
-                d -= 1;
-                refreshLaneElig(slot);
-                if (d == 0)
-                    pool.cdBits[m][w] &= ~(1ULL << (slot & 63));
-            }
-        }
+        forEachBitFrom(
+            pool.cdSummary[m].data(), pool.cdSummary[m].size(), 0,
+            [&](std::size_t w) {
+                ++work.laneWordsTouched;
+                for (std::uint64_t bits = pool.cdBits[m][w]; bits;
+                     bits &= bits - 1) {
+                    const auto slot = static_cast<unsigned>(
+                        w * 64 +
+                        static_cast<std::size_t>(std::countr_zero(bits)));
+                    work.laneWordsTouched += 2;
+                    std::int32_t &d = pool.delay[m][slot];
+                    d -= 1;
+                    refreshLaneElig(slot);
+                    if (d == 0)
+                        setCdBit(slot, m, false);
+                }
+                return true;
+            });
     }
     for (std::size_t i = 0; i < regCountdown.size();) {
         const RegIndex r = regCountdown[i];
@@ -1864,29 +2082,32 @@ SegmentedIq::soaTickCountdown()
 void
 SegmentedIq::soaIssueSelect(Cycle cycle, const TryIssue &try_issue)
 {
-    std::vector<std::uint16_t> &ids = segSlots[0];
-    const std::size_t occ0 = ids.size();
+    const std::size_t occ0 = segCount[0];
     unsigned ready = 0;
     unsigned issued = 0;
-    for (std::size_t pos = 0; pos < ids.size();) {
-        const unsigned slot = ids[pos];
-        ++work.laneWordsTouched;
-        const bool r = scoreboard.isReady(pool.src[0][slot]) &&
-                       scoreboard.isReady(pool.src[1][slot]);
-        if (r)
-            ++ready;
-        if (r && issued < params.issueWidth && try_issue(pool.inst[slot])) {
-            instsIssued.inc();
-            ++issued;
-            ++issuedThisCycle;
-            emitSignal(pool.headChain[slot], pool.headGen[slot],
-                       SignalKind::Assert, 0, cycle);
-            soaLeaveSlot(slot);
-            ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pos));
-        } else {
-            ++pos;
-        }
-    }
+    forEachByAge(
+        segRow(0),
+        [&](std::size_t w) {
+            ++work.laneWordsTouched;
+            return segWord(0, w);
+        },
+        [&](unsigned slot) {
+            ++work.laneWordsTouched;
+            const bool r = scoreboard.isReady(pool.src[0][slot]) &&
+                           scoreboard.isReady(pool.src[1][slot]);
+            if (r)
+                ++ready;
+            if (r && issued < params.issueWidth &&
+                try_issue(pool.inst[slot])) {
+                instsIssued.inc();
+                ++issued;
+                ++issuedThisCycle;
+                emitSignal(pool.headChain[slot], pool.headGen[slot],
+                           SignalKind::Assert, 0, cycle);
+                soaLeaveSlot(slot);
+            }
+            return true;
+        });
     seg0Ready.sample(static_cast<double>(ready));
     seg0Occupancy.sample(static_cast<double>(occ0));
     if (issued > 0)
@@ -1896,47 +2117,47 @@ SegmentedIq::soaIssueSelect(Cycle cycle, const TryIssue &try_issue)
 void
 SegmentedIq::soaSquash(SeqNum youngest_kept)
 {
-    // Segment lists are age-sorted, so the squashed set is a suffix.
-    for (unsigned k = 0; k < segSlots.size(); ++k) {
-        std::vector<std::uint16_t> &ids = segSlots[k];
-        const auto first = std::upper_bound(
-            ids.begin(), ids.end(), youngest_kept,
-            [this](SeqNum v, std::uint16_t s) { return v < pool.seq[s]; });
-        if (first == ids.end())
-            continue;
-        for (auto it = first; it != ids.end(); ++it)
-            soaLeaveSlot(*it);
-        ids.erase(first, ids.end());
-        onSegSizeChanged(k);
+    // The squashed entries hold the youngest dispatch positions: rewind
+    // the cursor over them (issued ones included, by their kept seq
+    // lane) and release the residents among them.
+    for (unsigned step = 0; step < poolSize; ++step) {
+        const unsigned prev = (cursor == 0 ? poolSize : cursor) - 1;
+        if (pool.seq[prev] <= youngest_kept)
+            break;
+        cursor = prev;
+        if (pool.seg[prev] != kFreeSlot)
+            soaLeaveSlot(prev);
     }
+    for (unsigned k = 0; k < segCount.size(); ++k)
+        onSegSizeChanged(k);
 }
 
 void
 SegmentedIq::soaRunDeadlockRecovery(Cycle cycle)
 {
     deadlockRecoveries.inc();
-    const unsigned n = static_cast<unsigned>(segSlots.size());
+    const unsigned n = static_cast<unsigned>(segCount.size());
 
     // If the issue buffer is full of non-ready instructions, recycle
     // its youngest back to the top segment.  The entry keeps its slot:
-    // it is unlisted here, so the force promotions below can fill
-    // segment 0, and relabelled to the top at the end.
+    // its bit is cleared here, so the force promotions below can fill
+    // segment 0, and it is relabelled to the top at the end.
     int recycled = -1;
-    if (activeSegments > 1 && segSlots[0].size() >= params.segmentSize) {
-        recycled = segSlots[0].back();
+    if (activeSegments > 1 && segCount[0] >= params.segmentSize) {
+        recycled = static_cast<int>(youngestIn(0));
         setLaneElig(static_cast<unsigned>(recycled), false);
-        segSlots[0].pop_back();
+        soaUnplace(static_cast<unsigned>(recycled));
         onSegSizeChanged(0);
     }
 
     // Force every full segment to promote one instruction downward;
     // processing bottom-up guarantees the destination has a slot.
     for (unsigned k = 1; k < n; ++k) {
-        if (segSlots[k].size() < params.segmentSize)
+        if (segCount[k] < params.segmentSize)
             continue;
-        if (segSlots[k - 1].size() >= params.segmentSize)
+        if (segCount[k - 1] >= params.segmentSize)
             continue;  // cannot happen after bottom-up processing
-        std::uint32_t oldest = 0;
+        const std::uint32_t oldest = oldestIn(k);
         soaPromote(k, &oldest, 1, cycle);
         promotions.inc();
         ++promotedThisCycle;
@@ -1947,10 +2168,10 @@ SegmentedIq::soaRunDeadlockRecovery(Cycle cycle)
     // instruction in the lowest non-empty segment downward.
     if (promotedThisCycle == 0 && recycled < 0) {
         for (unsigned k = 1; k < n; ++k) {
-            if (segSlots[k].empty())
+            if (segCount[k] == 0)
                 continue;
-            if (segSlots[k - 1].size() < params.segmentSize) {
-                std::uint32_t oldest = 0;
+            if (segCount[k - 1] < params.segmentSize) {
+                const std::uint32_t oldest = oldestIn(k);
                 soaPromote(k, &oldest, 1, cycle);
                 promotions.inc();
                 ++promotedThisCycle;
@@ -1971,8 +2192,25 @@ SegmentedIq::soaRunDeadlockRecovery(Cycle cycle)
             }
         }
         soaPlace(slot, top);
-        SCIQ_ASSERT(segSlots[top].size() <= params.segmentSize,
+        onSegSizeChanged(top);
+        SCIQ_ASSERT(segCount[top] <= params.segmentSize,
                     "deadlock recovery overflowed the top segment");
+    }
+}
+
+void
+SegmentedIq::soaExpireLogs(Cycle horizon)
+{
+    // Records are in cycle order, and every log entry older than the
+    // horizon has one here, so popping the expired records reaches
+    // every chain the reference engine's prune would trim.  A record
+    // whose entry went with a wire reuse trims nothing.
+    while (!expiry.empty() && expiry.front().cycle < horizon) {
+        ChainState &cs =
+            chainStates[static_cast<std::size_t>(expiry.front().chain)];
+        while (!cs.log.empty() && cs.log.front().cycle < horizon)
+            cs.log.pop_front();
+        expiry.pop_front();
     }
 }
 

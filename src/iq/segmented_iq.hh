@@ -40,10 +40,11 @@
  *
  * Two engines share this class (DESIGN.md section 16).  The default
  * data-oriented engine (`iq_soa=1`) keeps per-entry scheduler state in
- * one queue-wide pool of structure-of-arrays slots, each labelled with
- * its segment, so promotion is a relabel; eligibility/countdown
- * bitmask words; chain-wire delivery in one pass per chain over packed
- * subscriber records, run only on the chain's wake cycles; and a
+ * one pool of structure-of-arrays slots numbered by dispatch position,
+ * so every segment is an age-ordered bitmask and promotion is a
+ * relabel; eligibility/countdown bitmask words; chain-wire delivery
+ * from a calendar of listeners keyed by the cycle their next signal
+ * arrives; log expiry from a time-ordered queue; and a
  * register-availability mask that lets independent instructions skip
  * the dispatch plan entirely.  The original object-per-entry engine
  * (`iq_soa=0`) is retained as the bit-identical differential
@@ -202,28 +203,31 @@ class SegmentedIq : public IqBase
     };
 
     /**
-     * Bounded FIFO of in-flight chain-wire signals.  Pruning at the
-     * delivery horizon (tick step 5) keeps the population to the wire
-     * pipeline depth, so the ring stays at its initial capacity in
-     * practice; it grows by doubling rather than asserting a hard cap.
+     * Growable FIFO ring (power-of-two capacity, doubled when full).
+     * Holds a chain's in-flight signal log and the SoA engine's log
+     * expiry queue; pruning at the delivery horizon (tick step 5)
+     * keeps both populations to the wire pipeline depth, so the rings
+     * stay at their initial capacity in practice.
      */
-    class SignalRing
+    template <class T>
+    class Ring
     {
       public:
         bool empty() const { return count == 0; }
         std::size_t size() const { return count; }
         void clear() { head = 0; count = 0; }
-        const LoggedSignal &front() const { return buf[head]; }
-        const LoggedSignal &at(std::size_t i) const
+        const T &front() const { return buf[head]; }
+        const T &back() const { return at(count - 1); }
+        const T &at(std::size_t i) const
         {
             return buf[(head + i) & (buf.size() - 1)];
         }
         void
-        push_back(const LoggedSignal &sig)
+        push_back(const T &v)
         {
             if (count == buf.size())
                 grow();
-            buf[(head + count) & (buf.size() - 1)] = sig;
+            buf[(head + count) & (buf.size() - 1)] = v;
             ++count;
         }
         void
@@ -234,9 +238,18 @@ class SegmentedIq : public IqBase
         }
 
       private:
-        void grow();
+        void
+        grow()
+        {
+            const std::size_t old_cap = buf.size();
+            std::vector<T> nb(old_cap ? old_cap * 2 : 8);
+            for (std::size_t i = 0; i < count; ++i)
+                nb[i] = buf[(head + i) & (old_cap - 1)];
+            buf = std::move(nb);
+            head = 0;
+        }
 
-        std::vector<LoggedSignal> buf;  ///< power-of-two capacity
+        std::vector<T> buf;
         std::size_t head = 0;
         std::size_t count = 0;
     };
@@ -250,9 +263,9 @@ class SegmentedIq : public IqBase
 
     /**
      * SoA-engine subscriber record: names a pool slot, not an object,
-     * so a chain's delivery pass never dereferences a DynInst.  A slot
-     * keeps its index for the entry's whole residency, so moves never
-     * rewrite the record; delivery reads the segment from the pool.
+     * so arming a chain's listeners never dereferences a DynInst.  A
+     * slot keeps its index for the entry's whole residency, so moves
+     * never rewrite the record; arming reads the segment from the pool.
      */
     struct SoaSub
     {
@@ -263,10 +276,11 @@ class SegmentedIq : public IqBase
     /**
      * Authoritative per-chain-wire state, read by dispatch when a new
      * member joins, plus the signal log in-flight entries consume and
-     * the subscriber index delivery walks.  Subscriber lists survive
-     * wire reuse: stale-generation subscribers are skipped by the
-     * delivery generation check and unsubscribe through their normal
-     * lifecycle (issue, squash, table overwrite).
+     * the subscriber index a signal arms (SoA) or delivery walks
+     * (reference).  Subscriber lists survive wire reuse: stale-
+     * generation subscribers are skipped by the generation check and
+     * unsubscribe through their normal lifecycle (issue, squash, table
+     * overwrite).
      */
     struct ChainState
     {
@@ -275,10 +289,11 @@ class SegmentedIq : public IqBase
         bool selfTimed = false;   ///< head has issued
         bool suspended = false;
         std::uint64_t seqCounter = 0;
-        SignalRing log;
+        Ring<LoggedSignal> log;
         std::vector<SoaSub> soaSubs;        ///< resident listeners (SoA)
         std::vector<RegIndex> regSubs;      ///< regInfo listeners
         std::vector<MemberSub> memberSubs;  ///< resident listeners (AoS)
+        bool armPending = false;  ///< SoA: on pendingArm
     };
 
     /**
@@ -358,14 +373,6 @@ class SegmentedIq : public IqBase
     void emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
                     int origin_segment, Cycle cycle);
 
-    /**
-     * `id` has a new signal, or a listener that joined or moved:
-     * deliver at the next pass.
-     */
-    void rearm(ChainId id);
-    /** Re-arm the chain of every subscribed membership of `slot`. */
-    void rearmListeners(unsigned slot);
-
     /** Apply every signal now visible at this entry's segment. */
     void deliverToMembership(ChainMembership &m, int segment, Cycle now);
 
@@ -408,7 +415,7 @@ class SegmentedIq : public IqBase
     std::size_t
     segSize(unsigned k) const
     {
-        return soa() ? segSlots[k].size() : segments[k].size();
+        return soa() ? segCount[k] : segments[k].size();
     }
 
     /** Move inst down one pipeline step; heads assert their wire. */
@@ -426,16 +433,17 @@ class SegmentedIq : public IqBase
     void aosTickCountdown();
 
     // --- Data-oriented engine (DESIGN.md section 16) ---------------------
-    // Scheduler state lives in one pool of numEntries slots.  A slot is
-    // claimed at insert and kept until the entry issues or is squashed;
-    // its segment is a lane, so promotion, pushdown and the deadlock
-    // recycle relabel the slot and move its id between segment lists
-    // without copying lane data.  Each segment keeps its slot ids in age
-    // (seq-lane) order -- the order the reference engine iterates in.
+    // Scheduler state lives in one pool of robSize slots.  Slot i holds
+    // the entry dispatched at a position congruent to i modulo the pool
+    // size, so reading occupied slots circularly from the dispatch
+    // cursor visits them in age order.  A segment is a bitmask over the
+    // slots plus a count: promotion, pushdown and the deadlock recycle
+    // flip two bits and relabel the slot without copying lane data.
 
     bool soa() const { return params.soaLayout; }
 
     static constexpr std::uint16_t kFreeSlot = 0xffff;  ///< seg of a free slot
+    static constexpr Cycle kNotDue = ~Cycle{0};  ///< listener is caught up
 
     struct SlotPool
     {
@@ -447,9 +455,14 @@ class SegmentedIq : public IqBase
         std::vector<std::int16_t> headSeg[2];
         std::vector<std::uint8_t> flags[2];   ///< kLaneSelfTimed|kLaneSuspended
         std::vector<std::int32_t> subIdx[2];  ///< back-ptr into soaSubs
+        std::vector<Cycle> due[2];     ///< delivery cycle, kNotDue if none
+        // The first unapplied log entry's cycle and origin segment, set
+        // with `due`, so a move re-arms without reading the log.
+        std::vector<Cycle> dueCycle[2];
+        std::vector<std::int16_t> dueOrigin[2];
         std::vector<RegIndex> src[2];  ///< scoreboard-gating operands
         std::vector<std::uint8_t> memCount;
-        std::vector<SeqNum> seq;       ///< age key of the segment lists
+        std::vector<SeqNum> seq;       ///< kept after release (squash rewind)
         std::vector<std::uint16_t> seg;  ///< segment, kFreeSlot when free
         std::vector<ChainId> headChain;  ///< wire this entry heads
         std::vector<std::uint32_t> headGen;
@@ -458,8 +471,7 @@ class SegmentedIq : public IqBase
         // 64-wide bitmask words over slots.
         std::vector<std::uint64_t> eligBits;
         std::vector<std::uint64_t> cdBits[2];
-
-        std::vector<std::uint16_t> freeSlots;  ///< stack of free slot ids
+        std::vector<std::uint64_t> cdSummary[2];  ///< non-empty cdBits words
     };
 
     static constexpr std::uint8_t kLaneSelfTimed = 1;
@@ -472,27 +484,96 @@ class SegmentedIq : public IqBase
     /** Re-evaluate the promotion predicate at the slot's segment. */
     void refreshLaneElig(unsigned slot);
     void syncLaneCd(unsigned slot, int mem);
+    /** Set or clear membership `mem`'s countdown bit for `slot`. */
+    void setCdBit(unsigned slot, int mem, bool on);
 
-    /** Release a slot and drop its references (caller unlists it). */
+    /** Segment k's mask word w. */
+    std::uint64_t &segWord(unsigned k, std::size_t w)
+    {
+        return segBits[k * poolWords + w];
+    }
+    std::uint64_t segWord(unsigned k, std::size_t w) const
+    {
+        return segBits[k * poolWords + w];
+    }
+
+    // Callers of the three below refresh the segments' pressure bits
+    // (onSegSizeChanged) once the round's moves are done.
+
+    /** Label `slot` with segment `to` and set its bit there. */
+    void soaPlace(unsigned slot, unsigned to);
+    /** Clear `slot`'s bit in its segment (its label is kept). */
+    void soaUnplace(unsigned slot);
+    /** Release a slot and drop its references. */
     void soaLeaveSlot(unsigned slot);
 
-    /** Insert `slot` into `ids` in age order; returns ids shifted. */
-    std::size_t listByAge(std::vector<std::uint16_t> &ids,
-                          unsigned slot) const;
+    /**
+     * Visit, in age order (circularly from the cursor), the slots whose
+     * bit is set in `word(w)` until `visit(slot)` returns false.  Only
+     * the words `summary` (one segment's row of segSummary or
+     * candSummary) marks are read, so `word` must be empty elsewhere.
+     */
+    template <class Word, class Visit>
+    void forEachByAge(const std::uint64_t *summary, Word word,
+                      Visit visit) const;
 
-    /** Label `slot` with segment `to` and list it there in age order. */
-    void soaPlace(unsigned slot, unsigned to);
+    /** Segment k's rows of segSummary and candSummary. */
+    const std::uint64_t *segRow(unsigned k) const
+    {
+        return &segSummary[k * summaryWords];
+    }
+    const std::uint64_t *candRow(unsigned k) const
+    {
+        return &candSummary[k * summaryWords];
+    }
+
+    /** Oldest (youngest) resident of segment k; k must be non-empty. */
+    unsigned oldestIn(unsigned k) const;
+    unsigned youngestIn(unsigned k) const;
 
     /**
-     * Relabel the entries at list positions `moves[0..n)` of segment
-     * `from` into the segment below, in that order (heads assert their
-     * wires).  Overwrites `moves` with scratch.
+     * Relabel `slots[0..n)` from segment `from` into the segment below,
+     * in that order (heads assert their wires).
      */
-    void soaPromote(unsigned from, std::uint32_t *moves, std::size_t n,
+    void soaPromote(unsigned from, const std::uint32_t *slots, std::size_t n,
                     Cycle cycle);
 
     /** First candidate segment > `from` under the live masks (0: none). */
     unsigned nextCandidateSegment(unsigned from) const;
+
+    // Arrival calendar (DESIGN.md section 16): each listener with an
+    // unapplied log entry sits in the bucket of its due cycle, the
+    // cycle that entry reaches its segment (never before the next
+    // delivery pass), once its chain has been armed.  Keys name a
+    // membership lane (slot << 1 | mem) or, with kRegKey set, a
+    // register-table entry.
+    static constexpr std::uint32_t kRegKey = 0x80000000u;
+
+    /** Index of the first log entry past `applied`. */
+    static std::size_t firstUnapplied(const ChainState &cs,
+                                      std::uint64_t applied);
+    /** Cycle at which `sig` reaches segment `seg`. */
+    static Cycle arrivalAt(const LoggedSignal &sig, int seg);
+
+    /** Put `key` in the bucket of max(at, next pass); returns that cycle. */
+    Cycle schedule(Cycle at, std::uint32_t key);
+    /** First log entry of `cs` past `applied`; nullptr if caught up. */
+    static const LoggedSignal *firstPending(const ChainState &cs,
+                                            std::uint64_t applied);
+    /** Schedule membership (slot, m) at `sig`'s arrival at its segment. */
+    void armLane(unsigned slot, int m, const LoggedSignal &sig);
+    /** Recompute membership (slot, m)'s due cycle after it moved or joined. */
+    void armMember(unsigned slot, int m);
+    /** Recompute table entry r's due cycle after it was written. */
+    void armReg(RegIndex r);
+    /**
+     * Arm every caught-up current-generation listener of chain `id`,
+     * which has signalled since the last delivery pass.
+     */
+    void armListeners(ChainId id);
+
+    void soaDeliverMember(unsigned slot, int m, Cycle now);
+    void soaDeliverReg(RegIndex r, Cycle now);
 
     void soaInsert(const DynInstPtr &inst, int target, const Plan &plan);
     void soaTickPromote(Cycle cycle);
@@ -501,6 +582,8 @@ class SegmentedIq : public IqBase
     void soaIssueSelect(Cycle cycle, const TryIssue &try_issue);
     void soaSquash(SeqNum youngest_kept);
     void soaRunDeadlockRecovery(Cycle cycle);
+    /** Step 5: drop log entries every listener has seen. */
+    void soaExpireLogs(Cycle horizon);
 
     /** Pool slot of a resident instruction (linear search; debug only). */
     unsigned slotOf(const DynInst &inst) const;
@@ -516,8 +599,33 @@ class SegmentedIq : public IqBase
     void syncChainHot(ChainId id);
 
     SlotPool pool;                     ///< SoA engine only
-    std::vector<std::vector<std::uint16_t>> segSlots;  ///< age-ordered ids
+    unsigned poolSize = 0;             ///< slots (the ROB capacity)
+    std::size_t poolWords = 0;         ///< 64-bit words per slot mask
+    unsigned cursor = 0;               ///< slot of the next dispatch
+    std::vector<std::uint64_t> segBits;  ///< [segment][word] slot masks
+    std::size_t summaryWords = 0;      ///< 64-bit words per summary
+    /** [segment][summary word]: bit w set iff segment word w is non-zero. */
+    std::vector<std::uint64_t> segSummary;
+    /** As segSummary, for the segment's promotion candidates (word w of
+     *  segBits & eligBits). */
+    std::vector<std::uint64_t> candSummary;
+    std::vector<unsigned> segCount;    ///< residents per segment
     std::vector<ChainHot> chainHot;    ///< parallel to chainStates
+
+    std::vector<std::vector<std::uint32_t>> calendar;  ///< due buckets
+    Cycle calendarMask = 0;            ///< bucket count - 1
+    Cycle lastPass = 0;                ///< cycle of the last delivery pass
+    std::array<Cycle, kNumArchRegs> regDue;  ///< due cycle per table entry
+
+    /** One logged signal's expiry record (SoA step 5). */
+    struct Expiry
+    {
+        Cycle cycle;
+        ChainId chain;
+    };
+    Ring<Expiry> expiry;               ///< in signal (= cycle) order
+    /** Chains that signalled since the last pass, armed at its start. */
+    std::vector<ChainId> pendingArm;
 
     /** Bit r: regInfo[r] names an available value (entryAvailable). */
     std::uint64_t regAvail = ~0ULL;
@@ -528,15 +636,15 @@ class SegmentedIq : public IqBase
     std::vector<std::uint64_t> nearFullW;  ///< free < issueWidth
     std::vector<std::uint64_t> roomyW;     ///< 2*free > 3*issueWidth
 
-    // SoA promotion scratch (list positions collected per round).
-    std::vector<std::uint32_t> scratchEligPos, scratchPushPos;
+    // SoA promotion scratch (slots moved per round).
+    std::vector<std::uint32_t> scratchMoves;
 
     mutable WorkCounters work;
     bool profiling = false;
     TickProfile prof;
 
     /** Reference engine's segments ([0]=issue buffer); all stay empty
-     *  under SoA, where segSlots holds the residents. */
+     *  under SoA, where segBits holds the residents. */
     std::vector<std::vector<DynInstPtr>> segments;
     std::vector<unsigned> freePrevCycle;            ///< per segment
 
@@ -546,19 +654,12 @@ class SegmentedIq : public IqBase
     // --- Incremental scheduling indices (section 11) ---------------------
 
     /**
-     * Chains with a non-empty signal log (unordered, swap-removed; a
-     * wire reuse may leave one with an empty log until its next prune).
-     * `wake` is a lower bound on the first cycle at which any current-
-     * generation listener can see its next unapplied log entry; the SoA
-     * delivery pass skips the chain before then without loading its
-     * ChainState.  0 means "deliver at the next pass" (see rearm).
+     * Reference engine: chains with a non-empty signal log (unordered,
+     * swap-removed; a wire reuse may leave one with an empty log until
+     * its next prune).  The SoA engine delivers by arrival cycle and
+     * expires logs by time instead.
      */
-    struct ActiveChain
-    {
-        ChainId id;
-        Cycle wake;
-    };
-    std::vector<ActiveChain> activeChains;
+    std::vector<ChainId> activeChains;
     std::vector<std::int32_t> activePos;  ///< per chain; -1: not active
 
     /** One self-timed countdown reference (membership slot). */

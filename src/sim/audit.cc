@@ -1,6 +1,7 @@
 #include "audit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -52,9 +53,11 @@ Auditor::Auditor(bool panic_on_violation)
     group_.addScalar("mshr_wait_index", &mshrWaitIndex,
                      "bulk-failed MSHR waiters a per-miss retry would not "
                      "have failed");
-    group_.addScalar("chain_wake", &chainWake,
-                     "chains whose wake cycle passed a listener's next "
-                     "signal");
+    group_.addScalar("arrival_index", &arrivalIndex,
+                     "chain-wire listeners not due by their next signal's "
+                     "arrival");
+    group_.addScalar("expiry_index", &expiryIndex,
+                     "signal logs without an expiry record by their front");
 }
 
 void
@@ -148,8 +151,11 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
                          "line had an MSHR or one was free");
     }
 
-    if (auto *seg = dynamic_cast<SegmentedIq *>(core.iq.get()))
+    if (auto *seg = dynamic_cast<SegmentedIq *>(core.iq.get())) {
         auditSegmented(*seg, cycle);
+        if (seg->soa())
+            auditDispatchWindow(*seg, core, cycle);
+    }
     else if (auto *ideal = dynamic_cast<IdealIq *>(core.iq.get()))
         auditIdeal(*ideal, cycle);
 }
@@ -178,61 +184,89 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     std::vector<std::vector<Resident>> residents(n);
 
     if (soa) {
-        // Pool structure: every occupied slot is listed in exactly one
-        // segment, under the segment its label names, in age order;
-        // free slots are unlisted, hold no handle and are on the free
-        // stack exactly once.
-        const std::size_t cap = pool.seg.size();
-        std::vector<unsigned> listed(cap, 0);
+        // Pool structure: every occupied slot is in exactly one segment
+        // mask, the one its label names, and holds a handle; free slots
+        // are in none, hold no handle and have no calendar entry; each
+        // segment's count is its popcount.
+        const std::size_t cap = iq.poolSize;
+        const std::size_t words = iq.poolWords;
         for (unsigned k = 0; k < n; ++k) {
-            const auto &ids = iq.segSlots[k];
-            const std::uint16_t *prev = nullptr;  // last well-formed id
-            for (std::size_t pos = 0; pos < ids.size(); ++pos) {
-                const unsigned slot = ids[pos];
-                if (slot >= cap || ++listed[slot] > 1 ||
-                    pool.seg[slot] != k || !pool.inst[slot]) {
+            unsigned pop = 0;
+            for (std::size_t w = 0; w < words; ++w)
+                pop += static_cast<unsigned>(std::popcount(iq.segWord(k, w)));
+            if (pop != iq.segCount[k]) {
+                violation(occIndex, "segment count == mask popcount", cycle,
+                          "segment " + std::to_string(k) + " counts " +
+                              std::to_string(iq.segCount[k]) + ", mask has " +
+                              std::to_string(pop));
+            }
+            for (std::size_t w = 0; w < iq.summaryWords * 64; ++w) {
+                const auto bit = [&](const std::uint64_t *row) {
+                    return ((row[w >> 6] >> (w & 63)) & 1) != 0;
+                };
+                const std::uint64_t seg_w = w < words ? iq.segWord(k, w) : 0;
+                const std::uint64_t cand_w =
+                    w < words ? seg_w & pool.eligBits[w] : 0;
+                if (bit(iq.segRow(k)) != (seg_w != 0) ||
+                    bit(iq.candRow(k)) != (cand_w != 0)) {
                     violation(occIndex,
-                              "listed slot is occupied once, labelled with "
-                              "its segment",
+                              "segment summaries mark their non-empty words",
                               cycle,
-                              "segment " + std::to_string(k) + " pos " +
-                                  std::to_string(pos) + " slot " +
-                                  std::to_string(slot));
-                    continue;
+                              "segment " + std::to_string(k) + " word " +
+                                  std::to_string(w) + " marked " +
+                                  std::to_string(bit(iq.segRow(k))) +
+                                  "/" + std::to_string(bit(iq.candRow(k))));
                 }
-                if (prev && pool.seq[*prev] >= pool.seq[slot]) {
-                    violation(occIndex, "segment list is age-sorted", cycle,
-                              "segment " + std::to_string(k) + " pos " +
-                                  std::to_string(pos) + " seq " +
-                                  std::to_string(pool.seq[slot]) +
-                                  " after " +
-                                  std::to_string(pool.seq[*prev]));
-                }
-                prev = &ids[pos];
-                residents[k].push_back({pool.inst[slot].get(), slot});
             }
         }
-        std::vector<unsigned> on_free(cap, 0);
-        for (std::uint16_t slot : pool.freeSlots) {
-            if (slot >= cap || ++on_free[slot] > 1 ||
-                pool.seg[slot] != SegmentedIq::kFreeSlot) {
-                violation(occIndex, "free stack holds distinct free slots",
-                          cycle, "slot " + std::to_string(slot));
+        for (std::size_t slot = 0; slot < words * 64; ++slot) {
+            unsigned in_masks = 0;
+            unsigned last = n;
+            for (unsigned k = 0; k < n; ++k) {
+                if ((iq.segWord(k, slot >> 6) >> (slot & 63)) & 1) {
+                    ++in_masks;
+                    last = k;
+                }
             }
-        }
-        for (std::size_t slot = 0; slot < cap; ++slot) {
-            const bool occupied = pool.seg[slot] != SegmentedIq::kFreeSlot;
-            if (occupied ? listed[slot] != 1
-                         : (listed[slot] != 0 || on_free[slot] != 1 ||
-                            pool.inst[slot])) {
+            const bool occupied =
+                slot < cap && pool.seg[slot] != SegmentedIq::kFreeSlot;
+            const bool ok =
+                occupied ? in_masks == 1 && last == pool.seg[slot] &&
+                               pool.inst[slot]
+                         : in_masks == 0 &&
+                               (slot >= cap ||
+                                (!pool.inst[slot] &&
+                                 pool.due[0][slot] == SegmentedIq::kNotDue &&
+                                 pool.due[1][slot] == SegmentedIq::kNotDue));
+            if (!ok) {
                 violation(occIndex,
-                          "occupied slot is in exactly one segment list",
+                          "occupied slot is in exactly one segment mask",
                           cycle,
-                          "slot " + std::to_string(slot) + " segment " +
-                              std::to_string(pool.seg[slot]) +
-                              " listed " + std::to_string(listed[slot]) +
-                              " times");
+                          "slot " + std::to_string(slot) + " label " +
+                              (slot < cap ? std::to_string(pool.seg[slot])
+                                          : std::string("none")) +
+                              " in " + std::to_string(in_masks) + " masks");
             }
+        }
+        // Age order: slot i holds dispatch positions congruent to i, so
+        // occupied slots read circularly from the cursor are seq-sorted.
+        const SeqNum *prev = nullptr;
+        for (std::size_t i = 0; i < cap; ++i) {
+            const std::size_t slot = (iq.cursor + i) % cap;
+            if (pool.seg[slot] == SegmentedIq::kFreeSlot ||
+                pool.seg[slot] >= n || !pool.inst[slot])
+                continue;
+            if (prev && *prev >= pool.seq[slot]) {
+                violation(occIndex, "slot order from the cursor is age order",
+                          cycle,
+                          "slot " + std::to_string(slot) + " seq " +
+                              std::to_string(pool.seq[slot]) + " after " +
+                              std::to_string(*prev) + " (cursor " +
+                              std::to_string(iq.cursor) + ")");
+            }
+            prev = &pool.seq[slot];
+            residents[pool.seg[slot]].push_back(
+                {pool.inst[slot].get(), static_cast<unsigned>(slot)});
         }
     } else {
         for (unsigned k = 0; k < n; ++k) {
@@ -492,6 +526,19 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 }
             }
         }
+        for (int m = 0; m < 2; ++m) {
+            for (std::size_t w = 0; w < pool.cdBits[m].size(); ++w) {
+                const bool marked =
+                    (pool.cdSummary[m][w >> 6] >> (w & 63)) & 1;
+                if (marked != (pool.cdBits[m][w] != 0)) {
+                    violation(countdownIndex,
+                              "countdown summary marks its non-empty words",
+                              cycle,
+                              "membership " + std::to_string(m) + " word " +
+                                  std::to_string(w));
+                }
+            }
+        }
     }
 
     // Promotion-candidate counts, activity masks, and per-entry flags;
@@ -740,14 +787,14 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             ++active_flags;
             const auto pos = static_cast<std::size_t>(iq.activePos[c]);
             if (pos >= iq.activeChains.size() ||
-                iq.activeChains[pos].id != static_cast<ChainId>(c)) {
+                iq.activeChains[pos] != static_cast<ChainId>(c)) {
                 violation(subIndex, "active-chain back-pointer is exact",
                           cycle,
                           "chain " + std::to_string(c) + " pos " +
                               std::to_string(pos));
             }
         }
-        if (!cs.log.empty() && !active) {
+        if (!soa && !cs.log.empty() && !active) {
             violation(subIndex, "chains with signals in flight are active",
                       cycle,
                       "chain " + std::to_string(c) + " logs " +
@@ -817,60 +864,116 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                       " chains are flagged active");
     }
 
-    // Wake cycles (SoA delivery): an active chain's wake never exceeds
-    // the cycle at which a current-generation listener first sees its
-    // next unapplied log entry.  Delivery skips the chain until then,
-    // so a late wake is a listener the skip leaves behind.
-    for (std::size_t c = 0; soa && c < iq.activeChains.size(); ++c) {
-        const auto &ac = iq.activeChains[c];
-        const auto &cs = iq.stateOf(ac.id);
-        if (cs.log.empty())
-            continue;
-        const std::uint64_t front = cs.log.front().seq;
-        Cycle due = ~Cycle{0};
-        std::string who;
-        auto listen = [&](std::uint64_t applied, int s, auto &&name) {
-            const std::size_t i =
-                applied < front
-                    ? 0
-                    : static_cast<std::size_t>(applied - front + 1);
-            if (i >= cs.log.size())
+    // Arrival calendar (SoA delivery): every current-generation
+    // listener with an unapplied log entry is due no later than that
+    // entry's arrival at its segment (or the next pass, if it arrived
+    // already) and its key sits in that cycle's bucket, unless its
+    // chain is still to be armed; a caught-up one is not due at all,
+    // so the next signal arms it.  Delivery walks only the due bucket,
+    // so a late or missing key is a listener left behind.
+    if (soa) {
+        const Cycle next = iq.lastPass + 1;
+        std::size_t pending = 0;
+        for (const auto &cs : iq.chainStates)
+            pending += cs.armPending;
+        std::vector<ChainId> listed(iq.pendingArm);
+        std::sort(listed.begin(), listed.end());
+        if (pending != listed.size() ||
+            std::adjacent_find(listed.begin(), listed.end()) != listed.end() ||
+            !std::all_of(listed.begin(), listed.end(), [&](ChainId c) {
+                return iq.stateOf(c).armPending;
+            })) {
+            violation(arrivalIndex, "pending-arm list == flagged chains",
+                      cycle,
+                      "list holds " + std::to_string(listed.size()) + ", " +
+                          std::to_string(pending) + " chains are flagged");
+        }
+        auto listen = [&](const auto &cs, std::uint64_t applied, int s,
+                          Cycle due, std::uint32_t key, auto &&name) {
+            const std::size_t i = SegmentedIq::firstUnapplied(cs, applied);
+            // A chain that signalled after this cycle's pass arms its
+            // caught-up listeners at the start of the next one.
+            if (cs.armPending && due == SegmentedIq::kNotDue)
                 return;
-            const auto &sig = cs.log.at(i);
-            const Cycle at =
-                sig.cycle + (s > sig.originSegment
-                                 ? static_cast<Cycle>(s - sig.originSegment)
-                                 : 0);
-            if (at < due) {
-                due = at;
-                who = name();
+            if (i >= cs.log.size()) {
+                if (due != SegmentedIq::kNotDue) {
+                    violation(arrivalIndex, "caught-up listener is not due",
+                              cycle,
+                              name() + " due at " + std::to_string(due));
+                }
+                return;
+            }
+            const Cycle at = SegmentedIq::arrivalAt(cs.log.at(i), s);
+            const auto &bucket = iq.calendar[due & iq.calendarMask];
+            if (due < next || due > std::max(at, next) ||
+                std::find(bucket.begin(), bucket.end(), key) ==
+                    bucket.end()) {
+                violation(arrivalIndex,
+                          "listener due by its next arrival, in that bucket",
+                          cycle,
+                          name() + " due at " +
+                              (due == SegmentedIq::kNotDue
+                                   ? std::string("never")
+                                   : std::to_string(due)) +
+                              " but its next signal arrives at cycle " +
+                              std::to_string(at));
             }
         };
-        for (const auto &sub : cs.soaSubs) {
-            if (sub.slot >= pool.seg.size() ||
-                pool.seg[sub.slot] == SegmentedIq::kFreeSlot ||
-                pool.gen[sub.mem][sub.slot] != cs.gen)
+        for (std::size_t slot = 0; slot < iq.poolSize; ++slot) {
+            if (pool.seg[slot] == SegmentedIq::kFreeSlot)
                 continue;
-            listen(pool.applied[sub.mem][sub.slot], pool.seg[sub.slot], [&] {
-                return "seq " + std::to_string(pool.seq[sub.slot]) +
-                       " in segment " + std::to_string(pool.seg[sub.slot]);
-            });
+            for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
+                const ChainId ch = pool.chain[m][slot];
+                if (ch == kNoChain || iq.stateOf(ch).gen != pool.gen[m][slot])
+                    continue;
+                listen(iq.stateOf(ch), pool.applied[m][slot], pool.seg[slot],
+                       pool.due[m][slot],
+                       static_cast<std::uint32_t>(slot << 1 | m), [&] {
+                           return "seq " + std::to_string(pool.seq[slot]) +
+                                  " membership " + std::to_string(m) +
+                                  " in segment " +
+                                  std::to_string(pool.seg[slot]);
+                       });
+            }
         }
-        for (RegIndex r : cs.regSubs) {
+        for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
             const auto &e = iq.regInfo[r];
-            if (!e.pending || e.chain != ac.id || e.gen != cs.gen)
+            if (!e.pending || e.chain == kNoChain ||
+                iq.stateOf(e.chain).gen != e.gen)
                 continue;
-            listen(e.appliedSeq, static_cast<int>(n) - 1, [&] {
-                return "regInfo[" + std::to_string(r) + "]";
-            });
+            listen(iq.stateOf(e.chain), e.appliedSeq, static_cast<int>(n) - 1,
+                   iq.regDue[r],
+                   SegmentedIq::kRegKey | static_cast<std::uint32_t>(r),
+                   [&] { return "regInfo[" + std::to_string(r) + "]"; });
         }
-        if (ac.wake > due) {
-            violation(chainWake, "chain wake <= listeners' next arrival",
-                      cycle,
-                      "chain " + std::to_string(ac.id) + " wakes at " +
-                          std::to_string(ac.wake) + " but " + who +
-                          " sees its next signal at cycle " +
-                          std::to_string(due));
+
+        // Log expiry: records are in cycle order, and every non-empty
+        // log has a record no later than its front, so step 5 reaches
+        // each entry by the cycle the reference prune drops it.
+        std::vector<Cycle> first_rec(iq.chainStates.size(),
+                                     SegmentedIq::kNotDue);
+        for (std::size_t i = 0; i < iq.expiry.size(); ++i) {
+            const auto &rec = iq.expiry.at(i);
+            if (i > 0 && iq.expiry.at(i - 1).cycle > rec.cycle) {
+                violation(expiryIndex, "expiry records in cycle order", cycle,
+                          "record " + std::to_string(i) + " at cycle " +
+                              std::to_string(rec.cycle) + " after " +
+                              std::to_string(iq.expiry.at(i - 1).cycle));
+            }
+            const auto c = static_cast<std::size_t>(rec.chain);
+            if (c < first_rec.size())
+                first_rec[c] = std::min(first_rec[c], rec.cycle);
+        }
+        for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
+            const auto &log = iq.chainStates[c].log;
+            if (!log.empty() && first_rec[c] > log.front().cycle) {
+                violation(expiryIndex,
+                          "every logged signal has an expiry record", cycle,
+                          "chain " + std::to_string(c) + " logs a signal " +
+                              "from cycle " +
+                              std::to_string(log.front().cycle) +
+                              " with no record by then");
+            }
         }
     }
 
@@ -937,6 +1040,39 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 }
 
 void
+Auditor::auditDispatchWindow(const SegmentedIq &iq, const OooCore &core,
+                             Cycle cycle)
+{
+    // Slot order is age order only while every resident lies within the
+    // last poolSize dispatch positions, which holds because a squash
+    // rewinds the cursor: the positions from the oldest resident up to
+    // the cursor then all belong to un-squashed instructions still in
+    // the ROB.  A missed rewind leaves squashed positions in the count.
+    const std::size_t cap = iq.poolSize;
+    for (std::size_t i = 0; i < cap; ++i) {
+        const std::size_t slot = (iq.cursor + i) % cap;
+        if (iq.pool.seg[slot] == SegmentedIq::kFreeSlot)
+            continue;
+        const SeqNum oldest = iq.pool.seq[slot];
+        std::size_t in_rob = 0;
+        for (std::size_t r = 0; r < core.rob.size(); ++r)
+            in_rob += core.rob.at(r)->seq >= oldest;
+        const std::size_t span = cap - i;
+        if (span > in_rob) {
+            violation(occIndex,
+                      "residents lie within the un-squashed dispatch window",
+                      cycle,
+                      "oldest resident seq " + std::to_string(oldest) +
+                          " is " + std::to_string(span) +
+                          " dispatch positions behind the cursor, but only " +
+                          std::to_string(in_rob) +
+                          " ROB entries are that young");
+        }
+        break;
+    }
+}
+
+void
 Auditor::auditIdeal(IdealIq &iq, Cycle cycle)
 {
     // The ready list must hold exactly the resident instructions whose
@@ -952,11 +1088,21 @@ Auditor::auditIdeal(IdealIq &iq, Cycle cycle)
         return pos != iq.readyList.end() && *pos == inst;
     };
 
-    for (const auto &inst : iq.insts) {
-        if (!inst->ideal.inQueue) {
+    // Issued entries leave null tombstones in the residency list.
+    std::size_t live_scan = 0;
+    for (std::size_t slot = 0; slot < iq.insts.size(); ++slot) {
+        const DynInstPtr &inst = iq.insts[slot];
+        if (!inst)
+            continue;
+        ++live_scan;
+        if (!inst->ideal.inQueue || inst->ideal.slot != slot) {
             violation(readyIndex, "resident instructions are flagged",
                       cycle, "seq " + std::to_string(inst->seq) +
-                                 " resident but not inQueue");
+                                 " resident at slot " +
+                                 std::to_string(slot) + " but inQueue=" +
+                                 std::to_string(inst->ideal.inQueue) +
+                                 " slot=" +
+                                 std::to_string(inst->ideal.slot));
         }
         int pending_scan = 0;
         for (RegIndex r : iq.iqSources(*inst)) {
@@ -979,18 +1125,20 @@ Auditor::auditIdeal(IdealIq &iq, Cycle cycle)
                           " the ready list");
         }
     }
-    if (iq.readyList.size() > iq.insts.size()) {
+    if (live_scan != iq.live) {
+        violation(occIndex, "ideal occupancy counter == rescan", cycle,
+                  "live=" + std::to_string(iq.live) + " but " +
+                      std::to_string(live_scan) + " entries are resident");
+    }
+    if (iq.readyList.size() > live_scan) {
         violation(readyIndex, "ready list within residency", cycle,
                   "ready " + std::to_string(iq.readyList.size()) +
-                      " > resident " + std::to_string(iq.insts.size()));
+                      " > resident " + std::to_string(live_scan));
     }
     for (const auto &inst : iq.readyList) {
-        auto pos = std::lower_bound(
-            iq.insts.begin(), iq.insts.end(), inst,
-            [](const DynInstPtr &a, const DynInstPtr &b) {
-                return a->seq < b->seq;
-            });
-        if (pos == iq.insts.end() || *pos != inst) {
+        const std::size_t slot = inst->ideal.slot;
+        if (!inst->ideal.inQueue || slot >= iq.insts.size() ||
+            iq.insts[slot] != inst) {
             violation(readyIndex, "ready instructions are resident", cycle,
                       "seq " + std::to_string(inst->seq) +
                           " ready but not resident");

@@ -27,9 +27,14 @@
  *    back-pointers, the self-timed countdown lists, the ideal queue's
  *    ready list, and the core's writeback-ring population;
  *  - the SoA engine's slot pool is consistent (each occupied slot in
- *    exactly one age-sorted segment list, labelled with it; every
- *    subscriber record naming an occupied slot), and no active chain's
- *    wake cycle lies past a listener's next signal arrival;
+ *    exactly one segment mask, labelled with it; each segment's count
+ *    its popcount; slot order from the dispatch cursor is age order,
+ *    and the oldest resident is no more dispatch positions behind the
+ *    cursor than there are ROB entries at least as young;
+ *    every subscriber record naming an occupied slot); every listener
+ *    with an unapplied chain-wire signal is due, in the arrival
+ *    calendar, no later than that signal's arrival; and every
+ *    non-empty signal log has a log-expiry record by its front;
  *  - every MSHR waiter a cache fails in bulk (the whole retry batch
  *    without a per-miss retry) really has its line absent from a full
  *    MSHR file.
@@ -96,13 +101,16 @@ class Auditor
     stats::Scalar readyIndex;         ///< ideal ready list wrong
     stats::Scalar wbRingBound;        ///< writeback ring population wrong
     stats::Scalar mshrWaitIndex;      ///< bulk-failed MSHR waiter wrong
-    stats::Scalar chainWake;          ///< chain wake past a listener's signal
+    stats::Scalar arrivalIndex;       ///< listener not due by its next arrival
+    stats::Scalar expiryIndex;        ///< signal log without expiry record
 
   private:
     void violation(stats::Scalar &counter, const char *invariant,
                    Cycle cycle, const std::string &detail);
 
     void auditSegmented(SegmentedIq &iq, Cycle cycle);
+    void auditDispatchWindow(const SegmentedIq &iq, const OooCore &core,
+                             Cycle cycle);
     void auditIdeal(IdealIq &iq, Cycle cycle);
 
     bool panicOnViolation_;

@@ -52,7 +52,8 @@ TEST_P(AuditSweep, ZeroViolations)
         << " issue_over_width=" << sim.auditor()->issueOverWidth.value()
         << " wire_delivery=" << sim.auditor()->wireDelivery.value()
         << " pool_bound=" << sim.auditor()->poolBound.value()
-        << " chain_wake=" << sim.auditor()->chainWake.value()
+        << " arrival_index=" << sim.auditor()->arrivalIndex.value()
+        << " expiry_index=" << sim.auditor()->expiryIndex.value()
         << " mshr_wait_index=" << sim.auditor()->mshrWaitIndex.value();
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "iq/ideal_iq.hh"
 #include "iq_harness.hh"
 
@@ -132,4 +134,88 @@ TEST_F(IdealFixture, StatsTrackInsertsAndIssues)
     iq.issueSelect(1, rec.acceptAll());
     EXPECT_EQ(iq.instsInserted.value(), 2.0);
     EXPECT_EQ(iq.instsIssued.value(), 2.0);
+}
+
+TEST_F(IdealFixture, TombstonesKeepOccupancyAndResidencyExact)
+{
+    // Issue leaves a tombstone in the residency list.  Occupancy and
+    // the inQueue flags must stay exact through a non-oldest issue, a
+    // squash across tombstones and compaction, which a 4-entry queue
+    // runs once its list reaches 8 slots.
+    params.numEntries = 4;
+    IdealIq iq(params, scoreboard, fu);
+    scoreboard.setReady(intReg(1));
+    scoreboard.clearReady(intReg(4));
+    std::map<SeqNum, DynInstPtr> insts;
+    auto add = [&](SeqNum s, RegIndex src) {
+        insts[s] = makeInst(s, Opcode::ADD, intReg(20), src);
+        ASSERT_TRUE(iq.canInsert(insts[s]));
+        iq.insert(insts[s], 0);
+    };
+    auto issueOnly = [&](std::initializer_list<SeqNum> seqs) {
+        iq.issueSelect(1, [&](const DynInstPtr &inst) {
+            for (SeqNum s : seqs) {
+                if (inst->seq == s)
+                    return true;
+            }
+            return false;
+        });
+    };
+    auto expectResident = [&](std::initializer_list<SeqNum> seqs) {
+        std::size_t n = 0;
+        for (const auto &[s, inst] : insts) {
+            bool want = false;
+            for (SeqNum r : seqs)
+                want |= r == s;
+            EXPECT_EQ(inst->ideal.inQueue, want) << "seq " << s;
+            n += want;
+        }
+        EXPECT_EQ(iq.occupancy(), n);
+        EXPECT_EQ(iq.canInsert(makeInst(99, Opcode::NOP)), n < 4);
+    };
+
+    // The oldest waits on r4; the three younger issue around it.
+    add(1, intReg(4));
+    for (SeqNum s = 2; s <= 4; ++s)
+        add(s, intReg(1));
+    expectResident({1, 2, 3, 4});
+    issueOnly({2, 3, 4});
+    expectResident({1});
+
+    // A non-oldest ready entry issues between two that stay.
+    for (SeqNum s = 5; s <= 7; ++s)
+        add(s, intReg(4));
+    scoreboard.setReady(intReg(4));
+    iq.onRegReady(intReg(4));
+    issueOnly({6});
+    expectResident({1, 5, 7});
+    add(8, intReg(1));
+    expectResident({1, 5, 7, 8});
+
+    // The squash pops the younger residents and the tombstones among
+    // them, down to the oldest kept resident.
+    iq.squash(5);
+    expectResident({1, 5});
+
+    // Fill and drain until the list holds 8 slots, so the next insert
+    // compacts: the survivors keep their order, and issue finds them.
+    add(9, intReg(1));
+    add(10, intReg(1));
+    issueOnly({9, 10});
+    add(11, intReg(1));  // the eighth slot
+    EXPECT_EQ(insts[11]->ideal.slot, 7u);
+    add(12, intReg(1));
+    EXPECT_EQ(insts[12]->ideal.slot, 3u);  // compacted: 1, 5, 11, 12
+    expectResident({1, 5, 11, 12});
+    issueOnly({5, 11, 12});
+    add(13, intReg(1));
+    add(14, intReg(1));
+    add(15, intReg(1));
+    expectResident({1, 13, 14, 15});
+    rec.issued.clear();
+    iq.issueSelect(2, rec.acceptAll());
+    ASSERT_EQ(rec.issued.size(), 4u);
+    EXPECT_EQ(rec.issued[0]->seq, 1u);
+    EXPECT_EQ(rec.issued[3]->seq, 15u);
+    expectResident({});
 }

@@ -551,6 +551,23 @@ class DualRig
     {
         return ref_.iq->debugSegment(live_.at(seq).first);
     }
+
+    /** Effective delay of a resident instruction (both engines agree). */
+    int
+    delayOf(SeqNum seq)
+    {
+        return ref_.iq->debugEffectiveDelay(live_.at(seq).first);
+    }
+
+    /** Chain wire an instruction was given as head at dispatch. */
+    ChainId
+    headedChain(SeqNum seq) const
+    {
+        const auto it = live_.find(seq);
+        const auto &inst = it != live_.end() ? it->second.first
+                                             : issued_.at(seq).first;
+        return inst->seg.headedChain;
+    }
     Cycle cycle() const { return cycle_; }
 
     /** Full observable comparison between the two engines. */
@@ -792,6 +809,83 @@ TEST(IqSoaTorture, ReusedWireSignalsPastStaleWake)
     ASSERT_EQ(rig.segmentOf(4), 7);
     rig.tick();  // the new head's first Assert
     ASSERT_EQ(rig.segmentOf(4), 6);
+    rig.drain();
+}
+
+TEST(IqSoaTorture, ListenerPromotedTwiceUnderOneAssert)
+{
+    // 8 two-entry segments.  A load head promotes one segment a cycle
+    // to the issue buffer.  Its dependent, dispatched at the top while
+    // the head sits in segment 2, is eligible at once and promotes a
+    // segment a cycle too, so the head's Assert from segment 2 (cycle
+    // 6, due at the top at cycle 11) reaches it after two more moves,
+    // at cycle 8 in segment 4.  Each move must bring its due cycle
+    // forward; delivering at the due cycle computed at dispatch would
+    // leave its delay 2 too high for a cycle and stall it in segment 4.
+    DualRig rig(tinyParams(16, 2));
+    rig.clearReady(intReg(1));
+    ASSERT_TRUE(rig.dispatch(1, Opcode::LD, intReg(2), intReg(1)));
+    for (int i = 0; i < 5; ++i)
+        rig.tick();
+    ASSERT_EQ(rig.segmentOf(1), 2);
+    ASSERT_TRUE(rig.dispatch(2, Opcode::ADD, intReg(10), intReg(2),
+                             intReg(3)));
+    EXPECT_EQ(rig.delayOf(2), 8);  // head 2 segments down, load latency 4
+    rig.tick();  // cycle 6: the head leaves segment 2, the member 7
+    ASSERT_EQ(rig.segmentOf(2), 6);
+    rig.tick();  // cycle 7
+    ASSERT_EQ(rig.segmentOf(2), 5);
+    EXPECT_EQ(rig.delayOf(2), 8);  // the Assert is still climbing
+    rig.tick();  // cycle 8: moved into segment 4, where it arrives now
+    ASSERT_EQ(rig.segmentOf(2), 4);
+    EXPECT_EQ(rig.delayOf(2), 6);
+    rig.tick();  // cycle 9: eligible again, and the next Assert lands
+    EXPECT_EQ(rig.segmentOf(2), 3);
+    EXPECT_EQ(rig.delayOf(2), 4);
+    rig.setReady(intReg(1));
+    rig.setReady(intReg(3));
+    rig.drain();
+}
+
+TEST(IqSoaTorture, RestoredTableEntryLagsWireReusedSameCycle)
+{
+    // 8 two-entry segments.  A load head's dependent writes r5; a
+    // younger instruction overwrites that table entry before any of
+    // the head's Asserts reach the top, so the entry saved for undo
+    // lags the wire.  The head issues and completes; its wire drains
+    // and is freed at the start of cycle 18.  In that same cycle a
+    // squash restores the lagging entry and a new load head is given
+    // the freed wire: the restored entry is now stale and must take
+    // none of the new generation's signals, in either engine.
+    DualRig rig(tinyParams(16, 2));
+    ASSERT_TRUE(rig.dispatch(1, Opcode::LD, intReg(2), intReg(1)));
+    ASSERT_TRUE(rig.dispatch(2, Opcode::ADD, intReg(5), intReg(2),
+                             intReg(3)));
+    rig.tick();
+    ASSERT_TRUE(rig.dispatch(3, Opcode::ADD, intReg(5), intReg(6),
+                             intReg(7)));
+    rig.issueUntil(1, /*complete=*/false);
+    const Cycle issued_at = rig.cycle();
+    rig.tick();
+    rig.loadComplete(1);  // writeback: the wire drains for n + 2 cycles
+    const Cycle freed_at = rig.cycle() + 8 + 2;
+    while (rig.cycle() < freed_at) {
+        rig.issue(1);
+        rig.tick();
+    }
+    EXPECT_GT(freed_at, issued_at);
+    const std::size_t wires = rig.chainsInUse();
+    rig.squash(2);  // restores r5's entry on the drained wire
+    ASSERT_TRUE(rig.dispatch(4, Opcode::LD, intReg(21), intReg(30)));
+    EXPECT_EQ(rig.headedChain(4), rig.headedChain(1));
+    EXPECT_EQ(rig.chainsInUse(), wires + 1);
+    // A reader of the restored entry and the new head's wire.
+    ASSERT_TRUE(rig.dispatch(5, Opcode::ADD, intReg(22), intReg(5),
+                             intReg(21)));
+    for (int i = 0; i < 10; ++i) {
+        rig.issue(1);
+        rig.tick();
+    }
     rig.drain();
 }
 
