@@ -119,6 +119,61 @@ BENCHMARK(BM_CoreTick)
     ->Unit(benchmark::kMicrosecond);
 
 /**
+ * Host cost of the front end: the whole pipeline on gcc, whose
+ * mispredicts make about three of every four fetched instructions
+ * wrong-path, at the 64-entry shape of each IQ design in the
+ * int64-branchy benchmark workload.  Items are fetched instructions,
+ * wrong path included, so the rate reads as host time per fetched
+ * instruction.
+ */
+void
+BM_CoreTickGcc64(benchmark::State &state)
+{
+    const auto kind = static_cast<IqKind>(state.range(0));
+    SimConfig cfg;
+    switch (kind) {
+      case IqKind::Ideal:
+        cfg = makeIdealConfig(64, "gcc");
+        break;
+      case IqKind::Segmented:
+        cfg = makeSegmentedConfig(64, 128, true, true, "gcc");
+        break;
+      case IqKind::Prescheduled:
+        // 16-entry issue buffer + 4 lines of 12 = 64 entries.
+        cfg = makePrescheduledConfig(64, "gcc");
+        cfg.core.iq.issueBufferSize = 16;
+        break;
+      case IqKind::Fifo:
+        cfg = makeFifoConfig(8, 8, "gcc");
+        break;
+    }
+    WorkloadParams wp;
+    wp.iterations = 1 << 20;  // effectively unbounded for the bench
+    const Program prog = buildGcc(wp);
+    // Every iteration replays the same fixed tick window from a fresh
+    // core, so two builds are timed on identical simulated work.
+    constexpr int kTicks = 20000;
+    double fetched = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();  // construction excluded
+        OooCore core(prog, cfg.core);
+        state.ResumeTiming();
+        for (int t = 0; t < kTicks; ++t)
+            core.tick();
+        benchmark::DoNotOptimize(core.committedCount());
+        fetched += core.fetchedInsts.value();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(fetched));
+    state.SetLabel(iqKindName(kind));
+}
+BENCHMARK(BM_CoreTickGcc64)
+    ->Arg(static_cast<int>(IqKind::Ideal))
+    ->Arg(static_cast<int>(IqKind::Segmented))
+    ->Arg(static_cast<int>(IqKind::Prescheduled))
+    ->Arg(static_cast<int>(IqKind::Fifo))
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * Where inside SegmentedIq::tick the time goes.  Runs a swim core for
  * a fixed tick count with the IQ's substage profiling enabled and
  * reports the per-substage split (promotion / signal delivery /

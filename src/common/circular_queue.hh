@@ -46,7 +46,7 @@ class CircularQueue
     pushBack(T v)
     {
         SCIQ_ASSERT(!full(), "push to full queue");
-        buf[(head + count) % buf.size()] = std::move(v);
+        buf[wrap(head + count)] = std::move(v);
         ++count;
     }
 
@@ -56,7 +56,7 @@ class CircularQueue
     {
         SCIQ_ASSERT(!empty(), "pop from empty queue");
         T v = std::move(buf[head]);
-        head = (head + 1) % buf.size();
+        head = wrap(head + 1);
         --count;
         return v;
     }
@@ -67,7 +67,7 @@ class CircularQueue
     {
         SCIQ_ASSERT(!empty(), "popBack from empty queue");
         --count;
-        return std::move(buf[(head + count) % buf.size()]);
+        return std::move(buf[wrap(head + count)]);
     }
 
     T &front() { return at(0); }
@@ -81,7 +81,7 @@ class CircularQueue
     {
         SCIQ_ASSERT(i < count, "index %zu out of range (size %zu)", i,
                     count);
-        return buf[(head + i) % buf.size()];
+        return buf[wrap(head + i)];
     }
 
     const T &
@@ -89,16 +89,12 @@ class CircularQueue
     {
         SCIQ_ASSERT(i < count, "index %zu out of range (size %zu)", i,
                     count);
-        return buf[(head + i) % buf.size()];
+        return buf[wrap(head + i)];
     }
 
     /** Unchecked element access for bounds-established hot loops. */
-    T &operator[](std::size_t i) { return buf[(head + i) % buf.size()]; }
-    const T &
-    operator[](std::size_t i) const
-    {
-        return buf[(head + i) % buf.size()];
-    }
+    T &operator[](std::size_t i) { return buf[wrap(head + i)]; }
+    const T &operator[](std::size_t i) const { return buf[wrap(head + i)]; }
 
     void
     clear()
@@ -108,12 +104,23 @@ class CircularQueue
         // forgot its indices would pin every DynInstPool slot it ever
         // held until the same position was overwritten again.
         for (std::size_t i = 0; i < count; ++i)
-            buf[(head + i) % buf.size()] = T{};
+            buf[wrap(head + i)] = T{};
         head = 0;
         count = 0;
     }
 
   private:
+    /**
+     * Buffer position of logical index `i`.  Every caller passes head
+     * plus an offset below the buffer size, so i < 2 * buf.size() and
+     * one conditional subtract replaces the modulo's division.
+     */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= buf.size() ? i - buf.size() : i;
+    }
+
     std::vector<T> buf;
     std::size_t cap = 0;
     std::size_t head = 0;

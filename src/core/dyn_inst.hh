@@ -21,7 +21,7 @@
 
 namespace sciq {
 
-/** Speculative fetch-state checkpoint taken after a control inst. */
+/** Fetch-state checkpoint taken after a mispredicted control inst. */
 struct FetchCheckpoint
 {
     std::array<std::uint64_t, kNumArchRegs> regs;
@@ -79,27 +79,41 @@ class DynInstPool;
 
 class DynInst
 {
+    friend class DynInstPtr;
+    friend class DynInstPool;
+
+    // Intrusive, non-atomic reference count.  DynInsts are confined to
+    // the core that fetched them (never shared across threads), so the
+    // atomic RMW traffic of std::shared_ptr would be pure overhead in
+    // the fetch/rename hot path.  First in the object, beside the
+    // static instruction, pc and seq that fetch writes, so a hand-off's
+    // count update hits a line the pipeline has just touched.
+    std::uint32_t refs_ = 0;
+    DynInstPool *pool_ = nullptr;  ///< owner; null = plain heap (tests)
+
   public:
     // ---- Static / oracle -------------------------------------------------
     Instruction staticInst;
     Addr pc = 0;
     SeqNum seq = kInvalidSeqNum;
 
+    // The one-byte fields of this group and the next sit together so
+    // their padding holds the count's: sizeof(DynInst) stays 344.
     Addr oracleNextPc = 0;      ///< architected successor along this path
-    bool oracleTaken = false;
-    bool isHalt = false;
     Addr effAddr = 0;           ///< memory ops: effective address
     std::uint64_t memValue = 0; ///< load result / store data (oracle)
     std::uint64_t dstValue = 0; ///< architectural result (oracle)
+    bool oracleTaken = false;
+    bool isHalt = false;
     bool onWrongPath = false;   ///< fetched beyond a mispredicted branch
 
     // ---- Branch prediction ------------------------------------------------
     bool predictedTaken = false;
-    Addr predictedNextPc = 0;
     bool mispredicted = false;  ///< prediction != oracle (resolves at exec)
     bool usedCondPredictor = false;
+    Addr predictedNextPc = 0;
     HybridBranchPredictor::HistorySnapshot historySnap = 0;
-    std::unique_ptr<FetchCheckpoint> checkpoint;  ///< control insts only
+    std::unique_ptr<FetchCheckpoint> checkpoint;  ///< mispredicted only
 
     // ---- Rename -----------------------------------------------------------
     std::array<RegIndex, 2> archSrc{kInvalidReg, kInvalidReg};
@@ -149,17 +163,6 @@ class DynInst
     bool isLoad() const { return staticInst.isLoad(); }
     bool isStore() const { return staticInst.isStore(); }
     bool isControl() const { return staticInst.isControl(); }
-
-  private:
-    friend class DynInstPtr;
-    friend class DynInstPool;
-
-    // Intrusive, non-atomic reference count.  DynInsts are confined to
-    // the core that fetched them (never shared across threads), so the
-    // atomic RMW traffic of std::shared_ptr would be pure overhead in
-    // the fetch/rename hot path.
-    std::uint32_t refs_ = 0;
-    DynInstPool *pool_ = nullptr;  ///< owner; null = plain heap (tests)
 };
 
 /**

@@ -70,9 +70,9 @@ class DynInstPool
     /**
      * Hand out a recycled fetch checkpoint, or null when none is
      * banked.  Checkpoints are salvaged from dying instructions in
-     * recycle(), so the steady-state control-inst fetch path reuses
+     * recycle(), so the steady-state mispredict fetch path reuses
      * the ~0.5 KiB register-snapshot allocation instead of paying
-     * new/delete per branch.  Every field is overwritten by the
+     * new/delete per mispredicted branch.  Every field is overwritten by the
      * caller, so no clearing is needed here.
      */
     std::unique_ptr<FetchCheckpoint>

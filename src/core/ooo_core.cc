@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "isa/disassembler.hh"
+#include "isa/exec_impl.hh"
 
 #include "common/errors.hh"
 #include "common/logging.hh"
@@ -108,9 +109,9 @@ OooCore::OooCore(const Program &program_, const CoreParams &params_)
         }
     }
 
-    frontEndCap = params.fetchWidth *
-                  (params.fetchToDecode + params.decodeToDispatch +
-                   iq->extraDispatchCycles() + 2);
+    frontEndDepth = params.fetchToDecode + params.decodeToDispatch +
+                    iq->extraDispatchCycles();
+    frontEndQueue.setCapacity(params.fetchWidth * (frontEndDepth + 2));
 
     statsGroup.addScalar("cycles", &cyclesStat, "simulated cycles");
     statsGroup.addScalar("committed_insts", &committedInsts,
@@ -295,21 +296,34 @@ OooCore::fetchStage()
 {
     if (fetchHalted || fetchInvalid || curCycle < fetchResumeCycle)
         return;
-    if (frontEndQueue.size() >= frontEndCap)
+    if (frontEndQueue.full())
         return;
 
     unsigned fetched = 0;
     unsigned branches = 0;
     FetchContext xc(*this);
+    // Lines this group already found ready / already prefetched: a
+    // ready line stays ready and a touched line stays tracked, so
+    // repeating either for the next instruction of the line is a
+    // no-op.  ~0 is never a line address.
+    Addr readyLine = ~static_cast<Addr>(0);
+    Addr touchedLine = ~static_cast<Addr>(0);
 
-    while (fetched < params.fetchWidth &&
-           frontEndQueue.size() < frontEndCap) {
-        if (!lineReady(fetchPc)) {
-            touchLine(fetchPc);
-            break;
+    while (fetched < params.fetchWidth && !frontEndQueue.full()) {
+        const Addr line = fetchPc & icLineMask;
+        if (line != readyLine) {
+            if (!lineReady(fetchPc)) {
+                touchLine(fetchPc);
+                break;
+            }
+            readyLine = line;
         }
         // Prefetch the sequential successor line.
-        touchLine(fetchPc + mem.icache().lineBytes());
+        const Addr next = line + (Addr{1} << icLineShift);
+        if (next != touchedLine) {
+            touchLine(next);
+            touchedLine = next;
+        }
 
         const Instruction *si = program.fetch(fetchPc);
         if (!si) {
@@ -319,10 +333,12 @@ OooCore::fetchStage()
             break;
         }
 
-        if (si->isControl() && branches >= params.maxBranchesPerFetch)
+        const bool is_control = si->isControl();
+        if (is_control && branches >= params.maxBranchesPerFetch)
             break;
 
-        DynInstPtr inst = instPool.create();
+        DynInstPtr owner = instPool.create();
+        DynInst *inst = owner.get();
         inst->staticInst = *si;
         inst->pc = fetchPc;
         inst->seq = nextSeq++;
@@ -333,7 +349,7 @@ OooCore::fetchStage()
 
         // Oracle execution on the speculative state.
         xc.wroteReg = false;
-        ExecResult res = execute(*si, fetchPc, xc);
+        const ExecResult res = executeImpl(*si, fetchPc, xc);
         inst->oracleNextPc = res.nextPc;
         inst->oracleTaken = res.taken;
         inst->isHalt = res.halted;
@@ -343,21 +359,23 @@ OooCore::fetchStage()
             inst->dstValue = xc.lastValue;
 
         if (inst->isStore()) {
-            storeQueueSpec.push_back(inst);
+            storeQueueSpec.push_back(owner);
             trackSpecStore(*inst, +1);
         }
 
         inst->predictedNextPc = fetchPc + kInstBytes;
-        if (si->isControl()) {
+        if (is_control) {
             ++branches;
-            predictControl(inst);
+            predictControl(owner);
         }
         inst->mispredicted = inst->predictedNextPc != inst->oracleNextPc &&
                              !inst->isHalt;
 
         // Checkpoint fetch state after executing the control inst so a
-        // squash can restart cleanly at its successor.
-        if (si->isControl()) {
+        // squash can restart cleanly at its successor.  The outcome is
+        // known here, and only a mispredicted control inst ever squashes
+        // (writebackStage), so a correct prediction needs no snapshot.
+        if (is_control && inst->mispredicted) {
             inst->checkpoint = instPool.takeCheckpoint();
             if (!inst->checkpoint)
                 inst->checkpoint = std::make_unique<FetchCheckpoint>();
@@ -365,11 +383,9 @@ OooCore::fetchStage()
             inst->checkpoint->ras = ras.snapshot();
         }
 
-        inst->dispatchReadyCycle = curCycle + params.fetchToDecode +
-                                   params.decodeToDispatch +
-                                   iq->extraDispatchCycles();
+        inst->dispatchReadyCycle = curCycle + frontEndDepth;
 
-        frontEndQueue.push_back(inst);
+        frontEndQueue.pushBack(std::move(owner));
         fetchedInsts.inc();
         if (wrongPathMode)
             wrongPathInsts.inc();
@@ -391,7 +407,7 @@ OooCore::fetchStage()
         fetchPc = inst->predictedNextPc;
 
         // A taken control transfer ends the fetch group.
-        if (si->isControl() && inst->predictedTaken)
+        if (is_control && inst->predictedTaken)
             break;
     }
 }
@@ -402,7 +418,7 @@ OooCore::dispatchStage()
     for (unsigned n = 0; n < params.dispatchWidth; ++n) {
         if (frontEndQueue.empty())
             break;
-        DynInstPtr inst = frontEndQueue.front();
+        DynInst *inst = frontEndQueue.front().get();
         if (inst->dispatchReadyCycle > curCycle)
             break;
         if (rob.full())
@@ -411,10 +427,8 @@ OooCore::dispatchStage()
             break;
         if (inst->staticInst.isMem() && lsq->full())
             break;
-        if (!iq->canInsert(inst))
+        if (!iq->canInsert(frontEndQueue.front()))
             break;
-
-        frontEndQueue.pop_front();
 
         // Rename sources then destination.
         for (int i = 0; i < 2; ++i) {
@@ -430,10 +444,13 @@ OooCore::dispatchStage()
             physReadyCycle[phys] = kCycleNever;
         }
 
-        rob.pushBack(inst);
+        // The front end's reference moves into the ROB; the LSQ and
+        // the IQ take their own from it.
+        rob.pushBack(frontEndQueue.popFront());
+        const DynInstPtr &entry = rob.back();
         if (inst->staticInst.isMem())
-            lsq->insert(inst);
-        iq->insert(inst, curCycle);
+            lsq->insert(entry);
+        iq->insert(entry, curCycle);
         inst->dispatched = true;
     }
 }
@@ -528,15 +545,13 @@ OooCore::writebackStage()
 void
 OooCore::doSquash()
 {
-    DynInstPtr branch = pendingSquashBranch;
-    pendingSquashBranch = nullptr;
+    const DynInstPtr branch = std::move(pendingSquashBranch);
     const SeqNum target = branch->seq;
     squashes.inc();
 
     // Walk the ROB youngest-first, undoing rename and dispatch effects.
     while (!rob.empty() && rob.back()->seq > target) {
-        DynInstPtr inst = rob.back();
-        rob.popBack();
+        const DynInstPtr inst = rob.popBack();
         inst->squashed = true;
         if (observer)
             observer->onSquash(*inst, curCycle);
@@ -548,8 +563,8 @@ OooCore::doSquash()
         }
     }
 
-    for (auto &inst : frontEndQueue)
-        inst->squashed = true;
+    for (std::size_t i = 0; i < frontEndQueue.size(); ++i)
+        frontEndQueue[i]->squashed = true;
     frontEndQueue.clear();
 
     iq->squash(target);
@@ -587,7 +602,7 @@ OooCore::commitStage()
     for (unsigned n = 0; n < params.commitWidth; ++n) {
         if (rob.empty())
             break;
-        DynInstPtr inst = rob.front();
+        const DynInstPtr &inst = rob.front();
         if (!inst->completed)
             break;
 
@@ -644,13 +659,14 @@ OooCore::commitStage()
 
         iq->onCommit(inst);
         inst->committed = true;
-        rob.popFront();
+        // `inst` refers into the ROB slot the pop empties.
+        const DynInstPtr done = rob.popFront();
         committedInsts.inc();
         lastCommitCycle = curCycle;
         if (observer)
-            observer->onCommit(*inst, curCycle);
+            observer->onCommit(*done, curCycle);
 
-        if (inst->isHalt) {
+        if (done->isHalt) {
             haltCommitted = true;
             break;
         }

@@ -201,8 +201,12 @@ class OooCore
 
   private:
     friend class Auditor;
-    /** ExecContext over the speculative fetch state. */
-    class FetchContext : public ExecContext
+    /**
+     * ExecContext over the speculative fetch state.  Final, so the
+     * fetch stage's executeImpl instantiation calls it directly and
+     * inlines the register accesses.
+     */
+    class FetchContext final : public ExecContext
     {
       public:
         explicit FetchContext(OooCore &core_) : core(core_) {}
@@ -303,8 +307,9 @@ class OooCore
     std::array<std::uint16_t, kSpecLineBuckets> specStoreLines{};
     void trackSpecStore(const DynInst &st, int delta);
 
-    std::deque<DynInstPtr> frontEndQueue;
-    std::size_t frontEndCap;
+    /** Fetched, not yet dispatched; fetch stops while it is full. */
+    CircularQueue<DynInstPtr> frontEndQueue;
+    Cycle frontEndDepth = 0;  ///< fetch-to-dispatch cycles, IQ extra included
 
     // I-cache line tracking.
     std::unordered_map<Addr, Cycle> lineReadyAt;  ///< kCycleNever = pending

@@ -56,7 +56,9 @@ FifoIq::steer(const DynInstPtr &inst) const
 bool
 FifoIq::canInsert(const DynInstPtr &inst)
 {
-    if (steer(inst) < 0) {
+    steerMemo = steer(inst);
+    steerMemoSeq = inst->seq;
+    if (steerMemo < 0) {
         noEmptyFifoStalls.inc();
         dispatchStallsFull.inc();
         return false;
@@ -67,7 +69,8 @@ FifoIq::canInsert(const DynInstPtr &inst)
 void
 FifoIq::insert(const DynInstPtr &inst, Cycle)
 {
-    int f = steer(inst);
+    const int f = steerMemoSeq == inst->seq ? steerMemo : steer(inst);
+    steerMemoSeq = kInvalidSeqNum;
     SCIQ_ASSERT(f >= 0, "insert into FIFO IQ with no slot");
     if (fifos[static_cast<std::size_t>(f)].empty())
         steeredToEmpty.inc();

@@ -45,6 +45,13 @@ class FifoIq : public IqBase
     std::vector<std::deque<DynInstPtr>> fifos;
     std::size_t totalOcc = 0;  ///< sum of FIFO sizes, O(1) occupancy
 
+    // canInsert -> insert steering memo.  Dispatch probes canInsert
+    // immediately before insert with no intervening queue mutation, so
+    // insert reuses the probe's FIFO choice; a seq mismatch (insert
+    // without a matching probe) steers afresh.
+    SeqNum steerMemoSeq = kInvalidSeqNum;
+    int steerMemo = -1;
+
     /** Issue-select scratch (reused; avoids per-cycle allocation). */
     std::vector<std::size_t> readyScratch;
 

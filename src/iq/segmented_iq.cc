@@ -458,17 +458,16 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
     const int target = targetSegment();
     SCIQ_ASSERT(target >= 0, "insert into full segmented IQ");
 
-    Plan plan;
     if (planMemoSeq == inst->seq) {
-        plan = planMemo;
-        if (plan.usedLrp)
+        if (planMemo.usedLrp)
             lrp->predictLeftCritical(inst->pc);
-        if (plan.usedHmp)
+        if (planMemo.usedHmp)
             hmp->predictHit(inst->pc);
     } else {
-        plan = computePlan(inst, true);
+        planMemo = computePlan(inst, true);
     }
     planMemoSeq = kInvalidSeqNum;
+    const Plan &plan = planMemo;
     SCIQ_ASSERT(!plan.needNewChain || chains.available(),
                 "insert without a free chain");
 
@@ -528,7 +527,11 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
     RegIndex dst = inst->staticInst.dstReg();
     if (dst != kInvalidReg) {
         undoLog.push_back({inst->seq, dst, regInfo[dst]});
-        RegInfoEntry e;
+        // unsubscribeReg reads only the subscription index, so the
+        // entry can be rebuilt in place first.
+        unsubscribeReg(dst);
+        RegInfoEntry &e = regInfo[dst];
+        e = RegInfoEntry{};
         e.pending = true;
         const int exec_lat = static_cast<int>(predictedLatency(*inst));
         if (seg_state.headedChain != kNoChain) {
@@ -572,8 +575,6 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
                 e.latency = longest + exec_lat;
             }
         }
-        unsubscribeReg(dst);
-        regInfo[dst] = e;
         if (e.chain != kNoChain)
             subscribeReg(dst);
         if (soa())

@@ -1,18 +1,21 @@
 /**
  * @file
  * The architectural execution semantics as a template over the execute
- * context, so the one switch body serves two instantiations:
+ * context, so the one switch body serves three instantiations:
  *
  *   - execute() in exec.cc binds it to the virtual ExecContext
- *     interface (the pipeline's fetch oracle, the step()-based
- *     functional path);
+ *     interface (the step()-based functional path);
+ *   - the pipeline's execute-at-fetch oracle binds it to the final
+ *     OooCore::FetchContext (ooo_core.cc), so the speculative register
+ *     reads and writes inline and the result stays in registers;
  *   - the basic-block cache's replay loop binds it to a concrete
  *     context with inline register-file and page-cached memory access
  *     (functional_core.hh), removing the per-operand virtual dispatch.
  *
- * Because both paths instantiate the same body, they cannot drift:
- * bit-identity of the block-cached interpreter (DESIGN.md §14) holds by
- * construction, not by a parallel implementation kept in sync by hand.
+ * Because all paths instantiate the same body, they cannot drift:
+ * bit-identity of the block-cached interpreter (DESIGN.md §14) and of
+ * the fetch oracle holds by construction, not by a parallel
+ * implementation kept in sync by hand.
  */
 
 #ifndef SCIQ_ISA_EXEC_IMPL_HH

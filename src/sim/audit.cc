@@ -115,7 +115,7 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
     // grows monotonically and crosses it quickly.
     const std::size_t pool_cap =
         2 * static_cast<std::size_t>(core.params.robSize) +
-        core.frontEndCap;
+        core.frontEndQueue.capacity();
     if (core.instPool.liveCount() > pool_cap) {
         std::ostringstream os;
         core.debugDump(os);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Invariant-auditor sweep: every workload, both IQ models, three IQ
- * sizes (512 entries is the benchmark's 16-segment shape), all with
+ * Invariant-auditor sweep: every workload, the segmented and ideal IQ
+ * models at three IQ sizes (512 entries is the benchmark's 16-segment
+ * shape) and the prescheduled and FIFO models at 64 entries, all with
  * `audit=1` -- a healthy simulator must report zero violations.  The
  * negative tests prove the auditor actually fires by enabling the
  * test-only over-promotion fault injection.
@@ -32,9 +33,18 @@ TEST_P(AuditSweep, ZeroViolations)
 {
     const auto &[workload, kind, iq_size] = GetParam();
 
-    SimConfig cfg = kind == "segmented"
-        ? makeSegmentedConfig(iq_size, 32, true, true, workload)
-        : makeIdealConfig(iq_size, workload);
+    SimConfig cfg;
+    if (kind == "segmented") {
+        cfg = makeSegmentedConfig(iq_size, 32, true, true, workload);
+    } else if (kind == "prescheduled") {
+        // 16-entry issue buffer + lines of 12 (the int64-branchy shape).
+        cfg = makePrescheduledConfig(iq_size, workload);
+        cfg.core.iq.issueBufferSize = 16;
+    } else if (kind == "fifo") {
+        cfg = makeFifoConfig(8, iq_size / 8, workload);
+    } else {
+        cfg = makeIdealConfig(iq_size, workload);
+    }
     cfg.wl.iterations = 200;
     cfg.audit = true;
 
@@ -69,6 +79,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(workloadNames()),
                        ::testing::Values("segmented", "ideal"),
                        ::testing::Values(64u, 256u, 512u)),
+    auditParamName);
+
+// The other two designs at the 64-entry shapes of the int64-branchy
+// benchmark workload: the core-wide invariants (pool bound, issue
+// width, writeback ring) must hold under every IQ's dispatch path.
+INSTANTIATE_TEST_SUITE_P(
+    OtherQueues, AuditSweep,
+    ::testing::Combine(::testing::ValuesIn(workloadNames()),
+                       ::testing::Values("prescheduled", "fifo"),
+                       ::testing::Values(64u)),
     auditParamName);
 
 TEST(AuditStats, GroupIsWiredIntoCoreTree)

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
+#include <string>
 
 #include "common/circular_queue.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 
 using namespace sciq;
 
@@ -128,4 +131,83 @@ TEST(CircularQueue, SetCapacityOnEmpty)
     q.clear();
     q.pushBack(1);
     EXPECT_THROW(q.setCapacity(4), PanicError);
+}
+
+// Randomized differential run against std::deque.  Capacities are not
+// powers of two and each run wraps the buffer many times, so every
+// index path (push, both pops, front/back, at, operator[], clear) is
+// checked across the wrap point.  Elements are owning pointers whose
+// deleter counts live objects: the queue must hold exactly size()
+// of them at every step, i.e. pops and clear() release ownership.
+TEST(CircularQueue, DifferentialAgainstDeque)
+{
+    for (const std::size_t cap : {1u, 3u, 5u, 7u}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        int live = 0;
+        auto make = [&live](int v) {
+            ++live;
+            return std::shared_ptr<const int>(new int(v),
+                                              [&live](const int *p) {
+                                                  --live;
+                                                  delete p;
+                                              });
+        };
+        CircularQueue<std::shared_ptr<const int>> q(cap);
+        std::deque<int> ref;
+        Random rng(1000 + cap);
+        int next = 0;
+        for (int step = 0; step < 20000; ++step) {
+            switch (rng.below(8)) {
+              case 0:
+              case 1:
+              case 2:
+                if (ref.size() < cap) {
+                    q.pushBack(make(next));
+                    ref.push_back(next++);
+                } else {
+                    EXPECT_THROW(q.pushBack(make(-1)), PanicError);
+                }
+                break;
+              case 3:
+              case 4:
+                if (!ref.empty()) {
+                    ASSERT_EQ(*q.popFront(), ref.front());
+                    ref.pop_front();
+                }
+                break;
+              case 5:
+                if (!ref.empty()) {
+                    ASSERT_EQ(*q.popBack(), ref.back());
+                    ref.pop_back();
+                }
+                break;
+              case 6:
+                if (rng.below(16) == 0) {
+                    q.clear();
+                    ref.clear();
+                }
+                break;
+              default:
+                if (!ref.empty()) {
+                    ASSERT_EQ(*q.front(), ref.front());
+                    ASSERT_EQ(*q.back(), ref.back());
+                    const std::size_t i = rng.below(ref.size());
+                    ASSERT_EQ(*q.at(i), ref[i]);
+                    ASSERT_EQ(*q[i], ref[i]);
+                }
+                break;
+            }
+            ASSERT_EQ(q.size(), ref.size());
+            ASSERT_EQ(q.empty(), ref.empty());
+            ASSERT_EQ(q.full(), ref.size() == cap);
+            ASSERT_EQ(q.freeEntries(), cap - ref.size());
+            ASSERT_EQ(live, static_cast<int>(ref.size()));
+        }
+        // Full sweep of the final contents, both accessors.
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(*q.at(i), ref[i]);
+            EXPECT_EQ(*q[i], ref[i]);
+        }
+        EXPECT_GT(next, static_cast<int>(20 * cap)) << "too few wraps";
+    }
 }

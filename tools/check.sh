@@ -15,8 +15,10 @@
 #                    build (fast loop for DESIGN.md §13 machinery)
 #   perf             only the quick perf legs on the tier-1 build: the
 #                    segmented-IQ tick substage profile (64/256/512
-#                    entries, both engines) and host throughput per
-#                    queue, segmented-512 next to ideal-512
+#                    entries, both engines), the front-end cost per
+#                    fetched instruction (gcc, 64 entries, every IQ
+#                    design) and host throughput per queue,
+#                    segmented-512 next to ideal-512
 #
 # On failure the EXIT trap names the leg that failed and its build dir.
 set -eu
@@ -72,7 +74,7 @@ tier1_full() {
   begin_leg "tier-1 full test suite" build
   ctest --test-dir build --output-on-failure -j "$jobs"
 
-  begin_leg "audit sweep (all workloads, segmented + ideal, audit=1)" build
+  begin_leg "audit sweep (all workloads, all four IQ designs, audit=1)" build
   ./build/tests/test_audit
 
   begin_leg "scheduling-index differential sweep (audit=1)" build
@@ -89,7 +91,9 @@ tier1_full() {
 }
 
 # The quick perf legs: where the segmented tick spends its time, per
-# substage, and host throughput per queue configuration.
+# substage, the whole pipeline's host cost per fetched instruction on
+# the wrong-path-heavy gcc kernel, and host throughput per queue
+# configuration.
 leg_perf() {
   tier1_build
   begin_leg "segmented-tick substage profile (quick)" build
@@ -97,6 +101,10 @@ leg_perf() {
       --benchmark_filter='BM_SegmentedTickSubstages' \
       --benchmark_min_time=0.01 json_out=/tmp/sciq-substages.json
   grep -q '"bench": "micro_components.substages"' /tmp/sciq-substages.json
+
+  begin_leg "front-end cost per fetched instruction (quick)" build
+  ./build/bench/micro_components \
+      --benchmark_filter='BM_CoreTickGcc64' --benchmark_min_time=0.01
 
   begin_leg "host-throughput bench (quick)" build
   ./build/bench/bench_throughput quick=1 workloads=swim,twolf
