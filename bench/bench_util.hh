@@ -14,8 +14,6 @@
  *                (count keys accept k/m/g suffixes, e.g. ff=300m)
  *   bb_cache=0   use the step()-based reference interpreter for the
  *                functional paths (default: basic-block cache)
- *   iq_soa=0     use the object-per-entry segmented-IQ engine instead
- *                of the SoA engine (bit-identical; host speed only)
  *   ckpt_dir=path     persist/reuse warm-up checkpoints in `path`
  *   ckpt_reuse=0      disable the in-process sweep-level checkpoint
  *                     cache (each run fast-forwards cold again)
@@ -85,7 +83,6 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         "bench_out",   "ff",          "ckpt_dir",        "ckpt_reuse",
         "audit",       "audit_panic", "journal",         "retries",
         "artifact_dir", "watchdog_cycles", "deadline_sec", "bb_cache",
-        "iq_soa",
     };
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     const std::string complaint = args.raw.unknownKeyMessage(known);
@@ -152,7 +149,6 @@ applyArgs(SimConfig &cfg, const BenchArgs &args)
     if (args.ff > 0)
         cfg.fastForward = args.ff;
     cfg.bbCache = args.raw.getBool("bb_cache", true);
-    cfg.core.iq.soaLayout = args.raw.getBool("iq_soa", true);
     if (args.raw.has("watchdog_cycles")) {
         cfg.core.watchdogCycles = static_cast<Cycle>(
             args.raw.getCount("watchdog_cycles", 0));

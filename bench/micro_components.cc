@@ -185,11 +185,10 @@ struct SubstageSample
     SegmentedIq::TickProfile prof;
     SegmentedIq::WorkCounters work;
     unsigned iqSize = 0;
-    bool soa = true;
 };
 
 SubstageSample
-runSegmentedSubstages(unsigned iq_size, bool soa, std::uint64_t ticks)
+runSegmentedSubstages(unsigned iq_size, std::uint64_t ticks)
 {
     WorkloadParams wp;
     wp.iterations = 1 << 20;  // effectively unbounded for the bench
@@ -200,7 +199,6 @@ runSegmentedSubstages(unsigned iq_size, bool soa, std::uint64_t ticks)
     params.iq.maxChains = 128;
     params.iq.useHmp = true;
     params.iq.useLrp = true;
-    params.iq.soaLayout = soa;
     OooCore core(prog, params);
     auto *seg = dynamic_cast<SegmentedIq *>(&core.iqUnit());
     seg->setProfiling(true);
@@ -210,7 +208,6 @@ runSegmentedSubstages(unsigned iq_size, bool soa, std::uint64_t ticks)
     s.prof = seg->profile();
     s.work = seg->workCounters();
     s.iqSize = iq_size;
-    s.soa = soa;
     return s;
 }
 
@@ -218,14 +215,13 @@ void
 BM_SegmentedTickSubstages(benchmark::State &state)
 {
     const auto iq_size = static_cast<unsigned>(state.range(0));
-    const bool soa = state.range(1) != 0;
     SubstageSample s;
     std::uint64_t total_ticks = 0;
     for (auto _ : state) {
         state.PauseTiming();  // construction/warm-up excluded
         constexpr std::uint64_t kTicks = 20000;
         state.ResumeTiming();
-        s = runSegmentedSubstages(iq_size, soa, kTicks);
+        s = runSegmentedSubstages(iq_size, kTicks);
         total_ticks += kTicks;
     }
     const double total = s.prof.promoteSec + s.prof.deliverSec +
@@ -238,19 +234,16 @@ BM_SegmentedTickSubstages(benchmark::State &state)
     state.counters["issue_frac"] = frac(s.prof.issueSec);
     state.counters["dispatch_frac"] = frac(s.prof.dispatchSec);
     state.SetItemsProcessed(static_cast<std::int64_t>(total_ticks));
-    state.SetLabel(soa ? "soa" : "reference");
 }
 BENCHMARK(BM_SegmentedTickSubstages)
-    ->Args({256, 1})
-    ->Args({256, 0})
-    ->Args({512, 1})
-    ->Args({512, 0})
+    ->Arg(256)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * json_out= payload: one substage-profile record per (iq_size, engine)
- * point, with absolute seconds, ns/tick, fractions, and the exact
- * iq.work.* counters for the same tick window.
+ * json_out= payload: one substage-profile record per iq_size point,
+ * with absolute seconds, ns/tick, fractions, and the exact iq.work.*
+ * counters for the same tick window.
  */
 void
 writeSubstageJson(const std::string &path)
@@ -258,8 +251,7 @@ writeSubstageJson(const std::string &path)
     constexpr std::uint64_t kTicks = 50000;
     std::vector<SubstageSample> samples;
     for (unsigned size : {64u, 256u, 512u})
-        for (bool soa : {false, true})
-            samples.push_back(runSegmentedSubstages(size, soa, kTicks));
+        samples.push_back(runSegmentedSubstages(size, kTicks));
 
     std::ofstream out(path);
     if (!out) {
@@ -284,8 +276,7 @@ writeSubstageJson(const std::string &path)
             json::writeNumber(out, total > 0.0 ? sec / total : 0.0);
             out << "}" << (last ? "\n" : ",\n");
         };
-        out << "    {\"iq_size\": " << s.iqSize << ", \"engine\": \""
-            << (s.soa ? "soa" : "reference") << "\",\n"
+        out << "    {\"iq_size\": " << s.iqSize << ",\n"
             << "      \"substages\": [\n";
         stage("promote", s.prof.promoteSec);
         stage("deliver", s.prof.deliverSec);

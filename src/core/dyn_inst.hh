@@ -42,11 +42,6 @@ struct ChainMembership
     int headSegment = 0;
     bool selfTimed = false;
     bool suspended = false;  ///< self-timing suspended (head missed)
-
-    // Back-pointers into the segmented IQ's incremental scheduling
-    // indices (DESIGN.md section 11); -1 = not on the list.
-    int subIdx = -1;  ///< position in the chain's subscriber list
-    int cdIdx = -1;   ///< position in the self-timed countdown list
 };
 
 /** Scheduler state for the segmented IQ. */
@@ -57,8 +52,7 @@ struct SegIqState
     ChainId headedChain = kNoChain;  ///< chain this inst is the head of
     std::uint32_t headedGen = 0;
     bool chainReleased = false;      ///< headed chain already freed
-    int segment = -1;        ///< segment (0 = issue buffer); SoA: at dispatch
-    bool promoEligible = false;  ///< counted as a promotion candidate
+    int segment = -1;        ///< segment at dispatch (0 = issue buffer)
 };
 
 /** Scheduler state for the ideal (monolithic CAM) IQ. */

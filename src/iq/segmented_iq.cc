@@ -83,7 +83,6 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
                 params.numEntries, params.segmentSize);
     const unsigned n = params.numEntries / params.segmentSize;
     SCIQ_ASSERT(n >= 1, "need at least one segment");
-    segments.resize(n);
     freePrevCycle.assign(n, params.segmentSize);
     if (params.maxChains > 0)
         chainStates.resize(static_cast<std::size_t>(params.maxChains));
@@ -145,53 +144,48 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     nearFullW.assign(seg_words, 0);
     roomyW.assign(seg_words, 0);
     chainHot.resize(chainStates.size());
-    activePos.assign(chainStates.size(), -1);
-    if (soa()) {
-        poolSize = params.robSize ? params.robSize : 3 * params.numEntries;
-        SCIQ_ASSERT(poolSize < kFreeSlot && n < kFreeSlot,
-                    "ROB of %u entries exceeds the slot-pool id range",
-                    poolSize);
-        poolWords = (poolSize + 63) / 64;
-        summaryWords = (poolWords + 63) / 64;
-        for (int m = 0; m < 2; ++m) {
-            pool.delay[m].assign(poolSize, 0);
-            pool.chain[m].assign(poolSize, kNoChain);
-            pool.gen[m].assign(poolSize, 0);
-            pool.applied[m].assign(poolSize, 0);
-            pool.headSeg[m].assign(poolSize, 0);
-            pool.flags[m].assign(poolSize, 0);
-            pool.subIdx[m].assign(poolSize, -1);
-            pool.due[m].assign(poolSize, kNotDue);
-            pool.dueCycle[m].assign(poolSize, 0);
-            pool.dueOrigin[m].assign(poolSize, 0);
-            pool.src[m].assign(poolSize, kInvalidReg);
-            pool.cdBits[m].assign(poolWords, 0);
-            pool.cdSummary[m].assign(summaryWords, 0);
-        }
-        pool.memCount.assign(poolSize, 0);
-        pool.seq.assign(poolSize, 0);
-        pool.seg.assign(poolSize, kFreeSlot);
-        pool.headChain.assign(poolSize, kNoChain);
-        pool.headGen.assign(poolSize, 0);
-        pool.inst.resize(poolSize);
-        pool.eligBits.assign(poolWords, 0);
-        segBits.assign(n * poolWords, 0);
-        segSummary.assign(n * summaryWords, 0);
-        candSummary.assign(n * summaryWords, 0);
-        segCount.assign(n, 0);
-        scratchMoves.resize(std::max(1u, params.issueWidth));
-
-        // Every arrival lies within n - 1 cycles of the next pass, so
-        // n + 1 buckets never hold two live cycles.
-        std::size_t buckets = 1;
-        while (buckets < n + 1)
-            buckets *= 2;
-        calendar.resize(buckets);
-        calendarMask = buckets - 1;
+    poolSize = params.robSize ? params.robSize : 3 * params.numEntries;
+    SCIQ_ASSERT(poolSize < kFreeSlot && n < kFreeSlot,
+                "ROB of %u entries exceeds the slot-pool id range", poolSize);
+    poolWords = (poolSize + 63) / 64;
+    summaryWords = (poolWords + 63) / 64;
+    for (int m = 0; m < 2; ++m) {
+        pool.delay[m].assign(poolSize, 0);
+        pool.chain[m].assign(poolSize, kNoChain);
+        pool.gen[m].assign(poolSize, 0);
+        pool.applied[m].assign(poolSize, 0);
+        pool.headSeg[m].assign(poolSize, 0);
+        pool.flags[m].assign(poolSize, 0);
+        pool.subIdx[m].assign(poolSize, -1);
+        pool.due[m].assign(poolSize, kNotDue);
+        pool.dueCycle[m].assign(poolSize, 0);
+        pool.dueOrigin[m].assign(poolSize, 0);
+        pool.src[m].assign(poolSize, kInvalidReg);
+        pool.cdBits[m].assign(poolWords, 0);
+        pool.cdSummary[m].assign(summaryWords, 0);
     }
-    // Seed the word masks with the empty-segment free counts (the
-    // legacy masks were lazily initialised on first size change, which
-    // is equivalent: promotion rounds over empty segments are no-ops).
+    pool.memCount.assign(poolSize, 0);
+    pool.seq.assign(poolSize, 0);
+    pool.seg.assign(poolSize, kFreeSlot);
+    pool.headChain.assign(poolSize, kNoChain);
+    pool.headGen.assign(poolSize, 0);
+    pool.inst.resize(poolSize);
+    pool.eligBits.assign(poolWords, 0);
+    segBits.assign(n * poolWords, 0);
+    segSummary.assign(n * summaryWords, 0);
+    candSummary.assign(n * summaryWords, 0);
+    segCount.assign(n, 0);
+    scratchMoves.resize(std::max(1u, params.issueWidth));
+
+    // Every arrival lies within n - 1 cycles of the next pass, so
+    // n + 1 buckets never hold two live cycles.
+    std::size_t buckets = 1;
+    while (buckets < n + 1)
+        buckets *= 2;
+    calendar.resize(buckets);
+    calendarMask = buckets - 1;
+
+    // Seed the word masks with the empty-segment free counts.
     for (unsigned k = 0; k < n; ++k)
         onSegSizeChanged(k);
 }
@@ -209,7 +203,6 @@ SegmentedIq::stateOf(ChainId id)
     if (idx >= chainStates.size()) {
         chainStates.resize(idx + 1);
         chainHot.resize(idx + 1);
-        activePos.resize(idx + 1, -1);
     }
     return chainStates[idx];
 }
@@ -267,9 +260,9 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
         ChainMembership m;
         m.chain = e.chain;
         m.gen = e.gen;
-        if (e.chain != kNoChain && soa()) {
-            // SoA engine: the 16-byte hot mirror holds exactly the
-            // scalars this path reads (audited against ChainState).
+        if (e.chain != kNoChain) {
+            // The 16-byte hot mirror holds exactly the scalars this
+            // path reads (audited against ChainState).
             const ChainHot &ch = chainHot[static_cast<std::size_t>(e.chain)];
             if (ch.gen != e.gen) {
                 // Wire reused: head long gone, value effectively ready.
@@ -281,18 +274,6 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
             m.suspended = ch.suspended != 0;
             m.delay = ch.selfTimed ? e.latency
                                    : 2 * ch.headSegment + e.latency;
-        } else if (e.chain != kNoChain) {
-            const ChainState &cs = stateOf(e.chain);
-            if (cs.gen != e.gen) {
-                // Wire reused: head long gone, value effectively ready.
-                continue;
-            }
-            m.appliedSeq = cs.seqCounter;
-            m.headSegment = cs.headSegment;
-            m.selfTimed = cs.selfTimed;
-            m.suspended = cs.suspended;
-            m.delay = cs.selfTimed ? e.latency
-                                   : 2 * cs.headSegment + e.latency;
         } else {
             m.selfTimed = true;
             m.suspended = false;
@@ -373,20 +354,20 @@ SegmentedIq::targetSegment() const
     // Dispatch is confined to the powered segments.
     const int n = static_cast<int>(activeSegments);
     if (!params.enableBypass) {
-        return segSize(static_cast<unsigned>(n - 1)) < params.segmentSize
+        return segCount[static_cast<unsigned>(n - 1)] < params.segmentSize
                    ? n - 1
                    : -1;
     }
     int highest = -1;
     for (int k = n - 1; k >= 0; --k) {
-        if (segSize(static_cast<unsigned>(k)) != 0) {
+        if (segCount[static_cast<unsigned>(k)] != 0) {
             highest = k;
             break;
         }
     }
     if (highest < 0)
         return 0;  // entire queue empty: straight to the issue buffer
-    if (segSize(static_cast<unsigned>(highest)) < params.segmentSize)
+    if (segCount[static_cast<unsigned>(highest)] < params.segmentSize)
         return highest;
     if (highest + 1 < n)
         return highest + 1;
@@ -396,11 +377,11 @@ SegmentedIq::targetSegment() const
 bool
 SegmentedIq::fastPlanEligible(const DynInst &inst) const
 {
-    // Identity shortcut (SoA engine): a non-load whose gating arch
-    // sources are all available in the table gets the default Plan --
-    // computePlan would find no memberships, create no chain and read
-    // no predictor, so skipping it is observable-equivalent.
-    if (!soa() || inst.isLoad())
+    // Identity shortcut: a non-load whose gating arch sources are all
+    // available in the table gets the default Plan -- computePlan would
+    // find no memberships, create no chain and read no predictor, so
+    // skipping it is observable-equivalent.
+    if (inst.isLoad())
         return false;
     const auto srcs = inst.staticInst.srcRegs();
     const bool is_store = inst.isStore();
@@ -438,17 +419,6 @@ SegmentedIq::canInsert(const DynInstPtr &inst)
         return false;
     }
     return true;
-}
-
-void
-SegmentedIq::insertSorted(std::vector<DynInstPtr> &seg,
-                          const DynInstPtr &inst)
-{
-    auto pos = std::lower_bound(seg.begin(), seg.end(), inst,
-                                [](const DynInstPtr &a, const DynInstPtr &b) {
-                                    return a->seq < b->seq;
-                                });
-    seg.insert(pos, inst);
 }
 
 void
@@ -498,9 +468,8 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         cs.log.clear();
         // Subscriber lists are NOT cleared on wire reuse: stale-
         // generation listeners are skipped by delivery and drop off
-        // through their own lifecycle.  If the cleared log left the
-        // chain on the active list, the tick-5 prune sweep retires it;
-        // stale expiry records and calendar keys are no-ops.
+        // through their own lifecycle; stale expiry records and
+        // calendar keys are no-ops.
         syncChainHot(id);
         chainsCreated.inc();
         if (plan.isLoadHead)
@@ -508,18 +477,7 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
     }
 
     seg_state.segment = target;
-    if (soa()) {
-        soaInsert(inst, target, plan);
-    } else {
-        insertSorted(segments[target], inst);
-        ++totalOcc;
-        onSegSizeChanged(static_cast<unsigned>(target));
-        for (int k = 0; k < seg_state.numMemberships; ++k) {
-            subscribeMember(inst.get(), k);
-            subSyncMemberCd(inst.get(), k);
-        }
-        refreshElig(inst.get());
-    }
+    soaInsert(inst, target, plan);
     instsInserted.inc();
     dispatchSegment.sample(static_cast<double>(target));
 
@@ -577,75 +535,12 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         }
         if (e.chain != kNoChain)
             subscribeReg(dst);
-        if (soa())
-            armReg(dst);
+        armReg(dst);
         syncRegCd(dst);
     }
 }
 
-int
-SegmentedIq::effectiveDelay(const DynInst &inst) const
-{
-    int d = 0;
-    for (int k = 0; k < inst.seg.numMemberships; ++k)
-        d = std::max(d, inst.seg.memberships[k].delay);
-    return d;
-}
-
 // --- Incremental-index maintenance (section 11) --------------------------
-
-void
-SegmentedIq::subscribeMember(DynInst *inst, int slot)
-{
-    ChainMembership &m = inst->seg.memberships[slot];
-    if (m.chain == kNoChain)
-        return;
-    ChainState &cs = stateOf(m.chain);
-    m.subIdx = static_cast<int>(cs.memberSubs.size());
-    cs.memberSubs.push_back({inst, slot});
-}
-
-void
-SegmentedIq::unsubscribeMember(DynInst *inst, int slot)
-{
-    ChainMembership &m = inst->seg.memberships[slot];
-    if (m.subIdx < 0)
-        return;
-    ChainState &cs = stateOf(m.chain);
-    const int i = m.subIdx;
-    m.subIdx = -1;
-    const MemberSub last = cs.memberSubs.back();
-    cs.memberSubs[i] = last;
-    cs.memberSubs.pop_back();
-    if (static_cast<std::size_t>(i) < cs.memberSubs.size())
-        last.inst->seg.memberships[last.slot].subIdx = i;
-}
-
-void
-SegmentedIq::subSyncMemberCd(DynInst *inst, int slot)
-{
-    ChainMembership &m = inst->seg.memberships[slot];
-    const bool want = m.selfTimed && !m.suspended && m.delay > 0;
-    if (want && m.cdIdx < 0) {
-        m.cdIdx = static_cast<int>(memberCountdown.size());
-        memberCountdown.push_back({inst, slot});
-    } else if (!want && m.cdIdx >= 0) {
-        removeMemberCd(inst, slot);
-    }
-}
-
-void
-SegmentedIq::removeMemberCd(DynInst *inst, int slot)
-{
-    ChainMembership &m = inst->seg.memberships[slot];
-    const int i = m.cdIdx;
-    m.cdIdx = -1;
-    const CdRef last = memberCountdown.back();
-    memberCountdown[i] = last;
-    memberCountdown.pop_back();
-    if (static_cast<std::size_t>(i) < memberCountdown.size())
-        last.inst->seg.memberships[last.slot].cdIdx = i;
-}
 
 void
 SegmentedIq::subscribeReg(RegIndex r)
@@ -716,51 +611,22 @@ SegmentedIq::syncChainHot(ChainId id)
 void
 SegmentedIq::eligCountInc(unsigned k)
 {
-    if (eligCount[k]++ == 0) {
-        if (k < 64)
-            eligMask |= 1ULL << k;
+    if (eligCount[k]++ == 0)
         eligSegW[k >> 6] |= 1ULL << (k & 63);
-    }
 }
 
 void
 SegmentedIq::eligCountDec(unsigned k)
 {
-    if (--eligCount[k] == 0) {
-        if (k < 64)
-            eligMask &= ~(1ULL << k);
+    if (--eligCount[k] == 0)
         eligSegW[k >> 6] &= ~(1ULL << (k & 63));
-    }
-}
-
-void
-SegmentedIq::refreshElig(DynInst *inst)
-{
-    const int k = inst->seg.segment;
-    const bool now = k >= 1 && effectiveDelay(*inst) < threshold(k - 1);
-    if (now == inst->seg.promoEligible)
-        return;
-    inst->seg.promoEligible = now;
-    if (now)
-        eligCountInc(static_cast<unsigned>(k));
-    else
-        eligCountDec(static_cast<unsigned>(k));
-}
-
-void
-SegmentedIq::leaveElig(DynInst *inst)
-{
-    if (!inst->seg.promoEligible)
-        return;
-    inst->seg.promoEligible = false;
-    eligCountDec(static_cast<unsigned>(inst->seg.segment));
 }
 
 void
 SegmentedIq::onSegSizeChanged(unsigned k)
 {
     // Branch-free: promotion moves flip these bits unpredictably.
-    const std::size_t free_now = params.segmentSize - segSize(k);
+    const std::size_t free_now = params.segmentSize - segCount[k];
     const std::uint64_t wbit = 1ULL << (k & 63);
     const std::uint64_t near = free_now < params.issueWidth ? wbit : 0;
     const std::uint64_t roomy =
@@ -769,21 +635,6 @@ SegmentedIq::onSegSizeChanged(unsigned k)
             : 0;
     nearFullW[k >> 6] = (nearFullW[k >> 6] & ~wbit) | near;
     roomyW[k >> 6] = (roomyW[k >> 6] & ~wbit) | roomy;
-    if (k < 64)
-        nearFullMask = (nearFullMask & ~wbit) | near;
-}
-
-void
-SegmentedIq::onLeaveQueue(const DynInstPtr &inst)
-{
-    DynInst *p = inst.get();
-    for (int s = 0; s < p->seg.numMemberships; ++s) {
-        unsubscribeMember(p, s);
-        if (p->seg.memberships[s].cdIdx >= 0)
-            removeMemberCd(p, s);
-    }
-    leaveElig(p);
-    --totalOcc;
 }
 
 void
@@ -825,143 +676,51 @@ SegmentedIq::emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
     cs.log.push_back(LoggedSignal{++cs.seqCounter, cycle, origin_segment,
                                   kind});
     syncChainHot(id);
-    if (soa()) {
-        // Step 5 pops expiry records front-first, so it must see them
-        // in cycle order.
-        SCIQ_ASSERT(expiry.empty() || expiry.back().cycle <= cycle,
-                    "chain signal at cycle %llu logged after cycle %llu",
-                    static_cast<unsigned long long>(cycle),
-                    static_cast<unsigned long long>(expiry.back().cycle));
-        expiry.push_back({cycle, id});
-        if (!cs.armPending) {
-            cs.armPending = true;
-            pendingArm.push_back(id);
-        }
-    } else {
-        std::int32_t &pos = activePos[static_cast<std::size_t>(id)];
-        if (pos < 0) {
-            pos = static_cast<std::int32_t>(activeChains.size());
-            activeChains.push_back(id);
-        }
+    // Step 5 pops expiry records front-first, so it must see them in
+    // cycle order.
+    SCIQ_ASSERT(expiry.empty() || expiry.back().cycle <= cycle,
+                "chain signal at cycle %llu logged after cycle %llu",
+                static_cast<unsigned long long>(cycle),
+                static_cast<unsigned long long>(expiry.back().cycle));
+    expiry.push_back({cycle, id});
+    if (!cs.armPending) {
+        cs.armPending = true;
+        pendingArm.push_back(id);
     }
     if (static_cast<double>(cs.log.size()) > logPeak.value())
         logPeak.set(static_cast<double>(cs.log.size()));
 }
 
 void
-SegmentedIq::deliverToMembership(ChainMembership &m, int segment, Cycle now)
-{
-    work.laneWordsTouched += 4;  // DynInst deref + one ChainMembership
-    if (m.chain == kNoChain)
-        return;
-    const ChainState &cs = stateOf(m.chain);
-    if (cs.gen != m.gen)
-        return;  // chain wire reused; all relevant signals were seen
-    for (std::size_t i = 0; i < cs.log.size(); ++i) {
-        const LoggedSignal &sig = cs.log.at(i);
-        ++work.signalDeliveries;
-        if (sig.seq <= m.appliedSeq)
-            continue;
-        const Cycle lag = segment > sig.originSegment
-                              ? static_cast<Cycle>(segment -
-                                                   sig.originSegment)
-                              : 0;
-        if (now < sig.cycle + lag)
-            break;  // not yet visible here; later signals even less so
-        m.appliedSeq = sig.seq;
-        switch (sig.kind) {
-          case SignalKind::Assert:
-            if (m.headSegment > 0) {
-                m.headSegment -= 1;
-                m.delay = std::max(0, m.delay - 2);
-            } else {
-                m.selfTimed = true;
-            }
-            break;
-          case SignalKind::Suspend:
-            m.suspended = true;
-            break;
-          case SignalKind::Resume:
-            m.suspended = false;
-            break;
-        }
-    }
-}
-
-void
-SegmentedIq::deliverToRegEntry(RegInfoEntry &e, const ChainState &cs,
-                               Cycle now)
-{
-    work.laneWordsTouched += 3;  // one RegInfoEntry
-    if (!e.pending || e.chain == kNoChain)
-        return;
-    if (cs.gen != e.gen)
-        return;
-    const int top = static_cast<int>(segments.size()) - 1;
-    for (std::size_t i = 0; i < cs.log.size(); ++i) {
-        const LoggedSignal &sig = cs.log.at(i);
-        ++work.signalDeliveries;
-        if (sig.seq <= e.appliedSeq)
-            continue;
-        const Cycle lag = top > sig.originSegment
-                              ? static_cast<Cycle>(top -
-                                                   sig.originSegment)
-                              : 0;
-        if (now < sig.cycle + lag)
-            break;
-        e.appliedSeq = sig.seq;
-        switch (sig.kind) {
-          case SignalKind::Assert:
-            if (e.headSeg > 0)
-                e.headSeg -= 1;
-            else
-                e.selfTimed = true;
-            break;
-          case SignalKind::Suspend:
-            e.suspended = true;
-            break;
-          case SignalKind::Resume:
-            e.suspended = false;
-            break;
-        }
-    }
-}
-
-void
 SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
 {
     ScopedTimer timer(profiling, prof.issueSec);
-    if (soa()) {
-        soaIssueSelect(cycle, try_issue);
-        return;
-    }
-    // Single pass: count ready entries for the stats sample and issue
-    // oldest-first in the same sweep.  Issuing never changes another
-    // entry's scoreboard readiness, so the fused count equals the
-    // pre-issue count the stats used to take in a separate scan.
-    auto &seg0 = segments[0];
-    const std::size_t occ0 = seg0.size();
+    const std::size_t occ0 = segCount[0];
     unsigned ready = 0;
     unsigned issued = 0;
-    for (auto it = seg0.begin(); it != seg0.end();) {
-        // No refcounted copy on the scan path: the pointer is only
-        // pinned (below) for the entry actually issued and erased.
-        work.laneWordsTouched += 3;  // DynInstPtr deref + operand fields
-        const bool r = operandsReady(**it);
-        if (r)
-            ++ready;
-        if (r && issued < params.issueWidth && try_issue(*it)) {
-            DynInstPtr inst = *it;
-            instsIssued.inc();
-            ++issued;
-            ++issuedThisCycle;
-            emitSignal(inst, SignalKind::Assert, 0, cycle);
-            onLeaveQueue(inst);
-            it = seg0.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    forEachByAge(
+        segRow(0),
+        [&](std::size_t w) {
+            ++work.laneWordsTouched;
+            return segWord(0, w);
+        },
+        [&](unsigned slot) {
+            ++work.laneWordsTouched;
+            const bool r = scoreboard.isReady(pool.src[0][slot]) &&
+                           scoreboard.isReady(pool.src[1][slot]);
+            if (r)
+                ++ready;
+            if (r && issued < params.issueWidth &&
+                try_issue(pool.inst[slot])) {
+                instsIssued.inc();
+                ++issued;
+                ++issuedThisCycle;
+                emitSignal(pool.headChain[slot], pool.headGen[slot],
+                           SignalKind::Assert, 0, cycle);
+                soaLeaveSlot(slot);
+            }
+            return true;
+        });
     seg0Ready.sample(static_cast<double>(ready));
     seg0Occupancy.sample(static_cast<double>(occ0));
     if (issued > 0)
@@ -969,30 +728,10 @@ SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
 }
 
 void
-SegmentedIq::moveInst(const DynInstPtr &inst, unsigned from, unsigned to,
-                      Cycle cycle)
-{
-    auto &src = segments[from];
-    auto it = std::find(src.begin(), src.end(), inst);
-    SCIQ_ASSERT(it != src.end(), "moveInst: inst not in segment %u", from);
-    work.laneWordsTouched += 6;  // erase/insert shuffles + index upkeep
-    leaveElig(inst.get());
-    src.erase(it);
-    onSegSizeChanged(from);
-    inst->seg.segment = static_cast<int>(to);
-    insertSorted(segments[to], inst);
-    onSegSizeChanged(to);
-    refreshElig(inst.get());
-
-    // A promoting chain head asserts its wire in the segment it leaves.
-    emitSignal(inst, SignalKind::Assert, static_cast<int>(from), cycle);
-}
-
-void
 SegmentedIq::setAuditTracking(bool on)
 {
     auditTracking = on;
-    const std::size_t n = segments.size();
+    const std::size_t n = numSegments();
     freePrevSnapshot.assign(on ? n : 0, params.segmentSize);
     promotedInto.assign(on ? n : 0, 0);
 }
@@ -1000,18 +739,14 @@ SegmentedIq::setAuditTracking(bool on)
 void
 SegmentedIq::dumpSegment(std::ostream &os, unsigned k) const
 {
-    os << "segment " << k << ": " << segSize(k) << "/" << params.segmentSize
+    os << "segment " << k << ": " << segCount[k] << "/" << params.segmentSize
        << " entries, admit threshold " << threshold(k) << "\n";
     std::vector<DynInstPtr> residents;
-    if (soa()) {
-        forEachByAge(segRow(k), [&](std::size_t w) { return segWord(k, w); },
-                     [&](unsigned slot) {
-                         residents.push_back(pool.inst[slot]);
-                         return true;
-                     });
-    } else {
-        residents = segments[k];
-    }
+    forEachByAge(segRow(k), [&](std::size_t w) { return segWord(k, w); },
+                 [&](unsigned slot) {
+                     residents.push_back(pool.inst[slot]);
+                     return true;
+                 });
     for (const auto &inst : residents) {
         os << "  seq=" << inst->seq << " pc=" << std::hex << inst->pc
            << std::dec << " seg=" << debugSegment(inst);
@@ -1036,19 +771,19 @@ SegmentedIq::dumpState(std::ostream &os) const
 {
     os << "segmented iq: occ=" << totalOcc << "/" << params.numEntries
        << " chains=" << chains.inUse() << "(peak " << chains.peak() << ")"
-       << " activeSegments=" << activeSegments << "/" << segments.size()
+       << " activeSegments=" << activeSegments << "/" << numSegments()
        << " deadlockCycles="
        << static_cast<std::uint64_t>(deadlockCycles.value())
        << " deadlockRecoveries="
        << static_cast<std::uint64_t>(deadlockRecoveries.value()) << "\n";
-    for (unsigned k = 0; k < segments.size(); ++k)
+    for (unsigned k = 0; k < numSegments(); ++k)
         dumpSegment(os, k);
 }
 
 void
 SegmentedIq::tick(Cycle cycle, bool core_busy)
 {
-    const unsigned n = static_cast<unsigned>(segments.size());
+    const unsigned n = numSegments();
 
     if (auditTracking) {
         freePrevSnapshot = freePrevCycle;
@@ -1063,29 +798,19 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     }
 
     // 1-3. Promotion, signal delivery, self-timed countdowns -- the
-    //    per-cycle scheduler substages, dispatched to the selected
-    //    engine (bit-identical architected behaviour either way).
+    //    per-cycle scheduler substages.
     promotedThisCycle = 0;
     {
         ScopedTimer t(profiling, prof.promoteSec);
-        if (soa())
-            soaTickPromote(cycle);
-        else
-            aosTickPromote(cycle);
+        tickPromote(cycle);
     }
     {
         ScopedTimer t(profiling, prof.deliverSec);
-        if (soa())
-            soaTickDeliver(cycle);
-        else
-            aosTickDeliver(cycle);
+        tickDeliver(cycle);
     }
     {
         ScopedTimer t(profiling, prof.countdownSec);
-        if (soa())
-            soaTickCountdown();
-        else
-            aosTickCountdown();
+        tickCountdown();
     }
 
     // 4. Deadlock detection and recovery (section 4.5).
@@ -1093,10 +818,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     if (occ > 0 && issuedThisCycle == 0 && promotedThisCycle == 0 &&
         !core_busy) {
         deadlockCycles.inc();
-        if (soa())
-            soaRunDeadlockRecovery(cycle);
-        else
-            runDeadlockRecovery(cycle);
+        runDeadlockRecovery(cycle);
     }
     issuedThisCycle = 0;
 
@@ -1105,30 +827,10 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     //    depth has been seen everywhere).
     for (unsigned k = 0; k < n; ++k) {
         freePrevCycle[k] =
-            static_cast<unsigned>(params.segmentSize - segSize(k));
+            static_cast<unsigned>(params.segmentSize - segCount[k]);
     }
-    if (cycle > n + 1 && soa()) {
-        soaExpireLogs(cycle - n - 1);
-    } else if (cycle > n + 1) {
-        const Cycle horizon = cycle - n - 1;
-        for (std::size_t c = 0; c < activeChains.size();) {
-            const ChainId id = activeChains[c];
-            ChainState &cs = chainStates[static_cast<std::size_t>(id)];
-            while (!cs.log.empty() && cs.log.front().cycle < horizon)
-                cs.log.pop_front();
-            if (!cs.log.empty()) {
-                ++c;
-            } else {
-                activePos[static_cast<std::size_t>(id)] = -1;
-                activeChains[c] = activeChains.back();
-                activeChains.pop_back();
-                if (c < activeChains.size()) {
-                    activePos[static_cast<std::size_t>(activeChains[c])] =
-                        static_cast<std::int32_t>(c);
-                }
-            }
-        }
-    }
+    if (cycle > n + 1)
+        expireLogs(cycle - n - 1);
 
     // 6. Dynamic segment resizing (paper section 7): gate segments by
     //    occupancy, shrinking only when the segment being turned off
@@ -1142,7 +844,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
             ++activeSegments;
             resizeGrows.inc();
         } else if (activeSegments > 1 &&
-                   segSize(activeSegments - 1) == 0 &&
+                   segCount[activeSegments - 1] == 0 &&
                    static_cast<double>(occ) <
                        params.resizeShrinkOcc *
                            static_cast<double>(activeSegments - 1) *
@@ -1158,228 +860,6 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     chainsInUseAvg.sample(static_cast<double>(chains.inUse()));
     if (profiling)
         ++prof.ticks;
-}
-
-void
-SegmentedIq::aosTickPromote(Cycle cycle)
-{
-    // Promotion, per segment boundary, oldest-eligible first, limited
-    // by inter-segment bandwidth and by the *previous* cycle's free
-    // count in the destination (section 3.1).  Only dirty segments --
-    // ones with tracked promotion candidates or pushdown pressure --
-    // are visited; a segment with neither has empty eligible/pushdown
-    // lists and its round is a no-op.
-    const unsigned n = static_cast<unsigned>(segments.size());
-    unsigned dirty = 0;
-    const bool any_candidates =
-        n > 64 || eligMask != 0 ||
-        (params.enablePushdown && nearFullMask != 0);
-    for (unsigned k = 1; any_candidates && k < n; ++k) {
-        auto &seg = segments[k];
-        if (seg.empty())
-            continue;
-        ++work.segmentsScanned;
-        work.laneWordsTouched += 2;  // size/free probes
-
-        bool pushdown_possible = false;
-        const unsigned iw = params.issueWidth;
-        const std::size_t free_here = params.segmentSize - seg.size();
-        const std::size_t free_below =
-            params.segmentSize - segments[k - 1].size();
-        if (params.enablePushdown) {
-            pushdown_possible =
-                free_here < iw &&
-                free_below * 2 > 3 * iw;  // > 1.5*IW without floats
-        }
-        if (eligCount[k] == 0 && !pushdown_possible)
-            continue;
-        ++dirty;
-
-        const int thresh = threshold(k - 1);
-        std::vector<DynInstPtr> &eligible = scratchElig;
-        std::vector<DynInstPtr> &pushdown = scratchPush;
-        eligible.clear();
-        pushdown.clear();
-        for (auto &inst : seg) {
-            work.laneWordsTouched += 3;  // ptr deref + membership delays
-            if (effectiveDelay(*inst) < thresh)
-                eligible.push_back(inst);
-        }
-
-        if (pushdown_possible) {
-            for (auto &inst : seg) {
-                if (pushdown.size() >= iw)
-                    break;
-                work.laneWordsTouched += 3;
-                if (effectiveDelay(*inst) >= thresh)
-                    pushdown.push_back(inst);
-            }
-        }
-
-        unsigned budget = std::min<unsigned>(
-            params.issueWidth,
-            std::min<unsigned>(
-                freePrevCycle[k - 1],
-                static_cast<unsigned>(params.segmentSize -
-                                      segments[k - 1].size())));
-        if (params.auditInjectOverPromote) {
-            // Test-only fault: drop the previous-cycle free bound and
-            // fill whatever space the destination has *now*.
-            budget = std::min<unsigned>(
-                params.issueWidth,
-                static_cast<unsigned>(params.segmentSize -
-                                      segments[k - 1].size()));
-        }
-
-        for (auto &inst : eligible) {
-            if (budget == 0)
-                break;
-            moveInst(inst, k, k - 1, cycle);
-            promotions.inc();
-            ++promotedThisCycle;
-            if (auditTracking)
-                ++promotedInto[k - 1];
-            --budget;
-        }
-        for (auto &inst : pushdown) {
-            if (budget == 0)
-                break;
-            moveInst(inst, k, k - 1, cycle);
-            promotions.inc();
-            pushdownPromotions.inc();
-            ++promotedThisCycle;
-            if (auditTracking)
-                ++promotedInto[k - 1];
-            --budget;
-        }
-        eligible.clear();
-        pushdown.clear();
-    }
-    dirtySegments.inc(static_cast<double>(dirty));
-}
-
-void
-SegmentedIq::aosTickDeliver(Cycle cycle)
-{
-    // Deliver chain-wire signals (including those generated by this
-    // cycle's issues and promotions) with pipelined visibility.  Only
-    // chains with in-flight signals can change listener state, and per
-    // chain only its subscribers are walked; everything a full sweep
-    // would touch beyond that is a guaranteed no-op (no-chain
-    // membership, stale generation, or empty log).
-    for (ChainId id : activeChains) {
-        ChainState &cs = chainStates[static_cast<std::size_t>(id)];
-        if (cs.log.empty())
-            continue;
-        for (const MemberSub &sub : cs.memberSubs) {
-            deliverToMembership(sub.inst->seg.memberships[sub.slot],
-                                sub.inst->seg.segment, cycle);
-            subSyncMemberCd(sub.inst, sub.slot);
-            refreshElig(sub.inst);
-        }
-        for (RegIndex r : cs.regSubs) {
-            deliverToRegEntry(regInfo[r], cs, cycle);
-            syncRegCd(r);
-        }
-    }
-}
-
-void
-SegmentedIq::aosTickCountdown()
-{
-    // Self-timed countdowns (members and table entries), walking the
-    // explicit countdown lists.  List membership is exactly the old
-    // sweep's predicate (selfTimed, not suspended, delay > 0), and
-    // decrements of distinct entries commute, so any visit order
-    // matches the sweep.  Removal swaps the back element into the
-    // hole, so the index does not advance then.
-    for (std::size_t i = 0; i < memberCountdown.size();) {
-        const CdRef ref = memberCountdown[i];
-        ChainMembership &mem = ref.inst->seg.memberships[ref.slot];
-        work.laneWordsTouched += 3;
-        mem.delay -= 1;
-        refreshElig(ref.inst);
-        if (mem.delay == 0)
-            removeMemberCd(ref.inst, ref.slot);
-        else
-            ++i;
-    }
-    for (std::size_t i = 0; i < regCountdown.size();) {
-        const RegIndex r = regCountdown[i];
-        work.laneWordsTouched += 2;
-        regInfo[r].latency -= 1;
-        if (regInfo[r].latency == 0)
-            syncRegCd(r);
-        else
-            ++i;
-    }
-}
-
-void
-SegmentedIq::runDeadlockRecovery(Cycle cycle)
-{
-    deadlockRecoveries.inc();
-    const unsigned n = static_cast<unsigned>(segments.size());
-
-    // If the issue buffer is full of non-ready instructions, recycle
-    // its youngest back to the top segment (placed after the bottom-up
-    // force promotions have guaranteed it a slot).
-    DynInstPtr recycled;
-    if (activeSegments > 1 && segments[0].size() >= params.segmentSize) {
-        recycled = segments[0].back();
-        leaveElig(recycled.get());
-        segments[0].pop_back();
-        onSegSizeChanged(0);
-    }
-
-    // Force every full segment to promote one instruction downward;
-    // processing bottom-up guarantees the destination has a slot.
-    for (unsigned k = 1; k < n; ++k) {
-        if (segments[k].size() < params.segmentSize)
-            continue;
-        if (segments[k - 1].size() >= params.segmentSize)
-            continue;  // cannot happen after bottom-up processing
-        DynInstPtr oldest = segments[k].front();
-        moveInst(oldest, k, k - 1, cycle);
-        promotions.inc();
-        ++promotedThisCycle;
-    }
-
-    // With nothing full, nothing promoted and nothing in flight, the
-    // scheduler has stalled on stale delay values; nudge the oldest
-    // instruction in the lowest non-empty segment downward so the
-    // oldest ready instruction eventually reaches the issue buffer.
-    if (promotedThisCycle == 0 && !recycled) {
-        for (unsigned k = 1; k < n; ++k) {
-            if (segments[k].empty())
-                continue;
-            if (segments[k - 1].size() < params.segmentSize) {
-                DynInstPtr oldest = segments[k].front();
-                moveInst(oldest, k, k - 1, cycle);
-                promotions.inc();
-                ++promotedThisCycle;
-            }
-            break;
-        }
-    }
-
-    if (recycled) {
-        const unsigned top = activeSegments - 1;
-        recycled->seg.segment = static_cast<int>(top);
-        if (recycled->seg.headedChain != kNoChain &&
-            !recycled->seg.chainReleased) {
-            ChainState &cs = stateOf(recycled->seg.headedChain);
-            if (cs.gen == recycled->seg.headedGen) {
-                cs.headSegment = static_cast<int>(top);
-                syncChainHot(recycled->seg.headedChain);
-            }
-        }
-        insertSorted(segments[top], recycled);
-        onSegSizeChanged(top);
-        refreshElig(recycled.get());
-        SCIQ_ASSERT(segments[top].size() <= params.segmentSize,
-                    "deadlock recovery overflowed the top segment");
-    }
 }
 
 void
@@ -1403,7 +883,7 @@ SegmentedIq::releaseChain(const DynInstPtr &inst, Cycle cycle)
     // seen at the top of the queue.
     inst->seg.chainReleased = true;
     chainDrainQueue.emplace_back(inst->seg.headedChain,
-                                 cycle + segments.size() + 2);
+                                 cycle + numSegments() + 2);
 }
 
 void
@@ -1430,8 +910,7 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
         regInfo[r] = undoLog.back().prev;
         if (regInfo[r].pending && regInfo[r].chain != kNoChain)
             subscribeReg(r);
-        if (soa())
-            armReg(r);  // may have fallen behind its wire
+        armReg(r);  // may have fallen behind its wire
         syncRegCd(r);
         undoLog.pop_back();
     }
@@ -1441,33 +920,26 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
 void
 SegmentedIq::squash(SeqNum youngest_kept)
 {
-    if (soa()) {
-        soaSquash(youngest_kept);
-        return;
+    // The squashed entries hold the youngest dispatch positions: rewind
+    // the cursor over them (issued ones included, by their kept seq
+    // lane) and release the residents among them.
+    for (unsigned step = 0; step < poolSize; ++step) {
+        const unsigned prev = (cursor == 0 ? poolSize : cursor) - 1;
+        if (pool.seq[prev] <= youngest_kept)
+            break;
+        cursor = prev;
+        if (pool.seg[prev] != kFreeSlot)
+            soaLeaveSlot(prev);
     }
-    // Segments are seq-sorted, so the squashed set is a suffix.
-    for (unsigned k = 0; k < segments.size(); ++k) {
-        auto &seg = segments[k];
-        auto pos = std::upper_bound(
-            seg.begin(), seg.end(), youngest_kept,
-            [](SeqNum s, const DynInstPtr &p) { return s < p->seq; });
-        if (pos == seg.end())
-            continue;
-        for (auto it = pos; it != seg.end(); ++it)
-            onLeaveQueue(*it);
-        seg.erase(pos, seg.end());
+    for (unsigned k = 0; k < segCount.size(); ++k)
         onSegSizeChanged(k);
-    }
 }
 
-// --- Data-oriented engine (DESIGN.md section 16) -------------------------
-// Every function below is an exact behavioural mirror of its reference
-// counterpart above: same visit order where order is observable, same
-// stat increments, same architected state transitions.  The difference
-// is purely representational: a slot pool numbered by dispatch
-// position and segment bitmasks instead of objects in sorted vectors,
-// and delivery to the listeners whose signal arrives this cycle
-// instead of per-subscriber log scans of every active chain.
+// --- Slot pool (DESIGN.md section 16) ------------------------------------
+// Per-entry scheduler state lives in a pool of slots numbered by
+// dispatch position, each segment is a bitmask over the pool, and
+// delivery visits only the listeners whose next signal arrives this
+// cycle.
 
 int
 SegmentedIq::laneEffDelay(unsigned slot) const
@@ -1761,7 +1233,7 @@ SegmentedIq::armReg(RegIndex r)
         return;
     if (const LoggedSignal *sig = firstPending(chainStates[c], e.appliedSeq)) {
         ++work.signalDeliveries;
-        due = schedule(arrivalAt(*sig, static_cast<int>(segments.size()) - 1),
+        due = schedule(arrivalAt(*sig, static_cast<int>(numSegments()) - 1),
                        kRegKey | static_cast<std::uint32_t>(r));
     }
 }
@@ -1769,10 +1241,10 @@ SegmentedIq::armReg(RegIndex r)
 void
 SegmentedIq::armListeners(ChainId id)
 {
-    // A listener already due is blocked behind an earlier entry (the
-    // reference scan stops at the first invisible one), so only the
-    // caught-up ones learn a due cycle: their first unapplied entry's
-    // arrival at the segment they are in now.
+    // A listener already due is blocked behind an earlier entry (a
+    // delivery scan stops at the first one not yet visible), so only
+    // the caught-up ones learn a due cycle: their first unapplied
+    // entry's arrival at the segment they are in now.
     ChainState &cs = chainStates[static_cast<std::size_t>(id)];
     cs.armPending = false;
     for (const SoaSub &sub : cs.soaSubs) {
@@ -1784,7 +1256,7 @@ SegmentedIq::armListeners(ChainId id)
                 firstPending(cs, pool.applied[sub.mem][sub.slot]))
             armLane(sub.slot, sub.mem, *sig);
     }
-    const int top = static_cast<int>(segments.size()) - 1;
+    const int top = static_cast<int>(numSegments()) - 1;
     for (RegIndex r : cs.regSubs) {
         ++work.laneWordsTouched;
         const RegInfoEntry &e = regInfo[r];
@@ -1846,7 +1318,7 @@ SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
 }
 
 void
-SegmentedIq::soaTickPromote(Cycle cycle)
+SegmentedIq::tickPromote(Cycle cycle)
 {
     unsigned dirty = 0;
     const unsigned iw = params.issueWidth;
@@ -1877,8 +1349,8 @@ SegmentedIq::soaTickPromote(Cycle cycle)
         if (budget == 0)
             continue;  // no room below: the round would move nothing
 
-        // Candidates (elig bit set: the reference engine's effDelay-vs-
-        // threshold predicate) oldest first, then pushdown victims
+        // Candidates (elig bit set: effective delay below the threshold
+        // of the segment below) oldest first, then pushdown victims
         // (the rest) oldest first, together at most the budget.
         std::uint32_t *moves = scratchMoves.data();
         std::size_t n = 0;
@@ -1922,7 +1394,7 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
     const ChainState &cs =
         chainStates[static_cast<std::size_t>(pool.chain[m][slot])];
     if (pool.gen[m][slot] != cs.gen)
-        return;  // wire reused; skipped like the reference
+        return;  // wire reused: its old signals were all seen
     work.laneWordsTouched += 3;
     const int s = pool.seg[slot];
     const std::size_t log_sz = cs.log.size();
@@ -1932,8 +1404,7 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
         return arrivalAt(cs.log.at(i), s) <= now;
     };
     // Apply, in log order, the entries visible at this segment past
-    // the applied prefix, stopping at the first that is not -- the
-    // reference engine's per-listener scan.
+    // the applied prefix, stopping at the first that is not.
     if (i < log_sz && visible()) {
         std::int32_t d = pool.delay[m][slot];
         std::int16_t hs = pool.headSeg[m][slot];
@@ -1979,7 +1450,7 @@ SegmentedIq::soaDeliverReg(RegIndex r, Cycle now)
     if (cs.gen != e.gen)
         return;
     work.laneWordsTouched += 2;
-    const int top = static_cast<int>(segments.size()) - 1;
+    const int top = static_cast<int>(numSegments()) - 1;
     const std::size_t log_sz = cs.log.size();
     std::size_t i = firstUnapplied(cs, e.appliedSeq);
     Cycle at = 0;
@@ -2013,7 +1484,7 @@ SegmentedIq::soaDeliverReg(RegIndex r, Cycle now)
 }
 
 void
-SegmentedIq::soaTickDeliver(Cycle cycle)
+SegmentedIq::tickDeliver(Cycle cycle)
 {
     // The core ticks every cycle, so this cycle's bucket holds exactly
     // the listeners due now, plus stale keys: a listener that moved,
@@ -2045,10 +1516,10 @@ SegmentedIq::soaTickDeliver(Cycle cycle)
 }
 
 void
-SegmentedIq::soaTickCountdown()
+SegmentedIq::tickCountdown()
 {
-    // Decrements of distinct slots commute, so walking the pool in slot
-    // order matches the reference engine's list order.
+    // Decrements of distinct slots commute, so the pool is walked in
+    // slot order.
     for (int m = 0; m < 2; ++m) {
         forEachBitFrom(
             pool.cdSummary[m].data(), pool.cdSummary[m].size(), 0,
@@ -2081,60 +1552,7 @@ SegmentedIq::soaTickCountdown()
 }
 
 void
-SegmentedIq::soaIssueSelect(Cycle cycle, const TryIssue &try_issue)
-{
-    const std::size_t occ0 = segCount[0];
-    unsigned ready = 0;
-    unsigned issued = 0;
-    forEachByAge(
-        segRow(0),
-        [&](std::size_t w) {
-            ++work.laneWordsTouched;
-            return segWord(0, w);
-        },
-        [&](unsigned slot) {
-            ++work.laneWordsTouched;
-            const bool r = scoreboard.isReady(pool.src[0][slot]) &&
-                           scoreboard.isReady(pool.src[1][slot]);
-            if (r)
-                ++ready;
-            if (r && issued < params.issueWidth &&
-                try_issue(pool.inst[slot])) {
-                instsIssued.inc();
-                ++issued;
-                ++issuedThisCycle;
-                emitSignal(pool.headChain[slot], pool.headGen[slot],
-                           SignalKind::Assert, 0, cycle);
-                soaLeaveSlot(slot);
-            }
-            return true;
-        });
-    seg0Ready.sample(static_cast<double>(ready));
-    seg0Occupancy.sample(static_cast<double>(occ0));
-    if (issued > 0)
-        onSegSizeChanged(0);
-}
-
-void
-SegmentedIq::soaSquash(SeqNum youngest_kept)
-{
-    // The squashed entries hold the youngest dispatch positions: rewind
-    // the cursor over them (issued ones included, by their kept seq
-    // lane) and release the residents among them.
-    for (unsigned step = 0; step < poolSize; ++step) {
-        const unsigned prev = (cursor == 0 ? poolSize : cursor) - 1;
-        if (pool.seq[prev] <= youngest_kept)
-            break;
-        cursor = prev;
-        if (pool.seg[prev] != kFreeSlot)
-            soaLeaveSlot(prev);
-    }
-    for (unsigned k = 0; k < segCount.size(); ++k)
-        onSegSizeChanged(k);
-}
-
-void
-SegmentedIq::soaRunDeadlockRecovery(Cycle cycle)
+SegmentedIq::runDeadlockRecovery(Cycle cycle)
 {
     deadlockRecoveries.inc();
     const unsigned n = static_cast<unsigned>(segCount.size());
@@ -2200,12 +1618,12 @@ SegmentedIq::soaRunDeadlockRecovery(Cycle cycle)
 }
 
 void
-SegmentedIq::soaExpireLogs(Cycle horizon)
+SegmentedIq::expireLogs(Cycle horizon)
 {
     // Records are in cycle order, and every log entry older than the
     // horizon has one here, so popping the expired records reaches
-    // every chain the reference engine's prune would trim.  A record
-    // whose entry went with a wire reuse trims nothing.
+    // every log holding such an entry.  A record whose entry went with
+    // a wire reuse trims nothing.
     while (!expiry.empty() && expiry.front().cycle < horizon) {
         ChainState &cs =
             chainStates[static_cast<std::size_t>(expiry.front().chain)];
@@ -2229,8 +1647,6 @@ SegmentedIq::slotOf(const DynInst &inst) const
 ChainMembership
 SegmentedIq::debugMembership(const DynInstPtr &inst, int m) const
 {
-    if (!soa())
-        return inst->seg.memberships[m];
     const unsigned slot = slotOf(*inst);
     ChainMembership out;
     out.chain = pool.chain[m][slot];
@@ -2246,13 +1662,13 @@ SegmentedIq::debugMembership(const DynInstPtr &inst, int m) const
 int
 SegmentedIq::debugEffectiveDelay(const DynInstPtr &inst) const
 {
-    return soa() ? laneEffDelay(slotOf(*inst)) : effectiveDelay(*inst);
+    return laneEffDelay(slotOf(*inst));
 }
 
 int
 SegmentedIq::debugSegment(const DynInstPtr &inst) const
 {
-    return soa() ? pool.seg[slotOf(*inst)] : inst->seg.segment;
+    return pool.seg[slotOf(*inst)];
 }
 
 } // namespace sciq

@@ -28,28 +28,20 @@
  * that entries which move between segments (promotion, dispatch
  * bypass, deadlock recovery) never miss or double-apply a signal.
  *
- * Scheduling is event-driven (DESIGN.md section 11): signal delivery
- * walks only the chains with in-flight signals and, per chain, only
- * the entries subscribed to it; self-timed countdowns walk explicit
- * countdown lists; the promotion pass visits only segments with
- * promotion candidates (or pushdown pressure), tracked incrementally
- * on every delay/segment change.  Per-cycle cost is therefore
- * proportional to scheduler *activity*, not queue occupancy.  The
- * invariant auditor (audit=1) re-derives every index from a full
- * rescan each cycle and counts disagreements.
- *
- * Two engines share this class (DESIGN.md section 16).  The default
- * data-oriented engine (`iq_soa=1`) keeps per-entry scheduler state in
- * one pool of structure-of-arrays slots numbered by dispatch position,
- * so every segment is an age-ordered bitmask and promotion is a
- * relabel; eligibility/countdown bitmask words; chain-wire delivery
- * from a calendar of listeners keyed by the cycle their next signal
- * arrives; log expiry from a time-ordered queue; and a
- * register-availability mask that lets independent instructions skip
- * the dispatch plan entirely.  The original object-per-entry engine
- * (`iq_soa=0`) is retained as the bit-identical differential
- * reference; architected stats, checkpoints and sweep JSON are
- * byte-identical between the two.
+ * Scheduling is event-driven (DESIGN.md sections 11 and 16).
+ * Per-entry scheduler state lives in one pool of structure-of-arrays
+ * slots numbered by dispatch position, so every segment is an
+ * age-ordered bitmask and promotion is a relabel.  Promotion visits
+ * only segments with candidates (or pushdown pressure), tracked in
+ * eligibility words on every delay/segment change; self-timed
+ * countdowns walk countdown bitmask words; chain-wire delivery takes
+ * the listeners from a calendar keyed by the cycle their next signal
+ * arrives; logs expire from a time-ordered queue; and a
+ * register-availability mask lets independent instructions skip the
+ * dispatch plan entirely.  Per-cycle cost is therefore proportional to
+ * scheduler *activity*, not queue occupancy.  The invariant auditor
+ * (audit=1) re-derives every index from a full rescan each cycle and
+ * counts disagreements.
  */
 
 #ifndef SCIQ_IQ_SEGMENTED_IQ_HH
@@ -97,10 +89,10 @@ class SegmentedIq : public IqBase
     unsigned
     numSegments() const
     {
-        return static_cast<unsigned>(segments.size());
+        return static_cast<unsigned>(segCount.size());
     }
 
-    std::size_t segmentOccupancy(unsigned k) const { return segSize(k); }
+    std::size_t segmentOccupancy(unsigned k) const { return segCount[k]; }
 
     /** Promotion threshold of segment k (paper section 3.1). */
     static int threshold(unsigned k) { return 2 * (static_cast<int>(k) + 1); }
@@ -110,10 +102,10 @@ class SegmentedIq : public IqBase
 
     /**
      * Deterministic host-work counters (DESIGN.md section 16.5).
-     * Plain integers outside the stats tree: they measure *host* effort
-     * (and so differ between the two engines), while the stats tree
-     * stays byte-identical across `iq_soa={0,1}`.  Exact and
-     * noise-free, so CI can gate on them where wall-clock would flake.
+     * Plain integers outside the stats tree: they measure *host*
+     * effort, which a faster scheduler lowers without changing any
+     * simulated result.  Exact and noise-free, so CI can gate on them
+     * where wall-clock would flake.
      */
     struct WorkCounters
     {
@@ -142,15 +134,14 @@ class SegmentedIq : public IqBase
     const TickProfile &profile() const { return prof; }
 
     /**
-     * Test/debug view of a resident instruction's membership `m` under
-     * either engine (the SoA engine keeps the authoritative copy in
-     * lanes; the AoS mirror inside DynInst is stale after insert).
-     * Index back-pointers are engine-internal and reported as -1.
+     * Test/debug view of a resident instruction's membership `m` (the
+     * pool lanes hold the live copy; the one inside DynInst is its
+     * state at dispatch).
      */
     ChainMembership debugMembership(const DynInstPtr &inst, int m) const;
     int debugEffectiveDelay(const DynInstPtr &inst) const;
-    /** Current segment of a resident instruction (the SoA engine keeps
-     *  it in the pool; `inst->seg.segment` is its dispatch segment). */
+    /** Current segment of a resident instruction (kept in the pool;
+     *  `inst->seg.segment` is its dispatch segment). */
     int debugSegment(const DynInstPtr &inst) const;
 
     /** Segments currently powered (== numSegments unless resizing). */
@@ -204,10 +195,10 @@ class SegmentedIq : public IqBase
 
     /**
      * Growable FIFO ring (power-of-two capacity, doubled when full).
-     * Holds a chain's in-flight signal log and the SoA engine's log
-     * expiry queue; pruning at the delivery horizon (tick step 5)
-     * keeps both populations to the wire pipeline depth, so the rings
-     * stay at their initial capacity in practice.
+     * Holds a chain's in-flight signal log and the log expiry queue;
+     * pruning at the delivery horizon (tick step 5) keeps both
+     * populations to the wire pipeline depth, so the rings stay at
+     * their initial capacity in practice.
      */
     template <class T>
     class Ring
@@ -254,18 +245,12 @@ class SegmentedIq : public IqBase
         std::size_t count = 0;
     };
 
-    /** One resident-entry subscription to a chain wire. */
-    struct MemberSub
-    {
-        DynInst *inst;
-        int slot;  ///< membership index within the instruction
-    };
-
     /**
-     * SoA-engine subscriber record: names a pool slot, not an object,
-     * so arming a chain's listeners never dereferences a DynInst.  A
-     * slot keeps its index for the entry's whole residency, so moves
-     * never rewrite the record; arming reads the segment from the pool.
+     * Subscriber record of a resident's membership: names a pool slot,
+     * not an object, so arming a chain's listeners never dereferences
+     * a DynInst.  A slot keeps its index for the entry's whole
+     * residency, so moves never rewrite the record; arming reads the
+     * segment from the pool.
      */
     struct SoaSub
     {
@@ -276,11 +261,10 @@ class SegmentedIq : public IqBase
     /**
      * Authoritative per-chain-wire state, read by dispatch when a new
      * member joins, plus the signal log in-flight entries consume and
-     * the subscriber index a signal arms (SoA) or delivery walks
-     * (reference).  Subscriber lists survive wire reuse: stale-
-     * generation subscribers are skipped by the generation check and
-     * unsubscribe through their normal lifecycle (issue, squash, table
-     * overwrite).
+     * the subscriber index a signal arms.  Subscriber lists survive
+     * wire reuse: stale-generation subscribers are skipped by the
+     * generation check and unsubscribe through their normal lifecycle
+     * (issue, squash, table overwrite).
      */
     struct ChainState
     {
@@ -290,15 +274,14 @@ class SegmentedIq : public IqBase
         bool suspended = false;
         std::uint64_t seqCounter = 0;
         Ring<LoggedSignal> log;
-        std::vector<SoaSub> soaSubs;        ///< resident listeners (SoA)
-        std::vector<RegIndex> regSubs;      ///< regInfo listeners
-        std::vector<MemberSub> memberSubs;  ///< resident listeners (AoS)
-        bool armPending = false;  ///< SoA: on pendingArm
+        std::vector<SoaSub> soaSubs;    ///< resident listeners
+        std::vector<RegIndex> regSubs;  ///< regInfo listeners
+        bool armPending = false;        ///< on pendingArm
     };
 
     /**
      * Packed mirror of the ChainState scalars computePlan reads (16
-     * bytes, four per cache line), so the SoA dispatch path never
+     * bytes, four per cache line), so the dispatch path never
      * touches the cold ChainState objects.  Written at wire (re)init,
      * emitSignal, and deadlock recovery; audited against ChainState.
      */
@@ -361,8 +344,6 @@ class SegmentedIq : public IqBase
     /** Dispatch target segment honouring the bypass rule (section 4.2). */
     int targetSegment() const;
 
-    int effectiveDelay(const DynInst &inst) const;
-
     ChainState &stateOf(ChainId id);
     const ChainState &stateOf(ChainId id) const;
 
@@ -373,74 +354,30 @@ class SegmentedIq : public IqBase
     void emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
                     int origin_segment, Cycle cycle);
 
-    /** Apply every signal now visible at this entry's segment. */
-    void deliverToMembership(ChainMembership &m, int segment, Cycle now);
-
-    /** Apply every signal now visible at the table (top segment). */
-    void deliverToRegEntry(RegInfoEntry &e, const ChainState &cs,
-                           Cycle now);
-
     // --- Incremental-index maintenance (section 11) ----------------------
-    // Subscriber lists, countdown lists and promotion-candidate counts
-    // are redundant views over the authoritative per-entry state; every
-    // mutation site keeps them in sync and the auditor re-derives them
-    // from a full rescan under audit=1.
-
-    /** Register membership `slot` of `inst` on its chain's wire. */
-    void subscribeMember(DynInst *inst, int slot);
-    void unsubscribeMember(DynInst *inst, int slot);
-
-    /** Keep membership `slot` on/off the self-timed countdown list. */
-    void subSyncMemberCd(DynInst *inst, int slot);
-    void removeMemberCd(DynInst *inst, int slot);
+    // Subscriber lists, countdown lists and bits, and promotion-candidate
+    // counts are redundant views over the authoritative per-entry state;
+    // every mutation site keeps them in sync and the auditor re-derives
+    // them from a full rescan under audit=1.
 
     void subscribeReg(RegIndex r);
     void unsubscribeReg(RegIndex r);
     /** Keep table entry r on/off the self-timed countdown list. */
     void syncRegCd(RegIndex r);
 
-    /** Recompute promotion eligibility of a resident instruction. */
-    void refreshElig(DynInst *inst);
-    void leaveElig(DynInst *inst);
-
-    /** Update the near-full (pushdown pressure) bit for segment k. */
+    /** Update the pushdown-pressure bits for segment k. */
     void onSegSizeChanged(unsigned k);
-
-    /** Drop every index reference as inst leaves the queue. */
-    void onLeaveQueue(const DynInstPtr &inst);
-
-    void insertSorted(std::vector<DynInstPtr> &seg, const DynInstPtr &inst);
-
-    /** Entries in segment k under the selected engine. */
-    std::size_t
-    segSize(unsigned k) const
-    {
-        return soa() ? segCount[k] : segments[k].size();
-    }
-
-    /** Move inst down one pipeline step; heads assert their wire. */
-    void moveInst(const DynInstPtr &inst, unsigned from, unsigned to,
-                  Cycle cycle);
 
     /** Begin the delayed release of a head's chain wire. */
     void releaseChain(const DynInstPtr &inst, Cycle cycle);
 
-    void runDeadlockRecovery(Cycle cycle);
-
-    // tick() substages of the reference (object-per-entry) engine.
-    void aosTickPromote(Cycle cycle);
-    void aosTickDeliver(Cycle cycle);
-    void aosTickCountdown();
-
-    // --- Data-oriented engine (DESIGN.md section 16) ---------------------
+    // --- Slot pool (DESIGN.md section 16) --------------------------------
     // Scheduler state lives in one pool of robSize slots.  Slot i holds
     // the entry dispatched at a position congruent to i modulo the pool
     // size, so reading occupied slots circularly from the dispatch
     // cursor visits them in age order.  A segment is a bitmask over the
     // slots plus a count: promotion, pushdown and the deadlock recycle
     // flip two bits and relabel the slot without copying lane data.
-
-    bool soa() const { return params.soaLayout; }
 
     static constexpr std::uint16_t kFreeSlot = 0xffff;  ///< seg of a free slot
     static constexpr Cycle kNotDue = ~Cycle{0};  ///< listener is caught up
@@ -576,14 +513,14 @@ class SegmentedIq : public IqBase
     void soaDeliverReg(RegIndex r, Cycle now);
 
     void soaInsert(const DynInstPtr &inst, int target, const Plan &plan);
-    void soaTickPromote(Cycle cycle);
-    void soaTickDeliver(Cycle cycle);
-    void soaTickCountdown();
-    void soaIssueSelect(Cycle cycle, const TryIssue &try_issue);
-    void soaSquash(SeqNum youngest_kept);
-    void soaRunDeadlockRecovery(Cycle cycle);
+
+    // tick() substages.
+    void tickPromote(Cycle cycle);
+    void tickDeliver(Cycle cycle);
+    void tickCountdown();
+    void runDeadlockRecovery(Cycle cycle);
     /** Step 5: drop log entries every listener has seen. */
-    void soaExpireLogs(Cycle horizon);
+    void expireLogs(Cycle horizon);
 
     /** Pool slot of a resident instruction (linear search; debug only). */
     unsigned slotOf(const DynInst &inst) const;
@@ -591,14 +528,14 @@ class SegmentedIq : public IqBase
     /** All gating arch sources available in the table (regAvail hit)? */
     bool fastPlanEligible(const DynInst &inst) const;
 
-    // Shared transition helpers behind eligCount/eligMask/eligSegW.
+    // Transition helpers behind eligCount/eligSegW.
     void eligCountInc(unsigned k);
     void eligCountDec(unsigned k);
 
     /** Mirror a wire's ChainState scalars into chainHot. */
     void syncChainHot(ChainId id);
 
-    SlotPool pool;                     ///< SoA engine only
+    SlotPool pool;
     unsigned poolSize = 0;             ///< slots (the ROB capacity)
     std::size_t poolWords = 0;         ///< 64-bit words per slot mask
     unsigned cursor = 0;               ///< slot of the next dispatch
@@ -617,7 +554,7 @@ class SegmentedIq : public IqBase
     Cycle lastPass = 0;                ///< cycle of the last delivery pass
     std::array<Cycle, kNumArchRegs> regDue;  ///< due cycle per table entry
 
-    /** One logged signal's expiry record (SoA step 5). */
+    /** One logged signal's expiry record (tick step 5). */
     struct Expiry
     {
         Cycle cycle;
@@ -630,22 +567,18 @@ class SegmentedIq : public IqBase
     /** Bit r: regInfo[r] names an available value (entryAvailable). */
     std::uint64_t regAvail = ~0ULL;
 
-    // Promotion-candidate masks generalised to any segment count (the
-    // legacy eligMask/nearFullMask cover k < 64 for the AoS engine).
+    // Promotion-candidate masks over the segments.
     std::vector<std::uint64_t> eligSegW;   ///< segments with candidates
     std::vector<std::uint64_t> nearFullW;  ///< free < issueWidth
     std::vector<std::uint64_t> roomyW;     ///< 2*free > 3*issueWidth
 
-    // SoA promotion scratch (slots moved per round).
+    // Promotion scratch (slots moved per round).
     std::vector<std::uint32_t> scratchMoves;
 
     mutable WorkCounters work;
     bool profiling = false;
     TickProfile prof;
 
-    /** Reference engine's segments ([0]=issue buffer); all stay empty
-     *  under SoA, where segBits holds the residents. */
-    std::vector<std::vector<DynInstPtr>> segments;
     std::vector<unsigned> freePrevCycle;            ///< per segment
 
     std::vector<ChainState> chainStates;
@@ -653,22 +586,6 @@ class SegmentedIq : public IqBase
 
     // --- Incremental scheduling indices (section 11) ---------------------
 
-    /**
-     * Reference engine: chains with a non-empty signal log (unordered,
-     * swap-removed; a wire reuse may leave one with an empty log until
-     * its next prune).  The SoA engine delivers by arrival cycle and
-     * expires logs by time instead.
-     */
-    std::vector<ChainId> activeChains;
-    std::vector<std::int32_t> activePos;  ///< per chain; -1: not active
-
-    /** One self-timed countdown reference (membership slot). */
-    struct CdRef
-    {
-        DynInst *inst;
-        int slot;
-    };
-    std::vector<CdRef> memberCountdown;   ///< memberships counting down
     std::vector<RegIndex> regCountdown;   ///< table entries counting down
 
     // Back-pointers for O(1) swap-removal from the register-side lists.
@@ -677,13 +594,7 @@ class SegmentedIq : public IqBase
     std::array<ChainId, kNumArchRegs> regSubChain;  ///< subscribed chain
 
     std::vector<unsigned> eligCount;  ///< promotion candidates per segment
-    std::uint64_t eligMask = 0;       ///< segments (<64) with candidates
-    std::uint64_t nearFullMask = 0;   ///< segments (<64) w/ pushdown pressure
     std::size_t totalOcc = 0;         ///< occupancy, O(1)
-
-    // Promotion-pass scratch (reused to keep allocations off the hot
-    // path; only live within one segment's round).
-    std::vector<DynInstPtr> scratchElig, scratchPush;
 
     std::array<RegInfoEntry, kNumArchRegs> regInfo;
     std::deque<Undo> undoLog;

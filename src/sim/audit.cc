@@ -153,8 +153,7 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
 
     if (auto *seg = dynamic_cast<SegmentedIq *>(core.iq.get())) {
         auditSegmented(*seg, cycle);
-        if (seg->soa())
-            auditDispatchWindow(*seg, core, cycle);
+        auditDispatchWindow(*seg, core, cycle);
     }
     else if (auto *ideal = dynamic_cast<IdealIq *>(core.iq.get()))
         auditIdeal(*ideal, cycle);
@@ -163,8 +162,7 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
 void
 Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 {
-    const unsigned n = static_cast<unsigned>(iq.segments.size());
-    const bool soa = iq.params.soaLayout;
+    const unsigned n = iq.numSegments();
     const auto &pool = iq.pool;
 
     auto segDump = [&iq](unsigned k) {
@@ -173,9 +171,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         return os.str();
     };
 
-    // Residents of each segment in list order, with their pool slot
-    // under SoA.  The reference engine lists DynInsts; the SoA engine
-    // lists slot ids and keeps the instruction handle in the pool.
+    // Residents of each segment in age order, with their pool slot.
     struct Resident
     {
         const DynInst *inst;
@@ -183,110 +179,90 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     };
     std::vector<std::vector<Resident>> residents(n);
 
-    if (soa) {
-        // Pool structure: every occupied slot is in exactly one segment
-        // mask, the one its label names, and holds a handle; free slots
-        // are in none, hold no handle and have no calendar entry; each
-        // segment's count is its popcount.
-        const std::size_t cap = iq.poolSize;
-        const std::size_t words = iq.poolWords;
-        for (unsigned k = 0; k < n; ++k) {
-            unsigned pop = 0;
-            for (std::size_t w = 0; w < words; ++w)
-                pop += static_cast<unsigned>(std::popcount(iq.segWord(k, w)));
-            if (pop != iq.segCount[k]) {
-                violation(occIndex, "segment count == mask popcount", cycle,
-                          "segment " + std::to_string(k) + " counts " +
-                              std::to_string(iq.segCount[k]) + ", mask has " +
-                              std::to_string(pop));
-            }
-            for (std::size_t w = 0; w < iq.summaryWords * 64; ++w) {
-                const auto bit = [&](const std::uint64_t *row) {
-                    return ((row[w >> 6] >> (w & 63)) & 1) != 0;
-                };
-                const std::uint64_t seg_w = w < words ? iq.segWord(k, w) : 0;
-                const std::uint64_t cand_w =
-                    w < words ? seg_w & pool.eligBits[w] : 0;
-                if (bit(iq.segRow(k)) != (seg_w != 0) ||
-                    bit(iq.candRow(k)) != (cand_w != 0)) {
-                    violation(occIndex,
-                              "segment summaries mark their non-empty words",
-                              cycle,
-                              "segment " + std::to_string(k) + " word " +
-                                  std::to_string(w) + " marked " +
-                                  std::to_string(bit(iq.segRow(k))) +
-                                  "/" + std::to_string(bit(iq.candRow(k))));
-                }
-            }
+    // Pool structure: every occupied slot is in exactly one segment
+    // mask, the one its label names, and holds a handle; free slots
+    // are in none, hold no handle and have no calendar entry; each
+    // segment's count is its popcount.
+    const std::size_t cap = iq.poolSize;
+    const std::size_t words = iq.poolWords;
+    for (unsigned k = 0; k < n; ++k) {
+        unsigned pop = 0;
+        for (std::size_t w = 0; w < words; ++w)
+            pop += static_cast<unsigned>(std::popcount(iq.segWord(k, w)));
+        if (pop != iq.segCount[k]) {
+            violation(occIndex, "segment count == mask popcount", cycle,
+                      "segment " + std::to_string(k) + " counts " +
+                          std::to_string(iq.segCount[k]) + ", mask has " +
+                          std::to_string(pop));
         }
-        for (std::size_t slot = 0; slot < words * 64; ++slot) {
-            unsigned in_masks = 0;
-            unsigned last = n;
-            for (unsigned k = 0; k < n; ++k) {
-                if ((iq.segWord(k, slot >> 6) >> (slot & 63)) & 1) {
-                    ++in_masks;
-                    last = k;
-                }
-            }
-            const bool occupied =
-                slot < cap && pool.seg[slot] != SegmentedIq::kFreeSlot;
-            const bool ok =
-                occupied ? in_masks == 1 && last == pool.seg[slot] &&
-                               pool.inst[slot]
-                         : in_masks == 0 &&
-                               (slot >= cap ||
-                                (!pool.inst[slot] &&
-                                 pool.due[0][slot] == SegmentedIq::kNotDue &&
-                                 pool.due[1][slot] == SegmentedIq::kNotDue));
-            if (!ok) {
+        for (std::size_t w = 0; w < iq.summaryWords * 64; ++w) {
+            const auto bit = [&](const std::uint64_t *row) {
+                return ((row[w >> 6] >> (w & 63)) & 1) != 0;
+            };
+            const std::uint64_t seg_w = w < words ? iq.segWord(k, w) : 0;
+            const std::uint64_t cand_w =
+                w < words ? seg_w & pool.eligBits[w] : 0;
+            if (bit(iq.segRow(k)) != (seg_w != 0) ||
+                bit(iq.candRow(k)) != (cand_w != 0)) {
                 violation(occIndex,
-                          "occupied slot is in exactly one segment mask",
+                          "segment summaries mark their non-empty words",
                           cycle,
-                          "slot " + std::to_string(slot) + " label " +
-                              (slot < cap ? std::to_string(pool.seg[slot])
-                                          : std::string("none")) +
-                              " in " + std::to_string(in_masks) + " masks");
+                          "segment " + std::to_string(k) + " word " +
+                              std::to_string(w) + " marked " +
+                              std::to_string(bit(iq.segRow(k))) +
+                              "/" + std::to_string(bit(iq.candRow(k))));
             }
-        }
-        // Age order: slot i holds dispatch positions congruent to i, so
-        // occupied slots read circularly from the cursor are seq-sorted.
-        const SeqNum *prev = nullptr;
-        for (std::size_t i = 0; i < cap; ++i) {
-            const std::size_t slot = (iq.cursor + i) % cap;
-            if (pool.seg[slot] == SegmentedIq::kFreeSlot ||
-                pool.seg[slot] >= n || !pool.inst[slot])
-                continue;
-            if (prev && *prev >= pool.seq[slot]) {
-                violation(occIndex, "slot order from the cursor is age order",
-                          cycle,
-                          "slot " + std::to_string(slot) + " seq " +
-                              std::to_string(pool.seq[slot]) + " after " +
-                              std::to_string(*prev) + " (cursor " +
-                              std::to_string(iq.cursor) + ")");
-            }
-            prev = &pool.seq[slot];
-            residents[pool.seg[slot]].push_back(
-                {pool.inst[slot].get(), static_cast<unsigned>(slot)});
-        }
-    } else {
-        for (unsigned k = 0; k < n; ++k) {
-            for (const auto &inst : iq.segments[k])
-                residents[k].push_back({inst.get(), 0});
         }
     }
-
-    // Authoritative view of membership m of a resident.  The reference
-    // engine keeps it inside the DynInst; the SoA engine keeps it in
-    // the pool and the DynInst copy is stale past the immutable
-    // chain/generation identity, so every per-entry check below reads
-    // through this view.
-    struct MemView
-    {
-        int delay;
-        ChainId chain;
-        std::uint32_t gen;
-        std::uint64_t appliedSeq;
-    };
+    for (std::size_t slot = 0; slot < words * 64; ++slot) {
+        unsigned in_masks = 0;
+        unsigned last = n;
+        for (unsigned k = 0; k < n; ++k) {
+            if ((iq.segWord(k, slot >> 6) >> (slot & 63)) & 1) {
+                ++in_masks;
+                last = k;
+            }
+        }
+        const bool occupied =
+            slot < cap && pool.seg[slot] != SegmentedIq::kFreeSlot;
+        const bool ok =
+            occupied ? in_masks == 1 && last == pool.seg[slot] &&
+                           pool.inst[slot]
+                     : in_masks == 0 &&
+                           (slot >= cap ||
+                            (!pool.inst[slot] &&
+                             pool.due[0][slot] == SegmentedIq::kNotDue &&
+                             pool.due[1][slot] == SegmentedIq::kNotDue));
+        if (!ok) {
+            violation(occIndex,
+                      "occupied slot is in exactly one segment mask",
+                      cycle,
+                      "slot " + std::to_string(slot) + " label " +
+                          (slot < cap ? std::to_string(pool.seg[slot])
+                                      : std::string("none")) +
+                          " in " + std::to_string(in_masks) + " masks");
+        }
+    }
+    // Age order: slot i holds dispatch positions congruent to i, so
+    // occupied slots read circularly from the cursor are seq-sorted.
+    const SeqNum *prev = nullptr;
+    for (std::size_t i = 0; i < cap; ++i) {
+        const std::size_t slot = (iq.cursor + i) % cap;
+        if (pool.seg[slot] == SegmentedIq::kFreeSlot ||
+            pool.seg[slot] >= n || !pool.inst[slot])
+            continue;
+        if (prev && *prev >= pool.seq[slot]) {
+            violation(occIndex, "slot order from the cursor is age order",
+                      cycle,
+                      "slot " + std::to_string(slot) + " seq " +
+                          std::to_string(pool.seq[slot]) + " after " +
+                          std::to_string(*prev) + " (cursor " +
+                          std::to_string(iq.cursor) + ")");
+        }
+        prev = &pool.seq[slot];
+        residents[pool.seg[slot]].push_back(
+            {pool.inst[slot].get(), static_cast<unsigned>(slot)});
+    }
 
     for (unsigned k = 0; k < n; ++k) {
         if (residents[k].size() > iq.params.segmentSize) {
@@ -302,77 +278,53 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             const DynInst *inst = res.inst;
             const unsigned slot = res.slot;
 
-            if (!soa && inst->seg.segment != static_cast<int>(k)) {
-                violation(segmentOverflow,
-                          "entry segment field matches its segment", cycle,
+            if (pool.seq[slot] != inst->seq ||
+                static_cast<int>(pool.memCount[slot]) !=
+                    inst->seg.numMemberships ||
+                pool.headChain[slot] != inst->seg.headedChain ||
+                pool.headGen[slot] != inst->seg.headedGen) {
+                violation(occIndex,
+                          "lane identity matches its instruction", cycle,
                           "seq " + std::to_string(inst->seq) +
-                              " records segment " +
-                              std::to_string(inst->seg.segment) +
-                              " but lives in " + std::to_string(k) + "\n" +
-                              segDump(k));
+                              " lane seq " + std::to_string(pool.seq[slot]) +
+                              " memCount " +
+                              std::to_string(pool.memCount[slot]) +
+                              " heads " +
+                              std::to_string(pool.headChain[slot]));
+                continue;  // lane reads below would be unreliable
             }
-
-            if (soa) {
-                if (pool.seq[slot] != inst->seq ||
-                    static_cast<int>(pool.memCount[slot]) !=
-                        inst->seg.numMemberships ||
-                    pool.headChain[slot] != inst->seg.headedChain ||
-                    pool.headGen[slot] != inst->seg.headedGen) {
-                    violation(occIndex,
-                              "lane identity matches its instruction", cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " lane seq " +
-                                  std::to_string(pool.seq[slot]) +
-                                  " memCount " +
-                                  std::to_string(pool.memCount[slot]) +
-                                  " heads " +
-                                  std::to_string(pool.headChain[slot]));
-                    continue;  // lane reads below would be unreliable
-                }
-                const auto srcs = iq.iqSources(*inst);
-                if (pool.src[0][slot] != srcs[0] ||
-                    pool.src[1][slot] != srcs[1]) {
-                    violation(occIndex,
-                              "lane operands match the instruction", cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " in segment " + std::to_string(k));
-                }
+            const auto srcs = iq.iqSources(*inst);
+            if (pool.src[0][slot] != srcs[0] ||
+                pool.src[1][slot] != srcs[1]) {
+                violation(occIndex, "lane operands match the instruction",
+                          cycle,
+                          "seq " + std::to_string(inst->seq) +
+                              " in segment " + std::to_string(k));
             }
 
             for (int m = 0; m < inst->seg.numMemberships; ++m) {
-                MemView v{};
-                if (soa) {
-                    v.delay = static_cast<int>(pool.delay[m][slot]);
-                    v.chain = pool.chain[m][slot];
-                    v.gen = pool.gen[m][slot];
-                    v.appliedSeq = pool.applied[m][slot];
-                    // Chain identity is fixed at dispatch; the lane and
-                    // the DynInst mirror must agree for ever.
-                    const ChainMembership &mir = inst->seg.memberships[m];
-                    if (v.chain != mir.chain || v.gen != mir.gen) {
-                        violation(occIndex,
-                                  "lane chain identity matches dispatch",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " lane chain " +
-                                      std::to_string(v.chain) +
-                                      " dispatched " +
-                                      std::to_string(mir.chain));
-                    }
-                } else {
-                    const ChainMembership &mem = inst->seg.memberships[m];
-                    v.delay = mem.delay;
-                    v.chain = mem.chain;
-                    v.gen = mem.gen;
-                    v.appliedSeq = mem.appliedSeq;
+                const int delay = pool.delay[m][slot];
+                const ChainId chain = pool.chain[m][slot];
+                const std::uint32_t gen = pool.gen[m][slot];
+                const std::uint64_t applied = pool.applied[m][slot];
+                // Chain identity is fixed at dispatch; the lane and the
+                // DynInst's copy must agree for ever.
+                const ChainMembership &mir = inst->seg.memberships[m];
+                if (chain != mir.chain || gen != mir.gen) {
+                    violation(occIndex,
+                              "lane chain identity matches dispatch", cycle,
+                              "seq " + std::to_string(inst->seq) +
+                                  " membership " + std::to_string(m) +
+                                  " lane chain " + std::to_string(chain) +
+                                  " dispatched " +
+                                  std::to_string(mir.chain));
                 }
 
-                if (v.delay < 0) {
+                if (delay < 0) {
                     violation(negativeDelay, "chain delay >= 0", cycle,
                               "seq " + std::to_string(inst->seq) +
                                   " membership " + std::to_string(m) +
-                                  " delay " + std::to_string(v.delay) +
+                                  " delay " + std::to_string(delay) +
                                   "\n" + segDump(k));
                 }
 
@@ -384,24 +336,24 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 // (Signals generated after this cycle's delivery pass -
                 // e.g. load-resume events from the LSQ - are legitimately
                 // pending, hence the strict comparison.)
-                if (v.chain == kNoChain)
+                if (chain == kNoChain)
                     continue;
-                const auto &cs = iq.stateOf(v.chain);
-                if (cs.gen != v.gen)
+                const auto &cs = iq.stateOf(chain);
+                if (cs.gen != gen)
                     continue;
-                if (v.appliedSeq > cs.seqCounter) {
+                if (applied > cs.seqCounter) {
                     violation(wireDelivery,
                               "applied signal count <= signals generated",
                               cycle,
                               "seq " + std::to_string(inst->seq) +
                                   " applied " +
-                                  std::to_string(v.appliedSeq) + " > " +
+                                  std::to_string(applied) + " > " +
                                   std::to_string(cs.seqCounter) + "\n" +
                                   segDump(k));
                 }
                 for (std::size_t si = 0; si < cs.log.size(); ++si) {
                     const auto &sig = cs.log.at(si);
-                    if (sig.seq <= v.appliedSeq)
+                    if (sig.seq <= applied)
                         continue;
                     const Cycle lag =
                         static_cast<int>(k) > sig.originSegment
@@ -416,7 +368,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                                 " in segment " + std::to_string(k) +
                                 " missed signal " +
                                 std::to_string(sig.seq) + " of chain " +
-                                std::to_string(v.chain) +
+                                std::to_string(chain) +
                                 " (generated cycle " +
                                 std::to_string(sig.cycle) +
                                 " at segment " +
@@ -484,209 +436,128 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     // --- Incremental scheduling indices vs. full rescan (section 11) ---
     // Every index the event-driven tick consults is a redundant view
     // over per-entry state; re-derive each one the slow way and count
-    // any disagreement.  The SoA engine keeps the per-entry state in
-    // the slot pool and the indices in bitmask words; the checks below
-    // follow whichever representation the selected engine reads.
+    // any disagreement.  The per-entry state lives in the slot pool and
+    // the indices in bitmask words.
 
     // O(1) occupancy.
     std::size_t occ_scan = 0;
     for (unsigned k = 0; k < n; ++k)
-        occ_scan += iq.segSize(k);
+        occ_scan += iq.segCount[k];
     if (occ_scan != iq.totalOcc) {
         violation(occIndex, "segmented occupancy counter == rescan", cycle,
                   "totalOcc=" + std::to_string(iq.totalOcc) +
                       " but segments hold " + std::to_string(occ_scan));
     }
 
-    // SoA: bits on free slots, or on membership lanes past the slot's
-    // count, are leaks the resident scan below cannot see.
+    // Bits on free slots, or on membership lanes past the slot's count,
+    // are leaks the resident scan below cannot see.
     std::vector<unsigned> elig_bits(n, 0);
-    if (soa) {
-        auto bit = [](const std::vector<std::uint64_t> &words,
-                      std::size_t slot) {
-            return ((words[slot >> 6] >> (slot & 63)) & 1) != 0;
-        };
-        for (std::size_t slot = 0; slot < pool.seg.size(); ++slot) {
-            const unsigned k = pool.seg[slot];
-            const bool occupied = k != SegmentedIq::kFreeSlot;
-            if (bit(pool.eligBits, slot)) {
-                if (occupied)
-                    ++elig_bits[k];
-                else
-                    violation(promoIndex, "eligibility bits on live slots",
-                              cycle, "free slot " + std::to_string(slot));
-            }
-            for (int m = 0; m < 2; ++m) {
-                if (bit(pool.cdBits[m], slot) &&
-                    (!occupied || m >= pool.memCount[slot])) {
-                    violation(countdownIndex, "countdown bits on live lanes",
-                              cycle,
-                              "slot " + std::to_string(slot) +
-                                  " membership " + std::to_string(m));
-                }
-            }
+    auto bit = [](const std::vector<std::uint64_t> &words,
+                  std::size_t slot) {
+        return ((words[slot >> 6] >> (slot & 63)) & 1) != 0;
+    };
+    for (std::size_t slot = 0; slot < pool.seg.size(); ++slot) {
+        const unsigned k = pool.seg[slot];
+        const bool occupied = k != SegmentedIq::kFreeSlot;
+        if (bit(pool.eligBits, slot)) {
+            if (occupied)
+                ++elig_bits[k];
+            else
+                violation(promoIndex, "eligibility bits on live slots",
+                          cycle, "free slot " + std::to_string(slot));
         }
         for (int m = 0; m < 2; ++m) {
-            for (std::size_t w = 0; w < pool.cdBits[m].size(); ++w) {
-                const bool marked =
-                    (pool.cdSummary[m][w >> 6] >> (w & 63)) & 1;
-                if (marked != (pool.cdBits[m][w] != 0)) {
-                    violation(countdownIndex,
-                              "countdown summary marks its non-empty words",
-                              cycle,
-                              "membership " + std::to_string(m) + " word " +
-                                  std::to_string(w));
-                }
+            if (bit(pool.cdBits[m], slot) &&
+                (!occupied || m >= pool.memCount[slot])) {
+                violation(countdownIndex, "countdown bits on live lanes",
+                          cycle,
+                          "slot " + std::to_string(slot) +
+                              " membership " + std::to_string(m));
+            }
+        }
+    }
+    for (int m = 0; m < 2; ++m) {
+        for (std::size_t w = 0; w < pool.cdBits[m].size(); ++w) {
+            const bool marked =
+                (pool.cdSummary[m][w >> 6] >> (w & 63)) & 1;
+            if (marked != (pool.cdBits[m][w] != 0)) {
+                violation(countdownIndex,
+                          "countdown summary marks its non-empty words",
+                          cycle,
+                          "membership " + std::to_string(m) + " word " +
+                              std::to_string(w));
             }
         }
     }
 
-    // Promotion-candidate counts, activity masks, and per-entry flags;
-    // subscriber and countdown back-pointers along the way.
+    // Promotion-candidate counts, activity masks, and per-entry bits;
+    // subscriber back-pointers along the way.
     std::size_t subs_scan = 0;   // resident memberships on a wire
-    std::size_t cds_scan = 0;    // resident memberships counting down
     for (unsigned k = 0; k < n; ++k) {
         unsigned elig_scan = 0;
         for (const Resident &res : residents[k]) {
             const DynInst *inst = res.inst;
-
-            if (soa) {
-                const unsigned slot = res.slot;
-                const bool elig =
-                    k >= 1 && iq.laneEffDelay(slot) <
-                                  SegmentedIq::threshold(k - 1);
-                if (elig)
-                    ++elig_scan;
-                const bool elig_bit =
-                    ((pool.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
-                if (elig != elig_bit) {
-                    violation(promoIndex,
-                              "promotion-eligibility bit == rescan",
-                              cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " bit " + std::to_string(elig_bit) +
-                                  " but predicate says " +
-                                  std::to_string(elig) + "\n" +
-                                  segDump(k));
-                }
-
-                for (int m = 0; m < static_cast<int>(pool.memCount[slot]);
-                     ++m) {
-                    const ChainId ch = pool.chain[m][slot];
-                    const std::int32_t si = pool.subIdx[m][slot];
-                    const bool on_wire = ch != kNoChain;
-                    if (on_wire != (si >= 0)) {
-                        violation(subIndex,
-                                  "membership subscribed iff on a wire",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " chain " + std::to_string(ch) +
-                                      " subIdx " + std::to_string(si));
-                    } else if (on_wire) {
-                        ++subs_scan;
-                        const auto &subs = iq.stateOf(ch).soaSubs;
-                        const auto idx = static_cast<std::size_t>(si);
-                        if (idx >= subs.size() || subs[idx].slot != slot ||
-                            static_cast<int>(subs[idx].mem) != m) {
-                            violation(subIndex,
-                                      "subscriber record is exact", cycle,
-                                      "seq " + std::to_string(inst->seq) +
-                                          " membership " +
-                                          std::to_string(m) + " subIdx " +
-                                          std::to_string(si));
-                        }
-                    }
-
-                    const std::uint8_t f = pool.flags[m][slot];
-                    const bool want_cd =
-                        (f & SegmentedIq::kLaneSelfTimed) != 0 &&
-                        (f & SegmentedIq::kLaneSuspended) == 0 &&
-                        pool.delay[m][slot] > 0;
-                    const bool cd_bit =
-                        ((pool.cdBits[m][slot >> 6] >> (slot & 63)) & 1) !=
-                        0;
-                    if (want_cd != cd_bit) {
-                        violation(countdownIndex,
-                                  "membership counts down iff self-timed",
-                                  cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " bit " + std::to_string(cd_bit) +
-                                      " predicate " +
-                                      std::to_string(want_cd));
-                    }
-                    if (want_cd)
-                        ++cds_scan;
-                }
-                continue;
-            }
-
+            const unsigned slot = res.slot;
             const bool elig =
                 k >= 1 &&
-                iq.effectiveDelay(*inst) < SegmentedIq::threshold(k - 1);
+                iq.laneEffDelay(slot) < SegmentedIq::threshold(k - 1);
             if (elig)
                 ++elig_scan;
-            if (elig != inst->seg.promoEligible) {
-                violation(promoIndex,
-                          "promotion-eligibility flag == rescan", cycle,
-                          "seq " + std::to_string(inst->seq) +
-                              " flag " +
-                              std::to_string(inst->seg.promoEligible) +
+            const bool elig_bit =
+                ((pool.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
+            if (elig != elig_bit) {
+                violation(promoIndex, "promotion-eligibility bit == rescan",
+                          cycle,
+                          "seq " + std::to_string(inst->seq) + " bit " +
+                              std::to_string(elig_bit) +
                               " but predicate says " +
                               std::to_string(elig) + "\n" + segDump(k));
             }
 
-            for (int m = 0; m < inst->seg.numMemberships; ++m) {
-                const ChainMembership &mem = inst->seg.memberships[m];
-                const bool on_wire = mem.chain != kNoChain;
-                if (on_wire != (mem.subIdx >= 0)) {
+            for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
+                const ChainId ch = pool.chain[m][slot];
+                const std::int32_t si = pool.subIdx[m][slot];
+                const bool on_wire = ch != kNoChain;
+                if (on_wire != (si >= 0)) {
                     violation(subIndex,
-                              "membership subscribed iff on a wire", cycle,
+                              "membership subscribed iff on a wire",
+                              cycle,
                               "seq " + std::to_string(inst->seq) +
                                   " membership " + std::to_string(m) +
-                                  " chain " + std::to_string(mem.chain) +
-                                  " subIdx " + std::to_string(mem.subIdx));
+                                  " chain " + std::to_string(ch) +
+                                  " subIdx " + std::to_string(si));
                 } else if (on_wire) {
                     ++subs_scan;
-                    const auto &subs = iq.stateOf(mem.chain).memberSubs;
-                    const auto idx = static_cast<std::size_t>(mem.subIdx);
-                    if (idx >= subs.size() ||
-                        subs[idx].inst != inst ||
-                        subs[idx].slot != m) {
+                    const auto &subs = iq.stateOf(ch).soaSubs;
+                    const auto idx = static_cast<std::size_t>(si);
+                    if (idx >= subs.size() || subs[idx].slot != slot ||
+                        static_cast<int>(subs[idx].mem) != m) {
                         violation(subIndex,
-                                  "subscriber back-pointer is exact",
-                                  cycle,
+                                  "subscriber record is exact", cycle,
                                   "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " subIdx " +
-                                      std::to_string(mem.subIdx));
+                                      " membership " +
+                                      std::to_string(m) + " subIdx " +
+                                      std::to_string(si));
                     }
                 }
 
+                const std::uint8_t f = pool.flags[m][slot];
                 const bool want_cd =
-                    mem.selfTimed && !mem.suspended && mem.delay > 0;
-                if (want_cd != (mem.cdIdx >= 0)) {
+                    (f & SegmentedIq::kLaneSelfTimed) != 0 &&
+                    (f & SegmentedIq::kLaneSuspended) == 0 &&
+                    pool.delay[m][slot] > 0;
+                const bool cd_bit =
+                    ((pool.cdBits[m][slot >> 6] >> (slot & 63)) & 1) !=
+                    0;
+                if (want_cd != cd_bit) {
                     violation(countdownIndex,
                               "membership counts down iff self-timed",
                               cycle,
                               "seq " + std::to_string(inst->seq) +
                                   " membership " + std::to_string(m) +
-                                  " cdIdx " + std::to_string(mem.cdIdx) +
-                                  " predicate " + std::to_string(want_cd));
-                } else if (want_cd) {
-                    ++cds_scan;
-                    const auto idx = static_cast<std::size_t>(mem.cdIdx);
-                    if (idx >= iq.memberCountdown.size() ||
-                        iq.memberCountdown[idx].inst != inst ||
-                        iq.memberCountdown[idx].slot != m) {
-                        violation(countdownIndex,
-                                  "countdown back-pointer is exact", cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " cdIdx " +
-                                      std::to_string(mem.cdIdx));
-                    }
+                                  " bit " + std::to_string(cd_bit) +
+                                  " predicate " +
+                                  std::to_string(want_cd));
                 }
             }
         }
@@ -700,37 +571,14 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(elig_scan) + "\n" + segDump(k));
         }
 
-        if (soa && elig_bits[k] != iq.eligCount[k]) {
+        if (elig_bits[k] != iq.eligCount[k]) {
             violation(promoIndex, "eligibility bits == tracked count", cycle,
                       "segment " + std::to_string(k) + " sets " +
                           std::to_string(elig_bits[k]) + " bits, tracks " +
                           std::to_string(iq.eligCount[k]));
         }
 
-        if (k < 64) {
-            const bool mask_bit = (iq.eligMask >> k) & 1;
-            if (mask_bit != (iq.eligCount[k] > 0)) {
-                violation(promoIndex, "eligibility mask matches counts",
-                          cycle,
-                          "segment " + std::to_string(k) + " bit " +
-                              std::to_string(mask_bit) + " count " +
-                              std::to_string(iq.eligCount[k]));
-            }
-            const bool near_full =
-                iq.params.segmentSize - iq.segSize(k) <
-                iq.params.issueWidth;
-            if (near_full != (((iq.nearFullMask >> k) & 1) != 0)) {
-                violation(promoIndex, "near-full mask matches occupancy",
-                          cycle,
-                          "segment " + std::to_string(k) + " holds " +
-                              std::to_string(iq.segSize(k)) +
-                              " of " +
-                              std::to_string(iq.params.segmentSize));
-            }
-        }
-
-        // Generalised candidate/occupancy words (both engines maintain
-        // them; the SoA promotion pass steers by them).
+        // Candidate/occupancy words (the promotion pass steers by them).
         const bool word_elig =
             ((iq.eligSegW[k >> 6] >> (k & 63)) & 1) != 0;
         if (word_elig != (iq.eligCount[k] > 0)) {
@@ -740,14 +588,14 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(iq.eligCount[k]));
         }
         const std::size_t free_now =
-            static_cast<std::size_t>(iq.params.segmentSize) - iq.segSize(k);
+            static_cast<std::size_t>(iq.params.segmentSize) - iq.segCount[k];
         const bool near_full_w = free_now < iq.params.issueWidth;
         if (near_full_w !=
             (((iq.nearFullW[k >> 6] >> (k & 63)) & 1) != 0)) {
             violation(promoIndex, "near-full word matches occupancy",
                       cycle,
                       "segment " + std::to_string(k) + " holds " +
-                          std::to_string(iq.segSize(k)) + " of " +
+                          std::to_string(iq.segCount[k]) + " of " +
                           std::to_string(iq.params.segmentSize));
         }
         const bool roomy =
@@ -756,7 +604,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         if (roomy != (((iq.roomyW[k >> 6] >> (k & 63)) & 1) != 0)) {
             violation(promoIndex, "roomy word matches occupancy", cycle,
                       "segment " + std::to_string(k) + " holds " +
-                          std::to_string(iq.segSize(k)) + " of " +
+                          std::to_string(iq.segCount[k]) + " of " +
                           std::to_string(iq.params.segmentSize));
         }
     }
@@ -764,45 +612,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     // Back-pointer exactness above makes the per-list maps injective,
     // so matching totals prove the lists hold exactly the resident
     // references - no leaks pinning recycled pool slots.
-    if (soa) {
-        if (!iq.memberCountdown.empty()) {
-            violation(countdownIndex,
-                      "reference countdown list idle under SoA", cycle,
-                      "list holds " +
-                          std::to_string(iq.memberCountdown.size()));
-        }
-    } else if (cds_scan != iq.memberCountdown.size()) {
-        violation(countdownIndex, "countdown list size == rescan", cycle,
-                  "list holds " +
-                      std::to_string(iq.memberCountdown.size()) +
-                      ", rescan finds " + std::to_string(cds_scan));
-    }
     std::size_t subs_held = 0;
-    std::size_t active_flags = 0;
     for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
         const auto &cs = iq.chainStates[c];
-        subs_held += soa ? cs.soaSubs.size() : cs.memberSubs.size();
-        const bool active = c < iq.activePos.size() && iq.activePos[c] >= 0;
-        if (active) {
-            ++active_flags;
-            const auto pos = static_cast<std::size_t>(iq.activePos[c]);
-            if (pos >= iq.activeChains.size() ||
-                iq.activeChains[pos] != static_cast<ChainId>(c)) {
-                violation(subIndex, "active-chain back-pointer is exact",
-                          cycle,
-                          "chain " + std::to_string(c) + " pos " +
-                              std::to_string(pos));
-            }
-        }
-        if (!soa && !cs.log.empty() && !active) {
-            violation(subIndex, "chains with signals in flight are active",
-                      cycle,
-                      "chain " + std::to_string(c) + " logs " +
-                          std::to_string(cs.log.size()) +
-                          " signals but is not on the active list");
-        }
-        // SoA records name an occupied slot whose lane points back.
-        for (std::size_t i = 0; soa && i < cs.soaSubs.size(); ++i) {
+        subs_held += cs.soaSubs.size();
+        // Records name an occupied slot whose lane points back.
+        for (std::size_t i = 0; i < cs.soaSubs.size(); ++i) {
             const auto &sub = cs.soaSubs[i];
             if (sub.slot >= pool.seg.size() ||
                 pool.seg[sub.slot] == SegmentedIq::kFreeSlot ||
@@ -829,8 +644,8 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           std::to_string(cs.gen) + " allocator gen " +
                           std::to_string(iq.chains.generation(id)));
         }
-        // The packed mirror dispatch reads (SoA fast path) must track
-        // the wire scalars at every mutation site, in either engine.
+        // The packed mirror dispatch reads must track the wire scalars
+        // at every mutation site.
         if (c >= iq.chainHot.size()) {
             violation(subIndex, "chain-hot mirror allocated", cycle,
                       "chain " + std::to_string(c) +
@@ -857,123 +672,114 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                   "lists hold " + std::to_string(subs_held) +
                       ", rescan finds " + std::to_string(subs_scan));
     }
-    if (active_flags != iq.activeChains.size()) {
-        violation(subIndex, "active-chain list size == flags", cycle,
-                  "list holds " + std::to_string(iq.activeChains.size()) +
-                      ", " + std::to_string(active_flags) +
-                      " chains are flagged active");
-    }
-
-    // Arrival calendar (SoA delivery): every current-generation
+    // Arrival calendar: every current-generation
     // listener with an unapplied log entry is due no later than that
     // entry's arrival at its segment (or the next pass, if it arrived
     // already) and its key sits in that cycle's bucket, unless its
     // chain is still to be armed; a caught-up one is not due at all,
     // so the next signal arms it.  Delivery walks only the due bucket,
     // so a late or missing key is a listener left behind.
-    if (soa) {
-        const Cycle next = iq.lastPass + 1;
-        std::size_t pending = 0;
-        for (const auto &cs : iq.chainStates)
-            pending += cs.armPending;
-        std::vector<ChainId> listed(iq.pendingArm);
-        std::sort(listed.begin(), listed.end());
-        if (pending != listed.size() ||
-            std::adjacent_find(listed.begin(), listed.end()) != listed.end() ||
-            !std::all_of(listed.begin(), listed.end(), [&](ChainId c) {
-                return iq.stateOf(c).armPending;
-            })) {
-            violation(arrivalIndex, "pending-arm list == flagged chains",
-                      cycle,
-                      "list holds " + std::to_string(listed.size()) + ", " +
-                          std::to_string(pending) + " chains are flagged");
-        }
-        auto listen = [&](const auto &cs, std::uint64_t applied, int s,
-                          Cycle due, std::uint32_t key, auto &&name) {
-            const std::size_t i = SegmentedIq::firstUnapplied(cs, applied);
-            // A chain that signalled after this cycle's pass arms its
-            // caught-up listeners at the start of the next one.
-            if (cs.armPending && due == SegmentedIq::kNotDue)
-                return;
-            if (i >= cs.log.size()) {
-                if (due != SegmentedIq::kNotDue) {
-                    violation(arrivalIndex, "caught-up listener is not due",
-                              cycle,
-                              name() + " due at " + std::to_string(due));
-                }
-                return;
-            }
-            const Cycle at = SegmentedIq::arrivalAt(cs.log.at(i), s);
-            const auto &bucket = iq.calendar[due & iq.calendarMask];
-            if (due < next || due > std::max(at, next) ||
-                std::find(bucket.begin(), bucket.end(), key) ==
-                    bucket.end()) {
-                violation(arrivalIndex,
-                          "listener due by its next arrival, in that bucket",
+    const Cycle next = iq.lastPass + 1;
+    std::size_t pending = 0;
+    for (const auto &cs : iq.chainStates)
+        pending += cs.armPending;
+    std::vector<ChainId> listed(iq.pendingArm);
+    std::sort(listed.begin(), listed.end());
+    if (pending != listed.size() ||
+        std::adjacent_find(listed.begin(), listed.end()) != listed.end() ||
+        !std::all_of(listed.begin(), listed.end(), [&](ChainId c) {
+            return iq.stateOf(c).armPending;
+        })) {
+        violation(arrivalIndex, "pending-arm list == flagged chains",
+                  cycle,
+                  "list holds " + std::to_string(listed.size()) + ", " +
+                      std::to_string(pending) + " chains are flagged");
+    }
+    auto listen = [&](const auto &cs, std::uint64_t applied, int s,
+                      Cycle due, std::uint32_t key, auto &&name) {
+        const std::size_t i = SegmentedIq::firstUnapplied(cs, applied);
+        // A chain that signalled after this cycle's pass arms its
+        // caught-up listeners at the start of the next one.
+        if (cs.armPending && due == SegmentedIq::kNotDue)
+            return;
+        if (i >= cs.log.size()) {
+            if (due != SegmentedIq::kNotDue) {
+                violation(arrivalIndex, "caught-up listener is not due",
                           cycle,
-                          name() + " due at " +
-                              (due == SegmentedIq::kNotDue
-                                   ? std::string("never")
-                                   : std::to_string(due)) +
-                              " but its next signal arrives at cycle " +
-                              std::to_string(at));
+                          name() + " due at " + std::to_string(due));
             }
-        };
-        for (std::size_t slot = 0; slot < iq.poolSize; ++slot) {
-            if (pool.seg[slot] == SegmentedIq::kFreeSlot)
-                continue;
-            for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
-                const ChainId ch = pool.chain[m][slot];
-                if (ch == kNoChain || iq.stateOf(ch).gen != pool.gen[m][slot])
-                    continue;
-                listen(iq.stateOf(ch), pool.applied[m][slot], pool.seg[slot],
-                       pool.due[m][slot],
-                       static_cast<std::uint32_t>(slot << 1 | m), [&] {
-                           return "seq " + std::to_string(pool.seq[slot]) +
-                                  " membership " + std::to_string(m) +
-                                  " in segment " +
-                                  std::to_string(pool.seg[slot]);
-                       });
-            }
+            return;
         }
-        for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
-            const auto &e = iq.regInfo[r];
-            if (!e.pending || e.chain == kNoChain ||
-                iq.stateOf(e.chain).gen != e.gen)
-                continue;
-            listen(iq.stateOf(e.chain), e.appliedSeq, static_cast<int>(n) - 1,
-                   iq.regDue[r],
-                   SegmentedIq::kRegKey | static_cast<std::uint32_t>(r),
-                   [&] { return "regInfo[" + std::to_string(r) + "]"; });
+        const Cycle at = SegmentedIq::arrivalAt(cs.log.at(i), s);
+        const auto &bucket = iq.calendar[due & iq.calendarMask];
+        if (due < next || due > std::max(at, next) ||
+            std::find(bucket.begin(), bucket.end(), key) ==
+                bucket.end()) {
+            violation(arrivalIndex,
+                      "listener due by its next arrival, in that bucket",
+                      cycle,
+                      name() + " due at " +
+                          (due == SegmentedIq::kNotDue
+                               ? std::string("never")
+                               : std::to_string(due)) +
+                          " but its next signal arrives at cycle " +
+                          std::to_string(at));
         }
+    };
+    for (std::size_t slot = 0; slot < iq.poolSize; ++slot) {
+        if (pool.seg[slot] == SegmentedIq::kFreeSlot)
+            continue;
+        for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
+            const ChainId ch = pool.chain[m][slot];
+            if (ch == kNoChain || iq.stateOf(ch).gen != pool.gen[m][slot])
+                continue;
+            listen(iq.stateOf(ch), pool.applied[m][slot], pool.seg[slot],
+                   pool.due[m][slot],
+                   static_cast<std::uint32_t>(slot << 1 | m), [&] {
+                       return "seq " + std::to_string(pool.seq[slot]) +
+                              " membership " + std::to_string(m) +
+                              " in segment " +
+                              std::to_string(pool.seg[slot]);
+                   });
+        }
+    }
+    for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
+        const auto &e = iq.regInfo[r];
+        if (!e.pending || e.chain == kNoChain ||
+            iq.stateOf(e.chain).gen != e.gen)
+            continue;
+        listen(iq.stateOf(e.chain), e.appliedSeq, static_cast<int>(n) - 1,
+               iq.regDue[r],
+               SegmentedIq::kRegKey | static_cast<std::uint32_t>(r),
+               [&] { return "regInfo[" + std::to_string(r) + "]"; });
+    }
 
-        // Log expiry: records are in cycle order, and every non-empty
-        // log has a record no later than its front, so step 5 reaches
-        // each entry by the cycle the reference prune drops it.
-        std::vector<Cycle> first_rec(iq.chainStates.size(),
-                                     SegmentedIq::kNotDue);
-        for (std::size_t i = 0; i < iq.expiry.size(); ++i) {
-            const auto &rec = iq.expiry.at(i);
-            if (i > 0 && iq.expiry.at(i - 1).cycle > rec.cycle) {
-                violation(expiryIndex, "expiry records in cycle order", cycle,
-                          "record " + std::to_string(i) + " at cycle " +
-                              std::to_string(rec.cycle) + " after " +
-                              std::to_string(iq.expiry.at(i - 1).cycle));
-            }
-            const auto c = static_cast<std::size_t>(rec.chain);
-            if (c < first_rec.size())
-                first_rec[c] = std::min(first_rec[c], rec.cycle);
+    // Log expiry: records are in cycle order, and every non-empty log
+    // has a record no later than its front, so step 5 reaches each
+    // entry once it falls behind the delivery horizon.
+    std::vector<Cycle> first_rec(iq.chainStates.size(),
+                                 SegmentedIq::kNotDue);
+    for (std::size_t i = 0; i < iq.expiry.size(); ++i) {
+        const auto &rec = iq.expiry.at(i);
+        if (i > 0 && iq.expiry.at(i - 1).cycle > rec.cycle) {
+            violation(expiryIndex, "expiry records in cycle order", cycle,
+                      "record " + std::to_string(i) + " at cycle " +
+                          std::to_string(rec.cycle) + " after " +
+                          std::to_string(iq.expiry.at(i - 1).cycle));
         }
-        for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
-            const auto &log = iq.chainStates[c].log;
-            if (!log.empty() && first_rec[c] > log.front().cycle) {
-                violation(expiryIndex,
-                          "every logged signal has an expiry record", cycle,
-                          "chain " + std::to_string(c) + " logs a signal " +
-                              "from cycle " +
-                              std::to_string(log.front().cycle) +
-                              " with no record by then");
-            }
+        const auto c = static_cast<std::size_t>(rec.chain);
+        if (c < first_rec.size())
+            first_rec[c] = std::min(first_rec[c], rec.cycle);
+    }
+    for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
+        const auto &log = iq.chainStates[c].log;
+        if (!log.empty() && first_rec[c] > log.front().cycle) {
+            violation(expiryIndex,
+                      "every logged signal has an expiry record", cycle,
+                      "chain " + std::to_string(c) + " logs a signal " +
+                          "from cycle " +
+                          std::to_string(log.front().cycle) +
+                          " with no record by then");
         }
     }
 

@@ -24,10 +24,10 @@
  *    with a brute-force rescan of the authoritative state: the O(1)
  *    occupancy counters, the per-segment promotion-candidate counts
  *    and activity masks, the per-chain subscriber lists and their
- *    back-pointers, the self-timed countdown lists, the ideal queue's
- *    ready list, and the core's writeback-ring population;
- *  - the SoA engine's slot pool is consistent (each occupied slot in
- *    exactly one segment mask, labelled with it; each segment's count
+ *    back-pointers, the self-timed countdown lists and bits, the ideal
+ *    queue's ready list, and the core's writeback-ring population;
+ *  - the segmented queue's slot pool is consistent (each occupied slot
+ *    in exactly one segment mask, labelled with it; each segment's count
  *    its popcount; slot order from the dispatch cursor is age order,
  *    and the oldest resident is no more dispatch positions behind the
  *    cursor than there are ROB entries at least as young;

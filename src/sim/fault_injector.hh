@@ -2,9 +2,9 @@
  * @file
  * Deterministic seeded fault injection (DESIGN.md §13).
  *
- * Generalizes the auditor's `audit_inject_overpromote` idea into a
- * small menu of faults that each target one detection/recovery path so
- * negative tests can prove the path actually fires:
+ * Generalizes the auditor's over-promotion fault (`fault_overpromote=1`)
+ * into a small menu of faults that each target one detection/recovery
+ * path so negative tests can prove the path actually fires:
  *
  *   - checkpoint-blob corruption   -> trailer checksum rejection, and
  *     either the cache's warn+repair path or a sweep-level retry

@@ -60,12 +60,9 @@ SimConfig::apply(const ConfigMap &cfg)
     validate = cfg.getBool("validate", validate);
     audit = cfg.getBool("audit", audit);
     auditPanic = cfg.getBool("audit_panic", auditPanic);
-    core.iq.auditInjectOverPromote = cfg.getBool(
-        "audit_inject_overpromote", core.iq.auditInjectOverPromote);
     fastForward = static_cast<std::uint64_t>(
         cfg.getCount("ff", static_cast<std::int64_t>(fastForward)));
     bbCache = cfg.getBool("bb_cache", bbCache);
-    core.iq.soaLayout = cfg.getBool("iq_soa", core.iq.soaLayout);
     ckptFile = cfg.getString("ckpt", ckptFile);
     ckptDir = cfg.getString("ckpt_dir", ckptDir);
 

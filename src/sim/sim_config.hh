@@ -70,10 +70,6 @@ struct SimConfig
      */
     bool bbCache = true;
 
-    // `iq_soa=0` likewise selects the segmented IQ's object-per-entry
-    // reference engine over the default SoA engine (core.iq.soaLayout);
-    // bit-identical, host speed only, excluded from sweep keys.
-
     /**
      * Explicit checkpoint file (key: `ckpt=`): restore the warm-up
      * from this file if it exists, otherwise fast-forward cold and

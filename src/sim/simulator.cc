@@ -83,7 +83,8 @@ Simulator::warmUp(bool &restored)
 {
     restored = false;
 
-    auto coldFf = [&]() -> FastForwardStats {
+    // Fast-forward cold; with `blob`, also save the warmed state there.
+    auto coldFf = [&](std::string *blob) -> FastForwardStats {
         FunctionalCore warm(*program_, config.bbCache);
         const auto t0 = std::chrono::steady_clock::now();
         FastForwardStats ff =
@@ -95,22 +96,8 @@ Simulator::warmUp(bool &restored)
             warn("fast-forward of %llu insts consumed the whole program",
                  static_cast<unsigned long long>(config.fastForward));
         }
-        return ff;
-    };
-
-    auto coldFfAndBlob = [&](std::string &blob) -> FastForwardStats {
-        FunctionalCore warm(*program_, config.bbCache);
-        const auto t0 = std::chrono::steady_clock::now();
-        FastForwardStats ff =
-            fastForward(warm, *core_, config.fastForward);
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        noteWarm(dt.count(), ff.instsSkipped, warm);
-        if (ff.hitHalt) {
-            warn("fast-forward of %llu insts consumed the whole program",
-                 static_cast<unsigned long long>(config.fastForward));
-        }
-        blob = saveCheckpoint(config, warm, *core_, ff);
+        if (blob)
+            *blob = saveCheckpoint(config, warm, *core_, ff);
         return ff;
     };
 
@@ -121,7 +108,7 @@ Simulator::warmUp(bool &restored)
             blob = readCheckpointFile(config.ckptFile);
         } catch (const CheckpointError &) {
             // Not there yet: fast-forward cold and save it.
-            FastForwardStats ff = coldFfAndBlob(blob);
+            FastForwardStats ff = coldFf(&blob);
             if (config.faults && config.faults->takeDiskWriteFault()) {
                 throw CheckpointError(
                     "injected disk-write failure for '" + config.ckptFile +
@@ -145,7 +132,7 @@ Simulator::warmUp(bool &restored)
     if (!cache && !config.ckptDir.empty())
         cache = std::make_shared<CheckpointCache>(config.ckptDir);
     if (!cache)
-        return coldFf().instsSkipped;
+        return coldFf(nullptr).instsSkipped;
 
     const std::uint64_t key = checkpointKeyHash(config);
     CheckpointCache::Blob blob = cache->findOrBegin(key);
@@ -168,7 +155,7 @@ Simulator::warmUp(bool &restored)
             warn("ignoring unusable checkpoint for %s: %s",
                  config.workload.c_str(), e.what());
             std::string fresh;
-            FastForwardStats ff = coldFfAndBlob(fresh);
+            FastForwardStats ff = coldFf(&fresh);
             cache->publish(key, std::move(fresh));
             return ff.instsSkipped;
         }
@@ -177,7 +164,7 @@ Simulator::warmUp(bool &restored)
     // This run was elected producer for the key.
     try {
         std::string fresh;
-        FastForwardStats ff = coldFfAndBlob(fresh);
+        FastForwardStats ff = coldFf(&fresh);
         if (config.faults && config.faults->takeDiskWriteFault()) {
             throw CheckpointError("injected disk-write failure publishing "
                                   "checkpoint",

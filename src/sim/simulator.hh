@@ -120,9 +120,8 @@ struct RunResult
     // Deterministic host-work counters of the segmented IQ scheduler
     // (DESIGN.md section 16.5; zero for other IQ kinds).  Exact and
     // noise-free - unlike the wall-clock numbers above they are
-    // reproducible bit for bit - but they measure *host* effort, so
-    // they differ between the two segmented engines (iq_soa=) and are
-    // excluded from cross-engine identity comparisons.
+    // reproducible bit for bit - but they measure *host* effort, so a
+    // scheduler change that keeps every simulated result can move them.
     std::uint64_t iqSignalDeliveries = 0;  ///< chain-log entries examined
     std::uint64_t iqPlanCalls = 0;         ///< full computePlan executions
     std::uint64_t iqSegmentsScanned = 0;   ///< promotion-pass segment visits

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full pre-merge check: tier-1 tests, the invariant-audit sweep, the
-# SoA-engine differential + exact work-counter proxy, and sanitizer
+# segmented-engine verdicts + exact work-counter proxy, and sanitizer
 # configurations.  Run from the repository root:
 #
 #   tools/check.sh [ubsan|asan|tsan|all|faults|perf]...
@@ -15,7 +15,7 @@
 #                    build (fast loop for DESIGN.md §13 machinery)
 #   perf             only the quick perf legs on the tier-1 build: the
 #                    segmented-IQ tick substage profile (64/256/512
-#                    entries, both engines), the front-end cost per
+#                    entries), the front-end cost per
 #                    fetched instruction (gcc, 64 entries, every IQ
 #                    design) and host throughput per queue,
 #                    segmented-512 next to ideal-512
@@ -80,8 +80,8 @@ tier1_full() {
   begin_leg "scheduling-index differential sweep (audit=1)" build
   ./build/tests/test_sched_index
 
-  begin_leg "SoA-engine differential + exact work-counter proxy" build
-  ./build/tests/test_iq_soa
+  begin_leg "segmented-engine recorded verdicts + exact work-counter proxy" build
+  ./build/tests/test_segmented_engine
 
   leg_perf
 
