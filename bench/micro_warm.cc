@@ -13,8 +13,11 @@
  * pays outside the core loop (DESIGN.md §12), on the workload's
  * default-length program warmed to 12k instructions before HALT:
  * Program::load into an empty memory, saveCheckpoint,
- * restoreCheckpoint into a freshly built core, and golden validation
- * (build a FunctionalCore, run the whole program, equalContents).
+ * restoreCheckpoint into a freshly built core (built without the
+ * program image, as Simulator builds a fast-forwarding core), and
+ * golden validation (GoldenState::run over the whole program, then
+ * equalContents).  A sweep runs the golden once per input and shares
+ * it (DESIGN.md §10); a job outside a sweep pays it in full.
  *
  * Arguments:
  *   warm_insts=N  instructions per timed run (default 2m; quick: 400k;
@@ -39,6 +42,7 @@
 #include "isa/functional_core.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
+#include "sim/simulator.hh"
 
 using namespace sciq;
 using namespace sciq::bench;
@@ -62,7 +66,7 @@ struct WorkloadNumbers
     double loadS = 0.0;      ///< Program::load
     double saveS = 0.0;      ///< saveCheckpoint
     double restoreS = 0.0;   ///< restoreCheckpoint
-    double validateS = 0.0;  ///< golden build + run + equalContents
+    double validateS = 0.0;  ///< GoldenState::run + equalContents
     std::uint64_t ckptBytes = 0;
 
     double warmSpeedup() const
@@ -152,15 +156,17 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
 
     n.restoreS = bestOf(
         repeats,
-        [&] { return std::make_unique<OooCore>(prog, cfg.core); },
+        [&] {
+            return std::make_unique<OooCore>(prog, cfg.core,
+                                             /*load_image=*/false);
+        },
         [&](std::unique_ptr<OooCore> &core) {
             restoreCheckpoint(blob, cfg, prog, *core);
         });
 
     n.validateS = bestOf(repeats, noSetup, [&](auto &) {
-        FunctionalCore golden(prog);
-        golden.run(len);
-        if (!golden.memory().equalContents(finished.memory()))
+        const GoldenState golden = GoldenState::run(prog, len, true);
+        if (!golden.memory.equalContents(finished.memory()))
             std::fprintf(stderr, "ERROR: %s golden replay diverged\n",
                          n.workload.c_str());
     });

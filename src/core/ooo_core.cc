@@ -4,6 +4,7 @@
 #include <bit>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "isa/disassembler.hh"
 #include "isa/exec_impl.hh"
@@ -41,7 +42,8 @@ CoreParams::finalize()
     iq.robSize = robSize;
 }
 
-OooCore::OooCore(const Program &program_, const CoreParams &params_)
+OooCore::OooCore(const Program &program_, const CoreParams &params_,
+                 bool load_image)
     : program(program_), params(params_), statsGroup("core"),
       mem(params_.mem),
       rename((params.finalize(), params.numPhysRegs)),
@@ -89,7 +91,8 @@ OooCore::OooCore(const Program &program_, const CoreParams &params_)
     lsq = std::make_unique<Lsq>(params.lsqSize, mem.dcache(), fu,
                                 scoreboard, std::move(cb));
 
-    program.load(commitMem);
+    if (load_image)
+        program.load(commitMem);
 
     // ~0 is never a line address (lines are aligned), so it marks an
     // empty memo slot.
@@ -708,13 +711,13 @@ OooCore::tick()
 
 void
 OooCore::seedState(const std::array<std::uint64_t, kNumArchRegs> &regs,
-                   const SparseMemory &memory_image, Addr start_pc)
+                   SparseMemory memory_image, Addr start_pc)
 {
     SCIQ_ASSERT(curCycle == 0 && nextSeq == 1,
                 "seedState after simulation started");
     specRegs = regs;
     committedRegs = regs;
-    commitMem = memory_image;
+    commitMem = std::move(memory_image);
     fetchPc = start_pc;
 }
 

@@ -110,7 +110,13 @@ struct CoreParams
 class OooCore
 {
   public:
-    OooCore(const Program &program, const CoreParams &params);
+    /**
+     * @param load_image copy the program image into the committed
+     * memory.  False when the caller seeds the core (seedState) before
+     * the first tick, which replaces the image anyway.
+     */
+    OooCore(const Program &program, const CoreParams &params,
+            bool load_image = true);
     ~OooCore();
 
     /** Advance one cycle. */
@@ -156,10 +162,12 @@ class OooCore
     /**
      * Seed architectural state before the first cycle - used by the
      * fast-forward facility to start timing simulation mid-program,
-     * as the paper does from 20-billion-instruction checkpoints.
+     * as the paper does from 20-billion-instruction checkpoints.  The
+     * image replaces the committed memory; pass it by move when the
+     * caller has no further use for it (checkpoint restore).
      */
     void seedState(const std::array<std::uint64_t, kNumArchRegs> &regs,
-                   const SparseMemory &memory_image, Addr start_pc);
+                   SparseMemory memory_image, Addr start_pc);
 
     /** Attach a pipeline-event observer (tracing); may be null. */
     void setObserver(CommitObserver *obs) { observer = obs; }

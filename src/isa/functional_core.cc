@@ -1,6 +1,7 @@
 #include "functional_core.hh"
 
 #include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -62,15 +63,28 @@ FunctionalCore::save(serial::Writer &w) const
     mem.save(w);
 }
 
+FunctionalCore::SavedState
+FunctionalCore::decode(serial::Reader &r)
+{
+    SavedState s;
+    for (std::uint64_t &reg : s.regs)
+        reg = r.u64();
+    s.pc = r.u64();
+    s.halted = r.u8() != 0;
+    s.executed = r.u64();
+    s.memory.restore(r);
+    return s;
+}
+
 void
 FunctionalCore::restore(serial::Reader &r)
 {
-    for (std::uint64_t &reg : regs)
-        reg = r.u64();
-    curPc = r.u64();
-    isHalted = r.u8() != 0;
-    executed = r.u64();
-    mem.restore(r);
+    SavedState s = decode(r);
+    regs = s.regs;
+    curPc = s.pc;
+    isHalted = s.halted;
+    executed = s.executed;
+    mem = std::move(s.memory);
     prevPc = 0;
     prevResult = ExecResult{};
     prevInst = nullptr;

@@ -111,6 +111,23 @@ class FunctionalCore : public ExecContext
      */
     void restore(serial::Reader &r);
 
+    /** The architectural state save() writes, decoded on its own. */
+    struct SavedState
+    {
+        std::array<std::uint64_t, kNumArchRegs> regs{};
+        Addr pc = 0;
+        bool halted = false;
+        std::uint64_t executed = 0;
+        SparseMemory memory;
+    };
+
+    /**
+     * Decode what save() wrote without building a core: a checkpoint
+     * restore seeds the timing core from it directly, skipping the
+     * program load and block cache a FunctionalCore would set up.
+     */
+    static SavedState decode(serial::Reader &r);
+
     const std::array<std::uint64_t, kNumArchRegs> &regFile() const
     {
         return regs;

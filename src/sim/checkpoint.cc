@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -142,6 +143,13 @@ FastForwardStats
 restoreCheckpoint(const std::string &blob, const SimConfig &config,
                   const Program &program, OooCore &core)
 {
+    return restoreCheckpoint(blob, config, program.checksum(), core);
+}
+
+FastForwardStats
+restoreCheckpoint(const std::string &blob, const SimConfig &config,
+                  std::uint64_t program_checksum, OooCore &core)
+{
     if (blob.size() < 8 + 4 + 8 + 8) {
         throw CheckpointError("checkpoint truncated: " +
                                   std::to_string(blob.size()) +
@@ -187,7 +195,7 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
                 std::to_string(ff_insts) +
                 ") under a different workload/memory/branch configuration");
         }
-        if (r.u64() != program.checksum()) {
+        if (r.u64() != program_checksum) {
             throw CheckpointError(
                 "checkpoint program checksum mismatch: the workload "
                 "generator produced a different program than the snapshot "
@@ -198,8 +206,7 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
         const FastForwardStats ff = restoreFfStats(r);
 
         r.expectTag("FUNC");
-        FunctionalCore warm(program);
-        warm.restore(r);
+        FunctionalCore::SavedState warm = FunctionalCore::decode(r);
 
         r.expectTag("L1I_");
         core.memHierarchy().icache().restore(r);
@@ -227,7 +234,7 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
         // Mirror the cold path exactly: fastForward() only seeds the
         // timing core when the warm-up did not consume the program.
         if (!ff.hitHalt)
-            core.seedState(warm.regFile(), warm.memory(), warm.pc());
+            core.seedState(warm.regs, std::move(warm.memory), warm.pc);
         return ff;
     } catch (const serial::Error &e) {
         throw CheckpointError(std::string("malformed checkpoint: ") +
@@ -314,88 +321,70 @@ CheckpointCache::unlockKey(std::uint64_t key) const
 CheckpointCache::Blob
 CheckpointCache::findOrBegin(std::uint64_t key)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        auto it = entries_.find(key);
-        if (it == entries_.end())
-            break;
-        if (it->second.blob) {
-            ++memoryHits_;
-            return it->second.blob;
-        }
-        // Another thread is producing this key; wait for its verdict.
-        cv_.wait(lock);
+    if (Blob hit = blobs_.findOrBegin(key)) {
+        ++memoryHits_;
+        return hit;
     }
 
-    // Claim production before probing the disk so only one thread pays
-    // the file read (or, on a true miss, the warm-up).
-    entries_[key].producing = true;
-    lock.unlock();
+    // This thread claimed production before probing the disk, so only
+    // it pays the file read (or, on a true miss, the warm-up).
+    if (dir_.empty())
+        return nullptr;
 
-    if (!dir_.empty()) {
-        auto diskHit = [&](std::string blob) {
-            lock.lock();
-            Entry &e = entries_[key];
-            e.blob =
-                std::make_shared<const std::string>(std::move(blob));
-            e.producing = false;
-            ++diskHits_;
-            cv_.notify_all();
-            return e.blob;
-        };
+    auto diskHit = [&](std::string blob) {
+        ++diskHits_;
+        return blobs_.publish(
+            key, std::make_shared<const std::string>(std::move(blob)));
+    };
 
-        // Poll-and-elect until we either read a published blob, win
-        // the cross-process lock, or lose patience.  Iteration order:
-        // blob first, so a winner that already published is picked up
-        // without ever touching the lock.
-        const auto giveUp =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(electionWaitMs);
-        for (;;) {
-            std::string from_disk;
-            bool found = false;
+    // Poll-and-elect until we either read a published blob, win the
+    // cross-process lock, or lose patience.  Iteration order: blob
+    // first, so a winner that already published is picked up without
+    // ever touching the lock.
+    const auto giveUp = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(electionWaitMs);
+    for (;;) {
+        std::string from_disk;
+        bool found = false;
+        try {
+            from_disk = readCheckpointFile(pathFor(key));
+            found = true;
+        } catch (const CheckpointError &) {
+            // No usable file (yet).
+        }
+        if (found)
+            return diskHit(std::move(from_disk));
+
+        if (tryLockKey(key)) {
+            // Won the election — but the previous holder may have
+            // published between our read and its unlink, so probe once
+            // more before paying for the warm-up.
             try {
                 from_disk = readCheckpointFile(pathFor(key));
                 found = true;
             } catch (const CheckpointError &) {
-                // No usable file (yet).
             }
-            if (found)
+            if (found) {
+                unlockKey(key);
                 return diskHit(std::move(from_disk));
-
-            if (tryLockKey(key)) {
-                // Won the election — but the previous holder may have
-                // published between our read and its unlink, so probe
-                // once more before paying for the warm-up.
-                try {
-                    from_disk = readCheckpointFile(pathFor(key));
-                    found = true;
-                } catch (const CheckpointError &) {
-                }
-                if (found) {
-                    unlockKey(key);
-                    return diskHit(std::move(from_disk));
-                }
-                lock.lock();
-                entries_[key].diskLock = true;
-                lock.unlock();
-                return nullptr;
             }
-
-            if (std::chrono::steady_clock::now() >= giveUp) {
-                // Stale lock (crashed producer) or a glacial one:
-                // produce our own copy.  Wasteful, never wrong — every
-                // producer of this key writes bit-identical state.
-                warn("checkpoint lock %s.lock held too long; producing "
-                     "a duplicate warm-up",
-                     pathFor(key).c_str());
-                return nullptr;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(electionPollMs));
+            std::lock_guard<std::mutex> lock(mu_);
+            diskLocks_.insert(key);
+            return nullptr;
         }
+
+        if (std::chrono::steady_clock::now() >= giveUp) {
+            // Stale lock (crashed producer) or a glacial one: produce
+            // our own copy.  Wasteful, never wrong — every producer of
+            // this key writes bit-identical state.
+            warn("checkpoint lock %s.lock held too long; producing "
+                 "a duplicate warm-up",
+                 pathFor(key).c_str());
+            return nullptr;
+        }
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(electionPollMs));
     }
-    return nullptr;
 }
 
 CheckpointCache::Blob
@@ -408,51 +397,25 @@ CheckpointCache::publish(std::uint64_t key, std::string blob)
             warn("checkpoint not persisted: %s", e.what());
         }
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    Entry &e = entries_[key];
-    if (e.diskLock) {
-        unlockKey(key);
-        e.diskLock = false;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (diskLocks_.erase(key))
+            unlockKey(key);
     }
-    e.blob = std::make_shared<const std::string>(std::move(blob));
-    e.producing = false;
     ++produced_;
-    cv_.notify_all();
-    return e.blob;
+    return blobs_.publish(
+        key, std::make_shared<const std::string>(std::move(blob)));
 }
 
 void
 CheckpointCache::cancel(std::uint64_t key)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end() && !it->second.blob) {
-        if (it->second.diskLock)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (diskLocks_.erase(key))
             unlockKey(key);
-        entries_.erase(it);
     }
-    cv_.notify_all();
-}
-
-std::uint64_t
-CheckpointCache::memoryHits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return memoryHits_;
-}
-
-std::uint64_t
-CheckpointCache::diskHits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return diskHits_;
-}
-
-std::uint64_t
-CheckpointCache::produced() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return produced_;
+    blobs_.cancel(key);
 }
 
 } // namespace sciq

@@ -30,14 +30,15 @@
 #ifndef SCIQ_SIM_CHECKPOINT_HH
 #define SCIQ_SIM_CHECKPOINT_HH
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/errors.hh"
+#include "common/once_map.hh"
 #include "sim/fast_forward.hh"
 #include "sim/sim_config.hh"
 
@@ -75,12 +76,20 @@ std::string saveCheckpoint(const SimConfig &config,
  * Validate `blob` against (config, program) and restore it into `core`
  * exactly as the cold path would: caches and predictor tables are
  * overwritten, and the core's architectural state is seeded unless the
- * warm-up hit HALT.  Returns the FastForwardStats recorded at save
- * time.  Throws CheckpointError on any mismatch or corruption.
+ * warm-up hit HALT.  The FUNC section is decoded straight into the
+ * registers, PC and memory image the core is seeded with.  Returns the
+ * FastForwardStats recorded at save time.  Throws CheckpointError on
+ * any mismatch or corruption.
  */
 FastForwardStats restoreCheckpoint(const std::string &blob,
                                    const SimConfig &config,
                                    const Program &program, OooCore &core);
+
+/** The same, for a caller that already holds program.checksum(). */
+FastForwardStats restoreCheckpoint(const std::string &blob,
+                                   const SimConfig &config,
+                                   std::uint64_t program_checksum,
+                                   OooCore &core);
 
 /** Atomically (write + rename) persist a blob; CheckpointError on I/O. */
 void writeCheckpointFile(const std::string &path, const std::string &blob);
@@ -96,8 +105,9 @@ std::string readCheckpointFile(const std::string &path);
  * Producer election makes concurrent sweeps do each distinct warm-up
  * exactly once: the first thread to ask for a missing key becomes its
  * producer (findOrBegin returns nullptr) while later askers block until
- * publish()/cancel().  Results stay bit-identical regardless of which
- * job ends up producing, so the election order is free to race.
+ * publish()/cancel(); that in-process half is an OnceMap.  Results stay
+ * bit-identical regardless of which job ends up producing, so the
+ * election order is free to race.
  *
  * With a backing directory the election also spans processes (bench
  * or `runner` processes on one host that share a ckpt_dir=): the first
@@ -144,28 +154,22 @@ class CheckpointCache
     unsigned electionPollMs = 50;
 
     // Reuse accounting (monotonic; read after a sweep completes).
-    std::uint64_t memoryHits() const;
-    std::uint64_t diskHits() const;
-    std::uint64_t produced() const;
+    std::uint64_t memoryHits() const { return memoryHits_.load(); }
+    std::uint64_t diskHits() const { return diskHits_.load(); }
+    std::uint64_t produced() const { return produced_.load(); }
 
   private:
-    struct Entry
-    {
-        bool producing = false;
-        bool diskLock = false;  ///< this process holds the .lock file
-        Blob blob;
-    };
-
     bool tryLockKey(std::uint64_t key) const;
     void unlockKey(std::uint64_t key) const;
 
     std::string dir_;
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::unordered_map<std::uint64_t, Entry> entries_;
-    std::uint64_t memoryHits_ = 0;
-    std::uint64_t diskHits_ = 0;
-    std::uint64_t produced_ = 0;
+    OnceMap<std::uint64_t, std::string> blobs_;
+    std::mutex mu_;
+    /** Keys whose `.lock` file this process holds while producing. */
+    std::unordered_set<std::uint64_t> diskLocks_;
+    std::atomic<std::uint64_t> memoryHits_{0};
+    std::atomic<std::uint64_t> diskHits_{0};
+    std::atomic<std::uint64_t> produced_{0};
 };
 
 } // namespace sciq

@@ -128,18 +128,20 @@ writeArtifact(const std::string &dir, std::size_t index,
 }
 
 /**
- * Run one job with bounded retry-with-backoff for transient errors.
+ * Run one job with bounded retry-with-backoff for transient errors,
+ * drawing its program and golden state from the sweep's `shared`.
  * Never throws: every exception ends up in the returned outcome.
  */
 inline RunResult
 executeWithRetry(const SimConfig &config, const std::string &key,
                  std::size_t index, unsigned max_retries,
-                 unsigned backoff_ms, const std::string &artifact_dir)
+                 unsigned backoff_ms, const std::string &artifact_dir,
+                 SweepShared *shared)
 {
     for (unsigned attempt = 1;; ++attempt) {
         std::exception_ptr ep;
         try {
-            RunResult r = runSim(config);
+            RunResult r = runSim(config, shared);
             r.outcome.attempts = attempt;
             return r;
         } catch (...) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "iq/segmented_iq.hh"
@@ -12,6 +13,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
 #include "sim/fault_injector.hh"
+#include "sim/sweep.hh"
 
 namespace sciq {
 
@@ -36,11 +38,40 @@ jobStatusFromName(const std::string &name)
     return JobOutcome::Status::Failed;
 }
 
-Simulator::Simulator(const SimConfig &cfg) : config(cfg)
+GoldenState
+GoldenState::run(const Program &program, std::uint64_t insts,
+                 bool bb_cache)
 {
-    program_ = std::make_unique<Program>(
-        buildWorkload(config.workload, config.wl));
-    core_ = std::make_unique<OooCore>(*program_, config.core);
+    FunctionalCore golden(program, bb_cache);
+    golden.run(insts);
+    return {golden.regFile(), std::move(golden.memory())};
+}
+
+bool
+GoldenState::matches(const OooCore &core) const
+{
+    for (RegIndex reg = 1; reg < kNumArchRegs; ++reg) {
+        if (regs[reg] != core.commitRegs()[reg])
+            return false;
+    }
+    return core.commitMemory().equalContents(memory);
+}
+
+Simulator::Simulator(const SimConfig &cfg, SweepShared *shared)
+    : config(cfg), shared_(shared)
+{
+    if (shared_) {
+        auto input = shared_->program(config);
+        program_ = std::shared_ptr<const Program>(input, &input->program);
+        programChecksum_ = input->checksum;
+    } else {
+        program_ = std::make_shared<const Program>(
+            buildWorkload(config.workload, config.wl));
+    }
+    // A fast-forwarded core is seeded with the warm-up's memory image
+    // (prepare()), which replaces the program image.
+    core_ = std::make_unique<OooCore>(*program_, config.core,
+                                      /*load_image=*/config.fastForward == 0);
     if (config.audit) {
         auditor_ = std::make_unique<Auditor>(config.auditPanic);
         auditor_->attach(*core_);
@@ -78,7 +109,15 @@ Simulator::noteWarm(double seconds, std::uint64_t insts,
     }
 }
 
-std::uint64_t
+FastForwardStats
+Simulator::restore(const std::string &blob)
+{
+    if (!programChecksum_)
+        programChecksum_ = program_->checksum();
+    return restoreCheckpoint(blob, config, *programChecksum_, *core_);
+}
+
+FastForwardStats
 Simulator::warmUp(bool &restored)
 {
     restored = false;
@@ -92,6 +131,8 @@ Simulator::warmUp(bool &restored)
         const std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - t0;
         noteWarm(dt.count(), ff.instsSkipped, warm);
+        if (shared_)
+            shared_->noteWarmUp();
         if (ff.hitHalt) {
             warn("fast-forward of %llu insts consumed the whole program",
                  static_cast<unsigned long long>(config.fastForward));
@@ -116,14 +157,13 @@ Simulator::warmUp(bool &restored)
                     /*transient=*/true);
             }
             writeCheckpointFile(config.ckptFile, blob);
-            return ff.instsSkipped;
+            return ff;
         }
         if (config.faults && config.faults->takeCorruptRead())
             config.faults->corrupt(blob);
-        const FastForwardStats ff =
-            restoreCheckpoint(blob, config, *program_, *core_);
+        const FastForwardStats ff = restore(blob);
         restored = true;
-        return ff.instsSkipped;
+        return ff;
     }
 
     // Cache mode: a shared in-process cache (sweep-level reuse) or a
@@ -132,7 +172,7 @@ Simulator::warmUp(bool &restored)
     if (!cache && !config.ckptDir.empty())
         cache = std::make_shared<CheckpointCache>(config.ckptDir);
     if (!cache)
-        return coldFf(nullptr).instsSkipped;
+        return coldFf(nullptr);
 
     const std::uint64_t key = checkpointKeyHash(config);
     CheckpointCache::Blob blob = cache->findOrBegin(key);
@@ -145,10 +185,9 @@ Simulator::warmUp(bool &restored)
             bytes = &damaged;
         }
         try {
-            const FastForwardStats ff =
-                restoreCheckpoint(*bytes, config, *program_, *core_);
+            const FastForwardStats ff = restore(*bytes);
             restored = true;
-            return ff.instsSkipped;
+            return ff;
         } catch (const CheckpointError &e) {
             // A stale or damaged entry (e.g. hand-edited file): warm
             // up cold and replace it so later runs restore cleanly.
@@ -157,7 +196,7 @@ Simulator::warmUp(bool &restored)
             std::string fresh;
             FastForwardStats ff = coldFf(&fresh);
             cache->publish(key, std::move(fresh));
-            return ff.instsSkipped;
+            return ff;
         }
     }
 
@@ -171,7 +210,7 @@ Simulator::warmUp(bool &restored)
                                   /*transient=*/true);
         }
         cache->publish(key, std::move(fresh));
-        return ff.instsSkipped;
+        return ff;
     } catch (...) {
         cache->cancel(key);
         throw;
@@ -182,7 +221,18 @@ std::uint64_t
 Simulator::prepare(bool &restored)
 {
     restored = false;
-    return config.fastForward > 0 ? warmUp(restored) : 0;
+    if (config.fastForward == 0)
+        return 0;
+    const FastForwardStats ff = warmUp(restored);
+    if (ff.hitHalt) {
+        // The warm-up consumed the program and left the core unseeded;
+        // start it from the program image, as a core built with the
+        // image would.
+        SparseMemory image;
+        program_->load(image);
+        core_->seedState({}, std::move(image), program_->entry());
+    }
+    return ff.instsSkipped;
 }
 
 RunResult
@@ -315,22 +365,20 @@ Simulator::collect(double host_seconds, std::uint64_t skipped,
     }
 
     if (config.validate) {
-        // The golden model executes the skipped prefix plus exactly as
-        // many instructions as the pipeline committed; state must then
-        // agree bit for bit.
-        FunctionalCore golden(*program_, config.bbCache);
-        golden.run(skipped + r.insts);
-        bool regs_ok = true;
-        for (RegIndex reg = 1; reg < kNumArchRegs; ++reg) {
-            if (golden.reg(reg) != core_->commitRegs()[reg]) {
-                regs_ok = false;
-                break;
-            }
-        }
-        // Compare only data pages the golden model wrote (the pipeline
-        // image also contains the loaded program text).
-        r.validated = regs_ok &&
-                      core_->commitMemory().equalContents(golden.memory());
+        // The golden end state comes from the functional model run from
+        // the program image for the skipped prefix plus exactly as many
+        // instructions as the pipeline committed, with this job's
+        // bb_cache choice — never from a warm-up or checkpoint, so
+        // validation stays independent of the warm path.  A sweep runs
+        // it once per (program, instruction count, bb_cache) and shares
+        // it among its jobs.
+        const std::uint64_t insts = skipped + r.insts;
+        const std::shared_ptr<const GoldenState> golden =
+            shared_ ? shared_->golden(*programChecksum_, *program_, insts,
+                                      config.bbCache)
+                    : std::make_shared<const GoldenState>(GoldenState::run(
+                          *program_, insts, config.bbCache));
+        r.validated = golden->matches(*core_);
         if (!r.validated) {
             warn("validation FAILED for %s on %s IQ",
                  config.workload.c_str(), r.iqKind.c_str());
@@ -341,9 +389,9 @@ Simulator::collect(double host_seconds, std::uint64_t skipped,
 }
 
 RunResult
-runSim(const SimConfig &config)
+runSim(const SimConfig &config, SweepShared *shared)
 {
-    Simulator sim(config);
+    Simulator sim(config, shared);
     return sim.run();
 }
 

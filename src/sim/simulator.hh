@@ -9,7 +9,9 @@
 #ifndef SCIQ_SIM_SIMULATOR_HH
 #define SCIQ_SIM_SIMULATOR_HH
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -21,6 +23,33 @@ namespace sciq {
 
 class Auditor;
 class FunctionalCore;
+class SweepShared;
+struct FastForwardStats;
+
+/**
+ * The architectural state a functional-model run from the program
+ * image reaches: what validation compares the pipeline's committed
+ * state with.
+ */
+struct GoldenState
+{
+    std::array<std::uint64_t, kNumArchRegs> regs{};
+    SparseMemory memory;
+
+    /**
+     * Run `program` from its image for `insts` instructions (fewer if
+     * it halts), with or without the basic-block cache.
+     */
+    static GoldenState run(const Program &program, std::uint64_t insts,
+                           bool bb_cache);
+
+    /**
+     * Registers 1.. and every memory byte equal `core`'s committed
+     * state (the core's image also holds the loaded program text;
+     * untouched pages compare as zero).
+     */
+    bool matches(const OooCore &core) const;
+};
 
 /**
  * How a sweep job ended (DESIGN.md §13).  A default-constructed
@@ -142,7 +171,14 @@ struct RunResult
 class Simulator
 {
   public:
-    explicit Simulator(const SimConfig &config);
+    /**
+     * @param shared the inputs one sweep shares among its jobs (the
+     * program, the golden end state, the warm-up count); null builds
+     * the program and runs the golden model privately.  Must outlive
+     * the Simulator.
+     */
+    explicit Simulator(const SimConfig &config,
+                       SweepShared *shared = nullptr);
     ~Simulator();
 
     /** Run to HALT (or the cycle cap) and collect results. */
@@ -154,7 +190,9 @@ class Simulator
      * the configured fast-forward (no-op when fastForward is 0) and
      * returns instructions skipped; collect() extracts the RunResult
      * after the caller has run the core to completion.  run() is
-     * exactly prepare() + the timed loop + collect().
+     * exactly prepare() + the timed loop + collect().  With a
+     * fast-forward configured, the core holds no memory image until
+     * prepare() seeds it.
      */
     std::uint64_t prepare(bool &restored);
     RunResult collect(double host_seconds, std::uint64_t skipped,
@@ -178,17 +216,23 @@ class Simulator
   private:
     /**
      * Perform the configured fast-forward, through the checkpoint
-     * machinery when enabled.  Returns instructions skipped; sets
+     * machinery when enabled.  Returns the warm-up's statistics; sets
      * `restored` when the state came from a checkpoint.
      */
-    std::uint64_t warmUp(bool &restored);
+    FastForwardStats warmUp(bool &restored);
 
     /** Record warming wall-clock and block-cache counters. */
     void noteWarm(double seconds, std::uint64_t insts,
                   const FunctionalCore &warm);
 
+    /** Restore a checkpoint blob into the core. */
+    FastForwardStats restore(const std::string &blob);
+
     SimConfig config;
-    std::unique_ptr<Program> program_;
+    SweepShared *shared_;
+    std::shared_ptr<const Program> program_;
+    /** program_->checksum(): given by the sweep, else computed once. */
+    std::optional<std::uint64_t> programChecksum_;
     std::unique_ptr<OooCore> core_;
     std::unique_ptr<Auditor> auditor_;
 
@@ -203,7 +247,7 @@ class Simulator
 };
 
 /** Convenience: configure, run, and return the result. */
-RunResult runSim(const SimConfig &config);
+RunResult runSim(const SimConfig &config, SweepShared *shared = nullptr);
 
 /** Fixed-width results-table helpers shared by the benches. */
 void printResultHeader(std::ostream &os);

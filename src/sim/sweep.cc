@@ -11,14 +11,63 @@
 #include <mutex>
 #include <new>
 #include <thread>
+#include <unordered_set>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
+#include "sim/checkpoint.hh"
 #include "sim/job_exec.hh"
 #include "sim/journal.hh"
 #include "sim/run_result_fields.hh"
 
 namespace sciq {
+
+std::shared_ptr<const SweepShared::SharedProgram>
+SweepShared::program(const SimConfig &config)
+{
+    bool built = false;
+    auto shared = programs_.get(
+        workloadFingerprint(config.workload, config.wl),
+        [&] {
+            SharedProgram p{buildWorkload(config.workload, config.wl)};
+            p.checksum = p.program.checksum();
+            return p;
+        },
+        &built);
+    if (built)
+        ++programsBuilt_;
+    return shared;
+}
+
+std::shared_ptr<const GoldenState>
+SweepShared::golden(std::uint64_t program_checksum, const Program &program,
+                    std::uint64_t insts, bool bb_cache)
+{
+    bool ran = false;
+    auto golden = goldens_.get(
+        GoldenKey{program_checksum, insts, bb_cache},
+        [&] { return GoldenState::run(program, insts, bb_cache); }, &ran);
+    if (ran)
+        ++goldenRuns_;
+    return golden;
+}
+
+SweepShared::Counts
+SweepShared::counts() const
+{
+    return {programsBuilt_.load(), goldenRuns_.load(), warmUps_.load()};
+}
+
+std::size_t
+SweepShared::GoldenKeyHash::operator()(const GoldenKey &k) const
+{
+    serial::Fnv64 h;
+    h.update(k.program);
+    h.update(k.insts);
+    h.update(k.bbCache ? 1 : 0);
+    return static_cast<std::size_t>(h.digest());
+}
 
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs)
 {
@@ -73,11 +122,12 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
 
     std::atomic<std::size_t> done{total - pending.size()};
     std::mutex progressMutex;
+    SweepShared shared;
 
     auto runOne = [&](std::size_t i) {
         RunResult r = job_exec::executeWithRetry(
             configs[i], keys[i], i, options.maxRetries, options.backoffMs,
-            options.artifactDir);
+            options.artifactDir, &shared);
         if (journal)
             journal->record(i, keys[i], r);
         results[i] = std::move(r);
@@ -94,8 +144,24 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
     if (workers <= 1) {
         for (std::size_t i : pending)
             runOne(i);
+        if (options.reuse)
+            *options.reuse = shared.counts();
         return results;
     }
+
+    // Producers first: input order already runs the first job of each
+    // checkpoint key before the others, which serially is enough.  In
+    // parallel it is not — a worker would block in findOrBegin while
+    // another warms up — so dispatch every key's first job ahead of
+    // all the jobs that restore it.
+    std::vector<char> restores(total, 0);
+    std::unordered_set<std::uint64_t> warmKeys;
+    for (std::size_t i : pending) {
+        restores[i] = configs[i].fastForward > 0 &&
+                      !warmKeys.insert(checkpointKeyHash(configs[i])).second;
+    }
+    std::stable_partition(pending.begin(), pending.end(),
+                          [&](std::size_t i) { return !restores[i]; });
 
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(workers);
@@ -124,6 +190,8 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
     for (auto &t : threads)
         t.join();
 
+    if (options.reuse)
+        *options.reuse = shared.counts();
     for (auto &err : errors) {
         if (err)
             std::rethrow_exception(err);

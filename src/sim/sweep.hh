@@ -6,11 +6,14 @@
  * threads while preserving the input ordering of the results, so
  * `jobs=1` and `jobs=N` emit bit-identical tables.
  *
- * Safety model: every runSim() call owns its Program, OooCore and
- * DynInstPool outright, and the simulator keeps no global mutable
- * state, so configurations are embarrassingly parallel.  The only
- * cross-thread traffic is the work-queue index and the result slots,
- * which are disjoint per job.
+ * Safety model: every job owns its OooCore, DynInstPool and stats
+ * outright, and the simulator keeps no global mutable state, so
+ * configurations are embarrassingly parallel.  What jobs share is
+ * immutable once made: the Program and the golden end state of each
+ * input live in one SweepShared per run() call, handed out as
+ * shared_ptr<const>, and warm-ups in the configs' CheckpointCache.
+ * The remaining cross-thread traffic is the work-queue index and the
+ * result slots, which are disjoint per job.
  *
  * Fault containment (DESIGN.md §13): a job that throws does not kill
  * the sweep.  Its exception is classified through the error taxonomy
@@ -24,15 +27,86 @@
 #ifndef SCIQ_SIM_SWEEP_HH
 #define SCIQ_SIM_SWEEP_HH
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/once_map.hh"
 #include "sim/simulator.hh"
 
 namespace sciq {
+
+/**
+ * The functional-model products one SweepRunner::run computes once per
+ * input and shares read-only with every job of that input (DESIGN.md
+ * §10).  It lives for one run() call.
+ *
+ *   - program(): the workload Program, built once per
+ *     workloadFingerprint, with its checksum computed once.
+ *   - golden(): the end state validation compares with, keyed by
+ *     (program checksum, instruction count, bb_cache) and always made
+ *     by GoldenState::run from the program image — never from a
+ *     warm-up or a checkpoint.
+ *
+ * Each product is made by the first job that asks for it while later
+ * askers wait (OnceMap); a build or run that throws is not cached.
+ */
+class SweepShared
+{
+  public:
+    /** A shared program and its checksum. */
+    struct SharedProgram
+    {
+        Program program;
+        std::uint64_t checksum = 0;
+    };
+
+    /** Reuse accounting: how often each product was actually made. */
+    struct Counts
+    {
+        std::uint64_t programsBuilt = 0;
+        std::uint64_t goldenRuns = 0;
+        std::uint64_t warmUps = 0;  ///< cold fast-forwards by the jobs
+    };
+
+    std::shared_ptr<const SharedProgram> program(const SimConfig &config);
+
+    /** `program`'s state after `insts` instructions from its image. */
+    std::shared_ptr<const GoldenState>
+    golden(std::uint64_t program_checksum, const Program &program,
+           std::uint64_t insts, bool bb_cache);
+
+    /** Count one warm-up a job ran cold instead of restoring. */
+    void noteWarmUp() { ++warmUps_; }
+
+    Counts counts() const;
+
+  private:
+    struct GoldenKey
+    {
+        std::uint64_t program;
+        std::uint64_t insts;
+        bool bbCache;
+
+        bool operator==(const GoldenKey &) const = default;
+    };
+
+    struct GoldenKeyHash
+    {
+        std::size_t operator()(const GoldenKey &k) const;
+    };
+
+    OnceMap<std::uint64_t, SharedProgram> programs_;
+    OnceMap<GoldenKey, GoldenState, GoldenKeyHash> goldens_;
+    std::atomic<std::uint64_t> programsBuilt_{0};
+    std::atomic<std::uint64_t> goldenRuns_{0};
+    std::atomic<std::uint64_t> warmUps_{0};
+};
 
 class SweepRunner
 {
@@ -68,6 +142,9 @@ class SweepRunner
         std::string artifactDir;
 
         Progress progress;
+
+        /** When set, receives the sweep's reuse counts as run() returns. */
+        SweepShared::Counts *reuse = nullptr;
     };
 
     /** @param jobs worker threads; 0 = std::thread::hardware_concurrency. */
@@ -77,7 +154,10 @@ class SweepRunner
      * Run every configuration and return results in input order.  Job
      * failures are contained into RunResult::outcome; only harness
      * failures (e.g. an unwritable journal) propagate, after all
-     * workers have drained.
+     * workers have drained.  With several workers, the first job of
+     * each checkpoint key is dispatched before every job that would
+     * restore it, so no worker waits on a warm-up that another has
+     * only just begun.
      */
     std::vector<RunResult> run(const std::vector<SimConfig> &configs,
                                const Options &options) const;

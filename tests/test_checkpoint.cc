@@ -449,6 +449,70 @@ INSTANTIATE_TEST_SUITE_P(
                     : "_ideal");
     });
 
+// A warm-up that reaches HALT leaves the core unseeded, so the timed
+// run starts from the program image; a restore of that warm-up must do
+// the same.
+class CheckpointHaltedWarmUp : public ::testing::TestWithParam<std::uint64_t>
+{
+  protected:
+    /** twolf with ff at the program length plus GetParam(). */
+    static SimConfig
+    haltedConfig()
+    {
+        SimConfig cfg = testConfig("twolf", IqKind::Segmented);
+        FunctionalCore probe(buildWorkload(cfg.workload, cfg.wl));
+        cfg.fastForward = probe.run() + GetParam();  // HALT included
+        return cfg;
+    }
+};
+
+TEST_P(CheckpointHaltedWarmUp, RestoredMatchesColdBitForBit)
+{
+    SimConfig cfg = haltedConfig();
+    cfg.ckptCache = std::make_shared<CheckpointCache>();
+
+    Simulator coldSim(cfg);
+    RunResult cold = coldSim.run();
+    EXPECT_FALSE(cold.ckptRestored);
+    ASSERT_TRUE(cold.haltedCleanly);
+    ASSERT_TRUE(cold.validated);
+
+    Simulator warmSim(cfg);
+    RunResult warm = warmSim.run();
+    EXPECT_TRUE(warm.ckptRestored);
+    ASSERT_TRUE(warm.haltedCleanly);
+    ASSERT_TRUE(warm.validated);
+
+    EXPECT_EQ(cold.cycles, warm.cycles);
+    EXPECT_EQ(cold.insts, warm.insts);
+    EXPECT_EQ(statsDump(coldSim), statsDump(warmSim));
+}
+
+TEST_P(CheckpointHaltedWarmUp, RestoreLeavesTheCoreUnseeded)
+{
+    // The same at the checkpoint layer, on cores built with the program
+    // image: neither fastForward nor restoreCheckpoint seeds them.
+    const SimConfig cfg = haltedConfig();
+    const Program prog = buildWorkload(cfg.workload, cfg.wl);
+    FunctionalCore golden(prog);
+    OooCore cold(prog, cfg.core);
+    const FastForwardStats ff = fastForward(golden, cold, cfg.fastForward);
+    ASSERT_TRUE(ff.hitHalt);
+    const std::string blob = saveCheckpoint(cfg, golden, cold, ff);
+
+    OooCore restored(prog, cfg.core);
+    EXPECT_TRUE(restoreCheckpoint(blob, cfg, prog, restored).hitHalt);
+    cold.run();
+    restored.run();
+    ASSERT_TRUE(cold.halted());
+    EXPECT_EQ(cold.cycles(), restored.cycles());
+    EXPECT_EQ(cold.committedCount(), restored.committedCount());
+}
+
+// ff exactly the program length, and well beyond it.
+INSTANTIATE_TEST_SUITE_P(AtAndBeyondProgramEnd, CheckpointHaltedWarmUp,
+                         ::testing::Values(0u, 100000u));
+
 // ---------------------------------------------------------------------
 // Rejection paths.
 

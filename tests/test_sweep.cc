@@ -1,7 +1,8 @@
 /**
  * @file
  * SweepRunner: deterministic result ordering under parallel execution,
- * worker-count handling, fault containment, and the JSON emitter.
+ * worker-count handling, what a sweep shares among its jobs, fault
+ * containment, and the JSON emitter.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "common/errors.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "sim/checkpoint.hh"
 #include "sim/sweep.hh"
 
 using namespace sciq;
@@ -242,6 +244,100 @@ TEST(SweepFaultContainment, ProgressReportsContainedFailures)
     SweepRunner(2).run(cfgs, options);
     EXPECT_EQ(calls, cfgs.size());
     EXPECT_EQ(failures, 1u);
+}
+
+namespace {
+
+/**
+ * A validating fast-forward sweep, `inputs` × three queues sharing one
+ * checkpoint cache.
+ */
+std::vector<SimConfig>
+fastForwardSweep(const std::vector<std::string> &inputs)
+{
+    auto cache = std::make_shared<CheckpointCache>();
+    std::vector<SimConfig> cfgs;
+    for (const std::string &wl : inputs) {
+        for (SimConfig cfg : {makeIdealConfig(64, wl),
+                              makeSegmentedConfig(64, 32, true, true, wl),
+                              makeFifoConfig(8, 8, wl)}) {
+            cfg.wl.iterations = 200;
+            cfg.fastForward = 2000;
+            cfg.validate = true;
+            cfg.ckptCache = cache;
+            cfgs.push_back(cfg);
+        }
+    }
+    return cfgs;
+}
+
+SweepShared::Counts
+runCounted(const std::vector<SimConfig> &cfgs)
+{
+    SweepShared::Counts reuse;
+    SweepRunner::Options options;
+    options.reuse = &reuse;
+    for (const RunResult &r : SweepRunner(2).run(cfgs, options)) {
+        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
+        EXPECT_TRUE(r.haltedCleanly) << r.workload << " " << r.iqKind;
+        EXPECT_TRUE(r.validated) << r.workload << " " << r.iqKind;
+    }
+    return reuse;
+}
+
+} // namespace
+
+TEST(SweepReuse, EachInputBuildsValidatesAndWarmsOnce)
+{
+    const SweepShared::Counts reuse =
+        runCounted(fastForwardSweep({"swim", "gcc"}));
+    EXPECT_EQ(reuse.programsBuilt, 2u);
+    EXPECT_EQ(reuse.goldenRuns, 2u);
+    EXPECT_EQ(reuse.warmUps, 2u);
+}
+
+TEST(SweepReuse, BbCacheOffJobGetsItsOwnGoldenRun)
+{
+    // The reference interpreter's golden run is keyed apart from the
+    // block-cache one; program and warm-up are still shared.
+    std::vector<SimConfig> cfgs = fastForwardSweep({"swim", "gcc"});
+    SimConfig reference = cfgs.front();
+    reference.bbCache = false;
+    cfgs.push_back(reference);
+
+    const SweepShared::Counts reuse = runCounted(cfgs);
+    EXPECT_EQ(reuse.programsBuilt, 2u);
+    EXPECT_EQ(reuse.goldenRuns, 3u);
+    EXPECT_EQ(reuse.warmUps, 2u);
+}
+
+TEST(SweepReuse, CappedJobGetsItsOwnGoldenRun)
+{
+    // A job stopped by max_cycles commits fewer instructions, so it is
+    // validated against a shorter golden run of the same program.
+    std::vector<SimConfig> cfgs = fastForwardSweep({"swim"});
+    cfgs[1].maxCycles = 3000;
+    SweepShared::Counts reuse;
+    SweepRunner::Options options;
+    options.reuse = &reuse;
+    const std::vector<RunResult> results = SweepRunner(2).run(cfgs, options);
+    EXPECT_FALSE(results[1].haltedCleanly);
+    for (const RunResult &r : results)
+        EXPECT_TRUE(r.validated) << r.iqKind;
+    EXPECT_EQ(reuse.goldenRuns, 2u);
+}
+
+TEST(SweepReuse, SharedInputsKeepResultsBitIdentical)
+{
+    // Each job alone (private program, golden and cold warm-up) against
+    // the shared sweep.
+    const std::vector<SimConfig> cfgs = fastForwardSweep({"swim", "gcc"});
+    const std::vector<RunResult> shared = SweepRunner(2).run(cfgs);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        SimConfig alone = cfgs[i];
+        alone.ckptCache = nullptr;
+        expectIdentical(runSim(alone), shared[i], i);
+    }
 }
 
 TEST(SweepJson, EmitsEveryResultWithFields)

@@ -4,14 +4,16 @@
  * pipeline's committed architectural state must match the functional
  * golden model bit for bit.  This exercises renaming, squash recovery,
  * the LSQ, chain bookkeeping, deadlock recovery and commit ordering all
- * at once.
+ * at once.  The negative cases show the comparison can fail.
  */
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 
 using namespace sciq;
 
@@ -112,4 +114,74 @@ TEST(StateValidationLarge, NoBypassNoPushdownStillCorrect)
     RunResult r = runSim(cfg);
     EXPECT_TRUE(r.haltedCleanly);
     EXPECT_TRUE(r.validated);
+}
+
+// ---------------------------------------------------------------------
+// Validation can fail: a job whose committed state differs from its
+// golden end state must report validated == false, whether the golden
+// is the job's own or one shared among a sweep's jobs.
+
+namespace {
+
+/** An address no workload reads or writes. */
+constexpr Addr kStrayAddr = 0x7ead'0000'0000ULL;
+
+SimConfig
+negativeConfig()
+{
+    SimConfig cfg = makeSegmentedConfig(64, 32, true, true, "swim");
+    cfg.wl.iterations = 100;
+    cfg.validate = true;
+    return cfg;
+}
+
+/**
+ * Run `sim` to completion after seeding its core with one stray byte
+ * the program never touches, so the committed memory ends up differing
+ * from any functional-model run of the program.
+ */
+RunResult
+runWithStrayByte(Simulator &sim)
+{
+    bool restored = false;
+    const std::uint64_t skipped = sim.prepare(restored);
+    OooCore &core = sim.core();
+    SparseMemory image = core.commitMemory();
+    image.write(kStrayAddr, 1, 0x5a);
+    core.seedState(core.commitRegs(), std::move(image),
+                   sim.program().entry());
+    core.run(~0ULL, sim.simConfig().maxCycles);
+    return sim.collect(0.0, skipped, restored);
+}
+
+} // namespace
+
+TEST(ValidationFails, PrivateGoldenSeesAStrayCommittedByte)
+{
+    Simulator clean(negativeConfig());
+    ASSERT_TRUE(clean.run().validated);
+
+    Simulator stray(negativeConfig());
+    const RunResult r = runWithStrayByte(stray);
+    EXPECT_TRUE(r.haltedCleanly);
+    EXPECT_FALSE(r.validated);
+}
+
+TEST(ValidationFails, SweepSharedGoldenSeesAStrayCommittedByte)
+{
+    // Two jobs of one input draw the same golden from the sweep's
+    // shared state: the clean one passes against it, the stray one
+    // fails against it.
+    SweepShared shared;
+    Simulator clean(negativeConfig(), &shared);
+    ASSERT_TRUE(clean.run().validated);
+
+    Simulator stray(negativeConfig(), &shared);
+    const RunResult r = runWithStrayByte(stray);
+    EXPECT_TRUE(r.haltedCleanly);
+    EXPECT_FALSE(r.validated);
+
+    const SweepShared::Counts counts = shared.counts();
+    EXPECT_EQ(counts.programsBuilt, 1u);
+    EXPECT_EQ(counts.goldenRuns, 1u);
 }
