@@ -2,8 +2,7 @@
  * @file
  * DynInst: one dynamic (in-flight) instruction.  Carries the decoded
  * static instruction, the oracle outcome computed by execute-at-fetch,
- * rename state, timing state, and the per-design scheduler state used
- * by the instruction-queue implementations.
+ * rename state and timing state.  Scheduler state lives in the queues.
  */
 
 #ifndef SCIQ_CORE_DYN_INST_HH
@@ -28,31 +27,12 @@ struct FetchCheckpoint
     ReturnAddressStack::Snapshot ras;
 };
 
-/**
- * Membership of an instruction in one dependence chain (paper 3.2/3.3).
- * Each IQ entry tracks: chain id, current delay value, the chain head's
- * segment location, and whether the chain is in self-timed mode.
- */
-struct ChainMembership
-{
-    ChainId chain = kNoChain;
-    std::uint32_t gen = 0;   ///< chain-wire generation (reuse safety)
-    std::uint64_t appliedSeq = 0;  ///< last chain-wire signal applied
-    int delay = 0;
-    int headSegment = 0;
-    bool selfTimed = false;
-    bool suspended = false;  ///< self-timing suspended (head missed)
-};
-
-/** Scheduler state for the segmented IQ. */
+/** Segmented-IQ state read after issue: the chain wire this inst heads. */
 struct SegIqState
 {
-    ChainMembership memberships[2];
-    int numMemberships = 0;
     ChainId headedChain = kNoChain;  ///< chain this inst is the head of
     std::uint32_t headedGen = 0;
     bool chainReleased = false;      ///< headed chain already freed
-    int segment = -1;        ///< segment at dispatch (0 = issue buffer)
 };
 
 /** Scheduler state for the ideal (monolithic CAM) IQ. */
@@ -61,12 +41,6 @@ struct IdealIqState
     int pendingOps = 0;   ///< unready gating sources at last update
     std::uint32_t slot = 0;  ///< index in the queue's residency list
     bool inQueue = false; ///< resident (waiter entries may be stale)
-};
-
-/** Scheduler state for the prescheduling IQ (Michaud-Seznec). */
-struct PreschedState
-{
-    int line = -1;           ///< scheduling-array line, -1 = issue buffer
 };
 
 class DynInstPool;
@@ -92,7 +66,7 @@ class DynInst
     SeqNum seq = kInvalidSeqNum;
 
     // The one-byte fields of this group and the next sit together so
-    // their padding holds the count's: sizeof(DynInst) stays 344.
+    // they share one padding gap.
     Addr oracleNextPc = 0;      ///< architected successor along this path
     Addr effAddr = 0;           ///< memory ops: effective address
     std::uint64_t memValue = 0; ///< load result / store data (oracle)
@@ -121,18 +95,15 @@ class DynInst
     bool issued = false;
     bool completed = false;   ///< result produced; may commit
     bool squashed = false;
-    bool committed = false;
 
     Cycle fetchCycle = 0;
     Cycle dispatchReadyCycle = 0;  ///< earliest dispatch (front-end depth)
     Cycle issueCycle = 0;
     Cycle completeCycle = 0;
 
-    int lsqIndex = -1;
     std::int8_t lsqCls = -1;      ///< cached LSQ conflict class (-1 = stale)
     SeqNum lsqBlockSeq = 0;       ///< older store the cached class depends on
     bool addrReady = false;       ///< address generation finished
-    bool memAccessDone = false;   ///< load data returned
     bool memAccessSent = false;
     bool loadForwarded = false;   ///< satisfied by store-to-load forward
     bool loadWasL1Hit = false;    ///< actual outcome (HMP training)
@@ -144,13 +115,10 @@ class DynInst
     bool lrpUsed = false;
     bool lrpPredictedLeft = false;
     bool hadTwoOutstanding = false;
-    std::array<Cycle, 2> srcReadyCycle{0, 0};  ///< for LRP training
 
     // ---- IQ-design-specific scheduler state ---------------------------------
     SegIqState seg;
     IdealIqState ideal;
-    PreschedState presched;
-    int fifoId = -1;  ///< for the Palacharla FIFO design
 
     // Convenience forwarding helpers.
     OpClass opClass() const { return staticInst.opClass(); }
@@ -158,6 +126,9 @@ class DynInst
     bool isStore() const { return staticInst.isStore(); }
     bool isControl() const { return staticInst.isControl(); }
 };
+
+// Four cache lines: every fetched instruction placement-news one.
+static_assert(sizeof(DynInst) <= 256, "DynInst grew past four cache lines");
 
 /**
  * Intrusive smart pointer to a DynInst.  Semantics match

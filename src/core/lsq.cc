@@ -41,7 +41,6 @@ void
 Lsq::insert(const DynInstPtr &inst)
 {
     SCIQ_ASSERT(!entries.full(), "LSQ overflow");
-    inst->lsqIndex = 0;  // meaningful only as "is in LSQ"
     inst->lsqCls = -1;
     inst->lsqBlockSeq = 0;
     entries.pushBack(inst);
@@ -132,7 +131,6 @@ Lsq::sendLoadAccess(const DynInstPtr &inst, Cycle cycle)
                 return;
             inst->loadWasL1Hit = outcome == AccessOutcome::Hit;
             inst->loadWasDelayedHit = outcome == AccessOutcome::DelayedHit;
-            inst->memAccessDone = true;
             cb.onLoadComplete(inst, when);
         },
         [this, inst](Cycle when) {
@@ -150,7 +148,6 @@ Lsq::tick(Cycle cycle)
             it = pendingForwards.erase(it);
         } else if (it->second <= cycle) {
             DynInstPtr inst = it->first;
-            inst->memAccessDone = true;
             cb.onLoadComplete(inst, cycle);
             it = pendingForwards.erase(it);
         } else {
@@ -239,7 +236,6 @@ Lsq::commitStore(const DynInstPtr &inst, Cycle cycle)
     storeList.pop_front();
     // The departed store can unblock loads that were waiting on it.
     storeEvent(inst->seq);
-    inst->lsqIndex = -1;
     drainBuffer.emplace_back(inst->effAddr, inst->staticInst.memSize());
     (void)cycle;
 }
@@ -250,7 +246,6 @@ Lsq::commitLoad(const DynInstPtr &inst)
     SCIQ_ASSERT(!entries.empty() && entries.front() == inst,
                 "committing load that is not the LSQ head");
     entries.popFront();
-    inst->lsqIndex = -1;
 }
 
 void

@@ -661,7 +661,6 @@ OooCore::commitStage()
             rename.release(inst->prevPhysDst);
 
         iq->onCommit(inst);
-        inst->committed = true;
         // `inst` refers into the ROB slot the pop empties.
         const DynInstPtr done = rob.popFront();
         committedInsts.inc();

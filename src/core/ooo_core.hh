@@ -111,12 +111,14 @@ class OooCore
 {
   public:
     /**
+     * @param program borrowed: must outlive the core (no temporaries).
      * @param load_image copy the program image into the committed
      * memory.  False when the caller seeds the core (seedState) before
      * the first tick, which replaces the image anyway.
      */
     OooCore(const Program &program, const CoreParams &params,
             bool load_image = true);
+    OooCore(const Program &&, const CoreParams &, bool = true) = delete;
     ~OooCore();
 
     /** Advance one cycle. */
@@ -190,6 +192,7 @@ class OooCore
     HitMissPredictor &hitMissPredictor() { return hmp; }
     LeftRightPredictor &leftRightPredictor() { return lrp; }
     const CoreParams &coreParams() const { return params; }
+    const Program &prog() const { return program; }
 
     stats::Group &statGroup() { return statsGroup; }
 
@@ -268,8 +271,7 @@ class OooCore
     void markLoadComplete(const DynInstPtr &inst, Cycle cycle);
     void markStoreReady(const DynInstPtr &inst, Cycle cycle);
 
-    /** Owned copy so callers may pass temporaries safely. */
-    Program program;
+    const Program &program;
     CoreParams params;
     stats::Group statsGroup;
 

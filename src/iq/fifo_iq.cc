@@ -76,7 +76,6 @@ FifoIq::insert(const DynInstPtr &inst, Cycle)
         steeredToEmpty.inc();
     else
         steeredBehindProducer.inc();
-    inst->fifoId = f;
     fifos[static_cast<std::size_t>(f)].push_back(inst);
     ++totalOcc;
     instsInserted.inc();

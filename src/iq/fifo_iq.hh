@@ -34,6 +34,13 @@ class FifoIq : public IqBase
     void squash(SeqNum youngest_kept) override;
     std::size_t occupancy() const override;
 
+    /** Test/debug view: the FIFO holding `inst`, or -1 if none does. */
+    int
+    debugFifo(const DynInstPtr &inst) const
+    {
+        return holderOf(fifos, inst);
+    }
+
     stats::Scalar steeredBehindProducer;
     stats::Scalar steeredToEmpty;
     stats::Scalar noEmptyFifoStalls;

@@ -8,6 +8,7 @@
 #ifndef SCIQ_IQ_IQ_BASE_HH
 #define SCIQ_IQ_IQ_BASE_HH
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <iosfwd>
@@ -191,6 +192,17 @@ class IqBase
     stats::Average occupancyAvg;
 
   protected:
+    /** Index of the queue in `queues` holding `inst`, or -1. */
+    template <typename Queues>
+    static int
+    holderOf(const Queues &queues, const DynInstPtr &inst)
+    {
+        const auto it = std::ranges::find_if(queues, [&](const auto &q) {
+            return std::ranges::find(q, inst) != q.end();
+        });
+        return it == queues.end() ? -1 : static_cast<int>(it - queues.begin());
+    }
+
     IqParams params;
     const Scoreboard &scoreboard;
     const FuPool &fu;

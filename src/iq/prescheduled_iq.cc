@@ -86,7 +86,6 @@ PrescheduledIq::insert(const DynInstPtr &inst, Cycle)
     const unsigned delay = predictedDelay(*inst);
     int line = findLine(delay);
     SCIQ_ASSERT(line >= 0, "insert into full prescheduled IQ");
-    inst->presched.line = line;
     lines[static_cast<std::size_t>(line)].push_back(inst);
     instsInserted.inc();
 
@@ -126,10 +125,8 @@ PrescheduledIq::tick(Cycle, bool)
     // stalling if the oldest line does not fit.
     auto &oldest = lines.front();
     if (issueBuffer.size() + oldest.size() <= params.issueBufferSize) {
-        for (auto &inst : oldest) {
-            inst->presched.line = -1;
+        for (auto &inst : oldest)
             issueBuffer.push_back(inst);
-        }
         oldest.clear();
         lines.pop_front();
         lines.emplace_back();

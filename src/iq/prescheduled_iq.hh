@@ -45,6 +45,14 @@ class PrescheduledIq : public IqBase
     unsigned numLines() const { return static_cast<unsigned>(lines.size()); }
     std::size_t issueBufferOccupancy() const { return issueBuffer.size(); }
 
+    /** Test/debug view: the scheduling-array line holding `inst`, or
+     *  -1 once it has left the array (issue buffer, issued, squashed). */
+    int
+    debugLine(const DynInstPtr &inst) const
+    {
+        return holderOf(lines, inst);
+    }
+
     stats::Scalar arrayStallCycles;   ///< shifts blocked by a full buffer
     stats::Average issueBufferOcc;
 

@@ -450,10 +450,6 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         twoOutstanding.inc();
 
     auto &seg_state = inst->seg;
-    seg_state.numMemberships = plan.numMemberships;
-    for (int k = 0; k < plan.numMemberships; ++k)
-        seg_state.memberships[k] = plan.memberships[k];
-
     if (plan.needNewChain) {
         auto [id, gen] = chains.alloc();
         seg_state.headedChain = id;
@@ -476,7 +472,6 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
             headsFromLoads.inc();
     }
 
-    seg_state.segment = target;
     soaInsert(inst, target, plan);
     instsInserted.inc();
     dispatchSegment.sample(static_cast<double>(target));
@@ -734,6 +729,7 @@ SegmentedIq::setAuditTracking(bool on)
     const std::size_t n = numSegments();
     freePrevSnapshot.assign(on ? n : 0, params.segmentSize);
     promotedInto.assign(on ? n : 0, 0);
+    dispatchPlan.assign(on ? poolSize : 0, Plan{});
 }
 
 void
@@ -754,7 +750,7 @@ SegmentedIq::dumpSegment(std::ostream &os, unsigned k) const
             os << " heads=" << inst->seg.headedChain
                << (inst->seg.chainReleased ? "(released)" : "");
         }
-        for (int m = 0; m < inst->seg.numMemberships; ++m) {
+        for (int m = 0; m < debugMembershipCount(inst); ++m) {
             const ChainMembership mem = debugMembership(inst, m);
             os << " [chain=" << mem.chain << " delay=" << mem.delay
                << " headSeg=" << mem.headSegment
@@ -1310,6 +1306,8 @@ SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
         }
         syncLaneCd(slot, m);
     }
+    if (auditTracking)
+        dispatchPlan[slot] = plan;
     ++totalOcc;
     soaPlace(slot, static_cast<unsigned>(target));
     onSegSizeChanged(static_cast<unsigned>(target));

@@ -57,6 +57,22 @@
 
 namespace sciq {
 
+/**
+ * Membership of an instruction in one dependence chain (paper 3.2/3.3).
+ * Each IQ entry tracks: chain id, current delay value, the chain head's
+ * segment location, and whether the chain is in self-timed mode.
+ */
+struct ChainMembership
+{
+    ChainId chain = kNoChain;
+    std::uint32_t gen = 0;   ///< chain-wire generation (reuse safety)
+    std::uint64_t appliedSeq = 0;  ///< last chain-wire signal applied
+    int delay = 0;
+    int headSegment = 0;
+    bool selfTimed = false;
+    bool suspended = false;  ///< self-timing suspended (head missed)
+};
+
 class HitMissPredictor;
 class LeftRightPredictor;
 
@@ -133,15 +149,15 @@ class SegmentedIq : public IqBase
     void setProfiling(bool on) { profiling = on; }
     const TickProfile &profile() const { return prof; }
 
-    /**
-     * Test/debug view of a resident instruction's membership `m` (the
-     * pool lanes hold the live copy; the one inside DynInst is its
-     * state at dispatch).
-     */
+    /** Test/debug views of a resident instruction's entry, read from
+     *  the pool lanes. */
+    int
+    debugMembershipCount(const DynInstPtr &inst) const
+    {
+        return pool.memCount[slotOf(*inst)];
+    }
     ChainMembership debugMembership(const DynInstPtr &inst, int m) const;
     int debugEffectiveDelay(const DynInstPtr &inst) const;
-    /** Current segment of a resident instruction (kept in the pool;
-     *  `inst->seg.segment` is its dispatch segment). */
     int debugSegment(const DynInstPtr &inst) const;
 
     /** Segments currently powered (== numSegments unless resizing). */
@@ -624,6 +640,7 @@ class SegmentedIq : public IqBase
     bool auditTracking = false;
     std::vector<unsigned> freePrevSnapshot;  ///< freePrevCycle at tick start
     std::vector<unsigned> promotedInto;      ///< promotions per destination
+    std::vector<Plan> dispatchPlan;  ///< per slot, the plan it was inserted by
 };
 
 } // namespace sciq

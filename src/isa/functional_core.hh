@@ -43,9 +43,11 @@ class FunctionalCore : public ExecContext
     /**
      * @param bb_cache enable the pre-decoded basic-block path for
      * run()/runBlocks().  Off = the step()-based reference; results
-     * are bit-identical either way.
+     * are bit-identical either way.  `prog` is borrowed: it must
+     * outlive the core (no temporaries).
      */
     explicit FunctionalCore(const Program &prog, bool bb_cache = true);
+    explicit FunctionalCore(const Program &&, bool = true) = delete;
 
     /** Execute one instruction; returns false once halted. */
     bool step();
@@ -91,7 +93,7 @@ class FunctionalCore : public ExecContext
     SparseMemory &memory() { return mem; }
     const SparseMemory &memory() const { return mem; }
 
-    /** The owned program copy (checkpointing fingerprints it). */
+    /** The borrowed program (checkpointing fingerprints it). */
     const Program &prog() const { return program; }
 
     /**
@@ -247,8 +249,7 @@ class FunctionalCore : public ExecContext
         std::array<std::uint8_t *, kPageSlots> slotPtr{};
     };
 
-    /** Owned copy so callers may pass temporaries safely. */
-    Program program;
+    const Program &program;
     SparseMemory mem;
     std::array<std::uint64_t, kNumArchRegs> regs{};
     Addr curPc;

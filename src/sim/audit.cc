@@ -278,9 +278,10 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             const DynInst *inst = res.inst;
             const unsigned slot = res.slot;
 
+            const SegmentedIq::Plan &dispatched = iq.dispatchPlan[slot];
             if (pool.seq[slot] != inst->seq ||
                 static_cast<int>(pool.memCount[slot]) !=
-                    inst->seg.numMemberships ||
+                    dispatched.numMemberships ||
                 pool.headChain[slot] != inst->seg.headedChain ||
                 pool.headGen[slot] != inst->seg.headedGen) {
                 violation(occIndex,
@@ -302,14 +303,14 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               " in segment " + std::to_string(k));
             }
 
-            for (int m = 0; m < inst->seg.numMemberships; ++m) {
+            for (int m = 0; m < dispatched.numMemberships; ++m) {
                 const int delay = pool.delay[m][slot];
                 const ChainId chain = pool.chain[m][slot];
                 const std::uint32_t gen = pool.gen[m][slot];
                 const std::uint64_t applied = pool.applied[m][slot];
                 // Chain identity is fixed at dispatch; the lane and the
-                // DynInst's copy must agree for ever.
-                const ChainMembership &mir = inst->seg.memberships[m];
+                // insert plan must agree for ever.
+                const ChainMembership &mir = dispatched.memberships[m];
                 if (chain != mir.chain || gen != mir.gen) {
                     violation(occIndex,
                               "lane chain identity matches dispatch", cycle,

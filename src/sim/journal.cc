@@ -241,8 +241,7 @@ applyJournal(const std::string &path,
     return reused;
 }
 
-ResultJournal::ResultJournal(const std::string &path, bool sync)
-    : path_(path), sync_(sync)
+ResultJournal::ResultJournal(const std::string &path) : path_(path)
 {
     // A writer killed mid-record leaves a torn tail line with no
     // newline; appending straight after it would corrupt the first new
@@ -299,12 +298,6 @@ ResultJournal::record(std::size_t index, const std::string &key,
                                 "' failed: " + std::strerror(errno));
         }
         off += static_cast<std::size_t>(n);
-    }
-    // With sync_ the row must be durable, not merely in the page
-    // cache, before record() returns.
-    if (sync_ && ::fsync(fd_) != 0) {
-        throw ResourceError("fsync of result journal '" + path_ +
-                            "' failed: " + std::strerror(errno));
     }
 }
 

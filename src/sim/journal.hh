@@ -81,16 +81,15 @@ std::size_t applyJournal(const std::string &path,
  * Thread-safe appender; one fully written line per record().
  *
  * Writes go straight to an O_APPEND fd (no stdio buffer), so a record
- * that returned is at worst in the page cache, never in a user-space
- * buffer a crash would discard.  With `sync = true` every record is
- * additionally fsync'd before returning, so a record that returned
- * survives a host crash or power loss too, not only a killed process.
+ * that returned survives the sweep process being killed, but not a
+ * host crash or power loss; the loader re-runs jobs whose records were
+ * lost.
  */
 class ResultJournal
 {
   public:
     /** Opens `path` in append mode; throws ResourceError on failure. */
-    explicit ResultJournal(const std::string &path, bool sync = false);
+    explicit ResultJournal(const std::string &path);
     ~ResultJournal();
 
     ResultJournal(const ResultJournal &) = delete;
@@ -104,7 +103,6 @@ class ResultJournal
   private:
     std::string path_;
     int fd_ = -1;
-    bool sync_ = false;
     std::mutex mu_;
 };
 

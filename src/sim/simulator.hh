@@ -230,6 +230,7 @@ class Simulator
 
     SimConfig config;
     SweepShared *shared_;
+    /** Borrowed by core_ and this run's FunctionalCores: declared first. */
     std::shared_ptr<const Program> program_;
     /** program_->checksum(): given by the sweep, else computed once. */
     std::optional<std::uint64_t> programChecksum_;

@@ -82,7 +82,8 @@ TEST(AsmBuilder, LaMatchesAddress)
     AsmBuilder b;
     b.la(intReg(3), 0x12345678);
     b.halt();
-    FunctionalCore core(b.build());
+    const Program prog = b.build();
+    FunctionalCore core(prog);
     core.run();
     EXPECT_EQ(core.reg(intReg(3)), 0x12345678u);
 }

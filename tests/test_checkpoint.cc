@@ -460,7 +460,8 @@ class CheckpointHaltedWarmUp : public ::testing::TestWithParam<std::uint64_t>
     haltedConfig()
     {
         SimConfig cfg = testConfig("twolf", IqKind::Segmented);
-        FunctionalCore probe(buildWorkload(cfg.workload, cfg.wl));
+        const Program prog = buildWorkload(cfg.workload, cfg.wl);
+        FunctionalCore probe(prog);
         cfg.fastForward = probe.run() + GetParam();  // HALT included
         return cfg;
     }

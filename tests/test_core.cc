@@ -89,7 +89,8 @@ TEST(Core, IndependentWorkExploitsWidth)
     for (int i = 0; i < 512; ++i)
         b.addi(intReg(1 + (i % 24)), intReg(0), i % 1000);
     b.halt();
-    OooCore core(b.build(), smallParams(IqKind::Ideal));
+    const Program prog = b.build();
+    OooCore core(prog, smallParams(IqKind::Ideal));
     core.run(~0ULL, 100000);
     ASSERT_TRUE(core.halted());
     EXPECT_GT(core.ipc(), 4.0);  // an 8-wide machine should fly
@@ -103,7 +104,8 @@ TEST(Core, DependentChainLimitsToOnePerCycle)
     for (int i = 0; i < n; ++i)
         b.add(intReg(1), intReg(1), intReg(1));  // serial chain
     b.halt();
-    OooCore core(b.build(), smallParams(IqKind::Ideal));
+    const Program prog = b.build();
+    OooCore core(prog, smallParams(IqKind::Ideal));
     core.run(~0ULL, 100000);
     ASSERT_TRUE(core.halted());
     // Back-to-back issue of single-cycle dependants: about one per
@@ -120,7 +122,8 @@ TEST(Core, BackToBackAlsoWorksInSegmentedSegmentZero)
     for (int i = 0; i < n; ++i)
         b.add(intReg(1), intReg(1), intReg(1));
     b.halt();
-    OooCore core(b.build(), smallParams(IqKind::Segmented));
+    const Program prog = b.build();
+    OooCore core(prog, smallParams(IqKind::Segmented));
     core.run(~0ULL, 100000);
     ASSERT_TRUE(core.halted());
     EXPECT_LT(core.cycles(), static_cast<Cycle>(n + 120));
@@ -182,7 +185,8 @@ TEST(Core, StoreToLoadForwardingHappens)
     b.addi(intReg(4), intReg(4), -1);
     b.bne(intReg(4), intReg(0), "loop");
     b.halt();
-    OooCore core(b.build(), smallParams(IqKind::Ideal));
+    const Program prog = b.build();
+    OooCore core(prog, smallParams(IqKind::Ideal));
     core.run(~0ULL, 100000);
     ASSERT_TRUE(core.halted());
     EXPECT_GT(core.lsqUnit().loadForwards.value(), 50.0);
@@ -228,7 +232,8 @@ TEST(Core, LongLatencyOpsOverlapInIdealWindow)
     for (int i = 0; i < 64; ++i)
         b.fdiv(fpReg(1 + (i % 24)), fpReg(25), fpReg(26));
     b.halt();
-    OooCore core(b.build(), smallParams(IqKind::Ideal));
+    const Program prog = b.build();
+    OooCore core(prog, smallParams(IqKind::Ideal));
     core.run(~0ULL, 10000);
     ASSERT_TRUE(core.halted());
     EXPECT_LT(core.cycles(), 200u);

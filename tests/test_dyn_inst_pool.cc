@@ -73,8 +73,10 @@ TEST(DynInstPool, RecycledSlotIsFreshlyConstructed)
     DynInstPtr a = pool.create();
     a->seq = 1234;
     a->squashed = true;
-    a->fifoId = 7;
-    a->seg.numMemberships = 2;
+    a->seg.headedChain = 3;
+    a->seg.chainReleased = true;
+    a->ideal.pendingOps = 2;
+    a->ideal.inQueue = true;
     a->checkpoint = std::make_unique<FetchCheckpoint>();
     DynInst *raw = a.get();
     a.reset();
@@ -83,8 +85,10 @@ TEST(DynInstPool, RecycledSlotIsFreshlyConstructed)
     ASSERT_EQ(b.get(), raw);
     EXPECT_EQ(b->seq, kInvalidSeqNum);
     EXPECT_FALSE(b->squashed);
-    EXPECT_EQ(b->fifoId, -1);
-    EXPECT_EQ(b->seg.numMemberships, 0);
+    EXPECT_EQ(b->seg.headedChain, kNoChain);
+    EXPECT_FALSE(b->seg.chainReleased);
+    EXPECT_EQ(b->ideal.pendingOps, 0);
+    EXPECT_FALSE(b->ideal.inQueue);
     EXPECT_EQ(b->checkpoint, nullptr)
         << "recycled slot leaked the previous checkpoint";
 }

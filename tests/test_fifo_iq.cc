@@ -50,7 +50,7 @@ TEST_F(FifoFixture, DependentSteeredBehindProducer)
     dispatch(*iq, prod);
     auto dep = makeInst(2, Opcode::ADD, intReg(3), intReg(2), intReg(1));
     dispatch(*iq, dep);
-    EXPECT_EQ(dep->fifoId, prod->fifoId);
+    EXPECT_EQ(iq->debugFifo(dep), iq->debugFifo(prod));
     EXPECT_EQ(iq->steeredBehindProducer.value(), 1.0);
 }
 
@@ -61,7 +61,7 @@ TEST_F(FifoFixture, ReadyInstructionGetsEmptyFifo)
     auto b = makeInst(2, Opcode::NOP);
     dispatch(*iq, a);
     dispatch(*iq, b);
-    EXPECT_NE(a->fifoId, b->fifoId);
+    EXPECT_NE(iq->debugFifo(a), iq->debugFifo(b));
     EXPECT_EQ(iq->steeredToEmpty.value(), 2.0);
 }
 
@@ -74,7 +74,7 @@ TEST_F(FifoFixture, BuriedProducerForcesEmptyFifo)
     dispatch(*iq, mid);  // now the producer is no longer a tail
     auto dep = makeInst(3, Opcode::ADD, intReg(4), intReg(2), intReg(1));
     dispatch(*iq, dep);
-    EXPECT_NE(dep->fifoId, prod->fifoId);
+    EXPECT_NE(iq->debugFifo(dep), iq->debugFifo(prod));
 }
 
 TEST_F(FifoFixture, DispatchStallsWithoutEmptyFifo)
@@ -161,7 +161,7 @@ TEST_F(FifoFixture, SquashClearsYoungerAndProducerTable)
     scoreboard.setReady(intReg(3));
     auto reader = makeInst(3, Opcode::ADD, intReg(4), intReg(3), intReg(1));
     dispatch(*iq, reader);
-    EXPECT_NE(reader->fifoId, -1);
+    EXPECT_NE(iq->debugFifo(reader), -1);
 }
 
 TEST_F(FifoFixture, FifoDepthLimitSteersElsewhere)
@@ -175,5 +175,5 @@ TEST_F(FifoFixture, FifoDepthLimitSteersElsewhere)
     dispatch(*iq, dep1);  // fills the FIFO to depth 2
     auto dep2 = makeInst(3, Opcode::ADD, intReg(4), intReg(3), intReg(0));
     dispatch(*iq, dep2);  // producer fifo full: must go elsewhere
-    EXPECT_NE(dep2->fifoId, prod->fifoId);
+    EXPECT_NE(iq->debugFifo(dep2), iq->debugFifo(prod));
 }

@@ -44,7 +44,8 @@ TEST(FunctionalCore, MemoryCopyLoop)
     b.addi(intReg(3), intReg(3), -1);
     b.bne(intReg(3), intReg(0), "loop");
     b.halt();
-    FunctionalCore core(b.build());
+    const Program prog = b.build();
+    FunctionalCore core(prog);
     core.run();
     for (int i = 0; i < 5; ++i) {
         EXPECT_EQ(core.memory().read(0x20000 + 8 * i, 8),
@@ -122,7 +123,8 @@ TEST(FunctionalCore, FpAccumulation)
     b.addi(intReg(2), intReg(2), -1);
     b.bne(intReg(2), intReg(0), "loop");
     b.halt();
-    FunctionalCore core(b.build());
+    const Program prog = b.build();
+    FunctionalCore core(prog);
     core.run();
     EXPECT_DOUBLE_EQ(core.fregAsDouble(1), 8.0);
 }

@@ -61,7 +61,7 @@ TEST_F(PreschedFixture, ReadyInstructionPlacedInLineZero)
     auto iq = makeIq();
     auto inst = makeInst(1, Opcode::ADD, intReg(3), intReg(1), intReg(2));
     dispatch(*iq, inst);
-    EXPECT_EQ(inst->presched.line, 0);
+    EXPECT_EQ(iq->debugLine(inst), 0);
 }
 
 TEST_F(PreschedFixture, DependentPlacedByPredictedLatency)
@@ -69,11 +69,11 @@ TEST_F(PreschedFixture, DependentPlacedByPredictedLatency)
     auto iq = makeIq();
     auto prod = makeInst(1, Opcode::MUL, intReg(2), intReg(1), intReg(1));
     dispatch(*iq, prod);
-    EXPECT_EQ(prod->presched.line, 0);
+    EXPECT_EQ(iq->debugLine(prod), 0);
     auto dep = makeInst(2, Opcode::ADD, intReg(3), intReg(2), intReg(1));
     dispatch(*iq, dep);
     // Ready when mul (line 0) reaches the buffer (+1) and executes (3).
-    EXPECT_EQ(dep->presched.line, 4);
+    EXPECT_EQ(iq->debugLine(dep), 4);
 }
 
 TEST_F(PreschedFixture, LoadsPredictedAsCacheHits)
@@ -83,7 +83,7 @@ TEST_F(PreschedFixture, LoadsPredictedAsCacheHits)
     dispatch(*iq, load);
     auto dep = makeInst(2, Opcode::ADD, intReg(3), intReg(2), intReg(1));
     dispatch(*iq, dep);
-    EXPECT_EQ(dep->presched.line, 1 + 4);  // predictedLoadLatency
+    EXPECT_EQ(iq->debugLine(dep), 1 + 4);  // predictedLoadLatency
 }
 
 TEST_F(PreschedFixture, FullLineSpillsToNextLine)
@@ -93,7 +93,7 @@ TEST_F(PreschedFixture, FullLineSpillsToNextLine)
         dispatch(*iq, makeInst(s, Opcode::NOP));
     auto third = makeInst(3, Opcode::NOP);
     dispatch(*iq, third);
-    EXPECT_EQ(third->presched.line, 1);  // line 0 held only two
+    EXPECT_EQ(iq->debugLine(third), 1);  // line 0 held only two
 }
 
 TEST_F(PreschedFixture, ArrayShiftsIntoIssueBufferEachCycle)
@@ -102,7 +102,7 @@ TEST_F(PreschedFixture, ArrayShiftsIntoIssueBufferEachCycle)
     auto inst = makeInst(1, Opcode::ADD, intReg(3), intReg(1), intReg(2));
     dispatch(*iq, inst);
     tick(*iq);
-    EXPECT_EQ(inst->presched.line, -1);  // now in the issue buffer
+    EXPECT_EQ(iq->debugLine(inst), -1);  // now in the issue buffer
     EXPECT_EQ(iq->issueBufferOccupancy(), 1u);
     iq->issueSelect(cycle, rec.acceptAll());
     ASSERT_EQ(rec.issued.size(), 1u);
@@ -177,8 +177,8 @@ TEST_F(PreschedFixture, DependentsNeverEnterBufferBeforeProducers)
         tick(*iq);
         for (std::size_t i = 1; i < chain.size(); ++i) {
             // If a consumer left the array, its producer must have too.
-            if (chain[i]->presched.line == -1) {
-                EXPECT_EQ(chain[i - 1]->presched.line, -1)
+            if (iq->debugLine(chain[i]) == -1) {
+                EXPECT_EQ(iq->debugLine(chain[i - 1]), -1)
                     << "inversion at link " << i << " tick " << t;
             }
         }
@@ -204,7 +204,7 @@ TEST_F(PreschedFixture, SquashRemovesAndRestoresPredictions)
     scoreboard.setReady(intReg(2));
     auto reader = makeInst(3, Opcode::ADD, intReg(4), intReg(2), intReg(1));
     dispatch(*iq, reader);
-    EXPECT_EQ(reader->presched.line, 0);
+    EXPECT_EQ(iq->debugLine(reader), 0);
 }
 
 TEST_F(PreschedFixture, CapacityStallsWhenAllLinesFull)

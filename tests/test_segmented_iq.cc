@@ -109,7 +109,7 @@ TEST_F(SegFixture, NonLoadWithReadyOperandsHasNoChain)
     auto add = makeInst(1, Opcode::ADD, intReg(3), intReg(1), intReg(2));
     dispatch(*iq, add);
     EXPECT_EQ(add->seg.headedChain, kNoChain);
-    EXPECT_EQ(add->seg.numMemberships, 0);
+    EXPECT_EQ(iq->debugMembershipCount(add), 0);
     EXPECT_EQ(iq->chainsCreated.value(), 0.0);
 }
 
@@ -141,7 +141,7 @@ TEST_F(SegFixture, DependentJoinsProducersChainWithPredictedDelay)
     dispatch(*iq, load);
     auto dep = makeInst(2, Opcode::ADD, intReg(3), intReg(2), intReg(1));
     dispatch(*iq, dep);
-    ASSERT_EQ(dep->seg.numMemberships, 1);
+    ASSERT_EQ(iq->debugMembershipCount(dep), 1);
     const ChainMembership m = iq->debugMembership(dep, 0);
     EXPECT_EQ(m.chain, load->seg.headedChain);
     // Head in segment 0 (bypass put the load there): 2*0 + 4.
@@ -162,7 +162,7 @@ TEST_F(SegFixture, TransitiveDelayAccumulatesExecutionLatency)
     dispatch(*iq, mul);
     auto dep = makeInst(3, Opcode::FADD, fpReg(4), fpReg(3), fpReg(1));
     dispatch(*iq, dep);
-    ASSERT_EQ(dep->seg.numMemberships, 1);
+    ASSERT_EQ(iq->debugMembershipCount(dep), 1);
     // load(4) + fmul(4) behind the same chain head.
     EXPECT_EQ(iq->debugMembership(dep, 0).delay, 8);
     EXPECT_EQ(iq->debugMembership(dep, 0).chain, load->seg.headedChain);
@@ -217,7 +217,7 @@ TEST_F(SegFixture, MemberDelayFollowsHeadWithWirePipelining)
     dispatch(*iq, load);
     auto dep = makeInst(2, Opcode::ADD, intReg(3), intReg(2), intReg(1));
     dispatch(*iq, dep);
-    ASSERT_EQ(dep->seg.numMemberships, 1);
+    ASSERT_EQ(iq->debugMembershipCount(dep), 1);
     // Head dispatched into segment 3: delay = 2*3 + 4 = 10.
     EXPECT_EQ(iq->debugMembership(dep, 0).delay, 10);
 
@@ -302,7 +302,7 @@ TEST_F(SegFixture, TwoOutstandingOperandsMakeNewChainHead)
     dispatch(*iq, load_b);
     auto add = makeInst(3, Opcode::ADD, intReg(4), intReg(2), intReg(3));
     dispatch(*iq, add);
-    EXPECT_EQ(add->seg.numMemberships, 2);
+    EXPECT_EQ(iq->debugMembershipCount(add), 2);
     EXPECT_NE(add->seg.headedChain, kNoChain);
     EXPECT_TRUE(add->hadTwoOutstanding);
     EXPECT_EQ(iq->twoOutstanding.value(), 1.0);
@@ -320,7 +320,7 @@ TEST_F(SegFixture, SameChainOperandsMergeToOneMembership)
     // Both operands of `add` come (transitively) from the same chain.
     auto add = makeInst(3, Opcode::ADD, intReg(4), intReg(2), intReg(3));
     dispatch(*iq, add);
-    EXPECT_EQ(add->seg.numMemberships, 1);
+    EXPECT_EQ(iq->debugMembershipCount(add), 1);
     EXPECT_EQ(add->seg.headedChain, kNoChain);
     EXPECT_FALSE(add->hadTwoOutstanding);
     // Tracks the *later* operand: load(4) + addi(1) = 5.
@@ -342,7 +342,7 @@ TEST_F(SegFixture, LrpRestrictsToOneChainAndNoNewHead)
 
     auto add = makeInst(3, Opcode::ADD, intReg(4), intReg(2), intReg(3));
     dispatch(*iq, add);
-    EXPECT_EQ(add->seg.numMemberships, 1);
+    EXPECT_EQ(iq->debugMembershipCount(add), 1);
     EXPECT_EQ(add->seg.headedChain, kNoChain);
     EXPECT_TRUE(add->lrpUsed);
     EXPECT_FALSE(add->lrpPredictedLeft);
@@ -407,7 +407,7 @@ TEST_F(SegFixture, SquashRemovesInstructionsAndRestoresTable)
     scoreboard.setReady(intReg(2));
     auto reader = makeInst(4, Opcode::ADD, intReg(4), intReg(2), intReg(1));
     dispatch(*iq, reader);
-    EXPECT_EQ(reader->seg.numMemberships, 0);
+    EXPECT_EQ(iq->debugMembershipCount(reader), 0);
 }
 
 TEST_F(SegFixture, PromotionLimitedByIssueWidthBandwidth)
@@ -561,7 +561,7 @@ TEST_F(SegFixture, Seg0AdmitsDelayZeroAndOne)
     // as a pure countdown: the dependent starts at delay = exec latency
     // = 1, which the bottom segment's threshold of 2 admits - this is
     // what enables back-to-back single-cycle dependent pairs.
-    ASSERT_EQ(dep->seg.numMemberships, 1);
+    ASSERT_EQ(iq->debugMembershipCount(dep), 1);
     EXPECT_EQ(iq->debugMembership(dep, 0).delay, 1);
     EXPECT_TRUE(iq->debugMembership(dep, 0).selfTimed);
     tick(*iq);
@@ -593,7 +593,7 @@ TEST_F(SegFixture, TwoChainInstructionGatedByLaterChain)
     dispatch(*iq, slow_load);
     auto add = makeInst(3, Opcode::ADD, intReg(5), intReg(2), intReg(4));
     dispatch(*iq, add);
-    ASSERT_EQ(add->seg.numMemberships, 2);
+    ASSERT_EQ(iq->debugMembershipCount(add), 2);
 
     // Issue only the fast head: one membership self-times toward zero,
     // but the other (slow) chain still pins the effective delay, so
@@ -838,7 +838,7 @@ class TortureRig
         for (const auto &[s, inst] : live_) {
             os << " | " << s << " seg=" << iq_->debugSegment(inst)
                << " eff=" << iq_->debugEffectiveDelay(inst);
-            for (int m = 0; m < inst->seg.numMemberships; ++m) {
+            for (int m = 0; m < iq_->debugMembershipCount(inst); ++m) {
                 const ChainMembership mem = iq_->debugMembership(inst, m);
                 os << " [" << mem.chain << "/" << mem.gen << " d="
                    << mem.delay << (mem.selfTimed ? " T" : "")

@@ -11,10 +11,13 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/errors.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "core/ooo_core.hh"
+#include "isa/functional_core.hh"
 #include "sim/checkpoint.hh"
 #include "sim/sweep.hh"
 
@@ -325,6 +328,35 @@ TEST(SweepReuse, CappedJobGetsItsOwnGoldenRun)
     for (const RunResult &r : results)
         EXPECT_TRUE(r.validated) << r.iqKind;
     EXPECT_EQ(reuse.goldenRuns, 2u);
+}
+
+TEST(SweepReuse, JobsBorrowTheSharedProgram)
+{
+    // Cores borrow their program; a temporary would dangle, so it must
+    // not compile.
+    static_assert(!std::is_constructible_v<OooCore, Program &&,
+                                           const CoreParams &>);
+    static_assert(!std::is_constructible_v<FunctionalCore, Program &&>);
+
+    // Each job, run as SweepRunner runs it, reads the sweep's one
+    // Program by address: in its core, and in the FunctionalCores its
+    // warm-up and golden run build from the same reference.
+    SweepShared shared;
+    for (const SimConfig &cfg : fastForwardSweep({"swim", "gcc"})) {
+        const Program &program = shared.program(cfg)->program;
+        Simulator sim(cfg, &shared);
+        EXPECT_EQ(&sim.program(), &program);
+        EXPECT_EQ(&sim.core().prog(), &program);
+        const FunctionalCore golden(sim.program());
+        EXPECT_EQ(&golden.prog(), &program);
+        const RunResult r = sim.run();
+        EXPECT_TRUE(r.validated) << r.workload << " " << r.iqKind;
+        EXPECT_EQ(&sim.core().prog(), &program);
+    }
+    const SweepShared::Counts reuse = shared.counts();
+    EXPECT_EQ(reuse.programsBuilt, 2u);
+    EXPECT_EQ(reuse.goldenRuns, 2u);
+    EXPECT_EQ(reuse.warmUps, 2u);
 }
 
 TEST(SweepReuse, SharedInputsKeepResultsBitIdentical)

@@ -63,8 +63,10 @@ TEST_P(WorkloadByName, IterationBudgetScalesWork)
     WorkloadParams small = tiny();
     WorkloadParams big = tiny();
     big.iterations = 200;
-    FunctionalCore a(buildWorkload(GetParam(), small));
-    FunctionalCore b(buildWorkload(GetParam(), big));
+    const Program p_small = buildWorkload(GetParam(), small);
+    const Program p_big = buildWorkload(GetParam(), big);
+    FunctionalCore a(p_small);
+    FunctionalCore b(p_big);
     a.run(4'000'000);
     b.run(4'000'000);
     EXPECT_GT(b.instCount(), a.instCount());
