@@ -14,12 +14,11 @@
  *                (count keys accept k/m/g suffixes, e.g. ff=300m)
  *   bb_cache=0   use the step()-based reference interpreter for the
  *                functional paths (default: basic-block cache)
- *   ckpt_dir=path     persist/reuse warm-up checkpoints in `path`
- *   ckpt_reuse=0      disable the in-process sweep-level checkpoint
- *                     cache (each run fast-forwards cold again)
+ *   ckpt_dir=path     also persist warm-up checkpoints in `path`, so
+ *                     later runs restore them (each sweep always
+ *                     shares its warm-ups in memory)
  *   journal=path      append-only JSONL result journal; restarting the
  *                     bench re-runs only unfinished/failed jobs
- *   retries=N    extra attempts for transient job errors (default 2)
  *   artifact_dir=path failure artifacts (pipeline dumps) land here
  *   watchdog_cycles=N no-commit deadlock watchdog window (0 = off)
  *   deadline_sec=S    per-job wall-clock deadline (0 = none)
@@ -54,9 +53,7 @@ struct BenchArgs
     std::string benchOut;     ///< JSON output path ("" = none)
     std::uint64_t ff = 0;     ///< fast-forward length (0 = none)
     std::string ckptDir;      ///< on-disk checkpoint cache ("" = none)
-    bool ckptReuse = true;    ///< share warm-ups across the sweep
     std::string journal;      ///< resumable result journal ("" = off)
-    unsigned retries = 2;     ///< transient-error retry budget
     std::string artifactDir;  ///< failure artifacts ("" = env/off)
     std::vector<std::string> workloads;
     ConfigMap raw;
@@ -80,9 +77,9 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
 
     std::vector<std::string> known = {
         "iters",       "quick",       "workloads",       "jobs",
-        "bench_out",   "ff",          "ckpt_dir",        "ckpt_reuse",
-        "audit",       "audit_panic", "journal",         "retries",
-        "artifact_dir", "watchdog_cycles", "deadline_sec", "bb_cache",
+        "bench_out",   "ff",          "ckpt_dir",        "audit",
+        "audit_panic", "journal",     "artifact_dir",    "watchdog_cycles",
+        "deadline_sec", "bb_cache",
     };
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     const std::string complaint = args.raw.unknownKeyMessage(known);
@@ -90,8 +87,7 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
         std::fprintf(stderr, "ERROR: %s\n", complaint.c_str());
         std::exit(2);
     }
-    for (const char *key : {"iters", "jobs", "ff", "retries",
-                            "watchdog_cycles"}) {
+    for (const char *key : {"iters", "jobs", "ff", "watchdog_cycles"}) {
         if (args.raw.getCount(key, 0) < 0) {
             std::fprintf(stderr, "ERROR: %s= must be >= 0\n", key);
             std::exit(2);
@@ -109,9 +105,7 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     args.benchOut = args.raw.getString("bench_out", "");
     args.ff = static_cast<std::uint64_t>(args.raw.getCount("ff", 0));
     args.ckptDir = args.raw.getString("ckpt_dir", "");
-    args.ckptReuse = args.raw.getBool("ckpt_reuse", true);
     args.journal = args.raw.getString("journal", "");
-    args.retries = static_cast<unsigned>(args.raw.getInt("retries", 2));
     args.artifactDir = args.raw.getString("artifact_dir", "");
     std::string wls = args.raw.getString("workloads", "");
     if (wls.empty()) {
@@ -187,18 +181,17 @@ class SweepBatch
         bool anyFf = false;
         for (const SimConfig &cfg : configs_)
             anyFf = anyFf || cfg.fastForward > 0;
-        if (anyFf && args_.ckptReuse) {
+        if (anyFf) {
             auto cache =
                 std::make_shared<CheckpointCache>(args_.ckptDir);
             for (SimConfig &cfg : configs_) {
-                if (!cfg.ckptCache && cfg.ckptFile.empty())
+                if (!cfg.ckptCache)
                     cfg.ckptCache = cache;
             }
         }
         SweepRunner runner(args_.jobs);
         SweepRunner::Options options;
         options.journal = args_.journal;
-        options.maxRetries = args_.retries;
         options.artifactDir = args_.artifactDir;
         results_ = runner.run(configs_, options);
         for (const RunResult &r : results_) {

@@ -6,9 +6,12 @@
  * position and then self-time toward issue after the data returns.
  *
  * Usage: pipeview [iq=segmented|ideal|prescheduled|fifo] [rows=N]
+ *                 [squashed=1] [any SimConfig key=value]
  */
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "isa/assembler.hh"
@@ -47,6 +50,13 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
+    std::vector<std::string> known = SimConfig::keys();
+    known.insert(known.end(), {"rows", "squashed"});
+    if (const std::string bad = args.unknownKeyMessage(known);
+        !bad.empty()) {
+        std::cerr << "ERROR: " << bad << '\n';
+        return 2;
+    }
 
     SimConfig cfg;
     cfg.core.iq.numEntries = 128;

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common/config.hh"
 #include "isa/assembler.hh"
@@ -47,6 +48,12 @@ int
 main(int argc, char **argv)
 {
     ConfigMap overrides = ConfigMap::fromArgs(argc, argv);
+    if (const std::string bad =
+            overrides.unknownKeyMessage(SimConfig::keys());
+        !bad.empty()) {
+        std::cerr << "ERROR: " << bad << '\n';
+        return 2;
+    }
 
     // --- 1. A hand-written program through the text assembler --------
     Program prog = assemble(kSource, "quickstart");

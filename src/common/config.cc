@@ -174,7 +174,17 @@ closestKey(const std::string &key, const std::vector<std::string> &known)
             best = candidate;
         }
     }
-    return best;
+    if (!best.empty())
+        return best;
+    // No near miss: suggest a key that extends this one by whole words
+    // (`ckpt` -> `ckpt_dir`).
+    for (const std::string &candidate : known) {
+        if (candidate.size() > key.size() + 1 &&
+            candidate.compare(0, key.size(), key) == 0 &&
+            candidate[key.size()] == '_')
+            return candidate;
+    }
+    return "";
 }
 
 std::string

@@ -70,8 +70,9 @@ class ConfigMap
 std::size_t editDistance(const std::string &a, const std::string &b);
 
 /**
- * The known key closest to `key` in edit distance, or "" when nothing
- * is plausibly a typo (distance > max(2, |key|/3)).
+ * The known key closest to `key` in edit distance; failing that, the
+ * first known key that extends `key` by a `_`-separated word; or ""
+ * when nothing is plausibly meant (distance > max(2, |key|/3)).
  */
 std::string closestKey(const std::string &key,
                        const std::vector<std::string> &known);

@@ -3,10 +3,9 @@
  * Structured simulation-error taxonomy (DESIGN.md §13).
  *
  * Every failure a sweep can encounter is classified by an ErrorCode and
- * carried by a SimError subclass, so the sweep runner can contain it,
- * decide whether a retry is worthwhile (transient I/O flakes are; a bad
- * configuration never is), and surface the failure in machine-readable
- * results instead of tearing down the whole batch.
+ * carried by a SimError subclass, so the sweep runner can contain it
+ * and surface the failure in machine-readable results instead of
+ * tearing down the whole batch.
  *
  * The split of responsibilities with logging.hh: panic()/PanicError is
  * the low-level "the simulator itself is broken" escape hatch used by
@@ -48,22 +47,17 @@ ErrorCode errorCodeFromName(const std::string &name);
  * @param context  Captured diagnostic state (e.g. the watchdog's
  *                 pipeline dump) - kept out of what() so log lines stay
  *                 one line; artifact writers persist it separately.
- * @param transient  True when a bounded retry has a chance of
- *                 succeeding (disk I/O flakes); policy, not mechanism:
- *                 the sweep runner is the only consumer.
  */
 class SimError : public std::runtime_error
 {
   public:
     SimError(ErrorCode code, const std::string &msg,
-             std::string context = "", bool transient = false)
-        : std::runtime_error(msg), code_(code),
-          context_(std::move(context)), transient_(transient)
+             std::string context = "")
+        : std::runtime_error(msg), code_(code), context_(std::move(context))
     {
     }
 
     ErrorCode code() const { return code_; }
-    bool transient() const { return transient_; }
     const std::string &context() const { return context_; }
 
     /** The failing job's sweep key, annotated by the sweep runner. */
@@ -73,7 +67,6 @@ class SimError : public std::runtime_error
   private:
     ErrorCode code_;
     std::string context_;
-    bool transient_;
     std::string sweepKey_;
 };
 
@@ -98,16 +91,16 @@ class WorkloadError : public SimError
 };
 
 /**
- * Any reason a checkpoint cannot be written, read or applied.  I/O and
- * data-corruption rejections are transient (a retry re-reads the disk
- * or regenerates the blob); semantic mismatches (version, key hash,
- * wrong program) are not - retrying cannot change them.
+ * Any reason a checkpoint cannot be written, read or applied.  The
+ * warm-up catches every one and repairs in place (re-warms cold and
+ * republishes; a failed write is only warned about), so none ends a
+ * job.
  */
 class CheckpointError : public SimError
 {
   public:
-    explicit CheckpointError(const std::string &msg, bool transient = false)
-        : SimError(ErrorCode::Checkpoint, msg, "", transient)
+    explicit CheckpointError(const std::string &msg)
+        : SimError(ErrorCode::Checkpoint, msg)
     {
     }
 };
@@ -152,8 +145,8 @@ class InvariantError : public SimError
 class ResourceError : public SimError
 {
   public:
-    explicit ResourceError(const std::string &msg, bool transient = true)
-        : SimError(ErrorCode::Resource, msg, "", transient)
+    explicit ResourceError(const std::string &msg)
+        : SimError(ErrorCode::Resource, msg)
     {
     }
 };

@@ -14,13 +14,6 @@
 
 namespace sciq {
 
-namespace {
-
-/** Warn about the first few violations even when not panicking. */
-constexpr int kMaxWarnings = 5;
-
-} // namespace
-
 Auditor::Auditor(bool panic_on_violation)
     : panicOnViolation_(panic_on_violation), group_("audit")
 {
@@ -74,22 +67,16 @@ Auditor::attach(OooCore &core)
 }
 
 void
-Auditor::violation(stats::Scalar &counter, const char *invariant,
-                   Cycle cycle, const std::string &detail)
+Auditor::report(const char *invariant, Cycle cycle, const std::string &detail)
 {
-    counter.inc();
-    ++total_;
     if (panicOnViolation_) {
         throw InvariantError("audit: invariant '" + std::string(invariant) +
                                  "' violated at cycle " +
                                  std::to_string(cycle),
                              detail);
     }
-    if (total_ <= kMaxWarnings) {
-        warn("audit: invariant '%s' violated at cycle %llu\n%s",
-             invariant, static_cast<unsigned long long>(cycle),
-             detail.c_str());
-    }
+    warn("audit: invariant '%s' violated at cycle %llu\n%s", invariant,
+         static_cast<unsigned long long>(cycle), detail.c_str());
 }
 
 void
@@ -98,13 +85,13 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
     cyclesAudited.inc();
 
     if (core.issuedThisCycleCount > core.params.iq.issueWidth) {
-        std::ostringstream os;
-        core.debugDump(os);
-        violation(issueOverWidth, "issue <= issueWidth", cycle,
-                  "issued " + std::to_string(core.issuedThisCycleCount) +
-                      " > width " +
-                      std::to_string(core.params.iq.issueWidth) + "\n" +
-                      os.str());
+        violation(issueOverWidth, "issue <= issueWidth", cycle, [&] {
+            std::ostringstream os;
+            core.debugDump(os);
+            return "issued " + std::to_string(core.issuedThisCycleCount) +
+                " > width " + std::to_string(core.params.iq.issueWidth) +
+                "\n" + os.str();
+        });
     }
 
     // Everything holding a DynInstPtr is bounded: the ROB, the front-end
@@ -117,12 +104,12 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
         2 * static_cast<std::size_t>(core.params.robSize) +
         core.frontEndQueue.capacity();
     if (core.instPool.liveCount() > pool_cap) {
-        std::ostringstream os;
-        core.debugDump(os);
-        violation(poolBound, "pool live count <= window bound", cycle,
-                  "live " + std::to_string(core.instPool.liveCount()) +
-                      " > bound " + std::to_string(pool_cap) + "\n" +
-                      os.str());
+        violation(poolBound, "pool live count <= window bound", cycle, [&] {
+            std::ostringstream os;
+            core.debugDump(os);
+            return "live " + std::to_string(core.instPool.liveCount()) +
+                " > bound " + std::to_string(pool_cap) + "\n" + os.str();
+        });
     }
 
     // The writeback ring holds exactly the issued-but-not-yet-written-
@@ -132,10 +119,11 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
         wb_pop += bucket.size();
     if (wb_pop != core.inFlightExec) {
         violation(wbRingBound, "writeback ring population == in-flight",
-                  cycle,
-                  "ring holds " + std::to_string(wb_pop) +
-                      " but inFlightExec=" +
-                      std::to_string(core.inFlightExec));
+                  cycle, [&] {
+                      return "ring holds " + std::to_string(wb_pop) +
+                          " but inFlightExec=" +
+                          std::to_string(core.inFlightExec);
+                  });
     }
 
     // The caches re-check each bulk failure as it happens (its line
@@ -147,8 +135,10 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
     while (mshrWaitSeen_ < mshr_wait) {
         ++mshrWaitSeen_;
         violation(mshrWaitIndex, "bulk-failed MSHR waiter really fails",
-                  cycle, "a cache failed a parked miss in bulk while its "
-                         "line had an MSHR or one was free");
+                  cycle, [&] {
+                      return "a cache failed a parked miss in bulk while its "
+                          "line had an MSHR or one was free";
+                  });
     }
 
     if (auto *seg = dynamic_cast<SegmentedIq *>(core.iq.get())) {
@@ -190,10 +180,11 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         for (std::size_t w = 0; w < words; ++w)
             pop += static_cast<unsigned>(std::popcount(iq.segWord(k, w)));
         if (pop != iq.segCount[k]) {
-            violation(occIndex, "segment count == mask popcount", cycle,
-                      "segment " + std::to_string(k) + " counts " +
-                          std::to_string(iq.segCount[k]) + ", mask has " +
-                          std::to_string(pop));
+            violation(occIndex, "segment count == mask popcount", cycle, [&] {
+                return "segment " + std::to_string(k) + " counts " +
+                    std::to_string(iq.segCount[k]) + ", mask has " +
+                    std::to_string(pop);
+            });
         }
         for (std::size_t w = 0; w < iq.summaryWords * 64; ++w) {
             const auto bit = [&](const std::uint64_t *row) {
@@ -206,11 +197,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 bit(iq.candRow(k)) != (cand_w != 0)) {
                 violation(occIndex,
                           "segment summaries mark their non-empty words",
-                          cycle,
-                          "segment " + std::to_string(k) + " word " +
-                              std::to_string(w) + " marked " +
-                              std::to_string(bit(iq.segRow(k))) +
-                              "/" + std::to_string(bit(iq.candRow(k))));
+                          cycle, [&] {
+                              return "segment " + std::to_string(k) +
+                                  " word " + std::to_string(w) + " marked " +
+                                  std::to_string(bit(iq.segRow(k))) + "/" +
+                                  std::to_string(bit(iq.candRow(k)));
+                          });
             }
         }
     }
@@ -236,11 +228,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         if (!ok) {
             violation(occIndex,
                       "occupied slot is in exactly one segment mask",
-                      cycle,
-                      "slot " + std::to_string(slot) + " label " +
-                          (slot < cap ? std::to_string(pool.seg[slot])
-                                      : std::string("none")) +
-                          " in " + std::to_string(in_masks) + " masks");
+                      cycle, [&] {
+                          return "slot " + std::to_string(slot) + " label " +
+                              (slot < cap ? std::to_string(pool.seg[slot])
+                                          : std::string("none")) +
+                              " in " + std::to_string(in_masks) + " masks";
+                      });
         }
     }
     // Age order: slot i holds dispatch positions congruent to i, so
@@ -253,11 +246,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             continue;
         if (prev && *prev >= pool.seq[slot]) {
             violation(occIndex, "slot order from the cursor is age order",
-                      cycle,
-                      "slot " + std::to_string(slot) + " seq " +
-                          std::to_string(pool.seq[slot]) + " after " +
-                          std::to_string(*prev) + " (cursor " +
-                          std::to_string(iq.cursor) + ")");
+                      cycle, [&] {
+                          return "slot " + std::to_string(slot) + " seq " +
+                              std::to_string(pool.seq[slot]) + " after " +
+                              std::to_string(*prev) + " (cursor " +
+                              std::to_string(iq.cursor) + ")";
+                      });
         }
         prev = &pool.seq[slot];
         residents[pool.seg[slot]].push_back(
@@ -267,11 +261,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     for (unsigned k = 0; k < n; ++k) {
         if (residents[k].size() > iq.params.segmentSize) {
             violation(segmentOverflow, "segment occupancy <= capacity",
-                      cycle,
-                      "segment " + std::to_string(k) + " holds " +
-                          std::to_string(residents[k].size()) + " > " +
-                          std::to_string(iq.params.segmentSize) + "\n" +
-                          segDump(k));
+                      cycle, [&] {
+                          return "segment " + std::to_string(k) + " holds " +
+                              std::to_string(residents[k].size()) + " > " +
+                              std::to_string(iq.params.segmentSize) + "\n" +
+                              segDump(k);
+                      });
         }
 
         for (const Resident &res : residents[k]) {
@@ -285,22 +280,25 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 pool.headChain[slot] != inst->seg.headedChain ||
                 pool.headGen[slot] != inst->seg.headedGen) {
                 violation(occIndex,
-                          "lane identity matches its instruction", cycle,
-                          "seq " + std::to_string(inst->seq) +
-                              " lane seq " + std::to_string(pool.seq[slot]) +
-                              " memCount " +
-                              std::to_string(pool.memCount[slot]) +
-                              " heads " +
-                              std::to_string(pool.headChain[slot]));
+                          "lane identity matches its instruction", cycle, [&] {
+                              return "seq " + std::to_string(inst->seq) +
+                                  " lane seq " +
+                                  std::to_string(pool.seq[slot]) +
+                                  " memCount " +
+                                  std::to_string(pool.memCount[slot]) +
+                                  " heads " +
+                                  std::to_string(pool.headChain[slot]);
+                          });
                 continue;  // lane reads below would be unreliable
             }
             const auto srcs = iq.iqSources(*inst);
             if (pool.src[0][slot] != srcs[0] ||
                 pool.src[1][slot] != srcs[1]) {
                 violation(occIndex, "lane operands match the instruction",
-                          cycle,
-                          "seq " + std::to_string(inst->seq) +
-                              " in segment " + std::to_string(k));
+                          cycle, [&] {
+                              return "seq " + std::to_string(inst->seq) +
+                                  " in segment " + std::to_string(k);
+                          });
             }
 
             for (int m = 0; m < dispatched.numMemberships; ++m) {
@@ -314,19 +312,21 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 if (chain != mir.chain || gen != mir.gen) {
                     violation(occIndex,
                               "lane chain identity matches dispatch", cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " membership " + std::to_string(m) +
-                                  " lane chain " + std::to_string(chain) +
-                                  " dispatched " +
-                                  std::to_string(mir.chain));
+                              [&] {
+                                  return "seq " + std::to_string(inst->seq) +
+                                      " membership " + std::to_string(m) +
+                                      " lane chain " + std::to_string(chain) +
+                                      " dispatched " +
+                                      std::to_string(mir.chain);
+                              });
                 }
 
                 if (delay < 0) {
-                    violation(negativeDelay, "chain delay >= 0", cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " membership " + std::to_string(m) +
-                                  " delay " + std::to_string(delay) +
-                                  "\n" + segDump(k));
+                    violation(negativeDelay, "chain delay >= 0", cycle, [&] {
+                        return "seq " + std::to_string(inst->seq) +
+                            " membership " + std::to_string(m) + " delay " +
+                            std::to_string(delay) + "\n" + segDump(k);
+                    });
                 }
 
                 // Chain-wire exactness: every signal is applied on the
@@ -345,12 +345,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 if (applied > cs.seqCounter) {
                     violation(wireDelivery,
                               "applied signal count <= signals generated",
-                              cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " applied " +
-                                  std::to_string(applied) + " > " +
-                                  std::to_string(cs.seqCounter) + "\n" +
-                                  segDump(k));
+                              cycle, [&] {
+                                  return "seq " + std::to_string(inst->seq) +
+                                      " applied " + std::to_string(applied) +
+                                      " > " + std::to_string(cs.seqCounter) +
+                                      "\n" + segDump(k);
+                              });
                 }
                 for (std::size_t si = 0; si < cs.log.size(); ++si) {
                     const auto &sig = cs.log.at(si);
@@ -365,16 +365,20 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                         violation(
                             wireDelivery,
                             "chain-wire signals arrive on schedule", cycle,
-                            "seq " + std::to_string(inst->seq) +
-                                " in segment " + std::to_string(k) +
-                                " missed signal " +
-                                std::to_string(sig.seq) + " of chain " +
-                                std::to_string(chain) +
-                                " (generated cycle " +
-                                std::to_string(sig.cycle) +
-                                " at segment " +
-                                std::to_string(sig.originSegment) + ")\n" +
-                                segDump(k));
+                                  [&] {
+                                      return "seq " +
+                                          std::to_string(inst->seq) +
+                                          " in segment " + std::to_string(k) +
+                                          " missed signal " +
+                                          std::to_string(sig.seq) +
+                                          " of chain " +
+                                          std::to_string(chain) +
+                                          " (generated cycle " +
+                                          std::to_string(sig.cycle) +
+                                          " at segment " +
+                                          std::to_string(sig.originSegment) +
+                                          ")\n" + segDump(k);
+                                  });
                     }
                 }
             }
@@ -402,15 +406,16 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 if (sig.cycle + lag < cycle) {
                     violation(wireDelivery,
                               "chain-wire signals arrive on schedule",
-                              cycle,
-                              "regInfo[" + std::to_string(r) +
-                                  "] missed signal " +
-                                  std::to_string(sig.seq) + " of chain " +
-                                  std::to_string(e.chain) +
-                                  " (generated cycle " +
-                                  std::to_string(sig.cycle) +
-                                  " at segment " +
-                                  std::to_string(sig.originSegment) + ")");
+                              cycle, [&] {
+                                  return "regInfo[" + std::to_string(r) +
+                                      "] missed signal " +
+                                      std::to_string(sig.seq) + " of chain " +
+                                      std::to_string(e.chain) +
+                                      " (generated cycle " +
+                                      std::to_string(sig.cycle) +
+                                      " at segment " +
+                                      std::to_string(sig.originSegment) + ")";
+                              });
                 }
             }
         }
@@ -425,11 +430,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 iq.params.issueWidth, iq.freePrevSnapshot[k]);
             if (iq.promotedInto[k] > bound) {
                 violation(promotionBound,
-                          "promotions <= prev-cycle free entries", cycle,
-                          "segment " + std::to_string(k) + " accepted " +
-                              std::to_string(iq.promotedInto[k]) +
-                              " promotions, bound " +
-                              std::to_string(bound) + "\n" + segDump(k));
+                          "promotions <= prev-cycle free entries", cycle, [&] {
+                              return "segment " + std::to_string(k) +
+                                  " accepted " +
+                                  std::to_string(iq.promotedInto[k]) +
+                                  " promotions, bound " +
+                                  std::to_string(bound) + "\n" + segDump(k);
+                          });
             }
         }
     }
@@ -446,8 +453,10 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         occ_scan += iq.segCount[k];
     if (occ_scan != iq.totalOcc) {
         violation(occIndex, "segmented occupancy counter == rescan", cycle,
-                  "totalOcc=" + std::to_string(iq.totalOcc) +
-                      " but segments hold " + std::to_string(occ_scan));
+                  [&] {
+                      return "totalOcc=" + std::to_string(iq.totalOcc) +
+                          " but segments hold " + std::to_string(occ_scan);
+                  });
     }
 
     // Bits on free slots, or on membership lanes past the slot's count,
@@ -465,15 +474,18 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 ++elig_bits[k];
             else
                 violation(promoIndex, "eligibility bits on live slots",
-                          cycle, "free slot " + std::to_string(slot));
+                          cycle, [&] {
+                              return "free slot " + std::to_string(slot);
+                          });
         }
         for (int m = 0; m < 2; ++m) {
             if (bit(pool.cdBits[m], slot) &&
                 (!occupied || m >= pool.memCount[slot])) {
                 violation(countdownIndex, "countdown bits on live lanes",
-                          cycle,
-                          "slot " + std::to_string(slot) +
-                              " membership " + std::to_string(m));
+                          cycle, [&] {
+                              return "slot " + std::to_string(slot) +
+                                  " membership " + std::to_string(m);
+                          });
             }
         }
     }
@@ -484,9 +496,10 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             if (marked != (pool.cdBits[m][w] != 0)) {
                 violation(countdownIndex,
                           "countdown summary marks its non-empty words",
-                          cycle,
-                          "membership " + std::to_string(m) + " word " +
-                              std::to_string(w));
+                          cycle, [&] {
+                              return "membership " + std::to_string(m) +
+                                  " word " + std::to_string(w);
+                          });
             }
         }
     }
@@ -508,11 +521,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 ((pool.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
             if (elig != elig_bit) {
                 violation(promoIndex, "promotion-eligibility bit == rescan",
-                          cycle,
-                          "seq " + std::to_string(inst->seq) + " bit " +
-                              std::to_string(elig_bit) +
-                              " but predicate says " +
-                              std::to_string(elig) + "\n" + segDump(k));
+                          cycle, [&] {
+                              return "seq " + std::to_string(inst->seq) +
+                                  " bit " + std::to_string(elig_bit) +
+                                  " but predicate says " +
+                                  std::to_string(elig) + "\n" + segDump(k);
+                          });
             }
 
             for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
@@ -522,11 +536,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 if (on_wire != (si >= 0)) {
                     violation(subIndex,
                               "membership subscribed iff on a wire",
-                              cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " membership " + std::to_string(m) +
-                                  " chain " + std::to_string(ch) +
-                                  " subIdx " + std::to_string(si));
+                              cycle, [&] {
+                                  return "seq " + std::to_string(inst->seq) +
+                                      " membership " + std::to_string(m) +
+                                      " chain " + std::to_string(ch) +
+                                      " subIdx " + std::to_string(si);
+                              });
                 } else if (on_wire) {
                     ++subs_scan;
                     const auto &subs = iq.stateOf(ch).soaSubs;
@@ -534,11 +549,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                     if (idx >= subs.size() || subs[idx].slot != slot ||
                         static_cast<int>(subs[idx].mem) != m) {
                         violation(subIndex,
-                                  "subscriber record is exact", cycle,
-                                  "seq " + std::to_string(inst->seq) +
-                                      " membership " +
-                                      std::to_string(m) + " subIdx " +
-                                      std::to_string(si));
+                                  "subscriber record is exact", cycle, [&] {
+                                      return "seq " +
+                                          std::to_string(inst->seq) +
+                                          " membership " + std::to_string(m) +
+                                          " subIdx " + std::to_string(si);
+                                  });
                     }
                 }
 
@@ -553,40 +569,44 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 if (want_cd != cd_bit) {
                     violation(countdownIndex,
                               "membership counts down iff self-timed",
-                              cycle,
-                              "seq " + std::to_string(inst->seq) +
-                                  " membership " + std::to_string(m) +
-                                  " bit " + std::to_string(cd_bit) +
-                                  " predicate " +
-                                  std::to_string(want_cd));
+                              cycle, [&] {
+                                  return "seq " + std::to_string(inst->seq) +
+                                      " membership " + std::to_string(m) +
+                                      " bit " + std::to_string(cd_bit) +
+                                      " predicate " + std::to_string(want_cd);
+                              });
                 }
             }
         }
 
         if (elig_scan != iq.eligCount[k]) {
             violation(promoIndex, "promotion-candidate count == rescan",
-                      cycle,
-                      "segment " + std::to_string(k) + " tracks " +
-                          std::to_string(iq.eligCount[k]) +
-                          " candidates, rescan finds " +
-                          std::to_string(elig_scan) + "\n" + segDump(k));
+                      cycle, [&] {
+                          return "segment " + std::to_string(k) + " tracks " +
+                              std::to_string(iq.eligCount[k]) +
+                              " candidates, rescan finds " +
+                              std::to_string(elig_scan) + "\n" + segDump(k);
+                      });
         }
 
         if (elig_bits[k] != iq.eligCount[k]) {
             violation(promoIndex, "eligibility bits == tracked count", cycle,
-                      "segment " + std::to_string(k) + " sets " +
-                          std::to_string(elig_bits[k]) + " bits, tracks " +
-                          std::to_string(iq.eligCount[k]));
+                      [&] {
+                          return "segment " + std::to_string(k) + " sets " +
+                              std::to_string(elig_bits[k]) + " bits, tracks " +
+                              std::to_string(iq.eligCount[k]);
+                      });
         }
 
         // Candidate/occupancy words (the promotion pass steers by them).
         const bool word_elig =
             ((iq.eligSegW[k >> 6] >> (k & 63)) & 1) != 0;
         if (word_elig != (iq.eligCount[k] > 0)) {
-            violation(promoIndex, "candidate word matches counts", cycle,
-                      "segment " + std::to_string(k) + " bit " +
-                          std::to_string(word_elig) + " count " +
-                          std::to_string(iq.eligCount[k]));
+            violation(promoIndex, "candidate word matches counts", cycle, [&] {
+                return "segment " + std::to_string(k) + " bit " +
+                    std::to_string(word_elig) + " count " +
+                    std::to_string(iq.eligCount[k]);
+            });
         }
         const std::size_t free_now =
             static_cast<std::size_t>(iq.params.segmentSize) - iq.segCount[k];
@@ -594,19 +614,21 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         if (near_full_w !=
             (((iq.nearFullW[k >> 6] >> (k & 63)) & 1) != 0)) {
             violation(promoIndex, "near-full word matches occupancy",
-                      cycle,
-                      "segment " + std::to_string(k) + " holds " +
-                          std::to_string(iq.segCount[k]) + " of " +
-                          std::to_string(iq.params.segmentSize));
+                      cycle, [&] {
+                          return "segment " + std::to_string(k) + " holds " +
+                              std::to_string(iq.segCount[k]) + " of " +
+                              std::to_string(iq.params.segmentSize);
+                      });
         }
         const bool roomy =
             free_now * 2 >
             3 * static_cast<std::size_t>(iq.params.issueWidth);
         if (roomy != (((iq.roomyW[k >> 6] >> (k & 63)) & 1) != 0)) {
-            violation(promoIndex, "roomy word matches occupancy", cycle,
-                      "segment " + std::to_string(k) + " holds " +
-                          std::to_string(iq.segCount[k]) + " of " +
-                          std::to_string(iq.params.segmentSize));
+            violation(promoIndex, "roomy word matches occupancy", cycle, [&] {
+                return "segment " + std::to_string(k) + " holds " +
+                    std::to_string(iq.segCount[k]) + " of " +
+                    std::to_string(iq.params.segmentSize);
+            });
         }
     }
 
@@ -628,9 +650,11 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                     static_cast<std::int32_t>(i)) {
                 violation(subIndex,
                           "subscriber record names an occupied slot", cycle,
-                          "chain " + std::to_string(c) + " record " +
-                              std::to_string(i) + " slot " +
-                              std::to_string(sub.slot));
+                          [&] {
+                              return "chain " + std::to_string(c) +
+                                  " record " + std::to_string(i) + " slot " +
+                                  std::to_string(sub.slot);
+                          });
             }
         }
         // The wire state either carries the allocator's current
@@ -640,18 +664,19 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         if (!iq.chains.isLive(id, cs.gen) &&
             iq.chains.generation(id) != cs.gen + 1) {
             violation(subIndex, "chain-state generation tracks allocator",
-                      cycle,
-                      "chain " + std::to_string(c) + " state gen " +
-                          std::to_string(cs.gen) + " allocator gen " +
-                          std::to_string(iq.chains.generation(id)));
+                      cycle, [&] {
+                          return "chain " + std::to_string(c) + " state gen " +
+                              std::to_string(cs.gen) + " allocator gen " +
+                              std::to_string(iq.chains.generation(id));
+                      });
         }
         // The packed mirror dispatch reads must track the wire scalars
         // at every mutation site.
         if (c >= iq.chainHot.size()) {
-            violation(subIndex, "chain-hot mirror allocated", cycle,
-                      "chain " + std::to_string(c) +
-                          " beyond mirror of " +
-                          std::to_string(iq.chainHot.size()));
+            violation(subIndex, "chain-hot mirror allocated", cycle, [&] {
+                return "chain " + std::to_string(c) + " beyond mirror of " +
+                    std::to_string(iq.chainHot.size());
+            });
         } else {
             const auto &hot = iq.chainHot[c];
             if (hot.seqCounter != cs.seqCounter || hot.gen != cs.gen ||
@@ -659,19 +684,21 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 (hot.selfTimed != 0) != cs.selfTimed ||
                 (hot.suspended != 0) != cs.suspended) {
                 violation(subIndex, "chain-hot mirror matches wire state",
-                          cycle,
-                          "chain " + std::to_string(c) + " mirror gen " +
-                              std::to_string(hot.gen) + " head " +
-                              std::to_string(hot.headSegment) +
-                              " vs state gen " + std::to_string(cs.gen) +
-                              " head " + std::to_string(cs.headSegment));
+                          cycle, [&] {
+                              return "chain " + std::to_string(c) +
+                                  " mirror gen " + std::to_string(hot.gen) +
+                                  " head " + std::to_string(hot.headSegment) +
+                                  " vs state gen " + std::to_string(cs.gen) +
+                                  " head " + std::to_string(cs.headSegment);
+                          });
             }
         }
     }
     if (subs_held != subs_scan) {
-        violation(subIndex, "subscriber list sizes == rescan", cycle,
-                  "lists hold " + std::to_string(subs_held) +
-                      ", rescan finds " + std::to_string(subs_scan));
+        violation(subIndex, "subscriber list sizes == rescan", cycle, [&] {
+            return "lists hold " + std::to_string(subs_held) +
+                ", rescan finds " + std::to_string(subs_scan);
+        });
     }
     // Arrival calendar: every current-generation
     // listener with an unapplied log entry is due no later than that
@@ -692,9 +719,11 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
             return iq.stateOf(c).armPending;
         })) {
         violation(arrivalIndex, "pending-arm list == flagged chains",
-                  cycle,
-                  "list holds " + std::to_string(listed.size()) + ", " +
-                      std::to_string(pending) + " chains are flagged");
+                  cycle, [&] {
+                      return "list holds " + std::to_string(listed.size()) +
+                          ", " + std::to_string(pending) +
+                          " chains are flagged";
+                  });
     }
     auto listen = [&](const auto &cs, std::uint64_t applied, int s,
                       Cycle due, std::uint32_t key, auto &&name) {
@@ -706,8 +735,9 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         if (i >= cs.log.size()) {
             if (due != SegmentedIq::kNotDue) {
                 violation(arrivalIndex, "caught-up listener is not due",
-                          cycle,
-                          name() + " due at " + std::to_string(due));
+                          cycle, [&] {
+                              return name() + " due at " + std::to_string(due);
+                          });
             }
             return;
         }
@@ -718,13 +748,14 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 bucket.end()) {
             violation(arrivalIndex,
                       "listener due by its next arrival, in that bucket",
-                      cycle,
-                      name() + " due at " +
-                          (due == SegmentedIq::kNotDue
-                               ? std::string("never")
-                               : std::to_string(due)) +
-                          " but its next signal arrives at cycle " +
-                          std::to_string(at));
+                      cycle, [&] {
+                          return name() + " due at " +
+                              (due == SegmentedIq::kNotDue
+                                   ? std::string("never")
+                                   : std::to_string(due)) +
+                              " but its next signal arrives at cycle " +
+                              std::to_string(at);
+                      });
         }
     };
     for (std::size_t slot = 0; slot < iq.poolSize; ++slot) {
@@ -764,9 +795,11 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         const auto &rec = iq.expiry.at(i);
         if (i > 0 && iq.expiry.at(i - 1).cycle > rec.cycle) {
             violation(expiryIndex, "expiry records in cycle order", cycle,
-                      "record " + std::to_string(i) + " at cycle " +
-                          std::to_string(rec.cycle) + " after " +
-                          std::to_string(iq.expiry.at(i - 1).cycle));
+                      [&] {
+                          return "record " + std::to_string(i) + " at cycle " +
+                              std::to_string(rec.cycle) + " after " +
+                              std::to_string(iq.expiry.at(i - 1).cycle);
+                      });
         }
         const auto c = static_cast<std::size_t>(rec.chain);
         if (c < first_rec.size())
@@ -776,11 +809,12 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         const auto &log = iq.chainStates[c].log;
         if (!log.empty() && first_rec[c] > log.front().cycle) {
             violation(expiryIndex,
-                      "every logged signal has an expiry record", cycle,
-                      "chain " + std::to_string(c) + " logs a signal " +
-                          "from cycle " +
-                          std::to_string(log.front().cycle) +
-                          " with no record by then");
+                      "every logged signal has an expiry record", cycle, [&] {
+                          return "chain " + std::to_string(c) +
+                              " logs a signal " + "from cycle " +
+                              std::to_string(log.front().cycle) +
+                              " with no record by then";
+                      });
         }
     }
 
@@ -791,10 +825,11 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         const auto &e = iq.regInfo[r];
         if (iq.regSubChain[r] != e.chain) {
             violation(subIndex, "table subscription tracks its chain",
-                      cycle,
-                      "regInfo[" + std::to_string(r) + "] chain " +
-                          std::to_string(e.chain) + " but subscribed to " +
-                          std::to_string(iq.regSubChain[r]));
+                      cycle, [&] {
+                          return "regInfo[" + std::to_string(r) + "] chain " +
+                              std::to_string(e.chain) + " but subscribed to " +
+                              std::to_string(iq.regSubChain[r]);
+                      });
         } else if (e.chain != kNoChain) {
             const auto &subs = iq.stateOf(e.chain).regSubs;
             const int pos = iq.regSubPos[r];
@@ -803,9 +838,10 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 subs[static_cast<std::size_t>(pos)] !=
                     static_cast<RegIndex>(r)) {
                 violation(subIndex, "table subscriber back-pointer exact",
-                          cycle,
-                          "regInfo[" + std::to_string(r) + "] pos " +
-                              std::to_string(pos));
+                          cycle, [&] {
+                              return "regInfo[" + std::to_string(r) +
+                                  "] pos " + std::to_string(pos);
+                          });
             }
         }
 
@@ -814,35 +850,42 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         const int cd = iq.regCdPos[r];
         if (want_cd != (cd >= 0)) {
             violation(countdownIndex,
-                      "table entry counts down iff self-timed", cycle,
-                      "regInfo[" + std::to_string(r) + "] cdPos " +
-                          std::to_string(cd) + " predicate " +
-                          std::to_string(want_cd));
+                      "table entry counts down iff self-timed", cycle, [&] {
+                          return "regInfo[" + std::to_string(r) + "] cdPos " +
+                              std::to_string(cd) + " predicate " +
+                              std::to_string(want_cd);
+                      });
         } else if (want_cd) {
             ++reg_cds_scan;
             if (static_cast<std::size_t>(cd) >= iq.regCountdown.size() ||
                 iq.regCountdown[static_cast<std::size_t>(cd)] !=
                     static_cast<RegIndex>(r)) {
                 violation(countdownIndex,
-                          "table countdown back-pointer exact", cycle,
-                          "regInfo[" + std::to_string(r) + "] cdPos " +
-                              std::to_string(cd));
+                          "table countdown back-pointer exact", cycle, [&] {
+                              return "regInfo[" + std::to_string(r) +
+                                  "] cdPos " + std::to_string(cd);
+                          });
             }
         }
 
         const bool avail = SegmentedIq::entryAvailable(e);
         if (avail != (((iq.regAvail >> r) & 1) != 0)) {
             violation(readyIndex,
-                      "register-availability mask == rescan", cycle,
-                      "regInfo[" + std::to_string(r) + "] available " +
-                          std::to_string(avail) + " but mask bit is " +
-                          std::to_string((iq.regAvail >> r) & 1));
+                      "register-availability mask == rescan", cycle, [&] {
+                          return "regInfo[" + std::to_string(r) +
+                              "] available " + std::to_string(avail) +
+                              " but mask bit is " +
+                              std::to_string((iq.regAvail >> r) & 1);
+                      });
         }
     }
     if (reg_cds_scan != iq.regCountdown.size()) {
         violation(countdownIndex, "table countdown size == rescan", cycle,
-                  "list holds " + std::to_string(iq.regCountdown.size()) +
-                      ", rescan finds " + std::to_string(reg_cds_scan));
+                  [&] {
+                      return "list holds " +
+                          std::to_string(iq.regCountdown.size()) +
+                          ", rescan finds " + std::to_string(reg_cds_scan);
+                  });
     }
 }
 
@@ -868,12 +911,15 @@ Auditor::auditDispatchWindow(const SegmentedIq &iq, const OooCore &core,
         if (span > in_rob) {
             violation(occIndex,
                       "residents lie within the un-squashed dispatch window",
-                      cycle,
-                      "oldest resident seq " + std::to_string(oldest) +
-                          " is " + std::to_string(span) +
-                          " dispatch positions behind the cursor, but only " +
-                          std::to_string(in_rob) +
-                          " ROB entries are that young");
+                      cycle, [&] {
+                          return "oldest resident seq " +
+                              std::to_string(oldest) + " is " +
+                              std::to_string(span) +
+                              " dispatch positions behind the cursor, "
+                              "but only " +
+                              std::to_string(in_rob) +
+                              " ROB entries are that young";
+                      });
         }
         break;
     }
@@ -904,12 +950,13 @@ Auditor::auditIdeal(IdealIq &iq, Cycle cycle)
         ++live_scan;
         if (!inst->ideal.inQueue || inst->ideal.slot != slot) {
             violation(readyIndex, "resident instructions are flagged",
-                      cycle, "seq " + std::to_string(inst->seq) +
-                                 " resident at slot " +
-                                 std::to_string(slot) + " but inQueue=" +
-                                 std::to_string(inst->ideal.inQueue) +
-                                 " slot=" +
-                                 std::to_string(inst->ideal.slot));
+                      cycle, [&] {
+                          return "seq " + std::to_string(inst->seq) +
+                              " resident at slot " + std::to_string(slot) +
+                              " but inQueue=" +
+                              std::to_string(inst->ideal.inQueue) + " slot=" +
+                              std::to_string(inst->ideal.slot);
+                      });
         }
         int pending_scan = 0;
         for (RegIndex r : iq.iqSources(*inst)) {
@@ -918,37 +965,45 @@ Auditor::auditIdeal(IdealIq &iq, Cycle cycle)
         }
         if (pending_scan != inst->ideal.pendingOps) {
             violation(readyIndex, "pending-operand count == rescan", cycle,
-                      "seq " + std::to_string(inst->seq) + " tracks " +
-                          std::to_string(inst->ideal.pendingOps) +
-                          " pending, scoreboard says " +
-                          std::to_string(pending_scan));
+                      [&] {
+                          return "seq " + std::to_string(inst->seq) +
+                              " tracks " +
+                              std::to_string(inst->ideal.pendingOps) +
+                              " pending, scoreboard says " +
+                              std::to_string(pending_scan);
+                      });
         }
         if ((pending_scan == 0) != in_ready(inst)) {
             violation(readyIndex, "ready list == operands-ready residents",
-                      cycle,
-                      "seq " + std::to_string(inst->seq) + " pending " +
-                          std::to_string(pending_scan) +
-                          (in_ready(inst) ? " yet on" : " yet off") +
-                          " the ready list");
+                      cycle, [&] {
+                          return "seq " + std::to_string(inst->seq) +
+                              " pending " + std::to_string(pending_scan) +
+                              (in_ready(inst) ? " yet on" : " yet off") +
+                              " the ready list";
+                      });
         }
     }
     if (live_scan != iq.live) {
-        violation(occIndex, "ideal occupancy counter == rescan", cycle,
-                  "live=" + std::to_string(iq.live) + " but " +
-                      std::to_string(live_scan) + " entries are resident");
+        violation(occIndex, "ideal occupancy counter == rescan", cycle, [&] {
+            return "live=" + std::to_string(iq.live) + " but " +
+                std::to_string(live_scan) + " entries are resident";
+        });
     }
     if (iq.readyList.size() > live_scan) {
-        violation(readyIndex, "ready list within residency", cycle,
-                  "ready " + std::to_string(iq.readyList.size()) +
-                      " > resident " + std::to_string(live_scan));
+        violation(readyIndex, "ready list within residency", cycle, [&] {
+            return "ready " + std::to_string(iq.readyList.size()) +
+                " > resident " + std::to_string(live_scan);
+        });
     }
     for (const auto &inst : iq.readyList) {
         const std::size_t slot = inst->ideal.slot;
         if (!inst->ideal.inQueue || slot >= iq.insts.size() ||
             iq.insts[slot] != inst) {
             violation(readyIndex, "ready instructions are resident", cycle,
-                      "seq " + std::to_string(inst->seq) +
-                          " ready but not resident");
+                      [&] {
+                          return "seq " + std::to_string(inst->seq) +
+                              " ready but not resident";
+                      });
         }
     }
 }

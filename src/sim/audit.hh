@@ -104,9 +104,32 @@ class Auditor
     stats::Scalar arrivalIndex;       ///< listener not due by its next arrival
     stats::Scalar expiryIndex;        ///< signal log without expiry record
 
+    /** Violations warned about when not panicking; the rest only count. */
+    static constexpr std::uint64_t kMaxWarnings = 5;
+
+    /**
+     * Count one violation of `invariant`.  `detail()` returns its
+     * description (anything convertible to std::string) and runs only
+     * when the violation is reported: thrown as an InvariantError under
+     * panic, else warned about for the first kMaxWarnings — a faulty
+     * queue can violate an invariant every cycle, and a detail may dump
+     * a whole segment.
+     */
+    template <typename Detail>
+    void
+    violation(stats::Scalar &counter, const char *invariant, Cycle cycle,
+              Detail &&detail)
+    {
+        counter.inc();
+        ++total_;
+        if (panicOnViolation_ || total_ <= kMaxWarnings)
+            report(invariant, cycle, detail());
+    }
+
   private:
-    void violation(stats::Scalar &counter, const char *invariant,
-                   Cycle cycle, const std::string &detail);
+    /** Throw (under panic) or warn about one violation. */
+    void report(const char *invariant, Cycle cycle,
+                const std::string &detail);
 
     void auditSegmented(SegmentedIq &iq, Cycle cycle);
     void auditDispatchWindow(const SegmentedIq &iq, const OooCore &core,

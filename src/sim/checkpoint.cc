@@ -1,14 +1,12 @@
 #include "checkpoint.hh"
 
 #include <bit>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <thread>
 #include <utility>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -146,40 +144,52 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
     return restoreCheckpoint(blob, config, program.checksum(), core);
 }
 
-FastForwardStats
-restoreCheckpoint(const std::string &blob, const SimConfig &config,
-                  std::uint64_t program_checksum, OooCore &core)
+namespace {
+
+/**
+ * The checks that need no configuration — size, magic, format version
+ * and trailer checksum — in that order; CheckpointError on the first
+ * that fails.
+ */
+void
+checkCheckpointFrame(const std::string &blob)
 {
     if (blob.size() < 8 + 4 + 8 + 8) {
         throw CheckpointError("checkpoint truncated: " +
                                   std::to_string(blob.size()) +
-                                  " bytes is smaller than any valid header",
-                              /*transient=*/true);
+                                  " bytes is smaller than any valid header");
     }
     if (blob.compare(0, 8, kMagic, 8) != 0)
         throw CheckpointError("not a checkpoint (bad magic)");
 
+    serial::Reader vr(std::string_view(blob).substr(8, 4));
+    const std::uint32_t version = vr.u32();
+    if (version != kCheckpointVersion) {
+        throw CheckpointError(
+            "unsupported checkpoint version " + std::to_string(version) +
+            " (this build reads version " +
+            std::to_string(kCheckpointVersion) + ")");
+    }
+
+    const std::size_t payload_len = blob.size() - 8;
+    serial::Reader tr(std::string_view(blob).substr(payload_len));
+    if (tr.u64() != blobTrailer(blob, payload_len))
+        throw CheckpointError("checkpoint checksum mismatch (corrupted file)");
+}
+
+} // namespace
+
+FastForwardStats
+restoreCheckpoint(const std::string &blob, const SimConfig &config,
+                  std::uint64_t program_checksum, OooCore &core)
+{
+    // Verify the frame and trailer before trusting any section payload.
+    checkCheckpointFrame(blob);
+
     try {
         serial::Reader r(blob);
-        char magic[8];
-        r.bytes(magic, 8);
-
-        const std::uint32_t version = r.u32();
-        if (version != kCheckpointVersion) {
-            throw CheckpointError(
-                "unsupported checkpoint version " + std::to_string(version) +
-                " (this build reads version " +
-                std::to_string(kCheckpointVersion) + ")");
-        }
-
-        // Verify the trailer before trusting any section payload.
-        const std::size_t payload_len = blob.size() - 8;
-        serial::Reader tr(std::string_view(blob).substr(payload_len));
-        if (tr.u64() != blobTrailer(blob, payload_len)) {
-            throw CheckpointError(
-                "checkpoint checksum mismatch (corrupted file)",
-                /*transient=*/true);
-        }
+        char header[8 + 4];  // magic and version, checked above
+        r.bytes(header, sizeof header);
 
         const std::uint64_t key = r.u64();
         const std::string wl_name = r.str();
@@ -238,8 +248,7 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
         return ff;
     } catch (const serial::Error &e) {
         throw CheckpointError(std::string("malformed checkpoint: ") +
-                                  e.what(),
-                              /*transient=*/true);
+                              e.what());
     }
 }
 
@@ -252,25 +261,27 @@ writeCheckpointFile(const std::string &path, const std::string &blob)
     if (target.has_parent_path())
         fs::create_directories(target.parent_path(), ec);
 
-    // Unique temp name per writer thread, then an atomic rename, so
-    // concurrent publishers of the same key never interleave bytes.
+    // A temp name unique to this process and thread, then an atomic
+    // rename, so concurrent publishers of one key — other threads or
+    // other processes sharing the directory — never interleave bytes.
     const std::size_t tid =
         std::hash<std::thread::id>{}(std::this_thread::get_id());
-    const std::string tmp = path + ".tmp." + hexKey(tid);
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + hexKey(tid);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out || !out.write(blob.data(),
                                static_cast<std::streamsize>(blob.size()))) {
             fs::remove(tmp, ec);
             throw CheckpointError("cannot write checkpoint file '" + tmp +
-                                      "'", /*transient=*/true);
+                                  "'");
         }
     }
     fs::rename(tmp, target, ec);
     if (ec) {
         fs::remove(tmp, ec);
         throw CheckpointError("cannot move checkpoint into place at '" +
-                                  path + "'", /*transient=*/true);
+                              path + "'");
     }
 }
 
@@ -284,7 +295,7 @@ readCheckpointFile(const std::string &path)
                      std::istreambuf_iterator<char>());
     if (!in.good() && !in.eof())
         throw CheckpointError("I/O error reading checkpoint file '" + path +
-                                  "'", /*transient=*/true);
+                              "'");
     return blob;
 }
 
@@ -298,26 +309,6 @@ CheckpointCache::pathFor(std::uint64_t key) const
     return dir_ + "/ckpt-" + hexKey(key) + ".sciqckpt";
 }
 
-bool
-CheckpointCache::tryLockKey(std::uint64_t key) const
-{
-    // Existence of `<blob>.lock` is the cross-process producer claim;
-    // O_EXCL makes its creation the atomic election.
-    const std::string lockPath = pathFor(key) + ".lock";
-    const int fd = ::open(lockPath.c_str(),
-                          O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0)
-        return false;
-    ::close(fd);
-    return true;
-}
-
-void
-CheckpointCache::unlockKey(std::uint64_t key) const
-{
-    ::unlink((pathFor(key) + ".lock").c_str());
-}
-
 CheckpointCache::Blob
 CheckpointCache::findOrBegin(std::uint64_t key)
 {
@@ -327,64 +318,28 @@ CheckpointCache::findOrBegin(std::uint64_t key)
     }
 
     // This thread claimed production before probing the disk, so only
-    // it pays the file read (or, on a true miss, the warm-up).
+    // it pays the file read (or, on a miss, the warm-up).  A file that
+    // fails the frame check is not handed to the threads waiting on
+    // this key: the caller produces, and publish() replaces the file.
     if (dir_.empty())
         return nullptr;
-
-    auto diskHit = [&](std::string blob) {
-        ++diskHits_;
-        return blobs_.publish(
-            key, std::make_shared<const std::string>(std::move(blob)));
-    };
-
-    // Poll-and-elect until we either read a published blob, win the
-    // cross-process lock, or lose patience.  Iteration order: blob
-    // first, so a winner that already published is picked up without
-    // ever touching the lock.
-    const auto giveUp = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(electionWaitMs);
-    for (;;) {
-        std::string from_disk;
-        bool found = false;
-        try {
-            from_disk = readCheckpointFile(pathFor(key));
-            found = true;
-        } catch (const CheckpointError &) {
-            // No usable file (yet).
-        }
-        if (found)
-            return diskHit(std::move(from_disk));
-
-        if (tryLockKey(key)) {
-            // Won the election — but the previous holder may have
-            // published between our read and its unlink, so probe once
-            // more before paying for the warm-up.
-            try {
-                from_disk = readCheckpointFile(pathFor(key));
-                found = true;
-            } catch (const CheckpointError &) {
-            }
-            if (found) {
-                unlockKey(key);
-                return diskHit(std::move(from_disk));
-            }
-            std::lock_guard<std::mutex> lock(mu_);
-            diskLocks_.insert(key);
-            return nullptr;
-        }
-
-        if (std::chrono::steady_clock::now() >= giveUp) {
-            // Stale lock (crashed producer) or a glacial one: produce
-            // our own copy.  Wasteful, never wrong — every producer of
-            // this key writes bit-identical state.
-            warn("checkpoint lock %s.lock held too long; producing "
-                 "a duplicate warm-up",
-                 pathFor(key).c_str());
-            return nullptr;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(electionPollMs));
+    const std::string path = pathFor(key);
+    std::string from_disk;
+    try {
+        from_disk = readCheckpointFile(path);
+    } catch (const CheckpointError &) {
+        return nullptr;  // no file: the caller produces
     }
+    try {
+        checkCheckpointFrame(from_disk);
+    } catch (const CheckpointError &e) {
+        warn("ignoring unusable checkpoint file %s: %s", path.c_str(),
+             e.what());
+        return nullptr;
+    }
+    ++diskHits_;
+    return blobs_.publish(
+        key, std::make_shared<const std::string>(std::move(from_disk)));
 }
 
 CheckpointCache::Blob
@@ -397,11 +352,6 @@ CheckpointCache::publish(std::uint64_t key, std::string blob)
             warn("checkpoint not persisted: %s", e.what());
         }
     }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (diskLocks_.erase(key))
-            unlockKey(key);
-    }
     ++produced_;
     return blobs_.publish(
         key, std::make_shared<const std::string>(std::move(blob)));
@@ -410,11 +360,6 @@ CheckpointCache::publish(std::uint64_t key, std::string blob)
 void
 CheckpointCache::cancel(std::uint64_t key)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (diskLocks_.erase(key))
-            unlockKey(key);
-    }
     blobs_.cancel(key);
 }
 

@@ -24,7 +24,9 @@
  * The trailer detects corruption/truncation before any section is
  * parsed; the key hash and program checksum reject checkpoints taken
  * under a different workload/memory/branch configuration.  All
- * rejection paths throw CheckpointError with a specific message.
+ * rejection paths throw CheckpointError with a specific message; the
+ * one caller, Simulator's warm-up, answers every one by warming up
+ * cold and republishing.
  */
 
 #ifndef SCIQ_SIM_CHECKPOINT_HH
@@ -33,9 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_set>
 
 #include "common/errors.hh"
 #include "common/once_map.hh"
@@ -91,32 +91,33 @@ FastForwardStats restoreCheckpoint(const std::string &blob,
                                    std::uint64_t program_checksum,
                                    OooCore &core);
 
-/** Atomically (write + rename) persist a blob; CheckpointError on I/O. */
+/**
+ * Atomically (write + rename) persist a blob; CheckpointError on I/O.
+ * The temp file is named by process and thread, so concurrent writers
+ * of one path, in any processes, never share it.
+ */
 void writeCheckpointFile(const std::string &path, const std::string &blob);
 
 /** Read a whole checkpoint file; CheckpointError if unreadable. */
 std::string readCheckpointFile(const std::string &path);
 
 /**
- * Sweep-level checkpoint reuse: a thread-safe blob cache keyed by
+ * The one warm-up store: a thread-safe blob cache keyed by
  * checkpointKeyHash, optionally backed by a directory of
- * `ckpt-<key>.sciqckpt` files.
+ * `ckpt-<key>.sciqckpt` files (DESIGN.md §12).
  *
- * Producer election makes concurrent sweeps do each distinct warm-up
- * exactly once: the first thread to ask for a missing key becomes its
- * producer (findOrBegin returns nullptr) while later askers block until
- * publish()/cancel(); that in-process half is an OnceMap.  Results stay
- * bit-identical regardless of which job ends up producing, so the
- * election order is free to race.
+ * Within a process each distinct warm-up is produced once: the first
+ * thread to ask for a missing key becomes its producer (findOrBegin
+ * returns nullptr) while later askers block until publish()/cancel();
+ * that is an OnceMap.  Results stay bit-identical regardless of which
+ * job ends up producing, so the election order is free to race.
  *
- * With a backing directory the election also spans processes (bench
- * or `runner` processes on one host that share a ckpt_dir=): the first
- * process to create `<blob path>.lock` (O_EXCL)
- * produces; the others poll for the published blob file and take a disk
- * hit once it appears.  A loser that outwaits `electionWaitMs` produces
- * its own copy — wasteful but still correct, since every producer
- * writes bit-identical state.  publish()/cancel() release the lock; a
- * crashed producer's stale lock is bounded by the same timeout.
+ * The directory half is a plain read-through: on an in-memory miss the
+ * producer reads the key's file if there is one and its size, magic,
+ * version and trailer check out, and publish() writes it back (write +
+ * rename).  Processes sharing a directory do not
+ * coordinate; two that miss the same key both warm up and both write
+ * the same bytes, which wastes one warm-up and is never wrong.
  */
 class CheckpointCache
 {
@@ -127,13 +128,18 @@ class CheckpointCache
     explicit CheckpointCache(std::string dir = "");
 
     /**
-     * Return the blob for `key`, blocking while another thread
-     * produces it.  Returns nullptr to exactly one caller per missing
-     * key; that caller must publish() or cancel() the key.
+     * Return the blob for `key`, from memory or else from its file
+     * (a damaged or other-version file is warned about and skipped),
+     * blocking while another thread of this process produces it.
+     * Returns nullptr to exactly one caller per missing key; that
+     * caller must publish() or cancel() the key.
      */
     Blob findOrBegin(std::uint64_t key);
 
-    /** Store a produced blob (and write it to the backing dir). */
+    /**
+     * Store a produced blob, replacing any earlier one, and write it
+     * to the backing dir; a failed write is warned about, not thrown.
+     */
     Blob publish(std::uint64_t key, std::string blob);
 
     /** Give up producing `key` (e.g. the warm-up threw). */
@@ -144,29 +150,14 @@ class CheckpointCache
 
     const std::string &dir() const { return dir_; }
 
-    /**
-     * Cross-process election patience: how long a process that lost
-     * the lock race waits for the winner's blob before producing a
-     * duplicate, and how often it probes.  Public so tests can shrink
-     * the stale-lock timeout from minutes to milliseconds.
-     */
-    unsigned electionWaitMs = 120'000;
-    unsigned electionPollMs = 50;
-
     // Reuse accounting (monotonic; read after a sweep completes).
     std::uint64_t memoryHits() const { return memoryHits_.load(); }
     std::uint64_t diskHits() const { return diskHits_.load(); }
     std::uint64_t produced() const { return produced_.load(); }
 
   private:
-    bool tryLockKey(std::uint64_t key) const;
-    void unlockKey(std::uint64_t key) const;
-
     std::string dir_;
     OnceMap<std::uint64_t, std::string> blobs_;
-    std::mutex mu_;
-    /** Keys whose `.lock` file this process holds while producing. */
-    std::unordered_set<std::uint64_t> diskLocks_;
     std::atomic<std::uint64_t> memoryHits_{0};
     std::atomic<std::uint64_t> diskHits_{0};
     std::atomic<std::uint64_t> produced_{0};

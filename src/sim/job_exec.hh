@@ -3,20 +3,18 @@
  * Shared fault-containment plumbing for sweep job execution: exception
  * classification through the error taxonomy, Failed/Timeout result
  * rows, and failure-artifact persistence (DESIGN.md §13).  SweepRunner
- * (sweep.cc) runs every job through executeWithRetry.
+ * (sweep.cc) runs every job through execute.
  */
 
 #ifndef SCIQ_SIM_JOB_EXEC_HH
 #define SCIQ_SIM_JOB_EXEC_HH
 
-#include <chrono>
-#include <cstdint>
+#include <cstddef>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <new>
 #include <string>
-#include <thread>
 
 #include "common/errors.hh"
 #include "common/logging.hh"
@@ -26,24 +24,10 @@
 namespace sciq {
 namespace job_exec {
 
-/** Exponential backoff delay for retry `attempt` (1-based): base << (n-1). */
-inline unsigned
-backoffDelayMs(unsigned base_ms, unsigned attempt)
-{
-    if (base_ms == 0)
-        return 0;
-    const unsigned shift = attempt > 1 ? attempt - 1 : 0;
-    std::uint64_t delay = shift >= 32
-                              ? std::uint64_t(base_ms) << 32
-                              : std::uint64_t(base_ms) << shift;
-    return static_cast<unsigned>(delay);
-}
-
 /** The in-flight exception, classified through the taxonomy. */
 struct Classified
 {
     ErrorCode code = ErrorCode::Internal;
-    bool transient = false;
     bool timeout = false;
     std::string message;
     std::string context;  ///< captured state dump, if the error had one
@@ -62,7 +46,6 @@ classify(std::exception_ptr ep)
         c.context = e.context();
     } catch (const SimError &e) {
         c.code = e.code();
-        c.transient = e.transient();
         c.message = e.what();
         c.context = e.context();
     } catch (const std::bad_alloc &) {
@@ -85,7 +68,7 @@ classify(std::exception_ptr ep)
 
 /** A Failed/Timeout row: config identity, zero stats, the outcome. */
 inline RunResult
-failedResult(const SimConfig &config, const Classified &c, unsigned attempts)
+failedResult(const SimConfig &config, const Classified &c)
 {
     RunResult r;
     r.workload = config.workload;
@@ -98,7 +81,6 @@ failedResult(const SimConfig &config, const Classified &c, unsigned attempts)
                                  : JobOutcome::Status::Failed;
     r.outcome.code = c.code;
     r.outcome.message = c.message;
-    r.outcome.attempts = attempts;
     return r;
 }
 
@@ -128,42 +110,23 @@ writeArtifact(const std::string &dir, std::size_t index,
 }
 
 /**
- * Run one job with bounded retry-with-backoff for transient errors,
- * drawing its program and golden state from the sweep's `shared`.
- * Never throws: every exception ends up in the returned outcome.
+ * Run one job once, drawing its program and golden state from the
+ * sweep's `shared`.  Never throws: every exception ends up in the
+ * returned outcome.
  */
 inline RunResult
-executeWithRetry(const SimConfig &config, const std::string &key,
-                 std::size_t index, unsigned max_retries,
-                 unsigned backoff_ms, const std::string &artifact_dir,
-                 SweepShared *shared)
+execute(const SimConfig &config, const std::string &key, std::size_t index,
+        const std::string &artifact_dir, SweepShared *shared)
 {
-    for (unsigned attempt = 1;; ++attempt) {
-        std::exception_ptr ep;
-        try {
-            RunResult r = runSim(config, shared);
-            r.outcome.attempts = attempt;
-            return r;
-        } catch (...) {
-            ep = std::current_exception();
-        }
-        Classified c = classify(ep);
-        if (c.transient && attempt <= max_retries) {
-            warn("job %zu (%s): transient %s error, retrying "
-                 "(attempt %u/%u): %s",
-                 index, key.c_str(), errorCodeName(c.code), attempt,
-                 max_retries + 1, c.message.c_str());
-            if (backoff_ms) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    backoffDelayMs(backoff_ms, attempt)));
-            }
-            continue;
-        }
+    try {
+        return runSim(config, shared);
+    } catch (...) {
+        const Classified c = classify(std::current_exception());
         warn("job %zu (%s) %s: [%s] %s", index, key.c_str(),
              c.timeout ? "timed out" : "failed", errorCodeName(c.code),
              c.message.c_str());
         writeArtifact(artifact_dir, index, c, key);
-        return failedResult(config, c, attempt);
+        return failedResult(config, c);
     }
 }
 

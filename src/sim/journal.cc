@@ -165,8 +165,6 @@ writeResultCompactJson(std::ostream &os, const RunResult &r)
     json::writeString(os, errorCodeName(r.outcome.code));
     w.sep("error_msg");
     json::writeString(os, r.outcome.message);
-    w.sep("attempts");
-    os << r.outcome.attempts;
     os << "}";
 }
 
@@ -182,12 +180,6 @@ resultFromJson(const json::Value &obj)
         r.outcome.code = errorCodeFromName(obj.at("error_code").asString());
     if (obj.contains("error_msg"))
         r.outcome.message = obj.at("error_msg").asString();
-    if (obj.contains("attempts")) {
-        const std::uint64_t u = checkedU64(obj.at("attempts"));
-        if (u > 0xffffffffull)
-            throw std::range_error("journal number out of range");
-        r.outcome.attempts = static_cast<unsigned>(u);
-    }
     return r;
 }
 

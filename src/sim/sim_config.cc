@@ -63,7 +63,6 @@ SimConfig::apply(const ConfigMap &cfg)
     fastForward = static_cast<std::uint64_t>(
         cfg.getCount("ff", static_cast<std::int64_t>(fastForward)));
     bbCache = cfg.getBool("bb_cache", bbCache);
-    ckptFile = cfg.getString("ckpt", ckptFile);
     ckptDir = cfg.getString("ckpt_dir", ckptDir);
 
     core.watchdogCycles = static_cast<Cycle>(cfg.getCount(
@@ -72,20 +71,34 @@ SimConfig::apply(const ConfigMap &cfg)
 
     // Fault-injection keys (DESIGN.md §13).  `fault_commit_stall` and
     // `fault_overpromote` configure faults that live inside the core;
-    // the blob/disk faults build a FaultInjector on demand.
+    // the checkpoint-read fault builds a FaultInjector on demand.
     core.faultCommitStallAt = static_cast<Cycle>(cfg.getInt(
         "fault_commit_stall",
         static_cast<std::int64_t>(core.faultCommitStallAt)));
     core.iq.auditInjectOverPromote = cfg.getBool(
         "fault_overpromote", core.iq.auditInjectOverPromote);
-    if (cfg.has("fault_ckpt_corrupt") || cfg.has("fault_disk_fail")) {
+    if (cfg.has("fault_ckpt_corrupt")) {
         if (!faults) {
             faults = std::make_shared<FaultInjector>(static_cast<
                 std::uint64_t>(cfg.getInt("fault_seed", 1)));
         }
         faults->corruptCkptReads = cfg.getInt("fault_ckpt_corrupt", 0);
-        faults->failDiskWrites = cfg.getInt("fault_disk_fail", 0);
     }
+}
+
+const std::vector<std::string> &
+SimConfig::keys()
+{
+    static const std::vector<std::string> list = {
+        "iq", "iq_size", "seg_size", "chains", "hmp", "lrp", "pushdown",
+        "bypass", "resize", "resize_interval", "issue_buffer",
+        "line_width", "fifos", "depth", "wrong_path", "workload", "iters",
+        "seed", "scale", "max_cycles", "validate", "audit", "audit_panic",
+        "ff", "bb_cache", "ckpt_dir", "watchdog_cycles", "deadline_sec",
+        "fault_commit_stall", "fault_overpromote", "fault_seed",
+        "fault_ckpt_corrupt",
+    };
+    return list;
 }
 
 void

@@ -10,6 +10,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "core/ooo_core.hh"
@@ -71,16 +72,10 @@ struct SimConfig
     bool bbCache = true;
 
     /**
-     * Explicit checkpoint file (key: `ckpt=`): restore the warm-up
-     * from this file if it exists, otherwise fast-forward cold and
-     * save it there.  Requires fastForward > 0.
-     */
-    std::string ckptFile;
-
-    /**
      * Checkpoint cache directory (key: `ckpt_dir=`): warm-ups are
      * restored from / persisted to `<dir>/ckpt-<key>.sciqckpt`, keyed
-     * by checkpointKeyHash().  Requires fastForward > 0.
+     * by checkpointKeyHash(); a damaged or stale file is re-warmed
+     * and replaced.  Requires fastForward > 0.
      */
     std::string ckptDir;
 
@@ -93,9 +88,9 @@ struct SimConfig
     std::shared_ptr<CheckpointCache> ckptCache;
 
     /**
-     * Optional fault injector (keys: `fault_seed=`, `fault_ckpt_corrupt=`,
-     * `fault_disk_fail=`; see fault_injector.hh).  Shared across a
-     * job's retries so fault budgets span them.
+     * Optional fault injector (keys: `fault_seed=`,
+     * `fault_ckpt_corrupt=`; see fault_injector.hh).  Shared, so one
+     * budget spans every job that holds it.
      */
     std::shared_ptr<FaultInjector> faults;
 
@@ -105,6 +100,13 @@ struct SimConfig
      *   workload=swim iters=4096
      */
     void apply(const ConfigMap &overrides);
+
+    /**
+     * Every key apply() reads.  Front ends that hand argv to apply()
+     * check it against this list (plus their own keys) so a mistyped
+     * or removed key fails loudly instead of being ignored.
+     */
+    static const std::vector<std::string> &keys();
 
     /** Print the Table 1 parameter block. */
     void printParameters(std::ostream &os) const;

@@ -142,32 +142,8 @@ Simulator::warmUp(bool &restored)
         return ff;
     };
 
-    // Explicit single-file mode: restore if present, else create.
-    if (!config.ckptFile.empty()) {
-        std::string blob;
-        try {
-            blob = readCheckpointFile(config.ckptFile);
-        } catch (const CheckpointError &) {
-            // Not there yet: fast-forward cold and save it.
-            FastForwardStats ff = coldFf(&blob);
-            if (config.faults && config.faults->takeDiskWriteFault()) {
-                throw CheckpointError(
-                    "injected disk-write failure for '" + config.ckptFile +
-                        "'",
-                    /*transient=*/true);
-            }
-            writeCheckpointFile(config.ckptFile, blob);
-            return ff;
-        }
-        if (config.faults && config.faults->takeCorruptRead())
-            config.faults->corrupt(blob);
-        const FastForwardStats ff = restore(blob);
-        restored = true;
-        return ff;
-    }
-
-    // Cache mode: a shared in-process cache (sweep-level reuse) or a
-    // run-local one over ckpt_dir (cross-process reuse).
+    // One store: the given cache (a sweep's, shared in process), else
+    // a run-local one over ckpt_dir, else no reuse at all.
     std::shared_ptr<CheckpointCache> cache = config.ckptCache;
     if (!cache && !config.ckptDir.empty())
         cache = std::make_shared<CheckpointCache>(config.ckptDir);
@@ -204,11 +180,6 @@ Simulator::warmUp(bool &restored)
     try {
         std::string fresh;
         FastForwardStats ff = coldFf(&fresh);
-        if (config.faults && config.faults->takeDiskWriteFault()) {
-            throw CheckpointError("injected disk-write failure publishing "
-                                  "checkpoint",
-                                  /*transient=*/true);
-        }
         cache->publish(key, std::move(fresh));
         return ff;
     } catch (...) {
@@ -243,33 +214,30 @@ Simulator::run()
 
     // Time only the cycle-accurate core loop: construction, fast-forward
     // and golden-model validation are excluded so the number tracks the
-    // tick path the ROADMAP's throughput work targets.
+    // tick path the ROADMAP's throughput work targets.  The loop runs in
+    // chunks so a deadline is polled off the hot path; OooCore::run
+    // bounds cycles relative to its call, so the chunked run is
+    // tick-for-tick identical to one unbroken call.
     const auto host_start = std::chrono::steady_clock::now();
-    if (config.deadlineSec > 0.0) {
-        // Chunk the core loop so the deadline is polled off the hot
-        // path; the chunked run is tick-for-tick identical.
-        const auto deadline =
-            host_start + std::chrono::duration<double>(config.deadlineSec);
-        constexpr Cycle kChunk = 1u << 16;
-        Cycle remaining = config.maxCycles;
-        while (!core_->halted() && remaining > 0) {
-            const Cycle step = std::min<Cycle>(kChunk, remaining);
-            core_->run(~0ULL, step);
-            remaining -= step;
-            if (std::chrono::steady_clock::now() >= deadline &&
-                !core_->halted() && remaining > 0) {
-                std::ostringstream dump;
-                core_->dumpPipelineState(dump);
-                throw DeadlockError(
-                    "wall-clock deadline of " +
-                        std::to_string(config.deadlineSec) +
-                        "s exceeded at cycle " +
-                        std::to_string(core_->cycles()),
-                    dump.str(), /*wall_clock=*/true);
-            }
+    const bool timed = config.deadlineSec > 0.0;
+    const auto deadline =
+        host_start + std::chrono::duration<double>(config.deadlineSec);
+    constexpr Cycle kChunk = 1u << 16;
+    Cycle remaining = config.maxCycles;
+    while (!core_->halted() && remaining > 0) {
+        const Cycle step = std::min<Cycle>(kChunk, remaining);
+        core_->run(~0ULL, step);
+        remaining -= step;
+        if (timed && !core_->halted() && remaining > 0 &&
+            std::chrono::steady_clock::now() >= deadline) {
+            std::ostringstream dump;
+            core_->dumpPipelineState(dump);
+            throw DeadlockError(
+                "wall-clock deadline of " +
+                    std::to_string(config.deadlineSec) +
+                    "s exceeded at cycle " + std::to_string(core_->cycles()),
+                dump.str(), /*wall_clock=*/true);
         }
-    } else {
-        core_->run(~0ULL, config.maxCycles);
     }
     const std::chrono::duration<double> host_elapsed =
         std::chrono::steady_clock::now() - host_start;

@@ -68,10 +68,8 @@ struct JobOutcome
     Status status = Status::Ok;
     ErrorCode code = ErrorCode::None;
     std::string message;
-    unsigned attempts = 1;  ///< 1 = succeeded/failed first try
 
     bool ok() const { return status == Status::Ok; }
-    bool retried() const { return attempts > 1; }
 };
 
 const char *jobStatusName(JobOutcome::Status status);

@@ -125,9 +125,8 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
     SweepShared shared;
 
     auto runOne = [&](std::size_t i) {
-        RunResult r = job_exec::executeWithRetry(
-            configs[i], keys[i], i, options.maxRetries, options.backoffMs,
-            options.artifactDir, &shared);
+        RunResult r = job_exec::execute(configs[i], keys[i], i,
+                                        options.artifactDir, &shared);
         if (journal)
             journal->record(i, keys[i], r);
         results[i] = std::move(r);
@@ -167,7 +166,7 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
     std::vector<std::exception_ptr> errors(workers);
 
     auto worker = [&](unsigned id) {
-        // executeWithRetry never throws; anything caught here is harness
+        // execute never throws; anything caught here is harness
         // trouble (e.g. journal I/O), reported after the other workers
         // have drained the queue so no completed result is lost.
         try {
@@ -257,8 +256,7 @@ writeResultsJson(std::ostream &os, const std::vector<RunResult> &results)
         os << ",\n";
         w.line("error_msg");
         json::writeString(os, r.outcome.message);
-        os << ",\n";
-        w.line("attempts") << r.outcome.attempts << "\n";
+        os << "\n";
         os << "  }" << (i + 1 == results.size() ? "\n" : ",\n");
     }
     os << "]\n";

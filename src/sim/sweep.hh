@@ -17,9 +17,8 @@
  *
  * Fault containment (DESIGN.md §13): a job that throws does not kill
  * the sweep.  Its exception is classified through the error taxonomy
- * into RunResult::outcome — retried with backoff first when tagged
- * transient — and the failed row still appears in every table and JSON
- * file with its error code.  With a journal attached, finished jobs
+ * into RunResult::outcome, once and without retry, and the failed row
+ * still appears in every table and JSON file with its error code.  With a journal attached, finished jobs
  * are persisted as they complete and a restarted sweep re-runs only
  * the failed/missing ones.
  */
@@ -127,12 +126,6 @@ class SweepRunner
          * configs and ended ok are reused instead of re-run.
          */
         std::string journal;
-
-        /** Extra attempts for errors tagged transient. */
-        unsigned maxRetries = 2;
-
-        /** Backoff before retry k is `backoffMs << (k-1)`. */
-        unsigned backoffMs = 10;
 
         /**
          * Directory for failure artifacts (watchdog pipeline dumps,

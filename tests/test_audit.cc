@@ -148,6 +148,35 @@ TEST(AuditNegative, InjectedOverPromotionIsCaught)
     EXPECT_GT(r.auditViolations, 0u);
 }
 
+TEST(AuditNegative, DetailIsBuiltOnlyForReportedViolations)
+{
+    // A faulty queue can violate an invariant every cycle; the detail
+    // (often a whole segment dump) is built only for the violations
+    // that are warned about, and once under panic.
+    Auditor counting;
+    int built = 0;
+    auto detail = [&built] {
+        ++built;
+        return std::string("detail");
+    };
+    const int total = 3 * static_cast<int>(Auditor::kMaxWarnings);
+    for (int i = 0; i < total; ++i)
+        counting.violation(counting.promotionBound, "test", i, detail);
+    EXPECT_EQ(built, static_cast<int>(Auditor::kMaxWarnings));
+    EXPECT_EQ(counting.totalViolations(), static_cast<std::uint64_t>(total));
+    EXPECT_EQ(counting.promotionBound.value(), total);
+
+    Auditor panicking(/*panic_on_violation=*/true);
+    built = 0;
+    try {
+        panicking.violation(panicking.promotionBound, "test", 7, detail);
+        FAIL() << "expected InvariantError";
+    } catch (const InvariantError &e) {
+        EXPECT_EQ(e.context(), "detail");
+    }
+    EXPECT_EQ(built, 1);
+}
+
 TEST(AuditNegative, PanicModeThrowsOnFirstViolation)
 {
     SimConfig cfg = makeSegmentedConfig(64, 16, true, true, "ammp");

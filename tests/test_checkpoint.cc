@@ -11,8 +11,8 @@
  *  - corrupted, truncated, version-bumped, mislabelled and mismatched
  *    blobs are rejected with specific CheckpointError messages.
  *
- * Plus CheckpointCache semantics, including the cross-process producer
- * election through `<blob>.lock` files in a shared directory.
+ * Plus CheckpointCache semantics, including two caches (standing in
+ * for two processes) sharing one directory.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -35,6 +36,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 #include "workload/workloads.hh"
 
 using namespace sciq;
@@ -116,6 +118,23 @@ asVersion1(std::string blob)
     serial::Writer t;
     t.u64(serial::fnv1a(blob.data(), payload));
     return blob.replace(payload, 8, t.buffer());
+}
+
+/**
+ * `payload` framed as a current-version blob (magic, version, trailer),
+ * so a disk read of it passes the cache's frame check.
+ */
+std::string
+framed(const std::string &payload)
+{
+    serial::Writer w;
+    w.bytes("SCIQCKPT", 8);
+    w.u32(kCheckpointVersion);
+    w.bytes(payload.data(), payload.size());
+    std::string blob = w.take();
+    serial::Writer t;
+    t.u64(serial::hashBytes(blob.data(), blob.size()));
+    return blob + t.buffer();
 }
 
 } // namespace
@@ -694,98 +713,93 @@ TEST(CheckpointCacheTest, DiskBackingPersistsAcrossInstances)
     {
         CheckpointCache cache(dir.str());
         EXPECT_EQ(cache.findOrBegin(key), nullptr);
-        cache.publish(key, "persisted");
+        cache.publish(key, framed("persisted state"));
         EXPECT_TRUE(fs::exists(cache.pathFor(key)));
     }
     {
         CheckpointCache cache(dir.str());
         CheckpointCache::Blob b = cache.findOrBegin(key);
         ASSERT_NE(b, nullptr);
-        EXPECT_EQ(*b, "persisted");
+        EXPECT_EQ(*b, framed("persisted state"));
         EXPECT_EQ(cache.diskHits(), 1u);
         EXPECT_EQ(cache.produced(), 0u);
     }
 }
 
 // Two caches on one directory stand in for two processes sharing a
-// ckpt_dir=: the `<blob>.lock` file, not the in-memory entry table, is
-// what elects one producer between them.
-TEST(CheckpointCacheTest, CrossInstanceElectionWaitsForThePublisher)
+// ckpt_dir=: they do not coordinate, so both may produce a key.  Both
+// write the same bytes through write + rename, so the file they leave
+// is whole, and nothing else is left behind.
+TEST(CheckpointCacheTest, TwoCachesProducingOneKeyLeaveOneValidBlob)
 {
-    ScratchDir dir("cache-election");
-    const std::uint64_t key = 0xfeedface12345678ULL;
+    ScratchDir dir("cache-duplicate");
+    SimConfig cfg = testConfig("gcc", IqKind::Segmented);
+    const std::uint64_t key = checkpointKeyHash(cfg);
+
+    // A real warm-up blob, from a run through an in-memory cache.
+    auto memory = std::make_shared<CheckpointCache>();
+    SimConfig producer = cfg;
+    producer.ckptCache = memory;
+    runSim(producer);
+    const CheckpointCache::Blob warm = memory->findOrBegin(key);
+    ASSERT_NE(warm, nullptr);
+
     CheckpointCache a(dir.str());
     CheckpointCache b(dir.str());
-    b.electionPollMs = 5;
+    ASSERT_EQ(a.findOrBegin(key), nullptr);  // neither sees a file, so
+    ASSERT_EQ(b.findOrBegin(key), nullptr);  // both produce
+    std::atomic<bool> go{false};
+    auto publishMany = [&](CheckpointCache &cache) {
+        while (!go.load()) {
+        }
+        for (int i = 0; i < 20; ++i)
+            cache.publish(key, *warm);
+    };
+    std::thread ta(publishMany, std::ref(a));
+    std::thread tb(publishMany, std::ref(b));
+    go = true;
+    ta.join();
+    tb.join();
 
-    ASSERT_EQ(a.findOrBegin(key), nullptr);  // A wins and produces
-    EXPECT_TRUE(fs::exists(a.pathFor(key) + ".lock"));
+    EXPECT_EQ(readCheckpointFile(a.pathFor(key)), *warm);
+    std::vector<std::string> left;
+    for (const auto &entry : fs::directory_iterator(dir.str()))
+        left.push_back(entry.path().filename().string());
+    ASSERT_EQ(left.size(), 1u);
+    EXPECT_EQ(dir / left.front(), fs::path(a.pathFor(key)));
 
-    std::atomic<bool> published{false};
-    std::atomic<bool> returned{false};
-    bool sawPublished = false;
-    CheckpointCache::Blob fromB;
-    std::thread loser([&] {
-        fromB = b.findOrBegin(key);
-        sawPublished = published.load();
-        returned = true;
-    });
-
-    // B must still be waiting on A's lock, not producing a duplicate.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_FALSE(returned.load());
-
-    published = true;
-    a.publish(key, "elected warm state");
-    loser.join();
-
-    ASSERT_NE(fromB, nullptr);
-    EXPECT_TRUE(sawPublished);
-    EXPECT_EQ(*fromB, "elected warm state");
-    EXPECT_EQ(b.diskHits(), 1u);
-    EXPECT_EQ(b.produced(), 0u);
-    EXPECT_EQ(a.produced(), 1u);
-    EXPECT_FALSE(fs::exists(a.pathFor(key) + ".lock"));
+    // The published file restores: a later run is warm and validates.
+    SimConfig later = cfg;
+    later.ckptDir = dir.str();
+    const RunResult r = runSim(later);
+    EXPECT_TRUE(r.ckptRestored);
+    EXPECT_TRUE(r.validated);
 }
 
-TEST(CheckpointCacheTest, StaleLockTimesOutIntoADuplicateProducer)
+// Older builds elected a producer through `<blob>.lock`; a lock file
+// such a build left behind means nothing now.
+TEST(CheckpointCacheTest, LeftoverLockFileIsIgnored)
 {
     ScratchDir dir("cache-stale-lock");
     const std::uint64_t key = 0x0badc0ffee000001ULL;
     CheckpointCache cache(dir.str());
-    cache.electionWaitMs = 50;
-    cache.electionPollMs = 5;
-
-    // A producer that crashed while holding the claim.
     std::ofstream(cache.pathFor(key) + ".lock").put('x');
 
     const auto start = std::chrono::steady_clock::now();
     EXPECT_EQ(cache.findOrBegin(key), nullptr);
-    EXPECT_GE(std::chrono::steady_clock::now() - start,
-              std::chrono::milliseconds(50));
-    cache.cancel(key);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    cache.publish(key, framed("warm state"));
+
+    CheckpointCache other(dir.str());
+    const CheckpointCache::Blob hit = other.findOrBegin(key);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, framed("warm state"));
+    EXPECT_EQ(other.diskHits(), 1u);
 }
 
 // ---------------------------------------------------------------------
 // End-to-end through SimConfig keys.
-
-TEST(CheckpointEndToEnd, FileModeCreatesThenRestores)
-{
-    ScratchDir dir("file-mode");
-    SimConfig cfg = testConfig("mgrid", IqKind::Segmented);
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-
-    RunResult first = runSim(cfg);
-    EXPECT_FALSE(first.ckptRestored);
-    EXPECT_TRUE(first.validated);
-    EXPECT_TRUE(fs::exists(cfg.ckptFile));
-
-    RunResult second = runSim(cfg);
-    EXPECT_TRUE(second.ckptRestored);
-    EXPECT_TRUE(second.validated);
-    EXPECT_EQ(first.cycles, second.cycles);
-    EXPECT_EQ(first.insts, second.insts);
-}
 
 TEST(CheckpointEndToEnd, DirModeSharesAcrossRuns)
 {
@@ -837,6 +851,45 @@ TEST(CheckpointEndToEnd, DamagedCacheFileIsRepairedCold)
     RunResult third = runSim(cfg);
     EXPECT_TRUE(third.ckptRestored);
     EXPECT_EQ(first.cycles, third.cycles);
+}
+
+TEST(CheckpointEndToEnd, DamagedCacheFileIsWarmedOncePerSweep)
+{
+    // A damaged file is never handed to the jobs waiting on its key:
+    // the first job warms up and republishes, and every other job of
+    // the sweep restores the repaired blob.
+    ScratchDir dir("repair-once");
+    SimConfig cfg = testConfig("swim", IqKind::Segmented);
+    cfg.ckptDir = dir.str();
+    runSim(cfg);
+    const std::string path =
+        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg));
+    std::string blob = readCheckpointFile(path);
+    blob[200] = static_cast<char>(blob[200] ^ 0xff);
+    writeCheckpointFile(path, blob);
+
+    auto cache = std::make_shared<CheckpointCache>(dir.str());
+    std::vector<SimConfig> cfgs;
+    for (unsigned size : {64u, 128u, 256u}) {
+        SimConfig c = cfg;
+        c.core.iq.numEntries = size;
+        c.ckptCache = cache;
+        cfgs.push_back(c);
+    }
+    SweepShared::Counts reuse;
+    SweepRunner::Options options;
+    options.reuse = &reuse;
+    const std::vector<RunResult> results = SweepRunner(3).run(cfgs, options);
+
+    EXPECT_EQ(reuse.warmUps, 1u);
+    EXPECT_EQ(cache->diskHits(), 0u);
+    EXPECT_EQ(cache->produced(), 1u);
+    for (const RunResult &r : results) {
+        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
+        EXPECT_TRUE(r.validated);
+    }
+    // The file was replaced: a later run restores it.
+    EXPECT_TRUE(runSim(cfg).ckptRestored);
 }
 
 TEST(CheckpointEndToEnd, Version1CacheFileIsRepairedCold)

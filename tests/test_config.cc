@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "sim/sim_config.hh"
 
 using namespace sciq;
 
@@ -98,6 +102,37 @@ TEST(ClosestKey, SuggestsNearMissesOnly)
     EXPECT_EQ(closestKey("bench_oot", known), "bench_out");
     // Nothing plausibly a typo: no suggestion.
     EXPECT_EQ(closestKey("zzzzzzzz", known), "");
+}
+
+TEST(ClosestKey, SuggestsAKeyThatExtendsAWholeWord)
+{
+    const std::vector<std::string> known = {"ckpt_dir", "ff", "seed"};
+    // Too far from every key by edit distance, but a word prefix.
+    EXPECT_EQ(closestKey("ckpt", known), "ckpt_dir");
+    // A prefix that stops mid-word is not one.
+    EXPECT_EQ(closestKey("ckp_zz", known), "");
+}
+
+TEST(SimConfigKeys, DeletedKeysAreRejected)
+{
+    // The front ends that hand argv to SimConfig::apply check it
+    // against SimConfig::keys() first; keys that once meant something
+    // must fail loudly, not run a silently different configuration.
+    ConfigMap file;
+    file.set("ckpt", "warm.sciqckpt");
+    EXPECT_EQ(file.unknownKeyMessage(SimConfig::keys()),
+              "unknown option 'ckpt' (did you mean 'ckpt_dir'?)");
+    for (const char *key : {"fault_disk_fail", "retries"}) {
+        ConfigMap m;
+        m.set(key, "1");
+        EXPECT_NE(m.unknownKeyMessage(SimConfig::keys()), "") << key;
+    }
+
+    ConfigMap ok;
+    for (const char *key : {"ckpt_dir", "ff", "fault_ckpt_corrupt",
+                            "deadline_sec", "bb_cache", "audit_panic"})
+        ok.set(key, "1");
+    EXPECT_EQ(ok.unknownKeyMessage(SimConfig::keys()), "");
 }
 
 TEST(ConfigMap, UnknownKeyMessage)

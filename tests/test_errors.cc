@@ -2,7 +2,7 @@
  * @file
  * The structured error taxonomy (DESIGN.md §13): code/name mapping,
  * the SimError field contract, and the classification each subclass
- * carries (code, transient flag, context).
+ * carries (code, context).
  */
 
 #include <gtest/gtest.h>
@@ -47,11 +47,10 @@ TEST(ErrorCodes, UnknownNameMapsToInternal)
 
 TEST(SimErrorBase, CarriesCodeContextAndSweepKey)
 {
-    SimError e(ErrorCode::Deadlock, "stuck", "rob dump here", false);
+    SimError e(ErrorCode::Deadlock, "stuck", "rob dump here");
     EXPECT_EQ(e.code(), ErrorCode::Deadlock);
     EXPECT_STREQ(e.what(), "stuck");
     EXPECT_EQ(e.context(), "rob dump here");
-    EXPECT_FALSE(e.transient());
     EXPECT_TRUE(e.sweepKey().empty());
 
     e.setSweepKey("workload=swim iq=segmented");
@@ -70,19 +69,9 @@ TEST(SimErrorBase, IsCatchableAsStdException)
 TEST(SimErrorSubclasses, CodesAndTransience)
 {
     EXPECT_EQ(ConfigError("x").code(), ErrorCode::Config);
-    EXPECT_FALSE(ConfigError("x").transient());
-
     EXPECT_EQ(WorkloadError("x").code(), ErrorCode::Workload);
-    EXPECT_FALSE(WorkloadError("x").transient());
-
-    // Checkpoint errors pick their transience per throw site: I/O and
-    // corruption are retryable, semantic mismatches are not.
     EXPECT_EQ(CheckpointError("x").code(), ErrorCode::Checkpoint);
-    EXPECT_FALSE(CheckpointError("x").transient());
-    EXPECT_TRUE(CheckpointError("x", /*transient=*/true).transient());
-
     EXPECT_EQ(ResourceError("x").code(), ErrorCode::Resource);
-    EXPECT_TRUE(ResourceError("x").transient());
 
     EXPECT_EQ(InvariantError("x").code(), ErrorCode::Invariant);
     EXPECT_EQ(InvariantError("x", "dump").context(), "dump");

