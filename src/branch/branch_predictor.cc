@@ -151,40 +151,17 @@ HybridBranchPredictor::warmTrain(Addr pc, bool taken)
                            lmask;
 }
 
-namespace {
-
-void
-saveCounters(serial::Writer &w, const std::vector<SatCounter> &table)
-{
-    w.u64(table.size());
-    for (const SatCounter &c : table)
-        w.u8(static_cast<std::uint8_t>(c.read()));
-}
-
-void
-restoreCounters(serial::Reader &r, std::vector<SatCounter> &table,
-                const char *what)
-{
-    const std::uint64_t n = r.u64();
-    if (n != table.size()) {
-        throw serial::Error(std::string(what) + " table size mismatch: "
-                            "snapshot " + std::to_string(n) +
-                            ", configured " + std::to_string(table.size()));
-    }
-    for (SatCounter &c : table)
-        c.set(r.u8());
-}
-
-} // namespace
-
 void
 HybridBranchPredictor::save(serial::Writer &w) const
 {
     w.u32(globalHistory);
     saveCounters(w, globalPht);
     w.u64(localHistories.size());
-    for (std::uint32_t h : localHistories)
-        w.u32(h);
+    char *p = w.span(localHistories.size(), 4);
+    for (std::uint32_t h : localHistories) {
+        serial::storeLe(p, h);
+        p += 4;
+    }
     saveCounters(w, localPht);
     saveCounters(w, choicePht);
     w.f64(lookups.value());
@@ -197,17 +174,15 @@ void
 HybridBranchPredictor::restore(serial::Reader &r)
 {
     globalHistory = r.u32();
-    restoreCounters(r, globalPht, "global PHT");
-    const std::uint64_t nhist = r.u64();
-    if (nhist != localHistories.size()) {
-        throw serial::Error("local history count mismatch: snapshot " +
-                            std::to_string(nhist) + ", configured " +
-                            std::to_string(localHistories.size()));
+    restoreCounters(r, globalPht, "global PHT table size");
+    r.expectCount(localHistories.size(), "local history count");
+    const char *p = r.span(localHistories.size(), 4);
+    for (std::uint32_t &h : localHistories) {
+        h = serial::loadLe<std::uint32_t>(p);
+        p += 4;
     }
-    for (std::uint32_t &h : localHistories)
-        h = r.u32();
-    restoreCounters(r, localPht, "local PHT");
-    restoreCounters(r, choicePht, "choice PHT");
+    restoreCounters(r, localPht, "local PHT table size");
+    restoreCounters(r, choicePht, "choice PHT table size");
     lookups.set(r.f64());
     condPredicts.set(r.f64());
     condMispredicts.set(r.f64());

@@ -77,11 +77,13 @@ class Btb
     save(serial::Writer &w) const
     {
         w.u64(table.size());
+        char *p = w.span(table.size(), kSavedEntryBytes);
         for (const Entry &e : table) {
-            w.u8(e.valid ? 1 : 0);
-            w.u64(e.pc);
-            w.u64(e.target);
-            w.u64(e.lastUse);
+            p[0] = e.valid ? 1 : 0;
+            serial::storeLe<std::uint64_t>(p + 1, e.pc);
+            serial::storeLe<std::uint64_t>(p + 9, e.target);
+            serial::storeLe<std::uint64_t>(p + 17, e.lastUse);
+            p += kSavedEntryBytes;
         }
         w.u64(useClock);
         w.f64(lookups.value());
@@ -92,17 +94,14 @@ class Btb
     void
     restore(serial::Reader &r)
     {
-        const std::uint64_t n = r.u64();
-        if (n != table.size()) {
-            throw serial::Error("BTB size mismatch: snapshot " +
-                                std::to_string(n) + ", configured " +
-                                std::to_string(table.size()));
-        }
+        r.expectCount(table.size(), "BTB size");
+        const char *p = r.span(table.size(), kSavedEntryBytes);
         for (Entry &e : table) {
-            e.valid = r.u8() != 0;
-            e.pc = r.u64();
-            e.target = r.u64();
-            e.lastUse = r.u64();
+            e.valid = p[0] != 0;
+            e.pc = serial::loadLe<std::uint64_t>(p + 1);
+            e.target = serial::loadLe<std::uint64_t>(p + 9);
+            e.lastUse = serial::loadLe<std::uint64_t>(p + 17);
+            p += kSavedEntryBytes;
         }
         useClock = r.u64();
         lookups.set(r.f64());
@@ -122,6 +121,9 @@ class Btb
         Addr target = 0;
         std::uint64_t lastUse = 0;
     };
+
+    /** Saved entry record: u8 valid, u64 pc, u64 target, u64 lastUse. */
+    static constexpr std::size_t kSavedEntryBytes = 25;
 
     std::size_t setIndex(Addr pc) const
     {

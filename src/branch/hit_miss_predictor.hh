@@ -107,9 +107,7 @@ class HitMissPredictor
     void
     save(serial::Writer &w) const
     {
-        w.u64(table.size());
-        for (const SatCounter &c : table)
-            w.u8(static_cast<std::uint8_t>(c.read()));
+        saveCounters(w, table);
         w.f64(predictHitCount.value());
         w.f64(predictMissCount.value());
         w.f64(hitPredictsCorrect.value());
@@ -120,14 +118,7 @@ class HitMissPredictor
     void
     restore(serial::Reader &r)
     {
-        const std::uint64_t n = r.u64();
-        if (n != table.size()) {
-            throw serial::Error("HMP size mismatch: snapshot " +
-                                std::to_string(n) + ", configured " +
-                                std::to_string(table.size()));
-        }
-        for (SatCounter &c : table)
-            c.set(r.u8());
+        restoreCounters(r, table, "HMP size");
         predictHitCount.set(r.f64());
         predictMissCount.set(r.f64());
         hitPredictsCorrect.set(r.f64());

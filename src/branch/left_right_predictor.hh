@@ -62,9 +62,7 @@ class LeftRightPredictor
     void
     save(serial::Writer &w) const
     {
-        w.u64(table.size());
-        for (const SatCounter &c : table)
-            w.u8(static_cast<std::uint8_t>(c.read()));
+        saveCounters(w, table);
         w.f64(predicts.value());
         w.f64(mispredicts.value());
     }
@@ -73,14 +71,7 @@ class LeftRightPredictor
     void
     restore(serial::Reader &r)
     {
-        const std::uint64_t n = r.u64();
-        if (n != table.size()) {
-            throw serial::Error("LRP size mismatch: snapshot " +
-                                std::to_string(n) + ", configured " +
-                                std::to_string(table.size()));
-        }
-        for (SatCounter &c : table)
-            c.set(r.u8());
+        restoreCounters(r, table, "LRP size");
         predicts.set(r.f64());
         mispredicts.set(r.f64());
     }

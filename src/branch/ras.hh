@@ -64,8 +64,11 @@ class ReturnAddressStack
     save(serial::Writer &w) const
     {
         w.u64(stack.size());
-        for (Addr a : stack)
-            w.u64(a);
+        char *p = w.span(stack.size(), 8);
+        for (Addr a : stack) {
+            serial::storeLe<std::uint64_t>(p, a);
+            p += 8;
+        }
         w.u32(tos);
     }
 
@@ -73,14 +76,12 @@ class ReturnAddressStack
     void
     restore(serial::Reader &r)
     {
-        const std::uint64_t n = r.u64();
-        if (n != stack.size()) {
-            throw serial::Error("RAS depth mismatch: snapshot " +
-                                std::to_string(n) + ", configured " +
-                                std::to_string(stack.size()));
+        r.expectCount(stack.size(), "RAS depth");
+        const char *p = r.span(stack.size(), 8);
+        for (Addr &a : stack) {
+            a = serial::loadLe<std::uint64_t>(p);
+            p += 8;
         }
-        for (Addr &a : stack)
-            a = r.u64();
         tos = r.u32();
     }
 

@@ -7,8 +7,10 @@
 #define SCIQ_COMMON_SAT_COUNTER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "logging.hh"
+#include "serialize.hh"
 
 namespace sciq {
 
@@ -70,6 +72,34 @@ class SatCounter
     unsigned maxVal = 3;
     unsigned value = 0;
 };
+
+/**
+ * Save a counter table as its u64 size and one byte per counter, the
+ * bytes written through one span.
+ */
+inline void
+saveCounters(serial::Writer &w, const std::vector<SatCounter> &table)
+{
+    w.u64(table.size());
+    char *p = w.span(table.size());
+    for (const SatCounter &c : table)
+        *p++ = static_cast<char>(c.read());
+}
+
+/**
+ * Restore what saveCounters wrote; the size must match the configured
+ * one (serial::Error "<what> mismatch: ...").  One bounds check for
+ * the whole table.
+ */
+inline void
+restoreCounters(serial::Reader &r, std::vector<SatCounter> &table,
+                const char *what)
+{
+    r.expectCount(table.size(), what);
+    const char *p = r.span(table.size());
+    for (SatCounter &c : table)
+        c.set(static_cast<std::uint8_t>(*p++));
+}
 
 } // namespace sciq
 

@@ -5,7 +5,10 @@
  * A Writer appends fixed-width little-endian fields to an in-memory
  * buffer; a Reader consumes the same encoding with strict bounds
  * checking (every truncation or tag mismatch throws serial::Error with
- * a message naming the offset).  Components implement
+ * a message naming the offset).  A scalar field is one append or one
+ * checked load; a table is one span(): one append or one bounds check
+ * for all its records, which the component then encodes or decodes
+ * in a tight loop with storeLe/loadLe.  Components implement
  * `save(serial::Writer &)` / `restore(serial::Reader &)` pairs against
  * these primitives; the versioned container format lives one layer up
  * in sim/checkpoint.{hh,cc}.
@@ -20,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace sciq {
 namespace serial {
@@ -74,18 +78,63 @@ fnv1a(const void *data, std::size_t len)
 }
 
 /**
- * Word-at-a-time 64-bit hash for bulk byte ranges: the checkpoint
- * trailer and the data-segment bytes in Program::checksum.
+ * Fixed-width little-endian load/store for 1-, 4- and 8-byte unsigned
+ * fields: one memcpy on little-endian hosts, a byte loop elsewhere.
+ */
+template <typename T>
+inline T
+loadLe(const void *src)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, src, sizeof v);
+    } else {
+        const auto *b = static_cast<const std::uint8_t *>(src);
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            v |= static_cast<T>(static_cast<T>(b[i]) << (8 * i));
+    }
+    return v;
+}
+
+template <typename T>
+inline void
+storeLe(void *dst, T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(dst, &v, sizeof v);
+    } else {
+        auto *b = static_cast<std::uint8_t *>(dst);
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+/**
+ * Four-lane word-at-a-time 64-bit hash for bulk byte ranges: the
+ * checkpoint trailer and the data-segment bytes in Program::checksum.
  *
- * Each 8-byte little-endian word w updates the state as
+ * Each 8-byte little-endian word w updates a 64-bit state as
  * h = f(h ^ w), where f(x) = m ^ (m >> 32) with m = x * K for an odd
  * K.  Both halves of f are bijections, so every step is a bijection of
- * the word for a fixed state and of the state for a fixed word: two
- * inputs of equal length that differ in one word, and hence any
- * single-bit flip, always hash differently.  The trailing 1..7 bytes
- * form one zero-padded word, the length is folded into the initial
- * state, and a murmur3 finaliser spreads the last word into every bit.
- * One multiply per 8 bytes replaces FNV-1a's one per byte.
+ * the word for a fixed state and of the state for a fixed word.
+ *
+ * Whole 32-byte blocks feed four independent lanes, word j of each
+ * block into lane j, so four multiplies are in flight at once.  The
+ * lanes start from distinct seeds that fold in the length, and are
+ * then folded into one state with the same step, lane 0 as the state
+ * and lanes 1..3 as words.  The remaining 0..3 whole words and a
+ * zero-padded word of the trailing 1..7 bytes are stepped into that
+ * state, and a murmur3 finaliser (a bijection) spreads it into every
+ * bit.
+ *
+ * Two inputs of equal length that differ only inside one word always
+ * hash differently: the changed word alters its own lane (or the tail
+ * state), every later step of that lane is a bijection of the state,
+ * the fold is a bijection of each lane with the others fixed, and so
+ * is everything after it (DESIGN.md §12).  Any single-bit flip is such
+ * a change.
  */
 inline std::uint64_t
 hashBytes(const void *data, std::size_t len)
@@ -96,25 +145,28 @@ hashBytes(const void *data, std::size_t len)
         h = (h ^ w) * kMul;
         return h ^ (h >> 32);
     };
-    auto loadLe = [](const std::uint8_t *b, std::size_t n) {
-        std::uint64_t w = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            w |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return w;
-    };
 
-    std::uint64_t h = 0x243f6a8885a308d3ULL ^ (len * kMul);
+    const std::uint64_t seed = 0x243f6a8885a308d3ULL ^ (len * kMul);
+    std::uint64_t l0 = seed;
+    std::uint64_t l1 = seed ^ 0x13198a2e03707344ULL;
+    std::uint64_t l2 = seed ^ 0xa4093822299f31d0ULL;
+    std::uint64_t l3 = seed ^ 0x082efa98ec4e6c89ULL;
     std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        std::uint64_t w;
-        if constexpr (std::endian::native == std::endian::little)
-            std::memcpy(&w, p + i, 8);
-        else
-            w = loadLe(p + i, 8);
-        h = step(h, w);
+    for (; i + 32 <= len; i += 32) {
+        l0 = step(l0, loadLe<std::uint64_t>(p + i));
+        l1 = step(l1, loadLe<std::uint64_t>(p + i + 8));
+        l2 = step(l2, loadLe<std::uint64_t>(p + i + 16));
+        l3 = step(l3, loadLe<std::uint64_t>(p + i + 24));
     }
-    if (i < len)
-        h = step(h, loadLe(p + i, len - i));
+    std::uint64_t h = step(step(step(l0, l1), l2), l3);
+
+    for (; i + 8 <= len; i += 8)
+        h = step(h, loadLe<std::uint64_t>(p + i));
+    if (i < len) {
+        std::uint8_t tail[8] = {};
+        std::memcpy(tail, p + i, len - i);
+        h = step(h, loadLe<std::uint64_t>(tail));
+    }
 
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
@@ -124,43 +176,47 @@ hashBytes(const void *data, std::size_t len)
     return h;
 }
 
-/** Append-only little-endian encoder over a std::string buffer. */
+/**
+ * Bounds checks made by every Reader on this thread, ever: one per
+ * fixed-width field, one per span().  Tests read the difference across
+ * a restore to pin how many checks it costs.
+ */
+inline thread_local std::uint64_t readerBoundsChecks = 0;
+
+/**
+ * Append-only little-endian encoder over a std::string buffer.  Each
+ * fixed-width field is one append; a table is one span() filled in a
+ * tight loop with storeLe.
+ */
 class Writer
 {
   public:
-    void
-    u8(std::uint8_t v)
-    {
-        buf.push_back(static_cast<char>(v));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (unsigned i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (unsigned i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
+    void u8(std::uint8_t v) { buf.push_back(static_cast<char>(v)); }
+    void u32(std::uint32_t v) { fixed(v); }
+    void u64(std::uint64_t v) { fixed(v); }
+    void f64(double v) { fixed(std::bit_cast<std::uint64_t>(v)); }
 
     void
     bytes(const void *data, std::size_t len)
     {
         buf.append(static_cast<const char *>(data), len);
     }
+
+    /**
+     * Append `count` records of `width` bytes and return where the
+     * first one starts, for the caller to fill.  The pointer is valid
+     * until the next append.
+     */
+    char *
+    span(std::size_t count, std::size_t width = 1)
+    {
+        const std::size_t at = buf.size();
+        buf.resize(at + count * width);
+        return buf.data() + at;
+    }
+
+    /** Grow the buffer once ahead of a known amount of output. */
+    void reserve(std::size_t total) { buf.reserve(total); }
 
     /** Length-prefixed string. */
     void
@@ -182,65 +238,52 @@ class Writer
     std::size_t size() const { return buf.size(); }
 
   private:
+    template <typename T>
+    void
+    fixed(T v)
+    {
+        char b[sizeof v];
+        storeLe(b, v);
+        buf.append(b, sizeof v);
+    }
+
     std::string buf;
 };
 
-/** Bounds-checked little-endian decoder over a borrowed buffer. */
+/**
+ * Bounds-checked little-endian decoder over a borrowed buffer.  Every
+ * fixed-width field costs one bounds check; span() checks a whole
+ * table once, which the caller then decodes with loadLe.
+ */
 class Reader
 {
   public:
     explicit Reader(std::string_view data_) : data(data_) {}
 
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return static_cast<std::uint8_t>(data[pos++]);
-    }
+    std::uint8_t u8() { return fixed<std::uint8_t>(); }
+    std::uint32_t u32() { return fixed<std::uint32_t>(); }
+    std::uint64_t u64() { return fixed<std::uint64_t>(); }
+    double f64() { return std::bit_cast<double>(fixed<std::uint64_t>()); }
 
-    std::uint32_t
-    u32()
+    /**
+     * Consume `count` records of `width` bytes after one bounds check
+     * and return where the first one starts.  The check cannot
+     * overflow, so a count read from the stream is safe to pass.
+     */
+    const char *
+    span(std::size_t count, std::size_t width = 1)
     {
-        std::uint32_t v = 0;
-        for (unsigned i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    void
-    bytes(void *out, std::size_t len)
-    {
-        need(len);
-        std::memcpy(out, data.data() + pos, len);
-        pos += len;
+        need(count, width);
+        const char *p = data.data() + pos;
+        pos += count * width;
+        return p;
     }
 
     std::string
     str()
     {
         const std::uint32_t len = u32();
-        need(len);
-        std::string s(data.substr(pos, len));
-        pos += len;
-        return s;
+        return std::string(span(len), len);
     }
 
     /** Consume a 4-character section marker; mismatch is an Error. */
@@ -256,15 +299,43 @@ class Reader
         pos += 4;
     }
 
+    /**
+     * Read a table's u64 entry count and check it against the
+     * configured one; Error "<what> mismatch: snapshot N, configured
+     * M" otherwise.
+     */
+    void
+    expectCount(std::size_t configured, const char *what)
+    {
+        const std::uint64_t n = u64();
+        if (n != configured) {
+            throw Error(std::string(what) + " mismatch: snapshot " +
+                        std::to_string(n) + ", configured " +
+                        std::to_string(configured));
+        }
+    }
+
     std::size_t offset() const { return pos; }
     std::size_t remaining() const { return data.size() - pos; }
 
   private:
-    void
-    need(std::size_t n)
+    template <typename T>
+    T
+    fixed()
     {
-        if (data.size() - pos < n) {
-            throw Error("truncated stream: need " + std::to_string(n) +
+        need(sizeof(T));
+        const T v = loadLe<T>(data.data() + pos);
+        pos += sizeof(T);
+        return v;
+    }
+
+    void
+    need(std::size_t count, std::size_t width = 1)
+    {
+        ++readerBoundsChecks;
+        if (count > (data.size() - pos) / width) {
+            throw Error("truncated stream: need " + std::to_string(count) +
+                        (width == 1 ? "" : " x " + std::to_string(width)) +
                         " bytes at offset " + std::to_string(pos) +
                         ", have " + std::to_string(data.size() - pos));
         }

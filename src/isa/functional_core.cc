@@ -55,8 +55,11 @@ FunctionalCore::run(std::uint64_t max_insts)
 void
 FunctionalCore::save(serial::Writer &w) const
 {
-    for (std::uint64_t reg : regs)
-        w.u64(reg);
+    char *p = w.span(regs.size(), 8);
+    for (std::uint64_t reg : regs) {
+        serial::storeLe(p, reg);
+        p += 8;
+    }
     w.u64(curPc);
     w.u8(isHalted ? 1 : 0);
     w.u64(executed);
@@ -67,8 +70,11 @@ FunctionalCore::SavedState
 FunctionalCore::decode(serial::Reader &r)
 {
     SavedState s;
-    for (std::uint64_t &reg : s.regs)
-        reg = r.u64();
+    const char *p = r.span(s.regs.size(), 8);
+    for (std::uint64_t &reg : s.regs) {
+        reg = serial::loadLe<std::uint64_t>(p);
+        p += 8;
+    }
     s.pc = r.u64();
     s.halted = r.u8() != 0;
     s.executed = r.u64();

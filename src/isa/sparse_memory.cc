@@ -19,7 +19,7 @@ SparseMemory::getPage(Addr addr)
 {
     auto [it, inserted] = pages.try_emplace(addr >> kPageShift);
     if (inserted)
-        it->second.fill(0);
+        it->second.fill(0);  // the one write a new page's bytes get
     return it->second;
 }
 
@@ -132,8 +132,7 @@ SparseMemory::save(serial::Writer &w) const
     w.u64(page_nos.size());
     for (Addr page_no : page_nos) {
         w.u64(page_no);
-        const Page &page = pages.at(page_no);
-        w.bytes(page.data(), kPageSize);
+        w.bytes(pages.at(page_no).data(), kPageSize);
     }
 }
 
@@ -142,10 +141,14 @@ SparseMemory::restore(serial::Reader &r)
 {
     pages.clear();
     const std::uint64_t count = r.u64();
+    const char *p = r.span(count, kSavedPageBytes);
+    pages.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-        const Addr page_no = r.u64();
-        Page &page = pages[page_no];
-        r.bytes(page.data(), kPageSize);
+        // A new Page's bytes are left unwritten: the copy is their
+        // one write.
+        Page &page = pages[serial::loadLe<std::uint64_t>(p)];
+        std::memcpy(page.data(), p + 8, kPageSize);
+        p += kSavedPageBytes;
     }
 }
 

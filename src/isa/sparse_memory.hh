@@ -24,6 +24,8 @@ class SparseMemory
   public:
     static constexpr unsigned kPageShift = 12;
     static constexpr Addr kPageSize = 1ULL << kPageShift;
+    /** Saved page record: u64 page number, then the page's bytes. */
+    static constexpr std::size_t kSavedPageBytes = 8 + kPageSize;
 
     /** Read `size` (1..8) bytes little-endian; zero for untouched. */
     std::uint64_t read(Addr addr, unsigned size) const;
@@ -91,7 +93,15 @@ class SparseMemory
     void restore(serial::Reader &r);
 
   private:
-    using Page = std::array<std::uint8_t, kPageSize>;
+    /**
+     * A page's bytes.  Construction leaves them unwritten, so each
+     * byte is written once: getPage() zero-fills a new page, restore()
+     * copies the saved one in.
+     */
+    struct Page : std::array<std::uint8_t, kPageSize>
+    {
+        Page() {}
+    };
 
     const Page *findPage(Addr addr) const;
     Page &getPage(Addr addr);

@@ -131,11 +131,12 @@ Cache::save(serial::Writer &w) const
     w.u64(numSets);
     w.u32(params_.assoc);
     w.u32(params_.lineBytes);
+    char *p = w.span(lines.size(), kSavedLineBytes);
     for (const Line &line : lines) {
-        w.u64(line.tag);
-        w.u8(static_cast<std::uint8_t>((line.valid ? 1 : 0) |
-                                       (line.dirty ? 2 : 0)));
-        w.u64(line.lastUse);
+        serial::storeLe<std::uint64_t>(p, line.tag);
+        p[8] = static_cast<char>((line.valid ? 1 : 0) | (line.dirty ? 2 : 0));
+        serial::storeLe<std::uint64_t>(p + 9, line.lastUse);
+        p += kSavedLineBytes;
     }
     w.u64(nextFillFree);
     w.f64(accesses.value());
@@ -165,12 +166,13 @@ Cache::restore(serial::Reader &r)
             std::to_string(numSets) + "x" + std::to_string(params_.assoc) +
             "x" + std::to_string(params_.lineBytes));
     }
+    const char *p = r.span(lines.size(), kSavedLineBytes);
     for (Line &line : lines) {
-        line.tag = r.u64();
-        const std::uint8_t flags = r.u8();
-        line.valid = (flags & 1) != 0;
-        line.dirty = (flags & 2) != 0;
-        line.lastUse = r.u64();
+        line.tag = serial::loadLe<std::uint64_t>(p);
+        line.valid = (p[8] & 1) != 0;
+        line.dirty = (p[8] & 2) != 0;
+        line.lastUse = serial::loadLe<std::uint64_t>(p + 9);
+        p += kSavedLineBytes;
     }
     warmMemoClear();
     nextFillFree = r.u64();

@@ -157,6 +157,9 @@ class Cache : public MemLevel
         Cycle lastUse = 0;
     };
 
+    /** Saved line record: u64 tag, u8 valid | dirty << 1, u64 lastUse. */
+    static constexpr std::size_t kSavedLineBytes = 17;
+
     struct Mshr
     {
         Addr lineAddr = 0;

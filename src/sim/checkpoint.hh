@@ -19,7 +19,14 @@
  *   workload name/params | u64 ff insts | u64 program checksum |
  *   "FFST" FastForwardStats | "FUNC" FunctionalCore |
  *   "L1I_" "L1D_" "L2__" caches | "BPRD" "BTB_" "RAS_" "HMP_" "LRP_"
- *   predictors | "END_" | u64 FNV-1a trailer over everything before it.
+ *   predictors | "END_" | u64 serial::hashBytes trailer over everything
+ *   before it.
+ *
+ * Each table inside a section (cache lines, BTB entries, counter
+ * tables, local histories, RAS slots, registers, memory pages) is one
+ * run of fixed-width records after its count or geometry fields, and
+ * is decoded after one bounds check for the whole run (DESIGN.md §12
+ * lists the records).
  *
  * The trailer detects corruption/truncation before any section is
  * parsed; the key hash and program checksum reject checkpoints taken
@@ -50,9 +57,9 @@ namespace sciq {
 /**
  * Format version; bump on any layout or hash change.  Version 2 moved
  * the trailer and the program checksum's data bytes to
- * serial::hashBytes.
+ * serial::hashBytes; version 3 made that hash four-lane.
  */
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 /**
  * Cache key for a warm-up: hashes exactly the inputs that determine

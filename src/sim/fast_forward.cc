@@ -92,7 +92,8 @@ classifyForWarm(const Instruction &inst)
 } // namespace
 
 FastForwardStats
-fastForward(FunctionalCore &golden, OooCore &core, std::uint64_t insts)
+fastForwardUnseeded(FunctionalCore &golden, OooCore &core,
+                    std::uint64_t insts)
 {
     FastForwardStats stats;
     Cache &dcache = core.memHierarchy().dcache();
@@ -136,10 +137,15 @@ fastForward(FunctionalCore &golden, OooCore &core, std::uint64_t insts)
         }
         stats.hitHalt = golden.halted();
     }
+    return stats;
+}
 
-    if (!stats.hitHalt) {
+FastForwardStats
+fastForward(FunctionalCore &golden, OooCore &core, std::uint64_t insts)
+{
+    const FastForwardStats stats = fastForwardUnseeded(golden, core, insts);
+    if (!stats.hitHalt)
         core.seedState(golden.regFile(), golden.memory(), golden.pc());
-    }
     return stats;
 }
 

@@ -32,10 +32,19 @@ struct FastForwardStats
 /**
  * Execute up to `insts` instructions on `golden`, warming `core`'s
  * caches and predictors, then seed `core`'s architectural state from
- * the functional state.  Call before the core's first tick().
+ * a copy of the functional state (unless the program halted inside
+ * the prefix).  Call before the core's first tick().
  */
 FastForwardStats fastForward(FunctionalCore &golden, OooCore &core,
                              std::uint64_t insts);
+
+/**
+ * The same warming, leaving `core` unseeded: for a caller that still
+ * reads `golden` (a checkpoint save) and then moves its memory image
+ * into the core instead of copying it.
+ */
+FastForwardStats fastForwardUnseeded(FunctionalCore &golden, OooCore &core,
+                                     std::uint64_t insts);
 
 } // namespace sciq
 

@@ -127,7 +127,7 @@ Simulator::warmUp(bool &restored)
         FunctionalCore warm(*program_, config.bbCache);
         const auto t0 = std::chrono::steady_clock::now();
         FastForwardStats ff =
-            fastForward(warm, *core_, config.fastForward);
+            fastForwardUnseeded(warm, *core_, config.fastForward);
         const std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - t0;
         noteWarm(dt.count(), ff.instsSkipped, warm);
@@ -139,6 +139,12 @@ Simulator::warmUp(bool &restored)
         }
         if (blob)
             *blob = saveCheckpoint(config, warm, *core_, ff);
+        // Serialized first, so the image moves into the core instead
+        // of being copied.
+        if (!ff.hitHalt) {
+            core_->seedState(warm.regFile(), std::move(warm.memory()),
+                             warm.pc());
+        }
         return ff;
     };
 

@@ -47,6 +47,11 @@ TEST_P(AuditSweep, ZeroViolations)
     }
     cfg.wl.iterations = 200;
     cfg.audit = true;
+    // The longest commit gap over every healthy case here is 1,969
+    // cycles (equake, ideal-512, the cold start); a window 10x that
+    // fails a wedged queue within 20k audited cycles instead of the
+    // default million.
+    cfg.core.watchdogCycles = 20'000;
 
     Simulator sim(cfg);
     RunResult r = sim.run();

@@ -2,7 +2,9 @@
  * @file
  * Warm-state checkpoint/restore tests (DESIGN.md §12).
  *
- * Three layers of coverage:
+ * Four layers of coverage:
+ *  - the serialization primitives, the trailer hash's known answers
+ *    and its sensitivity to every single-bit flip;
  *  - per-component save -> restore -> save round-trips must reproduce
  *    the first blob bit for bit;
  *  - a restored Simulator run must produce byte-identical stats trees
@@ -10,6 +12,9 @@
  *    segmented and the ideal IQ (the module's correctness contract);
  *  - corrupted, truncated, version-bumped, mislabelled and mismatched
  *    blobs are rejected with specific CheckpointError messages.
+ *
+ * Plus the codec's work gate: a restore's bounds checks are pinned
+ * per kernel (one per scalar field and one per table).
  *
  * Plus CheckpointCache semantics, including two caches (standing in
  * for two processes) sharing one directory.
@@ -121,6 +126,64 @@ asVersion1(std::string blob)
 }
 
 /**
+ * The one-lane hash that version 2 used for its trailer and program
+ * checksum, kept here only to build a genuine version-2 file.
+ */
+std::uint64_t
+hashBytesVersion2(const void *data, std::size_t len)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    auto step = [](std::uint64_t h, std::uint64_t w) {
+        h = (h ^ w) * kMul;
+        return h ^ (h >> 32);
+    };
+    auto load = [&](std::size_t at, std::size_t n) {
+        std::uint64_t w = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            w |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
+        return w;
+    };
+    std::uint64_t h = 0x243f6a8885a308d3ULL ^ (len * kMul);
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8)
+        h = step(h, load(i, 8));
+    if (i < len)
+        h = step(h, load(i, len - i));
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
+/** `blob` relabelled as version 2, with that format's trailer. */
+std::string
+asVersion2(std::string blob)
+{
+    blob[8] = 2;
+    blob[9] = blob[10] = blob[11] = 0;
+    const std::size_t payload = blob.size() - 8;
+    serial::Writer t;
+    t.u64(hashBytesVersion2(blob.data(), payload));
+    return blob.replace(payload, 8, t.buffer());
+}
+
+/**
+ * The first `len` bytes of `blob`'s payload with a fresh trailer, so
+ * the frame checks pass and the cut is found by the section decoder.
+ */
+std::string
+cutAndReframe(const std::string &blob, std::size_t len)
+{
+    std::string cut = blob.substr(0, len);
+    serial::Writer t;
+    t.u64(serial::hashBytes(cut.data(), cut.size()));
+    return cut + t.buffer();
+}
+
+/**
  * `payload` framed as a current-version blob (magic, version, trailer),
  * so a disk read of it passes the cache's frame check.
  */
@@ -197,14 +260,21 @@ TEST(Serialize, HashBytesKnownAnswers)
 {
     // Input byte i is (7 * i + 1) mod 256.  The values pin the
     // definition documented at serial::hashBytes: little-endian words,
-    // a zero-padded tail word and the length in the initial state.
+    // four lanes over 32-byte blocks folded with the word step, the
+    // 0..3 remaining words and a zero-padded tail word stepped after
+    // the fold, and the length in every lane's seed.  The lengths
+    // cover no block, part of a block, exactly one, one plus a tail,
+    // and many.
     std::vector<std::uint8_t> bytes(4096);
     for (std::size_t i = 0; i < bytes.size(); ++i)
         bytes[i] = static_cast<std::uint8_t>(7 * i + 1);
     const std::pair<std::size_t, std::uint64_t> known[] = {
-        {0, 0x7acdbb98b1344213ULL},    {1, 0x696a21905fcc8681ULL},
-        {7, 0x7768876e17a1b7abULL},    {8, 0x69981eef069bcfe2ULL},
-        {9, 0xeb71b8a817e8b21dULL},    {4096, 0xace1fd015a1d6c20ULL},
+        {0, 0xa53998cf595eb19aULL},    {1, 0x65dd5ebc6d4d93e4ULL},
+        {7, 0x1d0bf764bfbca45aULL},    {8, 0x667993ec6106090cULL},
+        {9, 0xfe40c4dce45e6782ULL},    {31, 0xa99925f99b057386ULL},
+        {32, 0xbe188d92d9b82a71ULL},   {33, 0x45c39805fc4dc470ULL},
+        {40, 0x56d57b23898c054bULL},   {64, 0x036d645ed09fd157ULL},
+        {65, 0xe1bf77814ce9d20dULL},   {4096, 0x220c2d964bf0e6ebULL},
     };
     for (const auto &[len, want] : known)
         EXPECT_EQ(serial::hashBytes(bytes.data(), len), want) << "len " << len;
@@ -213,18 +283,25 @@ TEST(Serialize, HashBytesKnownAnswers)
 
 TEST(Serialize, HashBytesSeesEverySingleBitFlip)
 {
-    // Every step of the hash is a bijection of the word, so no flip
-    // can cancel out; check it on an unaligned tail as well.
-    std::vector<std::uint8_t> bytes(75);
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        bytes[i] = static_cast<std::uint8_t>(i * 29);
-    const std::uint64_t base = serial::hashBytes(bytes.data(), bytes.size());
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
-            EXPECT_NE(serial::hashBytes(bytes.data(), bytes.size()), base)
-                << "byte " << i << " bit " << bit;
-            bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+    // Every step of the hash is a bijection of the word and of the
+    // state, and the lane fold is a bijection of each lane, so no
+    // flip can cancel out.  The lengths put flips in every lane of
+    // one and two blocks, in the whole tail words after the blocks and
+    // in an unaligned tail.
+    for (std::size_t len : {31u, 32u, 33u, 64u, 65u, 75u}) {
+        std::vector<std::uint8_t> bytes(len);
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            bytes[i] = static_cast<std::uint8_t>(i * 29);
+        const std::uint64_t base =
+            serial::hashBytes(bytes.data(), bytes.size());
+        for (std::size_t i = 0; i < bytes.size(); ++i) {
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+                EXPECT_NE(serial::hashBytes(bytes.data(), bytes.size()),
+                          base)
+                    << "len " << len << " byte " << i << " bit " << bit;
+                bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+            }
         }
     }
 }
@@ -595,6 +672,48 @@ TEST_F(CheckpointReject, TruncationIsRejected)
     }
 }
 
+TEST_F(CheckpointReject, CutInsideEachTableIsMalformed)
+{
+    // A blob cut inside a table and given a valid trailer passes the
+    // frame, key and program checks; the table's one bounds check must
+    // then reject it.
+    auto after = [&](const char *tag) {
+        const std::size_t at = blob.find(tag);
+        EXPECT_NE(at, std::string::npos) << tag;
+        return at + 4;
+    };
+    const BranchPredictorParams &bp = cfg.core.bp;
+    // FUNC: registers, pc, halted flag, instruction count, page count,
+    // then the first page's number and bytes.
+    const std::size_t firstPage = after("FUNC") + 8 * kNumArchRegs + 8 +
+                                  1 + 8 + 8;
+    // Cache: u64 sets, u32 assoc, u32 line size, then the lines.
+    const std::size_t l1dLines = after("L1D_") + 16;
+    // BPRD: u32 global history, then count + counters, count +
+    // histories, count + local counters, count + choice counters.
+    const std::size_t globalPht = after("BPRD") + 4 + 8;
+    const std::size_t histories = globalPht + bp.globalPhtEntries + 8;
+    const std::size_t localPht = histories + 4 * bp.localHistoryRegs + 8;
+    const std::pair<const char *, std::size_t> cuts[] = {
+        {"page bytes", firstPage + 8 + 100},
+        {"cache lines", l1dLines + 17 * 3 + 5},
+        {"global PHT counters", globalPht + 10},
+        {"local histories", histories + 6},
+        {"local PHT counters", localPht + 3},
+        {"BTB entries", after("BTB_") + 8 + 25 + 7},
+        {"RAS slots", after("RAS_") + 8 + 12},
+        {"HMP counters", after("HMP_") + 8 + 1},
+    };
+    serial::Reader pages(std::string_view(blob).substr(firstPage - 8, 8));
+    ASSERT_GT(pages.u64(), 0u) << "the warm-up must leave a page to cut";
+    for (const auto &[where, len] : cuts) {
+        SCOPED_TRACE(where);
+        ASSERT_LT(len, blob.size() - 8);
+        expectReject(cutAndReframe(blob, len), "malformed");
+        expectReject(cutAndReframe(blob, len), "truncated stream");
+    }
+}
+
 TEST_F(CheckpointReject, SingleBitFlipInEverySectionFailsChecksum)
 {
     // Offset of each section's first payload byte, found by walking
@@ -651,6 +770,11 @@ TEST_F(CheckpointReject, FutureVersionIsRejected)
 TEST_F(CheckpointReject, Version1IsRejected)
 {
     expectReject(asVersion1(blob), "version");
+}
+
+TEST_F(CheckpointReject, Version2IsRejected)
+{
+    expectReject(asVersion2(blob), "unsupported checkpoint version 2");
 }
 
 TEST_F(CheckpointReject, DifferentConfigurationIsRejected)
@@ -916,3 +1040,98 @@ TEST(CheckpointEndToEnd, Version1CacheFileIsRepairedCold)
     EXPECT_TRUE(third.ckptRestored);
     EXPECT_EQ(first.cycles, third.cycles);
 }
+
+TEST(CheckpointEndToEnd, Version2CacheFileIsRewarmedOnceAndReplaced)
+{
+    // A version-2 file (the one-lane trailer hash) in ckpt_dir= is
+    // warned about and skipped; one job of the sweep warms up and
+    // replaces it with a version-3 blob, which a later run restores.
+    ScratchDir dir("version2");
+    SimConfig cfg = testConfig("mgrid", IqKind::Segmented);
+    cfg.ckptDir = dir.str();
+    const RunResult first = runSim(cfg);
+    ASSERT_FALSE(first.ckptRestored);
+    const std::string path =
+        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg));
+    writeCheckpointFile(path, asVersion2(readCheckpointFile(path)));
+
+    auto cache = std::make_shared<CheckpointCache>(dir.str());
+    std::vector<SimConfig> cfgs;
+    for (unsigned size : {64u, 128u, 256u}) {
+        SimConfig c = cfg;
+        c.core.iq.numEntries = size;
+        c.ckptCache = cache;
+        cfgs.push_back(c);
+    }
+    SweepShared::Counts reuse;
+    SweepRunner::Options options;
+    options.reuse = &reuse;
+    testing::internal::CaptureStderr();
+    const std::vector<RunResult> results = SweepRunner(2).run(cfgs, options);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+
+    EXPECT_NE(warnings.find("unsupported checkpoint version 2"),
+              std::string::npos)
+        << warnings;
+    EXPECT_EQ(reuse.warmUps, 1u);
+    EXPECT_EQ(cache->produced(), 1u);
+    for (const RunResult &r : results) {
+        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
+        EXPECT_TRUE(r.validated);
+    }
+    EXPECT_EQ(results[1].cycles, first.cycles);
+    EXPECT_EQ(readCheckpointFile(path)[8], 3);
+
+    const RunResult later = runSim(cfg);
+    EXPECT_TRUE(later.ckptRestored);
+    EXPECT_EQ(later.cycles, first.cycles);
+}
+
+// ---------------------------------------------------------------------
+// The codec's work gate: serial::Reader counts its bounds checks, and
+// a restore makes one per scalar field and one per table, whatever the
+// table sizes or the number of memory pages.  Exact on any host.
+
+class CheckpointCodecWork : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CheckpointCodecWork, RestoreChecksEachTableOnce)
+{
+    // Frame: version and trailer (2).  Header: magic + version span,
+    // key, name length + bytes, iterations, seed, scale, ff length,
+    // program checksum (9).  FFST: tag + 4 fields (5).  FUNC: tag,
+    // registers, pc, halted, count, pages (7).  Each cache: tag, 3
+    // geometry fields, lines, LRU clock, 6 counters (3 x 12).  BPRD:
+    // tag, history, 4 x (count + table), 4 counters (14).  BTB_: tag,
+    // count, entries, clock, 2 counters (6).  RAS_: tag, count, slots,
+    // top (4).  HMP_: tag, count + table, 4 counters (7).  LRP_: tag,
+    // count + table, 2 counters (5).  END_ (1).
+    constexpr std::uint64_t kChecksPerRestore =
+        2 + 9 + 5 + 7 + 3 * 12 + 14 + 6 + 4 + 7 + 5 + 1;
+
+    SimConfig cfg = testConfig(GetParam(), IqKind::Segmented);
+    // A long warm-up, so the image has many pages to restore.
+    cfg.wl.iterations = 2000;
+    const Program prog = buildWorkload(cfg.workload, cfg.wl);
+    cfg.fastForward = FunctionalCore(prog).run() / 2;
+    FunctionalCore golden(prog);
+    OooCore cold(prog, cfg.core);
+    const FastForwardStats ff = fastForward(golden, cold, cfg.fastForward);
+    const std::string blob = saveCheckpoint(cfg, golden, cold, ff);
+
+    OooCore core(prog, cfg.core, /*load_image=*/false);
+    const std::uint64_t before = serial::readerBoundsChecks;
+    restoreCheckpoint(blob, cfg, prog, core);
+    const std::uint64_t checks = serial::readerBoundsChecks - before;
+    RecordProperty("bounds_checks", std::to_string(checks));
+    RecordProperty("pages", std::to_string(golden.memory().numPages()));
+    RecordProperty("blob_bytes", std::to_string(blob.size()));
+    EXPECT_EQ(checks, kChecksPerRestore)
+        << golden.memory().numPages() << " pages, " << blob.size()
+        << " bytes";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, CheckpointCodecWork,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &info) { return info.param; });

@@ -114,7 +114,8 @@ leg_perf() {
 # One sanitizer configuration: configure + build under build-<name>,
 # then run the fast sanitize_smoke test subset.  TSAN additionally runs
 # the full parallel-sweep suite: determinism across worker counts is
-# exactly what a data race would break.
+# exactly what a data race would break.  UBSan and ASan additionally run
+# the whole checkpoint and fault suites.
 run_sanitizer() {
   name="$1"
   flag="$2"
@@ -128,6 +129,13 @@ run_sanitizer() {
     "./build-$name/tests/test_sweep"
     "./build-$name/tests/test_checkpoint" \
         --gtest_filter='CheckpointCacheTest.*:CheckpointEndToEnd.*'
+  else
+    # The checkpoint codec decodes whole tables through raw spans and
+    # pages through uninitialised memory: every cut, corruption and
+    # repair path runs under the memory and UB checkers.
+    begin_leg "$name: checkpoint codec + fault suites" "build-$name"
+    "./build-$name/tests/test_checkpoint"
+    "./build-$name/tests/test_faults"
   fi
 }
 
