@@ -17,8 +17,6 @@
  *   ckpt_dir=path     also persist warm-up checkpoints in `path`, so
  *                     later runs restore them (each sweep always
  *                     shares its warm-ups in memory)
- *   journal=path      append-only JSONL result journal; restarting the
- *                     bench re-runs only unfinished/failed jobs
  *   artifact_dir=path failure artifacts (pipeline dumps) land here
  *   watchdog_cycles=N no-commit deadlock watchdog window (0 = off)
  *   deadline_sec=S    per-job wall-clock deadline (0 = none)
@@ -53,7 +51,6 @@ struct BenchArgs
     std::string benchOut;     ///< JSON output path ("" = none)
     std::uint64_t ff = 0;     ///< fast-forward length (0 = none)
     std::string ckptDir;      ///< on-disk checkpoint cache ("" = none)
-    std::string journal;      ///< resumable result journal ("" = off)
     std::string artifactDir;  ///< failure artifacts ("" = env/off)
     std::vector<std::string> workloads;
     ConfigMap raw;
@@ -76,10 +73,10 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     args.raw = ConfigMap::fromArgs(argc, argv);
 
     std::vector<std::string> known = {
-        "iters",       "quick",       "workloads",       "jobs",
-        "bench_out",   "ff",          "ckpt_dir",        "audit",
-        "audit_panic", "journal",     "artifact_dir",    "watchdog_cycles",
-        "deadline_sec", "bb_cache",
+        "iters",       "quick",        "workloads",       "jobs",
+        "bench_out",   "ff",           "ckpt_dir",        "audit",
+        "audit_panic", "artifact_dir", "watchdog_cycles", "deadline_sec",
+        "bb_cache",
     };
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     const std::string complaint = args.raw.unknownKeyMessage(known);
@@ -105,7 +102,6 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     args.benchOut = args.raw.getString("bench_out", "");
     args.ff = static_cast<std::uint64_t>(args.raw.getCount("ff", 0));
     args.ckptDir = args.raw.getString("ckpt_dir", "");
-    args.journal = args.raw.getString("journal", "");
     args.artifactDir = args.raw.getString("artifact_dir", "");
     std::string wls = args.raw.getString("workloads", "");
     if (wls.empty()) {
@@ -191,7 +187,6 @@ class SweepBatch
         }
         SweepRunner runner(args_.jobs);
         SweepRunner::Options options;
-        options.journal = args_.journal;
         options.artifactDir = args_.artifactDir;
         results_ = runner.run(configs_, options);
         for (const RunResult &r : results_) {

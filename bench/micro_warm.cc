@@ -12,17 +12,20 @@
  * It also times the per-job set-up path a fast-forwarded sweep job
  * pays outside the core loop (DESIGN.md §12), on the workload's
  * default-length program warmed to 12k instructions before HALT:
- * Program::load into an empty memory, saveCheckpoint,
- * restoreCheckpoint into a freshly built core (built without the
- * program image, as Simulator builds a fast-forwarding core), and
- * golden validation (GoldenState::run over the whole program, then
- * equalContents).  A sweep runs the golden once per input and shares
- * it (DESIGN.md §10); a job outside a sweep pays it in full.
+ * Program::load into an empty memory, saveCheckpoint (every blob kept
+ * alive until the rounds end, as a sweep's CheckpointCache keeps them,
+ * so each save writes fresh memory), restoreCheckpoint into a freshly
+ * built core (built without the program image, as Simulator builds a
+ * fast-forwarding core, and given the program checksum computed once,
+ * as a sweep job gets it from SweepShared), and golden validation
+ * (GoldenState::run over the whole program, then equalContents).  A
+ * sweep runs the golden once per input and shares it (DESIGN.md §10);
+ * a job outside a sweep pays it in full.
  *
  * Arguments:
  *   warm_insts=N  instructions per timed run (default 2m; quick: 400k;
  *                 accepts k/m/g suffixes)
- *   repeats=N     timed repetitions, best-of (default 3; quick: 2)
+ *   repeats=N     timed repetitions, best-of, >= 1 (default 3; quick: 2)
  *   workloads=a,b,c   subset (default: all eight)
  *   quick=1       shrink for a smoke pass
  *   json_out=path machine-readable results (BENCH_PR6.json source)
@@ -148,11 +151,15 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
     OooCore warmed(prog, cfg.core);
     const FastForwardStats ff =
         fastForward(warm, warmed, cfg.fastForward);
-    std::string blob;
+    std::vector<std::string> blobs;
+    blobs.reserve(repeats);
     n.saveS = bestOf(repeats, noSetup, [&](auto &) {
-        blob = saveCheckpoint(cfg, warm, warmed, ff);
+        blobs.push_back(saveCheckpoint(cfg, warm, warmed, ff));
     });
+    const std::string &blob = blobs.back();
     n.ckptBytes = blob.size();
+
+    const std::uint64_t checksum = prog.checksum();
 
     n.restoreS = bestOf(
         repeats,
@@ -161,7 +168,7 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
                                              /*load_image=*/false);
         },
         [&](std::unique_ptr<OooCore> &core) {
-            restoreCheckpoint(blob, cfg, prog, *core);
+            restoreCheckpoint(blob, cfg, checksum, *core);
         });
 
     n.validateS = bestOf(repeats, noSetup, [&](auto &) {
@@ -284,8 +291,13 @@ main(int argc, char **argv)
                                {"warm_insts", "repeats", "json_out"});
     const std::uint64_t insts = static_cast<std::uint64_t>(
         args.raw.getCount("warm_insts", args.quick ? 400'000 : 2'000'000));
-    const unsigned repeats = static_cast<unsigned>(
-        args.raw.getInt("repeats", args.quick ? 2 : 3));
+    const std::int64_t repeatsArg =
+        args.raw.getInt("repeats", args.quick ? 2 : 3);
+    if (repeatsArg < 1) {
+        std::fprintf(stderr, "ERROR: repeats= must be >= 1\n");
+        return 2;
+    }
+    const unsigned repeats = static_cast<unsigned>(repeatsArg);
     const std::string jsonOut = args.raw.getString("json_out", "");
 
     std::printf("warming-throughput micro-bench: %llu insts/run, "

@@ -30,14 +30,4 @@ errorCodeName(ErrorCode code)
     return "internal";
 }
 
-ErrorCode
-errorCodeFromName(const std::string &name)
-{
-    for (const auto &[c, n] : kCodeNames) {
-        if (name == n)
-            return c;
-    }
-    return ErrorCode::Internal;
-}
-
 } // namespace sciq

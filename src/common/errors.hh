@@ -31,15 +31,12 @@ enum class ErrorCode
     Checkpoint,  ///< checkpoint blob/file rejected or unwritable
     Deadlock,    ///< watchdog: no forward progress / deadline exceeded
     Invariant,   ///< internal invariant violated (auditor panic path)
-    Resource,    ///< host resource exhausted (memory, disk)
+    Resource,    ///< host memory exhausted (std::bad_alloc in a job)
     Internal,    ///< unclassified exception escaping a run
 };
 
-/** Stable lower-case name for JSON/journal output. */
+/** Stable lower-case name for the result JSON (`error_code`). */
 const char *errorCodeName(ErrorCode code);
-
-/** Parse errorCodeName output back; ErrorCode::Internal if unknown. */
-ErrorCode errorCodeFromName(const std::string &name);
 
 /**
  * Base class of every classified simulation error.
@@ -60,14 +57,9 @@ class SimError : public std::runtime_error
     ErrorCode code() const { return code_; }
     const std::string &context() const { return context_; }
 
-    /** The failing job's sweep key, annotated by the sweep runner. */
-    const std::string &sweepKey() const { return sweepKey_; }
-    void setSweepKey(std::string key) { sweepKey_ = std::move(key); }
-
   private:
     ErrorCode code_;
     std::string context_;
-    std::string sweepKey_;
 };
 
 /** Bad user configuration: unknown key, out-of-range value, ... */
@@ -137,16 +129,6 @@ class InvariantError : public SimError
   public:
     InvariantError(const std::string &msg, std::string state_dump = "")
         : SimError(ErrorCode::Invariant, msg, std::move(state_dump))
-    {
-    }
-};
-
-/** Host resource exhaustion (memory, disk space). */
-class ResourceError : public SimError
-{
-  public:
-    explicit ResourceError(const std::string &msg)
-        : SimError(ErrorCode::Resource, msg)
     {
     }
 };

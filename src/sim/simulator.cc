@@ -28,16 +28,6 @@ jobStatusName(JobOutcome::Status status)
     return "failed";
 }
 
-JobOutcome::Status
-jobStatusFromName(const std::string &name)
-{
-    if (name == "ok")
-        return JobOutcome::Status::Ok;
-    if (name == "timeout")
-        return JobOutcome::Status::Timeout;
-    return JobOutcome::Status::Failed;
-}
-
 GoldenState
 GoldenState::run(const Program &program, std::uint64_t insts,
                  bool bb_cache)

@@ -73,7 +73,6 @@ struct JobOutcome
 };
 
 const char *jobStatusName(JobOutcome::Status status);
-JobOutcome::Status jobStatusFromName(const std::string &name);
 
 /** Everything the benchmark harnesses report, in one POD. */
 struct RunResult

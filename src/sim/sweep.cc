@@ -10,6 +10,8 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <numeric>
+#include <sstream>
 #include <thread>
 #include <unordered_set>
 
@@ -18,10 +20,45 @@
 #include "common/serialize.hh"
 #include "sim/checkpoint.hh"
 #include "sim/job_exec.hh"
-#include "sim/journal.hh"
-#include "sim/run_result_fields.hh"
 
 namespace sciq {
+
+std::string
+sweepKey(const SimConfig &config)
+{
+    const CoreParams &c = config.core;
+    const IqParams &iq = c.iq;
+    std::ostringstream os;
+    os << "workload=" << config.workload << " iters=" << config.wl.iterations
+       << " seed=" << config.wl.seed << " scale=" << config.wl.scale
+       << " iq=" << iqKindName(c.iqKind) << " iq_size=" << iq.numEntries;
+    switch (c.iqKind) {
+      case IqKind::Segmented:
+        os << " seg_size=" << iq.segmentSize << " chains=" << iq.maxChains
+           << " hmp=" << iq.useHmp << " lrp=" << iq.useLrp
+           << " pushdown=" << iq.enablePushdown
+           << " bypass=" << iq.enableBypass << " resize=" << iq.dynamicResize;
+        if (iq.dynamicResize)
+            os << " resize_interval=" << iq.resizeInterval;
+        if (iq.auditInjectOverPromote)
+            os << " fault_overpromote=1";
+        break;
+      case IqKind::Prescheduled:
+        os << " line_width=" << iq.preschedLineWidth
+           << " issue_buffer=" << iq.issueBufferSize;
+        break;
+      case IqKind::Fifo:
+        os << " fifos=" << iq.numFifos << " depth=" << iq.fifoDepth;
+        break;
+      case IqKind::Ideal:
+        break;
+    }
+    os << " wrong_path=" << c.modelWrongPath;
+    if (c.faultCommitStallAt)
+        os << " fault_commit_stall=" << c.faultCommitStallAt;
+    os << " ff=" << config.fastForward << " max_cycles=" << config.maxCycles;
+    return os.str();
+}
 
 std::shared_ptr<const SweepShared::SharedProgram>
 SweepShared::program(const SimConfig &config)
@@ -99,37 +136,13 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
 
     const std::size_t total = configs.size();
     std::vector<RunResult> results(total);
-    std::vector<std::string> keys(total);
-    for (std::size_t i = 0; i < total; ++i)
-        keys[i] = sweepKey(configs[i]);
-
-    // Resume: reuse journaled-ok entries whose identity still matches;
-    // failed/timeout/missing/mismatched jobs run again.  Later journal
-    // lines supersede earlier ones with the same index.
-    std::vector<char> have(total, 0);
-    std::unique_ptr<ResultJournal> journal;
-    if (!options.journal.empty()) {
-        applyJournal(options.journal, keys, results, have);
-        journal = std::make_unique<ResultJournal>(options.journal);
-    }
-
-    std::vector<std::size_t> pending;
-    pending.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) {
-        if (!have[i])
-            pending.push_back(i);
-    }
-
-    std::atomic<std::size_t> done{total - pending.size()};
+    std::atomic<std::size_t> done{0};
     std::mutex progressMutex;
     SweepShared shared;
 
     auto runOne = [&](std::size_t i) {
-        RunResult r = job_exec::execute(configs[i], keys[i], i,
-                                        options.artifactDir, &shared);
-        if (journal)
-            journal->record(i, keys[i], r);
-        results[i] = std::move(r);
+        results[i] = job_exec::execute(configs[i], sweepKey(configs[i]), i,
+                                       options.artifactDir, &shared);
         const std::size_t n = done.fetch_add(1) + 1;
         if (options.progress) {
             std::lock_guard<std::mutex> lock(progressMutex);
@@ -137,11 +150,11 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
         }
     };
 
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, pending.size()));
+    const unsigned workers =
+        static_cast<unsigned>(std::min<std::size_t>(jobs_, total));
 
     if (workers <= 1) {
-        for (std::size_t i : pending)
+        for (std::size_t i = 0; i < total; ++i)
             runOne(i);
         if (options.reuse)
             *options.reuse = shared.counts();
@@ -153,29 +166,32 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
     // parallel it is not — a worker would block in findOrBegin while
     // another warms up — so dispatch every key's first job ahead of
     // all the jobs that restore it.
+    std::vector<std::size_t> order(total);
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::vector<char> restores(total, 0);
     std::unordered_set<std::uint64_t> warmKeys;
-    for (std::size_t i : pending) {
+    for (std::size_t i = 0; i < total; ++i) {
         restores[i] = configs[i].fastForward > 0 &&
                       !warmKeys.insert(checkpointKeyHash(configs[i])).second;
     }
-    std::stable_partition(pending.begin(), pending.end(),
+    std::stable_partition(order.begin(), order.end(),
                           [&](std::size_t i) { return !restores[i]; });
 
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(workers);
 
     auto worker = [&](unsigned id) {
-        // execute never throws; anything caught here is harness
-        // trouble (e.g. journal I/O), reported after the other workers
-        // have drained the queue so no completed result is lost.
+        // execute never throws, so the only exception that can reach
+        // here is the caller's progress callback.  It is rethrown after
+        // the other workers have drained the queue, so no completed
+        // result is lost.
         try {
             for (;;) {
                 const std::size_t slot =
                     next.fetch_add(1, std::memory_order_relaxed);
-                if (slot >= pending.size())
+                if (slot >= total)
                     return;
-                runOne(pending[slot]);
+                runOne(order[slot]);
             }
         } catch (...) {
             errors[id] = std::current_exception();
@@ -200,42 +216,83 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
 
 namespace {
 
-/** Pretty writer over the shared field list (4-space indent). */
-struct PrettyWriter
+/** Starts one `"key": ` line of a writeResultsJson row (4-space indent). */
+std::ostream &
+field(std::ostream &os, const char *key)
 {
-    std::ostream &os;
+    return os << "    \"" << key << "\": ";
+}
 
-    void
-    str(const char *key, const std::string &v)
-    {
-        os << "    \"" << key << "\": ";
+void
+writeRow(std::ostream &os, const RunResult &r)
+{
+    auto str = [&](const char *key, const std::string &v) {
+        field(os, key);
         json::writeString(os, v);
         os << ",\n";
-    }
-    void uns(const char *key, unsigned v) { line(key) << v << ",\n"; }
-    void i(const char *key, int v) { line(key) << v << ",\n"; }
-    void u64(const char *key, std::uint64_t v) { line(key) << v << ",\n"; }
-    void
-    num(const char *key, double v)
-    {
+    };
+    auto integer = [&](const char *key, auto v) {
+        field(os, key) << v << ",\n";
+    };
+    auto num = [&](const char *key, double v) {
         // json::writeNumber emits `null` for nan/inf (e.g. hmp_accuracy
         // on a run with no HMP-eligible loads), keeping the output
         // strictly RFC 8259 parseable.
-        line(key);
+        field(os, key);
         json::writeNumber(os, v);
         os << ",\n";
-    }
-    void
-    b(const char *key, bool v)
-    {
-        line(key) << (v ? "true" : "false") << ",\n";
-    }
+    };
+    auto flag = [&](const char *key, bool v) {
+        field(os, key) << (v ? "true" : "false") << ",\n";
+    };
 
-    std::ostream &line(const char *key)
-    {
-        return os << "    \"" << key << "\": ";
-    }
-};
+    str("workload", r.workload);
+    str("iq_kind", r.iqKind);
+    integer("iq_size", r.iqSize);
+    integer("chains", r.chains);
+    integer("cycles", r.cycles);
+    integer("insts", r.insts);
+    num("ipc", r.ipc);
+    num("avg_chains", r.avgChains);
+    num("peak_chains", r.peakChains);
+    num("hmp_accuracy", r.hmpAccuracy);
+    num("hmp_coverage", r.hmpCoverage);
+    num("lrp_mispredict_rate", r.lrpMispredictRate);
+    num("branch_mispredict_rate", r.branchMispredictRate);
+    num("iq_occupancy_avg", r.iqOccupancyAvg);
+    num("seg0_ready_avg", r.seg0ReadyAvg);
+    num("seg0_occupancy_avg", r.seg0OccupancyAvg);
+    num("deadlock_cycle_frac", r.deadlockCycleFrac);
+    num("two_outstanding_frac", r.twoOutstandingFrac);
+    num("heads_from_loads_frac", r.headsFromLoadsFrac);
+    num("l1d_miss_rate", r.l1dMissRate);
+    num("l1d_delayed_hit_frac", r.l1dDelayedHitFrac);
+    num("seg_active_avg", r.segActiveAvg);
+    num("seg_cycles_active", r.segCyclesActive);
+    num("host_seconds", r.hostSeconds);
+    num("host_kcycles_per_sec", r.hostKcyclesPerSec);
+    num("host_kinsts_per_sec", r.hostKinstsPerSec);
+    num("warm_seconds", r.warmSeconds);
+    num("warm_insts_per_sec", r.warmInstsPerSec);
+    integer("bbcache_blocks", r.bbBlocks);
+    integer("bbcache_ops_cached", r.bbOpsCached);
+    integer("bbcache_trace_hits", r.bbTraceHits);
+    integer("bbcache_succ_hits", r.bbSuccHits);
+    integer("iq_work_signal_deliveries", r.iqSignalDeliveries);
+    integer("iq_work_plan_calls", r.iqPlanCalls);
+    integer("iq_work_segments_scanned", r.iqSegmentsScanned);
+    integer("iq_work_lane_words_touched", r.iqLaneWordsTouched);
+    integer("audit_violations", r.auditViolations);
+    flag("ckpt_restored", r.ckptRestored);
+    flag("validated", r.validated);
+    flag("halted_cleanly", r.haltedCleanly);
+    // JobOutcome (DESIGN.md §13): status and code as their stable tokens.
+    str("outcome", jobStatusName(r.outcome.status));
+    str("error_code", errorCodeName(r.outcome.code));
+    field(os, "error_msg");
+    json::writeString(os, r.outcome.message);
+    os << "\n";
+}
 
 } // namespace
 
@@ -244,19 +301,8 @@ writeResultsJson(std::ostream &os, const std::vector<RunResult> &results)
 {
     os << "[\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
         os << "  {\n";
-        PrettyWriter w{os};
-        visitRunResultFields(w, r);
-        w.line("outcome");
-        json::writeString(os, jobStatusName(r.outcome.status));
-        os << ",\n";
-        w.line("error_code");
-        json::writeString(os, errorCodeName(r.outcome.code));
-        os << ",\n";
-        w.line("error_msg");
-        json::writeString(os, r.outcome.message);
-        os << "\n";
+        writeRow(os, results[i]);
         os << "  }" << (i + 1 == results.size() ? "\n" : ",\n");
     }
     os << "]\n";

@@ -18,9 +18,8 @@
  * Fault containment (DESIGN.md §13): a job that throws does not kill
  * the sweep.  Its exception is classified through the error taxonomy
  * into RunResult::outcome, once and without retry, and the failed row
- * still appears in every table and JSON file with its error code.  With a journal attached, finished jobs
- * are persisted as they complete and a restarted sweep re-runs only
- * the failed/missing ones.
+ * still appears in every table and JSON file with its error code.
+ * Results leave a sweep in one format, the writeResultsJson array.
  */
 
 #ifndef SCIQ_SIM_SWEEP_HH
@@ -39,6 +38,17 @@
 #include "sim/simulator.hh"
 
 namespace sciq {
+
+/**
+ * Deterministic identity of a sweep job: every config key that changes
+ * the simulated result, as a stable `key=value` string.  Host settings
+ * (jobs, checkpoint caching, validation, auditing, the watchdog and
+ * deadline, checkpoint-read faults) change how a result is produced,
+ * never what it is, and are left out.  CoreParams fields that no config
+ * key sets (Table 1 widths, latencies, cache geometries) are not in the
+ * key either: configs that differ only there share one key.
+ */
+std::string sweepKey(const SimConfig &config);
 
 /**
  * The functional-model products one SweepRunner::run computes once per
@@ -112,21 +122,13 @@ class SweepRunner
   public:
     /** Called after each finished run (always on the calling thread
      *  for jobs<=1, under a lock otherwise): done count, total, and
-     *  the just-finished result.  Jobs skipped via the journal count
-     *  toward `done` but produce no callback. */
+     *  the just-finished result. */
     using Progress =
         std::function<void(std::size_t, std::size_t, const RunResult &)>;
 
-    /** Per-sweep fault-containment and resumability policy. */
+    /** Per-sweep failure artifacts, progress and reuse reporting. */
     struct Options
     {
-        /**
-         * Append-only JSONL journal path (key: `journal=`); "" = off.
-         * Existing entries whose (index, sweep key) match the submitted
-         * configs and ended ok are reused instead of re-run.
-         */
-        std::string journal;
-
         /**
          * Directory for failure artifacts (watchdog pipeline dumps,
          * auditor state); "" = $SCIQ_ARTIFACT_DIR, or no artifacts
@@ -145,8 +147,8 @@ class SweepRunner
 
     /**
      * Run every configuration and return results in input order.  Job
-     * failures are contained into RunResult::outcome; only harness
-     * failures (e.g. an unwritable journal) propagate, after all
+     * failures are contained into RunResult::outcome; only an exception
+     * from the caller's `progress` callback propagates, after all
      * workers have drained.  With several workers, the first job of
      * each checkpoint key is dispatched before every job that would
      * restore it, so no worker waits on a warm-up that another has

@@ -137,7 +137,7 @@ TEST(SimConfigKeys, DeletedKeysAreRejected)
 
 TEST(ConfigMap, UnknownKeyMessage)
 {
-    const std::vector<std::string> known = {"iters", "jobs", "journal"};
+    const std::vector<std::string> known = {"iters", "jobs", "bench_out"};
 
     ConfigMap ok;
     ok.set("iters", "100");
@@ -145,9 +145,9 @@ TEST(ConfigMap, UnknownKeyMessage)
     EXPECT_EQ(ok.unknownKeyMessage(known), "");
 
     ConfigMap typo;
-    typo.set("jurnal", "x.jsonl");
+    typo.set("bench_ot", "x.json");
     EXPECT_EQ(typo.unknownKeyMessage(known),
-              "unknown option 'jurnal' (did you mean 'journal'?)");
+              "unknown option 'bench_ot' (did you mean 'bench_out'?)");
 
     ConfigMap noSuggestion;
     noSuggestion.set("frobnicate_all", "1");

@@ -1,6 +1,6 @@
 /**
  * @file
- * The structured error taxonomy (DESIGN.md §13): code/name mapping,
+ * The structured error taxonomy (DESIGN.md §13): the stable code names,
  * the SimError field contract, and the classification each subclass
  * carries (code, context).
  */
@@ -15,20 +15,10 @@ using namespace sciq;
 
 namespace {
 
-TEST(ErrorCodes, NamesRoundTrip)
-{
-    for (ErrorCode code : {ErrorCode::None, ErrorCode::Config,
-                           ErrorCode::Workload, ErrorCode::Checkpoint,
-                           ErrorCode::Deadlock, ErrorCode::Invariant,
-                           ErrorCode::Resource, ErrorCode::Internal}) {
-        EXPECT_EQ(errorCodeFromName(errorCodeName(code)), code);
-    }
-}
-
 TEST(ErrorCodes, NamesAreStableJsonTokens)
 {
-    // The names are persisted in journals and bench JSON; renaming one
-    // is a format break, so pin them.
+    // The names are persisted in bench JSON (`error_code`); renaming
+    // one is a format break, so pin them.
     EXPECT_STREQ(errorCodeName(ErrorCode::None), "none");
     EXPECT_STREQ(errorCodeName(ErrorCode::Config), "config");
     EXPECT_STREQ(errorCodeName(ErrorCode::Workload), "workload");
@@ -39,22 +29,13 @@ TEST(ErrorCodes, NamesAreStableJsonTokens)
     EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
 }
 
-TEST(ErrorCodes, UnknownNameMapsToInternal)
-{
-    EXPECT_EQ(errorCodeFromName("quantum-flux"), ErrorCode::Internal);
-    EXPECT_EQ(errorCodeFromName(""), ErrorCode::Internal);
-}
-
+// Name kept from when a SimError also carried its job's sweep key.
 TEST(SimErrorBase, CarriesCodeContextAndSweepKey)
 {
     SimError e(ErrorCode::Deadlock, "stuck", "rob dump here");
     EXPECT_EQ(e.code(), ErrorCode::Deadlock);
     EXPECT_STREQ(e.what(), "stuck");
     EXPECT_EQ(e.context(), "rob dump here");
-    EXPECT_TRUE(e.sweepKey().empty());
-
-    e.setSweepKey("workload=swim iq=segmented");
-    EXPECT_EQ(e.sweepKey(), "workload=swim iq=segmented");
 }
 
 TEST(SimErrorBase, IsCatchableAsStdException)
@@ -71,7 +52,6 @@ TEST(SimErrorSubclasses, CodesAndTransience)
     EXPECT_EQ(ConfigError("x").code(), ErrorCode::Config);
     EXPECT_EQ(WorkloadError("x").code(), ErrorCode::Workload);
     EXPECT_EQ(CheckpointError("x").code(), ErrorCode::Checkpoint);
-    EXPECT_EQ(ResourceError("x").code(), ErrorCode::Resource);
 
     EXPECT_EQ(InvariantError("x").code(), ErrorCode::Invariant);
     EXPECT_EQ(InvariantError("x", "dump").context(), "dump");

@@ -17,7 +17,6 @@
 #include "common/errors.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault_injector.hh"
-#include "sim/journal.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 

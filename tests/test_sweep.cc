@@ -2,7 +2,7 @@
  * @file
  * SweepRunner: deterministic result ordering under parallel execution,
  * worker-count handling, what a sweep shares among its jobs, fault
- * containment, and the JSON emitter.
+ * containment, the sweep key, and the JSON emitter.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <type_traits>
 
@@ -168,6 +170,22 @@ TEST(SweepRunner, ProgressCallbackSeesEveryRun)
                            EXPECT_FALSE(r.workload.empty());
                        });
     EXPECT_EQ(calls, cfgs.size());
+}
+
+TEST(SweepRunner, ProgressCallbackExceptionPropagatesAfterDrain)
+{
+    // Jobs never throw; the caller's callback is the one thing that
+    // can.  Its exception leaves run() once every worker has stopped.
+    const std::vector<SimConfig> cfgs = smallConfigSet();
+    std::size_t calls = 0;
+    EXPECT_THROW(SweepRunner(2).run(cfgs,
+                                    [&](std::size_t, std::size_t,
+                                        const RunResult &) {
+                                        if (++calls == 1)
+                                            throw std::runtime_error("cb");
+                                    }),
+                 std::runtime_error);
+    EXPECT_GE(calls, 1u);
 }
 
 /**
@@ -467,6 +485,139 @@ TEST(SweepJson, NoHmpRunEmitsNullAccuracy)
     writeResultsJson(os, results);
     json::Value v = json::parse(os.str());
     EXPECT_TRUE(v.at(std::size_t{0}).at("hmp_accuracy").isNull());
+}
+
+// ---------------------------------------------------------------------
+// Sweep keys.
+
+/** `base` with space-separated `key=value` settings applied. */
+SimConfig
+withSettings(SimConfig base, const std::string &settings)
+{
+    ConfigMap map;
+    std::istringstream in(settings);
+    std::string token;
+    while (in >> token)
+        EXPECT_TRUE(map.parseLine(token)) << token;
+    base.apply(map);
+    return base;
+}
+
+TEST(SweepKey, DeterministicAndSensitive)
+{
+    SimConfig a = makeSegmentedConfig(128, 64, true, true, "swim");
+    EXPECT_EQ(sweepKey(a), sweepKey(a));
+
+    SimConfig b = a;
+    b.core.iq.numEntries = 256;
+    EXPECT_NE(sweepKey(a), sweepKey(b));
+
+    SimConfig c = a;
+    c.workload = "gcc";
+    EXPECT_NE(sweepKey(a), sweepKey(c));
+
+    SimConfig d = a;
+    d.wl.iterations = 999;
+    EXPECT_NE(sweepKey(a), sweepKey(d));
+
+    SimConfig e = a;
+    e.core.iqKind = IqKind::Ideal;
+    EXPECT_NE(sweepKey(a), sweepKey(e));
+}
+
+TEST(SweepKey, HostOnlySettingsExcluded)
+{
+    // Checkpoint caching, auditing and validation change how a result
+    // is produced, never what it is: two configs that differ only there
+    // are one job.
+    SimConfig a = makeSegmentedConfig(128, 64, true, true, "swim");
+    SimConfig b = a;
+    b.ckptDir = "/somewhere/else";
+    b.audit = true;
+    b.validate = false;
+    EXPECT_EQ(sweepKey(a), sweepKey(b));
+}
+
+TEST(SweepKey, EveryResultChangingKeyIsInTheKey)
+{
+    // Keys that change how a result is produced, never what it is.
+    const std::set<std::string> hostOnly = {
+        "validate",      "audit",        "audit_panic",
+        "bb_cache",      "ckpt_dir",     "watchdog_cycles",
+        "deadline_sec",  "fault_seed",   "fault_ckpt_corrupt",
+    };
+    // Two settings of every other key that simulate different machines.
+    // A key one IQ kind or mode reads is set together with it.
+    const std::map<std::string, std::pair<const char *, const char *>>
+        changes = {
+            {"iq", {"iq=segmented", "iq=ideal"}},
+            {"iq_size", {"iq_size=128", "iq_size=256"}},
+            {"seg_size", {"seg_size=16", "seg_size=32"}},
+            {"chains", {"chains=32", "chains=64"}},
+            {"hmp", {"hmp=0", "hmp=1"}},
+            {"lrp", {"lrp=0", "lrp=1"}},
+            {"pushdown", {"pushdown=0", "pushdown=1"}},
+            {"bypass", {"bypass=0", "bypass=1"}},
+            {"resize", {"resize=0", "resize=1"}},
+            {"resize_interval",
+             {"resize=1 resize_interval=1000",
+              "resize=1 resize_interval=2000"}},
+            {"issue_buffer",
+             {"iq=prescheduled issue_buffer=8",
+              "iq=prescheduled issue_buffer=16"}},
+            {"line_width",
+             {"iq=prescheduled line_width=4",
+              "iq=prescheduled line_width=8"}},
+            {"fifos", {"iq=fifo fifos=4", "iq=fifo fifos=8"}},
+            {"depth", {"iq=fifo depth=4", "iq=fifo depth=8"}},
+            {"wrong_path", {"wrong_path=0", "wrong_path=1"}},
+            {"workload", {"workload=swim", "workload=gcc"}},
+            {"iters", {"iters=100", "iters=200"}},
+            {"seed", {"seed=1", "seed=2"}},
+            {"scale", {"scale=1", "scale=2"}},
+            {"max_cycles", {"max_cycles=1000", "max_cycles=2000"}},
+            {"ff", {"ff=0", "ff=1000"}},
+            {"fault_commit_stall",
+             {"fault_commit_stall=0", "fault_commit_stall=500"}},
+            {"fault_overpromote",
+             {"fault_overpromote=0", "fault_overpromote=1"}},
+        };
+
+    const SimConfig base = makeSegmentedConfig(128, 64, true, true, "swim");
+    for (const std::string &key : SimConfig::keys()) {
+        if (hostOnly.count(key)) {
+            EXPECT_EQ(sweepKey(withSettings(base, key + "=0")),
+                      sweepKey(withSettings(base, key + "=1")))
+                << key << " is host-only but moves the key";
+            continue;
+        }
+        const auto it = changes.find(key);
+        if (it == changes.end()) {
+            ADD_FAILURE() << "config key '" << key
+                          << "' is neither host-only nor in the key";
+            continue;
+        }
+        EXPECT_NE(sweepKey(withSettings(base, it->second.first)),
+                  sweepKey(withSettings(base, it->second.second)))
+            << key << " changes the result but not the key";
+    }
+}
+
+// Suite name kept from the lockstep-batching tests this check came from.
+TEST(LockstepBatch, SweepKeyInvariantUnderHostSettings)
+{
+    // sweepKey() identifies *what* is simulated; the sweep's job count
+    // describes *how*.  The key must not move when host settings
+    // change, or one job run under two sweeps would count as two.
+    SimConfig c = makeSegmentedConfig(64, 32, true, true, "swim");
+    const std::string key = sweepKey(c);
+    EXPECT_FALSE(key.empty());
+    for (unsigned jobs : {0u, 1u, 7u}) {
+        SweepRunner runner(jobs);
+        EXPECT_EQ(sweepKey(c), key);
+    }
+    EXPECT_EQ(key.find("batch"), std::string::npos);
+    EXPECT_EQ(key.find("jobs"), std::string::npos);
 }
 
 } // namespace

@@ -141,11 +141,9 @@ run_sanitizer() {
 
 leg_faults() {
   tier1_build
-  begin_leg "fault-containment suite (taxonomy, watchdog, injection, journal)" \
-            build
+  begin_leg "fault-containment suite (taxonomy, watchdog, injection)" build
   ./build/tests/test_errors
   ./build/tests/test_faults
-  ./build/tests/test_journal
   ./build/tests/test_sweep
 
   begin_leg "checkpoint store smoke (cold, restored, concurrent runners)" \
