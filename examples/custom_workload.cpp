@@ -10,11 +10,12 @@
  * segmented IQ must keep the stream flowing around the stalled chase
  * chain - precisely the scheduling flexibility of paper section 3.
  *
- * Usage: custom_workload [iq=segmented] [iq_size=256] ...
+ * Usage: custom_workload [steps=N]   (pointer-chase steps, default 4000)
  */
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common/config.hh"
 #include "common/random.hh"
@@ -94,6 +95,11 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
+    if (const std::string bad = args.unknownKeyMessage({"steps"});
+        !bad.empty()) {
+        std::fprintf(stderr, "ERROR: %s\n", bad.c_str());
+        return 2;
+    }
     const unsigned steps =
         static_cast<unsigned>(args.getInt("steps", 4000));
 

@@ -20,6 +20,11 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
+    if (const std::string bad = args.unknownKeyMessage({"workload", "iters"});
+        !bad.empty()) {
+        std::fprintf(stderr, "ERROR: %s\n", bad.c_str());
+        return 2;
+    }
     const std::string wl = args.getString("workload", "equake");
     const auto iters =
         static_cast<std::uint64_t>(args.getInt("iters", 3000));

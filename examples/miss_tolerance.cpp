@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "common/config.hh"
 #include "sim/simulator.hh"
@@ -26,6 +27,11 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
+    if (const std::string bad = args.unknownKeyMessage({"iq_size", "iters"});
+        !bad.empty()) {
+        std::fprintf(stderr, "ERROR: %s\n", bad.c_str());
+        return 2;
+    }
     const unsigned size =
         static_cast<unsigned>(args.getInt("iq_size", 256));
     const auto iters =

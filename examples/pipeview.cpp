@@ -11,7 +11,6 @@
 
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "isa/assembler.hh"
@@ -50,19 +49,16 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
-    std::vector<std::string> known = SimConfig::keys();
-    known.insert(known.end(), {"rows", "squashed"});
-    if (const std::string bad = args.unknownKeyMessage(known);
-        !bad.empty()) {
-        std::cerr << "ERROR: " << bad << '\n';
-        return 2;
-    }
-
     SimConfig cfg;
     cfg.core.iq.numEntries = 128;
     cfg.core.iq.segmentSize = 32;
     cfg.core.iq.maxChains = 64;
-    cfg.apply(args);
+    if (const std::string bad =
+            cfg.applyCommandLine(args, {"rows", "squashed"});
+        !bad.empty()) {
+        std::cerr << "ERROR: " << bad << '\n';
+        return 2;
+    }
     cfg.core.finalize();
 
     Program prog = assemble(kSource, "pipeview-demo");

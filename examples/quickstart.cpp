@@ -47,9 +47,13 @@ loop:
 int
 main(int argc, char **argv)
 {
-    ConfigMap overrides = ConfigMap::fromArgs(argc, argv);
+    // Part 2's configuration, checked before anything runs.
+    SimConfig cfg = makeSegmentedConfig(/*iq_size=*/256, /*chains=*/128,
+                                        /*hmp=*/true, /*lrp=*/true,
+                                        /*workload=*/"equake");
+    cfg.wl.iterations = 2048;
     if (const std::string bad =
-            overrides.unknownKeyMessage(SimConfig::keys());
+            cfg.applyCommandLine(ConfigMap::fromArgs(argc, argv));
         !bad.empty()) {
         std::cerr << "ERROR: " << bad << '\n';
         return 2;
@@ -61,12 +65,6 @@ main(int argc, char **argv)
               << disassemble(prog).substr(0, 512) << "  ...\n\n";
 
     // --- 2. The full evaluation workloads through the simulator ------
-    SimConfig cfg = makeSegmentedConfig(/*iq_size=*/256, /*chains=*/128,
-                                        /*hmp=*/true, /*lrp=*/true,
-                                        /*workload=*/"equake");
-    cfg.wl.iterations = 2048;
-    cfg.apply(overrides);
-
     cfg.printParameters(std::cout);
     std::cout << '\n';
 

@@ -9,13 +9,15 @@
  *   runner workload=gcc iq=prescheduled iq_size=320 stats=1
  *   runner workload=equake ff=5000 iters=2000 resize=1
  *   runner workload=swim ff=5000 ckpt_dir=ckpt-cache
+ *   runner help=1        every key, its value form and minimum
  *
- * Unknown keys are rejected (exit 2) with a "did you mean" suggestion.
+ * Runs start from segmented-512 with 128 chains, HMP and LRP on swim.
+ * An unknown key, a token that is not key=value and a bad value are
+ * rejected with exit 2 ("did you mean" for a near-miss key).
  */
 
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "sim/simulator.hh"
@@ -26,31 +28,22 @@ int
 main(int argc, char **argv)
 {
     ConfigMap args = ConfigMap::fromArgs(argc, argv);
-    std::vector<std::string> known = SimConfig::keys();
-    known.insert(known.end(), {"stats", "help"});
-    if (const std::string bad = args.unknownKeyMessage(known);
+    SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
+    if (const std::string bad =
+            cfg.applyCommandLine(args, {"stats", "help"});
         !bad.empty()) {
         std::cerr << "ERROR: " << bad << '\n';
         return 2;
     }
     if (args.has("help")) {
-        std::cout <<
-            "keys: workload=<name> iq=ideal|segmented|prescheduled|fifo\n"
-            "      iq_size=N seg_size=N chains=N|-1 hmp=0/1 lrp=0/1\n"
-            "      pushdown=0/1 bypass=0/1 resize=0/1 iters=N ff=N\n"
-            "      seed=N scale=X max_cycles=N validate=0/1 stats=0/1\n"
-            "      ckpt_dir=<dir>  (warm-up checkpoint cache: restore the\n"
-            "      ff= prefix instead of re-executing it; a damaged\n"
-            "      entry is re-warmed and replaced)\n"
-            "      bb_cache=0/1 (default 1: basic-block cache for the\n"
-            "      functional paths; 0 = step()-based reference)\n"
-            "count-valued keys (ff, iters, max_cycles, ...) accept\n"
-            "decimal k/m/g suffixes, e.g. ff=300m\n";
+        std::cout << "runner keys:\n"
+                     "  stats=0|1    dump the full statistics tree\n"
+                     "simulator keys (chains=-1 is unlimited; a host "
+                     "setting changes\nhow a result is made, never "
+                     "what it is):\n";
+        SimConfig::printKeys(std::cout);
         return 0;
     }
-
-    SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
-    cfg.apply(args);
 
     cfg.printParameters(std::cout);
     std::cout << '\n';

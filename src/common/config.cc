@@ -17,7 +17,7 @@ ConfigMap::fromArgs(int argc, const char *const *argv)
     for (int i = 1; i < argc; ++i) {
         std::string tok(argv[i]);
         if (!cfg.parseLine(tok))
-            cfg.args.push_back(tok);
+            cfg.unparsed.push_back(tok);
     }
     return cfg;
 }
@@ -78,7 +78,13 @@ ConfigMap::getCount(const std::string &key, std::int64_t def) const
       case 'k': case 'K': mult = 1e3L; break;
       case 'm': case 'M': mult = 1e6L; break;
       case 'g': case 'G': mult = 1e9L; break;
-      default: return getInt(key, def);  // plain integer, hex included
+      default: {
+        const std::int64_t plain = getInt(key, def);  // hex included
+        if (plain < 0)
+            fatal("config key '%s': '%s' is negative; counts are >= 0",
+                  key.c_str(), raw.c_str());
+        return plain;
+      }
     }
 
     const std::string body = raw.substr(0, raw.size() - 1);
@@ -190,6 +196,13 @@ closestKey(const std::string &key, const std::vector<std::string> &known)
 std::string
 ConfigMap::unknownKeyMessage(const std::vector<std::string> &known) const
 {
+    if (!unparsed.empty()) {
+        const bool hasHelp =
+            std::find(known.begin(), known.end(), "help") != known.end();
+        return "unexpected argument '" + unparsed.front() +
+               "' (options are key=value" +
+               (hasHelp ? "; try help=1)" : ")");
+    }
     for (const auto &[key, value] : values) {
         if (std::find(known.begin(), known.end(), key) != known.end())
             continue;

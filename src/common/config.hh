@@ -20,7 +20,11 @@ class ConfigMap
   public:
     ConfigMap() = default;
 
-    /** Parse argv-style "key=value" tokens; others are positional. */
+    /**
+     * Parse argv-style "key=value" tokens.  Any other token is kept
+     * for unknownKeyMessage() to report: no front end takes
+     * positional arguments.
+     */
     static ConfigMap fromArgs(int argc, const char *const *argv);
 
     /** Parse one "key=value" string; returns false if malformed. */
@@ -39,31 +43,26 @@ class ConfigMap
      * insensitive, powers of ten: k=1e3, m=1e6, g=1e9), so counts can
      * be written `ff=300m` or `max_cycles=2g`.  The base may be
      * fractional when suffixed (`iters=1.5m` = 1'500'000) but the
-     * scaled value must be a non-negative integer that fits in
-     * int64_t; anything else is fatal.
+     * value, suffixed or not, must be a non-negative integer that fits
+     * in int64_t; anything else is fatal.
      */
     std::int64_t getCount(const std::string &key, std::int64_t def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
-    const std::vector<std::string> &positional() const { return args; }
-    const std::map<std::string, std::string> &entries() const
-    {
-        return values;
-    }
-
     /**
      * Check every present key against a list of known option names.
      * Returns "" when all keys are known; otherwise a human-readable
-     * complaint for the first unknown key, with a "did you mean"
-     * suggestion when a known key is close enough (editDistance).
+     * complaint for the first token that is not key=value, or else for
+     * the first unknown key, with a "did you mean" suggestion when a
+     * known key is close enough (editDistance).
      */
     std::string unknownKeyMessage(
         const std::vector<std::string> &known) const;
 
   private:
     std::map<std::string, std::string> values;
-    std::vector<std::string> args;
+    std::vector<std::string> unparsed;  ///< tokens that are not key=value
 };
 
 /** Levenshtein edit distance between two option names. */

@@ -1,104 +1,210 @@
 #include "sim_config.hh"
 
-#include "sim/fault_injector.hh"
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <ranges>
+#include <sstream>
+#include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "common/errors.hh"
-#include "common/logging.hh"
+#include "sim/fault_injector.hh"
+#include "sim/sweep.hh"
 
 namespace sciq {
+
+namespace {
+
+/** How a key's value is written on the command line. */
+enum class ValueKind { Bool, Int, Count, Double, String, Iq };
+using enum ValueKind;
+
+using FieldPtr = std::variant<bool *, int *, unsigned *, std::uint64_t *,
+                              double *, std::string *, IqKind *>;
+
+/**
+ * One config key.  apply(), keys(), sweepKey() and printKeys() are
+ * loops over these rows, so a key is written down once.
+ */
+struct KeyRow
+{
+    const char *name;
+    ValueKind kind;
+    bool changesResult;      ///< in sweepKey; else a host setting
+    std::optional<int> min;  ///< smallest accepted value
+    /** The field the key writes; null: apply()'s FaultInjector tail. */
+    FieldPtr (*field)(SimConfig &);
+};
+
+#define FIELD(member) [](SimConfig &c) -> FieldPtr { return &c.member; }
+
+constexpr bool kResult = true;
+constexpr bool kHost = false;
+constexpr const char *kFaultSeed = "fault_seed";
+constexpr const char *kFaultCkptCorrupt = "fault_ckpt_corrupt";
+
+constexpr KeyRow kKeys[] = {
+    {"iq", Iq, kResult, {}, FIELD(core.iqKind)},
+    {"iq_size", Int, kResult, 1, FIELD(core.iq.numEntries)},
+    {"seg_size", Int, kResult, 1, FIELD(core.iq.segmentSize)},
+    {"chains", Int, kResult, {}, FIELD(core.iq.maxChains)},
+    {"hmp", Bool, kResult, {}, FIELD(core.iq.useHmp)},
+    {"lrp", Bool, kResult, {}, FIELD(core.iq.useLrp)},
+    {"pushdown", Bool, kResult, {}, FIELD(core.iq.enablePushdown)},
+    {"bypass", Bool, kResult, {}, FIELD(core.iq.enableBypass)},
+    {"resize", Bool, kResult, {}, FIELD(core.iq.dynamicResize)},
+    {"resize_interval", Int, kResult, {}, FIELD(core.iq.resizeInterval)},
+    {"issue_buffer", Int, kResult, {}, FIELD(core.iq.issueBufferSize)},
+    {"line_width", Int, kResult, 1, FIELD(core.iq.preschedLineWidth)},
+    {"fifos", Int, kResult, 1, FIELD(core.iq.numFifos)},
+    {"depth", Int, kResult, {}, FIELD(core.iq.fifoDepth)},
+    {"wrong_path", Bool, kResult, {}, FIELD(core.modelWrongPath)},
+    {"workload", String, kResult, {}, FIELD(workload)},
+    {"iters", Count, kResult, {}, FIELD(wl.iterations)},
+    {"seed", Int, kResult, {}, FIELD(wl.seed)},
+    {"scale", Double, kResult, {}, FIELD(wl.scale)},
+    {"max_cycles", Count, kResult, {}, FIELD(maxCycles)},
+    {"validate", Bool, kHost, {}, FIELD(validate)},
+    {"audit", Bool, kHost, {}, FIELD(audit)},
+    {"audit_panic", Bool, kHost, {}, FIELD(auditPanic)},
+    {"ff", Count, kResult, {}, FIELD(fastForward)},
+    {"bb_cache", Bool, kHost, {}, FIELD(bbCache)},
+    {"ckpt_dir", String, kHost, {}, FIELD(ckptDir)},
+    {"watchdog_cycles", Count, kHost, {}, FIELD(core.watchdogCycles)},
+    {"deadline_sec", Double, kHost, 0, FIELD(deadlineSec)},
+    // Faults (DESIGN.md §13); the first two live inside the core.
+    {"fault_commit_stall", Int, kResult, {}, FIELD(core.faultCommitStallAt)},
+    {"fault_overpromote", Bool, kResult, {},
+     FIELD(core.iq.auditInjectOverPromote)},
+    {kFaultSeed, Int, kHost, {}, nullptr},
+    {kFaultCkptCorrupt, Int, kHost, {}, nullptr},
+};
+
+#undef FIELD
+
+IqKind
+parseIqKind(const std::string &name)
+{
+    for (IqKind kind : {IqKind::Ideal, IqKind::Segmented,
+                        IqKind::Prescheduled, IqKind::Fifo}) {
+        if (name == iqKindName(kind))
+            return kind;
+    }
+    throw ConfigError("config key 'iq': unknown iq kind '" + name + "'");
+}
+
+} // namespace
 
 void
 SimConfig::apply(const ConfigMap &cfg)
 {
-    if (cfg.has("iq")) {
-        const std::string kind = cfg.getString("iq", "segmented");
-        if (kind == "ideal")
-            core.iqKind = IqKind::Ideal;
-        else if (kind == "segmented")
-            core.iqKind = IqKind::Segmented;
-        else if (kind == "prescheduled")
-            core.iqKind = IqKind::Prescheduled;
-        else if (kind == "fifo")
-            core.iqKind = IqKind::Fifo;
-        else
-            throw ConfigError("unknown iq kind '" + kind + "'");
-    }
-    core.iq.numEntries = static_cast<unsigned>(
-        cfg.getInt("iq_size", core.iq.numEntries));
-    core.iq.segmentSize = static_cast<unsigned>(
-        cfg.getInt("seg_size", core.iq.segmentSize));
-    core.iq.maxChains =
-        static_cast<int>(cfg.getInt("chains", core.iq.maxChains));
-    core.iq.useHmp = cfg.getBool("hmp", core.iq.useHmp);
-    core.iq.useLrp = cfg.getBool("lrp", core.iq.useLrp);
-    core.iq.enablePushdown =
-        cfg.getBool("pushdown", core.iq.enablePushdown);
-    core.iq.enableBypass = cfg.getBool("bypass", core.iq.enableBypass);
-    core.iq.dynamicResize =
-        cfg.getBool("resize", core.iq.dynamicResize);
-    core.iq.resizeInterval = static_cast<unsigned>(
-        cfg.getInt("resize_interval", core.iq.resizeInterval));
-    core.iq.issueBufferSize = static_cast<unsigned>(
-        cfg.getInt("issue_buffer", core.iq.issueBufferSize));
-    core.iq.preschedLineWidth = static_cast<unsigned>(
-        cfg.getInt("line_width", core.iq.preschedLineWidth));
-    core.iq.numFifos =
-        static_cast<unsigned>(cfg.getInt("fifos", core.iq.numFifos));
-    core.iq.fifoDepth = static_cast<unsigned>(
-        cfg.getInt("depth", core.iq.fifoDepth));
-    core.modelWrongPath =
-        cfg.getBool("wrong_path", core.modelWrongPath);
-
-    workload = cfg.getString("workload", workload);
-    wl.iterations = static_cast<std::uint64_t>(
-        cfg.getCount("iters", static_cast<std::int64_t>(wl.iterations)));
-    wl.seed = static_cast<std::uint64_t>(
-        cfg.getInt("seed", static_cast<std::int64_t>(wl.seed)));
-    wl.scale = cfg.getDouble("scale", wl.scale);
-    maxCycles = static_cast<Cycle>(
-        cfg.getCount("max_cycles", static_cast<std::int64_t>(maxCycles)));
-    validate = cfg.getBool("validate", validate);
-    audit = cfg.getBool("audit", audit);
-    auditPanic = cfg.getBool("audit_panic", auditPanic);
-    fastForward = static_cast<std::uint64_t>(
-        cfg.getCount("ff", static_cast<std::int64_t>(fastForward)));
-    bbCache = cfg.getBool("bb_cache", bbCache);
-    ckptDir = cfg.getString("ckpt_dir", ckptDir);
-
-    core.watchdogCycles = static_cast<Cycle>(cfg.getCount(
-        "watchdog_cycles", static_cast<std::int64_t>(core.watchdogCycles)));
-    deadlineSec = cfg.getDouble("deadline_sec", deadlineSec);
-
-    // Fault-injection keys (DESIGN.md §13).  `fault_commit_stall` and
-    // `fault_overpromote` configure faults that live inside the core;
-    // the checkpoint-read fault builds a FaultInjector on demand.
-    core.faultCommitStallAt = static_cast<Cycle>(cfg.getInt(
-        "fault_commit_stall",
-        static_cast<std::int64_t>(core.faultCommitStallAt)));
-    core.iq.auditInjectOverPromote = cfg.getBool(
-        "fault_overpromote", core.iq.auditInjectOverPromote);
-    if (cfg.has("fault_ckpt_corrupt")) {
-        if (!faults) {
-            faults = std::make_shared<FaultInjector>(static_cast<
-                std::uint64_t>(cfg.getInt("fault_seed", 1)));
+    for (const KeyRow &row : kKeys) {
+        if (!row.field || !cfg.has(row.name))
+            continue;
+        const std::string key = row.name;
+        // The minimum is checked on the value as written, before the
+        // cast to an unsigned field could wrap a negative one around.
+        if (row.min && cfg.getDouble(key, 0) < *row.min) {
+            throw ConfigError("config key '" + key + "': '" +
+                              cfg.getString(key) +
+                              "' is below its minimum " +
+                              std::to_string(*row.min));
         }
-        faults->corruptCkptReads = cfg.getInt("fault_ckpt_corrupt", 0);
+        std::visit(
+            [&]<typename T>(T *dst) {
+                if constexpr (std::is_same_v<T, std::string>)
+                    *dst = cfg.getString(key);
+                else if constexpr (std::is_same_v<T, IqKind>)
+                    *dst = parseIqKind(cfg.getString(key));
+                else if constexpr (std::is_same_v<T, bool>)
+                    *dst = cfg.getBool(key, false);
+                else if constexpr (std::is_floating_point_v<T>)
+                    *dst = cfg.getDouble(key, 0);
+                else
+                    *dst = static_cast<T>(row.kind == Count
+                                              ? cfg.getCount(key, 0)
+                                              : cfg.getInt(key, 0));
+            },
+            row.field(*this));
     }
+
+    // The checkpoint-read fault builds a FaultInjector on demand.
+    if (cfg.has(kFaultCkptCorrupt)) {
+        if (!faults) {
+            faults = std::make_shared<FaultInjector>(
+                static_cast<std::uint64_t>(cfg.getInt(kFaultSeed, 1)));
+        }
+        faults->corruptCkptReads = cfg.getInt(kFaultCkptCorrupt, 0);
+    }
+}
+
+std::string
+SimConfig::applyCommandLine(const ConfigMap &args,
+                            std::vector<std::string> own_keys)
+{
+    own_keys.insert(own_keys.end(), keys().begin(), keys().end());
+    std::string complaint = args.unknownKeyMessage(own_keys);
+    if (complaint.empty()) {
+        try {
+            apply(args);
+        } catch (const std::runtime_error &e) {  // ConfigError, FatalError
+            complaint = e.what();
+        }
+    }
+    return complaint;
 }
 
 const std::vector<std::string> &
 SimConfig::keys()
 {
-    static const std::vector<std::string> list = {
-        "iq", "iq_size", "seg_size", "chains", "hmp", "lrp", "pushdown",
-        "bypass", "resize", "resize_interval", "issue_buffer",
-        "line_width", "fifos", "depth", "wrong_path", "workload", "iters",
-        "seed", "scale", "max_cycles", "validate", "audit", "audit_panic",
-        "ff", "bb_cache", "ckpt_dir", "watchdog_cycles", "deadline_sec",
-        "fault_commit_stall", "fault_overpromote", "fault_seed",
-        "fault_ckpt_corrupt",
-    };
+    static const auto names = kKeys | std::views::transform(&KeyRow::name);
+    static const std::vector<std::string> list(names.begin(), names.end());
     return list;
+}
+
+void
+SimConfig::printKeys(std::ostream &os)
+{
+    static const char *const forms[] = {
+        "0|1", "N", "N[k|m|g]", "X", "TEXT",
+        "ideal|segmented|prescheduled|fifo"};
+    for (const KeyRow &row : kKeys) {
+        std::string line = std::string(row.name) + "=" +
+                           forms[static_cast<int>(row.kind)];
+        if (row.min || !row.changesResult)
+            line.resize(std::max<std::size_t>(line.size(), 26), ' ');
+        if (row.min)
+            line += "  >= " + std::to_string(*row.min);
+        os << "  " << line << (row.changesResult ? "\n" : "  host setting\n");
+    }
+}
+
+std::string
+sweepKey(const SimConfig &config)
+{
+    // The field accessors take a SimConfig &; here they only read.
+    static SimConfig defaults;
+    SimConfig &cfg = const_cast<SimConfig &>(config);
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    for (const KeyRow &row : kKeys) {
+        if (!row.changesResult || !row.field)
+            continue;
+        std::visit(
+            [&]<typename T>(T *value) {
+                if (*value == *std::get<T *>(row.field(defaults)))
+                    return;
+                os << (os.tellp() > 0 ? " " : "") << row.name << '=';
+                if constexpr (std::is_same_v<T, IqKind>)
+                    os << iqKindName(*value);
+                else
+                    os << *value;
+            },
+            row.field(cfg));
+    }
+    return os.str();
 }
 
 void

@@ -98,6 +98,8 @@ struct SimConfig
      * Apply key=value overrides, e.g.
      *   iq=segmented iq_size=512 seg_size=32 chains=128 hmp=1 lrp=1
      *   workload=swim iters=4096
+     * Throws ConfigError for a value below its key's minimum or an
+     * unknown iq kind, and FatalError for a malformed value.
      */
     void apply(const ConfigMap &overrides);
 
@@ -107,6 +109,17 @@ struct SimConfig
      * or removed key fails loudly instead of being ignored.
      */
     static const std::vector<std::string> &keys();
+
+    /**
+     * A front end's whole command line: "" once every token is a key
+     * of keys() or `own_keys` and apply() accepted the values, else
+     * the complaint to print for the first bad token.
+     */
+    std::string applyCommandLine(const ConfigMap &args,
+                                 std::vector<std::string> own_keys = {});
+
+    /** One help line per key: value form, minimum, host setting. */
+    static void printKeys(std::ostream &os);
 
     /** Print the Table 1 parameter block. */
     void printParameters(std::ostream &os) const;

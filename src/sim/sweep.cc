@@ -11,7 +11,6 @@
 #include <mutex>
 #include <new>
 #include <numeric>
-#include <sstream>
 #include <thread>
 #include <unordered_set>
 
@@ -22,43 +21,6 @@
 #include "sim/job_exec.hh"
 
 namespace sciq {
-
-std::string
-sweepKey(const SimConfig &config)
-{
-    const CoreParams &c = config.core;
-    const IqParams &iq = c.iq;
-    std::ostringstream os;
-    os << "workload=" << config.workload << " iters=" << config.wl.iterations
-       << " seed=" << config.wl.seed << " scale=" << config.wl.scale
-       << " iq=" << iqKindName(c.iqKind) << " iq_size=" << iq.numEntries;
-    switch (c.iqKind) {
-      case IqKind::Segmented:
-        os << " seg_size=" << iq.segmentSize << " chains=" << iq.maxChains
-           << " hmp=" << iq.useHmp << " lrp=" << iq.useLrp
-           << " pushdown=" << iq.enablePushdown
-           << " bypass=" << iq.enableBypass << " resize=" << iq.dynamicResize;
-        if (iq.dynamicResize)
-            os << " resize_interval=" << iq.resizeInterval;
-        if (iq.auditInjectOverPromote)
-            os << " fault_overpromote=1";
-        break;
-      case IqKind::Prescheduled:
-        os << " line_width=" << iq.preschedLineWidth
-           << " issue_buffer=" << iq.issueBufferSize;
-        break;
-      case IqKind::Fifo:
-        os << " fifos=" << iq.numFifos << " depth=" << iq.fifoDepth;
-        break;
-      case IqKind::Ideal:
-        break;
-    }
-    os << " wrong_path=" << c.modelWrongPath;
-    if (c.faultCommitStallAt)
-        os << " fault_commit_stall=" << c.faultCommitStallAt;
-    os << " ff=" << config.fastForward << " max_cycles=" << config.maxCycles;
-    return os.str();
-}
 
 std::shared_ptr<const SweepShared::SharedProgram>
 SweepShared::program(const SimConfig &config)

@@ -40,13 +40,17 @@
 namespace sciq {
 
 /**
- * Deterministic identity of a sweep job: every config key that changes
- * the simulated result, as a stable `key=value` string.  Host settings
- * (jobs, checkpoint caching, validation, auditing, the watchdog and
+ * Deterministic identity of a sweep job: `key=value` for every
+ * result-changing config key whose value differs from a
+ * default-constructed SimConfig, in the order of the key table in
+ * sim_config.cc (where this is defined).  Host settings (jobs,
+ * checkpoint caching, validation, auditing, the watchdog and
  * deadline, checkpoint-read faults) change how a result is produced,
- * never what it is, and are left out.  CoreParams fields that no config
- * key sets (Table 1 widths, latencies, cache geometries) are not in the
- * key either: configs that differ only there share one key.
+ * never what it is, and are left out.  CoreParams fields that no
+ * config key sets (Table 1 widths, latencies, cache geometries) are
+ * not in the key either: no front end changes them yet except the
+ * host-only watchdog, so a field hash would guard nothing.  Hash them
+ * in with the first caller that sets one.
  */
 std::string sweepKey(const SimConfig &config);
 

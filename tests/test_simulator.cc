@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/errors.hh"
+#include "sim/fault_injector.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
@@ -35,25 +41,100 @@ TEST(SimConfig, FactoryHelpers)
 
 TEST(SimConfig, ApplyOverrides)
 {
-    SimConfig cfg;
+    // Every key with a non-default value and the field it must land
+    // in, written out by hand as an independent check of the key
+    // table's field bindings.
+    const std::vector<std::pair<std::string, std::string>> settings = {
+        {"iq", "prescheduled"},     {"iq_size", "704"},
+        {"seg_size", "16"},         {"chains", "64"},
+        {"hmp", "1"},               {"lrp", "1"},
+        {"pushdown", "0"},          {"bypass", "0"},
+        {"resize", "1"},            {"resize_interval", "1000"},
+        {"issue_buffer", "24"},     {"line_width", "6"},
+        {"fifos", "8"},             {"depth", "12"},
+        {"wrong_path", "0"},        {"workload", "vortex"},
+        {"iters", "1234"},          {"seed", "99"},
+        {"scale", "2.5"},           {"max_cycles", "5k"},
+        {"validate", "0"},          {"audit", "1"},
+        {"audit_panic", "1"},       {"ff", "300"},
+        {"bb_cache", "0"},          {"ckpt_dir", "warm"},
+        {"watchdog_cycles", "777"}, {"deadline_sec", "1.5"},
+        {"fault_commit_stall", "42"}, {"fault_overpromote", "1"},
+        {"fault_seed", "7"},        {"fault_ckpt_corrupt", "3"},
+    };
+    std::vector<std::string> names;
     ConfigMap m;
-    m.set("iq", "prescheduled");
-    m.set("iq_size", "704");
-    m.set("workload", "vortex");
-    m.set("iters", "1234");
-    m.set("hmp", "1");
-    m.set("chains", "64");
-    m.set("validate", "0");
-    m.set("max_cycles", "5000");
+    for (const auto &[key, value] : settings) {
+        names.push_back(key);
+        m.set(key, value);
+    }
+    std::vector<std::string> keys = SimConfig::keys();
+    std::sort(names.begin(), names.end());
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(names, keys);
+
+    SimConfig cfg;
     cfg.apply(m);
+    const IqParams &iq = cfg.core.iq;
     EXPECT_EQ(cfg.core.iqKind, IqKind::Prescheduled);
-    EXPECT_EQ(cfg.core.iq.numEntries, 704u);
+    EXPECT_EQ(iq.numEntries, 704u);
+    EXPECT_EQ(iq.segmentSize, 16u);
+    EXPECT_EQ(iq.maxChains, 64);
+    EXPECT_TRUE(iq.useHmp);
+    EXPECT_TRUE(iq.useLrp);
+    EXPECT_FALSE(iq.enablePushdown);
+    EXPECT_FALSE(iq.enableBypass);
+    EXPECT_TRUE(iq.dynamicResize);
+    EXPECT_EQ(iq.resizeInterval, 1000u);
+    EXPECT_EQ(iq.issueBufferSize, 24u);
+    EXPECT_EQ(iq.preschedLineWidth, 6u);
+    EXPECT_EQ(iq.numFifos, 8u);
+    EXPECT_EQ(iq.fifoDepth, 12u);
+    EXPECT_FALSE(cfg.core.modelWrongPath);
     EXPECT_EQ(cfg.workload, "vortex");
     EXPECT_EQ(cfg.wl.iterations, 1234u);
-    EXPECT_TRUE(cfg.core.iq.useHmp);
-    EXPECT_EQ(cfg.core.iq.maxChains, 64);
-    EXPECT_FALSE(cfg.validate);
+    EXPECT_EQ(cfg.wl.seed, 99u);
+    EXPECT_DOUBLE_EQ(cfg.wl.scale, 2.5);
     EXPECT_EQ(cfg.maxCycles, 5000u);
+    EXPECT_FALSE(cfg.validate);
+    EXPECT_TRUE(cfg.audit);
+    EXPECT_TRUE(cfg.auditPanic);
+    EXPECT_EQ(cfg.fastForward, 300u);
+    EXPECT_FALSE(cfg.bbCache);
+    EXPECT_EQ(cfg.ckptDir, "warm");
+    EXPECT_EQ(cfg.core.watchdogCycles, 777u);
+    EXPECT_DOUBLE_EQ(cfg.deadlineSec, 1.5);
+    EXPECT_EQ(cfg.core.faultCommitStallAt, 42u);
+    EXPECT_TRUE(iq.auditInjectOverPromote);
+    ASSERT_NE(cfg.faults, nullptr);
+    EXPECT_EQ(cfg.faults->seed(), 7u);
+    EXPECT_EQ(cfg.faults->corruptCkptReads.load(), 3);
+}
+
+TEST(SimConfig, ValuesBelowMinimumThrowConfigError)
+{
+    for (const char *setting :
+         {"iq_size=0", "seg_size=0", "line_width=0", "fifos=0",
+          "deadline_sec=-1"}) {
+        ConfigMap m;
+        ASSERT_TRUE(m.parseLine(setting));
+        SimConfig cfg;
+        try {
+            cfg.apply(m);
+            ADD_FAILURE() << setting << " was accepted";
+        } catch (const ConfigError &e) {
+            const std::string key(setting, std::strchr(setting, '='));
+            EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ConfigMap ok;
+    for (const char *setting : {"iq_size=1", "seg_size=1", "line_width=1",
+                                "fifos=1", "deadline_sec=0", "chains=-1"})
+        ASSERT_TRUE(ok.parseLine(setting));
+    SimConfig cfg;
+    EXPECT_NO_THROW(cfg.apply(ok));
 }
 
 TEST(SimConfig, BadIqKindThrowsConfigError)
