@@ -21,8 +21,8 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args = parseArgs(argc, argv, workloadNames(), {"iq_size"});
-    const unsigned kIqSize = static_cast<unsigned>(
-        args.raw.getInt("iq_size", 512));
+    const auto kIqSize = static_cast<unsigned>(readArgsOrExit(
+        [&] { return args.raw.getCount("iq_size", 512, 1); }));
 
     std::printf("Ablation: pushdown (4.1) and dispatch bypass (4.2), "
                 "%u-entry segmented IQ, comb/128\n\n",

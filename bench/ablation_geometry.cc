@@ -21,8 +21,8 @@ main(int argc, char **argv)
     BenchArgs args = parseArgs(argc, argv,
                                {"swim", "mgrid", "gcc", "equake"},
                                {"iq_size"});
-    const unsigned kIqSize = static_cast<unsigned>(
-        args.raw.getInt("iq_size", 512));
+    const auto kIqSize = static_cast<unsigned>(readArgsOrExit(
+        [&] { return args.raw.getCount("iq_size", 512, 1); }));
     const std::vector<unsigned> seg_sizes = {8, 16, 32, 64, 128};
 
     std::printf("Ablation: segment size at fixed %u-entry capacity "

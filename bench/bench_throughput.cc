@@ -11,8 +11,8 @@
  * sum(cycles) / sum(host_seconds).
  *
  * Extra key=value arguments on top of bench_util.hh's standard set:
- *   repeats=N           timing repetitions per config (default 1; the
- *                       fastest repetition is reported)
+ *   repeats=N           timing repetitions per config, >= 1 (default 1;
+ *                       the fastest repetition is reported)
  *   baseline_kcps=X     pre-change segmented-256 kcycles/s to compare
  *   baseline_label=S    provenance note for the baseline number
  *   trajectory_out=path write the trajectory-point JSON (speedup vs
@@ -120,11 +120,13 @@ main(int argc, char **argv)
                                 "baseline_label", "trajectory_out"});
     // Timing fidelity: serial by default (jobs=1), unlike the sweep
     // benches that default to hardware concurrency.
-    if (args.raw.getInt("jobs", 0) == 0)
+    if (args.jobs == 0)
         args.jobs = 1;
-    const unsigned repeats =
-        static_cast<unsigned>(args.raw.getInt("repeats", 1));
-    const double baseline_kcps = args.raw.getDouble("baseline_kcps", 0.0);
+    const auto [repeats, baseline_kcps] = readArgsOrExit([&] {
+        return std::pair{
+            static_cast<unsigned>(args.raw.getCount("repeats", 1, 1)),
+            args.raw.getDouble("baseline_kcps", 0.0)};
+    });
     const std::string baseline_label =
         args.raw.getString("baseline_label", "");
     const std::string trajectory_out =

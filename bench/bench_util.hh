@@ -13,14 +13,15 @@
  * plus the SimConfig keys in kSimKeys, which SimConfig::apply reads
  * into every configuration (`runner help=1` lists their forms):
  *   iters=N      workload iteration count (0 = kernel default)
- *   ff=N         fast-forward N instructions before the timed run
- *   ckpt_dir=path     also persist the sweep's shared warm-ups here
- *   audit=1, audit_panic=1, bb_cache=0, watchdog_cycles=N,
+ *   ff=N         fast-forward N instructions before the timed run;
+ *                the sweep's jobs share each warm-up in memory
+ *   audit=1, audit_panic=1, watchdog_cycles=N,
  *   deadline_sec=S    as in SimConfig
  *
- * An unknown key, a token that is not key=value and a bad value exit
- * 2, so a typo'd override fails loudly instead of silently measuring
- * the wrong configuration.
+ * An unknown key or workload, a token that is not key=value and a bad
+ * value exit 2, so a typo'd override fails loudly instead of silently
+ * measuring the wrong configuration.  A bench reads its own keys
+ * (iq_size=N, ...) through readArgsOrExit, which exits 2 the same way.
  */
 
 #ifndef SCIQ_BENCH_BENCH_UTIL_HH
@@ -28,7 +29,6 @@
 
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,8 +44,7 @@ namespace bench {
 
 /** The SimConfig keys every bench passes on to SimConfig::apply. */
 inline const std::vector<std::string> kSimKeys = {
-    "iters",       "ff",           "ckpt_dir",        "audit",
-    "audit_panic", "bb_cache",     "watchdog_cycles", "deadline_sec",
+    "iters", "ff", "audit", "audit_panic", "watchdog_cycles", "deadline_sec",
 };
 
 struct BenchArgs
@@ -65,7 +64,8 @@ struct BenchArgs
 /**
  * Parse bench command-line arguments.  `extra_known` lists the keys a
  * particular bench reads beyond the shared set (e.g. iq_size); any
- * other key, and a bad value of a shared key, exits 2.
+ * other key, an unknown workload and a bad value of a shared key exit
+ * 2.
  */
 inline BenchArgs
 parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
@@ -78,26 +78,10 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
                                       "bench_out", "artifact_dir"};
     known.insert(known.end(), kSimKeys.begin(), kSimKeys.end());
     known.insert(known.end(), extra_known.begin(), extra_known.end());
-    const std::string complaint = args.raw.unknownKeyMessage(known);
-    if (!complaint.empty()) {
-        std::fprintf(stderr, "ERROR: %s\n", complaint.c_str());
-        std::exit(2);
-    }
-
     for (const std::string &key : kSimKeys) {
         if (args.raw.has(key))
             args.simKeys.set(key, args.raw.getString(key));
     }
-    try {
-        SimConfig().apply(args.simKeys);  // reject bad values up front
-        args.quick = args.raw.getBool("quick", false);
-        args.jobs = static_cast<unsigned>(args.raw.getCount("jobs", 0));
-    } catch (const std::runtime_error &e) {  // ConfigError, FatalError
-        std::fprintf(stderr, "ERROR: %s\n", e.what());
-        std::exit(2);
-    }
-    args.benchOut = args.raw.getString("bench_out", "");
-    args.artifactDir = args.raw.getString("artifact_dir", "");
     const std::string wls = args.raw.getString("workloads", "");
     std::istringstream list(wls);
     for (std::string tok; std::getline(list, tok, ',');) {
@@ -108,6 +92,19 @@ parseArgs(int argc, char **argv, std::vector<std::string> default_wls,
     }
     if (wls.empty())
         args.workloads = std::move(default_wls);
+
+    readArgsOrExit([&] {
+        if (const std::string bad = args.raw.unknownKeyMessage(known);
+            !bad.empty())
+            throw ConfigError(bad);
+        SimConfig().apply(args.simKeys);  // reject bad values up front
+        for (const std::string &wl : args.workloads)
+            checkWorkloadName(wl);
+        args.quick = args.raw.getBool("quick", false);
+        args.jobs = static_cast<unsigned>(args.raw.getCount("jobs", 0));
+    });
+    args.benchOut = args.raw.getString("bench_out", "");
+    args.artifactDir = args.raw.getString("artifact_dir", "");
     return args;
 }
 
@@ -150,14 +147,12 @@ class SweepBatch
     {
         // One shared checkpoint cache per sweep: each distinct warm-up
         // (workload x ff length) executes once and every other
-        // configuration restores the snapshot.  ckpt_dir= additionally
-        // persists the blobs so later sweeps skip warm-up entirely.
+        // configuration restores the snapshot.
         bool anyFf = false;
         for (const SimConfig &cfg : configs_)
             anyFf = anyFf || cfg.fastForward > 0;
         if (anyFf) {
-            auto cache = std::make_shared<CheckpointCache>(
-                args_.raw.getString("ckpt_dir"));
+            auto cache = std::make_shared<CheckpointCache>();
             for (SimConfig &cfg : configs_) {
                 if (!cfg.ckptCache)
                     cfg.ckptCache = cache;

@@ -30,8 +30,8 @@ main(int argc, char **argv)
                                 "ammp", "swim", "equake"},
                                {"iq_size"});
 
-    const unsigned kIqSize = static_cast<unsigned>(
-        args.raw.getInt("iq_size", 512));
+    const auto kIqSize = static_cast<unsigned>(readArgsOrExit(
+        [&] { return args.raw.getCount("iq_size", 512, 1); }));
     const std::vector<std::pair<const char *, std::pair<bool, bool>>>
         configs = {{"base", {false, false}},
                    {"hmp", {true, false}},

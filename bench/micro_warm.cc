@@ -6,8 +6,9 @@
  * For every workload it measures functional-warming throughput
  * (fastForward with cache/predictor training) and pure functional
  * execution throughput (FunctionalCore::run, no training), each with
- * the step()-based cold-decode interpreter (bb_cache=0) and with the
- * basic-block cache (bb_cache=1), best-of `repeats` timed runs.
+ * the step() reference interpreter (a FunctionalCore built without the
+ * block cache) and with the basic-block cache, best-of `repeats` timed
+ * runs.
  *
  * It also times the per-job set-up path a fast-forwarded sweep job
  * pays outside the core loop (DESIGN.md §12), on the workload's
@@ -58,10 +59,10 @@ struct WorkloadNumbers
 {
     std::string workload;
     std::uint64_t warmInsts = 0;
-    double warmStepIps = 0.0;  ///< fastForward, bb_cache=0
-    double warmBbIps = 0.0;    ///< fastForward, bb_cache=1
-    double runStepIps = 0.0;   ///< pure run(), bb_cache=0
-    double runBbIps = 0.0;     ///< pure run(), bb_cache=1
+    double warmStepIps = 0.0;  ///< fastForward, step() reference
+    double warmBbIps = 0.0;    ///< fastForward, block cache
+    double runStepIps = 0.0;   ///< pure run(), step() reference
+    double runBbIps = 0.0;     ///< pure run(), block cache
     std::uint64_t bbBlocks = 0;
     std::uint64_t bbOpsCached = 0;
     std::uint64_t bbTraceHits = 0;
@@ -172,7 +173,7 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
         });
 
     n.validateS = bestOf(repeats, noSetup, [&](auto &) {
-        const GoldenState golden = GoldenState::run(prog, len, true);
+        const GoldenState golden = GoldenState::run(prog, len);
         if (!golden.memory.equalContents(finished.memory()))
             std::fprintf(stderr, "ERROR: %s golden replay diverged\n",
                          n.workload.c_str());
@@ -289,15 +290,13 @@ main(int argc, char **argv)
 {
     BenchArgs args = parseArgs(argc, argv, workloadNames(),
                                {"warm_insts", "repeats", "json_out"});
-    const std::uint64_t insts = static_cast<std::uint64_t>(
-        args.raw.getCount("warm_insts", args.quick ? 400'000 : 2'000'000));
-    const std::int64_t repeatsArg =
-        args.raw.getInt("repeats", args.quick ? 2 : 3);
-    if (repeatsArg < 1) {
-        std::fprintf(stderr, "ERROR: repeats= must be >= 1\n");
-        return 2;
-    }
-    const unsigned repeats = static_cast<unsigned>(repeatsArg);
+    const auto [insts, repeats] = readArgsOrExit([&] {
+        return std::pair{
+            static_cast<std::uint64_t>(args.raw.getCount(
+                "warm_insts", args.quick ? 400'000 : 2'000'000)),
+            static_cast<unsigned>(
+                args.raw.getCount("repeats", args.quick ? 2 : 3, 1))};
+    });
     const std::string jsonOut = args.raw.getString("json_out", "");
 
     std::printf("warming-throughput micro-bench: %llu insts/run, "

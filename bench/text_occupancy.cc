@@ -20,8 +20,8 @@ main(int argc, char **argv)
     BenchArgs args = parseArgs(argc, argv,
                                {"mgrid", "vortex", "twolf", "swim"},
                                {"iq_size"});
-    const unsigned kIqSize = static_cast<unsigned>(
-        args.raw.getInt("iq_size", 512));
+    const auto kIqSize = static_cast<unsigned>(readArgsOrExit(
+        [&] { return args.raw.getCount("iq_size", 512, 1); }));
 
     std::printf("Segment-0 occupancy, %u-entry segmented IQ "
                 "(unlimited chains, base policy)\n\n",

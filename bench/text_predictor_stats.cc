@@ -64,8 +64,8 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args = parseArgs(argc, argv, workloadNames(), {"iq_size"});
-    const unsigned kIqSize = static_cast<unsigned>(
-        args.raw.getInt("iq_size", 512));
+    const auto kIqSize = static_cast<unsigned>(readArgsOrExit(
+        [&] { return args.raw.getCount("iq_size", 512, 1); }));
 
     std::printf("Prose statistics, %u-entry segmented IQ\n\n", kIqSize);
     std::printf("%-9s | %9s %9s | %9s %9s | %9s | %12s\n", "bench",

@@ -100,8 +100,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "ERROR: %s\n", bad.c_str());
         return 2;
     }
-    const unsigned steps =
-        static_cast<unsigned>(args.getInt("steps", 4000));
+    const auto steps = static_cast<unsigned>(
+        readArgsOrExit([&] { return args.getCount("steps", 4000); }));
 
     Program prog = buildChaseAndStream(/*nodes=*/4096, steps);
     std::printf("Program: %zu static instructions; first lines:\n",

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -25,9 +26,13 @@ main(int argc, char **argv)
         std::fprintf(stderr, "ERROR: %s\n", bad.c_str());
         return 2;
     }
-    const std::string wl = args.getString("workload", "equake");
-    const auto iters =
-        static_cast<std::uint64_t>(args.getInt("iters", 3000));
+    const auto [wl, iters] = readArgsOrExit([&] {
+        const std::string name = args.getString("workload", "equake");
+        checkWorkloadName(name);
+        return std::pair{name,
+                         static_cast<std::uint64_t>(
+                             args.getCount("iters", 3000))};
+    });
 
     std::printf("Segmented-IQ design space on '%s'\n\n", wl.c_str());
 

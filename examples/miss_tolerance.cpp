@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/config.hh"
 #include "sim/simulator.hh"
@@ -32,10 +33,16 @@ main(int argc, char **argv)
         std::fprintf(stderr, "ERROR: %s\n", bad.c_str());
         return 2;
     }
-    const unsigned size =
-        static_cast<unsigned>(args.getInt("iq_size", 256));
-    const auto iters =
-        static_cast<std::uint64_t>(args.getInt("iters", 3000));
+    const auto [size, iters] = readArgsOrExit([&] {
+        const auto n =
+            static_cast<unsigned>(args.getCount("iq_size", 256, 1));
+        // The sized designs below must be buildable at this size.
+        makeSegmentedConfig(n, 128, true, true, "swim")
+            .core.checkIqGeometry();
+        makePrescheduledConfig(n + 64, "swim").core.checkIqGeometry();
+        return std::pair{
+            n, static_cast<std::uint64_t>(args.getCount("iters", 3000))};
+    });
 
     std::printf("Window-size tolerance of cache misses (IQ size %u)\n\n",
                 size);

@@ -11,6 +11,7 @@
 
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "common/config.hh"
 #include "isa/assembler.hh"
@@ -61,18 +62,22 @@ main(int argc, char **argv)
     }
     cfg.core.finalize();
 
+    const auto [squashed, rows] = readArgsOrExit([&] {
+        return std::pair{args.getBool("squashed", false),
+                         static_cast<std::size_t>(args.getCount("rows", 48))};
+    });
+
     Program prog = assemble(kSource, "pipeview-demo");
     OooCore core(prog, cfg.core);
     PipeTrace trace;
-    trace.traceSquashed = args.getBool("squashed", false);
+    trace.traceSquashed = squashed;
     core.setObserver(&trace);
 
     core.run(~0ULL, 100000);
     std::cout << "IQ design: " << iqKindName(cfg.core.iqKind)
               << ", halted=" << core.halted() << ", cycles "
               << core.cycles() << "\n\n";
-    trace.render(std::cout, 0,
-                 static_cast<std::size_t>(args.getInt("rows", 48)));
+    trace.render(std::cout, 0, rows);
 
     std::cout << "\nNote the gap between 'd' and 'i' on the fmul/fadd "
                  "chain after each fld: the chain\nholds its members "

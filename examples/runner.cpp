@@ -8,12 +8,13 @@
  *   runner workload=swim iq=segmented iq_size=512 chains=128 hmp=1 lrp=1
  *   runner workload=gcc iq=prescheduled iq_size=320 stats=1
  *   runner workload=equake ff=5000 iters=2000 resize=1
- *   runner workload=swim ff=5000 ckpt_dir=ckpt-cache
  *   runner help=1        every key, its value form and minimum
  *
  * Runs start from segmented-512 with 128 chains, HMP and LRP on swim.
- * An unknown key, a token that is not key=value and a bad value are
- * rejected with exit 2 ("did you mean" for a near-miss key).
+ * An unknown key or workload, a token that is not key=value, a bad
+ * value and an IQ geometry that cannot be built (iq_size=100 is not a
+ * whole number of 32-entry segments) are rejected with exit 2 ("did
+ * you mean" for a near-miss key).
  */
 
 #include <iostream>
@@ -52,10 +53,6 @@ main(int argc, char **argv)
     RunResult r = sim.run();
     printResultHeader(std::cout);
     printResultRow(std::cout, r);
-    if (cfg.fastForward > 0) {
-        std::cout << "checkpoint: " << (r.ckptRestored ? "restored" : "cold")
-                  << '\n';
-    }
 
     std::cout << "\nbranch mispredict/cond-branch: "
               << 100.0 * r.branchMispredictRate << "%"

@@ -118,6 +118,17 @@ ConfigMap::getCount(const std::string &key, std::int64_t def) const
     return static_cast<std::int64_t>(scaled);
 }
 
+std::int64_t
+ConfigMap::getCount(const std::string &key, std::int64_t def,
+                    std::int64_t min) const
+{
+    const std::int64_t count = getCount(key, def);
+    if (has(key) && count < min)
+        fatal("config key '%s': '%s' is below its minimum %lld", key.c_str(),
+              getString(key).c_str(), static_cast<long long>(min));
+    return count;
+}
+
 double
 ConfigMap::getDouble(const std::string &key, double def) const
 {
@@ -183,7 +194,7 @@ closestKey(const std::string &key, const std::vector<std::string> &known)
     if (!best.empty())
         return best;
     // No near miss: suggest a key that extends this one by whole words
-    // (`ckpt` -> `ckpt_dir`).
+    // (`bench` -> `bench_out`).
     for (const std::string &candidate : known) {
         if (candidate.size() > key.size() + 1 &&
             candidate.compare(0, key.size(), key) == 0 &&

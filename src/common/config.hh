@@ -8,7 +8,10 @@
 #define SCIQ_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,6 +50,11 @@ class ConfigMap
      * in int64_t; anything else is fatal.
      */
     std::int64_t getCount(const std::string &key, std::int64_t def) const;
+
+    /** getCount, and fatal too for a value given below `min`. */
+    std::int64_t getCount(const std::string &key, std::int64_t def,
+                          std::int64_t min) const;
+
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
@@ -64,6 +72,24 @@ class ConfigMap
     std::map<std::string, std::string> values;
     std::vector<std::string> unparsed;  ///< tokens that are not key=value
 };
+
+/**
+ * A front end reads its own keys through this: `read()`'s result, or,
+ * when reading throws (a malformed value, one below its minimum, an
+ * unknown name), "ERROR: <why>" on stderr and exit 2, as for a bad
+ * SimConfig key.
+ */
+template <typename Read>
+auto
+readArgsOrExit(Read &&read)
+{
+    try {
+        return read();
+    } catch (const std::runtime_error &e) {  // ConfigError, FatalError
+        std::fprintf(stderr, "ERROR: %s\n", e.what());
+        std::exit(2);
+    }
+}
 
 /** Levenshtein edit distance between two option names. */
 std::size_t editDistance(const std::string &a, const std::string &b);

@@ -28,7 +28,7 @@ enum class ErrorCode
     None,        ///< no error (JobOutcome of a successful run)
     Config,      ///< bad user configuration (unknown key, bad range)
     Workload,    ///< workload construction failed (unknown name, ...)
-    Checkpoint,  ///< checkpoint blob/file rejected or unwritable
+    Checkpoint,  ///< checkpoint blob rejected
     Deadlock,    ///< watchdog: no forward progress / deadline exceeded
     Invariant,   ///< internal invariant violated (auditor panic path)
     Resource,    ///< host memory exhausted (std::bad_alloc in a job)
@@ -83,10 +83,9 @@ class WorkloadError : public SimError
 };
 
 /**
- * Any reason a checkpoint cannot be written, read or applied.  The
- * warm-up catches every one and repairs in place (re-warms cold and
- * republishes; a failed write is only warned about), so none ends a
- * job.
+ * Any reason a checkpoint blob cannot be applied.  The warm-up catches
+ * every one and repairs in place (re-warms cold and republishes), so
+ * none ends a job.
  */
 class CheckpointError : public SimError
 {

@@ -42,6 +42,15 @@ CoreParams::finalize()
     iq.robSize = robSize;
 }
 
+void
+CoreParams::checkIqGeometry() const
+{
+    if (iqKind == IqKind::Segmented)
+        SegmentedIq::checkGeometry(iq);
+    else if (iqKind == IqKind::Prescheduled)
+        PrescheduledIq::checkGeometry(iq);
+}
+
 OooCore::OooCore(const Program &program_, const CoreParams &params_,
                  bool load_image)
     : program(program_), params(params_), statsGroup("core"),

@@ -105,6 +105,12 @@ struct CoreParams
 
     /** Resolve the 0-defaults into concrete values. */
     void finalize();
+
+    /**
+     * ConfigError naming the keys when the chosen IQ cannot be built
+     * with this geometry; the IQ's constructor makes the same check.
+     */
+    void checkIqGeometry() const;
 };
 
 class OooCore

@@ -2,21 +2,39 @@
 
 #include <algorithm>
 
+#include "common/errors.hh"
 #include "common/logging.hh"
 
 namespace sciq {
+
+void
+PrescheduledIq::checkGeometry(const IqParams &p)
+{
+    if (p.numEntries <= p.issueBufferSize) {
+        throw ConfigError("config keys 'iq_size' and 'issue_buffer': " +
+                          std::to_string(p.numEntries) +
+                          " entries leave no scheduling array beside the " +
+                          std::to_string(p.issueBufferSize) +
+                          "-entry issue buffer");
+    }
+    const unsigned array_slots = p.numEntries - p.issueBufferSize;
+    if (array_slots % p.preschedLineWidth != 0) {
+        throw ConfigError("config keys 'iq_size', 'issue_buffer' and "
+                          "'line_width': the " +
+                          std::to_string(array_slots) +
+                          "-slot scheduling array is not a whole number "
+                          "of " + std::to_string(p.preschedLineWidth) +
+                          "-wide lines");
+    }
+}
 
 PrescheduledIq::PrescheduledIq(const IqParams &params_,
                                const Scoreboard &scoreboard_,
                                const FuPool &fu_)
     : IqBase(params_, scoreboard_, fu_, "iq")
 {
-    SCIQ_ASSERT(params.numEntries > params.issueBufferSize,
-                "prescheduled IQ smaller than its issue buffer");
+    checkGeometry(params);
     const unsigned array_slots = params.numEntries - params.issueBufferSize;
-    SCIQ_ASSERT(array_slots % params.preschedLineWidth == 0,
-                "scheduling array (%u) not a multiple of line width %u",
-                array_slots, params.preschedLineWidth);
     lines.resize(array_slots / params.preschedLineWidth);
     issueBuffer.reserve(params.issueBufferSize);
 

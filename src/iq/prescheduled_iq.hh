@@ -30,6 +30,12 @@ class PrescheduledIq : public IqBase
     PrescheduledIq(const IqParams &params, const Scoreboard &scoreboard,
                    const FuPool &fu);
 
+    /**
+     * ConfigError naming the keys unless the scheduling array (size
+     * minus issue buffer) is a non-empty whole number of lines.
+     */
+    static void checkGeometry(const IqParams &params);
+
     bool canInsert(const DynInstPtr &inst) override;
     void insert(const DynInstPtr &inst, Cycle cycle) override;
     void issueSelect(Cycle cycle, const TryIssue &try_issue) override;

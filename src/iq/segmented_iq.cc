@@ -6,6 +6,7 @@
 
 #include "branch/hit_miss_predictor.hh"
 #include "branch/left_right_predictor.hh"
+#include "common/errors.hh"
 #include "common/logging.hh"
 
 namespace sciq {
@@ -72,15 +73,25 @@ forEachBitFrom(const std::uint64_t *v, std::size_t nwords, std::size_t start,
 static_assert(kNumArchRegs <= 64,
               "regAvail fast-plan mask assumes <= 64 architectural regs");
 
+void
+SegmentedIq::checkGeometry(const IqParams &p)
+{
+    if (p.numEntries % p.segmentSize != 0) {
+        throw ConfigError("config keys 'iq_size' and 'seg_size': " +
+                          std::to_string(p.numEntries) +
+                          " entries is not a whole number of " +
+                          std::to_string(p.segmentSize) +
+                          "-entry segments");
+    }
+}
+
 SegmentedIq::SegmentedIq(const IqParams &params_,
                          const Scoreboard &scoreboard_, const FuPool &fu_,
                          HitMissPredictor *hmp_, LeftRightPredictor *lrp_)
     : IqBase(params_, scoreboard_, fu_, "iq"),
       chains(params_.maxChains), hmp(hmp_), lrp(lrp_)
 {
-    SCIQ_ASSERT(params.numEntries % params.segmentSize == 0,
-                "IQ size %u not a multiple of segment size %u",
-                params.numEntries, params.segmentSize);
+    checkGeometry(params);
     const unsigned n = params.numEntries / params.segmentSize;
     SCIQ_ASSERT(n >= 1, "need at least one segment");
     freePrevCycle.assign(n, params.segmentSize);

@@ -87,6 +87,12 @@ class SegmentedIq : public IqBase
                 const FuPool &fu, HitMissPredictor *hmp,
                 LeftRightPredictor *lrp);
 
+    /**
+     * ConfigError naming `iq_size` and `seg_size` unless the queue is
+     * a whole number of segments.
+     */
+    static void checkGeometry(const IqParams &params);
+
     bool canInsert(const DynInstPtr &inst) override;
     void insert(const DynInstPtr &inst, Cycle cycle) override;
     void issueSelect(Cycle cycle, const TryIssue &try_issue) override;

@@ -12,7 +12,7 @@ FunctionalCore::FunctionalCore(const Program &prog, bool bb_cache)
 {
     prog.load(mem);
     if (bb_cache)
-        bbCache = std::make_unique<BbCache>(program);
+        blocks = std::make_unique<BbCache>(program);
 }
 
 bool
@@ -42,7 +42,7 @@ FunctionalCore::step()
 std::uint64_t
 FunctionalCore::run(std::uint64_t max_insts)
 {
-    if (bbCache) {
+    if (blocks) {
         return runBlocks(max_insts,
                          [](const BbOp &, Addr, const ExecResult &) {});
     }

@@ -15,7 +15,8 @@
  *     hot path for functional warming (5-10x the step() throughput).
  *
  * run() uses the block path when the cache is enabled (the default;
- * construct with bb_cache=false or `bb_cache=0` for the reference).
+ * construct with `bb_cache` false for the reference, which the tests
+ * and micro_warm compare against).
  */
 
 #ifndef SCIQ_ISA_FUNCTIONAL_CORE_HH
@@ -73,10 +74,10 @@ class FunctionalCore : public ExecContext
     template <typename Hook>
     std::uint64_t runBlocks(std::uint64_t max_insts, Hook &&hook);
 
-    bool blockCacheEnabled() const { return bbCache != nullptr; }
+    bool blockCacheEnabled() const { return blocks != nullptr; }
 
     /** The block cache, or nullptr when disabled (observability). */
-    const BbCache *blockCache() const { return bbCache.get(); }
+    const BbCache *blockCache() const { return blocks.get(); }
 
     bool halted() const { return isHalted; }
     Addr pc() const { return curPc; }
@@ -260,14 +261,14 @@ class FunctionalCore : public ExecContext
     ExecResult prevResult{};
     const Instruction *prevInst = nullptr;
 
-    std::unique_ptr<BbCache> bbCache;
+    std::unique_ptr<BbCache> blocks;
 };
 
 template <typename Hook>
 std::uint64_t
 FunctionalCore::runBlocks(std::uint64_t max_insts, Hook &&hook)
 {
-    SCIQ_ASSERT(bbCache != nullptr,
+    SCIQ_ASSERT(blocks != nullptr,
                 "runBlocks() requires the basic-block cache");
     const std::uint64_t start = executed;
     DirectContext xc(regs, mem);
@@ -275,7 +276,7 @@ FunctionalCore::runBlocks(std::uint64_t max_insts, Hook &&hook)
 
     while (!isHalted && executed - start < max_insts) {
         if (bb == nullptr) {
-            bb = bbCache->lookup(curPc);
+            bb = blocks->lookup(curPc);
             if (bb == nullptr) {
                 // Off the program image: step() reproduces the
                 // reference panic (message and counts identical).
@@ -317,7 +318,7 @@ FunctionalCore::runBlocks(std::uint64_t max_insts, Hook &&hook)
         curPc = res.nextPc;
 
         if (n == bb->ops.size()) {
-            bb = bbCache->successor(bb, res.nextPc, res.taken);
+            bb = blocks->successor(bb, res.nextPc, res.taken);
         } else {
             // Stopped mid-block: the budget is exhausted; a later run
             // resumes through lookup(curPc), discovering the suffix

@@ -1,15 +1,7 @@
 #include "checkpoint.hh"
 
-#include <bit>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <thread>
 #include <utility>
 
-#include <unistd.h>
-
-#include "common/logging.hh"
 #include "common/serialize.hh"
 
 namespace sciq {
@@ -24,18 +16,6 @@ hashCacheGeometry(serial::Fnv64 &h, const CacheParams &p)
     h.update(p.sizeBytes);
     h.update(p.assoc);
     h.update(p.lineBytes);
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[i] = digits[key & 0xf];
-        key >>= 4;
-    }
-    return s;
 }
 
 /** Trailer = serial::hashBytes over every byte before it. */
@@ -150,16 +130,12 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
     return restoreCheckpoint(blob, config, program.checksum(), core);
 }
 
-namespace {
-
-/**
- * The checks that need no configuration — size, magic, format version
- * and trailer checksum — in that order; CheckpointError on the first
- * that fails.
- */
-void
-checkCheckpointFrame(const std::string &blob)
+FastForwardStats
+restoreCheckpoint(const std::string &blob, const SimConfig &config,
+                  std::uint64_t program_checksum, OooCore &core)
 {
+    // Size, magic, format version and trailer checksum, in that order,
+    // before any section payload is trusted.
     if (blob.size() < 8 + 4 + 8 + 8) {
         throw CheckpointError("checkpoint truncated: " +
                                   std::to_string(blob.size()) +
@@ -180,17 +156,7 @@ checkCheckpointFrame(const std::string &blob)
     const std::size_t payload_len = blob.size() - 8;
     serial::Reader tr(std::string_view(blob).substr(payload_len));
     if (tr.u64() != blobTrailer(blob, payload_len))
-        throw CheckpointError("checkpoint checksum mismatch (corrupted file)");
-}
-
-} // namespace
-
-FastForwardStats
-restoreCheckpoint(const std::string &blob, const SimConfig &config,
-                  std::uint64_t program_checksum, OooCore &core)
-{
-    // Verify the frame and trailer before trusting any section payload.
-    checkCheckpointFrame(blob);
+        throw CheckpointError("checkpoint checksum mismatch (corrupted blob)");
 
     try {
         serial::Reader r(blob);
@@ -257,106 +223,18 @@ restoreCheckpoint(const std::string &blob, const SimConfig &config,
     }
 }
 
-void
-writeCheckpointFile(const std::string &path, const std::string &blob)
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    const fs::path target(path);
-    if (target.has_parent_path())
-        fs::create_directories(target.parent_path(), ec);
-
-    // A temp name unique to this process and thread, then an atomic
-    // rename, so concurrent publishers of one key — other threads or
-    // other processes sharing the directory — never interleave bytes.
-    const std::size_t tid =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                            "." + hexKey(tid);
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out || !out.write(blob.data(),
-                               static_cast<std::streamsize>(blob.size()))) {
-            fs::remove(tmp, ec);
-            throw CheckpointError("cannot write checkpoint file '" + tmp +
-                                  "'");
-        }
-    }
-    fs::rename(tmp, target, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw CheckpointError("cannot move checkpoint into place at '" +
-                              path + "'");
-    }
-}
-
-std::string
-readCheckpointFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CheckpointError("cannot read checkpoint file '" + path + "'");
-    std::string blob((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        throw CheckpointError("I/O error reading checkpoint file '" + path +
-                              "'");
-    return blob;
-}
-
-CheckpointCache::CheckpointCache(std::string dir) : dir_(std::move(dir)) {}
-
-std::string
-CheckpointCache::pathFor(std::uint64_t key) const
-{
-    if (dir_.empty())
-        return "";
-    return dir_ + "/ckpt-" + hexKey(key) + ".sciqckpt";
-}
-
 CheckpointCache::Blob
 CheckpointCache::findOrBegin(std::uint64_t key)
 {
-    if (Blob hit = blobs_.findOrBegin(key)) {
+    Blob hit = blobs_.findOrBegin(key);
+    if (hit)
         ++memoryHits_;
-        return hit;
-    }
-
-    // This thread claimed production before probing the disk, so only
-    // it pays the file read (or, on a miss, the warm-up).  A file that
-    // fails the frame check is not handed to the threads waiting on
-    // this key: the caller produces, and publish() replaces the file.
-    if (dir_.empty())
-        return nullptr;
-    const std::string path = pathFor(key);
-    std::string from_disk;
-    try {
-        from_disk = readCheckpointFile(path);
-    } catch (const CheckpointError &) {
-        return nullptr;  // no file: the caller produces
-    }
-    try {
-        checkCheckpointFrame(from_disk);
-    } catch (const CheckpointError &e) {
-        warn("ignoring unusable checkpoint file %s: %s", path.c_str(),
-             e.what());
-        return nullptr;
-    }
-    ++diskHits_;
-    return blobs_.publish(
-        key, std::make_shared<const std::string>(std::move(from_disk)));
+    return hit;
 }
 
 CheckpointCache::Blob
 CheckpointCache::publish(std::uint64_t key, std::string blob)
 {
-    if (!dir_.empty()) {
-        try {
-            writeCheckpointFile(pathFor(key), blob);
-        } catch (const CheckpointError &e) {
-            warn("checkpoint not persisted: %s", e.what());
-        }
-    }
     ++produced_;
     return blobs_.publish(
         key, std::make_shared<const std::string>(std::move(blob)));

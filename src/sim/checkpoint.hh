@@ -99,74 +99,40 @@ FastForwardStats restoreCheckpoint(const std::string &blob,
                                    OooCore &core);
 
 /**
- * Atomically (write + rename) persist a blob; CheckpointError on I/O.
- * The temp file is named by process and thread, so concurrent writers
- * of one path, in any processes, never share it.
- */
-void writeCheckpointFile(const std::string &path, const std::string &blob);
-
-/** Read a whole checkpoint file; CheckpointError if unreadable. */
-std::string readCheckpointFile(const std::string &path);
-
-/**
- * The one warm-up store: a thread-safe blob cache keyed by
- * checkpointKeyHash, optionally backed by a directory of
- * `ckpt-<key>.sciqckpt` files (DESIGN.md §12).
+ * The one warm-up store: a thread-safe, in-memory blob cache keyed by
+ * checkpointKeyHash (DESIGN.md §12).
  *
  * Within a process each distinct warm-up is produced once: the first
  * thread to ask for a missing key becomes its producer (findOrBegin
  * returns nullptr) while later askers block until publish()/cancel();
  * that is an OnceMap.  Results stay bit-identical regardless of which
  * job ends up producing, so the election order is free to race.
- *
- * The directory half is a plain read-through: on an in-memory miss the
- * producer reads the key's file if there is one and its size, magic,
- * version and trailer check out, and publish() writes it back (write +
- * rename).  Processes sharing a directory do not
- * coordinate; two that miss the same key both warm up and both write
- * the same bytes, which wastes one warm-up and is never wrong.
  */
 class CheckpointCache
 {
   public:
     using Blob = std::shared_ptr<const std::string>;
 
-    /** @param dir backing directory; empty = in-memory only. */
-    explicit CheckpointCache(std::string dir = "");
-
     /**
-     * Return the blob for `key`, from memory or else from its file
-     * (a damaged or other-version file is warned about and skipped),
-     * blocking while another thread of this process produces it.
-     * Returns nullptr to exactly one caller per missing key; that
-     * caller must publish() or cancel() the key.
+     * Return the blob for `key`, blocking while another thread
+     * produces it.  Returns nullptr to exactly one caller per missing
+     * key; that caller must publish() or cancel() the key.
      */
     Blob findOrBegin(std::uint64_t key);
 
-    /**
-     * Store a produced blob, replacing any earlier one, and write it
-     * to the backing dir; a failed write is warned about, not thrown.
-     */
+    /** Store a produced blob, replacing any earlier one. */
     Blob publish(std::uint64_t key, std::string blob);
 
     /** Give up producing `key` (e.g. the warm-up threw). */
     void cancel(std::uint64_t key);
 
-    /** Backing file path for a key ("" when in-memory only). */
-    std::string pathFor(std::uint64_t key) const;
-
-    const std::string &dir() const { return dir_; }
-
     // Reuse accounting (monotonic; read after a sweep completes).
     std::uint64_t memoryHits() const { return memoryHits_.load(); }
-    std::uint64_t diskHits() const { return diskHits_.load(); }
     std::uint64_t produced() const { return produced_.load(); }
 
   private:
-    std::string dir_;
     OnceMap<std::uint64_t, std::string> blobs_;
     std::atomic<std::uint64_t> memoryHits_{0};
-    std::atomic<std::uint64_t> diskHits_{0};
     std::atomic<std::uint64_t> produced_{0};
 };
 

@@ -126,7 +126,8 @@ fastForwardUnseeded(FunctionalCore &golden, OooCore &core,
         stats.hitHalt = golden.halted();
         stats.instsSkipped = ran - (stats.hitHalt ? 1 : 0);
     } else {
-        // step()-based reference path (bb_cache=0).
+        // step()-based reference path (a core built without the
+        // block cache; the tests compare the two).
         for (std::uint64_t i = 0; i < insts && !golden.halted(); ++i) {
             if (!golden.step())
                 break;

@@ -70,8 +70,6 @@ constexpr KeyRow kKeys[] = {
     {"audit", Bool, kHost, {}, FIELD(audit)},
     {"audit_panic", Bool, kHost, {}, FIELD(auditPanic)},
     {"ff", Count, kResult, {}, FIELD(fastForward)},
-    {"bb_cache", Bool, kHost, {}, FIELD(bbCache)},
-    {"ckpt_dir", String, kHost, {}, FIELD(ckptDir)},
     {"watchdog_cycles", Count, kHost, {}, FIELD(core.watchdogCycles)},
     {"deadline_sec", Double, kHost, 0, FIELD(deadlineSec)},
     // Faults (DESIGN.md §13); the first two live inside the core.
@@ -130,6 +128,9 @@ SimConfig::apply(const ConfigMap &cfg)
             row.field(*this));
     }
 
+    if (cfg.has("workload"))
+        checkWorkloadName(workload);
+
     // The checkpoint-read fault builds a FaultInjector on demand.
     if (cfg.has(kFaultCkptCorrupt)) {
         if (!faults) {
@@ -149,6 +150,7 @@ SimConfig::applyCommandLine(const ConfigMap &args,
     if (complaint.empty()) {
         try {
             apply(args);
+            core.checkIqGeometry();
         } catch (const std::runtime_error &e) {  // ConfigError, FatalError
             complaint = e.what();
         }
@@ -241,6 +243,19 @@ SimConfig::printParameters(std::ostream &os) const
           "64 B/cycle to L1\n"
        << "  memory             : 100-cycle latency, 8 B/cycle\n"
        << "  branch predictor   : 21264-style hybrid local/global\n";
+}
+
+void
+checkWorkloadName(const std::string &name)
+{
+    const std::vector<std::string> &names = workloadNames();
+    if (std::ranges::find(names, name) != names.end())
+        return;
+    std::string valid;
+    for (const std::string &n : names)
+        valid += (valid.empty() ? "" : ", ") + n;
+    throw ConfigError("config key 'workload': unknown workload '" + name +
+                      "' (one of " + valid + ")");
 }
 
 SimConfig

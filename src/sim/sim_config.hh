@@ -63,27 +63,10 @@ struct SimConfig
     std::uint64_t fastForward = 0;
 
     /**
-     * Use the basic-block cache for the functional paths (warming and
-     * validation golden runs); `bb_cache=0` selects the step()-based
-     * reference interpreter.  Results are bit-identical either way —
-     * this is pure acceleration, kept switchable as a differential
-     * check.
-     */
-    bool bbCache = true;
-
-    /**
-     * Checkpoint cache directory (key: `ckpt_dir=`): warm-ups are
-     * restored from / persisted to `<dir>/ckpt-<key>.sciqckpt`, keyed
-     * by checkpointKeyHash(); a damaged or stale file is re-warmed
-     * and replaced.  Requires fastForward > 0.
-     */
-    std::string ckptDir;
-
-    /**
      * Shared in-process checkpoint cache (programmatic; SweepBatch
      * installs one per sweep so each distinct warm-up runs once and
-     * every other configuration restores it).  Takes precedence over
-     * ckptDir: a cache constructed with a directory covers both.
+     * every other configuration restores it).  Without one a run warms
+     * up cold.
      */
     std::shared_ptr<CheckpointCache> ckptCache;
 
@@ -98,8 +81,9 @@ struct SimConfig
      * Apply key=value overrides, e.g.
      *   iq=segmented iq_size=512 seg_size=32 chains=128 hmp=1 lrp=1
      *   workload=swim iters=4096
-     * Throws ConfigError for a value below its key's minimum or an
-     * unknown iq kind, and FatalError for a malformed value.
+     * Throws ConfigError for a value below its key's minimum, an
+     * unknown iq kind or workload, and FatalError for a malformed
+     * value.
      */
     void apply(const ConfigMap &overrides);
 
@@ -112,8 +96,9 @@ struct SimConfig
 
     /**
      * A front end's whole command line: "" once every token is a key
-     * of keys() or `own_keys` and apply() accepted the values, else
-     * the complaint to print for the first bad token.
+     * of keys() or `own_keys`, apply() accepted the values and the
+     * resulting IQ geometry is buildable (CoreParams::checkIqGeometry),
+     * else the complaint to print for the first bad token.
      */
     std::string applyCommandLine(const ConfigMap &args,
                                  std::vector<std::string> own_keys = {});
@@ -124,6 +109,9 @@ struct SimConfig
     /** Print the Table 1 parameter block. */
     void printParameters(std::ostream &os) const;
 };
+
+/** ConfigError listing the kernels unless `name` is in workloadNames(). */
+void checkWorkloadName(const std::string &name);
 
 /** Construct the configurations used throughout the evaluation. */
 SimConfig makeIdealConfig(unsigned iq_size, const std::string &workload);

@@ -29,10 +29,9 @@ jobStatusName(JobOutcome::Status status)
 }
 
 GoldenState
-GoldenState::run(const Program &program, std::uint64_t insts,
-                 bool bb_cache)
+GoldenState::run(const Program &program, std::uint64_t insts)
 {
-    FunctionalCore golden(program, bb_cache);
+    FunctionalCore golden(program);
     golden.run(insts);
     return {golden.regFile(), std::move(golden.memory())};
 }
@@ -114,7 +113,7 @@ Simulator::warmUp(bool &restored)
 
     // Fast-forward cold; with `blob`, also save the warmed state there.
     auto coldFf = [&](std::string *blob) -> FastForwardStats {
-        FunctionalCore warm(*program_, config.bbCache);
+        FunctionalCore warm(*program_);
         const auto t0 = std::chrono::steady_clock::now();
         FastForwardStats ff =
             fastForwardUnseeded(warm, *core_, config.fastForward);
@@ -139,10 +138,8 @@ Simulator::warmUp(bool &restored)
     };
 
     // One store: the given cache (a sweep's, shared in process), else
-    // a run-local one over ckpt_dir, else no reuse at all.
-    std::shared_ptr<CheckpointCache> cache = config.ckptCache;
-    if (!cache && !config.ckptDir.empty())
-        cache = std::make_shared<CheckpointCache>(config.ckptDir);
+    // no reuse at all.
+    const std::shared_ptr<CheckpointCache> &cache = config.ckptCache;
     if (!cache)
         return coldFf(nullptr);
 
@@ -161,8 +158,8 @@ Simulator::warmUp(bool &restored)
             restored = true;
             return ff;
         } catch (const CheckpointError &e) {
-            // A stale or damaged entry (e.g. hand-edited file): warm
-            // up cold and replace it so later runs restore cleanly.
+            // A damaged entry: warm up cold and replace it so later
+            // runs restore cleanly.
             warn("ignoring unusable checkpoint for %s: %s",
                  config.workload.c_str(), e.what());
             std::string fresh;
@@ -331,17 +328,15 @@ Simulator::collect(double host_seconds, std::uint64_t skipped,
     if (config.validate) {
         // The golden end state comes from the functional model run from
         // the program image for the skipped prefix plus exactly as many
-        // instructions as the pipeline committed, with this job's
-        // bb_cache choice — never from a warm-up or checkpoint, so
-        // validation stays independent of the warm path.  A sweep runs
-        // it once per (program, instruction count, bb_cache) and shares
-        // it among its jobs.
+        // instructions as the pipeline committed — never from a warm-up
+        // or checkpoint, so validation stays independent of the warm
+        // path.  A sweep runs it once per (program, instruction count)
+        // and shares it among its jobs.
         const std::uint64_t insts = skipped + r.insts;
         const std::shared_ptr<const GoldenState> golden =
-            shared_ ? shared_->golden(*programChecksum_, *program_, insts,
-                                      config.bbCache)
-                    : std::make_shared<const GoldenState>(GoldenState::run(
-                          *program_, insts, config.bbCache));
+            shared_ ? shared_->golden(*programChecksum_, *program_, insts)
+                    : std::make_shared<const GoldenState>(
+                          GoldenState::run(*program_, insts));
         r.validated = golden->matches(*core_);
         if (!r.validated) {
             warn("validation FAILED for %s on %s IQ",

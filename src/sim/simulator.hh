@@ -38,10 +38,9 @@ struct GoldenState
 
     /**
      * Run `program` from its image for `insts` instructions (fewer if
-     * it halts), with or without the basic-block cache.
+     * it halts).
      */
-    static GoldenState run(const Program &program, std::uint64_t insts,
-                           bool bb_cache);
+    static GoldenState run(const Program &program, std::uint64_t insts);
 
     /**
      * Registers 1.. and every memory byte equal `core`'s committed

@@ -41,12 +41,12 @@ SweepShared::program(const SimConfig &config)
 
 std::shared_ptr<const GoldenState>
 SweepShared::golden(std::uint64_t program_checksum, const Program &program,
-                    std::uint64_t insts, bool bb_cache)
+                    std::uint64_t insts)
 {
     bool ran = false;
     auto golden = goldens_.get(
-        GoldenKey{program_checksum, insts, bb_cache},
-        [&] { return GoldenState::run(program, insts, bb_cache); }, &ran);
+        GoldenKey{program_checksum, insts},
+        [&] { return GoldenState::run(program, insts); }, &ran);
     if (ran)
         ++goldenRuns_;
     return golden;
@@ -64,7 +64,6 @@ SweepShared::GoldenKeyHash::operator()(const GoldenKey &k) const
     serial::Fnv64 h;
     h.update(k.program);
     h.update(k.insts);
-    h.update(k.bbCache ? 1 : 0);
     return static_cast<std::size_t>(h.digest());
 }
 

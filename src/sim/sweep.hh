@@ -62,7 +62,7 @@ std::string sweepKey(const SimConfig &config);
  *   - program(): the workload Program, built once per
  *     workloadFingerprint, with its checksum computed once.
  *   - golden(): the end state validation compares with, keyed by
- *     (program checksum, instruction count, bb_cache) and always made
+ *     (program checksum, instruction count) and always made
  *     by GoldenState::run from the program image — never from a
  *     warm-up or a checkpoint.
  *
@@ -92,7 +92,7 @@ class SweepShared
     /** `program`'s state after `insts` instructions from its image. */
     std::shared_ptr<const GoldenState>
     golden(std::uint64_t program_checksum, const Program &program,
-           std::uint64_t insts, bool bb_cache);
+           std::uint64_t insts);
 
     /** Count one warm-up a job ran cold instead of restoring. */
     void noteWarmUp() { ++warmUps_; }
@@ -104,7 +104,6 @@ class SweepShared
     {
         std::uint64_t program;
         std::uint64_t insts;
-        bool bbCache;
 
         bool operator==(const GoldenKey &) const = default;
     };

@@ -1,10 +1,11 @@
 /**
  * @file
  * Bit-identity tests for the basic-block-cached functional interpreter
- * (DESIGN.md §14).  The contract under test: with `bb_cache=1` versus
- * the step()-based reference (`bb_cache=0`), architectural state,
- * `executed` counts, checkpoint blob bytes and whole-simulation stats
- * are byte-identical — the cache is pure acceleration, never policy.
+ * (DESIGN.md §14).  The contract under test: with the block cache
+ * versus the step()-based reference (a FunctionalCore built without
+ * it), architectural state, `executed` counts, checkpoint blob bytes
+ * and whole-simulation stats are byte-identical — the cache is pure
+ * acceleration, never policy.
  */
 
 #include <gtest/gtest.h>
@@ -50,13 +51,12 @@ blobOf(const FunctionalCore &core)
 }
 
 SimConfig
-testConfig(const std::string &workload, bool bb_cache)
+testConfig(const std::string &workload)
 {
     SimConfig cfg = makeSegmentedConfig(128, 64, true, true, workload);
     cfg.wl.iterations = 300;
     cfg.fastForward = 1500;
     cfg.validate = true;
-    cfg.bbCache = bb_cache;
     return cfg;
 }
 
@@ -252,18 +252,15 @@ class BbCacheWarm : public ::testing::TestWithParam<std::string>
 
 TEST_P(BbCacheWarm, CheckpointBlobBytesIdentical)
 {
-    SimConfig cfgRef = testConfig(GetParam(), false);
-    SimConfig cfgBb = testConfig(GetParam(), true);
-    const Program prog = buildWorkload(GetParam(), cfgRef.wl);
+    const SimConfig cfg = testConfig(GetParam());
+    const Program prog = buildWorkload(GetParam(), cfg.wl);
 
     std::string blobs[2];
     for (bool bb : {false, true}) {
         FunctionalCore golden(prog, bb);
-        OooCore core(prog, cfgRef.core);
-        FastForwardStats ff =
-            fastForward(golden, core, cfgRef.fastForward);
-        blobs[bb ? 1 : 0] =
-            saveCheckpoint(bb ? cfgBb : cfgRef, golden, core, ff);
+        OooCore core(prog, cfg.core);
+        FastForwardStats ff = fastForward(golden, core, cfg.fastForward);
+        blobs[bb ? 1 : 0] = saveCheckpoint(cfg, golden, core, ff);
     }
     // Same warm caches, predictors, stat counters, memory image,
     // key hash — byte for byte.
@@ -278,22 +275,28 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, BbCacheWarm,
 TEST(BbCacheWarm, CrossModeRestoredMatchesColdBitForBit)
 {
     // The strongest end-to-end form: warm up and checkpoint with the
-    // step reference (bb_cache=0), restore into a block-cached run
-    // (bb_cache=1), and demand the whole stats tree match a cold
-    // block-cached run byte for byte.
-    SimConfig cfgRef = testConfig("vortex", false);
-    SimConfig cfgBb = testConfig("vortex", true);
-    auto cache = std::make_shared<CheckpointCache>();  // memory-only
-    cfgRef.ckptCache = cache;
-    cfgBb.ckptCache = cache;
+    // step reference, publish the blob into the cache a Simulator run
+    // (which warms with the block cache) restores from, and demand the
+    // whole stats tree match a cold run byte for byte.
+    const SimConfig cfg = testConfig("vortex");
+    const Program prog = buildWorkload(cfg.workload, cfg.wl);
+    FunctionalCore ref(prog, false);
+    OooCore core(prog, cfg.core);
+    const FastForwardStats ff = fastForward(ref, core, cfg.fastForward);
 
-    Simulator producer(cfgRef);
-    RunResult cold = producer.run();
+    SimConfig cached = cfg;
+    cached.ckptCache = std::make_shared<CheckpointCache>();
+    const std::uint64_t key = checkpointKeyHash(cfg);
+    ASSERT_EQ(cached.ckptCache->findOrBegin(key), nullptr);
+    cached.ckptCache->publish(key, saveCheckpoint(cfg, ref, core, ff));
+
+    Simulator coldSim(cfg);
+    RunResult cold = coldSim.run();
     EXPECT_FALSE(cold.ckptRestored);
     ASSERT_TRUE(cold.haltedCleanly);
     ASSERT_TRUE(cold.validated);
 
-    Simulator restored(cfgBb);
+    Simulator restored(cached);
     RunResult warm = restored.run();
     EXPECT_TRUE(warm.ckptRestored);
     ASSERT_TRUE(warm.haltedCleanly);
@@ -301,13 +304,13 @@ TEST(BbCacheWarm, CrossModeRestoredMatchesColdBitForBit)
 
     EXPECT_EQ(cold.cycles, warm.cycles);
     EXPECT_EQ(cold.insts, warm.insts);
-    EXPECT_EQ(statsDump(producer), statsDump(restored));
+    EXPECT_EQ(statsDump(coldSim), statsDump(restored));
 }
 
 TEST(BbCacheWarm, FastForwardStatsMatchStepReference)
 {
     const Program prog = buildWorkload("ammp", {.iterations = 300});
-    SimConfig cfg = testConfig("ammp", true);
+    SimConfig cfg = testConfig("ammp");
 
     FastForwardStats stats[2];
     for (bool bb : {false, true}) {
@@ -327,7 +330,7 @@ TEST(BbCacheWarm, HaltDuringWarmupMatchesStepReference)
     // at HALT, exclude it from instsSkipped, and leave identical
     // architectural state.
     const Program prog = buildWorkload("equake", {.iterations = 20});
-    SimConfig cfg = testConfig("equake", true);
+    SimConfig cfg = testConfig("equake");
 
     FunctionalCore goldenRef(prog, false);
     FunctionalCore goldenBb(prog, true);

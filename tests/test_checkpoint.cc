@@ -16,19 +16,13 @@
  * Plus the codec's work gate: a restore's bounds checks are pinned
  * per kernel (one per scalar field and one per table).
  *
- * Plus CheckpointCache semantics, including two caches (standing in
- * for two processes) sharing one directory.
+ * Plus CheckpointCache semantics: producer election, memory hits and
+ * cancel.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,31 +39,8 @@
 #include "workload/workloads.hh"
 
 using namespace sciq;
-namespace fs = std::filesystem;
 
 namespace {
-
-/** Fresh scratch directory under the system temp dir, per test. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_(fs::temp_directory_path() / ("sciq-ckpt-test-" + name))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string str() const { return path_.string(); }
-    fs::path operator/(const std::string &leaf) const
-    {
-        return path_ / leaf;
-    }
-
-  private:
-    fs::path path_;
-};
 
 SimConfig
 testConfig(const std::string &workload, IqKind kind)
@@ -181,23 +152,6 @@ cutAndReframe(const std::string &blob, std::size_t len)
     serial::Writer t;
     t.u64(serial::hashBytes(cut.data(), cut.size()));
     return cut + t.buffer();
-}
-
-/**
- * `payload` framed as a current-version blob (magic, version, trailer),
- * so a disk read of it passes the cache's frame check.
- */
-std::string
-framed(const std::string &payload)
-{
-    serial::Writer w;
-    w.bytes("SCIQCKPT", 8);
-    w.u32(kCheckpointVersion);
-    w.bytes(payload.data(), payload.size());
-    std::string blob = w.take();
-    serial::Writer t;
-    t.u64(serial::hashBytes(blob.data(), blob.size()));
-    return blob + t.buffer();
 }
 
 } // namespace
@@ -793,19 +747,12 @@ TEST_F(CheckpointReject, DifferentConfigurationIsRejected)
                  CheckpointError);
 }
 
-TEST_F(CheckpointReject, UnreadableFileThrows)
-{
-    EXPECT_THROW(readCheckpointFile("/nonexistent/dir/x.sciqckpt"),
-                 CheckpointError);
-}
-
 // ---------------------------------------------------------------------
 // CheckpointCache semantics.
 
 TEST(CheckpointCacheTest, ProducerElectionAndMemoryHits)
 {
-    CheckpointCache cache;  // memory-only
-    EXPECT_EQ(cache.pathFor(1), "");
+    CheckpointCache cache;
 
     CheckpointCache::Blob b = cache.findOrBegin(7);
     EXPECT_EQ(b, nullptr);  // we are the producer
@@ -816,7 +763,6 @@ TEST(CheckpointCacheTest, ProducerElectionAndMemoryHits)
     EXPECT_EQ(*again, "payload");
     EXPECT_EQ(cache.produced(), 1u);
     EXPECT_EQ(cache.memoryHits(), 1u);
-    EXPECT_EQ(cache.diskHits(), 0u);
 }
 
 TEST(CheckpointCacheTest, CancelReleasesTheKey)
@@ -828,263 +774,6 @@ TEST(CheckpointCacheTest, CancelReleasesTheKey)
     EXPECT_EQ(cache.findOrBegin(3), nullptr);
     cache.publish(3, "second try");
     EXPECT_EQ(*cache.findOrBegin(3), "second try");
-}
-
-TEST(CheckpointCacheTest, DiskBackingPersistsAcrossInstances)
-{
-    ScratchDir dir("cache-disk");
-    const std::uint64_t key = 0x123456789abcdef0ULL;
-    {
-        CheckpointCache cache(dir.str());
-        EXPECT_EQ(cache.findOrBegin(key), nullptr);
-        cache.publish(key, framed("persisted state"));
-        EXPECT_TRUE(fs::exists(cache.pathFor(key)));
-    }
-    {
-        CheckpointCache cache(dir.str());
-        CheckpointCache::Blob b = cache.findOrBegin(key);
-        ASSERT_NE(b, nullptr);
-        EXPECT_EQ(*b, framed("persisted state"));
-        EXPECT_EQ(cache.diskHits(), 1u);
-        EXPECT_EQ(cache.produced(), 0u);
-    }
-}
-
-// Two caches on one directory stand in for two processes sharing a
-// ckpt_dir=: they do not coordinate, so both may produce a key.  Both
-// write the same bytes through write + rename, so the file they leave
-// is whole, and nothing else is left behind.
-TEST(CheckpointCacheTest, TwoCachesProducingOneKeyLeaveOneValidBlob)
-{
-    ScratchDir dir("cache-duplicate");
-    SimConfig cfg = testConfig("gcc", IqKind::Segmented);
-    const std::uint64_t key = checkpointKeyHash(cfg);
-
-    // A real warm-up blob, from a run through an in-memory cache.
-    auto memory = std::make_shared<CheckpointCache>();
-    SimConfig producer = cfg;
-    producer.ckptCache = memory;
-    runSim(producer);
-    const CheckpointCache::Blob warm = memory->findOrBegin(key);
-    ASSERT_NE(warm, nullptr);
-
-    CheckpointCache a(dir.str());
-    CheckpointCache b(dir.str());
-    ASSERT_EQ(a.findOrBegin(key), nullptr);  // neither sees a file, so
-    ASSERT_EQ(b.findOrBegin(key), nullptr);  // both produce
-    std::atomic<bool> go{false};
-    auto publishMany = [&](CheckpointCache &cache) {
-        while (!go.load()) {
-        }
-        for (int i = 0; i < 20; ++i)
-            cache.publish(key, *warm);
-    };
-    std::thread ta(publishMany, std::ref(a));
-    std::thread tb(publishMany, std::ref(b));
-    go = true;
-    ta.join();
-    tb.join();
-
-    EXPECT_EQ(readCheckpointFile(a.pathFor(key)), *warm);
-    std::vector<std::string> left;
-    for (const auto &entry : fs::directory_iterator(dir.str()))
-        left.push_back(entry.path().filename().string());
-    ASSERT_EQ(left.size(), 1u);
-    EXPECT_EQ(dir / left.front(), fs::path(a.pathFor(key)));
-
-    // The published file restores: a later run is warm and validates.
-    SimConfig later = cfg;
-    later.ckptDir = dir.str();
-    const RunResult r = runSim(later);
-    EXPECT_TRUE(r.ckptRestored);
-    EXPECT_TRUE(r.validated);
-}
-
-// Older builds elected a producer through `<blob>.lock`; a lock file
-// such a build left behind means nothing now.
-TEST(CheckpointCacheTest, LeftoverLockFileIsIgnored)
-{
-    ScratchDir dir("cache-stale-lock");
-    const std::uint64_t key = 0x0badc0ffee000001ULL;
-    CheckpointCache cache(dir.str());
-    std::ofstream(cache.pathFor(key) + ".lock").put('x');
-
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(cache.findOrBegin(key), nullptr);
-    EXPECT_LT(std::chrono::steady_clock::now() - start,
-              std::chrono::seconds(5));
-    cache.publish(key, framed("warm state"));
-
-    CheckpointCache other(dir.str());
-    const CheckpointCache::Blob hit = other.findOrBegin(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, framed("warm state"));
-    EXPECT_EQ(other.diskHits(), 1u);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end through SimConfig keys.
-
-TEST(CheckpointEndToEnd, DirModeSharesAcrossRuns)
-{
-    ScratchDir dir("dir-mode");
-    SimConfig cfg = testConfig("applu", IqKind::Segmented);
-    cfg.ckptDir = dir.str();
-
-    RunResult first = runSim(cfg);
-    EXPECT_FALSE(first.ckptRestored);
-
-    // A different IQ configuration restores the same warm-up: the key
-    // deliberately excludes IQ parameters.
-    SimConfig other = cfg;
-    other.core.iq.numEntries = 256;
-    other.core.iq.maxChains = 32;
-    RunResult second = runSim(other);
-    EXPECT_TRUE(second.ckptRestored);
-    EXPECT_TRUE(second.validated);
-}
-
-TEST(CheckpointEndToEnd, DamagedCacheFileIsRepairedCold)
-{
-    ScratchDir dir("repair");
-    SimConfig cfg = testConfig("equake", IqKind::Ideal);
-    cfg.ckptDir = dir.str();
-
-    RunResult first = runSim(cfg);
-    EXPECT_FALSE(first.ckptRestored);
-
-    // Corrupt the persisted blob in place.
-    CheckpointCache probe(dir.str());
-    const std::string path =
-        probe.pathFor(checkpointKeyHash(cfg));
-    ASSERT_TRUE(fs::exists(path));
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(200);
-        f.put('\xff');
-    }
-
-    // The damaged file is detected, the run falls back to a cold
-    // fast-forward (identical results) and republishes a good blob.
-    RunResult second = runSim(cfg);
-    EXPECT_FALSE(second.ckptRestored);
-    EXPECT_TRUE(second.validated);
-    EXPECT_EQ(first.cycles, second.cycles);
-
-    RunResult third = runSim(cfg);
-    EXPECT_TRUE(third.ckptRestored);
-    EXPECT_EQ(first.cycles, third.cycles);
-}
-
-TEST(CheckpointEndToEnd, DamagedCacheFileIsWarmedOncePerSweep)
-{
-    // A damaged file is never handed to the jobs waiting on its key:
-    // the first job warms up and republishes, and every other job of
-    // the sweep restores the repaired blob.
-    ScratchDir dir("repair-once");
-    SimConfig cfg = testConfig("swim", IqKind::Segmented);
-    cfg.ckptDir = dir.str();
-    runSim(cfg);
-    const std::string path =
-        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg));
-    std::string blob = readCheckpointFile(path);
-    blob[200] = static_cast<char>(blob[200] ^ 0xff);
-    writeCheckpointFile(path, blob);
-
-    auto cache = std::make_shared<CheckpointCache>(dir.str());
-    std::vector<SimConfig> cfgs;
-    for (unsigned size : {64u, 128u, 256u}) {
-        SimConfig c = cfg;
-        c.core.iq.numEntries = size;
-        c.ckptCache = cache;
-        cfgs.push_back(c);
-    }
-    SweepShared::Counts reuse;
-    SweepRunner::Options options;
-    options.reuse = &reuse;
-    const std::vector<RunResult> results = SweepRunner(3).run(cfgs, options);
-
-    EXPECT_EQ(reuse.warmUps, 1u);
-    EXPECT_EQ(cache->diskHits(), 0u);
-    EXPECT_EQ(cache->produced(), 1u);
-    for (const RunResult &r : results) {
-        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
-        EXPECT_TRUE(r.validated);
-    }
-    // The file was replaced: a later run restores it.
-    EXPECT_TRUE(runSim(cfg).ckptRestored);
-}
-
-TEST(CheckpointEndToEnd, Version1CacheFileIsRepairedCold)
-{
-    ScratchDir dir("version1");
-    SimConfig cfg = testConfig("swim", IqKind::Segmented);
-    cfg.ckptDir = dir.str();
-
-    RunResult first = runSim(cfg);
-    EXPECT_FALSE(first.ckptRestored);
-
-    // Replace the cache entry with a version-1 image of itself.
-    const std::string path =
-        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg));
-    writeCheckpointFile(path, asVersion1(readCheckpointFile(path)));
-
-    RunResult second = runSim(cfg);
-    EXPECT_FALSE(second.ckptRestored);
-    EXPECT_TRUE(second.validated);
-    EXPECT_EQ(first.cycles, second.cycles);
-    EXPECT_EQ(readCheckpointFile(path)[8], kCheckpointVersion);
-
-    RunResult third = runSim(cfg);
-    EXPECT_TRUE(third.ckptRestored);
-    EXPECT_EQ(first.cycles, third.cycles);
-}
-
-TEST(CheckpointEndToEnd, Version2CacheFileIsRewarmedOnceAndReplaced)
-{
-    // A version-2 file (the one-lane trailer hash) in ckpt_dir= is
-    // warned about and skipped; one job of the sweep warms up and
-    // replaces it with a version-3 blob, which a later run restores.
-    ScratchDir dir("version2");
-    SimConfig cfg = testConfig("mgrid", IqKind::Segmented);
-    cfg.ckptDir = dir.str();
-    const RunResult first = runSim(cfg);
-    ASSERT_FALSE(first.ckptRestored);
-    const std::string path =
-        CheckpointCache(dir.str()).pathFor(checkpointKeyHash(cfg));
-    writeCheckpointFile(path, asVersion2(readCheckpointFile(path)));
-
-    auto cache = std::make_shared<CheckpointCache>(dir.str());
-    std::vector<SimConfig> cfgs;
-    for (unsigned size : {64u, 128u, 256u}) {
-        SimConfig c = cfg;
-        c.core.iq.numEntries = size;
-        c.ckptCache = cache;
-        cfgs.push_back(c);
-    }
-    SweepShared::Counts reuse;
-    SweepRunner::Options options;
-    options.reuse = &reuse;
-    testing::internal::CaptureStderr();
-    const std::vector<RunResult> results = SweepRunner(2).run(cfgs, options);
-    const std::string warnings = testing::internal::GetCapturedStderr();
-
-    EXPECT_NE(warnings.find("unsupported checkpoint version 2"),
-              std::string::npos)
-        << warnings;
-    EXPECT_EQ(reuse.warmUps, 1u);
-    EXPECT_EQ(cache->produced(), 1u);
-    for (const RunResult &r : results) {
-        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
-        EXPECT_TRUE(r.validated);
-    }
-    EXPECT_EQ(results[1].cycles, first.cycles);
-    EXPECT_EQ(readCheckpointFile(path)[8], 3);
-
-    const RunResult later = runSim(cfg);
-    EXPECT_TRUE(later.ckptRestored);
-    EXPECT_EQ(later.cycles, first.cycles);
 }
 
 // ---------------------------------------------------------------------

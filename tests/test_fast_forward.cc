@@ -101,16 +101,6 @@ TEST(FastForward, ConfigKeyCountSuffix)
     EXPECT_EQ(cfg.maxCycles, 1'000'000u);
 }
 
-TEST(FastForward, BbCacheConfigKey)
-{
-    SimConfig cfg;
-    EXPECT_TRUE(cfg.bbCache);
-    ConfigMap m;
-    m.set("bb_cache", "0");
-    cfg.apply(m);
-    EXPECT_FALSE(cfg.bbCache);
-}
-
 TEST(FastForward, SeedStateAfterStartPanics)
 {
     Program prog = buildWorkload("gcc", {.iterations = 50});

@@ -9,8 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -185,17 +183,16 @@ TEST(Deadline, ExpiredDeadlineIsTimeout)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint corruption and unwritable stores -> the one repair path.
+// Checkpoint corruption -> the one repair path.
 
 TEST(CheckpointFaults, CacheModeCorruptionTakesRepairPath)
 {
     // In cache mode a damaged blob is not an error: warmUp logs,
-    // re-warms cold and republishes (PR-4's repair path).  The fault
+    // re-warms cold and republishes (the one repair path).  The fault
     // injector must exercise that path, not kill the job.
-    ScratchDir dir("cache-repair");
     SimConfig cfg = smallConfig("ammp");
     cfg.fastForward = 1500;
-    cfg.ckptDir = dir.str();
+    cfg.ckptCache = std::make_shared<CheckpointCache>();
 
     RunResult first = runSim(cfg);  // produces the cache entry
     EXPECT_FALSE(first.ckptRestored);
@@ -214,30 +211,6 @@ TEST(CheckpointFaults, CacheModeCorruptionTakesRepairPath)
     RunResult third = runSim(cfg);
     EXPECT_TRUE(third.ckptRestored);
     EXPECT_EQ(third.cycles, first.cycles);
-}
-
-TEST(CheckpointFaults, UnwritableCacheDirRunsColdAndPersistsNothing)
-{
-    // A regular file where the cache directory should be: every read
-    // and every write of the store fails, and neither may fail the job.
-    ScratchDir dir("unwritable");
-    const fs::path blocker = dir / "not-a-dir";
-    std::ofstream(blocker) << "in the way";
-    SimConfig cfg = smallConfig("twolf");
-    cfg.fastForward = 1500;
-    cfg.ckptDir = blocker.string();
-
-    std::vector<SimConfig> cfgs = {cfg, cfg};
-    std::vector<RunResult> results = SweepRunner(1).run(cfgs);
-    for (const RunResult &r : results) {
-        EXPECT_TRUE(r.outcome.ok()) << r.outcome.message;
-        EXPECT_TRUE(r.validated);
-        EXPECT_FALSE(r.ckptRestored);
-    }
-    EXPECT_TRUE(fs::is_regular_file(blocker));
-    EXPECT_EQ(std::distance(fs::directory_iterator(dir.str()),
-                            fs::directory_iterator()),
-              1);
 }
 
 TEST(CheckpointFaults, EveryReadCorruptedInAParallelSweepStaysBitIdentical)
@@ -302,6 +275,20 @@ TEST(AuditFaults, InjectedOverPromotionContainedInSweep)
     std::vector<RunResult> results = SweepRunner(1).run(cfgs);
     EXPECT_EQ(results[0].outcome.status, JobOutcome::Status::Failed);
     EXPECT_EQ(results[0].outcome.code, ErrorCode::Invariant);
+}
+
+TEST(ConfigFaults, UnbuildableGeometryContainedInSweep)
+{
+    // 100 entries is not a whole number of 32-entry segments: a user
+    // error, so a config row, not an invariant one.
+    SimConfig cfg = smallConfig();
+    cfg.core.iq.numEntries = 100;
+    std::vector<SimConfig> cfgs = {cfg};
+    std::vector<RunResult> results = SweepRunner(1).run(cfgs);
+    EXPECT_EQ(results[0].outcome.status, JobOutcome::Status::Failed);
+    EXPECT_EQ(results[0].outcome.code, ErrorCode::Config);
+    EXPECT_NE(results[0].outcome.message.find("'iq_size'"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------

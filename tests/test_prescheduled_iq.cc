@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/errors.hh"
 #include "iq/prescheduled_iq.hh"
 #include "iq_harness.hh"
 
@@ -53,7 +54,7 @@ TEST_F(PreschedFixture, GeometryFromParams)
     EXPECT_EQ(iq->numLines(), 8u);
     IqParams bad = params;
     bad.numEntries = 4 + 15;  // not a multiple of the line width
-    EXPECT_THROW(PrescheduledIq(bad, scoreboard, fu), PanicError);
+    EXPECT_THROW(PrescheduledIq(bad, scoreboard, fu), ConfigError);
 }
 
 TEST_F(PreschedFixture, ReadyInstructionPlacedInLineZero)

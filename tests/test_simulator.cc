@@ -57,7 +57,6 @@ TEST(SimConfig, ApplyOverrides)
         {"scale", "2.5"},           {"max_cycles", "5k"},
         {"validate", "0"},          {"audit", "1"},
         {"audit_panic", "1"},       {"ff", "300"},
-        {"bb_cache", "0"},          {"ckpt_dir", "warm"},
         {"watchdog_cycles", "777"}, {"deadline_sec", "1.5"},
         {"fault_commit_stall", "42"}, {"fault_overpromote", "1"},
         {"fault_seed", "7"},        {"fault_ckpt_corrupt", "3"},
@@ -100,8 +99,6 @@ TEST(SimConfig, ApplyOverrides)
     EXPECT_TRUE(cfg.audit);
     EXPECT_TRUE(cfg.auditPanic);
     EXPECT_EQ(cfg.fastForward, 300u);
-    EXPECT_FALSE(cfg.bbCache);
-    EXPECT_EQ(cfg.ckptDir, "warm");
     EXPECT_EQ(cfg.core.watchdogCycles, 777u);
     EXPECT_DOUBLE_EQ(cfg.deadlineSec, 1.5);
     EXPECT_EQ(cfg.core.faultCommitStallAt, 42u);
@@ -143,6 +140,38 @@ TEST(SimConfig, BadIqKindThrowsConfigError)
     ConfigMap m;
     m.set("iq", "quantum");
     EXPECT_THROW(cfg.apply(m), ConfigError);
+}
+
+TEST(SimConfig, UnknownWorkloadThrowsConfigError)
+{
+    SimConfig cfg;
+    ConfigMap m;
+    m.set("workload", "bogus");
+    try {
+        cfg.apply(m);
+        ADD_FAILURE() << "workload=bogus was accepted";
+    } catch (const ConfigError &e) {
+        // The complaint lists the valid kernels.
+        EXPECT_NE(std::string(e.what()).find("swim"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SimConfig, UnbuildableGeometryIsACommandLineComplaint)
+{
+    // Each value is fine alone; together they describe no IQ.
+    const char *argv[] = {"front-end", "iq_size=100", nullptr};
+    for (IqKind kind : {IqKind::Segmented, IqKind::Prescheduled}) {
+        SimConfig cfg;
+        cfg.core.iqKind = kind;
+        const std::string bad =
+            cfg.applyCommandLine(ConfigMap::fromArgs(2, argv));
+        EXPECT_NE(bad.find("'iq_size'"), std::string::npos)
+            << iqKindName(kind);
+    }
+    const char *fine[] = {"front-end", "iq_size=128", nullptr};
+    EXPECT_EQ(SimConfig().applyCommandLine(ConfigMap::fromArgs(2, fine)),
+              "");
 }
 
 TEST(SimConfig, PrintParametersMentionsTable1)

@@ -315,21 +315,6 @@ TEST(SweepReuse, EachInputBuildsValidatesAndWarmsOnce)
     EXPECT_EQ(reuse.warmUps, 2u);
 }
 
-TEST(SweepReuse, BbCacheOffJobGetsItsOwnGoldenRun)
-{
-    // The reference interpreter's golden run is keyed apart from the
-    // block-cache one; program and warm-up are still shared.
-    std::vector<SimConfig> cfgs = fastForwardSweep({"swim", "gcc"});
-    SimConfig reference = cfgs.front();
-    reference.bbCache = false;
-    cfgs.push_back(reference);
-
-    const SweepShared::Counts reuse = runCounted(cfgs);
-    EXPECT_EQ(reuse.programsBuilt, 2u);
-    EXPECT_EQ(reuse.goldenRuns, 3u);
-    EXPECT_EQ(reuse.warmUps, 2u);
-}
-
 TEST(SweepReuse, CappedJobGetsItsOwnGoldenRun)
 {
     // A job stopped by max_cycles commits fewer instructions, so it is
@@ -532,7 +517,7 @@ TEST(SweepKey, HostOnlySettingsExcluded)
     // are one job.
     SimConfig a = makeSegmentedConfig(128, 64, true, true, "swim");
     SimConfig b = a;
-    b.ckptDir = "/somewhere/else";
+    b.ckptCache = std::make_shared<CheckpointCache>();
     b.audit = true;
     b.validate = false;
     EXPECT_EQ(sweepKey(a), sweepKey(b));
@@ -542,9 +527,9 @@ TEST(SweepKey, EveryResultChangingKeyIsInTheKey)
 {
     // Keys that change how a result is produced, never what it is.
     const std::set<std::string> hostOnly = {
-        "validate",      "audit",        "audit_panic",
-        "bb_cache",      "ckpt_dir",     "watchdog_cycles",
-        "deadline_sec",  "fault_seed",   "fault_ckpt_corrupt",
+        "validate",        "audit",        "audit_panic",
+        "watchdog_cycles", "deadline_sec", "fault_seed",
+        "fault_ckpt_corrupt",
     };
     // Two settings of every other key that simulate different machines.
     // A key one IQ kind or mode reads is set together with it.

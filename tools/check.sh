@@ -11,9 +11,8 @@
 #   ubsan|asan|tsan  tier-1 build + full tests + differential suite,
 #                    then that sanitizer's smoke subset
 #   all              the same, then every sanitizer sequentially (CI)
-#   faults           only the fault-containment suite and the
-#                    checkpoint-store smoke on the tier-1 build (fast
-#                    loop for DESIGN.md §12-13 machinery)
+#   faults           only the fault-containment suite on the tier-1
+#                    build (fast loop for DESIGN.md §12-13 machinery)
 #   perf             only the quick perf legs on the tier-1 build: the
 #                    segmented-IQ tick substage profile (64/256/512
 #                    entries), the front-end cost per
@@ -128,7 +127,7 @@ run_sanitizer() {
     begin_leg "tsan: parallel sweep + checkpoint reuse" "build-$name"
     "./build-$name/tests/test_sweep"
     "./build-$name/tests/test_checkpoint" \
-        --gtest_filter='CheckpointCacheTest.*:CheckpointEndToEnd.*'
+        --gtest_filter='CheckpointCacheTest.*'
   else
     # The checkpoint codec decodes whole tables through raw spans and
     # pages through uninitialised memory: every cut, corruption and
@@ -145,10 +144,6 @@ leg_faults() {
   ./build/tests/test_errors
   ./build/tests/test_faults
   ./build/tests/test_sweep
-
-  begin_leg "checkpoint store smoke (cold, restored, concurrent runners)" \
-            build
-  tools/ckpt_smoke.sh build
 }
 
 for mode in "$@"; do

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Bad command-line input must exit 2 with an ERROR naming the offending
 # token, not crash, hang, wrap around or run a default simulation.
-# Usage: cli_rejects_bad_input.sh RUNNER FIG3_SIZE_SWEEP CUSTOM_WORKLOAD
-runner=$1 fig3=$2 custom=$3
+# Usage: cli_rejects_bad_input.sh RUNNER FIG3_SIZE_SWEEP CUSTOM_WORKLOAD \
+#            FIG2_RELATIVE_PERFORMANCE DESIGN_SPACE
+runner=$1 fig3=$2 custom=$3 fig2=$4 design=$5
 failed=0
 
 # expect TOKEN PROGRAM ARGS...: exit 2, and TOKEN in the message.
@@ -25,4 +26,14 @@ expect "'-1'" "$runner" iters=-1 max_cycles=1000
 expect "'--help'" "$runner" --help
 expect "abc" "$fig3" iters=abc
 expect "'iq_size'" "$custom" iq_size=64
+# Geometry that is invalid only in combination with other keys.
+expect "'iq_size'" "$runner" iq_size=100
+expect "'iq_size'" "$runner" iq=prescheduled iq_size=100
+expect "bogus" "$runner" workload=bogus
+# Keys a bench or example reads itself.
+expect "abc" "$fig2" iq_size=abc
+expect "abc" "$design" iters=abc
+# Deleted keys.
+expect "'ckpt_dir'" "$runner" ckpt_dir=x
+expect "'bb_cache'" "$runner" bb_cache=0
 exit $failed
