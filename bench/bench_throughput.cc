@@ -147,6 +147,14 @@ main(int argc, char **argv)
                                                  wl)});
         }
     }
+    // The evaluation's two largest segmented-512 groups, which the
+    // 32-chain rows above do not represent.
+    for (const std::string &wl : args.workloads) {
+        specs.push_back({"segmented-512/base-unl",
+                         makeSegmentedConfig(512, -1, false, false, wl)});
+        specs.push_back({"segmented-512/comb-128",
+                         makeSegmentedConfig(512, 128, true, true, wl)});
+    }
     // ideal-512 is the MSHR-bound regime: a 512-entry window keeps the
     // L1D's MSHR file full on the memory-bound kernels.
     for (unsigned size : {256u, 512u}) {
@@ -200,13 +208,13 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("%-16s %12s %12s %10s %12s %12s %14s %11s %14s %14s\n",
+    std::printf("%-22s %12s %12s %10s %12s %12s %14s %11s %14s %14s\n",
                 "config", "cycles", "insts", "host s", "kcycles/s",
                 "kinsts/s", "sig_deliveries", "plan_calls",
                 "segs_scanned", "lane_words");
     const ConfigPoint *anchor = nullptr;
     for (const ConfigPoint &p : points) {
-        std::printf("%-16s %12llu %12llu %10.3f %12.1f %12.1f %14llu "
+        std::printf("%-22s %12llu %12llu %10.3f %12.1f %12.1f %14llu "
                     "%11llu %14llu %14llu\n",
                     p.name.c_str(),
                     static_cast<unsigned long long>(p.cycles),
@@ -220,6 +228,9 @@ main(int argc, char **argv)
             anchor = &p;
     }
     hr();
+    std::printf("segmented-N: HMP+LRP, 32 chains; segmented-512/base-unl: "
+                "base policy, unlimited chains;\nsegmented-512/comb-128: "
+                "HMP+LRP, 128 chains\n");
     if (anchor && baseline_kcps > 0.0) {
         std::printf("segmented-256: %.1f kcycles/s vs baseline %.1f "
                     "(%s) -> %.2fx\n",

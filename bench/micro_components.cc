@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -174,8 +175,8 @@ BENCHMARK(BM_CoreTickGcc64)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Where inside SegmentedIq::tick the time goes.  Runs a swim core for
- * a fixed tick count with the IQ's substage profiling enabled and
+ * Where inside SegmentedIq::tick the time goes.  Runs a core for a
+ * fixed tick count with the IQ's substage profiling enabled and
  * reports the per-substage split (promotion / signal delivery /
  * countdown / issue select / dispatch) plus the deterministic
  * iq.work.* counters.
@@ -187,19 +188,20 @@ struct SubstageSample
     unsigned iqSize = 0;
 };
 
+/**
+ * @param chains chain budget, -1 for unlimited
+ * @param hmp_lrp HMP+LRP policy; false for the base policy
+ */
 SubstageSample
-runSegmentedSubstages(unsigned iq_size, std::uint64_t ticks)
+runSegmentedSubstages(unsigned iq_size, std::uint64_t ticks,
+                      const std::string &workload = "swim", int chains = 128,
+                      bool hmp_lrp = true)
 {
-    WorkloadParams wp;
-    wp.iterations = 1 << 20;  // effectively unbounded for the bench
-    Program prog = buildSwim(wp);
-    CoreParams params;
-    params.iqKind = IqKind::Segmented;
-    params.iq.numEntries = iq_size;
-    params.iq.maxChains = 128;
-    params.iq.useHmp = true;
-    params.iq.useLrp = true;
-    OooCore core(prog, params);
+    SimConfig cfg =
+        makeSegmentedConfig(iq_size, chains, hmp_lrp, hmp_lrp, workload);
+    cfg.wl.iterations = 1 << 20;  // effectively unbounded for the bench
+    const Program prog = buildWorkload(workload, cfg.wl);
+    OooCore core(prog, cfg.core);
     auto *seg = dynamic_cast<SegmentedIq *>(&core.iqUnit());
     seg->setProfiling(true);
     for (std::uint64_t t = 0; t < ticks; ++t)
@@ -211,17 +213,24 @@ runSegmentedSubstages(unsigned iq_size, std::uint64_t ticks)
     return s;
 }
 
+/**
+ * Arguments: IQ entries, workload (index into workloadNames()), chain
+ * budget (-1: unlimited) and policy (1: HMP+LRP, 0: base).
+ */
 void
 BM_SegmentedTickSubstages(benchmark::State &state)
 {
     const auto iq_size = static_cast<unsigned>(state.range(0));
+    const std::string workload =
+        workloadNames().at(static_cast<std::size_t>(state.range(1)));
+    const auto chains = static_cast<int>(state.range(2));
+    const bool hmp_lrp = state.range(3) != 0;
     SubstageSample s;
     std::uint64_t total_ticks = 0;
     for (auto _ : state) {
-        state.PauseTiming();  // construction/warm-up excluded
         constexpr std::uint64_t kTicks = 20000;
-        state.ResumeTiming();
-        s = runSegmentedSubstages(iq_size, kTicks);
+        s = runSegmentedSubstages(iq_size, kTicks, workload, chains,
+                                  hmp_lrp);
         total_ticks += kTicks;
     }
     const double total = s.prof.promoteSec + s.prof.deliverSec +
@@ -234,10 +243,26 @@ BM_SegmentedTickSubstages(benchmark::State &state)
     state.counters["issue_frac"] = frac(s.prof.issueSec);
     state.counters["dispatch_frac"] = frac(s.prof.dispatchSec);
     state.SetItemsProcessed(static_cast<std::int64_t>(total_ticks));
+    state.SetLabel(workload + (hmp_lrp ? " hmp+lrp" : " base") + " chains=" +
+                   (chains < 0 ? std::string("unlimited")
+                               : std::to_string(chains)));
 }
+
+/** workloadNames() index of `name`, for benchmark arguments. */
+std::int64_t
+workloadArg(const std::string &name)
+{
+    const auto &names = workloadNames();
+    return std::find(names.begin(), names.end(), name) - names.begin();
+}
+
+// HMP+LRP with 128 chains, and at 512 entries also the base policy with
+// unlimited chains: the evaluation's two largest segmented-512 groups.
 BENCHMARK(BM_SegmentedTickSubstages)
-    ->Arg(256)
-    ->Arg(512)
+    ->ArgNames({"iq", "wl", "chains", "hmp_lrp"})
+    ->Args({256, workloadArg("swim"), 128, 1})
+    ->Args({512, workloadArg("swim"), 128, 1})
+    ->Args({512, workloadArg("swim"), -1, 0})
     ->Unit(benchmark::kMillisecond);
 
 /**

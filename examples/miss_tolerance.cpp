@@ -24,6 +24,21 @@
 
 using namespace sciq;
 
+namespace {
+
+/**
+ * Slots of the prescheduled design compared at IQ size `n`: its
+ * 32-entry issue buffer plus at least n + 32 scheduling slots, rounded
+ * up to whole 12-wide lines (320 at the default 256).
+ */
+unsigned
+prescheduledSlots(unsigned n)
+{
+    return 32 + 12 * ((n + 32 + 11) / 12);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -39,7 +54,8 @@ main(int argc, char **argv)
         // The sized designs below must be buildable at this size.
         makeSegmentedConfig(n, 128, true, true, "swim")
             .core.checkIqGeometry();
-        makePrescheduledConfig(n + 64, "swim").core.checkIqGeometry();
+        makePrescheduledConfig(prescheduledSlots(n), "swim")
+            .core.checkIqGeometry();
         return std::pair{
             n, static_cast<std::uint64_t>(args.getCount("iters", 3000))};
     });
@@ -65,7 +81,7 @@ main(int argc, char **argv)
         double ideal = run(makeIdealConfig(size, wl), "ideal (big)");
         double seg = run(makeSegmentedConfig(size, 128, true, true, wl),
                          "segmented comb/128");
-        double pre = run(makePrescheduledConfig(size + 64, wl),
+        double pre = run(makePrescheduledConfig(prescheduledSlots(size), wl),
                          "prescheduled");
         double fifo = run(makeFifoConfig(size / 32, 32, wl),
                           "dependence FIFOs");

@@ -144,16 +144,11 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     // start minimal and grow under dispatch pressure.
     activeSegments = params.dynamicResize ? 1 : n;
 
-    eligCount.assign(n, 0);
     regCdPos.fill(-1);
     regSubPos.fill(-1);
     regSubChain.fill(kNoChain);
     regDue.fill(kNotDue);
 
-    const std::size_t seg_words = (n + 63) / 64;
-    eligSegW.assign(seg_words, 0);
-    nearFullW.assign(seg_words, 0);
-    roomyW.assign(seg_words, 0);
     chainHot.resize(chainStates.size());
     poolSize = params.robSize ? params.robSize : 3 * params.numEntries;
     SCIQ_ASSERT(poolSize < kFreeSlot && n < kFreeSlot,
@@ -184,7 +179,6 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     pool.eligBits.assign(poolWords, 0);
     segBits.assign(n * poolWords, 0);
     segSummary.assign(n * summaryWords, 0);
-    candSummary.assign(n * summaryWords, 0);
     segCount.assign(n, 0);
     scratchMoves.resize(std::max(1u, params.issueWidth));
 
@@ -195,10 +189,6 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
         buckets *= 2;
     calendar.resize(buckets);
     calendarMask = buckets - 1;
-
-    // Seed the word masks with the empty-segment free counts.
-    for (unsigned k = 0; k < n; ++k)
-        onSegSizeChanged(k);
 }
 
 std::size_t
@@ -615,35 +605,6 @@ SegmentedIq::syncChainHot(ChainId id)
 }
 
 void
-SegmentedIq::eligCountInc(unsigned k)
-{
-    if (eligCount[k]++ == 0)
-        eligSegW[k >> 6] |= 1ULL << (k & 63);
-}
-
-void
-SegmentedIq::eligCountDec(unsigned k)
-{
-    if (--eligCount[k] == 0)
-        eligSegW[k >> 6] &= ~(1ULL << (k & 63));
-}
-
-void
-SegmentedIq::onSegSizeChanged(unsigned k)
-{
-    // Branch-free: promotion moves flip these bits unpredictably.
-    const std::size_t free_now = params.segmentSize - segCount[k];
-    const std::uint64_t wbit = 1ULL << (k & 63);
-    const std::uint64_t near = free_now < params.issueWidth ? wbit : 0;
-    const std::uint64_t roomy =
-        free_now * 2 > 3 * static_cast<std::size_t>(params.issueWidth)
-            ? wbit
-            : 0;
-    nearFullW[k >> 6] = (nearFullW[k >> 6] & ~wbit) | near;
-    roomyW[k >> 6] = (roomyW[k >> 6] & ~wbit) | roomy;
-}
-
-void
 SegmentedIq::emitSignal(const DynInstPtr &head, SignalKind kind,
                         int origin_segment, Cycle cycle)
 {
@@ -729,8 +690,6 @@ SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
         });
     seg0Ready.sample(static_cast<double>(ready));
     seg0Occupancy.sample(static_cast<double>(occ0));
-    if (issued > 0)
-        onSegSizeChanged(0);
 }
 
 void
@@ -938,8 +897,6 @@ SegmentedIq::squash(SeqNum youngest_kept)
         if (pool.seg[prev] != kFreeSlot)
             soaLeaveSlot(prev);
     }
-    for (unsigned k = 0; k < segCount.size(); ++k)
-        onSegSizeChanged(k);
 }
 
 // --- Slot pool (DESIGN.md section 16) ------------------------------------
@@ -965,23 +922,7 @@ SegmentedIq::setLaneElig(unsigned slot, bool now)
 {
     std::uint64_t &w = pool.eligBits[slot >> 6];
     const std::uint64_t bit = 1ULL << (slot & 63);
-    if (((w & bit) != 0) == now)
-        return;
-    w ^= bit;
-    const unsigned k = pool.seg[slot];
-    // Only a placed slot is ever eligible, so word `wi` of segment k's
-    // candidates gains or loses this slot.
-    const std::size_t wi = slot >> 6;
-    const std::uint64_t sbit = 1ULL << (wi & 63);
-    std::uint64_t &cand = candSummary[k * summaryWords + (wi >> 6)];
-    if (now) {
-        eligCountInc(k);
-        cand |= sbit;
-    } else {
-        eligCountDec(k);
-        if ((segWord(k, wi) & w) == 0)
-            cand &= ~sbit;
-    }
+    w = now ? (w | bit) : (w & ~bit);
 }
 
 void
@@ -1127,7 +1068,6 @@ SegmentedIq::soaPromote(unsigned from, const std::uint32_t *slots,
     const unsigned to = from - 1;
     for (std::size_t i = 0; i < n; ++i) {
         const unsigned slot = slots[i];
-        setLaneElig(slot, false);
         soaUnplace(slot);
         soaPlace(slot, to);
         // Two segment words, the label, eligibility, head identity.
@@ -1137,35 +1077,6 @@ SegmentedIq::soaPromote(unsigned from, const std::uint32_t *slots,
         emitSignal(pool.headChain[slot], pool.headGen[slot],
                    SignalKind::Assert, static_cast<int>(from), cycle);
     }
-    onSegSizeChanged(from);
-    onSegSizeChanged(to);
-}
-
-unsigned
-SegmentedIq::nextCandidateSegment(unsigned from) const
-{
-    // Live query: the promotion loop mutates segment sizes as it runs
-    // (a round at k can open room below k+1), so the masks must be
-    // re-read after every round rather than snapshotted up front.
-    const bool push = params.enablePushdown;
-    for (std::size_t w = from >> 6; w < eligSegW.size(); ++w) {
-        std::uint64_t cand = eligSegW[w];
-        if (push) {
-            std::uint64_t roomy_below = roomyW[w] << 1;
-            if (w > 0)
-                roomy_below |= roomyW[w - 1] >> 63;
-            cand |= nearFullW[w] & roomy_below;
-        }
-        if (w == (from >> 6))
-            cand &= ~0ULL << (from & 63);
-        if (w == 0)
-            cand &= ~1ULL;  // segment 0 never promotes
-        ++work.laneWordsTouched;
-        if (cand)
-            return static_cast<unsigned>(w * 64) +
-                   static_cast<unsigned>(__builtin_ctzll(cand));
-    }
-    return 0;
 }
 
 std::size_t
@@ -1321,32 +1232,41 @@ SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
         dispatchPlan[slot] = plan;
     ++totalOcc;
     soaPlace(slot, static_cast<unsigned>(target));
-    onSegSizeChanged(static_cast<unsigned>(target));
     for (int m = 0; m < plan.numMemberships; ++m)
         armMember(slot, m);
 }
 
-void
+// The three tick substages below are flattened: every per-slot helper
+// they call (placement, eligibility, arming, signal emission) is inlined
+// into their loops, where a call per event used to cost more than the
+// event itself.
+[[gnu::flatten]] void
 SegmentedIq::tickPromote(Cycle cycle)
 {
+    // Ascending pass: a round at k opens room below k + 1 before k + 1
+    // is looked at, and moves nothing into or out of the segments above.
     unsigned dirty = 0;
     const unsigned iw = params.issueWidth;
-    for (unsigned k = nextCandidateSegment(1); k != 0;
-         k = nextCandidateSegment(k + 1)) {
+    const unsigned nseg = numSegments();
+    for (unsigned k = 1; k < nseg; ++k) {
         if (segCount[k] == 0)
             continue;
-        ++work.segmentsScanned;
         work.laneWordsTouched += 2;
-
-        bool pushdown_possible = false;
         const std::size_t free_here = params.segmentSize - segCount[k];
         const std::size_t free_below = params.segmentSize - segCount[k - 1];
-        if (params.enablePushdown) {
-            pushdown_possible =
-                free_here < iw && free_below * 2 > 3 * iw;
-        }
-        if (eligCount[k] == 0 && !pushdown_possible)
-            continue;  // mask said candidate, live predicate disagrees
+        const bool pushdown_possible = params.enablePushdown &&
+                                       free_here < iw &&
+                                       free_below * 2 > 3 * iw;
+        // Candidates: eligibility bit set, i.e. effective delay below
+        // the threshold of the segment below.
+        bool has_cand = false;
+        forEachBitFrom(segRow(k), summaryWords, 0, [&](std::size_t w) {
+            ++work.laneWordsTouched;
+            has_cand = (segWord(k, w) & pool.eligBits[w]) != 0;
+            return !has_cand;
+        });
+        if (!has_cand && !pushdown_possible)
+            continue;
         ++dirty;
 
         unsigned budget = std::min<unsigned>(
@@ -1358,18 +1278,17 @@ SegmentedIq::tickPromote(Cycle cycle)
         if (budget == 0)
             continue;  // no room below: the round would move nothing
 
-        // Candidates (elig bit set: effective delay below the threshold
-        // of the segment below) oldest first, then pushdown victims
-        // (the rest) oldest first, together at most the budget.
+        // Candidates oldest first, then pushdown victims (the rest)
+        // oldest first, together at most the budget.
         std::uint32_t *moves = scratchMoves.data();
         std::size_t n = 0;
         const auto take = [&](unsigned slot) {
             moves[n++] = slot;
             return n < budget;
         };
-        if (eligCount[k] != 0) {
+        if (has_cand) {
             forEachByAge(
-                candRow(k),
+                segRow(k),
                 [&](std::size_t w) {
                     ++work.laneWordsTouched;
                     return segWord(k, w) & pool.eligBits[w];
@@ -1394,6 +1313,7 @@ SegmentedIq::tickPromote(Cycle cycle)
             promotedInto[k - 1] += static_cast<unsigned>(n);
     }
     dirtySegments.inc(static_cast<double>(dirty));
+    work.segmentsScanned += dirty;
 }
 
 void
@@ -1492,7 +1412,7 @@ SegmentedIq::soaDeliverReg(RegIndex r, Cycle now)
         regDue[r] = schedule(at, kRegKey | static_cast<std::uint32_t>(r));
 }
 
-void
+[[gnu::flatten]] void
 SegmentedIq::tickDeliver(Cycle cycle)
 {
     // The core ticks every cycle, so this cycle's bucket holds exactly
@@ -1524,7 +1444,7 @@ SegmentedIq::tickDeliver(Cycle cycle)
     bucket.clear();
 }
 
-void
+[[gnu::flatten]] void
 SegmentedIq::tickCountdown()
 {
     // Decrements of distinct slots commute, so the pool is walked in
@@ -1573,9 +1493,7 @@ SegmentedIq::runDeadlockRecovery(Cycle cycle)
     int recycled = -1;
     if (activeSegments > 1 && segCount[0] >= params.segmentSize) {
         recycled = static_cast<int>(youngestIn(0));
-        setLaneElig(static_cast<unsigned>(recycled), false);
         soaUnplace(static_cast<unsigned>(recycled));
-        onSegSizeChanged(0);
     }
 
     // Force every full segment to promote one instruction downward;
@@ -1620,7 +1538,6 @@ SegmentedIq::runDeadlockRecovery(Cycle cycle)
             }
         }
         soaPlace(slot, top);
-        onSegSizeChanged(top);
         SCIQ_ASSERT(segCount[top] <= params.segmentSize,
                     "deadlock recovery overflowed the top segment");
     }

@@ -31,17 +31,17 @@
  * Scheduling is event-driven (DESIGN.md sections 11 and 16).
  * Per-entry scheduler state lives in one pool of structure-of-arrays
  * slots numbered by dispatch position, so every segment is an
- * age-ordered bitmask and promotion is a relabel.  Promotion visits
- * only segments with candidates (or pushdown pressure), tracked in
- * eligibility words on every delay/segment change; self-timed
- * countdowns walk countdown bitmask words; chain-wire delivery takes
- * the listeners from a calendar keyed by the cycle their next signal
- * arrives; logs expire from a time-ordered queue; and a
- * register-availability mask lets independent instructions skip the
- * dispatch plan entirely.  Per-cycle cost is therefore proportional to
- * scheduler *activity*, not queue occupancy.  The invariant auditor
- * (audit=1) re-derives every index from a full rescan each cycle and
- * counts disagreements.
+ * age-ordered bitmask and promotion is a relabel.  Promotion walks
+ * the non-empty segments and works only on those with candidates (one
+ * eligibility bit per slot, rewritten on every delay/segment change)
+ * or pushdown pressure; self-timed countdowns walk countdown bitmask
+ * words; chain-wire delivery takes the listeners from a calendar keyed
+ * by the cycle their next signal arrives; logs expire from a
+ * time-ordered queue; and a register-availability mask lets
+ * independent instructions skip the dispatch plan entirely.  Per-cycle
+ * cost is therefore proportional to scheduler *activity*, not queue
+ * occupancy.  The invariant auditor (audit=1) re-derives every index
+ * from a full rescan each cycle and counts disagreements.
  */
 
 #ifndef SCIQ_IQ_SEGMENTED_IQ_HH
@@ -377,18 +377,15 @@ class SegmentedIq : public IqBase
                     int origin_segment, Cycle cycle);
 
     // --- Incremental-index maintenance (section 11) ----------------------
-    // Subscriber lists, countdown lists and bits, and promotion-candidate
-    // counts are redundant views over the authoritative per-entry state;
-    // every mutation site keeps them in sync and the auditor re-derives
-    // them from a full rescan under audit=1.
+    // Subscriber lists, countdown lists and bits, and the per-slot
+    // eligibility bits are redundant views over the authoritative
+    // per-entry state; every mutation site keeps them in sync and the
+    // auditor re-derives them from a full rescan under audit=1.
 
     void subscribeReg(RegIndex r);
     void unsubscribeReg(RegIndex r);
     /** Keep table entry r on/off the self-timed countdown list. */
     void syncRegCd(RegIndex r);
-
-    /** Update the pushdown-pressure bits for segment k. */
-    void onSegSizeChanged(unsigned k);
 
     /** Begin the delayed release of a head's chain wire. */
     void releaseChain(const DynInstPtr &inst, Cycle cycle);
@@ -439,6 +436,7 @@ class SegmentedIq : public IqBase
     /** Effective (gating) delay of the entry at `slot`: max over lanes. */
     int laneEffDelay(unsigned slot) const;
 
+    /** Set or clear `slot`'s promotion-eligibility bit. */
     void setLaneElig(unsigned slot, bool now);
     /** Re-evaluate the promotion predicate at the slot's segment. */
     void refreshLaneElig(unsigned slot);
@@ -456,9 +454,6 @@ class SegmentedIq : public IqBase
         return segBits[k * poolWords + w];
     }
 
-    // Callers of the three below refresh the segments' pressure bits
-    // (onSegSizeChanged) once the round's moves are done.
-
     /** Label `slot` with segment `to` and set its bit there. */
     void soaPlace(unsigned slot, unsigned to);
     /** Clear `slot`'s bit in its segment (its label is kept). */
@@ -469,21 +464,17 @@ class SegmentedIq : public IqBase
     /**
      * Visit, in age order (circularly from the cursor), the slots whose
      * bit is set in `word(w)` until `visit(slot)` returns false.  Only
-     * the words `summary` (one segment's row of segSummary or
-     * candSummary) marks are read, so `word` must be empty elsewhere.
+     * the words `summary` (one segment's row of segSummary) marks are
+     * read, so `word` must be empty elsewhere.
      */
     template <class Word, class Visit>
     void forEachByAge(const std::uint64_t *summary, Word word,
                       Visit visit) const;
 
-    /** Segment k's rows of segSummary and candSummary. */
+    /** Segment k's row of segSummary. */
     const std::uint64_t *segRow(unsigned k) const
     {
         return &segSummary[k * summaryWords];
-    }
-    const std::uint64_t *candRow(unsigned k) const
-    {
-        return &candSummary[k * summaryWords];
     }
 
     /** Oldest (youngest) resident of segment k; k must be non-empty. */
@@ -496,9 +487,6 @@ class SegmentedIq : public IqBase
      */
     void soaPromote(unsigned from, const std::uint32_t *slots, std::size_t n,
                     Cycle cycle);
-
-    /** First candidate segment > `from` under the live masks (0: none). */
-    unsigned nextCandidateSegment(unsigned from) const;
 
     // Arrival calendar (DESIGN.md section 16): each listener with an
     // unapplied log entry sits in the bucket of its due cycle, the
@@ -550,10 +538,6 @@ class SegmentedIq : public IqBase
     /** All gating arch sources available in the table (regAvail hit)? */
     bool fastPlanEligible(const DynInst &inst) const;
 
-    // Transition helpers behind eligCount/eligSegW.
-    void eligCountInc(unsigned k);
-    void eligCountDec(unsigned k);
-
     /** Mirror a wire's ChainState scalars into chainHot. */
     void syncChainHot(ChainId id);
 
@@ -565,9 +549,6 @@ class SegmentedIq : public IqBase
     std::size_t summaryWords = 0;      ///< 64-bit words per summary
     /** [segment][summary word]: bit w set iff segment word w is non-zero. */
     std::vector<std::uint64_t> segSummary;
-    /** As segSummary, for the segment's promotion candidates (word w of
-     *  segBits & eligBits). */
-    std::vector<std::uint64_t> candSummary;
     std::vector<unsigned> segCount;    ///< residents per segment
     std::vector<ChainHot> chainHot;    ///< parallel to chainStates
 
@@ -588,11 +569,6 @@ class SegmentedIq : public IqBase
 
     /** Bit r: regInfo[r] names an available value (entryAvailable). */
     std::uint64_t regAvail = ~0ULL;
-
-    // Promotion-candidate masks over the segments.
-    std::vector<std::uint64_t> eligSegW;   ///< segments with candidates
-    std::vector<std::uint64_t> nearFullW;  ///< free < issueWidth
-    std::vector<std::uint64_t> roomyW;     ///< 2*free > 3*issueWidth
 
     // Promotion scratch (slots moved per round).
     std::vector<std::uint32_t> scratchMoves;
@@ -615,7 +591,6 @@ class SegmentedIq : public IqBase
     std::array<int, kNumArchRegs> regSubPos;      ///< pos in chain regSubs
     std::array<ChainId, kNumArchRegs> regSubChain;  ///< subscribed chain
 
-    std::vector<unsigned> eligCount;  ///< promotion candidates per segment
     std::size_t totalOcc = 0;         ///< occupancy, O(1)
 
     std::array<RegInfoEntry, kNumArchRegs> regInfo;

@@ -149,6 +149,26 @@ Auditor::auditCycle(OooCore &core, Cycle cycle)
         auditIdeal(*ideal, cycle);
 }
 
+bool
+Auditor::corruptEligibilityBitForTest(SegmentedIq &iq)
+{
+    auto &pool = iq.pool;
+    for (unsigned slot = 0; slot < iq.poolSize; ++slot) {
+        bool quiet = pool.seg[slot] == 0 &&
+                     !(iq.scoreboard.isReady(pool.src[0][slot]) &&
+                       iq.scoreboard.isReady(pool.src[1][slot]));
+        for (int m = 0; quiet && m < pool.memCount[slot]; ++m) {
+            quiet = pool.due[m][slot] == SegmentedIq::kNotDue &&
+                    !((pool.cdBits[m][slot >> 6] >> (slot & 63)) & 1);
+        }
+        if (quiet) {
+            pool.eligBits[slot >> 6] |= 1ULL << (slot & 63);
+            return true;
+        }
+    }
+    return false;
+}
+
 void
 Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 {
@@ -191,17 +211,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                 return ((row[w >> 6] >> (w & 63)) & 1) != 0;
             };
             const std::uint64_t seg_w = w < words ? iq.segWord(k, w) : 0;
-            const std::uint64_t cand_w =
-                w < words ? seg_w & pool.eligBits[w] : 0;
-            if (bit(iq.segRow(k)) != (seg_w != 0) ||
-                bit(iq.candRow(k)) != (cand_w != 0)) {
+            if (bit(iq.segRow(k)) != (seg_w != 0)) {
                 violation(occIndex,
-                          "segment summaries mark their non-empty words",
+                          "segment summary marks its non-empty words",
                           cycle, [&] {
                               return "segment " + std::to_string(k) +
                                   " word " + std::to_string(w) + " marked " +
-                                  std::to_string(bit(iq.segRow(k))) + "/" +
-                                  std::to_string(bit(iq.candRow(k)));
+                                  std::to_string(bit(iq.segRow(k)));
                           });
             }
         }
@@ -461,7 +477,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 
     // Bits on free slots, or on membership lanes past the slot's count,
     // are leaks the resident scan below cannot see.
-    std::vector<unsigned> elig_bits(n, 0);
     auto bit = [](const std::vector<std::uint64_t> &words,
                   std::size_t slot) {
         return ((words[slot >> 6] >> (slot & 63)) & 1) != 0;
@@ -469,14 +484,9 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
     for (std::size_t slot = 0; slot < pool.seg.size(); ++slot) {
         const unsigned k = pool.seg[slot];
         const bool occupied = k != SegmentedIq::kFreeSlot;
-        if (bit(pool.eligBits, slot)) {
-            if (occupied)
-                ++elig_bits[k];
-            else
-                violation(promoIndex, "eligibility bits on live slots",
-                          cycle, [&] {
-                              return "free slot " + std::to_string(slot);
-                          });
+        if (bit(pool.eligBits, slot) && !occupied) {
+            violation(promoIndex, "eligibility bits on live slots", cycle,
+                      [&] { return "free slot " + std::to_string(slot); });
         }
         for (int m = 0; m < 2; ++m) {
             if (bit(pool.cdBits[m], slot) &&
@@ -504,19 +514,16 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         }
     }
 
-    // Promotion-candidate counts, activity masks, and per-entry bits;
-    // subscriber back-pointers along the way.
+    // Per-entry promotion-eligibility bits (the promotion pass's only
+    // candidate index); subscriber back-pointers along the way.
     std::size_t subs_scan = 0;   // resident memberships on a wire
     for (unsigned k = 0; k < n; ++k) {
-        unsigned elig_scan = 0;
         for (const Resident &res : residents[k]) {
             const DynInst *inst = res.inst;
             const unsigned slot = res.slot;
             const bool elig =
                 k >= 1 &&
                 iq.laneEffDelay(slot) < SegmentedIq::threshold(k - 1);
-            if (elig)
-                ++elig_scan;
             const bool elig_bit =
                 ((pool.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
             if (elig != elig_bit) {
@@ -577,58 +584,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               });
                 }
             }
-        }
-
-        if (elig_scan != iq.eligCount[k]) {
-            violation(promoIndex, "promotion-candidate count == rescan",
-                      cycle, [&] {
-                          return "segment " + std::to_string(k) + " tracks " +
-                              std::to_string(iq.eligCount[k]) +
-                              " candidates, rescan finds " +
-                              std::to_string(elig_scan) + "\n" + segDump(k);
-                      });
-        }
-
-        if (elig_bits[k] != iq.eligCount[k]) {
-            violation(promoIndex, "eligibility bits == tracked count", cycle,
-                      [&] {
-                          return "segment " + std::to_string(k) + " sets " +
-                              std::to_string(elig_bits[k]) + " bits, tracks " +
-                              std::to_string(iq.eligCount[k]);
-                      });
-        }
-
-        // Candidate/occupancy words (the promotion pass steers by them).
-        const bool word_elig =
-            ((iq.eligSegW[k >> 6] >> (k & 63)) & 1) != 0;
-        if (word_elig != (iq.eligCount[k] > 0)) {
-            violation(promoIndex, "candidate word matches counts", cycle, [&] {
-                return "segment " + std::to_string(k) + " bit " +
-                    std::to_string(word_elig) + " count " +
-                    std::to_string(iq.eligCount[k]);
-            });
-        }
-        const std::size_t free_now =
-            static_cast<std::size_t>(iq.params.segmentSize) - iq.segCount[k];
-        const bool near_full_w = free_now < iq.params.issueWidth;
-        if (near_full_w !=
-            (((iq.nearFullW[k >> 6] >> (k & 63)) & 1) != 0)) {
-            violation(promoIndex, "near-full word matches occupancy",
-                      cycle, [&] {
-                          return "segment " + std::to_string(k) + " holds " +
-                              std::to_string(iq.segCount[k]) + " of " +
-                              std::to_string(iq.params.segmentSize);
-                      });
-        }
-        const bool roomy =
-            free_now * 2 >
-            3 * static_cast<std::size_t>(iq.params.issueWidth);
-        if (roomy != (((iq.roomyW[k >> 6] >> (k & 63)) & 1) != 0)) {
-            violation(promoIndex, "roomy word matches occupancy", cycle, [&] {
-                return "segment " + std::to_string(k) + " holds " +
-                    std::to_string(iq.segCount[k]) + " of " +
-                    std::to_string(iq.params.segmentSize);
-            });
         }
     }
 

@@ -22,8 +22,8 @@
  *    recycled slots);
  *  - every incremental scheduling index (DESIGN.md section 11) agrees
  *    with a brute-force rescan of the authoritative state: the O(1)
- *    occupancy counters, the per-segment promotion-candidate counts
- *    and activity masks, the per-chain subscriber lists and their
+ *    occupancy counters, the per-slot promotion-eligibility bits, the
+ *    per-chain subscriber lists and their
  *    back-pointers, the self-timed countdown lists and bits, the ideal
  *    queue's ready list, and the core's writeback-ring population;
  *  - the segmented queue's slot pool is consistent (each occupied slot
@@ -103,6 +103,14 @@ class Auditor
     stats::Scalar mshrWaitIndex;      ///< bulk-failed MSHR waiter wrong
     stats::Scalar arrivalIndex;       ///< listener not due by its next arrival
     stats::Scalar expiryIndex;        ///< signal log without expiry record
+
+    /**
+     * Test hook: set the promotion-eligibility bit of a segment-0
+     * resident (the predicate never holds there) that waits on an
+     * operand and has no countdown or signal due, so nothing rewrites
+     * the bit before the next audit.  False if there is no such entry.
+     */
+    static bool corruptEligibilityBitForTest(SegmentedIq &iq);
 
     /** Violations warned about when not panicking; the rest only count. */
     static constexpr std::uint64_t kMaxWarnings = 5;

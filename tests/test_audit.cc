@@ -4,8 +4,9 @@
  * models at three IQ sizes (512 entries is the benchmark's 16-segment
  * shape) and the prescheduled and FIFO models at 64 entries, all with
  * `audit=1` -- a healthy simulator must report zero violations.  The
- * negative tests prove the auditor actually fires by enabling the
- * test-only over-promotion fault injection.
+ * negative tests prove the auditor actually fires, through the
+ * test-only over-promotion fault injection and a corrupted
+ * eligibility bit.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 
 #include "common/errors.hh"
 #include "common/logging.hh"
+#include "core/ooo_core.hh"
+#include "iq/segmented_iq.hh"
 #include "sim/audit.hh"
 #include "sim/simulator.hh"
 #include "workload/workloads.hh"
@@ -151,6 +154,31 @@ TEST(AuditNegative, InjectedOverPromotionIsCaught)
     ASSERT_NE(sim.auditor(), nullptr);
     EXPECT_GT(sim.auditor()->promotionBound.value(), 0.0);
     EXPECT_GT(r.auditViolations, 0u);
+}
+
+TEST(AuditNegative, CorruptedEligibilityBitIsCaughtWithinOneCycle)
+{
+    // The per-slot eligibility bit is the promotion pass's only
+    // candidate index.  Set one that the predicate denies on a live
+    // 512-entry queue: the audit of the very next cycle must count it.
+    SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
+    cfg.wl.iterations = 200;
+    cfg.audit = true;
+
+    Simulator sim(cfg);
+    bool restored = false;
+    sim.prepare(restored);
+    OooCore &core = sim.core();
+    auto *iq = dynamic_cast<SegmentedIq *>(&core.iqUnit());
+    ASSERT_NE(iq, nullptr);
+    for (int t = 0; t < 3000; ++t)
+        core.tick();
+    ASSERT_FALSE(core.halted());
+    ASSERT_EQ(sim.auditor()->promoIndex.value(), 0.0);
+
+    ASSERT_TRUE(Auditor::corruptEligibilityBitForTest(*iq));
+    core.tick();
+    EXPECT_GT(sim.auditor()->promoIndex.value(), 0.0);
 }
 
 TEST(AuditNegative, DetailIsBuiltOnlyForReportedViolations)

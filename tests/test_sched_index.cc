@@ -3,7 +3,7 @@
  * Differential test for the incremental scheduling indices (DESIGN.md
  * section 11).  Under audit=1 the invariant auditor re-derives every
  * index from a brute-force rescan each cycle -- the chain subscriber
- * lists, the promotion-candidate counts and masks, the self-timed
+ * lists, the per-slot promotion-eligibility bits, the self-timed
  * countdown lists, the O(1) occupancy counters, the ideal queue's
  * ready list, and the writeback ring -- and counts disagreements.
  * Sweeping every workload at both queue sizes with zero disagreements

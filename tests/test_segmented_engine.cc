@@ -16,6 +16,9 @@
  * Regenerate both after an intentional scheduler change with:
  *
  *     ./build/tests/test_segmented_engine --update-goldens
+ *
+ * or only the work counters, after a host-only change that must leave
+ * every verdict as it is, with --update-work-proxy.
  */
 
 #include <gtest/gtest.h>
@@ -37,7 +40,8 @@ using namespace sciq;
 
 namespace {
 
-bool g_update = false;
+bool g_update = false;      ///< --update-goldens: both snapshots
+bool g_updateWork = false;  ///< --update-work-proxy: work_proxy.json only
 
 const unsigned kSizes[] = {64u, 256u, 512u};
 
@@ -294,7 +298,7 @@ TEST_P(IqSoaWorkProxy, SoaReducesWorkAndMatchesCommittedCounters)
     const WorkPoint w{r.iqSignalDeliveries, r.iqPlanCalls,
                       r.iqSegmentsScanned, r.iqLaneWordsTouched};
 
-    if (g_update) {
+    if (g_update || g_updateWork) {
         // Collected here, written as one file after RUN_ALL_TESTS (so
         // running the full suite regenerates every workload at once).
         g_work[workload] = w;
@@ -328,6 +332,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--update-goldens")
             g_update = true;
+        if (std::string(argv[i]) == "--update-work-proxy")
+            g_updateWork = true;
     }
     const int rc = RUN_ALL_TESTS();
     if (g_update && rc == 0) {
@@ -335,6 +341,8 @@ main(int argc, char **argv)
             "segmented_engine.json",
             "{\"iterations\": 300, \"fast_forward\": 1500, \"audit\": true}",
             g_verdicts, verdictsFromJson, writeVerdictRows);
+    }
+    if ((g_update || g_updateWork) && rc == 0) {
         writeGolden<WorkPoint>(
             "work_proxy.json",
             "{\"iq_size\": 256, \"iterations\": 300, \"fast_forward\": 1500}",

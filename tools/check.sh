@@ -15,7 +15,8 @@
 #                    build (fast loop for DESIGN.md §12-13 machinery)
 #   perf             only the quick perf legs on the tier-1 build: the
 #                    segmented-IQ tick substage profile (64/256/512
-#                    entries), the front-end cost per
+#                    entries), a PC-sampler function table of the
+#                    segmented-512 tick, the front-end cost per
 #                    fetched instruction (gcc, 64 entries, every IQ
 #                    design) and host throughput per queue,
 #                    segmented-512 next to ideal-512
@@ -91,9 +92,9 @@ tier1_full() {
 }
 
 # The quick perf legs: where the segmented tick spends its time, per
-# substage, the whole pipeline's host cost per fetched instruction on
-# the wrong-path-heavy gcc kernel, and host throughput per queue
-# configuration.
+# substage and per function, the whole pipeline's host cost per fetched
+# instruction on the wrong-path-heavy gcc kernel, and host throughput
+# per queue configuration.
 leg_perf() {
   tier1_build
   begin_leg "segmented-tick substage profile (quick)" build
@@ -101,6 +102,17 @@ leg_perf() {
       --benchmark_filter='BM_SegmentedTickSubstages' \
       --benchmark_min_time=0.01 json_out=/tmp/sciq-substages.json
   grep -q '"bench": "micro_components.substages"' /tmp/sciq-substages.json
+
+  begin_leg "PC sampler on the segmented-512 tick (quick)" build
+  LD_PRELOAD="$PWD/build/tools/libpc_sampler.so" \
+  PC_SAMPLER_OUT=/tmp/sciq-pcs.txt \
+      ./build/bench/micro_components \
+      --benchmark_filter='BM_SegmentedTickSubstages/iq:512/.*/hmp_lrp:1' \
+      --benchmark_min_time=1
+  python3 tools/pc_symbolize.py /tmp/sciq-pcs.txt \
+      > /tmp/sciq-pcs-table.txt
+  cat /tmp/sciq-pcs-table.txt
+  grep -q 'SegmentedIq::' /tmp/sciq-pcs-table.txt
 
   begin_leg "front-end cost per fetched instruction (quick)" build
   ./build/bench/micro_components \
