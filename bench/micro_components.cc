@@ -52,13 +52,52 @@ BM_CacheHit(benchmark::State &state)
     mem.dcache().warmInsert(0x8000);
     Cycle cycle = 0;
     for (auto _ : state) {
-        mem.dcache().access(0x8000, false, ++cycle,
-                            [](Cycle, AccessOutcome) {});
-        mem.tick(cycle + 10);
+        // Issue at the queue's current cycle: one access per 10 cycles
+        // runs to completion before the next starts.
+        mem.dcache().access(0x8000, false, cycle, MemReply{});
+        cycle += 10;
+        mem.tick(cycle);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CacheHit);
+
+/**
+ * Host cost of the miss path: every access is to a new line, so it
+ * misses the L1D and the L2 and goes to memory.  64 accesses are kept
+ * in flight, twice the L1D's 32 MSHRs, so the file stays full and
+ * misses park and retry.  One iteration is one access, so the time
+ * per iteration reads as host ns per access.
+ */
+void
+BM_CacheMissPath(benchmark::State &state)
+{
+    struct Sink : EventTarget
+    {
+        unsigned inFlight = 0;
+        void
+        handleEvent(Cycle, unsigned, std::uint64_t) override
+        {
+            --inFlight;
+        }
+    } sink;
+    constexpr unsigned kInFlight = 64;
+    MemHierarchy mem;
+    Cycle cycle = 0;
+    Addr addr = 0x10000000;
+    for (auto _ : state) {
+        while (sink.inFlight >= kInFlight)
+            mem.tick(++cycle);
+        ++sink.inFlight;
+        mem.dcache().access(addr, false, cycle, MemReply{&sink, 0});
+        addr += mem.dcache().lineBytes();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.counters["mshr_full_stalls_per_access"] =
+        mem.dcache().mshrFullStalls.value() /
+        static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CacheMissPath);
 
 void
 BM_BranchPredict(benchmark::State &state)

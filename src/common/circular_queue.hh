@@ -3,12 +3,16 @@
  * Fixed-capacity circular FIFO used for the ROB, LSQ and pipeline
  * latches.  Supports removal from the tail (squash) as well as the head
  * (commit), which std::deque would allow but without the capacity bound
- * these structures model.
+ * these structures model.  Logs whose bound is not modelled (undo logs,
+ * drain queues) append with pushBackGrow(), which doubles the storage
+ * when full; either way the storage is kept, so a queue in steady
+ * state never allocates.
  */
 
 #ifndef SCIQ_COMMON_CIRCULAR_QUEUE_HH
 #define SCIQ_COMMON_CIRCULAR_QUEUE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -48,6 +52,29 @@ class CircularQueue
         SCIQ_ASSERT(!full(), "push to full queue");
         buf[wrap(head + count)] = std::move(v);
         ++count;
+    }
+
+    /** Raise the capacity to at least `capacity`, keeping the contents. */
+    void
+    reserve(std::size_t capacity)
+    {
+        if (capacity <= cap)
+            return;
+        std::vector<T> grown(capacity);
+        for (std::size_t i = 0; i < count; ++i)
+            grown[i] = std::move(buf[wrap(head + i)]);
+        buf = std::move(grown);
+        cap = capacity;
+        head = 0;
+    }
+
+    /** Append at the tail, doubling the capacity first if full. */
+    void
+    pushBackGrow(T v)
+    {
+        if (full())
+            reserve(std::max<std::size_t>(2 * cap, 8));
+        pushBack(std::move(v));
     }
 
     /** Remove from the head (oldest end). */

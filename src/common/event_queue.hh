@@ -1,7 +1,7 @@
 /**
  * @file
  * A cycle-ordered event queue used by the memory hierarchy to schedule
- * fill completions, bandwidth slots, and MSHR retirements.
+ * lookups, fill completions, bandwidth slots and MSHR retries.
  */
 
 #ifndef SCIQ_COMMON_EVENT_QUEUE_HH
@@ -9,8 +9,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "logging.hh"
@@ -19,7 +19,23 @@
 namespace sciq {
 
 /**
- * Min-heap of (cycle, callback) events.
+ * Receiver of typed events.  An event names its target, a kind that
+ * only the target interprets and one argument word; handleEvent runs
+ * when the event fires.  Memory replies (MemReply, mem/cache.hh) reach
+ * their sink through the same entry point.
+ */
+class EventTarget
+{
+  public:
+    virtual void handleEvent(Cycle when, unsigned kind,
+                             std::uint64_t arg) = 0;
+
+  protected:
+    ~EventTarget() = default;
+};
+
+/**
+ * Min-heap of (cycle, target, kind, argument) event records.
  *
  * Events scheduled for the same cycle fire in FIFO order of scheduling,
  * which keeps the simulation deterministic.  schedule() returns a ticket
@@ -27,25 +43,31 @@ namespace sciq {
  * whether an event is still the newest one for its cycle, which lets a
  * client append work to an already-scheduled event instead of
  * scheduling another one right behind it, without changing what runs
- * in which order.
+ * in which order.  Records are plain data, so scheduling never
+ * allocates once the heap's storage has grown to the peak population.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
     /** Scheduling-order position of an event; unique and increasing. */
     using Ticket = std::uint64_t;
 
-    /** Schedule cb to run at the given absolute cycle. */
+    /**
+     * Schedule `target->handleEvent(when, kind, arg)` at the given
+     * absolute cycle.  A null target still takes its ticket and fires
+     * as a no-op, so discarded replies keep the order of everything
+     * scheduled after them.
+     */
     Ticket
-    schedule(Cycle when, Callback cb)
+    schedule(Cycle when, EventTarget *target, unsigned kind,
+             std::uint64_t arg = 0)
     {
         SCIQ_ASSERT(when >= now, "scheduling event in the past (%llu < %llu)",
                     static_cast<unsigned long long>(when),
                     static_cast<unsigned long long>(now));
         const Ticket ticket = nextTieBreaker++;
         lastFor[when % kLastSlots] = LastScheduled{when, ticket};
-        heap.push(Event{when, ticket, std::move(cb)});
+        heap.push(Event{when, ticket, target, arg, kind});
         return ticket;
     }
 
@@ -70,14 +92,12 @@ class EventQueue
     runUntil(Cycle upto)
     {
         while (!heap.empty() && heap.top().when <= upto) {
-            // Move out before pop: the callback may schedule new
-            // events.  Moving from the top is safe — the comparator
-            // only reads the scalar (when, tieBreaker) fields, which
-            // the move leaves intact.
-            Event ev = std::move(const_cast<Event &>(heap.top()));
+            // Copy out before pop: the handler may schedule new events.
+            const Event ev = heap.top();
             heap.pop();
             now = ev.when;
-            ev.cb();
+            if (ev.target)
+                ev.target->handleEvent(ev.when, ev.kind, ev.arg);
         }
         now = upto;
     }
@@ -100,7 +120,9 @@ class EventQueue
     {
         Cycle when;
         Ticket order;
-        Callback cb;
+        EventTarget *target;
+        std::uint64_t arg;
+        unsigned kind;
 
         bool
         operator>(const Event &o) const
@@ -110,6 +132,8 @@ class EventQueue
             return order > o.order;
         }
     };
+
+    static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) <= 40);
 
     /** Newest ticket scheduled for a cycle, in slot `when % kLastSlots`. */
     struct LastScheduled

@@ -1,6 +1,7 @@
 #include "lsq.hh"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/logging.hh"
 
@@ -23,7 +24,8 @@ insertByAge(std::vector<DynInstPtr> &list, const DynInstPtr &inst)
 Lsq::Lsq(unsigned capacity, Cache &dcache_, FuPool &fu_,
          const Scoreboard &scoreboard_, Callbacks callbacks)
     : entries(capacity), dcache(dcache_), fu(fu_),
-      scoreboard(scoreboard_), cb(std::move(callbacks)), statsGroup("lsq")
+      scoreboard(scoreboard_), cb(std::move(callbacks)), statsGroup("lsq"),
+      storeList(capacity)
 {
     statsGroup.addScalar("loads_issued", &loadsIssued,
                          "loads sent to the data cache");
@@ -45,7 +47,7 @@ Lsq::insert(const DynInstPtr &inst)
     inst->lsqBlockSeq = 0;
     entries.pushBack(inst);
     if (inst->isStore())
-        storeList.push_back(inst);
+        storeList.pushBack(inst);
 }
 
 void
@@ -76,13 +78,13 @@ Lsq::classifyLoad(const DynInstPtr &load) const
 
     // Scan older stores youngest-first so the first overlapping store
     // found is the forwarding candidate.
-    auto it = std::upper_bound(
-        storeList.begin(), storeList.end(), load->seq,
-        [](SeqNum seq, const DynInstPtr &st) { return seq < st->seq; });
+    std::size_t i = *std::ranges::partition_point(
+        std::views::iota(std::size_t{0}, storeList.size()),
+        [&](std::size_t k) { return storeList[k]->seq <= load->seq; });
     int cls = 0;
     SeqNum dep = 0;
-    while (it != storeList.begin()) {
-        const DynInstPtr &st = *--it;
+    while (i != 0) {
+        const DynInstPtr &st = storeList[--i];
         if (!st->addrReady) {
             cls = 2;  // unknown older address: conservative wait
             dep = st->seq;
@@ -123,20 +125,39 @@ Lsq::sendLoadAccess(const DynInstPtr &inst, Cycle cycle)
     loadsIssued.inc();
     ++pendingAccesses;
 
-    dcache.access(
-        inst->effAddr, false, cycle,
-        [this, inst](Cycle when, AccessOutcome outcome) {
-            --pendingAccesses;
-            if (inst->squashed)
-                return;
-            inst->loadWasL1Hit = outcome == AccessOutcome::Hit;
-            inst->loadWasDelayedHit = outcome == AccessOutcome::DelayedHit;
-            cb.onLoadComplete(inst, when);
-        },
-        [this, inst](Cycle when) {
-            if (!inst->squashed)
-                cb.onLoadMiss(inst, when);
-        });
+    if (freeInflight.empty()) {
+        freeInflight.push_back(
+            static_cast<std::uint32_t>(inflightLoads.size()));
+        inflightLoads.emplace_back();
+    }
+    const std::uint32_t slot = freeInflight.back();
+    freeInflight.pop_back();
+    inflightLoads[slot] = inst;
+    dcache.access(inst->effAddr, false, cycle, MemReply{this, slot}, true);
+}
+
+void
+Lsq::handleEvent(Cycle when, unsigned kind, std::uint64_t tag)
+{
+    if (tag == kStoreDrainTag) {
+        --pendingAccesses;
+        return;
+    }
+    if (kind == kMissNotify) {
+        const DynInstPtr &inst = inflightLoads[tag];
+        if (!inst->squashed)
+            cb.onLoadMiss(inst, when);
+        return;
+    }
+    const DynInstPtr inst = std::move(inflightLoads[tag]);
+    freeInflight.push_back(static_cast<std::uint32_t>(tag));
+    --pendingAccesses;
+    if (inst->squashed)
+        return;
+    const auto outcome = static_cast<AccessOutcome>(kind);
+    inst->loadWasL1Hit = outcome == AccessOutcome::Hit;
+    inst->loadWasDelayedHit = outcome == AccessOutcome::DelayedHit;
+    cb.onLoadComplete(inst, when);
 }
 
 void
@@ -157,13 +178,10 @@ Lsq::tick(Cycle cycle)
 
     // 2. Drain committed stores to the data cache through free ports.
     while (!drainBuffer.empty() && fu.tryAcquirePort(cycle)) {
-        auto [addr, size] = drainBuffer.front();
-        drainBuffer.pop_front();
-        (void)size;
+        const Addr addr = drainBuffer.popFront();
         storeDrains.inc();
         ++pendingAccesses;
-        dcache.access(addr, true, cycle,
-                      [this](Cycle, AccessOutcome) { --pendingAccesses; });
+        dcache.access(addr, true, cycle, MemReply{this, kStoreDrainTag});
     }
 
     // 3. Stores whose data just became ready are now commit-eligible.
@@ -233,10 +251,10 @@ Lsq::commitStore(const DynInstPtr &inst, Cycle cycle)
     entries.popFront();
     SCIQ_ASSERT(!storeList.empty() && storeList.front() == inst,
                 "store list out of sync at commit");
-    storeList.pop_front();
+    storeList.popFront();
     // The departed store can unblock loads that were waiting on it.
     storeEvent(inst->seq);
-    drainBuffer.emplace_back(inst->effAddr, inst->staticInst.memSize());
+    drainBuffer.pushBackGrow(inst->effAddr);
     (void)cycle;
 }
 
@@ -254,7 +272,7 @@ Lsq::squash(SeqNum youngest_kept)
     while (!entries.empty() && entries.back()->seq > youngest_kept)
         entries.popBack();
     while (!storeList.empty() && storeList.back()->seq > youngest_kept)
-        storeList.pop_back();
+        storeList.popBack();
     // Squashed entries are strictly younger than every survivor, so no
     // surviving load's cached class can depend on a removed store.
     while (!pendingLoads.empty() &&

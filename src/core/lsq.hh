@@ -22,7 +22,6 @@
 #ifndef SCIQ_CORE_LSQ_HH
 #define SCIQ_CORE_LSQ_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -35,7 +34,7 @@
 
 namespace sciq {
 
-class Lsq
+class Lsq : private EventTarget
 {
   public:
     struct Callbacks
@@ -100,6 +99,11 @@ class Lsq
 
     void sendLoadAccess(const DynInstPtr &inst, Cycle cycle);
 
+    /** Data-cache reply: tag is an inflightLoads slot or kStoreDrainTag. */
+    void handleEvent(Cycle when, unsigned kind, std::uint64_t tag) override;
+
+    static constexpr std::uint64_t kStoreDrainTag = ~0ULL;
+
     CircularQueue<DynInstPtr> entries;
     Cache &dcache;
     FuPool &fu;
@@ -107,14 +111,18 @@ class Lsq
     Callbacks cb;
     stats::Group statsGroup;
 
-    /** Committed stores waiting for a cache port. */
-    std::deque<std::pair<Addr, unsigned>> drainBuffer;
+    /** Committed store addresses waiting for a cache port. */
+    CircularQueue<Addr> drainBuffer;
+
+    /** Loads at the data cache, by reply tag; slots are recycled. */
+    std::vector<DynInstPtr> inflightLoads;
+    std::vector<std::uint32_t> freeInflight;
 
     /** Forwarded loads completing next cycle. */
     std::vector<std::pair<DynInstPtr, Cycle>> pendingForwards;
 
     /** Stores still in the queue, oldest first (conflict scans). */
-    std::deque<DynInstPtr> storeList;
+    CircularQueue<DynInstPtr> storeList;
 
     /** Address-ready loads not yet issued, oldest first. */
     std::vector<DynInstPtr> pendingLoads;

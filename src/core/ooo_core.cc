@@ -81,10 +81,16 @@ OooCore::OooCore(const Program &program_, const CoreParams &params_,
 
     // Writeback ring: power-of-two capacity strictly above the largest
     // FU latency, so (cycle & mask) buckets never alias live events.
+    // A bucket collects at most one issue width from each of the
+    // latest maxLatency cycles; reserving that keeps issue from ever
+    // growing one.
     std::size_t wb_cap = 1;
     while (wb_cap <= fu.maxLatency())
         wb_cap *= 2;
     wbRing.resize(wb_cap);
+    for (auto &bucket : wbRing)
+        bucket.reserve(std::size_t{params.iq.issueWidth} * fu.maxLatency());
+    wbScratch.reserve(std::size_t{params.iq.issueWidth} * fu.maxLatency());
     wbMask = wb_cap - 1;
 
     Lsq::Callbacks cb;
@@ -180,9 +186,9 @@ OooCore::FetchContext::readMem(Addr addr, unsigned size)
     std::uint64_t value = 0;
     unsigned filled = 0;  // per-byte bitmask; size <= 8
     const unsigned all = (size >= 8) ? 0xffu : ((1u << size) - 1u);
-    for (auto it = core.storeQueueSpec.rbegin();
-         it != core.storeQueueSpec.rend() && filled != all; ++it) {
-        const DynInstPtr &st = *it;
+    for (std::size_t k = core.storeQueueSpec.size();
+         k-- > 0 && filled != all;) {
+        const DynInstPtr &st = core.storeQueueSpec[k];
         const Addr lo = st->effAddr;
         const Addr hi = lo + st->staticInst.memSize();
         if (lo >= addr + size || hi <= addr)
@@ -249,10 +255,13 @@ OooCore::touchLine(Addr pc)
     if (lineReadyAt.count(line))
         return;  // ready or in flight
     lineReadyAt[line] = kCycleNever;
-    mem.icache().access(line, false, curCycle,
-                        [this, line](Cycle when, AccessOutcome) {
-                            lineReadyAt[line] = when;
-                        });
+    mem.icache().access(line, false, curCycle, MemReply{this, line});
+}
+
+void
+OooCore::handleEvent(Cycle when, unsigned, std::uint64_t line)
+{
+    lineReadyAt[line] = when;
 }
 
 void
@@ -371,7 +380,7 @@ OooCore::fetchStage()
             inst->dstValue = xc.lastValue;
 
         if (inst->isStore()) {
-            storeQueueSpec.push_back(owner);
+            storeQueueSpec.pushBackGrow(owner);
             trackSpecStore(*inst, +1);
         }
 
@@ -583,7 +592,7 @@ OooCore::doSquash()
     lsq->squash(target);
     while (!storeQueueSpec.empty() && storeQueueSpec.back()->seq > target) {
         trackSpecStore(*storeQueueSpec.back(), -1);
-        storeQueueSpec.pop_back();
+        storeQueueSpec.popBack();
     }
 
     // Restore the speculative fetch state from the branch's checkpoint.
@@ -626,7 +635,7 @@ OooCore::commitStage()
                             storeQueueSpec.front() == inst,
                         "spec store queue out of sync at commit");
             trackSpecStore(*inst, -1);
-            storeQueueSpec.pop_front();
+            storeQueueSpec.popFront();
             committedStores.inc();
         } else if (inst->isLoad()) {
             lsq->commitLoad(inst);

@@ -15,7 +15,6 @@
 #define SCIQ_CORE_OOO_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -113,7 +112,7 @@ struct CoreParams
     void checkIqGeometry() const;
 };
 
-class OooCore
+class OooCore : private EventTarget
 {
   public:
     /**
@@ -273,6 +272,8 @@ class OooCore
     /** I-cache line availability tracking for the fetch stage. */
     bool lineReady(Addr pc);
     void touchLine(Addr pc);
+    /** I-cache reply: the line named by `line` has arrived. */
+    void handleEvent(Cycle when, unsigned kind, std::uint64_t line) override;
 
     void markLoadComplete(const DynInstPtr &inst, Cycle cycle);
     void markStoreReady(const DynInstPtr &inst, Cycle cycle);
@@ -311,7 +312,7 @@ class OooCore
     bool fetchInvalid = false;  ///< fetch ran off the program image
     bool wrongPathMode = false;
     Cycle fetchResumeCycle = 0;
-    std::deque<DynInstPtr> storeQueueSpec;
+    CircularQueue<DynInstPtr> storeQueueSpec;
 
     // Line-granular presence counters over storeQueueSpec (64-byte
     // lines, hashed into 256 buckets).  A fetch-path load whose lines

@@ -11,6 +11,8 @@ FifoIq::FifoIq(const IqParams &params_, const Scoreboard &scoreboard_,
     : IqBase(params_, scoreboard_, fu_, "iq")
 {
     fifos.resize(params.numFifos);
+    for (auto &f : fifos)
+        f.setCapacity(params.fifoDepth);
     statsGroup.addScalar("steered_behind_producer", &steeredBehindProducer,
                          "insts placed directly behind a producer");
     statsGroup.addScalar("steered_to_empty", &steeredToEmpty,
@@ -76,7 +78,7 @@ FifoIq::insert(const DynInstPtr &inst, Cycle)
         steeredToEmpty.inc();
     else
         steeredBehindProducer.inc();
-    fifos[static_cast<std::size_t>(f)].push_back(inst);
+    fifos[static_cast<std::size_t>(f)].pushBack(inst);
     ++totalOcc;
     instsInserted.inc();
 
@@ -107,7 +109,7 @@ FifoIq::issueSelect(Cycle, const TryIssue &try_issue)
         DynInstPtr inst = fifos[f].front();
         if (!try_issue(inst))
             continue;  // structural hazard; another head may still go
-        fifos[f].pop_front();
+        fifos[f].popFront();
         --totalOcc;
         instsIssued.inc();
         ++issued;
@@ -125,7 +127,7 @@ FifoIq::squash(SeqNum youngest_kept)
 {
     for (auto &f : fifos) {
         while (!f.empty() && f.back()->seq > youngest_kept) {
-            f.pop_back();
+            f.popBack();
             --totalOcc;
         }
     }

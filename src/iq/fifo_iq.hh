@@ -14,9 +14,9 @@
 #define SCIQ_IQ_FIFO_IQ_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
+#include "common/circular_queue.hh"
 #include "iq/iq_base.hh"
 
 namespace sciq {
@@ -49,7 +49,7 @@ class FifoIq : public IqBase
     /** FIFO the instruction should enter, or -1 to stall. */
     int steer(const DynInstPtr &inst) const;
 
-    std::vector<std::deque<DynInstPtr>> fifos;
+    std::vector<CircularQueue<DynInstPtr>> fifos;
     std::size_t totalOcc = 0;  ///< sum of FIFO sizes, O(1) occupancy
 
     // canInsert -> insert steering memo.  Dispatch probes canInsert

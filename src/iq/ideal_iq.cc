@@ -55,7 +55,17 @@ IdealIq::insert(const DynInstPtr &inst, Cycle)
         if (r == kInvalidReg || scoreboard.isReady(r))
             continue;
         ++pending;
-        waiters[r].push_back(inst);
+        std::uint32_t n = freeNodes;
+        if (n == kNoNode) {
+            n = static_cast<std::uint32_t>(waiterNodes.size());
+            waiterNodes.emplace_back();
+        } else {
+            freeNodes = waiterNodes[n].next;
+        }
+        waiterNodes[n] = {inst, kNoNode};
+        WaitList &list = waiters[r];
+        (list.tail == kNoNode ? list.head : waiterNodes[list.tail].next) = n;
+        list.tail = n;
     }
     inst->ideal.pendingOps = pending;
     if (pending == 0)
@@ -67,16 +77,20 @@ IdealIq::onRegReady(RegIndex r)
 {
     if (r == kInvalidReg || static_cast<std::size_t>(r) >= waiters.size())
         return;
-    auto &list = waiters[r];
-    if (list.empty())
-        return;
-    for (DynInstPtr &w : list) {
+    WaitList &list = waiters[r];
+    for (std::uint32_t n = list.head; n != kNoNode;) {
+        WaiterNode &node = waiterNodes[n];
+        const DynInstPtr w = std::move(node.inst);
+        const std::uint32_t next = node.next;
+        node.next = freeNodes;
+        freeNodes = n;
+        n = next;
         if (!w->ideal.inQueue)
             continue;  // squashed or issued while waiting
         if (--w->ideal.pendingOps == 0)
             pushReady(w);
     }
-    list.clear();
+    list = WaitList{};
 }
 
 void

@@ -63,13 +63,29 @@ class IdealIq : public IqBase
     std::vector<DynInstPtr> readyList;
 
     /**
-     * Per-physical-register waiter lists.  Entries hold strong refs
-     * (pinning the pool slot) but are guarded by ideal.inQueue, so a
-     * squashed waiter is simply dropped when its register fires; every
-     * cleared register is eventually set ready (writeback or squash
-     * undo), so the lists drain promptly.
+     * Per-physical-register waiter lists, FIFO, linked through one
+     * node pool whose freed nodes are reused, so wakeup bookkeeping
+     * never allocates once the pool has grown to the peak number of
+     * waiters.  Entries hold strong refs (pinning the pool slot) but
+     * are guarded by ideal.inQueue, so a squashed waiter is simply
+     * dropped when its register fires; every cleared register is
+     * eventually set ready (writeback or squash undo), so the lists
+     * drain promptly.
      */
-    std::vector<std::vector<DynInstPtr>> waiters;
+    static constexpr std::uint32_t kNoNode = ~0U;
+    struct WaiterNode
+    {
+        DynInstPtr inst;
+        std::uint32_t next = kNoNode;
+    };
+    struct WaitList
+    {
+        std::uint32_t head = kNoNode;
+        std::uint32_t tail = kNoNode;
+    };
+    std::vector<WaitList> waiters;
+    std::vector<WaiterNode> waiterNodes;
+    std::uint32_t freeNodes = kNoNode;  ///< free-node chain head
 };
 
 } // namespace sciq

@@ -8,7 +8,6 @@
 #ifndef SCIQ_IQ_IQ_BASE_HH
 #define SCIQ_IQ_IQ_BASE_HH
 
-#include <algorithm>
 #include <array>
 #include <functional>
 #include <iosfwd>
@@ -197,10 +196,13 @@ class IqBase
     static int
     holderOf(const Queues &queues, const DynInstPtr &inst)
     {
-        const auto it = std::ranges::find_if(queues, [&](const auto &q) {
-            return std::ranges::find(q, inst) != q.end();
-        });
-        return it == queues.end() ? -1 : static_cast<int>(it - queues.begin());
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            for (std::size_t k = 0; k < queues[q].size(); ++k) {
+                if (queues[q][k] == inst)
+                    return static_cast<int>(q);
+            }
+        }
+        return -1;
     }
 
     IqParams params;

@@ -35,7 +35,9 @@ PrescheduledIq::PrescheduledIq(const IqParams &params_,
 {
     checkGeometry(params);
     const unsigned array_slots = params.numEntries - params.issueBufferSize;
-    lines.resize(array_slots / params.preschedLineWidth);
+    lines.setCapacity(array_slots / params.preschedLineWidth);
+    while (!lines.full())
+        lines.pushBack({});
     issueBuffer.reserve(params.issueBufferSize);
 
     statsGroup.addScalar("array_stall_cycles", &arrayStallCycles,
@@ -48,8 +50,8 @@ std::size_t
 PrescheduledIq::occupancy() const
 {
     std::size_t total = issueBuffer.size();
-    for (const auto &line : lines)
-        total += line.size();
+    for (std::size_t k = 0; k < lines.size(); ++k)
+        total += lines[k].size();
     return total;
 }
 
@@ -109,7 +111,7 @@ PrescheduledIq::insert(const DynInstPtr &inst, Cycle)
 
     RegIndex dst = inst->staticInst.dstReg();
     if (dst != kInvalidReg) {
-        undoLog.push_back({inst->seq, dst, regReadyShift[dst]});
+        undoLog.pushBackGrow({inst->seq, dst, regReadyShift[dst]});
         // Result predicted ready once the instruction reaches the
         // issue buffer (`line`+1 shifts) and executes.  Using the
         // *placed* line (post clamping/overflow) keeps dependents
@@ -145,9 +147,9 @@ PrescheduledIq::tick(Cycle, bool)
     if (issueBuffer.size() + oldest.size() <= params.issueBufferSize) {
         for (auto &inst : oldest)
             issueBuffer.push_back(inst);
-        oldest.clear();
-        lines.pop_front();
-        lines.emplace_back();
+        std::vector<DynInstPtr> reused = lines.popFront();
+        reused.clear();
+        lines.pushBack(std::move(reused));
         ++shiftCount;
     } else {
         arrayStallCycles.inc();
@@ -165,7 +167,7 @@ void
 PrescheduledIq::onCommit(const DynInstPtr &inst)
 {
     while (!undoLog.empty() && undoLog.front().seq <= inst->seq)
-        undoLog.pop_front();
+        undoLog.popFront();
 }
 
 void
@@ -173,7 +175,7 @@ PrescheduledIq::onSquashInst(const DynInstPtr &inst)
 {
     while (!undoLog.empty() && undoLog.back().seq == inst->seq) {
         regReadyShift[undoLog.back().archDst] = undoLog.back().prevReady;
-        undoLog.pop_back();
+        undoLog.popBack();
     }
 }
 
@@ -188,8 +190,8 @@ PrescheduledIq::squash(SeqNum youngest_kept)
                 v.end());
     };
     prune(issueBuffer);
-    for (auto &line : lines)
-        prune(line);
+    for (std::size_t k = 0; k < lines.size(); ++k)
+        prune(lines[k]);
 }
 
 } // namespace sciq

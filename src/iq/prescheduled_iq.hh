@@ -17,9 +17,9 @@
 #define SCIQ_IQ_PRESCHEDULED_IQ_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
+#include "common/circular_queue.hh"
 #include "iq/iq_base.hh"
 
 namespace sciq {
@@ -86,7 +86,9 @@ class PrescheduledIq : public IqBase
     /** First line index at or after `want` with a free slot, or -1. */
     int findLine(unsigned want) const;
 
-    std::deque<std::vector<DynInstPtr>> lines;  ///< [0] = oldest line
+    /** [0] = oldest line; a shifted-out line's buffer becomes the
+     *  newest line, so lines keep their storage. */
+    CircularQueue<std::vector<DynInstPtr>> lines;
     std::vector<DynInstPtr> issueBuffer;        ///< seq-sorted
 
     /** Predicted ready time per architectural register, in shifts. */
@@ -95,7 +97,7 @@ class PrescheduledIq : public IqBase
     /** Total successful array shifts so far. */
     std::uint64_t shiftCount = 0;
 
-    std::deque<Undo> undoLog;
+    CircularQueue<Undo> undoLog;
 };
 
 } // namespace sciq

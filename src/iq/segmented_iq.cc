@@ -188,6 +188,8 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     while (buckets < n + 1)
         buckets *= 2;
     calendar.resize(buckets);
+    for (auto &bucket : calendar)
+        bucket.reserve(params.segmentSize);
     calendarMask = buckets - 1;
 }
 
@@ -401,7 +403,7 @@ SegmentedIq::fastPlanEligible(const DynInst &inst) const
 bool
 SegmentedIq::canInsert(const DynInstPtr &inst)
 {
-    ScopedTimer timer(profiling, prof.dispatchSec);
+    ScopedTimer timer(timedCycle, prof.dispatchSec);
     if (targetSegment() < 0) {
         dispatchStallsFull.inc();
         return false;
@@ -425,7 +427,7 @@ SegmentedIq::canInsert(const DynInstPtr &inst)
 void
 SegmentedIq::insert(const DynInstPtr &inst, Cycle)
 {
-    ScopedTimer timer(profiling, prof.dispatchSec);
+    ScopedTimer timer(timedCycle, prof.dispatchSec);
     const int target = targetSegment();
     SCIQ_ASSERT(target >= 0, "insert into full segmented IQ");
 
@@ -463,6 +465,11 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         cs.suspended = false;
         cs.seqCounter = 0;
         cs.log.clear();
+        // Room for the usual populations, so that steady-state cycles
+        // do not grow them: pruning keeps about one signal per wire
+        // stage, and a chain's listeners rarely outnumber a segment.
+        cs.log.reserve(numSegments() + 2);
+        cs.soaSubs.reserve(params.segmentSize);
         // Subscriber lists are NOT cleared on wire reuse: stale-
         // generation listeners are skipped by delivery and drop off
         // through their own lifecycle; stale expiry records and
@@ -480,7 +487,7 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
     // Update the register information table for the destination.
     RegIndex dst = inst->staticInst.dstReg();
     if (dst != kInvalidReg) {
-        undoLog.push_back({inst->seq, dst, regInfo[dst]});
+        undoLog.pushBackGrow({inst->seq, dst, regInfo[dst]});
         // unsubscribeReg reads only the subscription index, so the
         // entry can be rebuilt in place first.
         unsubscribeReg(dst);
@@ -640,8 +647,8 @@ SegmentedIq::emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
         cs.suspended = false;
         break;
     }
-    cs.log.push_back(LoggedSignal{++cs.seqCounter, cycle, origin_segment,
-                                  kind});
+    cs.log.pushBackGrow(
+        LoggedSignal{++cs.seqCounter, cycle, origin_segment, kind});
     syncChainHot(id);
     // Step 5 pops expiry records front-first, so it must see them in
     // cycle order.
@@ -649,7 +656,7 @@ SegmentedIq::emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
                 "chain signal at cycle %llu logged after cycle %llu",
                 static_cast<unsigned long long>(cycle),
                 static_cast<unsigned long long>(expiry.back().cycle));
-    expiry.push_back({cycle, id});
+    expiry.pushBackGrow({cycle, id});
     if (!cs.armPending) {
         cs.armPending = true;
         pendingArm.push_back(id);
@@ -661,7 +668,8 @@ SegmentedIq::emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
 void
 SegmentedIq::issueSelect(Cycle cycle, const TryIssue &try_issue)
 {
-    ScopedTimer timer(profiling, prof.issueSec);
+    timedCycle = profiling && cycle % kProfileEvery == 0;
+    ScopedTimer timer(timedCycle, prof.issueSec);
     const std::size_t occ0 = segCount[0];
     unsigned ready = 0;
     unsigned issued = 0;
@@ -760,22 +768,22 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
     while (!chainDrainQueue.empty() &&
            chainDrainQueue.front().second <= cycle) {
         chains.free(chainDrainQueue.front().first);
-        chainDrainQueue.pop_front();
+        chainDrainQueue.popFront();
     }
 
     // 1-3. Promotion, signal delivery, self-timed countdowns -- the
     //    per-cycle scheduler substages.
     promotedThisCycle = 0;
     {
-        ScopedTimer t(profiling, prof.promoteSec);
+        ScopedTimer t(timedCycle, prof.promoteSec);
         tickPromote(cycle);
     }
     {
-        ScopedTimer t(profiling, prof.deliverSec);
+        ScopedTimer t(timedCycle, prof.deliverSec);
         tickDeliver(cycle);
     }
     {
-        ScopedTimer t(profiling, prof.countdownSec);
+        ScopedTimer t(timedCycle, prof.countdownSec);
         tickCountdown();
     }
 
@@ -824,7 +832,7 @@ SegmentedIq::tick(Cycle cycle, bool core_busy)
 
     occupancyAvg.sample(static_cast<double>(occ));
     chainsInUseAvg.sample(static_cast<double>(chains.inUse()));
-    if (profiling)
+    if (timedCycle)
         ++prof.ticks;
 }
 
@@ -848,8 +856,8 @@ SegmentedIq::releaseChain(const DynInstPtr &inst, Cycle cycle)
     // Delay the wire's reuse until every in-flight signal has been
     // seen at the top of the queue.
     inst->seg.chainReleased = true;
-    chainDrainQueue.emplace_back(inst->seg.headedChain,
-                                 cycle + numSegments() + 2);
+    chainDrainQueue.pushBackGrow(
+        {inst->seg.headedChain, cycle + numSegments() + 2});
 }
 
 void
@@ -863,7 +871,7 @@ void
 SegmentedIq::onCommit(const DynInstPtr &inst)
 {
     while (!undoLog.empty() && undoLog.front().seq <= inst->seq)
-        undoLog.pop_front();
+        undoLog.popFront();
 }
 
 void
@@ -878,7 +886,7 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
             subscribeReg(r);
         armReg(r);  // may have fallen behind its wire
         syncRegCd(r);
-        undoLog.pop_back();
+        undoLog.popBack();
     }
     releaseChain(inst, 0);
 }
@@ -1107,7 +1115,7 @@ const SegmentedIq::LoggedSignal *
 SegmentedIq::firstPending(const ChainState &cs, std::uint64_t applied)
 {
     const std::size_t i = firstUnapplied(cs, applied);
-    return i < cs.log.size() ? &cs.log.at(i) : nullptr;
+    return i < cs.log.size() ? &cs.log[i] : nullptr;
 }
 
 void
@@ -1330,7 +1338,7 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
     std::size_t i = firstUnapplied(cs, pool.applied[m][slot]);
     const auto visible = [&] {
         ++work.signalDeliveries;
-        return arrivalAt(cs.log.at(i), s) <= now;
+        return arrivalAt(cs.log[i], s) <= now;
     };
     // Apply, in log order, the entries visible at this segment past
     // the applied prefix, stopping at the first that is not.
@@ -1339,7 +1347,7 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
         std::int16_t hs = pool.headSeg[m][slot];
         std::uint8_t fl = pool.flags[m][slot];
         do {
-            switch (cs.log.at(i).kind) {
+            switch (cs.log[i].kind) {
               case SignalKind::Assert:
                 if (hs > 0) {
                     hs -= 1;
@@ -1364,7 +1372,7 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
         refreshLaneElig(slot);
     }
     if (i < log_sz)
-        armLane(slot, m, cs.log.at(i));
+        armLane(slot, m, cs.log[i]);
 }
 
 void
@@ -1385,12 +1393,12 @@ SegmentedIq::soaDeliverReg(RegIndex r, Cycle now)
     Cycle at = 0;
     const auto visible = [&] {
         ++work.signalDeliveries;
-        at = arrivalAt(cs.log.at(i), top);
+        at = arrivalAt(cs.log[i], top);
         return at <= now;
     };
     if (i < log_sz && visible()) {
         do {
-            switch (cs.log.at(i).kind) {
+            switch (cs.log[i].kind) {
               case SignalKind::Assert:
                 if (e.headSeg > 0)
                     e.headSeg -= 1;
@@ -1554,8 +1562,8 @@ SegmentedIq::expireLogs(Cycle horizon)
         ChainState &cs =
             chainStates[static_cast<std::size_t>(expiry.front().chain)];
         while (!cs.log.empty() && cs.log.front().cycle < horizon)
-            cs.log.pop_front();
-        expiry.pop_front();
+            cs.log.popFront();
+        expiry.popFront();
     }
 }
 

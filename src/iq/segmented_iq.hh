@@ -49,9 +49,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/circular_queue.hh"
 #include "iq/chain_allocator.hh"
 #include "iq/iq_base.hh"
 
@@ -140,8 +140,11 @@ class SegmentedIq : public IqBase
 
     /**
      * Wall-clock per-substage accounting of the scheduler hot path,
-     * enabled by setProfiling(true) (micro benches only; adds a timer
-     * call per substage and never affects architected state).
+     * enabled by setProfiling(true) (benches only; never affects
+     * architected state).  All five substages are timed together on
+     * one cycle in kProfileEvery, so the clock reads stay a small
+     * share of what they measure; divide by `ticks` for a per-tick
+     * cost.
      */
     struct TickProfile
     {
@@ -150,8 +153,9 @@ class SegmentedIq : public IqBase
         double countdownSec = 0.0;  ///< tick step 3 (self-timed countdown)
         double issueSec = 0.0;      ///< issueSelect
         double dispatchSec = 0.0;   ///< canInsert + insert
-        std::uint64_t ticks = 0;
+        std::uint64_t ticks = 0;    ///< ticks timed
     };
+    static constexpr Cycle kProfileEvery = 16;
     void setProfiling(bool on) { profiling = on; }
     const TickProfile &profile() const { return prof; }
 
@@ -216,58 +220,6 @@ class SegmentedIq : public IqBase
     };
 
     /**
-     * Growable FIFO ring (power-of-two capacity, doubled when full).
-     * Holds a chain's in-flight signal log and the log expiry queue;
-     * pruning at the delivery horizon (tick step 5) keeps both
-     * populations to the wire pipeline depth, so the rings stay at
-     * their initial capacity in practice.
-     */
-    template <class T>
-    class Ring
-    {
-      public:
-        bool empty() const { return count == 0; }
-        std::size_t size() const { return count; }
-        void clear() { head = 0; count = 0; }
-        const T &front() const { return buf[head]; }
-        const T &back() const { return at(count - 1); }
-        const T &at(std::size_t i) const
-        {
-            return buf[(head + i) & (buf.size() - 1)];
-        }
-        void
-        push_back(const T &v)
-        {
-            if (count == buf.size())
-                grow();
-            buf[(head + count) & (buf.size() - 1)] = v;
-            ++count;
-        }
-        void
-        pop_front()
-        {
-            head = (head + 1) & (buf.size() - 1);
-            --count;
-        }
-
-      private:
-        void
-        grow()
-        {
-            const std::size_t old_cap = buf.size();
-            std::vector<T> nb(old_cap ? old_cap * 2 : 8);
-            for (std::size_t i = 0; i < count; ++i)
-                nb[i] = buf[(head + i) & (old_cap - 1)];
-            buf = std::move(nb);
-            head = 0;
-        }
-
-        std::vector<T> buf;
-        std::size_t head = 0;
-        std::size_t count = 0;
-    };
-
-    /**
      * Subscriber record of a resident's membership: names a pool slot,
      * not an object, so arming a chain's listeners never dereferences
      * a DynInst.  A slot keeps its index for the entry's whole
@@ -295,7 +247,7 @@ class SegmentedIq : public IqBase
         bool selfTimed = false;   ///< head has issued
         bool suspended = false;
         std::uint64_t seqCounter = 0;
-        Ring<LoggedSignal> log;
+        CircularQueue<LoggedSignal> log;
         std::vector<SoaSub> soaSubs;    ///< resident listeners
         std::vector<RegIndex> regSubs;  ///< regInfo listeners
         bool armPending = false;        ///< on pendingArm
@@ -563,7 +515,7 @@ class SegmentedIq : public IqBase
         Cycle cycle;
         ChainId chain;
     };
-    Ring<Expiry> expiry;               ///< in signal (= cycle) order
+    CircularQueue<Expiry> expiry;      ///< in signal (= cycle) order
     /** Chains that signalled since the last pass, armed at its start. */
     std::vector<ChainId> pendingArm;
 
@@ -575,12 +527,15 @@ class SegmentedIq : public IqBase
 
     mutable WorkCounters work;
     bool profiling = false;
+    /** This cycle's substages are timed; set by issueSelect, the
+     *  first of them the core runs in a cycle. */
+    bool timedCycle = false;
     TickProfile prof;
 
     std::vector<unsigned> freePrevCycle;            ///< per segment
 
     std::vector<ChainState> chainStates;
-    std::deque<std::pair<ChainId, Cycle>> chainDrainQueue;
+    CircularQueue<std::pair<ChainId, Cycle>> chainDrainQueue;
 
     // --- Incremental scheduling indices (section 11) ---------------------
 
@@ -594,7 +549,7 @@ class SegmentedIq : public IqBase
     std::size_t totalOcc = 0;         ///< occupancy, O(1)
 
     std::array<RegInfoEntry, kNumArchRegs> regInfo;
-    std::deque<Undo> undoLog;
+    CircularQueue<Undo> undoLog;
 
     // canInsert -> insert plan memo.  Dispatch always probes canInsert
     // immediately before insert with no intervening queue mutation, so

@@ -19,6 +19,15 @@ Cache::Cache(const CacheParams &params, MemLevel &below_, EventQueue &ev)
     lines.assign(numSets * params_.assoc, Line{});
     warmMemoClear();
 
+    mshrFile.resize(params_.mshrs);
+    for (std::uint32_t slot = params_.mshrs; slot-- > 0;)
+        freeMshrs.push_back(slot);
+    std::size_t index_size = 8;
+    while (index_size < 4 * static_cast<std::size_t>(params_.mshrs))
+        index_size *= 2;
+    mshrIndex.assign(index_size, 0);
+    mshrIndexShift = 64 - floorLog2(index_size);
+
     statsGroup.addScalar("accesses", &accesses, "CPU-side accesses");
     statsGroup.addScalar("hits", &hits, "accesses that hit");
     statsGroup.addScalar("misses", &misses, "primary misses");
@@ -101,7 +110,7 @@ Cache::warmTouch(Addr la)
     Line *victim = firstInvalid ? firstInvalid : lru;
     if (victim->valid && victim->dirty) {
         writebacks.inc();
-        below.request(victim->tag, true, 0, [](Cycle) {});
+        below.request(victim->tag, true, 0, MemReply{});
     }
     warmMemoClear();  // the eviction may remove a memoized line
     victim->valid = true;
@@ -123,7 +132,7 @@ Cache::flush()
 void
 Cache::save(serial::Writer &w) const
 {
-    if (!mshrFile.empty() || parkedCount != 0) {
+    if (freeMshrs.size() != mshrFile.size() || parkedCount != 0) {
         throw serial::Error("cache '" + params_.name +
                             "' has in-flight misses; checkpoints must be "
                             "taken while the hierarchy is quiescent");
@@ -150,7 +159,7 @@ Cache::save(serial::Writer &w) const
 void
 Cache::restore(serial::Reader &r)
 {
-    if (!mshrFile.empty() || parkedCount != 0) {
+    if (freeMshrs.size() != mshrFile.size() || parkedCount != 0) {
         throw serial::Error("cache '" + params_.name +
                             "' has in-flight misses; cannot restore");
     }
@@ -185,108 +194,162 @@ Cache::restore(serial::Reader &r)
 }
 
 void
-Cache::access(Addr addr, bool is_write, Cycle now, AccessDone done,
-              MissNotify on_miss)
+Cache::access(Addr addr, bool is_write, Cycle now, MemReply reply,
+              bool notify_miss)
 {
     accesses.inc();
-    const Addr la = lineAddrOf(addr);
-    const Cycle lookup_cycle = now + params_.latency;
+    startLookup({lineAddrOf(addr), reply, is_write, true, notify_miss}, now);
+}
 
-    events.schedule(lookup_cycle, [this, la, is_write, lookup_cycle,
-                                   done = std::move(done),
-                                   on_miss = std::move(on_miss)]() mutable {
-        if (Line *line = lookup(la)) {
+void
+Cache::request(Addr line_addr, bool is_write, Cycle now, MemReply reply)
+{
+    startLookup({line_addr, reply, is_write, false, false}, now);
+}
+
+void
+Cache::startLookup(const Lookup &lk, Cycle now)
+{
+    if (freeLookups.empty()) {
+        freeLookups.push_back(static_cast<std::uint32_t>(lookups.size()));
+        lookups.emplace_back();
+    }
+    const std::uint32_t idx = freeLookups.back();
+    freeLookups.pop_back();
+    lookups[idx] = lk;
+    events.schedule(now + params_.latency, this, kLookupDone, idx);
+}
+
+void
+Cache::handleEvent(Cycle when, unsigned kind, std::uint64_t arg)
+{
+    const auto idx = static_cast<std::uint32_t>(arg);
+    switch (kind) {
+      case kLookupDone:
+        finishLookup(idx, when);
+        break;
+      case kRetry:
+        retryBatch(idx);
+        break;
+      default:
+        SCIQ_ASSERT(kind == kLineArrived, "cache event kind %u", kind);
+        handleFill(idx, when);
+        break;
+    }
+}
+
+void
+Cache::finishLookup(std::uint32_t idx, Cycle when)
+{
+    // Free the record first: a reply may start another access.
+    const Lookup lk = lookups[idx];
+    freeLookups.push_back(idx);
+
+    if (Line *line = lookup(lk.lineAddr)) {
+        line->lastUse = when;
+        if (lk.isWrite)
+            line->dirty = true;
+        if (lk.isAccess) {
             hits.inc();
-            line->lastUse = lookup_cycle;
-            if (is_write)
-                line->dirty = true;
-            done(lookup_cycle, AccessOutcome::Hit);
-            return;
+            lk.reply.deliver(when, static_cast<unsigned>(AccessOutcome::Hit));
+        } else {
+            sourceUp(lk.reply, when);
         }
+        return;
+    }
 
+    unsigned kind = kLineArrived;
+    if (lk.isAccess) {
         // The lookup has determined this is a miss; tell the IQ so it
         // can suspend the load's chain (paper section 3.4).
-        if (on_miss)
-            on_miss(lookup_cycle);
-
-        const bool merged = mshrFile.count(la) > 0;
+        if (lk.notifyMiss)
+            lk.reply.deliver(when, kMissNotify);
+        const bool merged = findMshr(lk.lineAddr) != kNoMshr;
         if (merged)
             delayedHits.inc();
         else
             misses.inc();
-
-        AccessOutcome outcome =
-            merged ? AccessOutcome::DelayedHit : AccessOutcome::Miss;
-        startMiss(la, is_write, lookup_cycle,
-                  [done = std::move(done), outcome](Cycle when) {
-                      done(when, outcome);
-                  });
-    });
+        kind = static_cast<unsigned>(merged ? AccessOutcome::DelayedHit
+                                            : AccessOutcome::Miss);
+    }
+    startMiss(lk.lineAddr, lk.isWrite, when, Waiter{lk.reply, kind});
 }
 
 void
-Cache::request(Addr line_addr, bool is_write, Cycle now,
-               std::function<void(Cycle)> done)
+Cache::sourceUp(MemReply reply, Cycle ready)
 {
-    const Cycle lookup_cycle = now + params_.latency;
-    events.schedule(lookup_cycle, [this, line_addr, is_write, lookup_cycle,
-                                   done = std::move(done)]() mutable {
-        if (Line *line = lookup(line_addr)) {
-            line->lastUse = lookup_cycle;
-            if (is_write)
-                line->dirty = true;
-            // Source the line upward subject to fill bandwidth.
-            Cycle start = std::max(lookup_cycle, nextFillFree);
-            Cycle finish = start + params_.fillBandwidth;
-            nextFillFree = finish;
-            events.schedule(finish,
-                            [done = std::move(done), finish]() mutable {
-                                done(finish);
-                            });
-            return;
-        }
-        startMiss(line_addr, is_write, lookup_cycle,
-                  [this, done = std::move(done)](Cycle when) mutable {
-                      // Fill arrived here; forward upward with bandwidth.
-                      Cycle start = std::max(when, nextFillFree);
-                      Cycle finish = start + params_.fillBandwidth;
-                      nextFillFree = finish;
-                      events.schedule(
-                          finish, [done = std::move(done), finish]() mutable {
-                              done(finish);
-                          });
-                  });
-    });
+    const Cycle start = std::max(ready, nextFillFree);
+    const Cycle finish = start + params_.fillBandwidth;
+    nextFillFree = finish;
+    events.schedule(finish, reply.sink, kLineArrived, reply.tag);
+}
+
+std::uint32_t
+Cache::findMshr(Addr line_addr) const
+{
+    const std::size_t mask = mshrIndex.size() - 1;
+    for (std::size_t i = mshrHome(line_addr);; i = (i + 1) & mask) {
+        const std::uint32_t e = mshrIndex[i];
+        if (e == 0)
+            return kNoMshr;
+        if (mshrFile[e - 1].lineAddr == line_addr)
+            return e - 1;
+    }
 }
 
 void
-Cache::startMiss(Addr line_addr, bool is_write, Cycle now,
-                 std::function<void(Cycle)> cb)
+Cache::startMiss(Addr line_addr, bool is_write, Cycle now, Waiter w)
 {
-    if (auto it = mshrFile.find(line_addr); it != mshrFile.end()) {
-        it->second.anyWrite |= is_write;
-        it->second.lineWaiters.push_back(std::move(cb));
+    if (const std::uint32_t slot = findMshr(line_addr); slot != kNoMshr) {
+        mshrFile[slot].anyWrite |= is_write;
+        mshrFile[slot].waiters.push_back(w);
         return;
     }
 
-    if (mshrFile.size() >= params_.mshrs) {
+    if (freeMshrs.empty()) {
         // All MSHRs busy: retry next cycle.
         mshrFullStalls.inc();
-        batchFor(now + 1).misses.push_back(
-            {line_addr, is_write, std::move(cb)});
+        batchFor(now + 1).misses.push_back({line_addr, is_write, w});
         ++parkedCount;
         return;
     }
 
     ++mshrEpoch;
-    Mshr &mshr = mshrFile[line_addr];
+    const std::uint32_t slot = freeMshrs.back();
+    freeMshrs.pop_back();
+    const std::size_t mask = mshrIndex.size() - 1;
+    std::size_t i = mshrHome(line_addr);
+    while (mshrIndex[i] != 0)
+        i = (i + 1) & mask;
+    mshrIndex[i] = slot + 1;
+    Mshr &mshr = mshrFile[slot];
     mshr.lineAddr = line_addr;
     mshr.anyWrite = is_write;
-    mshr.lineWaiters.push_back(std::move(cb));
+    mshr.waiters.push_back(w);
 
-    below.request(line_addr, false, now, [this, line_addr](Cycle when) {
-        handleFill(line_addr, when);
-    });
+    below.request(line_addr, false, now, MemReply{this, slot});
+}
+
+void
+Cache::releaseMshr(std::uint32_t slot)
+{
+    const std::size_t mask = mshrIndex.size() - 1;
+    std::size_t hole = mshrHome(mshrFile[slot].lineAddr);
+    while (mshrIndex[hole] != slot + 1)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull each later member of the probe run
+    // into the hole unless its home lies cyclically after the hole.
+    for (std::size_t j = (hole + 1) & mask; mshrIndex[j] != 0;
+         j = (j + 1) & mask) {
+        const std::size_t home =
+            mshrHome(mshrFile[mshrIndex[j] - 1].lineAddr);
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            mshrIndex[hole] = mshrIndex[j];
+            hole = j;
+        }
+    }
+    mshrIndex[hole] = 0;
+    freeMshrs.push_back(slot);
 }
 
 Cache::RetryBatch &
@@ -304,8 +367,7 @@ Cache::batchFor(Cycle when)
     }
     openBatch = freeBatches.back();
     freeBatches.pop_back();
-    openTicket = events.schedule(
-        when, [this, slot = openBatch] { retryBatch(slot); });
+    openTicket = events.schedule(when, this, kRetry, openBatch);
     batches[openBatch].openEpoch = mshrEpoch;
     return batches[openBatch];
 }
@@ -326,8 +388,7 @@ Cache::retryBatch(std::uint32_t slot)
         if (auditWaiters) {
             for (const ParkedMiss &m : misses) {
                 ++waitChecks;
-                if (mshrFile.size() < params_.mshrs ||
-                    mshrFile.count(m.lineAddr) > 0)
+                if (!freeMshrs.empty() || findMshr(m.lineAddr) != kNoMshr)
                     ++waitMismatches;
             }
         }
@@ -336,13 +397,13 @@ Cache::retryBatch(std::uint32_t slot)
         if (next.misses.empty()) {
             next.misses.swap(misses);
         } else {
-            for (ParkedMiss &m : misses)
-                next.misses.push_back(std::move(m));
+            next.misses.insert(next.misses.end(), misses.begin(),
+                               misses.end());
         }
     } else {
         parkedCount -= misses.size();
         for (ParkedMiss &m : misses)
-            startMiss(m.lineAddr, m.isWrite, now, std::move(m.cb));
+            startMiss(m.lineAddr, m.isWrite, now, m.waiter);
     }
 
     // Hand the emptied storage back so the slot's next use reuses it.
@@ -352,21 +413,28 @@ Cache::retryBatch(std::uint32_t slot)
 }
 
 void
-Cache::handleFill(Addr line_addr, Cycle when)
+Cache::handleFill(std::uint32_t slot, Cycle when)
 {
-    auto it = mshrFile.find(line_addr);
-    SCIQ_ASSERT(it != mshrFile.end(), "fill without MSHR for %#llx",
-                static_cast<unsigned long long>(line_addr));
-
-    // Move waiters out before erasing; callbacks may start new misses.
-    auto waiters = std::move(it->second.lineWaiters);
-    bool dirty = it->second.anyWrite;
-    mshrFile.erase(it);
+    // Take the waiters out and free the MSHR before waking them, as a
+    // woken request may start a miss that reuses the slot.  The slot
+    // keeps the scratch vector's storage, so no vector is allocated.
+    std::vector<Waiter> waiters;
+    waiters.swap(fillWaiters);
+    waiters.swap(mshrFile[slot].waiters);
+    const Addr line_addr = mshrFile[slot].lineAddr;
+    const bool dirty = mshrFile[slot].anyWrite;
+    releaseMshr(slot);
     ++mshrEpoch;
 
     installLine(line_addr, dirty, when);
-    for (auto &w : waiters)
-        w(when);
+    for (const Waiter &w : waiters) {
+        if (w.kind == kLineArrived)
+            sourceUp(w.reply, when);  // fill arrived here; forward upward
+        else
+            w.reply.deliver(when, w.kind);
+    }
+    waiters.clear();
+    fillWaiters.swap(waiters);
 }
 
 void
@@ -389,7 +457,7 @@ Cache::installLine(Addr line_addr, bool dirty, Cycle now)
 
     if (victim->valid && victim->dirty) {
         writebacks.inc();
-        below.request(victim->tag, true, now, [](Cycle) {});
+        below.request(victim->tag, true, now, MemReply{});
     }
 
     victim->valid = true;

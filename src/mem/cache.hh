@@ -13,10 +13,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -26,12 +23,41 @@
 
 namespace sciq {
 
-/** How an access was satisfied (for predictors and statistics). */
+/**
+ * How an access was satisfied (for predictors and statistics).  Its
+ * value is also the event kind of the reply that completes the access.
+ */
 enum class AccessOutcome : std::uint8_t
 {
     Hit,        ///< line present in this cache
     DelayedHit, ///< merged into an in-flight miss (MSHR hit)
     Miss        ///< primary miss, fetched from below
+};
+
+/** Event kinds a MemReply sink receives besides an AccessOutcome. */
+enum MemReplyKind : unsigned
+{
+    kMissNotify = 3,   ///< Cache::access lookup missed (chain suspension)
+    kLineArrived = 4,  ///< MemLevel::request: the line is back
+    kNumReplyKinds     ///< a sink's own event kinds start here
+};
+
+/**
+ * Where a memory reply goes: `sink->handleEvent(when, kind, tag)`.  The
+ * tag names the request to its sink (an in-flight load's slot, an MSHR,
+ * an i-cache line); a null sink discards the reply.
+ */
+struct MemReply
+{
+    EventTarget *sink = nullptr;
+    std::uint64_t tag = 0;
+
+    void
+    deliver(Cycle when, unsigned kind) const
+    {
+        if (sink)
+            sink->handleEvent(when, kind, tag);
+    }
 };
 
 /** Abstract "thing that can supply cache lines" (next level or memory). */
@@ -41,11 +67,12 @@ class MemLevel
     virtual ~MemLevel() = default;
 
     /**
-     * Request one line.  `done(cycle)` fires when the line data has
-     * arrived back at the requester.
+     * Request one line.  `reply` receives kLineArrived when the line
+     * data has arrived back at the requester; that reply is an event
+     * of its own even when its sink is null.
      */
     virtual void request(Addr line_addr, bool is_write, Cycle now,
-                         std::function<void(Cycle)> done) = 0;
+                         MemReply reply) = 0;
 };
 
 struct CacheParams
@@ -61,29 +88,28 @@ struct CacheParams
 
 /**
  * One cache level.  Acts as a MemLevel for the level above it, so
- * L1 -> L2 -> memory compose naturally.
+ * L1 -> L2 -> memory compose naturally.  Every request in flight is a
+ * plain record (a pooled lookup, an MSHR waiter, a parked miss) naming
+ * a MemReply, so the timing path allocates nothing once its pools have
+ * grown to the peak population.
  */
-class Cache : public MemLevel
+class Cache : public MemLevel, public EventTarget
 {
   public:
-    /** Completion callback: (completion cycle, how it was satisfied). */
-    using AccessDone = std::function<void(Cycle, AccessOutcome)>;
-    /** Early notification that the lookup missed (chain suspension). */
-    using MissNotify = std::function<void(Cycle)>;
-
     Cache(const CacheParams &params, MemLevel &below, EventQueue &events);
 
     /**
      * CPU-side access.  The lookup completes `latency` cycles from
-     * `now`; a hit calls `done` then.  A miss calls `on_miss` (if
-     * provided) at lookup time and `done` when the fill arrives.
+     * `now`; a hit replies then with kind AccessOutcome::Hit.  A miss
+     * replies kMissNotify at lookup time if `notify_miss` is set, and
+     * its outcome when the fill arrives.
      */
-    void access(Addr addr, bool is_write, Cycle now, AccessDone done,
-                MissNotify on_miss = nullptr);
+    void access(Addr addr, bool is_write, Cycle now, MemReply reply,
+                bool notify_miss = false);
 
     /** MemLevel interface: the level above requests a line from us. */
     void request(Addr line_addr, bool is_write, Cycle now,
-                 std::function<void(Cycle)> done) override;
+                 MemReply reply) override;
 
     /** True if the line is currently resident (for tests). */
     bool isResident(Addr addr) const;
@@ -160,11 +186,41 @@ class Cache : public MemLevel
     /** Saved line record: u64 tag, u8 valid | dirty << 1, u64 lastUse. */
     static constexpr std::size_t kSavedLineBytes = 17;
 
+    /** The cache's own event kinds. */
+    enum : unsigned
+    {
+        kLookupDone = kNumReplyKinds,  ///< arg: lookup record index
+        kRetry,                        ///< arg: retry batch slot
+    };
+
+    /**
+     * A request waiting on a line: `kind` is what the fill delivers,
+     * an AccessOutcome for a CPU access, or kLineArrived for a line
+     * requested from above, which is sourced up through the fill
+     * bandwidth.
+     */
+    struct Waiter
+    {
+        MemReply reply;
+        unsigned kind;
+    };
+
+    /** An access or line request between its start and its lookup. */
+    struct Lookup
+    {
+        Addr lineAddr;
+        MemReply reply;
+        bool isWrite;
+        bool isAccess;    ///< CPU-side access, not a line request
+        bool notifyMiss;
+    };
+
+    /** One MSHR; its waiter vector keeps its capacity across uses. */
     struct Mshr
     {
         Addr lineAddr = 0;
         bool anyWrite = false;
-        std::vector<std::function<void(Cycle)>> lineWaiters;
+        std::vector<Waiter> waiters;
     };
 
     /** A miss that found every MSHR busy and retries next cycle. */
@@ -172,7 +228,7 @@ class Cache : public MemLevel
     {
         Addr lineAddr;
         bool isWrite;
-        std::function<void(Cycle)> cb;
+        Waiter waiter;
     };
 
     /**
@@ -215,9 +271,36 @@ class Cache : public MemLevel
      */
     bool warmTouch(Addr line_addr);
 
+    void handleEvent(Cycle when, unsigned kind, std::uint64_t arg) override;
+
+    /** Schedule the lookup of an access or line request. */
+    void startLookup(const Lookup &lk, Cycle now);
+
+    /** Event body: the lookup of record `idx` completes. */
+    void finishLookup(std::uint32_t idx, Cycle when);
+
+    /** Send a line up to `reply`, subject to the fill bandwidth. */
+    void sourceUp(MemReply reply, Cycle ready);
+
     /** Allocate/merge an MSHR; may defer if all MSHRs are busy. */
-    void startMiss(Addr line_addr, bool is_write, Cycle now,
-                   std::function<void(Cycle)> cb);
+    void startMiss(Addr line_addr, bool is_write, Cycle now, Waiter w);
+
+    static constexpr std::uint32_t kNoMshr = ~0U;
+
+    /** Slot of the live MSHR for `line_addr`, or kNoMshr. */
+    std::uint32_t findMshr(Addr line_addr) const;
+
+    /** Drop MSHR `slot` from the index and return it to the free stack. */
+    void releaseMshr(std::uint32_t slot);
+
+    /** mshrIndex position a line's probe sequence starts at. */
+    std::size_t
+    mshrHome(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(
+            ((line_addr >> lineShift) * 0x9E3779B97F4A7C15ULL) >>
+            mshrIndexShift);
+    }
 
     /**
      * The batch that misses failing now join to retry at `when`: the
@@ -229,8 +312,8 @@ class Cache : public MemLevel
     /** Event body: retry one batch of parked misses. */
     void retryBatch(std::uint32_t slot);
 
-    /** Install the filled line and wake the MSHR's waiters. */
-    void handleFill(Addr line_addr, Cycle when);
+    /** Install the filled line and wake MSHR `slot`'s waiters. */
+    void handleFill(std::uint32_t slot, Cycle when);
 
     /** Victim selection + dirty-eviction writeback. */
     void installLine(Addr line_addr, bool dirty, Cycle now);
@@ -278,7 +361,22 @@ class Cache : public MemLevel
 
     void warmMemoClear() { warmLines.fill(kNoWarmLine); }
 
-    std::unordered_map<Addr, Mshr> mshrFile;
+    /** Pooled lookup records, addressed by kLookupDone's argument. */
+    std::vector<Lookup> lookups;
+    std::vector<std::uint32_t> freeLookups;
+
+    /**
+     * The MSHR file: `params_.mshrs` slots, a free-slot stack, and an
+     * open-addressed linear-probe index from line to slot + 1 (0 =
+     * empty) at a quarter load or less.  A fill names its MSHR by slot.
+     */
+    std::vector<Mshr> mshrFile;
+    std::vector<std::uint32_t> freeMshrs;
+    std::vector<std::uint32_t> mshrIndex;
+    unsigned mshrIndexShift = 0;  ///< 64 - log2(mshrIndex.size())
+
+    /** Storage handleFill swaps waiter vectors through (reused). */
+    std::vector<Waiter> fillWaiters;
 
     /** Bumped on every MSHR allocation and free. */
     std::uint64_t mshrEpoch = 0;

@@ -18,8 +18,7 @@ MainMemory::MainMemory(const MainMemoryParams &params, EventQueue &ev)
 }
 
 void
-MainMemory::request(Addr, bool is_write, Cycle now,
-                    std::function<void(Cycle)> done)
+MainMemory::request(Addr, bool is_write, Cycle now, MemReply reply)
 {
     if (is_write)
         writes.inc();
@@ -34,9 +33,7 @@ MainMemory::request(Addr, bool is_write, Cycle now,
     busFree = finish;
     busBusyCycles.inc(transferCycles);
 
-    events.schedule(finish, [done = std::move(done), finish]() mutable {
-        done(finish);
-    });
+    events.schedule(finish, reply.sink, kLineArrived, reply.tag);
 }
 
 } // namespace sciq

@@ -26,7 +26,7 @@ class MainMemory : public MemLevel
     MainMemory(const MainMemoryParams &params, EventQueue &events);
 
     void request(Addr line_addr, bool is_write, Cycle now,
-                 std::function<void(Cycle)> done) override;
+                 MemReply reply) override;
 
     stats::Group &statGroup() { return statsGroup; }
 

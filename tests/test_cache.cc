@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "event_harness.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/main_memory.hh"
 
 using namespace sciq;
+using namespace sciq::test;
 
 namespace {
 
@@ -22,14 +27,10 @@ class FakeLevel : public MemLevel
     }
 
     void
-    request(Addr line, bool is_write, Cycle now,
-            std::function<void(Cycle)> done) override
+    request(Addr line, bool is_write, Cycle now, MemReply reply) override
     {
         requests.push_back({line, is_write, now});
-        Cycle when = now + lat;
-        events.schedule(when, [done = std::move(done), when]() mutable {
-            done(when);
-        });
+        events.schedule(now + lat, reply.sink, kLineArrived, reply.tag);
     }
 
     struct Req
@@ -51,10 +52,9 @@ class ManualLevel : public MemLevel
 {
   public:
     void
-    request(Addr line, bool is_write, Cycle now,
-            std::function<void(Cycle)> done) override
+    request(Addr line, bool is_write, Cycle now, MemReply reply) override
     {
-        requests.push_back({line, is_write, now, std::move(done)});
+        requests.push_back({line, is_write, now, reply});
     }
 
     struct Req
@@ -62,27 +62,40 @@ class ManualLevel : public MemLevel
         Addr line;
         bool write;
         Cycle at;
-        std::function<void(Cycle)> done;
+        MemReply reply;
+
+        /** The line arrives back at the requester at `when`. */
+        void done(Cycle when) const { reply.deliver(when, kLineArrived); }
     };
 
     std::vector<Req> requests;
 };
 
-struct Result
+/** Recording sink of one access: its completion and miss notice. */
+struct Result : EventTarget
 {
     Cycle when = 0;
     AccessOutcome outcome{};
     bool done = false;
+    Cycle missAt = 0;
+
+    void
+    handleEvent(Cycle at, unsigned kind, std::uint64_t) override
+    {
+        if (kind == kMissNotify) {
+            missAt = at;
+            return;
+        }
+        when = at;
+        outcome = static_cast<AccessOutcome>(kind);
+        done = true;
+    }
 };
 
-Cache::AccessDone
+MemReply
 capture(Result &r)
 {
-    return [&r](Cycle when, AccessOutcome o) {
-        r.when = when;
-        r.outcome = o;
-        r.done = true;
-    };
+    return MemReply{&r, 0};
 }
 
 CacheParams
@@ -151,21 +164,17 @@ TEST(Cache, MissNotificationFiresAtLookup)
     FakeLevel below(ev, 50);
     Cache c(smallCache(), below, ev);
 
-    Cycle miss_at = 0;
     Result r;
-    c.access(0x3000, false, 10, capture(r),
-             [&](Cycle when) { miss_at = when; });
+    c.access(0x3000, false, 10, capture(r), true);
     ev.runUntil(200);
-    EXPECT_EQ(miss_at, 13u);  // miss detected at lookup time
-    EXPECT_GT(r.when, miss_at);
+    EXPECT_EQ(r.missAt, 13u);  // miss detected at lookup time
+    EXPECT_GT(r.when, r.missAt);
 
     // Hits never call the miss notification.
-    miss_at = 0;
     Result h;
-    c.access(0x3000, false, 200, capture(h),
-             [&](Cycle when) { miss_at = when; });
+    c.access(0x3000, false, 200, capture(h), true);
     ev.runUntil(300);
-    EXPECT_EQ(miss_at, 0u);
+    EXPECT_EQ(h.missAt, 0u);
 }
 
 TEST(Cache, LruEviction)
@@ -305,6 +314,7 @@ TEST(Cache, FreshMissAllocatesParkedWaitersLine)
 TEST(Cache, FillOrderedBeforeRetriesFreesMshrThatCycle)
 {
     EventQueue ev;
+    Actions acts;
     ManualLevel below;
     CacheParams p = smallCache();
     p.mshrs = 1;
@@ -315,7 +325,7 @@ TEST(Cache, FillOrderedBeforeRetriesFreesMshrThatCycle)
     c.access(0x1000, false, 0, capture(b));
     ev.runUntil(10);
     // Scheduled now, long before the retry for cycle 50 exists.
-    ev.schedule(50, [&] { below.requests[0].done(50); });
+    acts.at(ev, 50, [&] { below.requests[0].done(50); });
     ev.runUntil(60);
     ASSERT_EQ(below.requests.size(), 2u);
     EXPECT_EQ(below.requests[1].at, 50u);
@@ -329,6 +339,7 @@ TEST(Cache, FillOrderedBeforeRetriesFreesMshrThatCycle)
 TEST(Cache, FillOrderedAfterRetriesFreesMshrNextCycle)
 {
     EventQueue ev;
+    Actions acts;
     ManualLevel below;
     CacheParams p = smallCache();
     p.mshrs = 1;
@@ -341,7 +352,7 @@ TEST(Cache, FillOrderedAfterRetriesFreesMshrNextCycle)
     // fill scheduled after that lands behind it: the retry fails once
     // more at 50 and the miss claims the freed MSHR at 51.
     ev.runUntil(49);
-    ev.schedule(50, [&] { below.requests[0].done(50); });
+    acts.at(ev, 50, [&] { below.requests[0].done(50); });
     ev.runUntil(60);
     ASSERT_EQ(below.requests.size(), 2u);
     EXPECT_EQ(below.requests[1].at, 51u);
@@ -355,6 +366,7 @@ TEST(Cache, RetryKeepsItsPlaceBehindALaterScheduledEvent)
     // fires after the fill and claims the freed MSHR at 4; B's, ordered
     // before the fill, fails once more.
     EventQueue ev;
+    Actions acts;
     ManualLevel below;
     CacheParams p = smallCache();
     p.mshrs = 1;
@@ -363,8 +375,8 @@ TEST(Cache, RetryKeepsItsPlaceBehindALaterScheduledEvent)
     Result a, b, cc;
     c.access(0x0000, false, 0, capture(a));
     c.access(0x1000, false, 0, capture(b));
-    ev.schedule(3, [&] {
-        ev.schedule(4, [&] { below.requests[0].done(4); });
+    acts.at(ev, 3, [&] {
+        acts.at(ev, 4, [&] { below.requests[0].done(4); });
     });
     c.access(0x2000, false, 0, capture(cc));
     ev.runUntil(4);
@@ -401,15 +413,18 @@ TEST(Hierarchy, SaturatedMshrsExactTiming)
     // oversubscribe the L1D's 32 MSHRs, and the two L1s together the
     // L2's; every completion cycle and both stall counts are pinned.
     MemHierarchy h;
-    std::vector<Cycle> done(144, 0);
+    Recorder rec;
     for (int i = 0; i < 144; ++i) {
         const Cycle now = i / 48;
         h.tick(now);
         Cache &l1 = i % 3 == 2 ? h.icache() : h.dcache();
         l1.access(0x100000 + 64 * i, false, now,
-                  [&done, i](Cycle when, AccessOutcome) { done[i] = when; });
+                  MemReply{&rec, static_cast<std::uint64_t>(i)});
     }
     h.tick(5000);
+    std::vector<Cycle> done(144, 0);
+    for (const Recorder::Fired &f : rec.fired)
+        done[f.arg] = f.when;
     std::uint64_t sum = 0, hash = 0;
     for (Cycle when : done) {
         ASSERT_NE(when, 0u);
@@ -433,12 +448,13 @@ TEST(Cache, FillBandwidthSerialisesLowerLevel)
     mp.lineBytes = 64;  // 8 cycles per line on the bus
     MainMemory mem(mp, ev);
 
-    std::vector<Cycle> done;
-    for (int i = 0; i < 3; ++i) {
-        mem.request(0x1000 + 64 * i, false, 0,
-                    [&done](Cycle when) { done.push_back(when); });
-    }
+    Recorder rec;
+    for (int i = 0; i < 3; ++i)
+        mem.request(0x1000 + 64 * i, false, 0, MemReply{&rec, 0});
     ev.runUntil(200);
+    std::vector<Cycle> done;
+    for (const Recorder::Fired &f : rec.fired)
+        done.push_back(f.when);
     ASSERT_EQ(done.size(), 3u);
     // First: 10 + 8 = 18; subsequent transfers queue on the bus.
     EXPECT_EQ(done[0], 18u);
@@ -489,14 +505,13 @@ TEST(Hierarchy, IndependentMissesOverlap)
     HierarchyParams hp;
     MemHierarchy h(hp);
 
-    std::vector<Cycle> done;
-    for (int i = 0; i < 8; ++i) {
-        h.dcache().access(0xA0000 + 64 * i, false, 0,
-                          [&done](Cycle when, AccessOutcome) {
-                              done.push_back(when);
-                          });
-    }
+    Recorder rec;
+    for (int i = 0; i < 8; ++i)
+        h.dcache().access(0xA0000 + 64 * i, false, 0, MemReply{&rec, 0});
     h.tick(1000);
+    std::vector<Cycle> done;
+    for (const Recorder::Fired &f : rec.fired)
+        done.push_back(f.when);
     ASSERT_EQ(done.size(), 8u);
     // Serialised misses would need 8 x 122 cycles; overlapped they
     // finish within one latency plus seven bus slots.
@@ -518,6 +533,7 @@ TEST(Hierarchy, FlushAllEmptiesCaches)
 TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
 {
     EventQueue ev;
+    Actions acts;
     ManualLevel below;
     CacheParams p = smallCache();
     p.mshrs = 1;
@@ -530,7 +546,7 @@ TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
     c.access(0x0000, false, 0, capture(a));
     c.access(0x1000, false, 0, capture(b));
     ev.runUntil(49);
-    ev.schedule(50, [&] { below.requests[0].done(50); });
+    acts.at(ev, 50, [&] { below.requests[0].done(50); });
     ev.runUntil(50);
     // B's retry failed at 50 before the fill freed the only MSHR: the
     // MSHR file is empty, but B still waits to retry at 51.
@@ -545,7 +561,7 @@ TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
     ev.runUntil(51);
     EXPECT_EQ(c.parkedMisses(), 0u);
     ASSERT_EQ(below.requests.size(), 2u);
-    ev.schedule(60, [&] { below.requests[1].done(60); });
+    acts.at(ev, 60, [&] { below.requests[1].done(60); });
     ev.runUntil(60);
     ASSERT_TRUE(b.done);
     serial::Writer after;
@@ -578,4 +594,136 @@ TEST(Cache, WaitersRetryAsOneEventAndFailInBulk)
     // Bulk failures: 3 waiters x 19 cycles, then 2 x 19, then 1 x 19.
     EXPECT_EQ(c.mshrWaitChecks(), 114u);
     EXPECT_EQ(c.mshrWaitMismatches(), 0u);
+}
+
+namespace {
+
+/** A ManualLevel whose writebacks complete by themselves a cycle later. */
+class HandFillLevel : public ManualLevel
+{
+  public:
+    explicit HandFillLevel(EventQueue &ev) : events(ev) {}
+
+    void
+    request(Addr line, bool is_write, Cycle now, MemReply reply) override
+    {
+        ManualLevel::request(line, is_write, now, reply);
+        if (is_write)
+            events.schedule(now + 1, reply.sink, kLineArrived, reply.tag);
+    }
+
+  private:
+    EventQueue &events;
+};
+
+} // namespace
+
+TEST(Cache, NullSinkWritebackKeepsALaterRetryOutOfTheOpenBatch)
+{
+    // In cycle 10 the parked misses X1 and X2 fail and open the retry
+    // batch for 11.  A fill then evicts a dirty line; its writeback's
+    // completion has no sink but is still an event for 11, scheduled
+    // after the batch.  Y, failing after it, must open a batch of its
+    // own rather than join X1 and X2's.
+    EventQueue ev;
+    Actions acts;
+    HandFillLevel below(ev);
+    CacheParams p = smallCache();  // 8 sets x 2 ways
+    p.latency = 1;
+    p.mshrs = 2;
+    Cache c(p, below, ev);
+
+    Result r[7];
+    c.access(0x000, true, 0, capture(r[0]));  // set 0, dirty
+    ev.runUntil(2);
+    below.requests[0].done(2);
+    c.access(0x200, false, 2, capture(r[1]));  // set 0, newer
+    ev.runUntil(4);
+    below.requests[1].done(4);
+    c.access(0x400, false, 4, capture(r[2]));  // set 0: will evict 0x000
+    c.access(0x040, false, 4, capture(r[3]));  // fills the MSHR file
+    c.access(0x080, false, 4, capture(r[4]));  // X1: parks
+    c.access(0x0C0, false, 4, capture(r[5]));  // X2: parks
+    ev.runUntil(9);
+    acts.at(ev, 10, [&] { below.requests[2].done(10); });
+    Result y0;
+    c.access(0x100, false, 9, capture(y0));  // takes the freed MSHR
+    c.access(0x140, false, 9, capture(r[6]));  // Y: finds the file full
+    ev.runUntil(10);
+
+    ASSERT_EQ(below.requests.size(), 6u);
+    EXPECT_TRUE(below.requests[4].write);
+    EXPECT_EQ(below.requests[4].line, 0x000u);
+    EXPECT_EQ(below.requests[4].at, 10u);
+    EXPECT_EQ(below.requests[5].line, 0x100u);
+    EXPECT_EQ(c.writebacks.value(), 1.0);
+    EXPECT_EQ(c.parkedMisses(), 3u);
+    EXPECT_EQ(ev.size(), 3u);  // X1+X2's batch, the writeback, Y's batch
+
+    // At 11 both batches fail again and join one batch for 12.
+    ev.runUntil(11);
+    EXPECT_EQ(ev.size(), 1u);
+    EXPECT_EQ(c.parkedMisses(), 3u);
+    EXPECT_EQ(c.mshrFullStalls.value(), 16.0);
+    EXPECT_TRUE(r[2].done);
+    EXPECT_EQ(r[2].when, 10u);
+}
+
+TEST(Cache, WokenWaiterNestsAFillAndReusesTheFreedMshrs)
+{
+    // Waking a fill's waiters re-enters the cache: the first waiter's
+    // reply completes another line's fill and starts a new access.
+    // The parked miss and the new access then claim the two freed
+    // MSHRs.  Every waiter is woken once, in arrival order, at the
+    // cycles one vector per MSHR gives.
+    EventQueue ev;
+    Actions acts;
+    ManualLevel below;
+    CacheParams p = smallCache();
+    p.mshrs = 2;
+    Cache c(p, below, ev);
+
+    struct Sink : EventTarget
+    {
+        std::vector<std::tuple<std::uint64_t, Cycle, unsigned>> log;
+        std::function<void()> onFirst;
+
+        void
+        handleEvent(Cycle when, unsigned kind, std::uint64_t tag) override
+        {
+            log.emplace_back(tag, when, kind);
+            if (onFirst)
+                std::exchange(onFirst, nullptr)();
+        }
+    } sink;
+    c.access(0x0000, false, 0, MemReply{&sink, 0});  // A: miss
+    c.access(0x0008, false, 0, MemReply{&sink, 1});  // A': merges into A
+    c.access(0x1000, false, 0, MemReply{&sink, 2});  // B: miss
+    c.access(0x2000, false, 0, MemReply{&sink, 3});  // C: file full, parks
+    sink.onFirst = [&] {
+        below.requests[1].done(10);                       // B's fill
+        c.access(0x3000, false, 10, MemReply{&sink, 4});  // D
+    };
+    acts.at(ev, 10, [&] { below.requests[0].done(10); });
+    ev.runUntil(20);
+    ASSERT_EQ(below.requests.size(), 4u);
+    EXPECT_EQ(below.requests[2].line, 0x2000u);
+    EXPECT_EQ(below.requests[2].at, 10u);
+    EXPECT_EQ(below.requests[3].line, 0x3000u);
+    EXPECT_EQ(below.requests[3].at, 13u);
+    below.requests[3].done(20);
+    below.requests[2].done(20);
+
+    constexpr auto kMiss = static_cast<unsigned>(AccessOutcome::Miss);
+    constexpr auto kDelayed = static_cast<unsigned>(AccessOutcome::DelayedHit);
+    using Entry = std::tuple<std::uint64_t, Cycle, unsigned>;
+    EXPECT_EQ(sink.log, (std::vector<Entry>{{0, 10, kMiss},
+                                            {2, 10, kMiss},
+                                            {1, 10, kDelayed},
+                                            {4, 20, kMiss},
+                                            {3, 20, kMiss}}));
+    EXPECT_EQ(c.misses.value(), 4.0);
+    EXPECT_EQ(c.delayedHits.value(), 1.0);
+    EXPECT_EQ(c.mshrFullStalls.value(), 7.0);
+    EXPECT_EQ(c.parkedMisses(), 0u);
 }

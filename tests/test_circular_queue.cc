@@ -1,4 +1,4 @@
-/** @file Unit tests for the fixed-capacity circular queue. */
+/** @file Unit tests for the circular queue. */
 
 #include <gtest/gtest.h>
 
@@ -47,6 +47,28 @@ TEST(CircularQueue, WrapsAround)
         EXPECT_EQ(q.popFront(), round);
         EXPECT_EQ(q.popFront(), round + 100);
     }
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(CircularQueue, GrowingKeepsOrderAcrossTheWrap)
+{
+    // A wrapped ring that fills up doubles in place of refusing the
+    // push; reserve() never shrinks and keeps the contents in order.
+    CircularQueue<int> q;
+    for (int i = 0; i < 6; ++i)
+        q.pushBackGrow(i);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(q.popFront(), i);
+    for (int i = 6; i < 20; ++i)
+        q.pushBackGrow(i);  // wraps at 8, doubles to 16
+    EXPECT_EQ(q.capacity(), 16u);
+    q.reserve(4);
+    EXPECT_EQ(q.capacity(), 16u);
+    q.reserve(40);
+    EXPECT_EQ(q.capacity(), 40u);
+    ASSERT_EQ(q.size(), 16u);
+    for (int i = 4; i < 20; ++i)
+        EXPECT_EQ(q.popFront(), i);
     EXPECT_TRUE(q.empty());
 }
 
