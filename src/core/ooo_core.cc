@@ -116,15 +116,14 @@ OooCore::OooCore(const Program &program_, const CoreParams &params_,
     icLineShift = static_cast<unsigned>(
         std::countr_zero(static_cast<Addr>(mem.icache().lineBytes())));
 
-    if (params.warmICache) {
-        const unsigned line = mem.icache().lineBytes();
-        for (Addr pc = program.base();
-             pc < program.base() + program.size() * kInstBytes;
-             pc += line) {
-            mem.icache().warmInsert(pc);
-            mem.l2cache().warmInsert(pc);
-            lineReadyAt[pc & ~static_cast<Addr>(line - 1)] = 0;
-        }
+    // Pre-install the program's code lines in the L1I (and the L2),
+    // modelling measurement from a warm checkpoint as the paper does.
+    const unsigned line = mem.icache().lineBytes();
+    for (Addr pc = program.base();
+         pc < program.base() + program.size() * kInstBytes; pc += line) {
+        mem.icache().warmInsert(pc);
+        mem.l2cache().warmInsert(pc);
+        lineReadyAt[pc & ~static_cast<Addr>(line - 1)] = 0;
     }
 
     frontEndDepth = params.fetchToDecode + params.decodeToDispatch +

@@ -96,12 +96,6 @@ struct CoreParams
      */
     Cycle faultCommitStallAt = 0;
 
-    /**
-     * Pre-install the program's code lines in the L1I (and the L2),
-     * modelling measurement from a warm checkpoint as the paper does.
-     */
-    bool warmICache = true;
-
     /** Resolve the 0-defaults into concrete values. */
     void finalize();
 

@@ -144,35 +144,34 @@ SegmentedIq::SegmentedIq(const IqParams &params_,
     // start minimal and grow under dispatch pressure.
     activeSegments = params.dynamicResize ? 1 : n;
 
-    regCdPos.fill(-1);
-    regSubPos.fill(-1);
-    regSubChain.fill(kNoChain);
-    regDue.fill(kNotDue);
-
     chainHot.resize(chainStates.size());
     poolSize = params.robSize ? params.robSize : 3 * params.numEntries;
-    SCIQ_ASSERT(poolSize < kFreeSlot && n < kFreeSlot,
+    const unsigned lane_slots = poolSize + kNumArchRegs;  // + table lanes
+    SCIQ_ASSERT(lane_slots < kFreeSlot && n < kFreeSlot,
                 "ROB of %u entries exceeds the slot-pool id range", poolSize);
     poolWords = (poolSize + 63) / 64;
     summaryWords = (poolWords + 63) / 64;
+    const std::size_t lane_words = (lane_slots + 63) / 64;
     for (int m = 0; m < 2; ++m) {
-        pool.delay[m].assign(poolSize, 0);
-        pool.chain[m].assign(poolSize, kNoChain);
-        pool.gen[m].assign(poolSize, 0);
-        pool.applied[m].assign(poolSize, 0);
-        pool.headSeg[m].assign(poolSize, 0);
-        pool.flags[m].assign(poolSize, 0);
-        pool.subIdx[m].assign(poolSize, -1);
-        pool.due[m].assign(poolSize, kNotDue);
-        pool.dueCycle[m].assign(poolSize, 0);
-        pool.dueOrigin[m].assign(poolSize, 0);
+        pool.delay[m].assign(lane_slots, 0);
+        pool.chain[m].assign(lane_slots, kNoChain);
+        pool.gen[m].assign(lane_slots, 0);
+        pool.applied[m].assign(lane_slots, 0);
+        pool.headSeg[m].assign(lane_slots, 0);
+        pool.flags[m].assign(lane_slots, 0);
+        pool.subIdx[m].assign(lane_slots, -1);
+        pool.due[m].assign(lane_slots, kNotDue);
+        pool.dueCycle[m].assign(lane_slots, 0);
+        pool.dueOrigin[m].assign(lane_slots, 0);
+        pool.cdBits[m].assign(lane_words, 0);
+        pool.cdSummary[m].assign((lane_words + 63) / 64, 0);
         pool.src[m].assign(poolSize, kInvalidReg);
-        pool.cdBits[m].assign(poolWords, 0);
-        pool.cdSummary[m].assign(summaryWords, 0);
     }
-    pool.memCount.assign(poolSize, 0);
+    pool.memCount.assign(lane_slots, 0);
+    // Table lanes listen at the top segment.
+    pool.seg.assign(lane_slots, static_cast<std::uint16_t>(n - 1));
+    std::fill_n(pool.seg.begin(), poolSize, kFreeSlot);
     pool.seq.assign(poolSize, 0);
-    pool.seg.assign(poolSize, kFreeSlot);
     pool.headChain.assign(poolSize, kNoChain);
     pool.headGen.assign(poolSize, 0);
     pool.inst.resize(poolSize);
@@ -217,11 +216,14 @@ SegmentedIq::stateOf(ChainId id) const
 }
 
 bool
-SegmentedIq::entryAvailable(const RegInfoEntry &e)
+SegmentedIq::regAvailable(RegIndex r) const
 {
-    if (!e.pending)
-        return true;
-    return e.selfTimed && !e.suspended && e.latency <= 0;
+    // A self-timed lane's head segment is 0, so its delay is its latency.
+    const unsigned t = regLane(r);
+    const std::uint8_t f = pool.flags[0][t];
+    return pool.memCount[t] == 0 ||
+           ((f & kLaneSelfTimed) && !(f & kLaneSuspended) &&
+            pool.delay[0][t] <= 0);
 }
 
 unsigned
@@ -238,7 +240,7 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
     Plan plan;
     ++work.planCalls;
 
-    // Collect pending-source memberships from the register info table,
+    // Collect pending-source memberships from the register table lanes,
     // with head position/self-timed status read from the (compact)
     // per-chain-wire state.
     const auto srcs = inst->staticInst.srcRegs();
@@ -252,22 +254,21 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
             continue;
         if (is_store && i == 1)
             continue;  // store data does not gate address generation
-        const RegInfoEntry &e = regInfo[r];
-        if (entryAvailable(e))
+        if ((regAvail >> r) & 1)
             continue;
         // A chain freed since this entry was written means its head
         // wrote back long ago; the entry self-times to completion, so
         // keep it only while its countdown is still pending (handled
-        // by entryAvailable); with a stale generation the wire carries
-        // a different chain, so fall back to a pure countdown.
+        // by regAvail); with a stale generation the wire carries a
+        // different chain, so fall back to a pure countdown.
+        const unsigned t = regLane(r);
+        const int latency = pool.delay[0][t] - 2 * pool.headSeg[0][t];
         ChainMembership m;
-        m.chain = e.chain;
-        m.gen = e.gen;
-        if (e.chain != kNoChain) {
-            // The 16-byte hot mirror holds exactly the scalars this
-            // path reads (audited against ChainState).
-            const ChainHot &ch = chainHot[static_cast<std::size_t>(e.chain)];
-            if (ch.gen != e.gen) {
+        m.chain = pool.chain[0][t];
+        m.gen = pool.gen[0][t];
+        if (m.chain != kNoChain) {
+            const ChainHot &ch = chainHot[static_cast<std::size_t>(m.chain)];
+            if (ch.gen != m.gen) {
                 // Wire reused: head long gone, value effectively ready.
                 continue;
             }
@@ -275,12 +276,10 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
             m.headSegment = ch.headSegment;
             m.selfTimed = ch.selfTimed != 0;
             m.suspended = ch.suspended != 0;
-            m.delay = ch.selfTimed ? e.latency
-                                   : 2 * ch.headSegment + e.latency;
+            m.delay = ch.selfTimed ? latency : 2 * ch.headSegment + latency;
         } else {
             m.selfTimed = true;
-            m.suspended = false;
-            m.delay = e.latency;
+            m.delay = latency;
         }
         src_of[n] = i;
         mem[n++] = m;
@@ -459,11 +458,10 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         seg_state.headedGen = gen;
         seg_state.chainReleased = false;
         ChainState &cs = stateOf(id);
-        cs.gen = gen;
-        cs.headSegment = target;
-        cs.selfTimed = false;
-        cs.suspended = false;
-        cs.seqCounter = 0;
+        ChainHot &ch = chainHot[static_cast<std::size_t>(id)];
+        ch = ChainHot{};
+        ch.gen = gen;
+        ch.headSegment = static_cast<std::int16_t>(target);
         cs.log.clear();
         // Room for the usual populations, so that steady-state cycles
         // do not grow them: pruning keeps about one signal per wire
@@ -474,7 +472,6 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         // generation listeners are skipped by delivery and drop off
         // through their own lifecycle; stale expiry records and
         // calendar keys are no-ops.
-        syncChainHot(id);
         chainsCreated.inc();
         if (plan.isLoadHead)
             headsFromLoads.inc();
@@ -484,27 +481,23 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
     instsInserted.inc();
     dispatchSegment.sample(static_cast<double>(target));
 
-    // Update the register information table for the destination.
+    // Update the register table lane of the destination.
     RegIndex dst = inst->staticInst.dstReg();
     if (dst != kInvalidReg) {
-        undoLog.pushBackGrow({inst->seq, dst, regInfo[dst]});
-        // unsubscribeReg reads only the subscription index, so the
-        // entry can be rebuilt in place first.
-        unsubscribeReg(dst);
-        RegInfoEntry &e = regInfo[dst];
-        e = RegInfoEntry{};
-        e.pending = true;
+        const unsigned t = regLane(dst);
+        undoLog.pushBackGrow(
+            {inst->seq, dst, pool.memCount[t] != 0, laneMembership(t, 0)});
         const int exec_lat = static_cast<int>(predictedLatency(*inst));
+        ChainMembership e;
         if (seg_state.headedChain != kNoChain) {
             e.chain = seg_state.headedChain;
             e.gen = seg_state.headedGen;
-            e.appliedSeq = 0;
-            e.latency = exec_lat;
-            e.headSeg = target;
-            e.selfTimed = false;
+            e.headSegment = target;
+            e.delay = 2 * target + exec_lat;
         } else {
             // Prefer to express the destination relative to a real
-            // chain among the memberships (the latest one).
+            // chain among the memberships (the latest one): that
+            // membership, exec_lat further behind its head.
             int best = -1;
             for (int k = 0; k < plan.numMemberships; ++k) {
                 if (plan.memberships[k].chain == kNoChain)
@@ -515,100 +508,20 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
                 }
             }
             if (best >= 0) {
-                const ChainMembership &m = plan.memberships[best];
-                e.chain = m.chain;
-                e.gen = m.gen;
-                e.appliedSeq = m.appliedSeq;
-                e.headSeg = m.headSegment;
-                e.selfTimed = m.selfTimed;
-                e.suspended = m.suspended;
-                e.latency = (m.selfTimed
-                                 ? m.delay
-                                 : m.delay - 2 * m.headSegment) + exec_lat;
+                e = plan.memberships[best];
+                e.delay += exec_lat;
             } else {
                 // No real chains: pure countdown from now.
                 int longest = 0;
                 for (int k = 0; k < plan.numMemberships; ++k)
                     longest = std::max(longest,
                                        plan.memberships[k].delay);
-                e.chain = kNoChain;
                 e.selfTimed = true;
-                e.latency = longest + exec_lat;
+                e.delay = longest + exec_lat;
             }
         }
-        if (e.chain != kNoChain)
-            subscribeReg(dst);
-        armReg(dst);
-        syncRegCd(dst);
+        writeRegLane(dst, true, e);
     }
-}
-
-// --- Incremental-index maintenance (section 11) --------------------------
-
-void
-SegmentedIq::subscribeReg(RegIndex r)
-{
-    ChainState &cs = stateOf(regInfo[r].chain);
-    regSubChain[r] = regInfo[r].chain;
-    regSubPos[r] = static_cast<int>(cs.regSubs.size());
-    cs.regSubs.push_back(r);
-}
-
-void
-SegmentedIq::unsubscribeReg(RegIndex r)
-{
-    if (regSubChain[r] == kNoChain)
-        return;
-    ChainState &cs = stateOf(regSubChain[r]);
-    const int i = regSubPos[r];
-    regSubChain[r] = kNoChain;
-    regSubPos[r] = -1;
-    const RegIndex last = cs.regSubs.back();
-    cs.regSubs[i] = last;
-    cs.regSubs.pop_back();
-    if (static_cast<std::size_t>(i) < cs.regSubs.size())
-        regSubPos[last] = i;
-}
-
-void
-SegmentedIq::syncRegCd(RegIndex r)
-{
-    const RegInfoEntry &e = regInfo[r];
-    const bool want =
-        e.pending && e.selfTimed && !e.suspended && e.latency > 0;
-    const int i = regCdPos[r];
-    if (want && i < 0) {
-        regCdPos[r] = static_cast<int>(regCountdown.size());
-        regCountdown.push_back(r);
-    } else if (!want && i >= 0) {
-        regCdPos[r] = -1;
-        const RegIndex last = regCountdown.back();
-        regCountdown[i] = last;
-        regCountdown.pop_back();
-        if (static_cast<std::size_t>(i) < regCountdown.size())
-            regCdPos[last] = i;
-    }
-    // Every table mutation funnels through here, so the availability
-    // mask (fast-plan path) can be maintained in the same place.  A
-    // stale-generation chain entry keeps its bit clear until delivery
-    // or overwrite catches up -- conservative, never wrong.
-    const std::uint64_t abit = 1ULL << r;
-    if (entryAvailable(e))
-        regAvail |= abit;
-    else
-        regAvail &= ~abit;
-}
-
-void
-SegmentedIq::syncChainHot(ChainId id)
-{
-    const ChainState &cs = chainStates[static_cast<std::size_t>(id)];
-    ChainHot &ch = chainHot[static_cast<std::size_t>(id)];
-    ch.seqCounter = cs.seqCounter;
-    ch.gen = cs.gen;
-    ch.headSegment = static_cast<std::int16_t>(cs.headSegment);
-    ch.selfTimed = cs.selfTimed ? 1 : 0;
-    ch.suspended = cs.suspended ? 1 : 0;
 }
 
 void
@@ -630,26 +543,26 @@ SegmentedIq::emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
     if (id == kNoChain)
         return;
     ChainState &cs = stateOf(id);
-    if (cs.gen != gen)
+    ChainHot &ch = chainHot[static_cast<std::size_t>(id)];
+    if (ch.gen != gen)
         return;
 
     switch (kind) {
       case SignalKind::Assert:
-        if (cs.headSegment > 0)
-            cs.headSegment -= 1;
+        if (ch.headSegment > 0)
+            ch.headSegment -= 1;
         else
-            cs.selfTimed = true;
+            ch.selfTimed = 1;
         break;
       case SignalKind::Suspend:
-        cs.suspended = true;
+        ch.suspended = 1;
         break;
       case SignalKind::Resume:
-        cs.suspended = false;
+        ch.suspended = 0;
         break;
     }
     cs.log.pushBackGrow(
-        LoggedSignal{++cs.seqCounter, cycle, origin_segment, kind});
-    syncChainHot(id);
+        LoggedSignal{++ch.seqCounter, cycle, origin_segment, kind});
     // Step 5 pops expiry records front-first, so it must see them in
     // cycle order.
     SCIQ_ASSERT(expiry.empty() || expiry.back().cycle <= cycle,
@@ -879,13 +792,8 @@ SegmentedIq::onSquashInst(const DynInstPtr &inst)
 {
     // Called youngest-first: table restores unwind in reverse order.
     while (!undoLog.empty() && undoLog.back().seq == inst->seq) {
-        const RegIndex r = undoLog.back().archDst;
-        unsubscribeReg(r);
-        regInfo[r] = undoLog.back().prev;
-        if (regInfo[r].pending && regInfo[r].chain != kNoChain)
-            subscribeReg(r);
-        armReg(r);  // may have fallen behind its wire
-        syncRegCd(r);
+        const Undo &u = undoLog.back();
+        writeRegLane(u.archDst, u.pending, u.prev);
         undoLog.popBack();
     }
     releaseChain(inst, 0);
@@ -938,6 +846,24 @@ SegmentedIq::refreshLaneElig(unsigned slot)
 {
     const unsigned k = pool.seg[slot];
     setLaneElig(slot, k >= 1 && laneEffDelay(slot) < threshold(k - 1));
+}
+
+void
+SegmentedIq::syncRegAvail(RegIndex r)
+{
+    // A stale-generation chain entry keeps its bit clear until delivery
+    // or overwrite catches up -- conservative, never wrong.
+    const std::uint64_t abit = 1ULL << r;
+    regAvail = regAvailable(r) ? (regAvail | abit) : (regAvail & ~abit);
+}
+
+void
+SegmentedIq::laneChanged(unsigned slot)
+{
+    if (slot < poolSize)
+        refreshLaneElig(slot);
+    else
+        syncRegAvail(static_cast<RegIndex>(slot - poolSize));
 }
 
 void
@@ -1045,23 +971,78 @@ SegmentedIq::soaUnplace(unsigned slot)
     --segCount[k];
 }
 
+ChainMembership
+SegmentedIq::laneMembership(unsigned slot, int m) const
+{
+    ChainMembership out;
+    out.chain = pool.chain[m][slot];
+    out.gen = pool.gen[m][slot];
+    out.appliedSeq = pool.applied[m][slot];
+    out.delay = pool.delay[m][slot];
+    out.headSegment = pool.headSeg[m][slot];
+    out.selfTimed = (pool.flags[m][slot] & kLaneSelfTimed) != 0;
+    out.suspended = (pool.flags[m][slot] & kLaneSuspended) != 0;
+    return out;
+}
+
+void
+SegmentedIq::setLane(unsigned slot, int m, const ChainMembership &mem)
+{
+    pool.delay[m][slot] = mem.delay;
+    pool.chain[m][slot] = mem.chain;
+    pool.gen[m][slot] = mem.gen;
+    pool.applied[m][slot] = mem.appliedSeq;
+    pool.headSeg[m][slot] = static_cast<std::int16_t>(mem.headSegment);
+    pool.flags[m][slot] =
+        static_cast<std::uint8_t>((mem.selfTimed ? kLaneSelfTimed : 0) |
+                                  (mem.suspended ? kLaneSuspended : 0));
+    if (mem.chain != kNoChain) {
+        ChainState &cs = stateOf(mem.chain);
+        pool.subIdx[m][slot] = static_cast<std::int32_t>(cs.soaSubs.size());
+        cs.soaSubs.push_back({static_cast<std::uint16_t>(slot),
+                              static_cast<std::uint16_t>(m)});
+    } else {
+        pool.subIdx[m][slot] = -1;
+    }
+    syncLaneCd(slot, m);
+}
+
+void
+SegmentedIq::dropLane(unsigned slot, int m)
+{
+    const std::int32_t si = pool.subIdx[m][slot];
+    if (si >= 0) {
+        ChainState &cs = stateOf(pool.chain[m][slot]);
+        pool.subIdx[m][slot] = -1;
+        const SoaSub last = cs.soaSubs.back();
+        cs.soaSubs[static_cast<std::size_t>(si)] = last;
+        cs.soaSubs.pop_back();
+        if (static_cast<std::size_t>(si) < cs.soaSubs.size())
+            pool.subIdx[last.mem][last.slot] = si;
+    }
+    setCdBit(slot, m, false);
+    pool.due[m][slot] = kNotDue;  // any calendar key goes stale
+}
+
+void
+SegmentedIq::writeRegLane(RegIndex r, bool pending, const ChainMembership &mem)
+{
+    const unsigned t = regLane(r);
+    if (pool.memCount[t] != 0)
+        dropLane(t, 0);
+    pool.memCount[t] = pending ? 1 : 0;
+    if (pending) {
+        setLane(t, 0, mem);
+        armMember(t, 0);  // a restored lane may have fallen behind its wire
+    }
+    syncRegAvail(r);
+}
+
 void
 SegmentedIq::soaLeaveSlot(unsigned slot)
 {
-    for (int m = 0; m < pool.memCount[slot]; ++m) {
-        const std::int32_t si = pool.subIdx[m][slot];
-        if (si >= 0) {
-            ChainState &cs = stateOf(pool.chain[m][slot]);
-            pool.subIdx[m][slot] = -1;
-            const SoaSub last = cs.soaSubs.back();
-            cs.soaSubs[static_cast<std::size_t>(si)] = last;
-            cs.soaSubs.pop_back();
-            if (static_cast<std::size_t>(si) < cs.soaSubs.size())
-                pool.subIdx[last.mem][last.slot] = si;
-        }
-        setCdBit(slot, m, false);
-        pool.due[m][slot] = kNotDue;  // any calendar key goes stale
-    }
+    for (int m = 0; m < pool.memCount[slot]; ++m)
+        dropLane(slot, m);
     setLaneElig(slot, false);
     soaUnplace(slot);
     pool.seg[slot] = kFreeSlot;
@@ -1137,31 +1118,13 @@ SegmentedIq::armMember(unsigned slot, int m)
         return;
     const auto c = static_cast<std::size_t>(id);
     // Applied up to the wire's counter: nothing to deliver (the packed
-    // mirror answers without loading the ChainState).
+    // scalars answer without loading the ChainState).
     if (chainHot[c].gen != pool.gen[m][slot] ||
         pool.applied[m][slot] >= chainHot[c].seqCounter)
         return;
     if (const LoggedSignal *sig =
             firstPending(chainStates[c], pool.applied[m][slot]))
         armLane(slot, m, *sig);
-}
-
-void
-SegmentedIq::armReg(RegIndex r)
-{
-    Cycle &due = regDue[r];
-    due = kNotDue;
-    const RegInfoEntry &e = regInfo[r];
-    if (!e.pending || e.chain == kNoChain)
-        return;
-    const auto c = static_cast<std::size_t>(e.chain);
-    if (chainHot[c].gen != e.gen || e.appliedSeq >= chainHot[c].seqCounter)
-        return;
-    if (const LoggedSignal *sig = firstPending(chainStates[c], e.appliedSeq)) {
-        ++work.signalDeliveries;
-        due = schedule(arrivalAt(*sig, static_cast<int>(numSegments()) - 1),
-                       kRegKey | static_cast<std::uint32_t>(r));
-    }
 }
 
 void
@@ -1172,27 +1135,16 @@ SegmentedIq::armListeners(ChainId id)
     // the caught-up ones learn a due cycle: their first unapplied
     // entry's arrival at the segment they are in now.
     ChainState &cs = chainStates[static_cast<std::size_t>(id)];
+    const std::uint32_t gen = chainHot[static_cast<std::size_t>(id)].gen;
     cs.armPending = false;
     for (const SoaSub &sub : cs.soaSubs) {
         ++work.laneWordsTouched;
         if (pool.due[sub.mem][sub.slot] != kNotDue ||
-            pool.gen[sub.mem][sub.slot] != cs.gen)
+            pool.gen[sub.mem][sub.slot] != gen)
             continue;
         if (const LoggedSignal *sig =
                 firstPending(cs, pool.applied[sub.mem][sub.slot]))
             armLane(sub.slot, sub.mem, *sig);
-    }
-    const int top = static_cast<int>(numSegments()) - 1;
-    for (RegIndex r : cs.regSubs) {
-        ++work.laneWordsTouched;
-        const RegInfoEntry &e = regInfo[r];
-        if (regDue[r] != kNotDue || !e.pending || e.gen != cs.gen)
-            continue;
-        if (const LoggedSignal *sig = firstPending(cs, e.appliedSeq)) {
-            ++work.signalDeliveries;
-            regDue[r] = schedule(arrivalAt(*sig, top),
-                                 kRegKey | static_cast<std::uint32_t>(r));
-        }
     }
 }
 
@@ -1215,27 +1167,8 @@ SegmentedIq::soaInsert(const DynInstPtr &inst, int target, const Plan &plan)
     pool.headChain[slot] = inst->seg.headedChain;
     pool.headGen[slot] = inst->seg.headedGen;
     pool.inst[slot] = inst;
-    for (int m = 0; m < plan.numMemberships; ++m) {
-        const ChainMembership &mem = plan.memberships[m];
-        pool.delay[m][slot] = mem.delay;
-        pool.chain[m][slot] = mem.chain;
-        pool.gen[m][slot] = mem.gen;
-        pool.applied[m][slot] = mem.appliedSeq;
-        pool.headSeg[m][slot] = static_cast<std::int16_t>(mem.headSegment);
-        pool.flags[m][slot] =
-            static_cast<std::uint8_t>((mem.selfTimed ? kLaneSelfTimed : 0) |
-                                      (mem.suspended ? kLaneSuspended : 0));
-        if (mem.chain != kNoChain) {
-            ChainState &cs = stateOf(mem.chain);
-            pool.subIdx[m][slot] =
-                static_cast<std::int32_t>(cs.soaSubs.size());
-            cs.soaSubs.push_back({static_cast<std::uint16_t>(slot),
-                                  static_cast<std::uint16_t>(m)});
-        } else {
-            pool.subIdx[m][slot] = -1;
-        }
-        syncLaneCd(slot, m);
-    }
+    for (int m = 0; m < plan.numMemberships; ++m)
+        setLane(slot, m, plan.memberships[m]);
     if (auditTracking)
         dispatchPlan[slot] = plan;
     ++totalOcc;
@@ -1328,10 +1261,10 @@ void
 SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
 {
     pool.due[m][slot] = kNotDue;
-    const ChainState &cs =
-        chainStates[static_cast<std::size_t>(pool.chain[m][slot])];
-    if (pool.gen[m][slot] != cs.gen)
+    const auto c = static_cast<std::size_t>(pool.chain[m][slot]);
+    if (pool.gen[m][slot] != chainHot[c].gen)
         return;  // wire reused: its old signals were all seen
+    const ChainState &cs = chainStates[c];
     work.laneWordsTouched += 3;
     const int s = pool.seg[slot];
     const std::size_t log_sz = cs.log.size();
@@ -1341,7 +1274,9 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
         return arrivalAt(cs.log[i], s) <= now;
     };
     // Apply, in log order, the entries visible at this segment past
-    // the applied prefix, stopping at the first that is not.
+    // the applied prefix, stopping at the first that is not.  A head
+    // assert moves the head one segment closer: 2 off the delay (2 *
+    // headSeg plus a latency of at least 0, so the clamp never bites).
     if (i < log_sz && visible()) {
         std::int32_t d = pool.delay[m][slot];
         std::int16_t hs = pool.headSeg[m][slot];
@@ -1369,55 +1304,16 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
         pool.flags[m][slot] = fl;
         pool.applied[m][slot] = cs.log.front().seq + i - 1;
         syncLaneCd(slot, m);
-        refreshLaneElig(slot);
+        laneChanged(slot);
     }
-    if (i < log_sz)
+    if (i < log_sz) {
+        // armLane counts the entry a second time, as a queue lane's
+        // re-arm always has; a table lane's re-arm stays uncounted, as
+        // before the table became lanes, so iq.work.signal_deliveries
+        // keeps its recorded values.
+        work.signalDeliveries -= slot >= poolSize;
         armLane(slot, m, cs.log[i]);
-}
-
-void
-SegmentedIq::soaDeliverReg(RegIndex r, Cycle now)
-{
-    // The register table listens at the fixed top segment.
-    regDue[r] = kNotDue;
-    RegInfoEntry &e = regInfo[r];
-    if (!e.pending || e.chain == kNoChain)
-        return;
-    const ChainState &cs = chainStates[static_cast<std::size_t>(e.chain)];
-    if (cs.gen != e.gen)
-        return;
-    work.laneWordsTouched += 2;
-    const int top = static_cast<int>(numSegments()) - 1;
-    const std::size_t log_sz = cs.log.size();
-    std::size_t i = firstUnapplied(cs, e.appliedSeq);
-    Cycle at = 0;
-    const auto visible = [&] {
-        ++work.signalDeliveries;
-        at = arrivalAt(cs.log[i], top);
-        return at <= now;
-    };
-    if (i < log_sz && visible()) {
-        do {
-            switch (cs.log[i].kind) {
-              case SignalKind::Assert:
-                if (e.headSeg > 0)
-                    e.headSeg -= 1;
-                else
-                    e.selfTimed = true;
-                break;
-              case SignalKind::Suspend:
-                e.suspended = true;
-                break;
-              case SignalKind::Resume:
-                e.suspended = false;
-                break;
-            }
-        } while (++i < log_sz && visible());
-        e.appliedSeq = cs.log.front().seq + i - 1;
-        syncRegCd(r);
     }
-    if (i < log_sz)
-        regDue[r] = schedule(at, kRegKey | static_cast<std::uint32_t>(r));
 }
 
 [[gnu::flatten]] void
@@ -1441,13 +1337,8 @@ SegmentedIq::tickDeliver(Cycle cycle)
     std::vector<std::uint32_t> &bucket = calendar[cycle & calendarMask];
     for (const std::uint32_t key : bucket) {
         ++work.laneWordsTouched;
-        const unsigned id = key & ~kRegKey;
-        if (key & kRegKey) {
-            if (regDue[id] <= cycle)
-                soaDeliverReg(static_cast<RegIndex>(id), cycle);
-        } else if (pool.due[id & 1][id >> 1] <= cycle) {
-            soaDeliverMember(id >> 1, static_cast<int>(id & 1), cycle);
-        }
+        if (pool.due[key & 1][key >> 1] <= cycle)
+            soaDeliverMember(key >> 1, static_cast<int>(key & 1), cycle);
     }
     bucket.clear();
 }
@@ -1455,8 +1346,8 @@ SegmentedIq::tickDeliver(Cycle cycle)
 [[gnu::flatten]] void
 SegmentedIq::tickCountdown()
 {
-    // Decrements of distinct slots commute, so the pool is walked in
-    // slot order.
+    // Decrements of distinct lanes commute, so the pool is walked in
+    // slot order, the register table's lanes last.
     for (int m = 0; m < 2; ++m) {
         forEachBitFrom(
             pool.cdSummary[m].data(), pool.cdSummary[m].size(), 0,
@@ -1470,21 +1361,12 @@ SegmentedIq::tickCountdown()
                     work.laneWordsTouched += 2;
                     std::int32_t &d = pool.delay[m][slot];
                     d -= 1;
-                    refreshLaneElig(slot);
                     if (d == 0)
                         setCdBit(slot, m, false);
+                    laneChanged(slot);
                 }
                 return true;
             });
-    }
-    for (std::size_t i = 0; i < regCountdown.size();) {
-        const RegIndex r = regCountdown[i];
-        work.laneWordsTouched += 2;
-        regInfo[r].latency -= 1;
-        if (regInfo[r].latency == 0)
-            syncRegCd(r);
-        else
-            ++i;
     }
 }
 
@@ -1539,11 +1421,9 @@ SegmentedIq::runDeadlockRecovery(Cycle cycle)
         const unsigned top = activeSegments - 1;
         const ChainId head = pool.headChain[slot];
         if (head != kNoChain) {
-            ChainState &cs = stateOf(head);
-            if (cs.gen == pool.headGen[slot]) {
-                cs.headSegment = static_cast<int>(top);
-                syncChainHot(head);
-            }
+            ChainHot &ch = chainHot[static_cast<std::size_t>(head)];
+            if (ch.gen == pool.headGen[slot])
+                ch.headSegment = static_cast<std::int16_t>(top);
         }
         soaPlace(slot, top);
         SCIQ_ASSERT(segCount[top] <= params.segmentSize,
@@ -1581,16 +1461,7 @@ SegmentedIq::slotOf(const DynInst &inst) const
 ChainMembership
 SegmentedIq::debugMembership(const DynInstPtr &inst, int m) const
 {
-    const unsigned slot = slotOf(*inst);
-    ChainMembership out;
-    out.chain = pool.chain[m][slot];
-    out.gen = pool.gen[m][slot];
-    out.appliedSeq = pool.applied[m][slot];
-    out.delay = pool.delay[m][slot];
-    out.headSegment = pool.headSeg[m][slot];
-    out.selfTimed = (pool.flags[m][slot] & kLaneSelfTimed) != 0;
-    out.suspended = (pool.flags[m][slot] & kLaneSuspended) != 0;
-    return out;
+    return laneMembership(slotOf(*inst), m);
 }
 
 int

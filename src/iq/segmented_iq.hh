@@ -38,7 +38,10 @@
  * words; chain-wire delivery takes the listeners from a calendar keyed
  * by the cycle their next signal arrives; logs expire from a
  * time-ordered queue; and a register-availability mask lets
- * independent instructions skip the dispatch plan entirely.  Per-cycle
+ * independent instructions skip the dispatch plan entirely.  The
+ * dispatch-stage register table is one more membership lane per
+ * architectural register in the same pool, listening at the top
+ * segment, so the table and the queue share one listener.  Per-cycle
  * cost is therefore proportional to scheduler *activity*, not queue
  * occupancy.  The invariant auditor (audit=1) re-derives every index
  * from a full rescan each cycle and counts disagreements.
@@ -47,7 +50,6 @@
 #ifndef SCIQ_IQ_SEGMENTED_IQ_HH
 #define SCIQ_IQ_SEGMENTED_IQ_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,7 +62,9 @@ namespace sciq {
 /**
  * Membership of an instruction in one dependence chain (paper 3.2/3.3).
  * Each IQ entry tracks: chain id, current delay value, the chain head's
- * segment location, and whether the chain is in self-timed mode.
+ * segment location, and whether the chain is in self-timed mode.  A
+ * register-table entry is the same record (delay = 2 * headSegment +
+ * latency).
  */
 struct ChainMembership
 {
@@ -233,8 +237,7 @@ class SegmentedIq : public IqBase
     };
 
     /**
-     * Authoritative per-chain-wire state, read by dispatch when a new
-     * member joins, plus the signal log in-flight entries consume and
+     * A chain wire's signal log, which in-flight listeners consume, and
      * the subscriber index a signal arms.  Subscriber lists survive
      * wire reuse: stale-generation subscribers are skipped by the
      * generation check and unsubscribe through their normal lifecycle
@@ -242,51 +245,32 @@ class SegmentedIq : public IqBase
      */
     struct ChainState
     {
-        std::uint32_t gen = 0;
-        int headSegment = 0;
-        bool selfTimed = false;   ///< head has issued
-        bool suspended = false;
-        std::uint64_t seqCounter = 0;
         CircularQueue<LoggedSignal> log;
-        std::vector<SoaSub> soaSubs;    ///< resident listeners
-        std::vector<RegIndex> regSubs;  ///< regInfo listeners
+        std::vector<SoaSub> soaSubs;    ///< listening lanes
         bool armPending = false;        ///< on pendingArm
     };
 
     /**
-     * Packed mirror of the ChainState scalars computePlan reads (16
-     * bytes, four per cache line), so the dispatch path never
-     * touches the cold ChainState objects.  Written at wire (re)init,
-     * emitSignal, and deadlock recovery; audited against ChainState.
+     * A chain wire's authoritative scalars (16 bytes, four per cache
+     * line), read by dispatch when a new member joins and by every
+     * generation check, so neither touches the cold ChainState.
      */
     struct ChainHot
     {
         std::uint64_t seqCounter = 0;
         std::uint32_t gen = 0;
         std::int16_t headSegment = 0;
-        std::uint8_t selfTimed = 0;
+        std::uint8_t selfTimed = 0;   ///< head has issued
         std::uint8_t suspended = 0;
     };
 
-    /** Dispatch-stage register information table entry (section 3.3). */
-    struct RegInfoEntry
-    {
-        bool pending = false;
-        ChainId chain = kNoChain;   ///< kNoChain: pure countdown entry
-        std::uint32_t gen = 0;
-        std::uint64_t appliedSeq = 0;
-        int latency = 0;            ///< rel. to head issue / to now if selfTimed
-        int headSeg = 0;            ///< tracked head location (lagged)
-        bool selfTimed = false;
-        bool suspended = false;
-    };
-
-    /** Undo record for squash recovery of the table. */
+    /** Undo record for squash recovery of a register-table lane. */
     struct Undo
     {
         SeqNum seq;
         RegIndex archDst;
-        RegInfoEntry prev;
+        bool pending;           ///< the lane's memCount was 1
+        ChainMembership prev;
     };
 
     /** Everything insert() needs, precomputed identically by canInsert. */
@@ -303,8 +287,8 @@ class SegmentedIq : public IqBase
         bool hmpPredictedHit = false;
     };
 
-    /** True once the table says this operand's value is available. */
-    static bool entryAvailable(const RegInfoEntry &e);
+    /** True once register r's table lane says its value is available. */
+    bool regAvailable(RegIndex r) const;
 
     /** Predicted latency from issue to dependent-ready (section 3.3). */
     unsigned predictedLatency(const DynInst &inst) const;
@@ -318,6 +302,7 @@ class SegmentedIq : public IqBase
     /** Dispatch target segment honouring the bypass rule (section 4.2). */
     int targetSegment() const;
 
+    /** Chain id's log and listeners; grows chainHot alongside. */
     ChainState &stateOf(ChainId id);
     const ChainState &stateOf(ChainId id) const;
 
@@ -327,17 +312,6 @@ class SegmentedIq : public IqBase
     /** As above, for the head's wire identity read from the pool. */
     void emitSignal(ChainId id, std::uint32_t gen, SignalKind kind,
                     int origin_segment, Cycle cycle);
-
-    // --- Incremental-index maintenance (section 11) ----------------------
-    // Subscriber lists, countdown lists and bits, and the per-slot
-    // eligibility bits are redundant views over the authoritative
-    // per-entry state; every mutation site keeps them in sync and the
-    // auditor re-derives them from a full rescan under audit=1.
-
-    void subscribeReg(RegIndex r);
-    void unsubscribeReg(RegIndex r);
-    /** Keep table entry r on/off the self-timed countdown list. */
-    void syncRegCd(RegIndex r);
 
     /** Begin the delayed release of a head's chain wire. */
     void releaseChain(const DynInstPtr &inst, Cycle cycle);
@@ -349,13 +323,25 @@ class SegmentedIq : public IqBase
     // cursor visits them in age order.  A segment is a bitmask over the
     // slots plus a count: promotion, pushdown and the deadlock recycle
     // flip two bits and relabel the slot without copying lane data.
+    //
+    // The dispatch-stage register table (section 3.3) follows: lane 0 of
+    // slot poolSize + r is register r's entry, labelled with the top
+    // segment (where the table listens) and in no segment mask; it is
+    // pending while its memCount is 1.  It stores delay = 2 * headSeg +
+    // latency, as a member does, so it shares the subscriber lists,
+    // calendar keys, arming, delivery and countdown bits.  Subscriber
+    // lists, countdown bits, the per-slot eligibility bits and the
+    // register-availability mask are redundant views over the lanes;
+    // every mutation site keeps them in sync and the auditor re-derives
+    // them from a full rescan under audit=1.
 
     static constexpr std::uint16_t kFreeSlot = 0xffff;  ///< seg of a free slot
     static constexpr Cycle kNotDue = ~Cycle{0};  ///< listener is caught up
 
     struct SlotPool
     {
-        // Membership lanes, [membership][slot].
+        // Membership lanes, [membership][slot]; slots past poolSize are
+        // the register table's lanes.
         std::vector<std::int32_t> delay[2];
         std::vector<ChainId> chain[2];
         std::vector<std::uint32_t> gen[2];
@@ -368,18 +354,19 @@ class SegmentedIq : public IqBase
         // with `due`, so a move re-arms without reading the log.
         std::vector<Cycle> dueCycle[2];
         std::vector<std::int16_t> dueOrigin[2];
-        std::vector<RegIndex> src[2];  ///< scoreboard-gating operands
         std::vector<std::uint8_t> memCount;
-        std::vector<SeqNum> seq;       ///< kept after release (squash rewind)
         std::vector<std::uint16_t> seg;  ///< segment, kFreeSlot when free
+        std::vector<std::uint64_t> cdBits[2];
+        std::vector<std::uint64_t> cdSummary[2];  ///< non-empty cdBits words
+
+        // Queue slots only.
+        std::vector<RegIndex> src[2];  ///< scoreboard-gating operands
+        std::vector<SeqNum> seq;       ///< kept after release (squash rewind)
         std::vector<ChainId> headChain;  ///< wire this entry heads
         std::vector<std::uint32_t> headGen;
         std::vector<DynInstPtr> inst;    ///< handle for issue and dumps
 
-        // 64-wide bitmask words over slots.
-        std::vector<std::uint64_t> eligBits;
-        std::vector<std::uint64_t> cdBits[2];
-        std::vector<std::uint64_t> cdSummary[2];  ///< non-empty cdBits words
+        std::vector<std::uint64_t> eligBits;  ///< 64-wide bitmask words
     };
 
     static constexpr std::uint8_t kLaneSelfTimed = 1;
@@ -392,9 +379,27 @@ class SegmentedIq : public IqBase
     void setLaneElig(unsigned slot, bool now);
     /** Re-evaluate the promotion predicate at the slot's segment. */
     void refreshLaneElig(unsigned slot);
+    /** Bring register r's bit of regAvail up to its table lane. */
+    void syncRegAvail(RegIndex r);
+    /** After a lane's delay or flags changed: the eligibility bit of a
+     *  queue slot, the availability bit of a table lane. */
+    void laneChanged(unsigned slot);
     void syncLaneCd(unsigned slot, int mem);
     /** Set or clear membership `mem`'s countdown bit for `slot`. */
     void setCdBit(unsigned slot, int mem, bool on);
+
+    /** Lane (slot, m) as a membership record. */
+    ChainMembership laneMembership(unsigned slot, int m) const;
+    /** Write lane (slot, m), subscribe it to its wire, sync its countdown
+     *  bit; the caller arms it once the slot has its segment. */
+    void setLane(unsigned slot, int m, const ChainMembership &mem);
+    /** Unsubscribe lane (slot, m) and drop its countdown bit and due. */
+    void dropLane(unsigned slot, int m);
+
+    /** Register r's table lane. */
+    unsigned regLane(RegIndex r) const { return poolSize + r; }
+    /** Rewrite register r's table lane (pending or not) and arm it. */
+    void writeRegLane(RegIndex r, bool pending, const ChainMembership &mem);
 
     /** Segment k's mask word w. */
     std::uint64_t &segWord(unsigned k, std::size_t w)
@@ -444,9 +449,7 @@ class SegmentedIq : public IqBase
     // unapplied log entry sits in the bucket of its due cycle, the
     // cycle that entry reaches its segment (never before the next
     // delivery pass), once its chain has been armed.  Keys name a
-    // membership lane (slot << 1 | mem) or, with kRegKey set, a
-    // register-table entry.
-    static constexpr std::uint32_t kRegKey = 0x80000000u;
+    // membership lane (slot << 1 | mem).
 
     /** Index of the first log entry past `applied`. */
     static std::size_t firstUnapplied(const ChainState &cs,
@@ -463,8 +466,6 @@ class SegmentedIq : public IqBase
     void armLane(unsigned slot, int m, const LoggedSignal &sig);
     /** Recompute membership (slot, m)'s due cycle after it moved or joined. */
     void armMember(unsigned slot, int m);
-    /** Recompute table entry r's due cycle after it was written. */
-    void armReg(RegIndex r);
     /**
      * Arm every caught-up current-generation listener of chain `id`,
      * which has signalled since the last delivery pass.
@@ -472,7 +473,6 @@ class SegmentedIq : public IqBase
     void armListeners(ChainId id);
 
     void soaDeliverMember(unsigned slot, int m, Cycle now);
-    void soaDeliverReg(RegIndex r, Cycle now);
 
     void soaInsert(const DynInstPtr &inst, int target, const Plan &plan);
 
@@ -490,9 +490,6 @@ class SegmentedIq : public IqBase
     /** All gating arch sources available in the table (regAvail hit)? */
     bool fastPlanEligible(const DynInst &inst) const;
 
-    /** Mirror a wire's ChainState scalars into chainHot. */
-    void syncChainHot(ChainId id);
-
     SlotPool pool;
     unsigned poolSize = 0;             ///< slots (the ROB capacity)
     std::size_t poolWords = 0;         ///< 64-bit words per slot mask
@@ -507,7 +504,6 @@ class SegmentedIq : public IqBase
     std::vector<std::vector<std::uint32_t>> calendar;  ///< due buckets
     Cycle calendarMask = 0;            ///< bucket count - 1
     Cycle lastPass = 0;                ///< cycle of the last delivery pass
-    std::array<Cycle, kNumArchRegs> regDue;  ///< due cycle per table entry
 
     /** One logged signal's expiry record (tick step 5). */
     struct Expiry
@@ -519,7 +515,7 @@ class SegmentedIq : public IqBase
     /** Chains that signalled since the last pass, armed at its start. */
     std::vector<ChainId> pendingArm;
 
-    /** Bit r: regInfo[r] names an available value (entryAvailable). */
+    /** Bit r: register r's table lane is available (regAvailable). */
     std::uint64_t regAvail = ~0ULL;
 
     // Promotion scratch (slots moved per round).
@@ -537,18 +533,8 @@ class SegmentedIq : public IqBase
     std::vector<ChainState> chainStates;
     CircularQueue<std::pair<ChainId, Cycle>> chainDrainQueue;
 
-    // --- Incremental scheduling indices (section 11) ---------------------
-
-    std::vector<RegIndex> regCountdown;   ///< table entries counting down
-
-    // Back-pointers for O(1) swap-removal from the register-side lists.
-    std::array<int, kNumArchRegs> regCdPos;       ///< pos in regCountdown
-    std::array<int, kNumArchRegs> regSubPos;      ///< pos in chain regSubs
-    std::array<ChainId, kNumArchRegs> regSubChain;  ///< subscribed chain
-
     std::size_t totalOcc = 0;         ///< occupancy, O(1)
 
-    std::array<RegInfoEntry, kNumArchRegs> regInfo;
     CircularQueue<Undo> undoLog;
 
     // canInsert -> insert plan memo.  Dispatch always probes canInsert

@@ -169,6 +169,24 @@ Auditor::corruptEligibilityBitForTest(SegmentedIq &iq)
     return false;
 }
 
+bool
+Auditor::corruptRegisterLaneForTest(SegmentedIq &iq)
+{
+    auto &pool = iq.pool;
+    for (RegIndex r = 0; r < kNumArchRegs; ++r) {
+        const unsigned t = iq.regLane(r);
+        const ChainId ch = pool.chain[0][t];
+        if (pool.memCount[t] == 1 &&
+            ((pool.cdBits[0][t >> 6] >> (t & 63)) & 1) &&
+            pool.due[0][t] == SegmentedIq::kNotDue &&
+            (ch == kNoChain || !iq.stateOf(ch).armPending)) {
+            iq.setCdBit(t, 0, false);
+            return true;
+        }
+    }
+    return false;
+}
+
 void
 Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 {
@@ -191,8 +209,8 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
 
     // Pool structure: every occupied slot is in exactly one segment
     // mask, the one its label names, and holds a handle; free slots
-    // are in none, hold no handle and have no calendar entry; each
-    // segment's count is its popcount.
+    // are in none and hold no handle; each segment's count is its
+    // popcount.
     const std::size_t cap = iq.poolSize;
     const std::size_t words = iq.poolWords;
     for (unsigned k = 0; k < n; ++k) {
@@ -236,11 +254,7 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         const bool ok =
             occupied ? in_masks == 1 && last == pool.seg[slot] &&
                            pool.inst[slot]
-                     : in_masks == 0 &&
-                           (slot >= cap ||
-                            (!pool.inst[slot] &&
-                             pool.due[0][slot] == SegmentedIq::kNotDue &&
-                             pool.due[1][slot] == SegmentedIq::kNotDue));
+                     : in_masks == 0 && (slot >= cap || !pool.inst[slot]);
         if (!ok) {
             violation(occIndex,
                       "occupied slot is in exactly one segment mask",
@@ -284,157 +298,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               segDump(k);
                       });
         }
-
-        for (const Resident &res : residents[k]) {
-            const DynInst *inst = res.inst;
-            const unsigned slot = res.slot;
-
-            const SegmentedIq::Plan &dispatched = iq.dispatchPlan[slot];
-            if (pool.seq[slot] != inst->seq ||
-                static_cast<int>(pool.memCount[slot]) !=
-                    dispatched.numMemberships ||
-                pool.headChain[slot] != inst->seg.headedChain ||
-                pool.headGen[slot] != inst->seg.headedGen) {
-                violation(occIndex,
-                          "lane identity matches its instruction", cycle, [&] {
-                              return "seq " + std::to_string(inst->seq) +
-                                  " lane seq " +
-                                  std::to_string(pool.seq[slot]) +
-                                  " memCount " +
-                                  std::to_string(pool.memCount[slot]) +
-                                  " heads " +
-                                  std::to_string(pool.headChain[slot]);
-                          });
-                continue;  // lane reads below would be unreliable
-            }
-            const auto srcs = iq.iqSources(*inst);
-            if (pool.src[0][slot] != srcs[0] ||
-                pool.src[1][slot] != srcs[1]) {
-                violation(occIndex, "lane operands match the instruction",
-                          cycle, [&] {
-                              return "seq " + std::to_string(inst->seq) +
-                                  " in segment " + std::to_string(k);
-                          });
-            }
-
-            for (int m = 0; m < dispatched.numMemberships; ++m) {
-                const int delay = pool.delay[m][slot];
-                const ChainId chain = pool.chain[m][slot];
-                const std::uint32_t gen = pool.gen[m][slot];
-                const std::uint64_t applied = pool.applied[m][slot];
-                // Chain identity is fixed at dispatch; the lane and the
-                // insert plan must agree for ever.
-                const ChainMembership &mir = dispatched.memberships[m];
-                if (chain != mir.chain || gen != mir.gen) {
-                    violation(occIndex,
-                              "lane chain identity matches dispatch", cycle,
-                              [&] {
-                                  return "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " lane chain " + std::to_string(chain) +
-                                      " dispatched " +
-                                      std::to_string(mir.chain);
-                              });
-                }
-
-                if (delay < 0) {
-                    violation(negativeDelay, "chain delay >= 0", cycle, [&] {
-                        return "seq " + std::to_string(inst->seq) +
-                            " membership " + std::to_string(m) + " delay " +
-                            std::to_string(delay) + "\n" + segDump(k);
-                    });
-                }
-
-                // Chain-wire exactness: every signal is applied on the
-                // cycle it becomes visible at this segment.  A signal
-                // generated at cycle g from segment o reaches segment s
-                // at g + max(0, s - o); anything still unapplied a full
-                // cycle past that arrival was missed by delivery.
-                // (Signals generated after this cycle's delivery pass -
-                // e.g. load-resume events from the LSQ - are legitimately
-                // pending, hence the strict comparison.)
-                if (chain == kNoChain)
-                    continue;
-                const auto &cs = iq.stateOf(chain);
-                if (cs.gen != gen)
-                    continue;
-                if (applied > cs.seqCounter) {
-                    violation(wireDelivery,
-                              "applied signal count <= signals generated",
-                              cycle, [&] {
-                                  return "seq " + std::to_string(inst->seq) +
-                                      " applied " + std::to_string(applied) +
-                                      " > " + std::to_string(cs.seqCounter) +
-                                      "\n" + segDump(k);
-                              });
-                }
-                for (std::size_t si = 0; si < cs.log.size(); ++si) {
-                    const auto &sig = cs.log.at(si);
-                    if (sig.seq <= applied)
-                        continue;
-                    const Cycle lag =
-                        static_cast<int>(k) > sig.originSegment
-                            ? static_cast<Cycle>(static_cast<int>(k) -
-                                                 sig.originSegment)
-                            : 0;
-                    if (sig.cycle + lag < cycle) {
-                        violation(
-                            wireDelivery,
-                            "chain-wire signals arrive on schedule", cycle,
-                                  [&] {
-                                      return "seq " +
-                                          std::to_string(inst->seq) +
-                                          " in segment " + std::to_string(k) +
-                                          " missed signal " +
-                                          std::to_string(sig.seq) +
-                                          " of chain " +
-                                          std::to_string(chain) +
-                                          " (generated cycle " +
-                                          std::to_string(sig.cycle) +
-                                          " at segment " +
-                                          std::to_string(sig.originSegment) +
-                                          ")\n" + segDump(k);
-                                  });
-                    }
-                }
-            }
-        }
-    }
-
-    // The dispatch-stage register table listens at the top segment.
-    {
-        const int top = static_cast<int>(n) - 1;
-        for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
-            const auto &e = iq.regInfo[r];
-            if (!e.pending || e.chain == kNoChain)
-                continue;
-            const auto &cs = iq.stateOf(e.chain);
-            if (cs.gen != e.gen)
-                continue;
-            for (std::size_t si = 0; si < cs.log.size(); ++si) {
-                const auto &sig = cs.log.at(si);
-                if (sig.seq <= e.appliedSeq)
-                    continue;
-                const Cycle lag =
-                    top > sig.originSegment
-                        ? static_cast<Cycle>(top - sig.originSegment)
-                        : 0;
-                if (sig.cycle + lag < cycle) {
-                    violation(wireDelivery,
-                              "chain-wire signals arrive on schedule",
-                              cycle, [&] {
-                                  return "regInfo[" + std::to_string(r) +
-                                      "] missed signal " +
-                                      std::to_string(sig.seq) + " of chain " +
-                                      std::to_string(e.chain) +
-                                      " (generated cycle " +
-                                      std::to_string(sig.cycle) +
-                                      " at segment " +
-                                      std::to_string(sig.originSegment) + ")";
-                              });
-                }
-            }
-        }
     }
 
     // Promotion respects the previous-cycle free count and the
@@ -475,24 +338,32 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                   });
     }
 
-    // Bits on free slots, or on membership lanes past the slot's count,
-    // are leaks the resident scan below cannot see.
+    // Bits and due cycles on free slots, or on lanes past the slot's
+    // count (a register-table lane that is not pending), are leaks the
+    // lane scan below cannot see.
     auto bit = [](const std::vector<std::uint64_t> &words,
                   std::size_t slot) {
         return ((words[slot >> 6] >> (slot & 63)) & 1) != 0;
     };
     for (std::size_t slot = 0; slot < pool.seg.size(); ++slot) {
-        const unsigned k = pool.seg[slot];
-        const bool occupied = k != SegmentedIq::kFreeSlot;
-        if (bit(pool.eligBits, slot) && !occupied) {
+        const bool occupied = pool.seg[slot] != SegmentedIq::kFreeSlot;
+        if (slot < cap && bit(pool.eligBits, slot) && !occupied) {
             violation(promoIndex, "eligibility bits on live slots", cycle,
                       [&] { return "free slot " + std::to_string(slot); });
         }
         for (int m = 0; m < 2; ++m) {
-            if (bit(pool.cdBits[m], slot) &&
-                (!occupied || m >= pool.memCount[slot])) {
+            if (occupied && m < pool.memCount[slot])
+                continue;
+            if (bit(pool.cdBits[m], slot)) {
                 violation(countdownIndex, "countdown bits on live lanes",
                           cycle, [&] {
+                              return "slot " + std::to_string(slot) +
+                                  " membership " + std::to_string(m);
+                          });
+            }
+            if (pool.due[m][slot] != SegmentedIq::kNotDue) {
+                violation(arrivalIndex, "due cycles on live lanes", cycle,
+                          [&] {
                               return "slot " + std::to_string(slot) +
                                   " membership " + std::to_string(m);
                           });
@@ -514,154 +385,13 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         }
     }
 
-    // Per-entry promotion-eligibility bits (the promotion pass's only
-    // candidate index); subscriber back-pointers along the way.
-    std::size_t subs_scan = 0;   // resident memberships on a wire
-    for (unsigned k = 0; k < n; ++k) {
-        for (const Resident &res : residents[k]) {
-            const DynInst *inst = res.inst;
-            const unsigned slot = res.slot;
-            const bool elig =
-                k >= 1 &&
-                iq.laneEffDelay(slot) < SegmentedIq::threshold(k - 1);
-            const bool elig_bit =
-                ((pool.eligBits[slot >> 6] >> (slot & 63)) & 1) != 0;
-            if (elig != elig_bit) {
-                violation(promoIndex, "promotion-eligibility bit == rescan",
-                          cycle, [&] {
-                              return "seq " + std::to_string(inst->seq) +
-                                  " bit " + std::to_string(elig_bit) +
-                                  " but predicate says " +
-                                  std::to_string(elig) + "\n" + segDump(k);
-                          });
-            }
-
-            for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
-                const ChainId ch = pool.chain[m][slot];
-                const std::int32_t si = pool.subIdx[m][slot];
-                const bool on_wire = ch != kNoChain;
-                if (on_wire != (si >= 0)) {
-                    violation(subIndex,
-                              "membership subscribed iff on a wire",
-                              cycle, [&] {
-                                  return "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " chain " + std::to_string(ch) +
-                                      " subIdx " + std::to_string(si);
-                              });
-                } else if (on_wire) {
-                    ++subs_scan;
-                    const auto &subs = iq.stateOf(ch).soaSubs;
-                    const auto idx = static_cast<std::size_t>(si);
-                    if (idx >= subs.size() || subs[idx].slot != slot ||
-                        static_cast<int>(subs[idx].mem) != m) {
-                        violation(subIndex,
-                                  "subscriber record is exact", cycle, [&] {
-                                      return "seq " +
-                                          std::to_string(inst->seq) +
-                                          " membership " + std::to_string(m) +
-                                          " subIdx " + std::to_string(si);
-                                  });
-                    }
-                }
-
-                const std::uint8_t f = pool.flags[m][slot];
-                const bool want_cd =
-                    (f & SegmentedIq::kLaneSelfTimed) != 0 &&
-                    (f & SegmentedIq::kLaneSuspended) == 0 &&
-                    pool.delay[m][slot] > 0;
-                const bool cd_bit =
-                    ((pool.cdBits[m][slot >> 6] >> (slot & 63)) & 1) !=
-                    0;
-                if (want_cd != cd_bit) {
-                    violation(countdownIndex,
-                              "membership counts down iff self-timed",
-                              cycle, [&] {
-                                  return "seq " + std::to_string(inst->seq) +
-                                      " membership " + std::to_string(m) +
-                                      " bit " + std::to_string(cd_bit) +
-                                      " predicate " + std::to_string(want_cd);
-                              });
-                }
-            }
-        }
-    }
-
-    // Back-pointer exactness above makes the per-list maps injective,
-    // so matching totals prove the lists hold exactly the resident
-    // references - no leaks pinning recycled pool slots.
-    std::size_t subs_held = 0;
-    for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
-        const auto &cs = iq.chainStates[c];
-        subs_held += cs.soaSubs.size();
-        // Records name an occupied slot whose lane points back.
-        for (std::size_t i = 0; i < cs.soaSubs.size(); ++i) {
-            const auto &sub = cs.soaSubs[i];
-            if (sub.slot >= pool.seg.size() ||
-                pool.seg[sub.slot] == SegmentedIq::kFreeSlot ||
-                sub.mem >= pool.memCount[sub.slot] ||
-                pool.chain[sub.mem][sub.slot] != static_cast<ChainId>(c) ||
-                pool.subIdx[sub.mem][sub.slot] !=
-                    static_cast<std::int32_t>(i)) {
-                violation(subIndex,
-                          "subscriber record names an occupied slot", cycle,
-                          [&] {
-                              return "chain " + std::to_string(c) +
-                                  " record " + std::to_string(i) + " slot " +
-                                  std::to_string(sub.slot);
-                          });
-            }
-        }
-        // The wire state either carries the allocator's current
-        // generation (allocated, or draining before reuse) or lags it
-        // by exactly the free() bump; anything else is gen drift.
-        const ChainId id = static_cast<ChainId>(c);
-        if (!iq.chains.isLive(id, cs.gen) &&
-            iq.chains.generation(id) != cs.gen + 1) {
-            violation(subIndex, "chain-state generation tracks allocator",
-                      cycle, [&] {
-                          return "chain " + std::to_string(c) + " state gen " +
-                              std::to_string(cs.gen) + " allocator gen " +
-                              std::to_string(iq.chains.generation(id));
-                      });
-        }
-        // The packed mirror dispatch reads must track the wire scalars
-        // at every mutation site.
-        if (c >= iq.chainHot.size()) {
-            violation(subIndex, "chain-hot mirror allocated", cycle, [&] {
-                return "chain " + std::to_string(c) + " beyond mirror of " +
-                    std::to_string(iq.chainHot.size());
-            });
-        } else {
-            const auto &hot = iq.chainHot[c];
-            if (hot.seqCounter != cs.seqCounter || hot.gen != cs.gen ||
-                static_cast<int>(hot.headSegment) != cs.headSegment ||
-                (hot.selfTimed != 0) != cs.selfTimed ||
-                (hot.suspended != 0) != cs.suspended) {
-                violation(subIndex, "chain-hot mirror matches wire state",
-                          cycle, [&] {
-                              return "chain " + std::to_string(c) +
-                                  " mirror gen " + std::to_string(hot.gen) +
-                                  " head " + std::to_string(hot.headSegment) +
-                                  " vs state gen " + std::to_string(cs.gen) +
-                                  " head " + std::to_string(cs.headSegment);
-                          });
-            }
-        }
-    }
-    if (subs_held != subs_scan) {
-        violation(subIndex, "subscriber list sizes == rescan", cycle, [&] {
-            return "lists hold " + std::to_string(subs_held) +
-                ", rescan finds " + std::to_string(subs_scan);
-        });
-    }
-    // Arrival calendar: every current-generation
-    // listener with an unapplied log entry is due no later than that
-    // entry's arrival at its segment (or the next pass, if it arrived
-    // already) and its key sits in that cycle's bucket, unless its
-    // chain is still to be armed; a caught-up one is not due at all,
-    // so the next signal arms it.  Delivery walks only the due bucket,
-    // so a late or missing key is a listener left behind.
+    // Arrival calendar: every current-generation listener with an
+    // unapplied log entry is due no later than that entry's arrival at
+    // its segment (or the next pass, if it arrived already) and its key
+    // sits in that cycle's bucket, unless its chain is still to be
+    // armed; a caught-up one is not due at all, so the next signal arms
+    // it.  Delivery walks only the due bucket, so a late or missing key
+    // is a listener left behind.
     const Cycle next = iq.lastPass + 1;
     std::size_t pending = 0;
     for (const auto &cs : iq.chainStates)
@@ -680,8 +410,98 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                           " chains are flagged";
                   });
     }
-    auto listen = [&](const auto &cs, std::uint64_t applied, int s,
-                      Cycle due, std::uint32_t key, auto &&name) {
+
+    // One listener, two kinds of lane: a resident's memberships and the
+    // register table's pending lanes (at the top segment) are checked
+    // alike.  `name()` describes the lane.
+    std::size_t subs_scan = 0;  // lanes on a wire
+    auto checkLane = [&](unsigned slot, int m, auto &&name) {
+        const int s = pool.seg[slot];
+        const auto dump = [&] {
+            return slot < cap ? "\n" + segDump(static_cast<unsigned>(s))
+                              : std::string();
+        };
+        const int delay = pool.delay[m][slot];
+        if (delay < 0) {
+            violation(negativeDelay, "chain delay >= 0", cycle, [&] {
+                return name() + " delay " + std::to_string(delay) + dump();
+            });
+        }
+
+        const std::uint8_t f = pool.flags[m][slot];
+        const bool want_cd = (f & SegmentedIq::kLaneSelfTimed) != 0 &&
+                             (f & SegmentedIq::kLaneSuspended) == 0 &&
+                             delay > 0;
+        const bool cd_bit = bit(pool.cdBits[m], slot);
+        if (want_cd != cd_bit) {
+            violation(countdownIndex, "lane counts down iff self-timed",
+                      cycle, [&] {
+                          return name() + " bit " + std::to_string(cd_bit) +
+                              " predicate " + std::to_string(want_cd);
+                      });
+        }
+
+        const ChainId ch = pool.chain[m][slot];
+        const std::int32_t si = pool.subIdx[m][slot];
+        const bool on_wire = ch != kNoChain;
+        if (on_wire != (si >= 0)) {
+            violation(subIndex, "lane subscribed iff on a wire", cycle, [&] {
+                return name() + " chain " + std::to_string(ch) +
+                    " subIdx " + std::to_string(si);
+            });
+            return;
+        }
+        if (!on_wire)
+            return;
+        ++subs_scan;
+        const auto &cs = iq.stateOf(ch);
+        const auto idx = static_cast<std::size_t>(si);
+        if (idx >= cs.soaSubs.size() || cs.soaSubs[idx].slot != slot ||
+            static_cast<int>(cs.soaSubs[idx].mem) != m) {
+            violation(subIndex, "subscriber record is exact", cycle, [&] {
+                return name() + " subIdx " + std::to_string(si);
+            });
+        }
+        const auto &hot = iq.chainHot[static_cast<std::size_t>(ch)];
+        if (hot.gen != pool.gen[m][slot])
+            return;
+
+        // Chain-wire exactness: every signal is applied on the cycle it
+        // becomes visible at this segment.  A signal generated at cycle
+        // g from segment o reaches segment s at g + max(0, s - o);
+        // anything still unapplied a full cycle past that arrival was
+        // missed by delivery.  (Signals generated after this cycle's
+        // delivery pass - e.g. load-resume events from the LSQ - are
+        // legitimately pending, hence the strict comparison.)
+        const std::uint64_t applied = pool.applied[m][slot];
+        if (applied > hot.seqCounter) {
+            violation(wireDelivery,
+                      "applied signal count <= signals generated", cycle,
+                      [&] {
+                          return name() + " applied " +
+                              std::to_string(applied) + " > " +
+                              std::to_string(hot.seqCounter) + dump();
+                      });
+        }
+        for (std::size_t i = 0; i < cs.log.size(); ++i) {
+            const auto &sig = cs.log.at(i);
+            if (sig.seq > applied &&
+                SegmentedIq::arrivalAt(sig, s) < cycle) {
+                violation(wireDelivery,
+                          "chain-wire signals arrive on schedule", cycle,
+                          [&] {
+                              return name() + " missed signal " +
+                                  std::to_string(sig.seq) + " of chain " +
+                                  std::to_string(ch) + " (generated cycle " +
+                                  std::to_string(sig.cycle) +
+                                  " at segment " +
+                                  std::to_string(sig.originSegment) + ")" +
+                                  dump();
+                          });
+            }
+        }
+
+        const Cycle due = pool.due[m][slot];
         const std::size_t i = SegmentedIq::firstUnapplied(cs, applied);
         // A chain that signalled after this cycle's pass arms its
         // caught-up listeners at the start of the next one.
@@ -698,9 +518,9 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
         }
         const Cycle at = SegmentedIq::arrivalAt(cs.log.at(i), s);
         const auto &bucket = iq.calendar[due & iq.calendarMask];
+        const auto key = static_cast<std::uint32_t>(slot << 1 | m);
         if (due < next || due > std::max(at, next) ||
-            std::find(bucket.begin(), bucket.end(), key) ==
-                bucket.end()) {
+            std::find(bucket.begin(), bucket.end(), key) == bucket.end()) {
             violation(arrivalIndex,
                       "listener due by its next arrival, in that bucket",
                       cycle, [&] {
@@ -713,32 +533,155 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                       });
         }
     };
-    for (std::size_t slot = 0; slot < iq.poolSize; ++slot) {
-        if (pool.seg[slot] == SegmentedIq::kFreeSlot)
-            continue;
-        for (int m = 0; m < static_cast<int>(pool.memCount[slot]); ++m) {
-            const ChainId ch = pool.chain[m][slot];
-            if (ch == kNoChain || iq.stateOf(ch).gen != pool.gen[m][slot])
-                continue;
-            listen(iq.stateOf(ch), pool.applied[m][slot], pool.seg[slot],
-                   pool.due[m][slot],
-                   static_cast<std::uint32_t>(slot << 1 | m), [&] {
-                       return "seq " + std::to_string(pool.seq[slot]) +
-                              " membership " + std::to_string(m) +
-                              " in segment " +
-                              std::to_string(pool.seg[slot]);
-                   });
+
+    for (unsigned k = 0; k < n; ++k) {
+        for (const Resident &res : residents[k]) {
+            const DynInst *inst = res.inst;
+            const unsigned slot = res.slot;
+
+            const SegmentedIq::Plan &dispatched = iq.dispatchPlan[slot];
+            if (pool.seq[slot] != inst->seq ||
+                static_cast<int>(pool.memCount[slot]) !=
+                    dispatched.numMemberships ||
+                pool.headChain[slot] != inst->seg.headedChain ||
+                pool.headGen[slot] != inst->seg.headedGen) {
+                violation(occIndex,
+                          "lane identity matches its instruction", cycle, [&] {
+                              return "seq " + std::to_string(inst->seq) +
+                                  " lane seq " +
+                                  std::to_string(pool.seq[slot]) +
+                                  " memCount " +
+                                  std::to_string(pool.memCount[slot]) +
+                                  " heads " +
+                                  std::to_string(pool.headChain[slot]);
+                          });
+                continue;  // lane reads below would be unreliable
+            }
+            const auto srcs = iq.iqSources(*inst);
+            if (pool.src[0][slot] != srcs[0] ||
+                pool.src[1][slot] != srcs[1]) {
+                violation(occIndex, "lane operands match the instruction",
+                          cycle, [&] {
+                              return "seq " + std::to_string(inst->seq) +
+                                  " in segment " + std::to_string(k);
+                          });
+            }
+
+            // Per-entry promotion-eligibility bit: the promotion pass's
+            // only candidate index.
+            const bool elig =
+                k >= 1 &&
+                iq.laneEffDelay(slot) < SegmentedIq::threshold(k - 1);
+            const bool elig_bit = bit(pool.eligBits, slot);
+            if (elig != elig_bit) {
+                violation(promoIndex, "promotion-eligibility bit == rescan",
+                          cycle, [&] {
+                              return "seq " + std::to_string(inst->seq) +
+                                  " bit " + std::to_string(elig_bit) +
+                                  " but predicate says " +
+                                  std::to_string(elig) + "\n" + segDump(k);
+                          });
+            }
+
+            for (int m = 0; m < dispatched.numMemberships; ++m) {
+                // Chain identity is fixed at dispatch; the lane and the
+                // insert plan must agree for ever.
+                const ChainMembership &mir = dispatched.memberships[m];
+                if (pool.chain[m][slot] != mir.chain ||
+                    pool.gen[m][slot] != mir.gen) {
+                    violation(occIndex,
+                              "lane chain identity matches dispatch", cycle,
+                              [&] {
+                                  return "seq " + std::to_string(inst->seq) +
+                                      " membership " + std::to_string(m) +
+                                      " lane chain " +
+                                      std::to_string(pool.chain[m][slot]) +
+                                      " dispatched " +
+                                      std::to_string(mir.chain);
+                              });
+                }
+                checkLane(slot, m, [&] {
+                    return "seq " + std::to_string(inst->seq) +
+                        " membership " + std::to_string(m) + " in segment " +
+                        std::to_string(k);
+                });
+            }
         }
     }
-    for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
-        const auto &e = iq.regInfo[r];
-        if (!e.pending || e.chain == kNoChain ||
-            iq.stateOf(e.chain).gen != e.gen)
-            continue;
-        listen(iq.stateOf(e.chain), e.appliedSeq, static_cast<int>(n) - 1,
-               iq.regDue[r],
-               SegmentedIq::kRegKey | static_cast<std::uint32_t>(r),
-               [&] { return "regInfo[" + std::to_string(r) + "]"; });
+
+    // The register table's lanes, plus the availability mask the
+    // fast-plan path consults.
+    for (RegIndex r = 0; r < kNumArchRegs; ++r) {
+        const unsigned t = iq.regLane(r);
+        if (pool.seg[t] != n - 1) {
+            violation(occIndex, "table lanes listen at the top segment",
+                      cycle, [&] {
+                          return "register " + std::to_string(r) +
+                              " lane labelled " + std::to_string(pool.seg[t]);
+                      });
+        }
+        if (pool.memCount[t] == 1) {
+            checkLane(t, 0, [&] {
+                return "register " + std::to_string(r) + "'s table lane";
+            });
+        }
+        const bool avail = iq.regAvailable(r);
+        if (avail != (((iq.regAvail >> r) & 1) != 0)) {
+            violation(readyIndex,
+                      "register-availability mask == rescan", cycle, [&] {
+                          return "register " + std::to_string(r) +
+                              " available " + std::to_string(avail) +
+                              " but mask bit is " +
+                              std::to_string((iq.regAvail >> r) & 1);
+                      });
+        }
+    }
+
+    // Back-pointer exactness above makes the per-list maps injective,
+    // so matching totals prove the lists hold exactly the listening
+    // lanes - no leaks pinning recycled pool slots.
+    std::size_t subs_held = 0;
+    for (std::size_t c = 0; c < iq.chainStates.size(); ++c) {
+        const auto &cs = iq.chainStates[c];
+        subs_held += cs.soaSubs.size();
+        // Records name a live lane that points back.
+        for (std::size_t i = 0; i < cs.soaSubs.size(); ++i) {
+            const auto &sub = cs.soaSubs[i];
+            if (sub.slot >= pool.seg.size() ||
+                pool.seg[sub.slot] == SegmentedIq::kFreeSlot ||
+                sub.mem >= pool.memCount[sub.slot] ||
+                pool.chain[sub.mem][sub.slot] != static_cast<ChainId>(c) ||
+                pool.subIdx[sub.mem][sub.slot] !=
+                    static_cast<std::int32_t>(i)) {
+                violation(subIndex,
+                          "subscriber record names a live lane", cycle,
+                          [&] {
+                              return "chain " + std::to_string(c) +
+                                  " record " + std::to_string(i) + " slot " +
+                                  std::to_string(sub.slot);
+                          });
+            }
+        }
+        // The wire state either carries the allocator's current
+        // generation (allocated, or draining before reuse) or lags it
+        // by exactly the free() bump; anything else is gen drift.
+        const ChainId id = static_cast<ChainId>(c);
+        const std::uint32_t gen = iq.chainHot[c].gen;
+        if (!iq.chains.isLive(id, gen) &&
+            iq.chains.generation(id) != gen + 1) {
+            violation(subIndex, "chain-state generation tracks allocator",
+                      cycle, [&] {
+                          return "chain " + std::to_string(c) + " state gen " +
+                              std::to_string(gen) + " allocator gen " +
+                              std::to_string(iq.chains.generation(id));
+                      });
+        }
+    }
+    if (subs_held != subs_scan) {
+        violation(subIndex, "subscriber list sizes == rescan", cycle, [&] {
+            return "lists hold " + std::to_string(subs_held) +
+                ", rescan finds " + std::to_string(subs_scan);
+        });
     }
 
     // Log expiry: records are in cycle order, and every non-empty log
@@ -771,76 +714,6 @@ Auditor::auditSegmented(SegmentedIq &iq, Cycle cycle)
                               " with no record by then";
                       });
         }
-    }
-
-    // Register-table side: subscription and countdown back-pointers,
-    // plus the availability mask the fast-plan path consults.
-    std::size_t reg_cds_scan = 0;
-    for (std::size_t r = 0; r < iq.regInfo.size(); ++r) {
-        const auto &e = iq.regInfo[r];
-        if (iq.regSubChain[r] != e.chain) {
-            violation(subIndex, "table subscription tracks its chain",
-                      cycle, [&] {
-                          return "regInfo[" + std::to_string(r) + "] chain " +
-                              std::to_string(e.chain) + " but subscribed to " +
-                              std::to_string(iq.regSubChain[r]);
-                      });
-        } else if (e.chain != kNoChain) {
-            const auto &subs = iq.stateOf(e.chain).regSubs;
-            const int pos = iq.regSubPos[r];
-            if (pos < 0 ||
-                static_cast<std::size_t>(pos) >= subs.size() ||
-                subs[static_cast<std::size_t>(pos)] !=
-                    static_cast<RegIndex>(r)) {
-                violation(subIndex, "table subscriber back-pointer exact",
-                          cycle, [&] {
-                              return "regInfo[" + std::to_string(r) +
-                                  "] pos " + std::to_string(pos);
-                          });
-            }
-        }
-
-        const bool want_cd =
-            e.pending && e.selfTimed && !e.suspended && e.latency > 0;
-        const int cd = iq.regCdPos[r];
-        if (want_cd != (cd >= 0)) {
-            violation(countdownIndex,
-                      "table entry counts down iff self-timed", cycle, [&] {
-                          return "regInfo[" + std::to_string(r) + "] cdPos " +
-                              std::to_string(cd) + " predicate " +
-                              std::to_string(want_cd);
-                      });
-        } else if (want_cd) {
-            ++reg_cds_scan;
-            if (static_cast<std::size_t>(cd) >= iq.regCountdown.size() ||
-                iq.regCountdown[static_cast<std::size_t>(cd)] !=
-                    static_cast<RegIndex>(r)) {
-                violation(countdownIndex,
-                          "table countdown back-pointer exact", cycle, [&] {
-                              return "regInfo[" + std::to_string(r) +
-                                  "] cdPos " + std::to_string(cd);
-                          });
-            }
-        }
-
-        const bool avail = SegmentedIq::entryAvailable(e);
-        if (avail != (((iq.regAvail >> r) & 1) != 0)) {
-            violation(readyIndex,
-                      "register-availability mask == rescan", cycle, [&] {
-                          return "regInfo[" + std::to_string(r) +
-                              "] available " + std::to_string(avail) +
-                              " but mask bit is " +
-                              std::to_string((iq.regAvail >> r) & 1);
-                      });
-        }
-    }
-    if (reg_cds_scan != iq.regCountdown.size()) {
-        violation(countdownIndex, "table countdown size == rescan", cycle,
-                  [&] {
-                      return "list holds " +
-                          std::to_string(iq.regCountdown.size()) +
-                          ", rescan finds " + std::to_string(reg_cds_scan);
-                  });
     }
 }
 

@@ -68,7 +68,6 @@ checkpointKeyHash(const SimConfig &config)
     h.update(config.core.rasEntries);
     h.update(config.core.hmpEntries);
     h.update(config.core.lrpEntries);
-    h.update(config.core.warmICache ? 1 : 0);
     return h.digest();
 }
 

@@ -64,7 +64,7 @@ constexpr std::uint32_t kCheckpointVersion = 3;
 /**
  * Cache key for a warm-up: hashes exactly the inputs that determine
  * the saved bits — workload (name + generator params), fast-forward
- * length, cache geometries, predictor geometries and warmICache.
+ * length, cache geometries and predictor geometries.
  * IQ/FU/width parameters are deliberately excluded: that independence
  * is what lets a whole sweep share one warm-up per workload.
  */

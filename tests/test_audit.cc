@@ -181,6 +181,40 @@ TEST(AuditNegative, CorruptedEligibilityBitIsCaughtWithinOneCycle)
     EXPECT_GT(sim.auditor()->promoIndex.value(), 0.0);
 }
 
+TEST(AuditNegative, CorruptedRegisterLaneIsCaughtWithinOneCycle)
+{
+    // The register table is one more lane per architectural register
+    // in the slot pool, and the lane checks cover it as they cover a
+    // resident's memberships.  Clear a pending table lane's countdown
+    // bit on a live 512-entry queue: the next cycle's audit must count
+    // it.
+    SimConfig cfg = makeSegmentedConfig(512, 128, true, true, "swim");
+    cfg.wl.iterations = 200;
+    cfg.audit = true;
+
+    Simulator sim(cfg);
+    bool restored = false;
+    sim.prepare(restored);
+    OooCore &core = sim.core();
+    auto *iq = dynamic_cast<SegmentedIq *>(&core.iqUnit());
+    ASSERT_NE(iq, nullptr);
+    for (int t = 0; t < 3000; ++t)
+        core.tick();
+    ASSERT_FALSE(core.halted());
+    const Auditor &audit = *sim.auditor();
+    ASSERT_EQ(audit.countdownIndex.value() + audit.arrivalIndex.value(), 0.0);
+
+    // The hook needs a lane counting down with nothing due to rewrite
+    // its bit; on this run one turns up within a few cycles.
+    int waited = 0;
+    while (!Auditor::corruptRegisterLaneForTest(*iq)) {
+        ASSERT_LT(++waited, 1000) << "no counting-down table lane";
+        core.tick();
+    }
+    core.tick();
+    EXPECT_GT(audit.countdownIndex.value() + audit.arrivalIndex.value(), 0.0);
+}
+
 TEST(AuditNegative, DetailIsBuiltOnlyForReportedViolations)
 {
     // A faulty queue can violate an invariant every cycle; the detail
