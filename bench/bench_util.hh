@@ -145,9 +145,9 @@ class SweepBatch
     void
     run()
     {
-        // One shared checkpoint cache per sweep: each distinct warm-up
+        // One shared warm-up cache per sweep: each distinct warm-up
         // (workload x ff length) executes once and every other
-        // configuration restores the snapshot.
+        // configuration copies its warm state.
         bool anyFf = false;
         for (const SimConfig &cfg : configs_)
             anyFf = anyFf || cfg.fastForward > 0;

@@ -13,12 +13,11 @@
  * It also times the per-job set-up path a fast-forwarded sweep job
  * pays outside the core loop (DESIGN.md §12), on the workload's
  * default-length program warmed to 12k instructions before HALT:
- * Program::load into an empty memory, saveCheckpoint (every blob kept
- * alive until the rounds end, as a sweep's CheckpointCache keeps them,
- * so each save writes fresh memory), restoreCheckpoint into a freshly
- * built core (built without the program image, as Simulator builds a
- * fast-forwarding core, and given the program checksum computed once,
- * as a sweep job gets it from SweepShared), and golden validation
+ * Program::load into an empty memory, WarmState::capture (every warm
+ * state kept alive until the rounds end, as a sweep's CheckpointCache
+ * keeps them, so each capture writes fresh memory), WarmState::adopt
+ * into a freshly built core (built without the program image, as
+ * Simulator builds a fast-forwarding core), and golden validation
  * (GoldenState::run over the whole program, then equalContents).  A
  * sweep runs the golden once per input and shares it (DESIGN.md §10);
  * a job outside a sweep pays it in full.
@@ -68,10 +67,10 @@ struct WorkloadNumbers
     std::uint64_t bbTraceHits = 0;
     std::uint64_t bbSuccHits = 0;
     double loadS = 0.0;      ///< Program::load
-    double saveS = 0.0;      ///< saveCheckpoint
-    double restoreS = 0.0;   ///< restoreCheckpoint
+    double saveS = 0.0;      ///< WarmState::capture
+    double restoreS = 0.0;   ///< WarmState::adopt
     double validateS = 0.0;  ///< GoldenState::run + equalContents
-    std::uint64_t ckptBytes = 0;
+    double imageKib = 0.0;   ///< the warm state's memory image
 
     double warmSpeedup() const
     {
@@ -152,15 +151,16 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
     OooCore warmed(prog, cfg.core);
     const FastForwardStats ff =
         fastForward(warm, warmed, cfg.fastForward);
-    std::vector<std::string> blobs;
-    blobs.reserve(repeats);
-    n.saveS = bestOf(repeats, noSetup, [&](auto &) {
-        blobs.push_back(saveCheckpoint(cfg, warm, warmed, ff));
-    });
-    const std::string &blob = blobs.back();
-    n.ckptBytes = blob.size();
-
     const std::uint64_t checksum = prog.checksum();
+    std::vector<WarmState> states;
+    states.reserve(repeats);
+    n.saveS = bestOf(repeats, noSetup, [&](auto &) {
+        states.push_back(WarmState::capture(warm, warmed, ff, checksum));
+    });
+    const WarmState &state = states.back();
+    n.imageKib = static_cast<double>(state.func.memory.numPages() *
+                                     SparseMemory::kPageSize) /
+                 1024.0;
 
     n.restoreS = bestOf(
         repeats,
@@ -168,9 +168,7 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
             return std::make_unique<OooCore>(prog, cfg.core,
                                              /*load_image=*/false);
         },
-        [&](std::unique_ptr<OooCore> &core) {
-            restoreCheckpoint(blob, cfg, checksum, *core);
-        });
+        [&](std::unique_ptr<OooCore> &core) { state.adopt(*core); });
 
     n.validateS = bestOf(repeats, noSetup, [&](auto &) {
         const GoldenState golden = GoldenState::run(prog, len);
@@ -275,7 +273,9 @@ writeJson(const std::string &path, std::uint64_t insts, unsigned repeats,
         json::writeNumber(os, n.restoreS);
         os << ", \"setup_validate_s\": ";
         json::writeNumber(os, n.validateS);
-        os << ", \"ckpt_bytes\": " << n.ckptBytes << "}"
+        os << ", \"image_kib\": ";
+        json::writeNumber(os, n.imageKib);
+        os << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
@@ -335,13 +335,12 @@ main(int argc, char **argv)
                 "before HALT)\n\n",
                 repeats);
     std::printf("%-10s %9s %9s %9s %9s %10s\n", "workload", "load",
-                "save", "restore", "validate", "ckpt KiB");
+                "save", "restore", "validate", "image KiB");
     hr('-', 62);
     for (const WorkloadNumbers &n : rows) {
         std::printf("%-10s %9.3f %9.3f %9.3f %9.3f %10.1f\n",
                     n.workload.c_str(), 1e3 * n.loadS, 1e3 * n.saveS,
-                    1e3 * n.restoreS, 1e3 * n.validateS,
-                    static_cast<double>(n.ckptBytes) / 1024.0);
+                    1e3 * n.restoreS, 1e3 * n.validateS, n.imageKib);
     }
 
     if (!jsonOut.empty())

@@ -151,42 +151,35 @@ HybridBranchPredictor::warmTrain(Addr pc, bool taken)
                            lmask;
 }
 
-void
-HybridBranchPredictor::save(serial::Writer &w) const
+HybridBranchPredictor::State
+HybridBranchPredictor::capture() const
 {
-    w.u32(globalHistory);
-    saveCounters(w, globalPht);
-    w.u64(localHistories.size());
-    char *p = w.span(localHistories.size(), 4);
-    for (std::uint32_t h : localHistories) {
-        serial::storeLe(p, h);
-        p += 4;
-    }
-    saveCounters(w, localPht);
-    saveCounters(w, choicePht);
-    w.f64(lookups.value());
-    w.f64(condPredicts.value());
-    w.f64(condMispredicts.value());
-    w.f64(choiceGlobal.value());
+    return {globalHistory,
+            globalPht,
+            localHistories,
+            localPht,
+            choicePht,
+            {lookups.value(), condPredicts.value(), condMispredicts.value(),
+             choiceGlobal.value()}};
 }
 
 void
-HybridBranchPredictor::restore(serial::Reader &r)
+HybridBranchPredictor::adopt(const State &s)
 {
-    globalHistory = r.u32();
-    restoreCounters(r, globalPht, "global PHT table size");
-    r.expectCount(localHistories.size(), "local history count");
-    const char *p = r.span(localHistories.size(), 4);
-    for (std::uint32_t &h : localHistories) {
-        h = serial::loadLe<std::uint32_t>(p);
-        p += 4;
-    }
-    restoreCounters(r, localPht, "local PHT table size");
-    restoreCounters(r, choicePht, "choice PHT table size");
-    lookups.set(r.f64());
-    condPredicts.set(r.f64());
-    condMispredicts.set(r.f64());
-    choiceGlobal.set(r.f64());
+    SCIQ_ASSERT(s.globalPht.size() == globalPht.size() &&
+                    s.localHistories.size() == localHistories.size() &&
+                    s.localPht.size() == localPht.size() &&
+                    s.choicePht.size() == choicePht.size(),
+                "branch predictor warm state of another geometry");
+    globalHistory = s.globalHistory;
+    globalPht = s.globalPht;
+    localHistories = s.localHistories;
+    localPht = s.localPht;
+    choicePht = s.choicePht;
+    lookups.set(s.counters[0]);
+    condPredicts.set(s.counters[1]);
+    condMispredicts.set(s.counters[2]);
+    choiceGlobal.set(s.counters[3]);
 }
 
 } // namespace sciq

@@ -14,11 +14,11 @@
 #ifndef SCIQ_BRANCH_BRANCH_PREDICTOR_HH
 #define SCIQ_BRANCH_BRANCH_PREDICTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/sat_counter.hh"
-#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -81,14 +81,27 @@ class HybridBranchPredictor
     void warmTrain(Addr pc, bool taken);
 
     /**
-     * Serialize the history registers, all three counter tables and the
-     * statistics counters (warm-up trains the tables *and* counts
-     * lookups, so both must round-trip for stat bit-identity).
+     * The warm state: the history registers, all three counter tables
+     * and the four statistics counters, in declaration order (warm-up
+     * trains the tables *and* counts lookups, so both must carry over
+     * for stat bit-identity).
      */
-    void save(serial::Writer &w) const;
+    struct State
+    {
+        std::uint32_t globalHistory = 0;
+        std::vector<SatCounter> globalPht;
+        std::vector<std::uint32_t> localHistories;
+        std::vector<SatCounter> localPht;
+        std::vector<SatCounter> choicePht;
+        std::array<double, 4> counters{};
 
-    /** Restore a snapshot; table geometry must match (serial::Error). */
-    void restore(serial::Reader &r);
+        bool operator==(const State &) const = default;
+    };
+
+    State capture() const;
+
+    /** Replace the warm state with `s`, of the same table geometry. */
+    void adopt(const State &s);
 
     stats::Group &statGroup() { return statsGroup; }
 

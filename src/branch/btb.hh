@@ -9,12 +9,12 @@
 #ifndef SCIQ_BRANCH_BTB_HH
 #define SCIQ_BRANCH_BTB_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -72,40 +72,47 @@ class Btb
         victim->lastUse = ++useClock;
     }
 
-    /** Serialize the table, LRU clock and statistics counters. */
-    void
-    save(serial::Writer &w) const
+    /** One way of a set. */
+    struct Entry
     {
-        w.u64(table.size());
-        char *p = w.span(table.size(), kSavedEntryBytes);
-        for (const Entry &e : table) {
-            p[0] = e.valid ? 1 : 0;
-            serial::storeLe<std::uint64_t>(p + 1, e.pc);
-            serial::storeLe<std::uint64_t>(p + 9, e.target);
-            serial::storeLe<std::uint64_t>(p + 17, e.lastUse);
-            p += kSavedEntryBytes;
-        }
-        w.u64(useClock);
-        w.f64(lookups.value());
-        w.f64(hits.value());
+        bool valid = false;
+        Addr pc = 0;
+        Addr target = 0;
+        std::uint64_t lastUse = 0;
+
+        bool operator==(const Entry &) const = default;
+    };
+
+    /**
+     * The warm state: the table, the LRU clock and the two statistics
+     * counters (lookups, hits).
+     */
+    struct State
+    {
+        std::vector<Entry> table;
+        std::uint64_t useClock = 0;
+        std::array<double, 2> counters{};
+
+        bool operator==(const State &) const = default;
+    };
+
+    State
+    capture() const
+    {
+        return {table, useClock, {lookups.value(), hits.value()}};
     }
 
-    /** Restore a snapshot; the entry count must match (serial::Error). */
+    /** Replace the warm state with `s`, of the same entry count. */
     void
-    restore(serial::Reader &r)
+    adopt(const State &s)
     {
-        r.expectCount(table.size(), "BTB size");
-        const char *p = r.span(table.size(), kSavedEntryBytes);
-        for (Entry &e : table) {
-            e.valid = p[0] != 0;
-            e.pc = serial::loadLe<std::uint64_t>(p + 1);
-            e.target = serial::loadLe<std::uint64_t>(p + 9);
-            e.lastUse = serial::loadLe<std::uint64_t>(p + 17);
-            p += kSavedEntryBytes;
-        }
-        useClock = r.u64();
-        lookups.set(r.f64());
-        hits.set(r.f64());
+        SCIQ_ASSERT(s.table.size() == table.size(),
+                    "BTB warm state of %zu entries, configured %zu",
+                    s.table.size(), table.size());
+        table = s.table;
+        useClock = s.useClock;
+        lookups.set(s.counters[0]);
+        hits.set(s.counters[1]);
     }
 
     stats::Group &statGroup() { return statsGroup; }
@@ -114,17 +121,6 @@ class Btb
     stats::Scalar hits;
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        Addr pc = 0;
-        Addr target = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    /** Saved entry record: u8 valid, u64 pc, u64 target, u64 lastUse. */
-    static constexpr std::size_t kSavedEntryBytes = 25;
-
     std::size_t setIndex(Addr pc) const
     {
         return (pc >> 2) & (numSets - 1);

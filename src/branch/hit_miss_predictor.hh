@@ -10,13 +10,13 @@
 #ifndef SCIQ_BRANCH_HIT_MISS_PREDICTOR_HH
 #define SCIQ_BRANCH_HIT_MISS_PREDICTOR_HH
 
+#include <array>
 #include <limits>
 #include <vector>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/sat_counter.hh"
-#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -103,26 +103,38 @@ class HitMissPredictor
                      : std::numeric_limits<double>::quiet_NaN();
     }
 
-    /** Serialize the counter table and statistics counters. */
-    void
-    save(serial::Writer &w) const
+    /**
+     * The warm state: the counter table and the four statistics
+     * counters, in declaration order.
+     */
+    struct State
     {
-        saveCounters(w, table);
-        w.f64(predictHitCount.value());
-        w.f64(predictMissCount.value());
-        w.f64(hitPredictsCorrect.value());
-        w.f64(actualHits.value());
+        std::vector<SatCounter> table;
+        std::array<double, 4> counters{};
+
+        bool operator==(const State &) const = default;
+    };
+
+    State
+    capture() const
+    {
+        return {table,
+                {predictHitCount.value(), predictMissCount.value(),
+                 hitPredictsCorrect.value(), actualHits.value()}};
     }
 
-    /** Restore a snapshot; table size must match (serial::Error). */
+    /** Replace the warm state with `s`, of the same table size. */
     void
-    restore(serial::Reader &r)
+    adopt(const State &s)
     {
-        restoreCounters(r, table, "HMP size");
-        predictHitCount.set(r.f64());
-        predictMissCount.set(r.f64());
-        hitPredictsCorrect.set(r.f64());
-        actualHits.set(r.f64());
+        SCIQ_ASSERT(s.table.size() == table.size(),
+                    "HMP warm state of %zu entries, configured %zu",
+                    s.table.size(), table.size());
+        table = s.table;
+        predictHitCount.set(s.counters[0]);
+        predictMissCount.set(s.counters[1]);
+        hitPredictsCorrect.set(s.counters[2]);
+        actualHits.set(s.counters[3]);
     }
 
     stats::Group &statGroup() { return statsGroup; }

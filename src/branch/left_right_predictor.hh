@@ -10,12 +10,12 @@
 #ifndef SCIQ_BRANCH_LEFT_RIGHT_PREDICTOR_HH
 #define SCIQ_BRANCH_LEFT_RIGHT_PREDICTOR_HH
 
+#include <array>
 #include <vector>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/sat_counter.hh"
-#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -58,22 +58,34 @@ class LeftRightPredictor
             table[index(pc)].decrement();
     }
 
-    /** Serialize the counter table and statistics counters. */
-    void
-    save(serial::Writer &w) const
+    /**
+     * The warm state: the counter table and the two statistics
+     * counters (predicts, mispredicts).
+     */
+    struct State
     {
-        saveCounters(w, table);
-        w.f64(predicts.value());
-        w.f64(mispredicts.value());
+        std::vector<SatCounter> table;
+        std::array<double, 2> counters{};
+
+        bool operator==(const State &) const = default;
+    };
+
+    State
+    capture() const
+    {
+        return {table, {predicts.value(), mispredicts.value()}};
     }
 
-    /** Restore a snapshot; table size must match (serial::Error). */
+    /** Replace the warm state with `s`, of the same table size. */
     void
-    restore(serial::Reader &r)
+    adopt(const State &s)
     {
-        restoreCounters(r, table, "LRP size");
-        predicts.set(r.f64());
-        mispredicts.set(r.f64());
+        SCIQ_ASSERT(s.table.size() == table.size(),
+                    "LRP warm state of %zu entries, configured %zu",
+                    s.table.size(), table.size());
+        table = s.table;
+        predicts.set(s.counters[0]);
+        mispredicts.set(s.counters[1]);
     }
 
     stats::Group &statGroup() { return statsGroup; }

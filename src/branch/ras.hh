@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serialize.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace sciq {
@@ -59,30 +59,26 @@ class ReturnAddressStack
         stack[tos] = snap.topValue;
     }
 
-    /** Serialize the full stack contents and top-of-stack index. */
-    void
-    save(serial::Writer &w) const
+    /** The warm state: the full stack and the top-of-stack index. */
+    struct State
     {
-        w.u64(stack.size());
-        char *p = w.span(stack.size(), 8);
-        for (Addr a : stack) {
-            serial::storeLe<std::uint64_t>(p, a);
-            p += 8;
-        }
-        w.u32(tos);
-    }
+        std::vector<Addr> stack;
+        unsigned tos = 0;
 
-    /** Restore a full snapshot; the depth must match (serial::Error). */
+        bool operator==(const State &) const = default;
+    };
+
+    State capture() const { return {stack, tos}; }
+
+    /** Replace the warm state with `s`, of the same depth. */
     void
-    restore(serial::Reader &r)
+    adopt(const State &s)
     {
-        r.expectCount(stack.size(), "RAS depth");
-        const char *p = r.span(stack.size(), 8);
-        for (Addr &a : stack) {
-            a = serial::loadLe<std::uint64_t>(p);
-            p += 8;
-        }
-        tos = r.u32();
+        SCIQ_ASSERT(s.stack.size() == stack.size(),
+                    "RAS warm state of depth %zu, configured %zu",
+                    s.stack.size(), stack.size());
+        stack = s.stack;
+        tos = s.tos;
     }
 
   private:

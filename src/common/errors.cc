@@ -7,11 +7,10 @@ namespace sciq {
 
 namespace {
 
-constexpr std::array<std::pair<ErrorCode, const char *>, 8> kCodeNames{{
+constexpr std::array<std::pair<ErrorCode, const char *>, 7> kCodeNames{{
     {ErrorCode::None, "none"},
     {ErrorCode::Config, "config"},
     {ErrorCode::Workload, "workload"},
-    {ErrorCode::Checkpoint, "checkpoint"},
     {ErrorCode::Deadlock, "deadlock"},
     {ErrorCode::Invariant, "invariant"},
     {ErrorCode::Resource, "resource"},

@@ -28,7 +28,6 @@ enum class ErrorCode
     None,        ///< no error (JobOutcome of a successful run)
     Config,      ///< bad user configuration (unknown key, bad range)
     Workload,    ///< workload construction failed (unknown name, ...)
-    Checkpoint,  ///< checkpoint blob rejected
     Deadlock,    ///< watchdog: no forward progress / deadline exceeded
     Invariant,   ///< internal invariant violated (auditor panic path)
     Resource,    ///< host memory exhausted (std::bad_alloc in a job)
@@ -78,20 +77,6 @@ class WorkloadError : public SimError
   public:
     explicit WorkloadError(const std::string &msg)
         : SimError(ErrorCode::Workload, msg)
-    {
-    }
-};
-
-/**
- * Any reason a checkpoint blob cannot be applied.  The warm-up catches
- * every one and repairs in place (re-warms cold and republishes), so
- * none ends a job.
- */
-class CheckpointError : public SimError
-{
-  public:
-    explicit CheckpointError(const std::string &msg)
-        : SimError(ErrorCode::Checkpoint, msg)
     {
     }
 };

@@ -7,10 +7,8 @@
 #define SCIQ_COMMON_SAT_COUNTER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "logging.hh"
-#include "serialize.hh"
 
 namespace sciq {
 
@@ -30,8 +28,9 @@ class SatCounter
      * @param initial Initial value (clamped to the maximum).
      */
     explicit SatCounter(unsigned num_bits, unsigned initial = 0)
-        : maxVal((1u << num_bits) - 1),
-          value(initial > maxVal ? maxVal : initial)
+        : maxVal(static_cast<std::uint16_t>((1u << num_bits) - 1)),
+          value(static_cast<std::uint16_t>(initial > maxVal ? maxVal
+                                                            : initial))
     {
         SCIQ_ASSERT(num_bits >= 1 && num_bits <= 16,
                     "counter width %u out of range", num_bits);
@@ -57,7 +56,11 @@ class SatCounter
     void reset() { value = 0; }
 
     /** Set to an explicit value (clamped). */
-    void set(unsigned v) { value = v > maxVal ? maxVal : v; }
+    void
+    set(unsigned v)
+    {
+        value = v > maxVal ? maxVal : static_cast<std::uint16_t>(v);
+    }
 
     /** Current count. */
     unsigned read() const { return value; }
@@ -68,38 +71,14 @@ class SatCounter
     /** True if the counter is in its upper half (taken / hit / left). */
     bool isSet() const { return value > maxVal / 2; }
 
+    bool operator==(const SatCounter &) const = default;
+
   private:
-    unsigned maxVal = 3;
-    unsigned value = 0;
+    // Two bytes each (widths up to 16 bits) keeps the predictor
+    // tables, and every shared warm state's copy of them, small.
+    std::uint16_t maxVal = 3;
+    std::uint16_t value = 0;
 };
-
-/**
- * Save a counter table as its u64 size and one byte per counter, the
- * bytes written through one span.
- */
-inline void
-saveCounters(serial::Writer &w, const std::vector<SatCounter> &table)
-{
-    w.u64(table.size());
-    char *p = w.span(table.size());
-    for (const SatCounter &c : table)
-        *p++ = static_cast<char>(c.read());
-}
-
-/**
- * Restore what saveCounters wrote; the size must match the configured
- * one (serial::Error "<what> mismatch: ...").  One bounds check for
- * the whole table.
- */
-inline void
-restoreCounters(serial::Reader &r, std::vector<SatCounter> &table,
-                const char *what)
-{
-    r.expectCount(table.size(), what);
-    const char *p = r.span(table.size());
-    for (SatCounter &c : table)
-        c.set(static_cast<std::uint8_t>(*p++));
-}
 
 } // namespace sciq
 

@@ -1,17 +1,9 @@
 /**
  * @file
- * Binary serialization primitives for the checkpoint subsystem.
- *
- * A Writer appends fixed-width little-endian fields to an in-memory
- * buffer; a Reader consumes the same encoding with strict bounds
- * checking (every truncation or tag mismatch throws serial::Error with
- * a message naming the offset).  A scalar field is one append or one
- * checked load; a table is one span(): one append or one bounds check
- * for all its records, which the component then encodes or decodes
- * in a tight loop with storeLe/loadLe.  Components implement
- * `save(serial::Writer &)` / `restore(serial::Reader &)` pairs against
- * these primitives; the versioned container format lives one layer up
- * in sim/checkpoint.{hh,cc}.
+ * Content hashes: FNV-1a for keys and fingerprints (cache keys,
+ * workload fingerprints, small structured records) and a four-lane
+ * word hash for bulk byte ranges (the program checksum, golden
+ * hashes).
  */
 
 #ifndef SCIQ_COMMON_SERIALIZE_HH
@@ -20,20 +12,11 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
-#include <string>
 #include <string_view>
 #include <type_traits>
 
 namespace sciq {
 namespace serial {
-
-/** Malformed/truncated stream.  Checkpoint layers wrap it with context. */
-class Error : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /**
  * Incremental FNV-1a (64-bit) used for content keys and fingerprints:
@@ -78,8 +61,8 @@ fnv1a(const void *data, std::size_t len)
 }
 
 /**
- * Fixed-width little-endian load/store for 1-, 4- and 8-byte unsigned
- * fields: one memcpy on little-endian hosts, a byte loop elsewhere.
+ * Fixed-width little-endian load of an unsigned field: one memcpy on
+ * little-endian hosts, a byte loop elsewhere.
  */
 template <typename T>
 inline T
@@ -97,23 +80,9 @@ loadLe(const void *src)
     return v;
 }
 
-template <typename T>
-inline void
-storeLe(void *dst, T v)
-{
-    static_assert(std::is_unsigned_v<T>);
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(dst, &v, sizeof v);
-    } else {
-        auto *b = static_cast<std::uint8_t *>(dst);
-        for (std::size_t i = 0; i < sizeof v; ++i)
-            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-}
-
 /**
  * Four-lane word-at-a-time 64-bit hash for bulk byte ranges: the
- * checkpoint trailer and the data-segment bytes in Program::checksum.
+ * data-segment bytes in Program::checksum.
  *
  * Each 8-byte little-endian word w updates a 64-bit state as
  * h = f(h ^ w), where f(x) = m ^ (m >> 32) with m = x * K for an odd
@@ -175,175 +144,6 @@ hashBytes(const void *data, std::size_t len)
     h ^= h >> 33;
     return h;
 }
-
-/**
- * Bounds checks made by every Reader on this thread, ever: one per
- * fixed-width field, one per span().  Tests read the difference across
- * a restore to pin how many checks it costs.
- */
-inline thread_local std::uint64_t readerBoundsChecks = 0;
-
-/**
- * Append-only little-endian encoder over a std::string buffer.  Each
- * fixed-width field is one append; a table is one span() filled in a
- * tight loop with storeLe.
- */
-class Writer
-{
-  public:
-    void u8(std::uint8_t v) { buf.push_back(static_cast<char>(v)); }
-    void u32(std::uint32_t v) { fixed(v); }
-    void u64(std::uint64_t v) { fixed(v); }
-    void f64(double v) { fixed(std::bit_cast<std::uint64_t>(v)); }
-
-    void
-    bytes(const void *data, std::size_t len)
-    {
-        buf.append(static_cast<const char *>(data), len);
-    }
-
-    /**
-     * Append `count` records of `width` bytes and return where the
-     * first one starts, for the caller to fill.  The pointer is valid
-     * until the next append.
-     */
-    char *
-    span(std::size_t count, std::size_t width = 1)
-    {
-        const std::size_t at = buf.size();
-        buf.resize(at + count * width);
-        return buf.data() + at;
-    }
-
-    /** Grow the buffer once ahead of a known amount of output. */
-    void reserve(std::size_t total) { buf.reserve(total); }
-
-    /** Length-prefixed string. */
-    void
-    str(std::string_view s)
-    {
-        u32(static_cast<std::uint32_t>(s.size()));
-        bytes(s.data(), s.size());
-    }
-
-    /** 4-character section marker ("L1D_", "BPRD", ...). */
-    void
-    tag(const char (&t)[5])
-    {
-        bytes(t, 4);
-    }
-
-    const std::string &buffer() const { return buf; }
-    std::string take() { return std::move(buf); }
-    std::size_t size() const { return buf.size(); }
-
-  private:
-    template <typename T>
-    void
-    fixed(T v)
-    {
-        char b[sizeof v];
-        storeLe(b, v);
-        buf.append(b, sizeof v);
-    }
-
-    std::string buf;
-};
-
-/**
- * Bounds-checked little-endian decoder over a borrowed buffer.  Every
- * fixed-width field costs one bounds check; span() checks a whole
- * table once, which the caller then decodes with loadLe.
- */
-class Reader
-{
-  public:
-    explicit Reader(std::string_view data_) : data(data_) {}
-
-    std::uint8_t u8() { return fixed<std::uint8_t>(); }
-    std::uint32_t u32() { return fixed<std::uint32_t>(); }
-    std::uint64_t u64() { return fixed<std::uint64_t>(); }
-    double f64() { return std::bit_cast<double>(fixed<std::uint64_t>()); }
-
-    /**
-     * Consume `count` records of `width` bytes after one bounds check
-     * and return where the first one starts.  The check cannot
-     * overflow, so a count read from the stream is safe to pass.
-     */
-    const char *
-    span(std::size_t count, std::size_t width = 1)
-    {
-        need(count, width);
-        const char *p = data.data() + pos;
-        pos += count * width;
-        return p;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t len = u32();
-        return std::string(span(len), len);
-    }
-
-    /** Consume a 4-character section marker; mismatch is an Error. */
-    void
-    expectTag(const char (&t)[5])
-    {
-        need(4);
-        if (data.compare(pos, 4, t, 4) != 0) {
-            throw Error("expected section '" + std::string(t) +
-                        "' at offset " + std::to_string(pos) + ", found '" +
-                        std::string(data.substr(pos, 4)) + "'");
-        }
-        pos += 4;
-    }
-
-    /**
-     * Read a table's u64 entry count and check it against the
-     * configured one; Error "<what> mismatch: snapshot N, configured
-     * M" otherwise.
-     */
-    void
-    expectCount(std::size_t configured, const char *what)
-    {
-        const std::uint64_t n = u64();
-        if (n != configured) {
-            throw Error(std::string(what) + " mismatch: snapshot " +
-                        std::to_string(n) + ", configured " +
-                        std::to_string(configured));
-        }
-    }
-
-    std::size_t offset() const { return pos; }
-    std::size_t remaining() const { return data.size() - pos; }
-
-  private:
-    template <typename T>
-    T
-    fixed()
-    {
-        need(sizeof(T));
-        const T v = loadLe<T>(data.data() + pos);
-        pos += sizeof(T);
-        return v;
-    }
-
-    void
-    need(std::size_t count, std::size_t width = 1)
-    {
-        ++readerBoundsChecks;
-        if (count > (data.size() - pos) / width) {
-            throw Error("truncated stream: need " + std::to_string(count) +
-                        (width == 1 ? "" : " x " + std::to_string(width)) +
-                        " bytes at offset " + std::to_string(pos) +
-                        ", have " + std::to_string(data.size() - pos));
-        }
-    }
-
-    std::string_view data;
-    std::size_t pos = 0;
-};
 
 } // namespace serial
 } // namespace sciq

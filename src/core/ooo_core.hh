@@ -165,7 +165,7 @@ class OooCore : private EventTarget
      * fast-forward facility to start timing simulation mid-program,
      * as the paper does from 20-billion-instruction checkpoints.  The
      * image replaces the committed memory; pass it by move when the
-     * caller has no further use for it (checkpoint restore).
+     * caller has no further use for it (a cold warm-up).
      */
     void seedState(const std::array<std::uint64_t, kNumArchRegs> &regs,
                    SparseMemory memory_image, Addr start_pc);

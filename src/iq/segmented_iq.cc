@@ -1102,7 +1102,6 @@ SegmentedIq::firstPending(const ChainState &cs, std::uint64_t applied)
 void
 SegmentedIq::armLane(unsigned slot, int m, const LoggedSignal &sig)
 {
-    ++work.signalDeliveries;
     pool.dueCycle[m][slot] = sig.cycle;
     pool.dueOrigin[m][slot] = static_cast<std::int16_t>(sig.originSegment);
     pool.due[m][slot] = schedule(arrivalAt(sig, pool.seg[slot]),
@@ -1123,8 +1122,10 @@ SegmentedIq::armMember(unsigned slot, int m)
         pool.applied[m][slot] >= chainHot[c].seqCounter)
         return;
     if (const LoggedSignal *sig =
-            firstPending(chainStates[c], pool.applied[m][slot]))
+            firstPending(chainStates[c], pool.applied[m][slot])) {
+        ++work.signalDeliveries;
         armLane(slot, m, *sig);
+    }
 }
 
 void
@@ -1143,8 +1144,10 @@ SegmentedIq::armListeners(ChainId id)
             pool.gen[sub.mem][sub.slot] != gen)
             continue;
         if (const LoggedSignal *sig =
-                firstPending(cs, pool.applied[sub.mem][sub.slot]))
+                firstPending(cs, pool.applied[sub.mem][sub.slot])) {
+            ++work.signalDeliveries;
             armLane(sub.slot, sub.mem, *sig);
+        }
     }
 }
 
@@ -1306,14 +1309,8 @@ SegmentedIq::soaDeliverMember(unsigned slot, int m, Cycle now)
         syncLaneCd(slot, m);
         laneChanged(slot);
     }
-    if (i < log_sz) {
-        // armLane counts the entry a second time, as a queue lane's
-        // re-arm always has; a table lane's re-arm stays uncounted, as
-        // before the table became lanes, so iq.work.signal_deliveries
-        // keeps its recorded values.
-        work.signalDeliveries -= slot >= poolSize;
-        armLane(slot, m, cs.log[i]);
-    }
+    if (i < log_sz)
+        armLane(slot, m, cs.log[i]);  // counted by visible() above
 }
 
 [[gnu::flatten]] void

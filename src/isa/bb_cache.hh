@@ -15,7 +15,7 @@
  * steady-state loops never touch the per-instruction fetch lookup.
  *
  * The cache is pure acceleration state: it holds no architectural
- * state, is never serialized, and a block is a pure function of the
+ * state, is never part of a warm state, and a block is a pure function of the
  * (immutable) program, so discovery order cannot affect results.
  * DESIGN.md §14 describes the contract; tests/test_bb_cache.cc pins
  * bit-identity against the step()-based reference.

@@ -1,7 +1,6 @@
 #include "functional_core.hh"
 
 #include <bit>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -52,45 +51,20 @@ FunctionalCore::run(std::uint64_t max_insts)
     return executed - start;
 }
 
-void
-FunctionalCore::save(serial::Writer &w) const
+FunctionalCore::State
+FunctionalCore::capture() const
 {
-    char *p = w.span(regs.size(), 8);
-    for (std::uint64_t reg : regs) {
-        serial::storeLe(p, reg);
-        p += 8;
-    }
-    w.u64(curPc);
-    w.u8(isHalted ? 1 : 0);
-    w.u64(executed);
-    mem.save(w);
-}
-
-FunctionalCore::SavedState
-FunctionalCore::decode(serial::Reader &r)
-{
-    SavedState s;
-    const char *p = r.span(s.regs.size(), 8);
-    for (std::uint64_t &reg : s.regs) {
-        reg = serial::loadLe<std::uint64_t>(p);
-        p += 8;
-    }
-    s.pc = r.u64();
-    s.halted = r.u8() != 0;
-    s.executed = r.u64();
-    s.memory.restore(r);
-    return s;
+    return {regs, curPc, isHalted, executed, mem};
 }
 
 void
-FunctionalCore::restore(serial::Reader &r)
+FunctionalCore::adopt(const State &s)
 {
-    SavedState s = decode(r);
     regs = s.regs;
     curPc = s.pc;
     isHalted = s.halted;
     executed = s.executed;
-    mem = std::move(s.memory);
+    mem = s.memory;
     prevPc = 0;
     prevResult = ExecResult{};
     prevInst = nullptr;

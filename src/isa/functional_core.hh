@@ -94,28 +94,16 @@ class FunctionalCore : public ExecContext
     SparseMemory &memory() { return mem; }
     const SparseMemory &memory() const { return mem; }
 
-    /** The borrowed program (checkpointing fingerprints it). */
+    /** The borrowed program. */
     const Program &prog() const { return program; }
 
     /**
-     * Serialize the architectural state (registers, PC, halt flag,
-     * instruction count and the memory image).  The program itself is
-     * not written: a checkpoint is only valid against the identical
-     * program, which the checkpoint layer verifies by checksum.  The
-     * block cache is pure acceleration state and never serialized, so
-     * blobs are byte-identical with the cache on or off.
+     * The architectural state: registers, PC, halt flag, instruction
+     * count and the memory image.  The program is not part of it (a
+     * warm state is shared only under a key that fixes the program),
+     * and neither is the block cache, which is pure acceleration.
      */
-    void save(serial::Writer &w) const;
-
-    /**
-     * Restore architectural state saved by save().  Last-instruction
-     * introspection (lastPc/lastInst/lastResult) resets to empty; the
-     * core must be at a step boundary, which save() guarantees.
-     */
-    void restore(serial::Reader &r);
-
-    /** The architectural state save() writes, decoded on its own. */
-    struct SavedState
+    struct State
     {
         std::array<std::uint64_t, kNumArchRegs> regs{};
         Addr pc = 0;
@@ -124,12 +112,14 @@ class FunctionalCore : public ExecContext
         SparseMemory memory;
     };
 
+    /** A copy of the architectural state, at a step boundary. */
+    State capture() const;
+
     /**
-     * Decode what save() wrote without building a core: a checkpoint
-     * restore seeds the timing core from it directly, skipping the
-     * program load and block cache a FunctionalCore would set up.
+     * Replace the architectural state with `s`.  Last-instruction
+     * introspection (lastPc/lastInst/lastResult) resets to empty.
      */
-    static SavedState decode(serial::Reader &r);
+    void adopt(const State &s);
 
     const std::array<std::uint64_t, kNumArchRegs> &regFile() const
     {
@@ -155,10 +145,10 @@ class FunctionalCore : public ExecContext
      * Devirtualized execute context for the block path: inline
      * register-file access plus a direct-mapped page-pointer cache so
      * in-page accesses skip SparseMemory's hash lookups.  Reads of
-     * untouched pages never allocate (the serialized memory image — and
-     * with it every checkpoint blob — must not depend on the
-     * interpreter path).  Stack-local to one runBlocks() call, so
-     * restore()/clear() can never invalidate a live cached pointer.
+     * untouched pages never allocate (the memory image — and with it
+     * every warm state — must not depend on the interpreter path).
+     * Stack-local to one runBlocks() call, so adopt()/clear() can
+     * never invalidate a live cached pointer.
      */
     class DirectContext
     {
@@ -242,7 +232,7 @@ class FunctionalCore : public ExecContext
         /**
          * Direct-mapped page-pointer cache.  Slots only ever hold
          * allocated pages (absent-page reads return 0 uncached), and
-         * SparseMemory page pointers are stable until clear()/restore(),
+         * SparseMemory page pointers are stable until clear()/adopt(),
          * which cannot happen while this stack-local context lives.
          */
         static constexpr std::size_t kPageSlots = 64;
@@ -286,7 +276,7 @@ FunctionalCore::runBlocks(std::uint64_t max_insts, Hook &&hook)
         }
 
         // Split-block epilogue: never execute past the instruction
-        // budget — checkpoint keys/blobs depend on exact stops.
+        // budget — warm-up keys and warm states depend on exact stops.
         const std::uint64_t budget = max_insts - (executed - start);
         const std::size_t n = std::min<std::uint64_t>(
             bb->ops.size(), budget);

@@ -78,8 +78,8 @@ class Program
      * Content fingerprint over base address, code and data blobs
      * (FNV-1a over the fields, serial::hashBytes over each blob's
      * bytes).
-     * Checkpoints embed it so a snapshot can only be restored against
-     * the exact program it was taken from.
+     * A shared warm state records it, and a restore asserts it is
+     * copied into a core of the exact program it was taken from.
      */
     std::uint64_t checksum() const;
 

@@ -120,38 +120,6 @@ SparseMemory::equalContents(const SparseMemory &other) const
     return covers(*this, other) && covers(other, *this);
 }
 
-void
-SparseMemory::save(serial::Writer &w) const
-{
-    std::vector<Addr> page_nos;
-    page_nos.reserve(pages.size());
-    for (const auto &[page_no, page] : pages)
-        page_nos.push_back(page_no);
-    std::sort(page_nos.begin(), page_nos.end());
-
-    w.u64(page_nos.size());
-    for (Addr page_no : page_nos) {
-        w.u64(page_no);
-        w.bytes(pages.at(page_no).data(), kPageSize);
-    }
-}
-
-void
-SparseMemory::restore(serial::Reader &r)
-{
-    pages.clear();
-    const std::uint64_t count = r.u64();
-    const char *p = r.span(count, kSavedPageBytes);
-    pages.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        // A new Page's bytes are left unwritten: the copy is their
-        // one write.
-        Page &page = pages[serial::loadLe<std::uint64_t>(p)];
-        std::memcpy(page.data(), p + 8, kPageSize);
-        p += kSavedPageBytes;
-    }
-}
-
 double
 SparseMemory::readDouble(Addr addr) const
 {

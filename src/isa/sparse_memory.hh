@@ -12,9 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
-#include <vector>
 
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace sciq {
@@ -24,8 +22,6 @@ class SparseMemory
   public:
     static constexpr unsigned kPageShift = 12;
     static constexpr Addr kPageSize = 1ULL << kPageShift;
-    /** Saved page record: u64 page number, then the page's bytes. */
-    static constexpr std::size_t kSavedPageBytes = 8 + kPageSize;
 
     /** Read `size` (1..8) bytes little-endian; zero for untouched. */
     std::uint64_t read(Addr addr, unsigned size) const;
@@ -49,9 +45,9 @@ class SparseMemory
     /**
      * Host pointer to the page holding `addr`, or nullptr when the
      * page is untouched.  Never allocates: a read of an absent page
-     * must stay invisible to numPages() and to the serialized image
-     * (checkpoint blobs encode exactly the allocated pages).
-     * The pointer stays valid until clear()/restore(): unordered_map
+     * must stay invisible to numPages() (a warm state's image holds
+     * exactly the allocated pages).
+     * The pointer stays valid until clear() or an assignment: unordered_map
      * never moves mapped values on insertion.
      */
     std::uint8_t *
@@ -83,20 +79,10 @@ class SparseMemory
 
     void clear() { pages.clear(); }
 
-    /**
-     * Serialize the allocated pages (sorted by page number, so the
-     * encoding is a deterministic function of the contents).
-     */
-    void save(serial::Writer &w) const;
-
-    /** Replace the contents from a saved image. */
-    void restore(serial::Reader &r);
-
   private:
     /**
      * A page's bytes.  Construction leaves them unwritten, so each
-     * byte is written once: getPage() zero-fills a new page, restore()
-     * copies the saved one in.
+     * byte is written once: getPage() zero-fills a new page.
      */
     struct Page : std::array<std::uint8_t, kPageSize>
     {

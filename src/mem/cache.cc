@@ -129,68 +129,35 @@ Cache::flush()
     warmMemoClear();
 }
 
-void
-Cache::save(serial::Writer &w) const
+Cache::State
+Cache::capture() const
 {
-    if (freeMshrs.size() != mshrFile.size() || parkedCount != 0) {
-        throw serial::Error("cache '" + params_.name +
-                            "' has in-flight misses; checkpoints must be "
-                            "taken while the hierarchy is quiescent");
-    }
-    w.u64(numSets);
-    w.u32(params_.assoc);
-    w.u32(params_.lineBytes);
-    char *p = w.span(lines.size(), kSavedLineBytes);
-    for (const Line &line : lines) {
-        serial::storeLe<std::uint64_t>(p, line.tag);
-        p[8] = static_cast<char>((line.valid ? 1 : 0) | (line.dirty ? 2 : 0));
-        serial::storeLe<std::uint64_t>(p + 9, line.lastUse);
-        p += kSavedLineBytes;
-    }
-    w.u64(nextFillFree);
-    w.f64(accesses.value());
-    w.f64(hits.value());
-    w.f64(misses.value());
-    w.f64(delayedHits.value());
-    w.f64(writebacks.value());
-    w.f64(mshrFullStalls.value());
+    SCIQ_ASSERT(quiescent(), "cache '%s' has in-flight misses",
+                params_.name.c_str());
+    return {lines,
+            nextFillFree,
+            {accesses.value(), hits.value(), misses.value(),
+             delayedHits.value(), writebacks.value(),
+             mshrFullStalls.value()}};
 }
 
 void
-Cache::restore(serial::Reader &r)
+Cache::adopt(const State &s)
 {
-    if (freeMshrs.size() != mshrFile.size() || parkedCount != 0) {
-        throw serial::Error("cache '" + params_.name +
-                            "' has in-flight misses; cannot restore");
-    }
-    const std::uint64_t sets = r.u64();
-    const std::uint32_t assoc = r.u32();
-    const std::uint32_t line_bytes = r.u32();
-    if (sets != numSets || assoc != params_.assoc ||
-        line_bytes != params_.lineBytes) {
-        throw serial::Error(
-            "cache '" + params_.name + "' geometry mismatch: snapshot " +
-            std::to_string(sets) + "x" + std::to_string(assoc) + "x" +
-            std::to_string(line_bytes) + ", configured " +
-            std::to_string(numSets) + "x" + std::to_string(params_.assoc) +
-            "x" + std::to_string(params_.lineBytes));
-    }
-    const char *p = r.span(lines.size(), kSavedLineBytes);
-    for (Line &line : lines) {
-        line.tag = serial::loadLe<std::uint64_t>(p);
-        line.valid = (p[8] & 1) != 0;
-        line.dirty = (p[8] & 2) != 0;
-        line.lastUse = serial::loadLe<std::uint64_t>(p + 9);
-        p += kSavedLineBytes;
-    }
+    SCIQ_ASSERT(quiescent(), "cache '%s' has in-flight misses",
+                params_.name.c_str());
+    SCIQ_ASSERT(s.lines.size() == lines.size(),
+                "cache '%s': warm state of %zu lines, configured %zu",
+                params_.name.c_str(), s.lines.size(), lines.size());
+    lines = s.lines;
     warmMemoClear();
-    nextFillFree = r.u64();
-    accesses.set(r.f64());
-    hits.set(r.f64());
-    misses.set(r.f64());
-    delayedHits.set(r.f64());
-    writebacks.set(r.f64());
-    mshrFullStalls.set(r.f64());
+    nextFillFree = s.nextFillFree;
+    accesses.set(s.counters[0]);
+    hits.set(s.counters[1]);
+    misses.set(s.counters[2]);
+    delayedHits.set(s.counters[3]);
+    writebacks.set(s.counters[4]);
+    mshrFullStalls.set(s.counters[5]);
 }
 
 void

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -132,22 +131,43 @@ class Cache : public MemLevel, public EventTarget
     /** Invalidate everything (used between warmup configurations). */
     void flush();
 
-    /**
-     * Serialize the tag array (tags, valid/dirty bits, LRU state) and
-     * the statistics counters.  Only legal while the cache is quiescent
-     * (no MSHRs in flight and no miss waiting for one): checkpoints are
-     * taken after functional warming, before any timed access.  Throws
-     * serial::Error otherwise.
-     */
-    void save(serial::Writer &w) const;
+    /** A line of the tag array. */
+    struct Line
+    {
+        Addr tag = ~0ULL;
+        bool valid = false;
+        bool dirty = false;
+        Cycle lastUse = 0;
+
+        bool operator==(const Line &) const = default;
+    };
 
     /**
-     * Restore a tag-array snapshot into this cache.  The geometry
-     * (sets, associativity, line size) must match the snapshot's;
-     * mismatches throw serial::Error, as does a cache that is not
-     * quiescent.
+     * The warm state of a quiescent cache: the tag array (tags,
+     * valid/dirty bits, LRU state), the fill-bandwidth clock and the
+     * six statistics counters, in declaration order.
      */
-    void restore(serial::Reader &r);
+    struct State
+    {
+        std::vector<Line> lines;
+        Cycle nextFillFree = 0;
+        std::array<double, 6> counters{};
+
+        bool operator==(const State &) const = default;
+    };
+
+    /**
+     * Copy the warm state.  Only while the cache is quiescent (no
+     * MSHRs in flight and no miss waiting for one): a warm state is
+     * taken after functional warming, before any timed access.
+     */
+    State capture() const;
+
+    /**
+     * Replace the warm state with `s`, taken from a cache of the same
+     * geometry; this cache must be quiescent too.
+     */
+    void adopt(const State &s);
 
     /** Misses currently waiting for a free MSHR. */
     std::size_t parkedMisses() const { return parkedCount; }
@@ -175,16 +195,12 @@ class Cache : public MemLevel, public EventTarget
     stats::Scalar mshrFullStalls;
 
   private:
-    struct Line
+    /** No MSHR in flight and no miss waiting for one. */
+    bool
+    quiescent() const
     {
-        Addr tag = ~0ULL;
-        bool valid = false;
-        bool dirty = false;
-        Cycle lastUse = 0;
-    };
-
-    /** Saved line record: u64 tag, u8 valid | dirty << 1, u64 lastUse. */
-    static constexpr std::size_t kSavedLineBytes = 17;
+        return freeMshrs.size() == mshrFile.size() && parkedCount == 0;
+    }
 
     /** The cache's own event kinds. */
     enum : unsigned
@@ -332,8 +348,8 @@ class Cache : public MemLevel, public EventTarget
      * warmAccess/warmInsert is a few compares instead of a set scan.
      * Sound because installs are the only line mutation during
      * functional warming: any installLine (the install may evict a
-     * memoized line), flush() or restore() invalidates the whole memo.
-     * Pure acceleration state — never serialized, never consulted by
+     * memoized line), flush() or adopt() invalidates the whole memo.
+     * Pure acceleration state — never in a warm state, never consulted by
      * the timed path.  Which lines happen to be memoized affects speed
      * only, never state: a memo hit returns exactly what the set scan
      * would.

@@ -40,7 +40,7 @@ FastForwardStats fastForward(FunctionalCore &golden, OooCore &core,
 
 /**
  * The same warming, leaving `core` unseeded: for a caller that still
- * reads `golden` (a checkpoint save) and then moves its memory image
+ * reads `golden` (WarmState::capture) and then moves its memory image
  * into the core instead of copying it.
  */
 FastForwardStats fastForwardUnseeded(FunctionalCore &golden, OooCore &core,

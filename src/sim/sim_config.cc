@@ -10,7 +10,6 @@
 #include <variant>
 
 #include "common/errors.hh"
-#include "sim/fault_injector.hh"
 #include "sim/sweep.hh"
 
 namespace sciq {
@@ -34,7 +33,7 @@ struct KeyRow
     ValueKind kind;
     bool changesResult;      ///< in sweepKey; else a host setting
     std::optional<int> min;  ///< smallest accepted value
-    /** The field the key writes; null: apply()'s FaultInjector tail. */
+    /** The field the key writes. */
     FieldPtr (*field)(SimConfig &);
 };
 
@@ -42,8 +41,6 @@ struct KeyRow
 
 constexpr bool kResult = true;
 constexpr bool kHost = false;
-constexpr const char *kFaultSeed = "fault_seed";
-constexpr const char *kFaultCkptCorrupt = "fault_ckpt_corrupt";
 
 constexpr KeyRow kKeys[] = {
     {"iq", Iq, kResult, {}, FIELD(core.iqKind)},
@@ -72,12 +69,10 @@ constexpr KeyRow kKeys[] = {
     {"ff", Count, kResult, {}, FIELD(fastForward)},
     {"watchdog_cycles", Count, kHost, {}, FIELD(core.watchdogCycles)},
     {"deadline_sec", Double, kHost, 0, FIELD(deadlineSec)},
-    // Faults (DESIGN.md §13); the first two live inside the core.
+    // Faults (DESIGN.md §13), both inside the core.
     {"fault_commit_stall", Int, kResult, {}, FIELD(core.faultCommitStallAt)},
     {"fault_overpromote", Bool, kResult, {},
      FIELD(core.iq.auditInjectOverPromote)},
-    {kFaultSeed, Int, kHost, {}, nullptr},
-    {kFaultCkptCorrupt, Int, kHost, {}, nullptr},
 };
 
 #undef FIELD
@@ -99,7 +94,7 @@ void
 SimConfig::apply(const ConfigMap &cfg)
 {
     for (const KeyRow &row : kKeys) {
-        if (!row.field || !cfg.has(row.name))
+        if (!cfg.has(row.name))
             continue;
         const std::string key = row.name;
         // The minimum is checked on the value as written, before the
@@ -130,15 +125,6 @@ SimConfig::apply(const ConfigMap &cfg)
 
     if (cfg.has("workload"))
         checkWorkloadName(workload);
-
-    // The checkpoint-read fault builds a FaultInjector on demand.
-    if (cfg.has(kFaultCkptCorrupt)) {
-        if (!faults) {
-            faults = std::make_shared<FaultInjector>(
-                static_cast<std::uint64_t>(cfg.getInt(kFaultSeed, 1)));
-        }
-        faults->corruptCkptReads = cfg.getInt(kFaultCkptCorrupt, 0);
-    }
 }
 
 std::string
@@ -192,7 +178,7 @@ sweepKey(const SimConfig &config)
     std::ostringstream os;
     os.precision(std::numeric_limits<double>::max_digits10);
     for (const KeyRow &row : kKeys) {
-        if (!row.changesResult || !row.field)
+        if (!row.changesResult)
             continue;
         std::visit(
             [&]<typename T>(T *value) {

@@ -19,7 +19,6 @@
 namespace sciq {
 
 class CheckpointCache;
-class FaultInjector;
 
 struct SimConfig
 {
@@ -57,25 +56,18 @@ struct SimConfig
 
     /**
      * Skip this many instructions with functional warming before the
-     * timed run (the paper's checkpoint methodology at our scale).
+     * timed run (the paper's fast-forward methodology at our scale).
      * Count-valued keys accept k/m/g suffixes, so `ff=300m` works.
      */
     std::uint64_t fastForward = 0;
 
     /**
-     * Shared in-process checkpoint cache (programmatic; SweepBatch
-     * installs one per sweep so each distinct warm-up runs once and
-     * every other configuration restores it).  Without one a run warms
-     * up cold.
+     * Shared in-process warm-up cache (programmatic, no key; a sweep
+     * front end installs one per sweep so each distinct warm-up runs
+     * once and every other configuration copies its WarmState).
+     * Without one a run warms up cold.
      */
     std::shared_ptr<CheckpointCache> ckptCache;
-
-    /**
-     * Optional fault injector (keys: `fault_seed=`,
-     * `fault_ckpt_corrupt=`; see fault_injector.hh).  Shared, so one
-     * budget spans every job that holds it.
-     */
-    std::shared_ptr<FaultInjector> faults;
 
     /**
      * Apply key=value overrides, e.g.

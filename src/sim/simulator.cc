@@ -12,7 +12,6 @@
 #include "sim/audit.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
-#include "sim/fault_injector.hh"
 #include "sim/sweep.hh"
 
 namespace sciq {
@@ -98,12 +97,12 @@ Simulator::noteWarm(double seconds, std::uint64_t insts,
     }
 }
 
-FastForwardStats
-Simulator::restore(const std::string &blob)
+std::uint64_t
+Simulator::programChecksum()
 {
     if (!programChecksum_)
         programChecksum_ = program_->checksum();
-    return restoreCheckpoint(blob, config, *programChecksum_, *core_);
+    return *programChecksum_;
 }
 
 FastForwardStats
@@ -111,8 +110,8 @@ Simulator::warmUp(bool &restored)
 {
     restored = false;
 
-    // Fast-forward cold; with `blob`, also save the warmed state there.
-    auto coldFf = [&](std::string *blob) -> FastForwardStats {
+    // Fast-forward cold; with `keep`, also capture the warm state there.
+    auto coldFf = [&](WarmState *keep) -> FastForwardStats {
         FunctionalCore warm(*program_);
         const auto t0 = std::chrono::steady_clock::now();
         FastForwardStats ff =
@@ -126,10 +125,10 @@ Simulator::warmUp(bool &restored)
             warn("fast-forward of %llu insts consumed the whole program",
                  static_cast<unsigned long long>(config.fastForward));
         }
-        if (blob)
-            *blob = saveCheckpoint(config, warm, *core_, ff);
-        // Serialized first, so the image moves into the core instead
-        // of being copied.
+        if (keep)
+            *keep = WarmState::capture(warm, *core_, ff, programChecksum());
+        // Captured first, so the image moves into the core instead of
+        // being copied.
         if (!ff.hitHalt) {
             core_->seedState(warm.regFile(), std::move(warm.memory()),
                              warm.pc());
@@ -144,34 +143,18 @@ Simulator::warmUp(bool &restored)
         return coldFf(nullptr);
 
     const std::uint64_t key = checkpointKeyHash(config);
-    CheckpointCache::Blob blob = cache->findOrBegin(key);
-    if (blob) {
-        std::string damaged;
-        const std::string *bytes = blob.get();
-        if (config.faults && config.faults->takeCorruptRead()) {
-            damaged = *blob;
-            config.faults->corrupt(damaged);
-            bytes = &damaged;
-        }
-        try {
-            const FastForwardStats ff = restore(*bytes);
-            restored = true;
-            return ff;
-        } catch (const CheckpointError &e) {
-            // A damaged entry: warm up cold and replace it so later
-            // runs restore cleanly.
-            warn("ignoring unusable checkpoint for %s: %s",
-                 config.workload.c_str(), e.what());
-            std::string fresh;
-            FastForwardStats ff = coldFf(&fresh);
-            cache->publish(key, std::move(fresh));
-            return ff;
-        }
+    if (CheckpointCache::Entry warm = cache->findOrBegin(key)) {
+        SCIQ_ASSERT(warm->programChecksum == programChecksum(),
+                    "warm state of %s made from another program",
+                    config.workload.c_str());
+        warm->adopt(*core_);
+        restored = true;
+        return warm->ff;
     }
 
     // This run was elected producer for the key.
     try {
-        std::string fresh;
+        WarmState fresh;
         FastForwardStats ff = coldFf(&fresh);
         cache->publish(key, std::move(fresh));
         return ff;
@@ -328,10 +311,10 @@ Simulator::collect(double host_seconds, std::uint64_t skipped,
     if (config.validate) {
         // The golden end state comes from the functional model run from
         // the program image for the skipped prefix plus exactly as many
-        // instructions as the pipeline committed — never from a warm-up
-        // or checkpoint, so validation stays independent of the warm
-        // path.  A sweep runs it once per (program, instruction count)
-        // and shares it among its jobs.
+        // instructions as the pipeline committed — never from a warm-up,
+        // so validation stays independent of the warm path.  A sweep
+        // runs it once per (program, instruction count) and shares it
+        // among its jobs.
         const std::uint64_t insts = skipped + r.insts;
         const std::shared_ptr<const GoldenState> golden =
             shared_ ? shared_->golden(*programChecksum_, *program_, insts)

@@ -115,8 +115,8 @@ struct RunResult
     std::uint64_t auditViolations = 0;
 
     /**
-     * The warm-up prefix was restored from a checkpoint instead of
-     * being re-executed.  Informational only: restored and cold runs
+     * The warm-up prefix was copied from a shared warm state instead
+     * of being re-executed.  Informational only: restored and cold runs
      * produce bit-identical architected stats, but which sweep point
      * happens to produce a shared warm-up is scheduling-dependent, so
      * this flag is excluded from determinism comparisons.
@@ -132,7 +132,7 @@ struct RunResult
 
     // Functional-warming performance and block-cache observability.
     // Non-zero only when this run executed the warm-up itself (a
-    // checkpoint restore skips it), so like hostSeconds these are
+    // restore skips it), so like hostSeconds these are
     // wall-clock/scheduling-dependent and excluded from bit-identity
     // comparisons.
     double warmSeconds = 0.0;
@@ -211,9 +211,9 @@ class Simulator
 
   private:
     /**
-     * Perform the configured fast-forward, through the checkpoint
-     * machinery when enabled.  Returns the warm-up's statistics; sets
-     * `restored` when the state came from a checkpoint.
+     * Perform the configured fast-forward, through the shared warm-up
+     * cache when one is configured.  Returns the warm-up's statistics;
+     * sets `restored` when the state was copied from a cached warm-up.
      */
     FastForwardStats warmUp(bool &restored);
 
@@ -221,8 +221,8 @@ class Simulator
     void noteWarm(double seconds, std::uint64_t insts,
                   const FunctionalCore &warm);
 
-    /** Restore a checkpoint blob into the core. */
-    FastForwardStats restore(const std::string &blob);
+    /** program_->checksum(), computed at most once. */
+    std::uint64_t programChecksum();
 
     SimConfig config;
     SweepShared *shared_;

@@ -123,7 +123,7 @@ SweepRunner::run(const std::vector<SimConfig> &configs,
     }
 
     // Producers first: input order already runs the first job of each
-    // checkpoint key before the others, which serially is enough.  In
+    // warm-up key before the others, which serially is enough.  In
     // parallel it is not — a worker would block in findOrBegin while
     // another warms up — so dispatch every key's first job ahead of
     // all the jobs that restore it.

@@ -44,9 +44,9 @@ namespace sciq {
  * result-changing config key whose value differs from a
  * default-constructed SimConfig, in the order of the key table in
  * sim_config.cc (where this is defined).  Host settings (jobs,
- * checkpoint caching, validation, auditing, the watchdog and
- * deadline, checkpoint-read faults) change how a result is produced,
- * never what it is, and are left out.  CoreParams fields that no
+ * warm-up sharing, validation, auditing, the watchdog and deadline)
+ * change how a result is produced, never what it is, and are left
+ * out.  CoreParams fields that no
  * config key sets (Table 1 widths, latencies, cache geometries) are
  * not in the key either: no front end changes them yet except the
  * host-only watchdog, so a field hash would guard nothing.  Hash them
@@ -64,7 +64,7 @@ std::string sweepKey(const SimConfig &config);
  *   - golden(): the end state validation compares with, keyed by
  *     (program checksum, instruction count) and always made
  *     by GoldenState::run from the program image — never from a
- *     warm-up or a checkpoint.
+ *     warm-up.
  *
  * Each product is made by the first job that asks for it while later
  * askers wait (OnceMap); a build or run that throws is not cached.
@@ -153,7 +153,7 @@ class SweepRunner
      * failures are contained into RunResult::outcome; only an exception
      * from the caller's `progress` callback propagates, after all
      * workers have drained.  With several workers, the first job of
-     * each checkpoint key is dispatched before every job that would
+     * each warm-up key is dispatched before every job that would
      * restore it, so no worker waits on a warm-up that another has
      * only just begun.
      */

@@ -54,7 +54,7 @@ Program buildWorkload(const std::string &name,
 /**
  * Stable fingerprint of (name, params) — everything the workload
  * generator consumes, so equal fingerprints mean buildWorkload()
- * produces identical programs.  Part of the checkpoint cache key.
+ * produces identical programs.  Part of the warm-up cache key.
  */
 std::uint64_t workloadFingerprint(const std::string &name,
                                   const WorkloadParams &params);

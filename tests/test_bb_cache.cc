@@ -3,8 +3,8 @@
  * Bit-identity tests for the basic-block-cached functional interpreter
  * (DESIGN.md §14).  The contract under test: with the block cache
  * versus the step()-based reference (a FunctionalCore built without
- * it), architectural state, `executed` counts, checkpoint blob bytes
- * and whole-simulation stats are byte-identical — the cache is pure
+ * it), architectural state, `executed` counts, warm states and
+ * whole-simulation stats are identical — the cache is pure
  * acceleration, never policy.
  */
 
@@ -15,7 +15,6 @@
 #include <string>
 #include <tuple>
 
-#include "common/serialize.hh"
 #include "core/ooo_core.hh"
 #include "isa/asm_builder.hh"
 #include "isa/assembler.hh"
@@ -29,25 +28,24 @@ using namespace sciq;
 
 namespace {
 
+/** Captured architectural state `a` must equal `b`, field by field. */
+void
+expectSameState(const FunctionalCore::State &a,
+                const FunctionalCore::State &b)
+{
+    EXPECT_EQ(a.executed, b.executed);
+    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(a.halted, b.halted);
+    EXPECT_EQ(a.regs, b.regs);
+    EXPECT_TRUE(a.memory.equalContents(b.memory));
+    EXPECT_EQ(a.memory.numPages(), b.memory.numPages());
+}
+
 /** Architectural state of `a` must equal `b`, field by field. */
 void
 expectSameArchState(const FunctionalCore &a, const FunctionalCore &b)
 {
-    EXPECT_EQ(a.instCount(), b.instCount());
-    EXPECT_EQ(a.pc(), b.pc());
-    EXPECT_EQ(a.halted(), b.halted());
-    EXPECT_EQ(a.regFile(), b.regFile());
-    EXPECT_TRUE(a.memory().equalContents(b.memory()));
-    EXPECT_EQ(a.memory().numPages(), b.memory().numPages());
-}
-
-/** Serialize through save() into a fresh buffer. */
-std::string
-blobOf(const FunctionalCore &core)
-{
-    serial::Writer w;
-    core.save(w);
-    return w.take();
+    expectSameState(a.capture(), b.capture());
 }
 
 SimConfig
@@ -90,24 +88,24 @@ TEST_P(BbCacheIdentity, RunToHaltMatchesStepReference)
     EXPECT_EQ(ranRef, ranBb);
     EXPECT_TRUE(bb.halted());
     expectSameArchState(ref, bb);
-    EXPECT_EQ(blobOf(ref), blobOf(bb));
 }
 
+// Name kept from when the states compared were byte blobs.
 TEST_P(BbCacheIdentity, MidRunBlobsAreByteIdentical)
 {
     const Program prog =
         buildWorkload(GetParam(), {.iterations = 300});
 
     // Stop mid-run (inside loop bodies, not at a block edge) and
-    // demand byte-identical architectural blobs: the block path must
+    // demand identical architectural states: the block path must
     // neither overshoot the boundary nor allocate pages the step
     // reference would not.
     for (std::uint64_t n : {1ULL, 137ULL, 1500ULL, 20011ULL}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
         FunctionalCore ref(prog, false);
         FunctionalCore bb(prog, true);
-        EXPECT_EQ(ref.run(n), bb.run(n)) << "n=" << n;
+        EXPECT_EQ(ref.run(n), bb.run(n));
         expectSameArchState(ref, bb);
-        EXPECT_EQ(blobOf(ref), blobOf(bb)) << "n=" << n;
     }
 }
 
@@ -244,28 +242,44 @@ TEST(BbCachePlumbing, CountersAreCoherent)
 }
 
 // ---------------------------------------------------------------------
-// Functional warming: trained state and checkpoint blobs.
+// Functional warming: trained state and warm states.
 
 class BbCacheWarm : public ::testing::TestWithParam<std::string>
 {
 };
 
+// Name kept from when a warm state was a byte blob.
 TEST_P(BbCacheWarm, CheckpointBlobBytesIdentical)
 {
     const SimConfig cfg = testConfig(GetParam());
     const Program prog = buildWorkload(GetParam(), cfg.wl);
 
-    std::string blobs[2];
+    WarmState warm[2];
     for (bool bb : {false, true}) {
         FunctionalCore golden(prog, bb);
         OooCore core(prog, cfg.core);
         FastForwardStats ff = fastForward(golden, core, cfg.fastForward);
-        blobs[bb ? 1 : 0] = saveCheckpoint(cfg, golden, core, ff);
+        warm[bb ? 1 : 0] =
+            WarmState::capture(golden, core, ff, prog.checksum());
     }
-    // Same warm caches, predictors, stat counters, memory image,
-    // key hash — byte for byte.
-    EXPECT_EQ(blobs[0], blobs[1]);
-    EXPECT_GT(blobs[0].size(), 0u);
+    // Same registers, PC, memory image, warm caches, predictor tables
+    // and stat counters.
+    const WarmState &ref = warm[0];
+    const WarmState &bb = warm[1];
+    EXPECT_EQ(ref.ff.instsSkipped, bb.ff.instsSkipped);
+    EXPECT_EQ(ref.ff.memAccessesWarmed, bb.ff.memAccessesWarmed);
+    EXPECT_EQ(ref.ff.branchesWarmed, bb.ff.branchesWarmed);
+    EXPECT_EQ(ref.ff.hitHalt, bb.ff.hitHalt);
+    expectSameState(ref.func, bb.func);
+    EXPECT_GT(ref.func.memory.numPages(), 0u);
+    EXPECT_TRUE(ref.l1i == bb.l1i);
+    EXPECT_TRUE(ref.l1d == bb.l1d);
+    EXPECT_TRUE(ref.l2 == bb.l2);
+    EXPECT_TRUE(ref.bp == bb.bp);
+    EXPECT_TRUE(ref.btb == bb.btb);
+    EXPECT_TRUE(ref.ras == bb.ras);
+    EXPECT_TRUE(ref.hmp == bb.hmp);
+    EXPECT_TRUE(ref.lrp == bb.lrp);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, BbCacheWarm,
@@ -274,21 +288,23 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, BbCacheWarm,
 
 TEST(BbCacheWarm, CrossModeRestoredMatchesColdBitForBit)
 {
-    // The strongest end-to-end form: warm up and checkpoint with the
-    // step reference, publish the blob into the cache a Simulator run
+    // The strongest end-to-end form: warm up and capture with the step
+    // reference, publish the warm state into the cache a Simulator run
     // (which warms with the block cache) restores from, and demand the
     // whole stats tree match a cold run byte for byte.
     const SimConfig cfg = testConfig("vortex");
     const Program prog = buildWorkload(cfg.workload, cfg.wl);
     FunctionalCore ref(prog, false);
     OooCore core(prog, cfg.core);
-    const FastForwardStats ff = fastForward(ref, core, cfg.fastForward);
+    const FastForwardStats ff =
+        fastForwardUnseeded(ref, core, cfg.fastForward);
 
     SimConfig cached = cfg;
     cached.ckptCache = std::make_shared<CheckpointCache>();
     const std::uint64_t key = checkpointKeyHash(cfg);
     ASSERT_EQ(cached.ckptCache->findOrBegin(key), nullptr);
-    cached.ckptCache->publish(key, saveCheckpoint(cfg, ref, core, ff));
+    cached.ckptCache->publish(
+        key, WarmState::capture(ref, core, ff, prog.checksum()));
 
     Simulator coldSim(cfg);
     RunResult cold = coldSim.run();

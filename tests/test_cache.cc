@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/logging.hh"
 #include "event_harness.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
@@ -530,6 +531,7 @@ TEST(Hierarchy, FlushAllEmptiesCaches)
     EXPECT_FALSE(h.l2cache().isResident(0xB000));
 }
 
+// Name kept from when a warm state was saved and restored as bytes.
 TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
 {
     EventQueue ev;
@@ -539,8 +541,7 @@ TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
     p.mshrs = 1;
     Cache c(p, below, ev);
 
-    serial::Writer clean;
-    c.save(clean);
+    const Cache::State clean = c.capture();
 
     Result a, b;
     c.access(0x0000, false, 0, capture(a));
@@ -553,10 +554,8 @@ TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
     ASSERT_TRUE(a.done);
     ASSERT_EQ(below.requests.size(), 1u);
     EXPECT_EQ(c.parkedMisses(), 1u);
-    serial::Writer w;
-    EXPECT_THROW(c.save(w), serial::Error);
-    serial::Reader r(clean.buffer());
-    EXPECT_THROW(c.restore(r), serial::Error);
+    EXPECT_THROW(c.capture(), PanicError);
+    EXPECT_THROW(c.adopt(clean), PanicError);
 
     ev.runUntil(51);
     EXPECT_EQ(c.parkedMisses(), 0u);
@@ -564,10 +563,8 @@ TEST(Cache, SaveAndRestoreRefuseWhileAMissIsParked)
     acts.at(ev, 60, [&] { below.requests[1].done(60); });
     ev.runUntil(60);
     ASSERT_TRUE(b.done);
-    serial::Writer after;
-    EXPECT_NO_THROW(c.save(after));
-    serial::Reader r2(clean.buffer());
-    EXPECT_NO_THROW(c.restore(r2));
+    EXPECT_NO_THROW(c.capture());
+    EXPECT_NO_THROW(c.adopt(clean));
 }
 
 TEST(Cache, WaitersRetryAsOneEventAndFailInBulk)

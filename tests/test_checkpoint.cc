@@ -1,20 +1,19 @@
 /**
  * @file
- * Warm-state checkpoint/restore tests (DESIGN.md §12).
+ * Shared warm-up tests (DESIGN.md §12).
  *
  * Four layers of coverage:
- *  - the serialization primitives, the trailer hash's known answers
- *    and its sensitivity to every single-bit flip;
- *  - per-component save -> restore -> save round-trips must reproduce
- *    the first blob bit for bit;
+ *  - the content hashes' known answers and the bulk hash's sensitivity
+ *    to every single-bit flip;
+ *  - per-component capture -> adopt -> capture round trips must
+ *    reproduce the first state exactly, and a state of another
+ *    geometry is refused;
  *  - a restored Simulator run must produce byte-identical stats trees
  *    to a cold fast-forwarded run, for every workload on both the
- *    segmented and the ideal IQ (the module's correctness contract);
- *  - corrupted, truncated, version-bumped, mislabelled and mismatched
- *    blobs are rejected with specific CheckpointError messages.
- *
- * Plus the codec's work gate: a restore's bounds checks are pinned
- * per kernel (one per scalar field and one per table).
+ *    segmented and the ideal IQ (the module's correctness contract),
+ *    also when two workers restore at once;
+ *  - the cache key separates every configuration that changes the
+ *    warm state.
  *
  * Plus CheckpointCache semantics: producer election, memory hits and
  * cancel.
@@ -22,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -31,6 +31,7 @@
 #include "branch/hit_miss_predictor.hh"
 #include "branch/left_right_predictor.hh"
 #include "branch/ras.hh"
+#include "common/logging.hh"
 #include "common/serialize.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fast_forward.hh"
@@ -61,146 +62,38 @@ statsDump(Simulator &sim)
     return os.str();
 }
 
-/** Serialize `obj` through its save() into a fresh buffer. */
-template <typename T>
-std::string
-blobOf(const T &obj)
-{
-    serial::Writer w;
-    obj.save(w);
-    return w.take();
-}
-
-/** Restore `obj` from `blob` and check the whole blob was consumed. */
-template <typename T>
+/** Architectural state `a` equals `b`, field by field. */
 void
-restoreFrom(T &obj, const std::string &blob)
+expectSameFunc(const FunctionalCore::State &a, const FunctionalCore::State &b)
 {
-    serial::Reader r(blob);
-    obj.restore(r);
-    ASSERT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(a.regs, b.regs);
+    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(a.halted, b.halted);
+    EXPECT_EQ(a.executed, b.executed);
+    EXPECT_EQ(a.memory.numPages(), b.memory.numPages());
+    EXPECT_TRUE(a.memory.equalContents(b.memory));
 }
 
 /**
- * `blob` relabelled as the version-1 format: version field 1 and the
- * FNV-1a trailer that format used.
+ * `r`'s results row without the wall-clock fields and the ones that
+ * depend on which job produced a shared warm-up.
  */
 std::string
-asVersion1(std::string blob)
+rowJson(RunResult r)
 {
-    blob[8] = 1;
-    blob[9] = blob[10] = blob[11] = 0;
-    const std::size_t payload = blob.size() - 8;
-    serial::Writer t;
-    t.u64(serial::fnv1a(blob.data(), payload));
-    return blob.replace(payload, 8, t.buffer());
-}
-
-/**
- * The one-lane hash that version 2 used for its trailer and program
- * checksum, kept here only to build a genuine version-2 file.
- */
-std::uint64_t
-hashBytesVersion2(const void *data, std::size_t len)
-{
-    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    auto step = [](std::uint64_t h, std::uint64_t w) {
-        h = (h ^ w) * kMul;
-        return h ^ (h >> 32);
-    };
-    auto load = [&](std::size_t at, std::size_t n) {
-        std::uint64_t w = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            w |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
-        return w;
-    };
-    std::uint64_t h = 0x243f6a8885a308d3ULL ^ (len * kMul);
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8)
-        h = step(h, load(i, 8));
-    if (i < len)
-        h = step(h, load(i, len - i));
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-}
-
-/** `blob` relabelled as version 2, with that format's trailer. */
-std::string
-asVersion2(std::string blob)
-{
-    blob[8] = 2;
-    blob[9] = blob[10] = blob[11] = 0;
-    const std::size_t payload = blob.size() - 8;
-    serial::Writer t;
-    t.u64(hashBytesVersion2(blob.data(), payload));
-    return blob.replace(payload, 8, t.buffer());
-}
-
-/**
- * The first `len` bytes of `blob`'s payload with a fresh trailer, so
- * the frame checks pass and the cut is found by the section decoder.
- */
-std::string
-cutAndReframe(const std::string &blob, std::size_t len)
-{
-    std::string cut = blob.substr(0, len);
-    serial::Writer t;
-    t.u64(serial::hashBytes(cut.data(), cut.size()));
-    return cut + t.buffer();
+    r.hostSeconds = r.hostKcyclesPerSec = r.hostKinstsPerSec = 0.0;
+    r.warmSeconds = r.warmInstsPerSec = 0.0;
+    r.bbBlocks = r.bbOpsCached = r.bbTraceHits = r.bbSuccHits = 0;
+    r.ckptRestored = false;
+    std::ostringstream os;
+    writeResultsJson(os, {r});
+    return os.str();
 }
 
 } // namespace
 
 // ---------------------------------------------------------------------
-// Serialization primitives.
-
-TEST(Serialize, ScalarsRoundTrip)
-{
-    serial::Writer w;
-    w.u8(0xab);
-    w.u32(0xdeadbeef);
-    w.u64(0x0123456789abcdefULL);
-    w.f64(-1.5e-300);
-    w.str("hello");
-    w.tag("TAG1");
-
-    serial::Reader r(w.buffer());
-    EXPECT_EQ(r.u8(), 0xab);
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
-    EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
-    EXPECT_EQ(r.f64(), -1.5e-300);
-    EXPECT_EQ(r.str(), "hello");
-    EXPECT_NO_THROW(r.expectTag("TAG1"));
-    EXPECT_EQ(r.remaining(), 0u);
-}
-
-TEST(Serialize, TruncationThrows)
-{
-    serial::Writer w;
-    w.u64(42);
-    std::string cut = w.take().substr(0, 3);
-    serial::Reader r(cut);
-    EXPECT_THROW(r.u64(), serial::Error);
-}
-
-TEST(Serialize, WrongTagThrows)
-{
-    serial::Writer w;
-    w.tag("AAAA");
-    serial::Reader r(w.buffer());
-    try {
-        r.expectTag("BBBB");
-        FAIL() << "expectTag should have thrown";
-    } catch (const serial::Error &e) {
-        EXPECT_NE(std::string(e.what()).find("BBBB"),
-                  std::string::npos);
-    }
-}
+// Content hashes.
 
 TEST(Serialize, FnvMatchesKnownVector)
 {
@@ -261,23 +154,26 @@ TEST(Serialize, HashBytesSeesEverySingleBitFlip)
 }
 
 // ---------------------------------------------------------------------
-// Per-component round-trips: save -> restore -> save reproduces the
-// blob bit for bit.
+// Per-component round trips: capture -> adopt -> capture reproduces the
+// first state exactly.
 
 TEST(CheckpointComponents, SparseMemoryRoundTrip)
 {
+    // A warm state's image is a copy: equal to its source and
+    // independent of it afterwards.
     SparseMemory mem;
     mem.write(0x1000, 8, 0x1122334455667788ULL);
     mem.write(0x20'0000, 8, 42);
     mem.write(0x3f'ffff, 1, 0x7f);
 
-    const std::string blob = blobOf(mem);
-    SparseMemory back;
-    restoreFrom(back, blob);
+    SparseMemory back = mem;
     EXPECT_EQ(back.read(0x1000, 8), 0x1122334455667788ULL);
     EXPECT_EQ(back.read(0x3f'ffff, 1), 0x7fu);
-    EXPECT_EQ(blobOf(back), blob);
+    EXPECT_EQ(back.numPages(), mem.numPages());
     EXPECT_TRUE(back.equalContents(mem));
+
+    back.write(0x1000, 8, 0);
+    EXPECT_EQ(mem.read(0x1000, 8), 0x1122334455667788ULL);
 }
 
 TEST(CheckpointComponents, FunctionalCoreRoundTrip)
@@ -286,14 +182,15 @@ TEST(CheckpointComponents, FunctionalCoreRoundTrip)
     FunctionalCore core(prog);
     core.run(3000);
 
-    const std::string blob = blobOf(core);
+    const FunctionalCore::State state = core.capture();
     FunctionalCore back(prog);
-    restoreFrom(back, blob);
+    back.adopt(state);
     EXPECT_EQ(back.pc(), core.pc());
     EXPECT_EQ(back.instCount(), core.instCount());
     for (RegIndex r = 0; r < kNumArchRegs; ++r)
         EXPECT_EQ(back.reg(r), core.reg(r)) << "reg " << r;
-    EXPECT_EQ(blobOf(back), blob);
+    expectSameFunc(back.capture(), state);
+    EXPECT_EQ(back.lastInst(), nullptr);
 
     // The restored core must continue executing identically.
     core.run(500);
@@ -313,10 +210,10 @@ TEST(CheckpointComponents, BranchPredictorRoundTrip)
         bp.update(pc, i % 3 != 0, snap);
     }
 
-    const std::string blob = blobOf(bp);
+    const HybridBranchPredictor::State state = bp.capture();
     HybridBranchPredictor back;
-    restoreFrom(back, blob);
-    EXPECT_EQ(blobOf(back), blob);
+    back.adopt(state);
+    EXPECT_TRUE(back.capture() == state);
     // Stats counters are part of the warm state (predict() counts).
     EXPECT_EQ(back.lookups.value(), bp.lookups.value());
     EXPECT_EQ(back.condPredicts.value(), bp.condPredicts.value());
@@ -325,12 +222,10 @@ TEST(CheckpointComponents, BranchPredictorRoundTrip)
 TEST(CheckpointComponents, BranchPredictorSizeMismatchThrows)
 {
     HybridBranchPredictor bp;
-    const std::string blob = blobOf(bp);
     BranchPredictorParams small;
     small.globalPhtEntries = 1024;
     HybridBranchPredictor other(small);
-    serial::Reader r(blob);
-    EXPECT_THROW(other.restore(r), serial::Error);
+    EXPECT_THROW(other.adopt(bp.capture()), PanicError);
 }
 
 TEST(CheckpointComponents, BtbRasHmpLrpRoundTrip)
@@ -355,30 +250,28 @@ TEST(CheckpointComponents, BtbRasHmpLrpRoundTrip)
     }
 
     {
-        const std::string blob = blobOf(btb);
         Btb back(256, 4);
-        restoreFrom(back, blob);
-        EXPECT_EQ(blobOf(back), blob);
+        back.adopt(btb.capture());
+        EXPECT_TRUE(back.capture() == btb.capture());
+        EXPECT_EQ(back.hits.value(), btb.hits.value());
     }
     {
-        const std::string blob = blobOf(ras);
         ReturnAddressStack back(16);
-        serial::Reader r(blob);
-        back.restore(r);
-        EXPECT_EQ(r.remaining(), 0u);
-        EXPECT_EQ(blobOf(back), blob);
+        back.adopt(ras.capture());
+        EXPECT_TRUE(back.capture() == ras.capture());
+        EXPECT_EQ(back.peek(), ras.peek());
     }
     {
-        const std::string blob = blobOf(hmp);
         HitMissPredictor back(512);
-        restoreFrom(back, blob);
-        EXPECT_EQ(blobOf(back), blob);
+        back.adopt(hmp.capture());
+        EXPECT_TRUE(back.capture() == hmp.capture());
+        EXPECT_EQ(back.actualHits.value(), hmp.actualHits.value());
     }
     {
-        const std::string blob = blobOf(lrp);
         LeftRightPredictor back(512);
-        restoreFrom(back, blob);
-        EXPECT_EQ(blobOf(back), blob);
+        back.adopt(lrp.capture());
+        EXPECT_TRUE(back.capture() == lrp.capture());
+        EXPECT_EQ(back.predicts.value(), lrp.predicts.value());
     }
 }
 
@@ -396,16 +289,19 @@ TEST(CheckpointComponents, CacheRoundTripThroughWarmedCore)
     fastForward(golden, warm, 4000);
 
     OooCore cold(prog, params);
-    const std::string l1i = blobOf(warm.memHierarchy().icache());
-    const std::string l1d = blobOf(warm.memHierarchy().dcache());
-    const std::string l2 = blobOf(warm.memHierarchy().l2cache());
+    const Cache::State l1i = warm.memHierarchy().icache().capture();
+    const Cache::State l1d = warm.memHierarchy().dcache().capture();
+    const Cache::State l2 = warm.memHierarchy().l2cache().capture();
+    ASSERT_TRUE(std::ranges::any_of(
+        l1d.lines, [](const Cache::Line &line) { return line.valid; }))
+        << "the warm-up must fill the L1D";
 
-    restoreFrom(cold.memHierarchy().icache(), l1i);
-    restoreFrom(cold.memHierarchy().dcache(), l1d);
-    restoreFrom(cold.memHierarchy().l2cache(), l2);
-    EXPECT_EQ(blobOf(cold.memHierarchy().icache()), l1i);
-    EXPECT_EQ(blobOf(cold.memHierarchy().dcache()), l1d);
-    EXPECT_EQ(blobOf(cold.memHierarchy().l2cache()), l2);
+    cold.memHierarchy().icache().adopt(l1i);
+    cold.memHierarchy().dcache().adopt(l1d);
+    cold.memHierarchy().l2cache().adopt(l2);
+    EXPECT_TRUE(cold.memHierarchy().icache().capture() == l1i);
+    EXPECT_TRUE(cold.memHierarchy().dcache().capture() == l1d);
+    EXPECT_TRUE(cold.memHierarchy().l2cache().capture() == l2);
 }
 
 TEST(CheckpointComponents, CacheGeometryMismatchThrows)
@@ -420,14 +316,15 @@ TEST(CheckpointComponents, CacheGeometryMismatchThrows)
     other.mem.l1d.sizeBytes = 32 * 1024;
     OooCore b(prog, other);
 
-    const std::string blob = blobOf(a.memHierarchy().dcache());
-    serial::Reader r(blob);
-    EXPECT_THROW(b.memHierarchy().dcache().restore(r), serial::Error);
+    EXPECT_THROW(
+        b.memHierarchy().dcache().adopt(a.memHierarchy().dcache().capture()),
+        PanicError);
 }
 
 // ---------------------------------------------------------------------
-// Whole-checkpoint blob: save -> restore -> save identity.
+// Whole warm state: capture -> adopt -> capture identity.
 
+// Name kept from when a warm state was a byte blob.
 TEST(Checkpoint, BlobRoundTripIsBitIdentical)
 {
     SimConfig cfg = testConfig("vortex", IqKind::Segmented);
@@ -435,19 +332,37 @@ TEST(Checkpoint, BlobRoundTripIsBitIdentical)
 
     FunctionalCore golden(prog);
     OooCore core(prog, cfg.core);
-    FastForwardStats ff = fastForward(golden, core, cfg.fastForward);
-    const std::string blob = saveCheckpoint(cfg, golden, core, ff);
+    const FastForwardStats ff =
+        fastForwardUnseeded(golden, core, cfg.fastForward);
+    const WarmState warm =
+        WarmState::capture(golden, core, ff, prog.checksum());
 
-    OooCore core2(prog, cfg.core);
-    FastForwardStats ff2 = restoreCheckpoint(blob, cfg, prog, core2);
-    EXPECT_EQ(ff2.instsSkipped, ff.instsSkipped);
-    EXPECT_EQ(ff2.hitHalt, ff.hitHalt);
+    OooCore core2(prog, cfg.core, /*load_image=*/false);
+    warm.adopt(core2);
 
     // Re-derive the warm functional state (deterministic replay) and
-    // re-save from the restored core: every byte must match.
+    // capture again from the restored core: every table must match.
     FunctionalCore golden2(prog);
     golden2.run(ff.instsSkipped);
-    EXPECT_EQ(saveCheckpoint(cfg, golden2, core2, ff2), blob);
+    const WarmState again =
+        WarmState::capture(golden2, core2, ff, prog.checksum());
+    EXPECT_EQ(again.ff.instsSkipped, warm.ff.instsSkipped);
+    EXPECT_EQ(again.ff.memAccessesWarmed, warm.ff.memAccessesWarmed);
+    EXPECT_EQ(again.ff.branchesWarmed, warm.ff.branchesWarmed);
+    EXPECT_EQ(again.ff.hitHalt, warm.ff.hitHalt);
+    expectSameFunc(again.func, warm.func);
+    EXPECT_TRUE(again.l1i == warm.l1i);
+    EXPECT_TRUE(again.l1d == warm.l1d);
+    EXPECT_TRUE(again.l2 == warm.l2);
+    EXPECT_TRUE(again.bp == warm.bp);
+    EXPECT_TRUE(again.btb == warm.btb);
+    EXPECT_TRUE(again.ras == warm.ras);
+    EXPECT_TRUE(again.hmp == warm.hmp);
+    EXPECT_TRUE(again.lrp == warm.lrp);
+
+    // The seeded core holds the warm registers, PC and image.
+    EXPECT_EQ(core2.commitRegs(), warm.func.regs);
+    EXPECT_TRUE(core2.commitMemory().equalContents(warm.func.memory));
 }
 
 // ---------------------------------------------------------------------
@@ -541,18 +456,19 @@ TEST_P(CheckpointHaltedWarmUp, RestoredMatchesColdBitForBit)
 
 TEST_P(CheckpointHaltedWarmUp, RestoreLeavesTheCoreUnseeded)
 {
-    // The same at the checkpoint layer, on cores built with the program
-    // image: neither fastForward nor restoreCheckpoint seeds them.
+    // The same at the warm-state layer, on cores built with the program
+    // image: neither fastForward nor WarmState::adopt seeds them.
     const SimConfig cfg = haltedConfig();
     const Program prog = buildWorkload(cfg.workload, cfg.wl);
     FunctionalCore golden(prog);
     OooCore cold(prog, cfg.core);
     const FastForwardStats ff = fastForward(golden, cold, cfg.fastForward);
     ASSERT_TRUE(ff.hitHalt);
-    const std::string blob = saveCheckpoint(cfg, golden, cold, ff);
+    const WarmState warm =
+        WarmState::capture(golden, cold, ff, prog.checksum());
 
     OooCore restored(prog, cfg.core);
-    EXPECT_TRUE(restoreCheckpoint(blob, cfg, prog, restored).hitHalt);
+    warm.adopt(restored);
     cold.run();
     restored.run();
     ASSERT_TRUE(cold.halted());
@@ -565,186 +481,81 @@ INSTANTIATE_TEST_SUITE_P(AtAndBeyondProgramEnd, CheckpointHaltedWarmUp,
                          ::testing::Values(0u, 100000u));
 
 // ---------------------------------------------------------------------
-// Rejection paths.
+// Parallel restores.
 
-class CheckpointReject : public ::testing::Test
+TEST(CheckpointParallelRestore, SweepRowsMatchANoCacheSweep)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        cfg = testConfig("gcc", IqKind::Ideal);
-        prog = std::make_unique<Program>(
-            buildWorkload(cfg.workload, cfg.wl));
-        FunctionalCore golden(*prog);
-        OooCore core(*prog, cfg.core);
-        ff = fastForward(golden, core, cfg.fastForward);
-        blob = saveCheckpoint(cfg, golden, core, ff);
-    }
-
-    /** Expect restoreCheckpoint(mutated) to fail mentioning `what`. */
-    void
-    expectReject(const std::string &mutated, const std::string &what)
-    {
-        OooCore core(*prog, cfg.core);
-        try {
-            restoreCheckpoint(mutated, cfg, *prog, core);
-            FAIL() << "expected CheckpointError containing '" << what
-                   << "'";
-        } catch (const CheckpointError &e) {
-            EXPECT_NE(std::string(e.what()).find(what),
-                      std::string::npos)
-                << "actual message: " << e.what();
+    // Two workers over 2 inputs x 3 queue sizes sharing one cache: each
+    // input's producer runs first, then its restores, two at a time,
+    // copy the same shared WarmState into their cores.
+    auto cache = std::make_shared<CheckpointCache>();
+    std::vector<SimConfig> cold;
+    std::vector<SimConfig> shared;
+    for (const char *wl : {"swim", "gcc"}) {
+        for (unsigned size : {32u, 64u, 128u}) {
+            SimConfig cfg = makeSegmentedConfig(size, 32, true, true, wl);
+            cfg.wl.iterations = 200;
+            cfg.fastForward = 1500;
+            cold.push_back(cfg);
+            cfg.ckptCache = cache;
+            shared.push_back(cfg);
         }
     }
+    const std::vector<RunResult> expected = SweepRunner(2).run(cold);
+    const std::vector<RunResult> results = SweepRunner(2).run(shared);
 
-    SimConfig cfg;
-    std::unique_ptr<Program> prog;
-    FastForwardStats ff;
-    std::string blob;
-};
-
-TEST_F(CheckpointReject, CorruptedByteFailsChecksum)
-{
-    std::string bad = blob;
-    bad[bad.size() / 2] ^= 0x01;
-    expectReject(bad, "checksum");
-}
-
-TEST_F(CheckpointReject, TruncationIsRejected)
-{
-    // Below the 28-byte minimum header the size check fires; from there
-    // on the last 8 bytes are read as a trailer and cannot match.
-    const std::size_t lens[] = {0,  1,  4,  8,  12, 27, 28, 29, 64,
-                                blob.size() / 3,  blob.size() / 2,
-                                blob.size() - 9,  blob.size() - 8,
-                                blob.size() - 1};
-    for (std::size_t len : lens) {
-        SCOPED_TRACE("length " + std::to_string(len));
-        expectReject(blob.substr(0, len),
-                     len < 28 ? "truncated" : "checksum");
+    ASSERT_EQ(results.size(), expected.size());
+    std::size_t restored = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].outcome.ok()) << results[i].outcome.message;
+        EXPECT_TRUE(results[i].validated) << i;
+        EXPECT_FALSE(expected[i].ckptRestored) << i;
+        EXPECT_EQ(rowJson(results[i]), rowJson(expected[i])) << i;
+        restored += results[i].ckptRestored ? 1 : 0;
     }
+    EXPECT_EQ(cache->produced(), 2u);  // each input warmed once
+    EXPECT_EQ(cache->memoryHits(), 4u);
+    EXPECT_EQ(restored, 4u);
 }
 
-TEST_F(CheckpointReject, CutInsideEachTableIsMalformed)
-{
-    // A blob cut inside a table and given a valid trailer passes the
-    // frame, key and program checks; the table's one bounds check must
-    // then reject it.
-    auto after = [&](const char *tag) {
-        const std::size_t at = blob.find(tag);
-        EXPECT_NE(at, std::string::npos) << tag;
-        return at + 4;
-    };
-    const BranchPredictorParams &bp = cfg.core.bp;
-    // FUNC: registers, pc, halted flag, instruction count, page count,
-    // then the first page's number and bytes.
-    const std::size_t firstPage = after("FUNC") + 8 * kNumArchRegs + 8 +
-                                  1 + 8 + 8;
-    // Cache: u64 sets, u32 assoc, u32 line size, then the lines.
-    const std::size_t l1dLines = after("L1D_") + 16;
-    // BPRD: u32 global history, then count + counters, count +
-    // histories, count + local counters, count + choice counters.
-    const std::size_t globalPht = after("BPRD") + 4 + 8;
-    const std::size_t histories = globalPht + bp.globalPhtEntries + 8;
-    const std::size_t localPht = histories + 4 * bp.localHistoryRegs + 8;
-    const std::pair<const char *, std::size_t> cuts[] = {
-        {"page bytes", firstPage + 8 + 100},
-        {"cache lines", l1dLines + 17 * 3 + 5},
-        {"global PHT counters", globalPht + 10},
-        {"local histories", histories + 6},
-        {"local PHT counters", localPht + 3},
-        {"BTB entries", after("BTB_") + 8 + 25 + 7},
-        {"RAS slots", after("RAS_") + 8 + 12},
-        {"HMP counters", after("HMP_") + 8 + 1},
-    };
-    serial::Reader pages(std::string_view(blob).substr(firstPage - 8, 8));
-    ASSERT_GT(pages.u64(), 0u) << "the warm-up must leave a page to cut";
-    for (const auto &[where, len] : cuts) {
-        SCOPED_TRACE(where);
-        ASSERT_LT(len, blob.size() - 8);
-        expectReject(cutAndReframe(blob, len), "malformed");
-        expectReject(cutAndReframe(blob, len), "truncated stream");
-    }
-}
+// ---------------------------------------------------------------------
+// The cache key.
 
-TEST_F(CheckpointReject, SingleBitFlipInEverySectionFailsChecksum)
+// Name kept from when a restore checked the key itself.
+TEST(CheckpointReject, DifferentConfigurationIsRejected)
 {
-    // Offset of each section's first payload byte, found by walking
-    // the tags in their fixed order.
-    auto sectionStart = [&](const std::string &tag, std::size_t from) {
-        const std::size_t at = blob.find(tag, from);
-        EXPECT_NE(at, std::string::npos) << tag;
-        return at + 4;
-    };
-    const std::size_t ffst = sectionStart("FFST", 0);
-    const std::size_t func = sectionStart("FUNC", ffst);
-    const std::size_t l1i = sectionStart("L1I_", func);
-    const std::size_t l1d = sectionStart("L1D_", l1i);
-    const std::size_t l2 = sectionStart("L2__", l1d);
-    const std::size_t bprd = sectionStart("BPRD", l2);
-    const std::size_t end = sectionStart("END_", bprd);
-    ASSERT_EQ(end, blob.size() - 8);
+    // A configuration whose warm state differs gets another key, so it
+    // is never handed another's state; the IQ under test does not
+    // change the warm state and shares the key.
+    const SimConfig cfg = testConfig("gcc", IqKind::Ideal);
+    const std::uint64_t key = checkpointKeyHash(cfg);
 
-    const std::pair<const char *, std::size_t> flips[] = {
-        {"FFST", ffst + 3},
-        {"FUNC registers", func + 8},
-        // Memory is the last thing FUNC holds: this is page bytes.
-        {"FUNC page bytes", l1i - 4 - 100},
-        {"L1I_", l1i + 20},
-        {"L1D_", (l1d + l2) / 2},
-        {"L2__", (l2 + bprd) / 2},
-        {"BPRD", bprd + 40},
-        {"trailer", blob.size() - 3},
-    };
-    for (const auto &[where, off] : flips) {
-        for (unsigned bit : {0u, 7u}) {
-            SCOPED_TRACE(std::string(where) + " bit " + std::to_string(bit));
-            std::string bad = blob;
-            bad[off] = static_cast<char>(bad[off] ^ (1u << bit));
-            expectReject(bad, "checksum");
-        }
-    }
-}
-
-TEST_F(CheckpointReject, BadMagicIsRejected)
-{
-    std::string bad = blob;
-    bad[0] = 'X';
-    expectReject(bad, "magic");
-}
-
-TEST_F(CheckpointReject, FutureVersionIsRejected)
-{
-    std::string bad = blob;
-    bad[8] = static_cast<char>(kCheckpointVersion + 1);
-    expectReject(bad, "version");
-}
-
-TEST_F(CheckpointReject, Version1IsRejected)
-{
-    expectReject(asVersion1(blob), "version");
-}
-
-TEST_F(CheckpointReject, Version2IsRejected)
-{
-    expectReject(asVersion2(blob), "unsupported checkpoint version 2");
-}
-
-TEST_F(CheckpointReject, DifferentConfigurationIsRejected)
-{
     SimConfig other = cfg;
-    other.fastForward += 1;  // key hash input
-    OooCore core(*prog, other.core);
-    EXPECT_THROW(restoreCheckpoint(blob, other, *prog, core),
-                 CheckpointError);
-
+    other.fastForward += 1;
+    EXPECT_NE(checkpointKeyHash(other), key) << "ff";
     other = cfg;
-    other.wl.seed += 1;  // workload fingerprint input
-    Program otherProg = buildWorkload(other.workload, other.wl);
-    OooCore core2(otherProg, other.core);
-    EXPECT_THROW(restoreCheckpoint(blob, other, otherProg, core2),
-                 CheckpointError);
+    other.wl.seed += 1;
+    EXPECT_NE(checkpointKeyHash(other), key) << "workload seed";
+    other = cfg;
+    other.core.mem.l1d.sizeBytes /= 2;
+    EXPECT_NE(checkpointKeyHash(other), key) << "L1D size";
+    other = cfg;
+    other.core.bp.globalPhtEntries /= 2;
+    EXPECT_NE(checkpointKeyHash(other), key) << "global PHT";
+
+    other = testConfig("gcc", IqKind::Segmented);
+    other.core.iq.numEntries = 256;
+    EXPECT_EQ(checkpointKeyHash(other), key) << "IQ";
+
+    // Through the cache: the other ff length warms up on its own.
+    SimConfig a = cfg;
+    a.ckptCache = std::make_shared<CheckpointCache>();
+    SimConfig b = a;
+    b.fastForward += 1;
+    EXPECT_FALSE(runSim(a).ckptRestored);
+    EXPECT_FALSE(runSim(b).ckptRestored);
+    EXPECT_TRUE(runSim(a).ckptRestored);
+    EXPECT_EQ(a.ckptCache->produced(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -754,13 +565,17 @@ TEST(CheckpointCacheTest, ProducerElectionAndMemoryHits)
 {
     CheckpointCache cache;
 
-    CheckpointCache::Blob b = cache.findOrBegin(7);
-    EXPECT_EQ(b, nullptr);  // we are the producer
-    cache.publish(7, "payload");
+    CheckpointCache::Entry e = cache.findOrBegin(7);
+    EXPECT_EQ(e, nullptr);  // we are the producer
+    WarmState warm;
+    warm.ff.instsSkipped = 42;
+    const CheckpointCache::Entry published =
+        cache.publish(7, std::move(warm));
 
-    CheckpointCache::Blob again = cache.findOrBegin(7);
+    CheckpointCache::Entry again = cache.findOrBegin(7);
     ASSERT_NE(again, nullptr);
-    EXPECT_EQ(*again, "payload");
+    EXPECT_EQ(again, published);  // shared, not copied
+    EXPECT_EQ(again->ff.instsSkipped, 42u);
     EXPECT_EQ(cache.produced(), 1u);
     EXPECT_EQ(cache.memoryHits(), 1u);
 }
@@ -772,55 +587,8 @@ TEST(CheckpointCacheTest, CancelReleasesTheKey)
     cache.cancel(3);
     // The key is claimable again after a cancel.
     EXPECT_EQ(cache.findOrBegin(3), nullptr);
-    cache.publish(3, "second try");
-    EXPECT_EQ(*cache.findOrBegin(3), "second try");
+    WarmState warm;
+    warm.ff.instsSkipped = 2;
+    cache.publish(3, std::move(warm));
+    EXPECT_EQ(cache.findOrBegin(3)->ff.instsSkipped, 2u);
 }
-
-// ---------------------------------------------------------------------
-// The codec's work gate: serial::Reader counts its bounds checks, and
-// a restore makes one per scalar field and one per table, whatever the
-// table sizes or the number of memory pages.  Exact on any host.
-
-class CheckpointCodecWork : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(CheckpointCodecWork, RestoreChecksEachTableOnce)
-{
-    // Frame: version and trailer (2).  Header: magic + version span,
-    // key, name length + bytes, iterations, seed, scale, ff length,
-    // program checksum (9).  FFST: tag + 4 fields (5).  FUNC: tag,
-    // registers, pc, halted, count, pages (7).  Each cache: tag, 3
-    // geometry fields, lines, LRU clock, 6 counters (3 x 12).  BPRD:
-    // tag, history, 4 x (count + table), 4 counters (14).  BTB_: tag,
-    // count, entries, clock, 2 counters (6).  RAS_: tag, count, slots,
-    // top (4).  HMP_: tag, count + table, 4 counters (7).  LRP_: tag,
-    // count + table, 2 counters (5).  END_ (1).
-    constexpr std::uint64_t kChecksPerRestore =
-        2 + 9 + 5 + 7 + 3 * 12 + 14 + 6 + 4 + 7 + 5 + 1;
-
-    SimConfig cfg = testConfig(GetParam(), IqKind::Segmented);
-    // A long warm-up, so the image has many pages to restore.
-    cfg.wl.iterations = 2000;
-    const Program prog = buildWorkload(cfg.workload, cfg.wl);
-    cfg.fastForward = FunctionalCore(prog).run() / 2;
-    FunctionalCore golden(prog);
-    OooCore cold(prog, cfg.core);
-    const FastForwardStats ff = fastForward(golden, cold, cfg.fastForward);
-    const std::string blob = saveCheckpoint(cfg, golden, cold, ff);
-
-    OooCore core(prog, cfg.core, /*load_image=*/false);
-    const std::uint64_t before = serial::readerBoundsChecks;
-    restoreCheckpoint(blob, cfg, prog, core);
-    const std::uint64_t checks = serial::readerBoundsChecks - before;
-    RecordProperty("bounds_checks", std::to_string(checks));
-    RecordProperty("pages", std::to_string(golden.memory().numPages()));
-    RecordProperty("blob_bytes", std::to_string(blob.size()));
-    EXPECT_EQ(checks, kChecksPerRestore)
-        << golden.memory().numPages() << " pages, " << blob.size()
-        << " bytes";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, CheckpointCodecWork,
-                         ::testing::ValuesIn(workloadNames()),
-                         [](const auto &info) { return info.param; });

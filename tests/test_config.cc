@@ -131,15 +131,15 @@ TEST(SimConfigKeys, DeletedKeysAreRejected)
     file.set("ckpt", "warm.sciqckpt");
     EXPECT_EQ(file.unknownKeyMessage(SimConfig::keys()),
               "unknown option 'ckpt'");
-    for (const char *key :
-         {"fault_disk_fail", "retries", "ckpt_dir", "bb_cache"}) {
+    for (const char *key : {"fault_disk_fail", "retries", "ckpt_dir",
+                            "bb_cache", "fault_ckpt_corrupt", "fault_seed"}) {
         ConfigMap m;
         m.set(key, "1");
         EXPECT_NE(m.unknownKeyMessage(SimConfig::keys()), "") << key;
     }
 
     ConfigMap ok;
-    for (const char *key : {"ff", "fault_ckpt_corrupt", "deadline_sec",
+    for (const char *key : {"ff", "fault_overpromote", "deadline_sec",
                             "audit_panic"})
         ok.set(key, "1");
     EXPECT_EQ(ok.unknownKeyMessage(SimConfig::keys()), "");

@@ -22,7 +22,6 @@ TEST(ErrorCodes, NamesAreStableJsonTokens)
     EXPECT_STREQ(errorCodeName(ErrorCode::None), "none");
     EXPECT_STREQ(errorCodeName(ErrorCode::Config), "config");
     EXPECT_STREQ(errorCodeName(ErrorCode::Workload), "workload");
-    EXPECT_STREQ(errorCodeName(ErrorCode::Checkpoint), "checkpoint");
     EXPECT_STREQ(errorCodeName(ErrorCode::Deadlock), "deadlock");
     EXPECT_STREQ(errorCodeName(ErrorCode::Invariant), "invariant");
     EXPECT_STREQ(errorCodeName(ErrorCode::Resource), "resource");
@@ -51,7 +50,6 @@ TEST(SimErrorSubclasses, CodesAndTransience)
 {
     EXPECT_EQ(ConfigError("x").code(), ErrorCode::Config);
     EXPECT_EQ(WorkloadError("x").code(), ErrorCode::Workload);
-    EXPECT_EQ(CheckpointError("x").code(), ErrorCode::Checkpoint);
 
     EXPECT_EQ(InvariantError("x").code(), ErrorCode::Invariant);
     EXPECT_EQ(InvariantError("x", "dump").context(), "dump");

@@ -1,9 +1,8 @@
 /**
  * @file
  * Negative tests for the fault-injection / detection / recovery matrix
- * (DESIGN.md §13): each seeded fault must trip exactly the detection
- * path it targets, and each recovery path (checkpoint repair,
- * containment) must actually recover.
+ * (DESIGN.md §13): each injected fault must trip exactly the detection
+ * path it targets, and containment must actually recover.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +12,6 @@
 #include <vector>
 
 #include "common/errors.hh"
-#include "sim/checkpoint.hh"
-#include "sim/fault_injector.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 
@@ -48,43 +45,6 @@ smallConfig(const std::string &workload = "swim")
     SimConfig cfg = makeSegmentedConfig(64, 32, true, true, workload);
     cfg.wl.iterations = 200;
     return cfg;
-}
-
-// ---------------------------------------------------------------------
-// FaultInjector unit behaviour.
-
-TEST(FaultInjector, BudgetCountsDownAtomically)
-{
-    FaultInjector fi(7);
-    fi.corruptCkptReads = 2;
-    EXPECT_TRUE(fi.takeCorruptRead());
-    EXPECT_TRUE(fi.takeCorruptRead());
-    EXPECT_FALSE(fi.takeCorruptRead());
-    EXPECT_EQ(fi.corruptedReads(), 2u);
-}
-
-TEST(FaultInjector, NegativeBudgetIsUnlimited)
-{
-    FaultInjector fi(7);
-    fi.corruptCkptReads = -1;
-    for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(fi.takeCorruptRead());
-    EXPECT_EQ(fi.corruptedReads(), 10u);
-}
-
-TEST(FaultInjector, CorruptionIsSeededDeterministic)
-{
-    const std::string original(4096, 'x');
-
-    std::string a = original, b = original;
-    FaultInjector(42).corrupt(a);
-    FaultInjector(42).corrupt(b);
-    EXPECT_NE(a, original);
-    EXPECT_EQ(a, b) << "same seed must corrupt identically";
-
-    std::string c = original;
-    FaultInjector(43).corrupt(c);
-    EXPECT_NE(c, a) << "different seed must corrupt differently";
 }
 
 // ---------------------------------------------------------------------
@@ -183,84 +143,6 @@ TEST(Deadline, ExpiredDeadlineIsTimeout)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint corruption -> the one repair path.
-
-TEST(CheckpointFaults, CacheModeCorruptionTakesRepairPath)
-{
-    // In cache mode a damaged blob is not an error: warmUp logs,
-    // re-warms cold and republishes (the one repair path).  The fault
-    // injector must exercise that path, not kill the job.
-    SimConfig cfg = smallConfig("ammp");
-    cfg.fastForward = 1500;
-    cfg.ckptCache = std::make_shared<CheckpointCache>();
-
-    RunResult first = runSim(cfg);  // produces the cache entry
-    EXPECT_FALSE(first.ckptRestored);
-
-    SimConfig faulted = cfg;
-    faulted.faults = std::make_shared<FaultInjector>(99);
-    faulted.faults->corruptCkptReads = 1;
-    RunResult second = runSim(faulted);
-
-    EXPECT_TRUE(second.outcome.ok());
-    EXPECT_FALSE(second.ckptRestored) << "repair re-warms cold";
-    EXPECT_EQ(second.cycles, first.cycles);
-    EXPECT_TRUE(second.validated);
-
-    // The republished entry is clean again.
-    RunResult third = runSim(cfg);
-    EXPECT_TRUE(third.ckptRestored);
-    EXPECT_EQ(third.cycles, first.cycles);
-}
-
-TEST(CheckpointFaults, EveryReadCorruptedInAParallelSweepStaysBitIdentical)
-{
-    // fault_ckpt_corrupt=-1 damages every restore; with two workers
-    // sharing one in-memory cache, each restoring job must repair (warm
-    // up cold, republish) and end exactly as an unfaulted run.
-    std::vector<SimConfig> clean;
-    for (const char *wl : {"swim", "gcc"}) {
-        for (unsigned size : {32u, 64u, 128u}) {
-            SimConfig cfg = smallConfig(wl);
-            cfg.core.iq.numEntries = size;
-            cfg.fastForward = 1500;
-            clean.push_back(cfg);
-        }
-    }
-    std::vector<RunResult> expected;
-    for (const SimConfig &cfg : clean)
-        expected.push_back(runSim(cfg));
-
-    ConfigMap keys;
-    keys.set("fault_ckpt_corrupt", "-1");
-    keys.set("fault_seed", "5");
-    std::vector<SimConfig> faulted = clean;
-    faulted[0].apply(keys);
-    auto cache = std::make_shared<CheckpointCache>();
-    for (SimConfig &cfg : faulted) {
-        cfg.faults = faulted[0].faults;  // one budget for the sweep
-        cfg.ckptCache = cache;
-    }
-    std::vector<RunResult> results = SweepRunner(2).run(faulted);
-
-    ASSERT_EQ(results.size(), expected.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_TRUE(results[i].outcome.ok()) << results[i].outcome.message;
-        EXPECT_TRUE(results[i].validated) << i;
-        EXPECT_FALSE(results[i].ckptRestored) << i;
-        EXPECT_EQ(results[i].cycles, expected[i].cycles) << i;
-        EXPECT_EQ(results[i].insts, expected[i].insts) << i;
-        EXPECT_EQ(results[i].ipc, expected[i].ipc) << i;
-        EXPECT_EQ(results[i].l1dMissRate, expected[i].l1dMissRate) << i;
-        EXPECT_EQ(results[i].branchMispredictRate,
-                  expected[i].branchMispredictRate)
-            << i;
-    }
-    // Two keys produced once each, four restores each damaged.
-    EXPECT_EQ(faulted[0].faults->corruptedReads(), 4u);
-}
-
-// ---------------------------------------------------------------------
 // Over-promotion fault -> auditor detection (through the taxonomy).
 
 TEST(AuditFaults, InjectedOverPromotionContainedInSweep)
@@ -294,6 +176,7 @@ TEST(ConfigFaults, UnbuildableGeometryContainedInSweep)
 // ---------------------------------------------------------------------
 // Config keys end to end.
 
+// Name kept from when the keys also built a checkpoint-read injector.
 TEST(FaultKeys, ConfigMapBuildsInjectorAndWatchdog)
 {
     SimConfig cfg;
@@ -302,17 +185,12 @@ TEST(FaultKeys, ConfigMapBuildsInjectorAndWatchdog)
     m.set("deadline_sec", "2.5");
     m.set("fault_commit_stall", "777");
     m.set("fault_overpromote", "1");
-    m.set("fault_seed", "99");
-    m.set("fault_ckpt_corrupt", "-1");
     cfg.apply(m);
 
     EXPECT_EQ(cfg.core.watchdogCycles, 12345u);
     EXPECT_DOUBLE_EQ(cfg.deadlineSec, 2.5);
     EXPECT_EQ(cfg.core.faultCommitStallAt, 777u);
     EXPECT_TRUE(cfg.core.iq.auditInjectOverPromote);
-    ASSERT_NE(cfg.faults, nullptr);
-    EXPECT_EQ(cfg.faults->seed(), 99u);
-    EXPECT_EQ(cfg.faults->corruptCkptReads.load(), -1);
 }
 
 } // namespace

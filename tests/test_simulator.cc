@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/errors.hh"
-#include "sim/fault_injector.hh"
 #include "sim/simulator.hh"
 
 using namespace sciq;
@@ -59,7 +58,6 @@ TEST(SimConfig, ApplyOverrides)
         {"audit_panic", "1"},       {"ff", "300"},
         {"watchdog_cycles", "777"}, {"deadline_sec", "1.5"},
         {"fault_commit_stall", "42"}, {"fault_overpromote", "1"},
-        {"fault_seed", "7"},        {"fault_ckpt_corrupt", "3"},
     };
     std::vector<std::string> names;
     ConfigMap m;
@@ -103,9 +101,6 @@ TEST(SimConfig, ApplyOverrides)
     EXPECT_DOUBLE_EQ(cfg.deadlineSec, 1.5);
     EXPECT_EQ(cfg.core.faultCommitStallAt, 42u);
     EXPECT_TRUE(iq.auditInjectOverPromote);
-    ASSERT_NE(cfg.faults, nullptr);
-    EXPECT_EQ(cfg.faults->seed(), 7u);
-    EXPECT_EQ(cfg.faults->corruptCkptReads.load(), 3);
 }
 
 TEST(SimConfig, ValuesBelowMinimumThrowConfigError)

@@ -528,8 +528,7 @@ TEST(SweepKey, EveryResultChangingKeyIsInTheKey)
     // Keys that change how a result is produced, never what it is.
     const std::set<std::string> hostOnly = {
         "validate",        "audit",        "audit_panic",
-        "watchdog_cycles", "deadline_sec", "fault_seed",
-        "fault_ckpt_corrupt",
+        "watchdog_cycles", "deadline_sec",
     };
     // Two settings of every other key that simulate different machines.
     // A key one IQ kind or mode reads is set together with it.

@@ -12,7 +12,7 @@
 #                    then that sanitizer's smoke subset
 #   all              the same, then every sanitizer sequentially (CI)
 #   faults           only the fault-containment suite on the tier-1
-#                    build (fast loop for DESIGN.md §12-13 machinery)
+#                    build (fast loop for DESIGN.md §13 machinery)
 #   perf             only the quick perf legs on the tier-1 build: the
 #                    segmented-IQ tick substage profile (64/256/512
 #                    entries), a PC-sampler function table of the
@@ -124,9 +124,10 @@ leg_perf() {
 
 # One sanitizer configuration: configure + build under build-<name>,
 # then run the fast sanitize_smoke test subset.  TSAN additionally runs
-# the full parallel-sweep suite: determinism across worker counts is
-# exactly what a data race would break.  UBSan and ASan additionally run
-# the whole checkpoint and fault suites.
+# the full parallel-sweep suite and the warm-up cache and parallel-
+# restore cases: determinism across worker counts is exactly what a
+# data race would break.  UBSan and ASan additionally run the whole
+# warm-state and fault suites.
 run_sanitizer() {
   name="$1"
   flag="$2"
@@ -136,15 +137,15 @@ run_sanitizer() {
   ctest --test-dir "build-$name" --output-on-failure -j "$jobs" \
         -L sanitize_smoke
   if [ "$name" = tsan ]; then
-    begin_leg "tsan: parallel sweep + checkpoint reuse" "build-$name"
+    begin_leg "tsan: parallel sweep + warm-state reuse" "build-$name"
     "./build-$name/tests/test_sweep"
     "./build-$name/tests/test_checkpoint" \
-        --gtest_filter='CheckpointCacheTest.*'
+        --gtest_filter='CheckpointCacheTest.*:CheckpointParallelRestore.*'
   else
-    # The checkpoint codec decodes whole tables through raw spans and
-    # pages through uninitialised memory: every cut, corruption and
-    # repair path runs under the memory and UB checkers.
-    begin_leg "$name: checkpoint codec + fault suites" "build-$name"
+    # Warm states copy whole tables and memory pages whose bytes start
+    # unwritten: every capture, adopt and restore runs under the memory
+    # and UB checkers.
+    begin_leg "$name: warm-state + fault suites" "build-$name"
     "./build-$name/tests/test_checkpoint"
     "./build-$name/tests/test_faults"
   fi

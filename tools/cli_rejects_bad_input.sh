@@ -36,4 +36,5 @@ expect "abc" "$design" iters=abc
 # Deleted keys.
 expect "'ckpt_dir'" "$runner" ckpt_dir=x
 expect "'bb_cache'" "$runner" bb_cache=0
+expect "'fault_ckpt_corrupt'" "$runner" fault_ckpt_corrupt=1
 exit $failed
