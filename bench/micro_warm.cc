@@ -20,7 +20,12 @@
  * Simulator builds a fast-forwarding core), and golden validation
  * (GoldenState::run over the whole program, then equalContents).  A
  * sweep runs the golden once per input and shares it (DESIGN.md §10);
- * a job outside a sweep pays it in full.
+ * a job outside a sweep pays it in full.  Each kernel's set-up rows are
+ * timed in a child process of its own, one child at a time, all forked
+ * before any warming run: every kernel starts from the same heap, so
+ * its rows do not depend on which kernels ran before it.  The child
+ * never trims its heap, so the best-of rounds after the first copy
+ * into memory already mapped, as in a long-running sweep process.
  *
  * Arguments:
  *   warm_insts=N  instructions per timed run (default 2m; quick: 400k;
@@ -38,6 +43,10 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "bench_util.hh"
 #include "common/json.hh"
@@ -178,11 +187,73 @@ measureSetup(WorkloadNumbers &n, unsigned repeats)
     });
 }
 
-WorkloadNumbers
-measure(const std::string &workload, std::uint64_t insts, unsigned repeats)
+/**
+ * measureSetup in a forked child, which passes the set-up rows back
+ * through a pipe; false (with a message) if the child failed.
+ */
+bool
+measureSetupInChild(WorkloadNumbers &n, unsigned repeats)
 {
-    WorkloadNumbers n;
-    n.workload = workload;
+    int fds[2];
+    if (pipe(fds) != 0) {
+        std::perror("micro_warm: pipe");
+        return false;
+    }
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = fork();
+    if (pid < 0) {
+        std::perror("micro_warm: fork");
+        return false;
+    }
+    double rows[5];
+    if (pid == 0) {
+        close(fds[0]);
+        // Keep freed heap mapped: otherwise each round's freed core
+        // trims the heap top and the next adopt times first-touch page
+        // faults (swim: ~290 per round) rather than the copy.
+        mallopt(M_TRIM_THRESHOLD, 1 << 30);
+        measureSetup(n, repeats);
+        rows[0] = n.loadS;
+        rows[1] = n.saveS;
+        rows[2] = n.restoreS;
+        rows[3] = n.validateS;
+        rows[4] = n.imageKib;
+        const bool ok = write(fds[1], rows, sizeof rows) ==
+                        static_cast<ssize_t>(sizeof rows);
+        _exit(ok ? 0 : 1);
+    }
+    close(fds[1]);
+    std::size_t got = 0;
+    while (got < sizeof rows) {
+        const ssize_t r = read(fds[0], reinterpret_cast<char *>(rows) + got,
+                               sizeof rows - got);
+        if (r <= 0)
+            break;
+        got += static_cast<std::size_t>(r);
+    }
+    close(fds[0]);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    if (got != sizeof rows || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0) {
+        std::fprintf(stderr, "ERROR: %s set-up measurement failed\n",
+                     n.workload.c_str());
+        return false;
+    }
+    n.loadS = rows[0];
+    n.saveS = rows[1];
+    n.restoreS = rows[2];
+    n.validateS = rows[3];
+    n.imageKib = rows[4];
+    return true;
+}
+
+/** The warming and pure-run rows of `n` (set-up rows untouched). */
+void
+measureWarming(WorkloadNumbers &n, std::uint64_t insts, unsigned repeats)
+{
+    const std::string &workload = n.workload;
     n.warmInsts = insts;
 
     WorkloadParams wl;
@@ -229,8 +300,6 @@ measure(const std::string &workload, std::uint64_t insts, unsigned repeats)
             }
         }
     }
-    measureSetup(n, repeats);
-    return n;
 }
 
 void
@@ -307,14 +376,19 @@ main(int argc, char **argv)
                 "run bb/s", "speedup");
     hr('-', 80);
 
-    std::vector<WorkloadNumbers> rows;
-    for (const std::string &wl : args.workloads) {
-        WorkloadNumbers n = measure(wl, insts, repeats);
+    std::vector<WorkloadNumbers> rows(args.workloads.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].workload = args.workloads[i];
+    for (WorkloadNumbers &n : rows) {
+        if (!measureSetupInChild(n, repeats))
+            return 1;
+    }
+    for (WorkloadNumbers &n : rows) {
+        measureWarming(n, insts, repeats);
         std::printf("%-10s %12.3e %12.3e %7.2fx %12.3e %12.3e %7.2fx\n",
                     n.workload.c_str(), n.warmStepIps, n.warmBbIps,
                     n.warmSpeedup(), n.runStepIps, n.runBbIps,
                     n.runSpeedup());
-        rows.push_back(std::move(n));
     }
 
     double worst = 0.0, best = 0.0;

@@ -41,7 +41,8 @@ class HitMissPredictor
                              "loads that actually hit in the L1");
     }
 
-    /** Prediction without statistics side effects (for canInsert). */
+    /** Prediction without statistics side effects: the segmented IQ
+     *  plans a dispatch with it and counts the read only on admission. */
     bool
     peekHit(Addr pc) const
     {

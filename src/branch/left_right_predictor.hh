@@ -33,7 +33,8 @@ class LeftRightPredictor
                              "times the other operand arrived later");
     }
 
-    /** Prediction without statistics side effects (for canInsert). */
+    /** Prediction without statistics side effects: the segmented IQ
+     *  plans a dispatch with it and counts the read only on admission. */
     bool
     peekLeftCritical(Addr pc) const
     {

@@ -447,15 +447,17 @@ OooCore::dispatchStage()
             break;
         if (inst->staticInst.isMem() && lsq->full())
             break;
-        if (!iq->canInsert(frontEndQueue.front()))
-            break;
 
-        // Rename sources then destination.
+        // Rename the sources, offer the instruction to the IQ (its one
+        // admission decision; a refusal is a stall that leaves the
+        // queue as it was), then rename the destination.
         for (int i = 0; i < 2; ++i) {
             inst->physSrc[i] = inst->archSrc[i] == kInvalidReg
                                    ? kInvalidReg
                                    : rename.lookup(inst->archSrc[i]);
         }
+        if (!iq->tryInsert(frontEndQueue.front(), curCycle))
+            break;
         if (inst->archDst != kInvalidReg) {
             auto [phys, prev] = rename.allocate(inst->archDst);
             inst->physDst = phys;
@@ -464,13 +466,11 @@ OooCore::dispatchStage()
             physReadyCycle[phys] = kCycleNever;
         }
 
-        // The front end's reference moves into the ROB; the LSQ and
-        // the IQ take their own from it.
+        // The front end's reference moves into the ROB; the LSQ takes
+        // its own from it.
         rob.pushBack(frontEndQueue.popFront());
-        const DynInstPtr &entry = rob.back();
         if (inst->staticInst.isMem())
-            lsq->insert(entry);
-        iq->insert(entry, curCycle);
+            lsq->insert(rob.back());
         inst->dispatched = true;
     }
 }

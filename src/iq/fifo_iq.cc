@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace sciq {
 
 FifoIq::FifoIq(const IqParams &params_, const Scoreboard &scoreboard_,
@@ -31,13 +29,11 @@ int
 FifoIq::steer(const DynInstPtr &inst) const
 {
     // Prefer a FIFO whose tail produces one of our pending operands.
-    const auto srcs = inst->staticInst.srcRegs();
-    for (int i = 0; i < 2; ++i) {
-        if (srcs[i] == kInvalidReg)
+    for (RegIndex r : gatingSources(inst->staticInst.srcRegs(),
+                                    inst->isStore())) {
+        if (r == kInvalidReg)
             continue;
-        if (inst->isStore() && i == 1)
-            continue;
-        const DynInstPtr &p = producer[srcs[i]];
+        const DynInstPtr &p = producer[r];
         if (!p || p->squashed || p->issued)
             continue;
         for (std::size_t f = 0; f < fifos.size(); ++f) {
@@ -56,24 +52,14 @@ FifoIq::steer(const DynInstPtr &inst) const
 }
 
 bool
-FifoIq::canInsert(const DynInstPtr &inst)
+FifoIq::tryInsert(const DynInstPtr &inst, Cycle)
 {
-    steerMemo = steer(inst);
-    steerMemoSeq = inst->seq;
-    if (steerMemo < 0) {
+    const int f = steer(inst);
+    if (f < 0) {
         noEmptyFifoStalls.inc();
         dispatchStallsFull.inc();
         return false;
     }
-    return true;
-}
-
-void
-FifoIq::insert(const DynInstPtr &inst, Cycle)
-{
-    const int f = steerMemoSeq == inst->seq ? steerMemo : steer(inst);
-    steerMemoSeq = kInvalidSeqNum;
-    SCIQ_ASSERT(f >= 0, "insert into FIFO IQ with no slot");
     if (fifos[static_cast<std::size_t>(f)].empty())
         steeredToEmpty.inc();
     else
@@ -85,6 +71,7 @@ FifoIq::insert(const DynInstPtr &inst, Cycle)
     RegIndex dst = inst->staticInst.dstReg();
     if (dst != kInvalidReg)
         producer[dst] = inst;
+    return true;
 }
 
 void

@@ -27,8 +27,7 @@ class FifoIq : public IqBase
     FifoIq(const IqParams &params, const Scoreboard &scoreboard,
            const FuPool &fu);
 
-    bool canInsert(const DynInstPtr &inst) override;
-    void insert(const DynInstPtr &inst, Cycle cycle) override;
+    bool tryInsert(const DynInstPtr &inst, Cycle cycle) override;
     void issueSelect(Cycle cycle, const TryIssue &try_issue) override;
     void tick(Cycle cycle, bool core_busy) override;
     void squash(SeqNum youngest_kept) override;
@@ -51,13 +50,6 @@ class FifoIq : public IqBase
 
     std::vector<CircularQueue<DynInstPtr>> fifos;
     std::size_t totalOcc = 0;  ///< sum of FIFO sizes, O(1) occupancy
-
-    // canInsert -> insert steering memo.  Dispatch probes canInsert
-    // immediately before insert with no intervening queue mutation, so
-    // insert reuses the probe's FIFO choice; a seq mismatch (insert
-    // without a matching probe) steers afresh.
-    SeqNum steerMemoSeq = kInvalidSeqNum;
-    int steerMemo = -1;
 
     /** Issue-select scratch (reused; avoids per-cycle allocation). */
     std::vector<std::size_t> readyScratch;

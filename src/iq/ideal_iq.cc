@@ -15,12 +15,6 @@ IdealIq::IdealIq(const IqParams &params, const Scoreboard &scoreboard,
     waiters.resize(scoreboard.size());
 }
 
-bool
-IdealIq::canInsert(const DynInstPtr &)
-{
-    return live < params.numEntries;
-}
-
 void
 IdealIq::pushReady(const DynInstPtr &inst)
 {
@@ -37,10 +31,11 @@ IdealIq::pushReady(const DynInstPtr &inst)
     readyList.insert(pos, inst);
 }
 
-void
-IdealIq::insert(const DynInstPtr &inst, Cycle)
+bool
+IdealIq::tryInsert(const DynInstPtr &inst, Cycle)
 {
-    SCIQ_ASSERT(live < params.numEntries, "ideal IQ overflow");
+    if (live >= params.numEntries)
+        return false;
     instsInserted.inc();
     if (insts.size() >= 2 * static_cast<std::size_t>(params.numEntries))
         compact();
@@ -70,6 +65,7 @@ IdealIq::insert(const DynInstPtr &inst, Cycle)
     inst->ideal.pendingOps = pending;
     if (pending == 0)
         pushReady(inst);
+    return true;
 }
 
 void

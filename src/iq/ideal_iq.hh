@@ -30,8 +30,7 @@ class IdealIq : public IqBase
     IdealIq(const IqParams &params, const Scoreboard &scoreboard,
             const FuPool &fu);
 
-    bool canInsert(const DynInstPtr &inst) override;
-    void insert(const DynInstPtr &inst, Cycle cycle) override;
+    bool tryInsert(const DynInstPtr &inst, Cycle cycle) override;
     void issueSelect(Cycle cycle, const TryIssue &try_issue) override;
     void tick(Cycle cycle, bool core_busy) override;
     void onRegReady(RegIndex r) override;

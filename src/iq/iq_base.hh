@@ -88,11 +88,15 @@ class IqBase
     IqBase(const IqBase &) = delete;
     IqBase &operator=(const IqBase &) = delete;
 
-    /** Room (and chain resources) for this instruction right now? */
-    virtual bool canInsert(const DynInstPtr &inst) = 0;
-
-    /** Dispatch one instruction into the queue. */
-    virtual void insert(const DynInstPtr &inst, Cycle cycle) = 0;
+    /**
+     * Dispatch one instruction, or refuse it (a dispatch stall) and
+     * leave the queue as it was apart from the design's stall counters.
+     * The one admission decision of the dispatch stage: the core calls
+     * it once per instruction after renaming its sources and before
+     * allocating its destination, so a design may read `physSrc` but
+     * not `physDst` or the destination's scoreboard bit.
+     */
+    virtual bool tryInsert(const DynInstPtr &inst, Cycle cycle) = 0;
 
     /**
      * Select up to issueWidth ready instructions (oldest first),
@@ -161,17 +165,23 @@ class IqBase
     virtual void setAuditTracking(bool) {}
 
     /**
-     * The source registers that gate IQ issue.  Stores wait only on
-     * their address operand in the queue; store data is checked by the
-     * LSQ (paper section 5).
+     * Of an instruction's source pair (architectural or physical), the
+     * ones that gate the IQ.  Stores wait only on their address operand
+     * in the queue; store data is checked by the LSQ (paper section 5).
      */
+    static std::array<RegIndex, 2>
+    gatingSources(std::array<RegIndex, 2> srcs, bool is_store)
+    {
+        if (is_store)
+            srcs[1] = kInvalidReg;
+        return srcs;
+    }
+
+    /** The physical source registers that gate IQ issue. */
     static std::array<RegIndex, 2>
     iqSources(const DynInst &inst)
     {
-        std::array<RegIndex, 2> s = inst.physSrc;
-        if (inst.isStore())
-            s[1] = kInvalidReg;
-        return s;
+        return gatingSources(inst.physSrc, inst.isStore());
     }
 
     /** All IQ-gating sources ready per the scoreboard? */

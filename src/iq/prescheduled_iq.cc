@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/errors.hh"
-#include "common/logging.hh"
 
 namespace sciq {
 
@@ -67,13 +66,10 @@ unsigned
 PrescheduledIq::predictedDelay(const DynInst &inst) const
 {
     std::uint64_t ready = shiftCount;
-    const auto srcs = inst.staticInst.srcRegs();
-    for (int i = 0; i < 2; ++i) {
-        if (srcs[i] == kInvalidReg)
-            continue;
-        if (inst.isStore() && i == 1)
-            continue;  // store data is the LSQ's problem
-        ready = std::max(ready, regReadyShift[srcs[i]]);
+    for (RegIndex r : gatingSources(inst.staticInst.srcRegs(),
+                                    inst.isStore())) {
+        if (r != kInvalidReg)
+            ready = std::max(ready, regReadyShift[r]);
     }
     return static_cast<unsigned>(ready - shiftCount);
 }
@@ -91,21 +87,13 @@ PrescheduledIq::findLine(unsigned want) const
 }
 
 bool
-PrescheduledIq::canInsert(const DynInstPtr &inst)
+PrescheduledIq::tryInsert(const DynInstPtr &inst, Cycle)
 {
-    if (findLine(predictedDelay(*inst)) < 0) {
+    const int line = findLine(predictedDelay(*inst));
+    if (line < 0) {
         dispatchStallsFull.inc();
         return false;
     }
-    return true;
-}
-
-void
-PrescheduledIq::insert(const DynInstPtr &inst, Cycle)
-{
-    const unsigned delay = predictedDelay(*inst);
-    int line = findLine(delay);
-    SCIQ_ASSERT(line >= 0, "insert into full prescheduled IQ");
     lines[static_cast<std::size_t>(line)].push_back(inst);
     instsInserted.inc();
 
@@ -119,6 +107,7 @@ PrescheduledIq::insert(const DynInstPtr &inst, Cycle)
         regReadyShift[dst] = shiftCount + static_cast<std::uint64_t>(line) +
                              1 + predictedLatency(*inst);
     }
+    return true;
 }
 
 void

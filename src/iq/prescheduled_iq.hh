@@ -36,8 +36,7 @@ class PrescheduledIq : public IqBase
      */
     static void checkGeometry(const IqParams &params);
 
-    bool canInsert(const DynInstPtr &inst) override;
-    void insert(const DynInstPtr &inst, Cycle cycle) override;
+    bool tryInsert(const DynInstPtr &inst, Cycle cycle) override;
     void issueSelect(Cycle cycle, const TryIssue &try_issue) override;
     void tick(Cycle cycle, bool core_busy) override;
     void onCommit(const DynInstPtr &inst) override;

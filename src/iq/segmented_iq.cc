@@ -235,7 +235,7 @@ SegmentedIq::predictedLatency(const DynInst &inst) const
 }
 
 SegmentedIq::Plan
-SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
+SegmentedIq::computePlan(const DynInstPtr &inst) const
 {
     Plan plan;
     ++work.planCalls;
@@ -243,8 +243,8 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
     // Collect pending-source memberships from the register table lanes,
     // with head position/self-timed status read from the (compact)
     // per-chain-wire state.
-    const auto srcs = inst->staticInst.srcRegs();
-    const bool is_store = inst->isStore();
+    const auto srcs =
+        gatingSources(inst->staticInst.srcRegs(), inst->isStore());
     ChainMembership mem[2];
     int src_of[2] = {-1, -1};
     int n = 0;
@@ -252,8 +252,6 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
         RegIndex r = srcs[i];
         if (r == kInvalidReg)
             continue;
-        if (is_store && i == 1)
-            continue;  // store data does not gate address generation
         if ((regAvail >> r) & 1)
             continue;
         // A chain freed since this entry was written means its head
@@ -308,8 +306,7 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
     if (n == 2 && params.useLrp) {
         // Follow only the operand predicted to arrive later (4.3).
         plan.usedLrp = true;
-        bool left = counting ? lrp->predictLeftCritical(inst->pc)
-                             : lrp->peekLeftCritical(inst->pc);
+        const bool left = lrp->peekLeftCritical(inst->pc);
         plan.lrpPickedLeft = left;
         int keep = -1;
         for (int k = 0; k < 2; ++k) {
@@ -332,8 +329,7 @@ SegmentedIq::computePlan(const DynInstPtr &inst, bool counting) const
         bool predicted_hit = false;
         if (params.useHmp) {
             plan.usedHmp = true;
-            predicted_hit = counting ? hmp->predictHit(inst->pc)
-                                     : hmp->peekHit(inst->pc);
+            predicted_hit = hmp->peekHit(inst->pc);
             plan.hmpPredictedHit = predicted_hit;
         }
         if (!predicted_hit) {
@@ -385,63 +381,38 @@ SegmentedIq::fastPlanEligible(const DynInst &inst) const
     // skipping it is observable-equivalent.
     if (inst.isLoad())
         return false;
-    const auto srcs = inst.staticInst.srcRegs();
-    const bool is_store = inst.isStore();
-    for (int i = 0; i < 2; ++i) {
-        const RegIndex r = srcs[i];
-        if (r == kInvalidReg)
-            continue;
-        if (is_store && i == 1)
-            continue;
-        if (!((regAvail >> r) & 1))
+    for (RegIndex r : gatingSources(inst.staticInst.srcRegs(),
+                                    inst.isStore())) {
+        if (r != kInvalidReg && !((regAvail >> r) & 1))
             return false;
     }
     return true;
 }
 
 bool
-SegmentedIq::canInsert(const DynInstPtr &inst)
-{
-    ScopedTimer timer(timedCycle, prof.dispatchSec);
-    if (targetSegment() < 0) {
-        dispatchStallsFull.inc();
-        return false;
-    }
-    if (fastPlanEligible(*inst)) {
-        work.laneWordsTouched += 1;
-        planMemo = Plan{};
-        planMemoSeq = inst->seq;
-        return true;
-    }
-    Plan plan = computePlan(inst, false);
-    planMemo = plan;
-    planMemoSeq = inst->seq;
-    if (plan.needNewChain && !chains.available()) {
-        chainStalls.inc();
-        return false;
-    }
-    return true;
-}
-
-void
-SegmentedIq::insert(const DynInstPtr &inst, Cycle)
+SegmentedIq::tryInsert(const DynInstPtr &inst, Cycle)
 {
     ScopedTimer timer(timedCycle, prof.dispatchSec);
     const int target = targetSegment();
-    SCIQ_ASSERT(target >= 0, "insert into full segmented IQ");
-
-    if (planMemoSeq == inst->seq) {
-        if (planMemo.usedLrp)
-            lrp->predictLeftCritical(inst->pc);
-        if (planMemo.usedHmp)
-            hmp->predictHit(inst->pc);
-    } else {
-        planMemo = computePlan(inst, true);
+    if (target < 0) {
+        dispatchStallsFull.inc();
+        return false;
     }
-    planMemoSeq = kInvalidSeqNum;
-    const Plan &plan = planMemo;
-    SCIQ_ASSERT(!plan.needNewChain || chains.available(),
-                "insert without a free chain");
+    Plan plan;
+    if (fastPlanEligible(*inst)) {
+        work.laneWordsTouched += 1;
+    } else {
+        plan = computePlan(inst);
+        if (plan.needNewChain && !chains.available()) {
+            chainStalls.inc();
+            return false;
+        }
+    }
+    // Admitted: count the predictor reads the plan peeked at.
+    if (plan.usedLrp)
+        lrp->predictLeftCritical(inst->pc);
+    if (plan.usedHmp)
+        hmp->predictHit(inst->pc);
 
     inst->hadTwoOutstanding = plan.hadTwoOutstanding;
     inst->lrpUsed = plan.usedLrp;
@@ -522,6 +493,7 @@ SegmentedIq::insert(const DynInstPtr &inst, Cycle)
         }
         writeRegLane(dst, true, e);
     }
+    return true;
 }
 
 void

@@ -20,6 +20,12 @@
  *    bypass (4.2), left/right operand prediction (4.3), hit/miss
  *    prediction (4.4), and deadlock detection/recovery (4.5).
  *
+ * Dispatch (tryInsert) makes the paper's one decision per instruction
+ * (section 5): it reads the register table, picks the chains to follow
+ * and the target segment, and then either admits the instruction or
+ * stalls -- top active segment full, or no free chain wire -- leaving
+ * the queue and the predictors' statistics untouched.
+ *
  * Implementation note: chain-wire signals are kept in a per-chain log
  * with an explicit generation cycle and origin segment; an entry in
  * segment s applies a signal generated at cycle g from segment o once
@@ -97,8 +103,7 @@ class SegmentedIq : public IqBase
      */
     static void checkGeometry(const IqParams &params);
 
-    bool canInsert(const DynInstPtr &inst) override;
-    void insert(const DynInstPtr &inst, Cycle cycle) override;
+    bool tryInsert(const DynInstPtr &inst, Cycle cycle) override;
     void issueSelect(Cycle cycle, const TryIssue &try_issue) override;
     void tick(Cycle cycle, bool core_busy) override;
     void onLoadMiss(const DynInstPtr &inst, Cycle cycle) override;
@@ -156,7 +161,7 @@ class SegmentedIq : public IqBase
         double deliverSec = 0.0;    ///< tick step 2 (signal delivery)
         double countdownSec = 0.0;  ///< tick step 3 (self-timed countdown)
         double issueSec = 0.0;      ///< issueSelect
-        double dispatchSec = 0.0;   ///< canInsert + insert
+        double dispatchSec = 0.0;   ///< tryInsert
         std::uint64_t ticks = 0;    ///< ticks timed
     };
     static constexpr Cycle kProfileEvery = 16;
@@ -273,7 +278,7 @@ class SegmentedIq : public IqBase
         ChainMembership prev;
     };
 
-    /** Everything insert() needs, precomputed identically by canInsert. */
+    /** The dispatch decision's chains and predictor reads (tryInsert). */
     struct Plan
     {
         ChainMembership memberships[2];
@@ -294,10 +299,11 @@ class SegmentedIq : public IqBase
     unsigned predictedLatency(const DynInst &inst) const;
 
     /**
-     * Build the chain/membership plan for an instruction.
-     * @param counting true to update predictor statistics (insert path).
+     * Build the chain/membership plan for an instruction.  Reads the
+     * predictors without counting; tryInsert counts the reads once the
+     * instruction is admitted.
      */
-    Plan computePlan(const DynInstPtr &inst, bool counting) const;
+    Plan computePlan(const DynInstPtr &inst) const;
 
     /** Dispatch target segment honouring the bypass rule (section 4.2). */
     int targetSegment() const;
@@ -536,16 +542,6 @@ class SegmentedIq : public IqBase
     std::size_t totalOcc = 0;         ///< occupancy, O(1)
 
     CircularQueue<Undo> undoLog;
-
-    // canInsert -> insert plan memo.  Dispatch always probes canInsert
-    // immediately before insert with no intervening queue mutation, so
-    // insert can reuse the admission plan instead of recomputing it;
-    // insert re-issues the stat-counting predictor reads the peek-mode
-    // pass skipped (predict and peek return identical values).  A seq
-    // mismatch (e.g. insert without a matching probe) falls back to a
-    // full computePlan.
-    SeqNum planMemoSeq = kInvalidSeqNum;
-    Plan planMemo;
 
     mutable ChainAllocator chains;
     HitMissPredictor *hmp;

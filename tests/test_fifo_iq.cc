@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "iq/fifo_iq.hh"
 #include "iq_harness.hh"
 
@@ -29,10 +31,9 @@ struct FifoFixture : public ::testing::Test
     void
     dispatch(FifoIq &iq, const DynInstPtr &inst)
     {
-        ASSERT_TRUE(iq.canInsert(inst));
+        ASSERT_TRUE(iq.tryInsert(inst, 0));
         if (inst->physDst != kInvalidReg)
             scoreboard.clearReady(inst->physDst);
-        iq.insert(inst, 0);
     }
 
     IqParams params;
@@ -82,17 +83,20 @@ TEST_F(FifoFixture, DispatchStallsWithoutEmptyFifo)
     auto iq = makeIq();
     // Four independent unready chains occupy all four FIFOs.
     scoreboard.clearReady(intReg(1));
+    std::vector<DynInstPtr> lds;
     for (SeqNum s = 1; s <= 4; ++s) {
-        auto ld = makeInst(s, Opcode::LD, intReg(10 + s), intReg(1));
-        dispatch(*iq, ld);
+        lds.push_back(makeInst(s, Opcode::LD, intReg(10 + s), intReg(1)));
+        dispatch(*iq, lds.back());
     }
     // A fifth independent instruction has nowhere to go.
     auto indep = makeInst(5, Opcode::NOP);
-    EXPECT_FALSE(iq->canInsert(indep));
+    EXPECT_FALSE(iq->tryInsert(indep, 0));
     EXPECT_GT(iq->noEmptyFifoStalls.value(), 0.0);
+    EXPECT_EQ(iq->occupancy(), 4u);
     // But a dependent of one of the tails can still dispatch.
     auto dep = makeInst(6, Opcode::ADD, intReg(20), intReg(11), intReg(0));
-    EXPECT_TRUE(iq->canInsert(dep));
+    EXPECT_TRUE(iq->tryInsert(dep, 0));
+    EXPECT_EQ(iq->debugFifo(dep), iq->debugFifo(lds[0]));
 }
 
 TEST_F(FifoFixture, OnlyFifoHeadsConsideredForIssue)

@@ -33,12 +33,13 @@ TEST_F(IdealFixture, CapacityGatesInsertion)
     IdealIq iq(params, scoreboard, fu);
     for (SeqNum s = 1; s <= 8; ++s) {
         auto inst = makeInst(s, Opcode::NOP);
-        ASSERT_TRUE(iq.canInsert(inst));
-        iq.insert(inst, 0);
+        ASSERT_TRUE(iq.tryInsert(inst, 0));
     }
     auto extra = makeInst(9, Opcode::NOP);
-    EXPECT_FALSE(iq.canInsert(extra));
+    EXPECT_FALSE(iq.tryInsert(extra, 0));
+    EXPECT_FALSE(extra->ideal.inQueue);
     EXPECT_EQ(iq.occupancy(), 8u);
+    EXPECT_EQ(iq.instsInserted.value(), 8.0);
 }
 
 TEST_F(IdealFixture, OnlyReadyInstructionsIssue)
@@ -49,8 +50,8 @@ TEST_F(IdealFixture, OnlyReadyInstructionsIssue)
     scoreboard.setReady(intReg(1));
     scoreboard.setReady(intReg(2));
     scoreboard.clearReady(intReg(4));
-    iq.insert(ready, 0);
-    iq.insert(unready, 0);
+    ASSERT_TRUE(iq.tryInsert(ready, 0));
+    ASSERT_TRUE(iq.tryInsert(unready, 0));
 
     iq.issueSelect(1, rec.acceptAll());
     ASSERT_EQ(rec.issued.size(), 1u);
@@ -70,7 +71,7 @@ TEST_F(IdealFixture, OldestFirstWithinWidth)
 {
     IdealIq iq(params, scoreboard, fu);
     for (SeqNum s = 1; s <= 6; ++s)
-        iq.insert(makeInst(s, Opcode::NOP), 0);
+        ASSERT_TRUE(iq.tryInsert(makeInst(s, Opcode::NOP), 0));
     iq.issueSelect(1, rec.acceptAll());
     ASSERT_EQ(rec.issued.size(), 4u);  // issueWidth
     for (SeqNum s = 1; s <= 4; ++s)
@@ -80,7 +81,7 @@ TEST_F(IdealFixture, OldestFirstWithinWidth)
 TEST_F(IdealFixture, RejectedInstructionsStayQueued)
 {
     IdealIq iq(params, scoreboard, fu);
-    iq.insert(makeInst(1, Opcode::NOP), 0);
+    ASSERT_TRUE(iq.tryInsert(makeInst(1, Opcode::NOP), 0));
     iq.issueSelect(1, rec.rejectAll());
     EXPECT_EQ(iq.occupancy(), 1u);
     iq.issueSelect(2, rec.acceptAll());
@@ -92,8 +93,8 @@ TEST_F(IdealFixture, FuRejectDoesNotBlockOthers)
     IdealIq iq(params, scoreboard, fu);
     auto a = makeInst(1, Opcode::NOP);
     auto b = makeInst(2, Opcode::NOP);
-    iq.insert(a, 0);
-    iq.insert(b, 0);
+    ASSERT_TRUE(iq.tryInsert(a, 0));
+    ASSERT_TRUE(iq.tryInsert(b, 0));
     // Reject only the first instruction.
     iq.issueSelect(1, [&](const DynInstPtr &inst) {
         return inst->seq != 1;
@@ -106,7 +107,7 @@ TEST_F(IdealFixture, SquashRemovesYounger)
 {
     IdealIq iq(params, scoreboard, fu);
     for (SeqNum s = 1; s <= 6; ++s)
-        iq.insert(makeInst(s, Opcode::NOP), 0);
+        ASSERT_TRUE(iq.tryInsert(makeInst(s, Opcode::NOP), 0));
     iq.squash(3);
     EXPECT_EQ(iq.occupancy(), 3u);
     iq.issueSelect(1, rec.acceptAll());
@@ -121,7 +122,7 @@ TEST_F(IdealFixture, StoreDataDoesNotGateIssue)
     auto st = makeInst(1, Opcode::ST, kInvalidReg, intReg(1), intReg(9));
     scoreboard.setReady(intReg(1));
     scoreboard.clearReady(intReg(9));  // data not ready
-    iq.insert(st, 0);
+    ASSERT_TRUE(iq.tryInsert(st, 0));
     iq.issueSelect(1, rec.acceptAll());
     ASSERT_EQ(rec.issued.size(), 1u);
 }
@@ -129,8 +130,8 @@ TEST_F(IdealFixture, StoreDataDoesNotGateIssue)
 TEST_F(IdealFixture, StatsTrackInsertsAndIssues)
 {
     IdealIq iq(params, scoreboard, fu);
-    iq.insert(makeInst(1, Opcode::NOP), 0);
-    iq.insert(makeInst(2, Opcode::NOP), 0);
+    ASSERT_TRUE(iq.tryInsert(makeInst(1, Opcode::NOP), 0));
+    ASSERT_TRUE(iq.tryInsert(makeInst(2, Opcode::NOP), 0));
     iq.issueSelect(1, rec.acceptAll());
     EXPECT_EQ(iq.instsInserted.value(), 2.0);
     EXPECT_EQ(iq.instsIssued.value(), 2.0);
@@ -149,8 +150,7 @@ TEST_F(IdealFixture, TombstonesKeepOccupancyAndResidencyExact)
     std::map<SeqNum, DynInstPtr> insts;
     auto add = [&](SeqNum s, RegIndex src) {
         insts[s] = makeInst(s, Opcode::ADD, intReg(20), src);
-        ASSERT_TRUE(iq.canInsert(insts[s]));
-        iq.insert(insts[s], 0);
+        ASSERT_TRUE(iq.tryInsert(insts[s], 0));
     };
     auto issueOnly = [&](std::initializer_list<SeqNum> seqs) {
         iq.issueSelect(1, [&](const DynInstPtr &inst) {
@@ -171,7 +171,10 @@ TEST_F(IdealFixture, TombstonesKeepOccupancyAndResidencyExact)
             n += want;
         }
         EXPECT_EQ(iq.occupancy(), n);
-        EXPECT_EQ(iq.canInsert(makeInst(99, Opcode::NOP)), n < 4);
+        // A full queue refuses; below capacity the next add() admits.
+        if (n == 4) {
+            EXPECT_FALSE(iq.tryInsert(makeInst(99, Opcode::NOP), 0));
+        }
     };
 
     // The oldest waits on r4; the three younger issue around it.
@@ -218,4 +221,7 @@ TEST_F(IdealFixture, TombstonesKeepOccupancyAndResidencyExact)
     EXPECT_EQ(rec.issued[0]->seq, 1u);
     EXPECT_EQ(rec.issued[3]->seq, 15u);
     expectResident({});
+    // The drained queue, its list still holding tombstones, admits again.
+    add(16, intReg(1));
+    expectResident({16});
 }

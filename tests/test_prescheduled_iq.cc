@@ -31,10 +31,9 @@ struct PreschedFixture : public ::testing::Test
     void
     dispatch(PrescheduledIq &iq, const DynInstPtr &inst)
     {
-        ASSERT_TRUE(iq.canInsert(inst));
+        ASSERT_TRUE(iq.tryInsert(inst, cycle));
         if (inst->physDst != kInvalidReg)
             scoreboard.clearReady(inst->physDst);
-        iq.insert(inst, cycle);
     }
 
     void tick(PrescheduledIq &iq) { iq.tick(++cycle, true); }
@@ -166,10 +165,9 @@ TEST_F(PreschedFixture, DependentsNeverEnterBufferBeforeProducers)
     for (SeqNum s = 1; s <= 10; ++s) {
         RegIndex dst = intReg(10 + s);
         auto inst = makeInst(s, Opcode::LD, dst, prev);
-        if (!iq->canInsert(inst))
+        if (!iq->tryInsert(inst, cycle))
             break;  // dispatch stall is fine; inversion is not
         scoreboard.clearReady(dst);
-        iq->insert(inst, cycle);
         chain.push_back(inst);
         prev = dst;
     }
@@ -217,9 +215,8 @@ TEST_F(PreschedFixture, CapacityStallsWhenAllLinesFull)
     while (true) {
         auto inst =
             makeInst(s, Opcode::ADD, intReg(0), intReg(9), intReg(1));
-        if (!iq->canInsert(inst))
+        if (!iq->tryInsert(inst, cycle))
             break;
-        iq->insert(inst, cycle);
         ++s;
         ASSERT_LT(s, 100u);
     }

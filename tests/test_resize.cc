@@ -51,19 +51,20 @@ TEST_F(ResizeFixture, StartsMinimalAndGrowsUnderPressure)
     SeqNum s = 1;
     for (; s <= 4; ++s) {
         auto ld = makeInst(s, Opcode::LD, intReg(20 + s), intReg(1));
-        ASSERT_TRUE(iq->canInsert(ld));
+        ASSERT_TRUE(iq->tryInsert(ld, cycle));
         scoreboard.clearReady(ld->physDst);
-        iq->insert(ld, cycle);
     }
     // Capacity exhausted at one active segment.
     auto extra = makeInst(s, Opcode::LD, intReg(27), intReg(1));
-    EXPECT_FALSE(iq->canInsert(extra));
+    EXPECT_FALSE(iq->tryInsert(extra, cycle));
+    EXPECT_EQ(iq->occupancy(), 4u);
 
     // A resize check re-enables a segment.
     for (int i = 0; i < 6; ++i)
         iq->tick(++cycle, true);
     EXPECT_GE(iq->activeSegmentCount(), 2u);
-    EXPECT_TRUE(iq->canInsert(extra));
+    EXPECT_TRUE(iq->tryInsert(extra, cycle));
+    EXPECT_EQ(iq->occupancy(), 5u);
     EXPECT_GT(iq->resizeGrows.value(), 0.0);
 }
 
@@ -75,8 +76,8 @@ TEST_F(ResizeFixture, ShrinksOnlyWhenTopSegmentEmpty)
     SeqNum s = 1;
     for (; s <= 4; ++s) {
         auto ld = makeInst(s, Opcode::LD, intReg(20 + s), intReg(1));
+        ASSERT_TRUE(iq->tryInsert(ld, cycle));
         scoreboard.clearReady(ld->physDst);
-        iq->insert(ld, cycle);
     }
     for (int i = 0; i < 6; ++i)
         iq->tick(++cycle, true);

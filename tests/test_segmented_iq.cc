@@ -57,14 +57,13 @@ struct SegFixture : public ::testing::Test
                                              &lrp);
     }
 
-    /** Dispatch helper mirroring the core: clear dst then insert. */
+    /** Dispatch helper mirroring the core: insert, then clear dst. */
     void
     dispatch(SegmentedIq &iq, const DynInstPtr &inst)
     {
-        ASSERT_TRUE(iq.canInsert(inst)) << "seq " << inst->seq;
+        ASSERT_TRUE(iq.tryInsert(inst, cycle)) << "seq " << inst->seq;
         if (inst->physDst != kInvalidReg)
             scoreboard.clearReady(inst->physDst);
-        iq.insert(inst, cycle);
     }
 
     void
@@ -357,11 +356,14 @@ TEST_F(SegFixture, ChainExhaustionStallsDispatch)
     auto load_a = makeInst(1, Opcode::LD, intReg(2), intReg(1));
     dispatch(*iq, load_a);
     auto load_b = makeInst(2, Opcode::LD, intReg(3), intReg(1));
-    EXPECT_FALSE(iq->canInsert(load_b));
+    EXPECT_FALSE(iq->tryInsert(load_b, cycle));
     EXPECT_GT(iq->chainStalls.value(), 0.0);
+    EXPECT_EQ(iq->occupancy(), 1u);
     // A chainless instruction still dispatches.
     auto nop = makeInst(3, Opcode::NOP);
-    EXPECT_TRUE(iq->canInsert(nop));
+    EXPECT_TRUE(iq->tryInsert(nop, cycle));
+    EXPECT_EQ(iq->occupancy(), 2u);
+    EXPECT_EQ(iq->chainsInUse(), 1u);
 }
 
 TEST_F(SegFixture, ChainFreedAfterWritebackDrain)
@@ -379,7 +381,9 @@ TEST_F(SegFixture, ChainFreedAfterWritebackDrain)
         tick(*iq);
     EXPECT_EQ(iq->chainsInUse(), 0u);
     auto load_b = makeInst(2, Opcode::LD, intReg(3), intReg(1));
-    EXPECT_TRUE(iq->canInsert(load_b));
+    EXPECT_TRUE(iq->tryInsert(load_b, cycle));
+    EXPECT_NE(load_b->seg.headedChain, kNoChain);
+    EXPECT_EQ(iq->chainsInUse(), 1u);
 }
 
 TEST_F(SegFixture, SquashRemovesInstructionsAndRestoresTable)
@@ -506,9 +510,7 @@ TEST_F(SegFixture, DeadlockDetectedAndRecovered)
     for (SeqNum s = 2; s <= 4; ++s) {
         auto dep = makeInst(s, Opcode::ADD, intReg(10 + s), intReg(2),
                             intReg(3));
-        ASSERT_TRUE(iq->canInsert(dep));
-        scoreboard.clearReady(dep->physDst);
-        iq->insert(dep, cycle);
+        dispatch(*iq, dep);
     }
     EXPECT_EQ(iq->occupancy(), 4u);
 
@@ -680,13 +682,12 @@ class TortureRig
              RegIndex rs1 = kInvalidReg, RegIndex rs2 = kInvalidReg)
     {
         DynInstPtr inst = makeInst(seq, op, rd, rs1, rs2);
-        if (!iq_->canInsert(inst)) {
+        if (!iq_->tryInsert(inst, cycle_)) {
             record("refused", seq);
             return false;
         }
         if (inst->physDst != kInvalidReg)
             scoreboard_.clearReady(inst->physDst);
-        iq_->insert(inst, cycle_);
         live_[seq] = inst;
         record("dispatch", seq);
         return true;

@@ -3,7 +3,7 @@
 # segmented-engine verdicts + exact work-counter proxy, and sanitizer
 # configurations.  Run from the repository root:
 #
-#   tools/check.sh [ubsan|asan|tsan|all|faults|perf]...
+#   tools/check.sh [ubsan|asan|tsan|all|faults|perf|eval]...
 #
 # Modes compose: `tools/check.sh ubsan faults` runs both legs in
 # order.  Default: ubsan.
@@ -20,6 +20,10 @@
 #                    fetched instruction (gcc, 64 entries, every IQ
 #                    design) and host throughput per queue,
 #                    segmented-512 next to ideal-512
+#   eval             only the full-length evaluation golden on the
+#                    tier-1 build: the 8 evaluation benches without
+#                    quick=1 (about 31 s at jobs=4 on 4 vCPUs) against
+#                    tests/golden/evaluation_full.json
 #
 # On failure the EXIT trap names the leg that failed and its build dir.
 set -eu
@@ -27,9 +31,9 @@ set -eu
 [ "$#" -gt 0 ] || set -- ubsan
 for mode in "$@"; do
   case "$mode" in
-    ubsan|asan|tsan|all|faults|perf) ;;
+    ubsan|asan|tsan|all|faults|perf|eval) ;;
     *) echo "unknown mode '$mode' (want ubsan, asan, tsan, all," \
-            "faults or perf)" >&2
+            "faults, perf or eval)" >&2
        exit 2 ;;
   esac
 done
@@ -151,6 +155,14 @@ run_sanitizer() {
   fi
 }
 
+# The numbers EXPERIMENTS.md quotes: every evaluation bench at full
+# length, compared row by row with its recorded golden.
+leg_eval() {
+  tier1_build
+  begin_leg "full-length evaluation golden" build
+  python3 tools/eval_golden.py --full --bench-dir build/bench
+}
+
 leg_faults() {
   tier1_build
   begin_leg "fault-containment suite (taxonomy, watchdog, injection)" build
@@ -177,6 +189,7 @@ for mode in "$@"; do
       run_sanitizer tsan -DSCIQ_TSAN=ON ;;
     faults) leg_faults ;;
     perf) leg_perf ;;
+    eval) leg_eval ;;
   esac
 done
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Pin the evaluation: rerun the 8 evaluation benches at quick=1 and
-compare them with tests/golden/evaluation.json.
+compare them with tests/golden/evaluation.json (with --full, at full
+length against tests/golden/evaluation_full.json).
 
 For each bench the golden holds the FNV-1a-64 of its stdout and, for
 each bench_out row, the FNV-1a-64 of the row with its host-dependent
@@ -9,6 +10,7 @@ first differing bench and row are named and the exit status is 1.
 
     tools/eval_golden.py --bench-dir build/bench            # check
     tools/eval_golden.py --bench-dir build/bench --update   # rewrite
+    tools/eval_golden.py --bench-dir build/bench --full     # ~31 s, jobs=4, 4 vCPUs
 
 Any regeneration is a change to simulated results: list the changed
 rows in CHANGES.md and say why in EXPERIMENTS.md.
@@ -31,16 +33,16 @@ BENCHES = [
     "ablation_geometry",
     "ablation_power",
 ]
-ARGS = ["quick=1", "jobs=4"]
+QUICK_ARGS = ["quick=1", "jobs=4"]
+FULL_ARGS = ["jobs=4"]
 # Host time, warming rates, block-cache and host-work counters and the
 # checkpoint-reuse flag vary with the host or the scheduler, not with
 # the simulated result.
 MASKED_PREFIXES = ("host_", "warm_", "bbcache_", "iq_work_")
 MASKED_KEYS = ("ckpt_restored",)
 
-GOLDEN = os.path.normpath(os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "golden",
-    "evaluation.json"))
+GOLDEN_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "golden"))
 
 
 def fnv64(data):
@@ -61,9 +63,9 @@ def label(row):
                                    row["iq_size"], row["chains"])
 
 
-def run_bench(bench_dir, name, tmp):
+def run_bench(bench_dir, name, bench_args, tmp):
     out = os.path.join(tmp, name + ".json")
-    proc = subprocess.run([os.path.join(bench_dir, name)] + ARGS +
+    proc = subprocess.run([os.path.join(bench_dir, name)] + bench_args +
                           ["bench_out=" + out],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if proc.returncode != 0:
@@ -84,9 +86,9 @@ def run_bench(bench_dir, name, tmp):
     }
 
 
-def write_golden(path, benches):
+def write_golden(path, bench_args, benches):
     # One row per line, so a regeneration diffs row by row.
-    lines = ['{', ' "args": %s,' % json.dumps(ARGS), ' "benches": [']
+    lines = ['{', ' "args": %s,' % json.dumps(bench_args), ' "benches": [']
     for bi, b in enumerate(benches):
         lines.append('  {"name": %s, "stdout_fnv64": %s, "rows": [' %
                      (json.dumps(b["name"]), json.dumps(b["stdout_fnv64"])))
@@ -121,22 +123,29 @@ def main():
                     help="directory holding the bench binaries")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the golden from this run")
+    ap.add_argument("--full", action="store_true",
+                    help="run the benches at full length (no quick=1) "
+                         "against evaluation_full.json")
     args = ap.parse_args()
+    bench_args = FULL_ARGS if args.full else QUICK_ARGS
+    golden_path = os.path.join(GOLDEN_DIR, "evaluation_full.json"
+                               if args.full else "evaluation.json")
 
     with tempfile.TemporaryDirectory() as tmp:
-        got = [run_bench(args.bench_dir, name, tmp) for name in BENCHES]
+        got = [run_bench(args.bench_dir, name, bench_args, tmp)
+               for name in BENCHES]
 
     if args.update:
-        write_golden(GOLDEN, got)
+        write_golden(golden_path, bench_args, got)
         print("wrote %d benches, %d rows to %s" %
-              (len(got), sum(len(b["rows"]) for b in got), GOLDEN))
+              (len(got), sum(len(b["rows"]) for b in got), golden_path))
         return 0
 
-    with open(GOLDEN) as f:
+    with open(golden_path) as f:
         golden = json.load(f)
-    if golden["args"] != ARGS:
+    if golden["args"] != bench_args:
         print("eval_golden: golden recorded with %s, this run uses %s" %
-              (golden["args"], ARGS))
+              (golden["args"], bench_args))
         return 1
     want = {b["name"]: b for b in golden["benches"]}
     for b in got:
